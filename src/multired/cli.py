@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .monoid import Caps, MonoidContext, MultiredError, Side
+from .monoid import CapExceeded, Caps, MonoidContext, MultiredError, Side
 from .multifraction import SignedWord, format_multifraction, parse_multifraction
 from .presentation import (
     PresentationError,
@@ -191,8 +191,8 @@ def dispatch(argv) -> int:
 
     if args.command == "derdiv":
         a = parse_multifraction(ctx, args.multifraction)
-        _emit(args, {"input": fmt(a), "derdiv": fmt(red.derdiv(ctx, a))},
-              [fmt(red.derdiv(ctx, a))])
+        out = red.derdiv(ctx, a)
+        _emit(args, {"input": fmt(a), "derdiv": fmt(out)}, [fmt(out)])
         return EXIT_OK
 
     if args.command == "redtame":
@@ -304,6 +304,9 @@ def main(argv=None) -> int:
         return dispatch(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
+    except CapExceeded as e:
+        print(f"inconclusive: {e}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except (MultiredError, PresentationError, VanKampenFailure, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

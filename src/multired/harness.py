@@ -37,8 +37,8 @@ from .multifraction import (
 from . import reduction as red
 from .reduction import (
     Move,
-    apply_left,
-    apply_right,
+    apply_left,  # part of this namespace: perfbench/test_perfbench.py traces it here
+    apply_move,
     red_tame,
     red_tame_fixpoint,
     reduce_left,
@@ -229,6 +229,15 @@ def gen_central_cross(
     return assemble_cross(ctx, rays), cross
 
 
+def _random_left_divisors(ctx: MonoidContext, a: Multifraction, rng: random.Random) -> list[Element]:
+    """One uniformly drawn left divisor of each entry, in entry order."""
+    choices = []
+    for i in range(1, a.depth + 1):
+        divs = ctx.divisors(a.entry(i), Side.LEFT)
+        choices.append(divs[rng.randrange(len(divs))])
+    return choices
+
+
 def lcm_expand(
     ctx: MonoidContext,
     a: Multifraction,
@@ -249,11 +258,7 @@ def lcm_expand(
     if n % 2 != 0 or n < 2:
         raise ValueError("lcm expansion needs even depth")
     if choices is None:
-        rng = random.Random(seed)
-        choices = []
-        for i in range(1, n + 1):
-            divs = ctx.divisors(a.entry(i), Side.LEFT)
-            choices.append(divs[rng.randrange(len(divs))])
+        choices = _random_left_divisors(ctx, a, random.Random(seed))
     primes: list[Element] = []
     seconds: list[Element] = []
     for i in range(1, n + 1):
@@ -658,8 +663,7 @@ def mixed_cycle_probe(ctx: MonoidContext, iterations: int = 3) -> dict:
     ok = True
     for p in range(1, iterations + 1):
         for kind, i, x in seq:
-            fn = apply_left if kind == "left" else apply_right
-            cur = fn(ctx, cur, i, el(x))
+            cur = apply_move(ctx, cur, Move(kind, i, el(x)))
             if cur is None:
                 raise MultiredError("mixed cycle move failed to apply")
         expected = Multifraction(
@@ -742,10 +746,7 @@ def _gen_unital_for_campaign(ctx, depth, length, expansions, seed):
             continue
         chain = []
         for _ in range(rng.randint(0, expansions)):
-            choices = []
-            for i in range(1, a.depth + 1):
-                divs = ctx.divisors(a.entry(i), Side.LEFT)
-                choices.append(divs[rng.randrange(len(divs))])
+            choices = _random_left_divisors(ctx, a, rng)
             nxt = lcm_expand(ctx, a, choices=choices)
             if nxt is None or nxt.total_length() > length:
                 break
@@ -829,6 +830,7 @@ def run_campaign(
     start = time.perf_counter()
     records: list[dict] = []
     counterexample = None
+    pool = None
     if config.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         from .presentation import format_presentation
@@ -836,22 +838,21 @@ def run_campaign(
         text = format_presentation(ctx.pres)
         caps = ctx.caps.__dict__
         args = [(text, caps, config.__dict__, i) for i in range(config.trials)]
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            for rec in pool.map(_pool_trial, args):
-                records.append(rec)
-                if rec["verdict"] == "counterexample":
-                    counterexample = rec
-                    break
+        pool = ProcessPoolExecutor(max_workers=config.jobs)
+        trials = pool.map(_pool_trial, args)
     else:
-        for i in range(config.trials):
-            rec = run_trial(ctx, config, i)
+        trials = (run_trial(ctx, config, i) for i in range(config.trials))
+    try:
+        for rec in trials:  # in trial order either way
             records.append(rec)
             if log_stream is not None:
                 log_stream.write(json.dumps(rec, sort_keys=True) + "\n")
             if rec["verdict"] == "counterexample":
                 counterexample = rec
                 break
-    records.sort(key=lambda r: r["trial"])
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     counts: dict[str, int] = {}
     for rec in records:
         counts[rec["verdict"]] = counts.get(rec["verdict"], 0) + 1

@@ -557,8 +557,3 @@ class MonoidContext:
     def basic_bound_C(self) -> int:
         """1 + max length over basic elements (either side)."""
         return max(self.basic_table(Side.RIGHT).C, self.basic_table(Side.LEFT).C)
-
-
-def compute_basics(ctx: MonoidContext, side: Side) -> BasicTable:
-    """Fixed-point closure of the atoms under lcm-complement."""
-    return ctx.basic_table(side)

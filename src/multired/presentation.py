@@ -13,6 +13,7 @@ downstream, so parsing is fully deterministic.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from dataclasses import dataclass, field
 
@@ -296,7 +297,7 @@ def preset(name: str) -> Presentation:
     compact = raw.replace(" ", "")
 
     if compact in ("A2tilde", "A~2"):
-        return preset("K(3,3)")._replace_name("A2tilde")
+        return dataclasses.replace(preset("K(3,3)"), name="A2tilde")
 
     m = re.fullmatch(r"K\(?(\d+),(\d+)\)?", compact)
     if m:
@@ -370,10 +371,3 @@ def preset(name: str) -> Presentation:
 
 def preset_names() -> list[str]:
     return ["A2tilde", "A3tilde", "C2tilde", "K(n,3)", "braid(n)", "free(n)", "I2(m)"]
-
-
-def _replace_name(self: Presentation, new_name: str) -> Presentation:
-    return Presentation(new_name, self.atoms, self.relations, fc=self.fc)
-
-
-Presentation._replace_name = _replace_name  # type: ignore[attr-defined]

@@ -24,6 +24,7 @@ equations on the entries.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .monoid import (
@@ -35,7 +36,7 @@ from .monoid import (
     MultiredError,
     Side,
 )
-from .multifraction import Multifraction, format_multifraction
+from .multifraction import Multifraction, format_multifraction, inverse
 
 
 class InternalInvariantError(MultiredError):
@@ -68,12 +69,7 @@ class ReductionTrace:
         for m in self.moves:
             if out and out[-1].kind == m.kind and out[-1].level == m.level:
                 prev = out.pop()
-                positive = self.start.sign(m.level) > 0
-                if m.kind == "right":
-                    strip_left = positive
-                else:
-                    strip_left = not positive
-                if strip_left:
+                if (m.kind == "right") == (self.start.sign(m.level) > 0):
                     x = ctx.multiply(prev.x, m.x)
                 else:
                     x = ctx.multiply(m.x, prev.x)
@@ -95,83 +91,56 @@ def due_side(a: Multifraction, i: int) -> Side:
 # elementary moves
 
 
+def _attach(ctx: MonoidContext, side: Side, y: Element, x: Element) -> Element:
+    """y with x attached on the given side: y*x for RIGHT, x*y for LEFT."""
+    return ctx.multiply(y, x) if side is Side.RIGHT else ctx.multiply(x, y)
+
+
+def _push(
+    ctx: MonoidContext, a: Multifraction, i: int, x: Element, src: int, dst: int
+) -> Multifraction | None:
+    """The move core shared by both sides: divide x out of entry src on the
+    due side of level min(i, src), take the opposite-side lcm of x with
+    entry i, and deposit the complement of x in entry dst.  Left reduction
+    pushes from i+1 to i-1, right reduction from i-1 to i+1."""
+    side = due_side(a, min(i, src))
+    lcm_side = side.other
+    q = ctx.divides(x, a.entry(src), side)
+    if q is None:
+        return None
+    r = ctx.lcm(x, a.entry(i), lcm_side)
+    if r is None:
+        return None
+    _, xp, comp = r  # comp with x attached on `side` = entry i with xp on `lcm_side`
+    deposit = _attach(ctx, lcm_side, a.entry(dst), xp)
+    b = a.replace_entry(src, q).replace_entry(i, comp).replace_entry(dst, deposit)
+    assert b.entry(dst) == deposit and b.depth == a.depth
+    assert _attach(ctx, side, b.entry(i), x) == _attach(ctx, lcm_side, a.entry(i), xp)
+    assert _attach(ctx, side, b.entry(src), x) == a.entry(src)
+    return b
+
+
 def apply_left(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> Multifraction | None:
     """a . R(i,x), or None when the rule does not apply.
 
-    1 <= i < depth and x != 1 required.  Cap overflow from the underlying
-    lcm propagates (the move's applicability is then unknown).
+    1 <= i < depth and x != 1 required; the truncated rule at level 1 is
+    the division D(1,x).  Cap overflow from the underlying lcm propagates
+    (the move's applicability is then unknown).
     """
     n = a.depth
     if not 1 <= i < n:
         raise ValueError(f"left reduction level {i} outside 1..{n - 1}")
     if x.is_identity:
         raise ValueError("reducer must be nontrivial")
-    pos = a.sign(i) > 0
     if i == 1:
-        side = Side.RIGHT if pos else Side.LEFT
-        q1 = ctx.divides(x, a.entry(1), side)
-        if q1 is None:
-            return None
-        q2 = ctx.divides(x, a.entry(2), side)
-        if q2 is None:
-            return None
-        b = a.replace_entry(1, q1).replace_entry(2, q2)
-        _assert_left(ctx, a, b, i, x, None)
-        return b
-    if pos:
-        # x must right-divide entry i+1; left lcm of x and entry i
-        q = ctx.divides(x, a.entry(i + 1), Side.RIGHT)
-        if q is None:
-            return None
-        r = ctx.lcm(x, a.entry(i), Side.LEFT)
-        if r is None:
-            return None
-        m, comp_x, comp_ai = r  # m = comp_x * entry(i) = comp_ai * x
-        xp = comp_x
-        b = (
-            a.replace_entry(i - 1, ctx.multiply(xp, a.entry(i - 1)))
-            .replace_entry(i, comp_ai)
-            .replace_entry(i + 1, q)
-        )
-    else:
-        q = ctx.divides(x, a.entry(i + 1), Side.LEFT)
-        if q is None:
-            return None
-        r = ctx.lcm(x, a.entry(i), Side.RIGHT)
-        if r is None:
-            return None
-        m, comp_x, comp_ai = r  # m = entry(i) * comp_x = x * comp_ai
-        xp = comp_x
-        b = (
-            a.replace_entry(i - 1, ctx.multiply(a.entry(i - 1), xp))
-            .replace_entry(i, comp_ai)
-            .replace_entry(i + 1, q)
-        )
-    _assert_left(ctx, a, b, i, x, xp)
-    return b
-
-
-def _assert_left(ctx, a, b, i, x, xp):
-    if a.sign(i) > 0:
-        if i >= 2:
-            assert b.entry(i - 1) == ctx.multiply(xp, a.entry(i - 1))
-            assert ctx.multiply(b.entry(i), x) == ctx.multiply(xp, a.entry(i))
-        assert ctx.multiply(b.entry(i + 1), x) == a.entry(i + 1)
-        if i == 1:
-            assert ctx.multiply(b.entry(1), x) == a.entry(1)
-    else:
-        if i >= 2:
-            assert b.entry(i - 1) == ctx.multiply(a.entry(i - 1), xp)
-            assert ctx.multiply(x, b.entry(i)) == ctx.multiply(a.entry(i), xp)
-        assert ctx.multiply(x, b.entry(i + 1)) == a.entry(i + 1)
-        if i == 1:
-            assert ctx.multiply(x, b.entry(1)) == a.entry(1)
-    assert b.depth == a.depth
+        return apply_division(ctx, a, 1, x)
+    return _push(ctx, a, i, x, i + 1, i - 1)
 
 
 def apply_right(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> Multifraction | None:
     """a . R~(i,x), or None.  Levels 1 <= i <= depth are accepted; level 1
-    never applies (there is no entry 0 to extract from)."""
+    never applies (there is no entry 0 to extract from), and the truncated
+    rule at level depth is the division D(depth-1,x)."""
     n = a.depth
     if not 1 <= i <= n:
         raise ValueError(f"right reduction level {i} outside 1..{n}")
@@ -179,49 +148,9 @@ def apply_right(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> Mul
         raise ValueError("reducer must be nontrivial")
     if i == 1:
         return None
-    pos = a.sign(i) > 0
     if i == n:
-        side = Side.LEFT if pos else Side.RIGHT
-        q1 = ctx.divides(x, a.entry(n - 1), side)
-        if q1 is None:
-            return None
-        q2 = ctx.divides(x, a.entry(n), side)
-        if q2 is None:
-            return None
-        return a.replace_entry(n - 1, q1).replace_entry(n, q2)
-    if pos:
-        # x must left-divide entry i-1; right lcm of x and entry i
-        q = ctx.divides(x, a.entry(i - 1), Side.LEFT)
-        if q is None:
-            return None
-        r = ctx.lcm(x, a.entry(i), Side.RIGHT)
-        if r is None:
-            return None
-        m, comp_x, comp_ai = r  # m = entry(i) * comp_x = x * comp_ai
-        xp = comp_x
-        b = (
-            a.replace_entry(i - 1, q)
-            .replace_entry(i, comp_ai)
-            .replace_entry(i + 1, ctx.multiply(a.entry(i + 1), xp))
-        )
-        assert ctx.multiply(x, b.entry(i)) == ctx.multiply(a.entry(i), xp)
-        return b
-    else:
-        q = ctx.divides(x, a.entry(i - 1), Side.RIGHT)
-        if q is None:
-            return None
-        r = ctx.lcm(x, a.entry(i), Side.LEFT)
-        if r is None:
-            return None
-        m, comp_x, comp_ai = r  # m = comp_x * entry(i) = comp_ai * x
-        xp = comp_x
-        b = (
-            a.replace_entry(i - 1, q)
-            .replace_entry(i, comp_ai)
-            .replace_entry(i + 1, ctx.multiply(xp, a.entry(i + 1)))
-        )
-        assert ctx.multiply(b.entry(i), x) == ctx.multiply(xp, a.entry(i))
-        return b
+        return apply_division(ctx, a, n - 1, x)
+    return _push(ctx, a, i, x, i - 1, i + 1)
 
 
 def apply_division(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> Multifraction | None:
@@ -238,15 +167,14 @@ def apply_division(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> 
     qj = ctx.divides(x, a.entry(i + 1), side)
     if qj is None:
         return None
-    return a.replace_entry(i, qi).replace_entry(i + 1, qj)
+    b = a.replace_entry(i, qi).replace_entry(i + 1, qj)
+    assert _attach(ctx, side, b.entry(i), x) == a.entry(i)
+    assert _attach(ctx, side, b.entry(i + 1), x) == a.entry(i + 1)
+    return b
 
 
 def is_division(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> bool:
-    side = due_side(a, i)
-    return (
-        ctx.divides(x, a.entry(i), side) is not None
-        and ctx.divides(x, a.entry(i + 1), side) is not None
-    )
+    return apply_division(ctx, a, i, x) is not None
 
 
 def apply_move(ctx: MonoidContext, a: Multifraction, move: Move) -> Multifraction | None:
@@ -421,22 +349,51 @@ def _strategy_order(ctx: MonoidContext, n_levels: list[int], strategy: str):
     return levels, atoms
 
 
-def _first_move(ctx, a, strategy, side: Side):
+def _atomic_moves(ctx, a, side: Side, strategy: str = "low_lex", on_cap=None):
+    """The applicable atomic moves of one side, in strategy order.
+
+    This is the one place that maps a side to its levels (1..depth-1 on
+    the left, 2..depth on the right), its apply function and its move
+    kind.  The apply functions are looked up by module-global name at call
+    time, so a wrapper installed on the module attribute sees every call.
+    A cap overflow propagates, or is handed to on_cap(level, atom, error)
+    and the move skipped.
+    """
     if side is Side.LEFT:
-        level_range = list(range(1, a.depth))
-        apply_fn = apply_left
-        kind = "left"
+        levels, apply_fn = range(1, a.depth), apply_left
     else:
-        level_range = list(range(2, a.depth + 1))
-        apply_fn = apply_right
-        kind = "right"
-    levels, atoms = _strategy_order(ctx, level_range, strategy)
+        levels, apply_fn = range(2, a.depth + 1), apply_right
+    levels, atoms = _strategy_order(ctx, list(levels), strategy)
     for i in levels:
         for s in atoms:
-            b = apply_fn(ctx, a, i, s)
+            try:
+                b = apply_fn(ctx, a, i, s)
+            except CapExceeded as e:
+                if on_cap is None:
+                    raise
+                on_cap(i, s, e)
+                continue
             if b is not None:
-                return Move(kind, i, s), b
-    return None, None
+                yield Move(side.value, i, s), b
+
+
+def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> ReductionTrace:
+    # a right reduction sequence from a is a left reduction sequence of the
+    # same length from inverse(a), so both sides share the tower bound
+    bounded = a if side is Side.LEFT else inverse(a)
+    moves: list[Move] = []
+    cur = a
+    while True:
+        move, nxt = next(_atomic_moves(ctx, cur, side, strategy), (None, None))
+        if move is None:
+            break
+        moves.append(move)
+        cur = nxt
+        if not within_step_bound(ctx, bounded, len(moves)):
+            raise InternalInvariantError(
+                "reduction exceeded the tower step bound"
+            )
+    return ReductionTrace(a, tuple(moves), cur)
 
 
 def reduce_left(ctx: MonoidContext, a: Multifraction, strategy: str = "low_lex") -> ReductionTrace:
@@ -445,34 +402,12 @@ def reduce_left(ctx: MonoidContext, a: Multifraction, strategy: str = "low_lex")
     Terminates by noetherianity; the number of steps is checked against
     the tower bound (a violation is an internal error).
     """
-    moves: list[Move] = []
-    cur = a
-    while True:
-        move, nxt = _first_move(ctx, cur, strategy, Side.LEFT)
-        if move is None:
-            break
-        moves.append(move)
-        cur = nxt
-        if not within_step_bound(ctx, a, len(moves)):
-            raise InternalInvariantError(
-                "reduction exceeded the tower step bound"
-            )
-    return ReductionTrace(a, tuple(moves), cur)
-
-
-reduce = reduce_left
+    return _reduce(ctx, a, strategy, Side.LEFT)
 
 
 def reduce_right(ctx: MonoidContext, a: Multifraction, strategy: str = "low_lex") -> ReductionTrace:
-    moves: list[Move] = []
-    cur = a
-    while True:
-        move, nxt = _first_move(ctx, cur, strategy, Side.RIGHT)
-        if move is None:
-            break
-        moves.append(move)
-        cur = nxt
-    return ReductionTrace(a, tuple(moves), cur)
+    """The mirror image of reduce_left: exhaust atomic right reductions."""
+    return _reduce(ctx, a, strategy, Side.RIGHT)
 
 
 def is_prime(ctx: MonoidContext, a: Multifraction) -> bool:
@@ -582,34 +517,18 @@ def reduct_graph(
     g = ReductGraph(root=a, side=side)
     g.nodes.append(a)
     g.index[a] = 0
-    queue = [0]
+    queue = deque([0])
     while queue:
-        src = queue.pop(0)
+        src = queue.popleft()
         cur = g.nodes[src]
-
-        def outgoing():
-            if granularity == "maximal":
-                yield from _maximal_moves(ctx, cur)
-                return
-            if side is Side.LEFT:
-                levels = range(1, cur.depth)
-            else:
-                levels = range(2, cur.depth + 1)
-            for i in levels:
-                for s in ctx.atoms():
-                    try:
-                        b = (
-                            apply_left(ctx, cur, i, s)
-                            if side is Side.LEFT
-                            else apply_right(ctx, cur, i, s)
-                        )
-                    except CapExceeded as e:
-                        g.inconclusive.append((src, i, s, str(e)))
-                        continue
-                    if b is not None:
-                        yield Move("left" if side is Side.LEFT else "right", i, s), b
-
-        for move, b in outgoing():
+        if granularity == "maximal":
+            outgoing = _maximal_moves(ctx, cur)
+        else:
+            outgoing = _atomic_moves(
+                ctx, cur, side,
+                on_cap=lambda i, s, e: g.inconclusive.append((src, i, s, str(e))),
+            )
+        for move, b in outgoing:
             if b not in g.index:
                 if len(g.nodes) >= cap:
                     raise GraphNodeCapExceeded(f"reduct graph exceeded {cap} nodes")
@@ -725,10 +644,10 @@ def connect_by_maximal_zigzag(
             adj[node].append((nxt, "fwd", move))
             adj[nxt].append((node, "bwd", move))
     parent: dict[Multifraction, tuple[Multifraction, str, Move] | None] = {b: None}
-    queue = [b]
+    queue = deque([b])
     visited = 1
     while queue:
-        cur = queue.pop(0)
+        cur = queue.popleft()
         for nxt, direction, move in adj[cur]:
             if nxt in parent:
                 continue

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .monoid import Element, IDENTITY, MonoidContext, MultiredError, Side
+from .monoid import Element, IDENTITY, MonoidContext, MultiredError
 from .multifraction import Multifraction, format_multifraction, unit
 from .harness import has_central_cross
-from .reduction import Move, ReductionTrace, apply_left, red_tame, universal_sequence
+from .reduction import Move, ReductionTrace, apply_left, due_side, red_tame, universal_sequence
 
 
 class VanKampenFailure(MultiredError):
@@ -112,10 +112,7 @@ def _complement(ctx: MonoidContext, c: Multifraction, i: int, x: Element) -> Ele
     """The remainder x' deposited at entry i-1 by the step R(i,x) on c."""
     if x.is_identity or i == 1:
         return IDENTITY
-    if c.sign(i) > 0:
-        r = ctx.lcm(x, c.entry(i), Side.LEFT)
-    else:
-        r = ctx.lcm(x, c.entry(i), Side.RIGHT)
+    r = ctx.lcm(x, c.entry(i), due_side(c, i).other)
     assert r is not None
     return r[1]
 

@@ -83,6 +83,25 @@ def test_conjecture_campaign(capsys, tmp_path):
     assert all({"seed", "input", "verdict", "millis"} <= set(json.loads(l)) for l in lines)
 
 
+def test_conjecture_log_parallel(capsys, tmp_path):
+    def records(jobs):
+        log = tmp_path / f"trials{jobs}.jsonl"
+        code, _ = run(
+            capsys,
+            "conjecture", "Cunif", "--preset", "A2tilde", "--depth", "3",
+            "--length", "9", "--trials", "4", "--jobs", str(jobs), "--log", str(log),
+        )
+        assert code == EXIT_OK
+        out = [json.loads(line) for line in log.read_text().splitlines()]
+        for rec in out:
+            del rec["millis"]
+        return out
+
+    serial = records(1)
+    assert [rec["trial"] for rec in serial] == [0, 1, 2, 3]
+    assert records(2) == serial
+
+
 def test_threeore(capsys):
     code, out = run(capsys, "threeore", "--preset", "A2tilde", "--maxlen", "1", "--format", "json")
     assert code == EXIT_OK
@@ -115,9 +134,16 @@ def test_usage_error():
 
 
 def test_caps_env(capsys, monkeypatch):
-    monkeypatch.setenv("MULTIRED_CAPS", "class_cap=3")
-    code = main(["reduce", "--preset", "A2tilde", "ababab/1"])
-    assert code == EXIT_USAGE  # cap exceeded surfaces as an input error
+    # a cap overflow is inconclusive, not an input error
+    for caps, argv in (
+        ("class_cap=3", ["reduce", "--preset", "A2tilde", "ababab/1"]),
+        ("reversing_cap=3", ["wordproblem", "--preset", "A2tilde", "aba BAB"]),
+        ("reversing_cap=3", ["conjecture", "A", "--preset", "A2tilde", "--trials", "2",
+                             "--length", "8"]),
+    ):
+        monkeypatch.setenv("MULTIRED_CAPS", caps)
+        assert main(argv) == EXIT_INCONCLUSIVE, argv
+        assert capsys.readouterr().err.startswith("inconclusive: ")
     monkeypatch.delenv("MULTIRED_CAPS")
 
 

@@ -182,19 +182,42 @@ def test_step_bound(att, braid3):
     assert not red.within_step_bound(att, unit(1), 4)  # F1(0) = 2
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_step_bound_guard(att, monkeypatch, side):
+    # a right reduction from a is bounded as a left reduction from inverse(a)
+    a = mf(att, "ac/ca/ba/ab/cb/bc")
+    reduce_fn = red.reduce_left if side == "left" else red.reduce_right
+    bounded = a if side == "left" else inverse(a)
+    seen = []
+
+    def refuse(ctx, b, k):
+        seen.append((b, k))
+        return False
+
+    monkeypatch.setattr(red, "within_step_bound", refuse)
+    with pytest.raises(red.InternalInvariantError):
+        reduce_fn(att, a)
+    assert seen == [(bounded, 1)]
+
+
 def test_duality(att):
     rng = random.Random(17)
     checked = 0
     for _ in range(120):
-        a = gen_multifraction(att, rng.randint(2, 5), 3, rng.randrange(10**9))
-        n = a.depth
-        for i in range(1, n):
+        positive = gen_multifraction(att, rng.randint(2, 5), 3, rng.randrange(10**9))
+        for a in (positive, Multifraction(-1, positive.entries)):
+            n = a.depth
+            # the truncated rules are divisions
             for s in att.atoms():
-                b = red.apply_left(att, a, i, s)
-                if b is None:
-                    continue
-                assert inverse(b) == red.apply_right(att, inverse(a), n + 1 - i, s)
-                checked += 1
+                assert red.apply_left(att, a, 1, s) == red.apply_division(att, a, 1, s)
+                assert red.apply_right(att, a, n, s) == red.apply_division(att, a, n - 1, s)
+            for i in range(1, n):
+                for s in att.atoms():
+                    b = red.apply_left(att, a, i, s)
+                    if b is None:
+                        continue
+                    assert inverse(b) == red.apply_right(att, inverse(a), n + 1 - i, s)
+                    checked += 1
     assert checked >= 100
 
 
