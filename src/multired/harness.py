@@ -762,35 +762,41 @@ def _gen_unital_for_campaign(ctx, depth, length, expansions, seed):
 
 
 def run_trial(ctx: MonoidContext, config: CampaignConfig, index: int) -> dict:
+    """One seeded trial.  A cap overflow, while generating the input or
+    judging it, makes the trial inconclusive; the campaign goes on."""
     seed = derive_seed(config.seed, index)
     start = time.perf_counter()
-    if config.conjecture in ("A", "B"):
-        a, cert = _gen_unital_for_campaign(
-            ctx, config.depth, config.length, config.expansions, seed
-        )
-        tester = test_conjecture_A if config.conjecture == "A" else test_conjecture_B
-        verdict = tester(ctx, a, cert)
-    elif config.conjecture in ("C", "Cunif"):
-        a = gen_multifraction(ctx, config.depth, max(1, config.length // config.depth), seed)
-        verdict = (
-            test_conjecture_C_uniform(ctx, a)
-            if config.conjecture == "Cunif"
-            else four_strategy_C_probe(ctx, a)
-        )
-    elif config.conjecture == "depth4":
-        if index % 2 == 0:
-            a, _ = gen_central_cross(ctx, 4, max(1, config.length // 8), seed)
+    a = None
+    try:
+        if config.conjecture in ("A", "B"):
+            a, cert = _gen_unital_for_campaign(
+                ctx, config.depth, config.length, config.expansions, seed
+            )
+            tester = test_conjecture_A if config.conjecture == "A" else test_conjecture_B
+            verdict = tester(ctx, a, cert)
+        elif config.conjecture in ("C", "Cunif"):
+            a = gen_multifraction(ctx, config.depth, max(1, config.length // config.depth), seed)
+            verdict = (
+                test_conjecture_C_uniform(ctx, a)
+                if config.conjecture == "Cunif"
+                else four_strategy_C_probe(ctx, a)
+            )
+        elif config.conjecture == "depth4":
+            if index % 2 == 0:
+                a, _ = gen_central_cross(ctx, 4, max(1, config.length // 8), seed)
+            else:
+                a = gen_multifraction(ctx, 4, max(1, config.length // 4), seed)
+            report = check_depth4_equivalences(ctx, a)
+            verdict = Verdict("confirmed", report)
         else:
-            a = gen_multifraction(ctx, 4, max(1, config.length // 4), seed)
-        report = check_depth4_equivalences(ctx, a)
-        verdict = Verdict("confirmed", report)
-    else:
-        raise ValueError(f"unknown conjecture {config.conjecture!r}")
+            raise ValueError(f"unknown conjecture {config.conjecture!r}")
+    except CapExceeded as e:
+        verdict = Verdict("inconclusive", {"reason": str(e), "cap": e.cap})
     millis = (time.perf_counter() - start) * 1000.0
     return {
         "trial": index,
         "seed": seed,
-        "input": format_multifraction(ctx, a),
+        "input": None if a is None else format_multifraction(ctx, a),
         "verdict": verdict.status,
         "moves": verdict.evidence.get("steps"),
         "millis": round(millis, 3),

@@ -3,15 +3,24 @@
 Elements are represented by the lexicographically least word of their
 rewrite-equivalence class (atom order = declaration order).  Homogeneity
 makes every class finite, so breadth-first closure of a word under
-single-relation rewrites is a total, if naive, decision procedure for
-equality; divisibility peels boundary atoms off rewrite classes, and gcds
-are computed by dividing out joins of common boundary atoms.  Conditional
-lcms are computed by grid reversing against a table of basic elements (the
-closure of the atoms under lcm-complement).  The complement table for atom
-pairs is established by a bounded brute-force search over common multiples
-(`lcm_oracle`); complements of longer basics are derived from the atom
-table through the iterated-lcm recursion, and the test suite cross-checks
-the grid against the oracle.
+single-relation rewrites decides equality; the closure runs on byte
+strings (one byte per atom, hence at most 256 atoms), whose order is the
+order of the atom tuples.  Divisibility peels boundary atoms off rewrite
+classes, and gcds are computed by dividing out joins of common boundary
+atoms.
+
+Conditional lcms are computed by grid reversing against a table of basic
+elements (the closure of the atoms under lcm-complement).  The presentation
+is complemented: the relation whose two sides start (RIGHT) or end (LEFT)
+with two atoms u and v is their lcm, so the atom table is read off the
+relations, and a pair no relation covers has no common multiple.  That
+reading is exact when word reversing is complete, which for homogeneous
+presentations is the cube condition on atom triples (Dehornoy, "Complete
+positive group presentations", J. Algebra 2003); `basic_table` checks it
+and raises LatticeViolation when it fails.  Complements of longer basics
+follow from the atom table by the iterated-lcm recursion.  `lcm_oracle`,
+`multiples` and `divides_scan` are brute-force searches kept for the tests
+to cross-check against; nothing in the package calls them.
 
 Everything is cached in a MonoidContext.  Caches are pure-function memos
 (same key, same value), so concurrent reads plus idempotent concurrent
@@ -35,23 +44,23 @@ class MultiredError(Exception):
 
 
 class CapExceeded(MultiredError):
-    pass
+    cap = ""  # the Caps field that overflowed
 
 
 class ClassCapExceeded(CapExceeded):
-    pass
+    cap = "class_cap"
 
 
 class ReversingCapExceeded(CapExceeded):
-    pass
+    cap = "reversing_cap"
 
 
 class BasicsCapExceeded(CapExceeded):
-    pass
+    cap = "basics_cap"
 
 
 class GraphNodeCapExceeded(CapExceeded):
-    pass
+    cap = "graph_node_cap"
 
 
 class LatticeViolation(MultiredError):
@@ -115,14 +124,21 @@ class BasicTable:
         return 1 + max(b.length for b in self.basics)
 
 
+MAX_ATOMS = 256  # rewrite classes are closed on byte strings, one byte per atom
+
+
 class MonoidContext:
     def __init__(self, pres: Presentation, caps: Caps | None = None):
+        if pres.n_atoms > MAX_ATOMS:
+            raise MultiredError(
+                f"{pres.n_atoms} atoms: at most {MAX_ATOMS} are supported"
+            )
         self.pres = pres
         self.caps = caps or Caps()
-        self._rules: list[tuple[Word, Word]] = []
+        self._rules: list[tuple[bytes, bytes]] = []
         for lhs, rhs in pres.relations:
-            self._rules.append((lhs, rhs))
-            self._rules.append((rhs, lhs))
+            self._rules.append((bytes(lhs), bytes(rhs)))
+            self._rules.append((bytes(rhs), bytes(lhs)))
         self._canon: dict[Word, Element] = {(): IDENTITY}
         self._class: dict[Element, frozenset[Word]] = {IDENTITY: frozenset({()})}
         self._divides: dict[tuple[Word, Word, Side], Element | None] = {}
@@ -134,6 +150,7 @@ class MonoidContext:
         self._comp: dict[Side, dict[tuple[Element, Element], Element]] = {}
         self._absent: dict[Side, set[tuple[Element, Element]]] = {}
         self._multiples: dict[tuple[Word, Side], list[set[Element]]] = {}
+        self._bound_C: int | None = None
 
     # ------------------------------------------------------------------
     # canonical forms
@@ -148,8 +165,10 @@ class MonoidContext:
         for i in word:
             if not 0 <= i < self.pres.n_atoms:
                 raise MultiredError(f"atom index {i} outside presentation")
-        seen: set[Word] = {word}
-        frontier = [word]
+        start = bytes(word)
+        seen = {start}
+        found = [start]  # discovery order: a bytes set iterates in a per-process order
+        frontier = [start]
         while frontier:
             if len(seen) > self.caps.class_cap:
                 raise ClassCapExceeded(
@@ -159,21 +178,19 @@ class MonoidContext:
             nxt = []
             for w in frontier:
                 for lhs, rhs in self._rules:
-                    L = len(lhs)
-                    for pos in range(len(w) - L + 1):
-                        if w[pos:pos + L] == lhs:
-                            w2 = w[:pos] + rhs + w[pos + L:]
-                            if w2 not in seen:
-                                seen.add(w2)
-                                nxt.append(w2)
+                    pos = w.find(lhs)
+                    while pos >= 0:
+                        w2 = w[:pos] + rhs + w[pos + len(lhs):]
+                        if w2 not in seen:
+                            seen.add(w2)
+                            nxt.append(w2)
+                        pos = w.find(lhs, pos + 1)
+            found += nxt
             frontier = nxt
-        best = min(seen)
-        elem = self._canon.get(best)
-        if elem is None:
-            elem = Element(best)
-            self._class[elem] = frozenset(seen)
-        for w in seen:
-            self._canon.setdefault(w, elem)
+        cls = frozenset(map(tuple, found))
+        elem = Element(tuple(min(found)))
+        self._class[elem] = cls
+        self._canon.update(dict.fromkeys(cls, elem))
         return elem
 
     def class_of(self, x: Element) -> frozenset[Word]:
@@ -372,26 +389,11 @@ class MonoidContext:
         got = self._tables.get(side)
         if got is not None:
             return got
-        comp: dict[tuple[Element, Element], Element] = {(IDENTITY, IDENTITY): IDENTITY}
-        absent: set[tuple[Element, Element]] = set()
-        atoms = self.atoms()
-        maxrel = max((len(l) for l, _ in self.pres.relations), default=1)
-        slack = 2 * (1 + maxrel)
-        for u in atoms:
-            comp[(IDENTITY, u)] = IDENTITY
-            comp[(u, IDENTITY)] = u
-            for v in atoms:
-                if u == v:
-                    comp[(u, v)] = IDENTITY
-                    continue
-                r = self.lcm_oracle(u, v, side, slack=slack)
-                if r is None:
-                    absent.add((u, v))
-                else:
-                    comp[(u, v)] = r[1]
+        comp, absent = self._atom_table(side)
+        self._check_cube(side, comp, absent)
         self._comp[side] = comp
         self._absent[side] = absent
-        basics: set[Element] = {IDENTITY, *atoms}
+        basics: set[Element] = {IDENTITY, *self.atoms()}
         changed = True
         while changed:
             changed = False
@@ -421,6 +423,77 @@ class MonoidContext:
         )
         self._tables[side] = table
         return table
+
+    def _atom_table(
+        self, side: Side
+    ) -> tuple[dict[tuple[Element, Element], Element], set[tuple[Element, Element]]]:
+        """Complements of atom pairs, read off the relations.
+
+        RIGHT: a relation u*x = v*y is the lcm of u and v, so
+        comp(u,v) = y and comp(v,u) = x.  LEFT: x*u = y*v gives the same.
+        A pair no relation covers has no common multiple.
+        """
+        comp: dict[tuple[Element, Element], Element] = {(IDENTITY, IDENTITY): IDENTITY}
+        atoms = self.atoms()
+        for u in atoms:
+            comp[(IDENTITY, u)] = IDENTITY
+            comp[(u, IDENTITY)] = u
+            comp[(u, u)] = IDENTITY
+        if side is Side.RIGHT:
+            k, rest, verb = 0, slice(1, None), "start"
+        else:
+            k, rest, verb = -1, slice(-1), "end"
+        for lhs, rhs in self.pres.relations:
+            u, v = Element((lhs[k],)), Element((rhs[k],))
+            rel = f"{format_word(self.pres, lhs)} = {format_word(self.pres, rhs)}"
+            if u == v:
+                raise LatticeViolation(
+                    f"both sides of {rel} {verb} with {self.word_str(u)}: "
+                    f"no {side.value} complement for the relation"
+                )
+            if (u, v) in comp:
+                raise LatticeViolation(
+                    f"{rel} and another relation both {verb} with "
+                    f"{self.word_str(u)} and {self.word_str(v)}"
+                )
+            comp[(u, v)] = self.canonical(rhs[rest])
+            comp[(v, u)] = self.canonical(lhs[rest])
+        absent = {(u, v) for u in atoms for v in atoms if (u, v) not in comp}
+        return comp, absent
+
+    def _check_cube(
+        self,
+        side: Side,
+        comp: dict[tuple[Element, Element], Element],
+        absent: set[tuple[Element, Element]],
+    ) -> None:
+        """Raise LatticeViolation unless word reversing over the atom table
+        is complete.
+
+        For a homogeneous complemented presentation that is the cube
+        condition on atoms: for distinct r, s, t, (r\\s)\\(r\\t) and
+        (s\\r)\\(s\\t) are both undefined or both defined and equal, where
+        x\\y extends x to the lcm of x and y (on the left for LEFT).
+        The reversals fill copies, so the table is left as read.
+        """
+        comp, absent = dict(comp), set(absent)
+
+        def past(x: Element | None, y: Element | None) -> Element | None:
+            if x is None or y is None:
+                return None
+            r = self._grid(x, y, side, comp, absent)
+            return None if r is None else r[2]
+
+        for r, s, t in itertools.permutations(self.atoms(), 3):
+            one = past(past(r, s), past(r, t))
+            two = past(past(s, r), past(s, t))
+            if one != two:
+                names = ", ".join(self.word_str(x) for x in (r, s, t))
+                raise LatticeViolation(
+                    f"cube condition fails on atoms ({names}) for the {side.value} "
+                    "complement: word reversing is incomplete; add the relations "
+                    "for the missing atom lcms"
+                )
 
     def _grid(
         self,
@@ -556,4 +629,6 @@ class MonoidContext:
 
     def basic_bound_C(self) -> int:
         """1 + max length over basic elements (either side)."""
-        return max(self.basic_table(Side.RIGHT).C, self.basic_table(Side.LEFT).C)
+        if self._bound_C is None:
+            self._bound_C = max(self.basic_table(Side.RIGHT).C, self.basic_table(Side.LEFT).C)
+        return self._bound_C

@@ -138,13 +138,24 @@ def test_caps_env(capsys, monkeypatch):
     for caps, argv in (
         ("class_cap=3", ["reduce", "--preset", "A2tilde", "ababab/1"]),
         ("reversing_cap=3", ["wordproblem", "--preset", "A2tilde", "aba BAB"]),
-        ("reversing_cap=3", ["conjecture", "A", "--preset", "A2tilde", "--trials", "2",
-                             "--length", "8"]),
     ):
         monkeypatch.setenv("MULTIRED_CAPS", caps)
         assert main(argv) == EXIT_INCONCLUSIVE, argv
         assert capsys.readouterr().err.startswith("inconclusive: ")
     monkeypatch.delenv("MULTIRED_CAPS")
+
+
+def test_campaign_cap_overflow_per_trial(capsys, monkeypatch):
+    # an overflow makes its trial inconclusive; the campaign still reports
+    monkeypatch.setenv("MULTIRED_CAPS", "reversing_cap=3")
+    code = main(["conjecture", "A", "--preset", "A2tilde", "--trials", "2", "--length", "8",
+                 "--format", "json"])
+    assert code == EXIT_INCONCLUSIVE
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["counts"] == {"inconclusive": 2}
+    for rec in payload["records"]:
+        assert rec["evidence"] == {"reason": "reversing exceeded 3 cell fills",
+                                   "cap": "reversing_cap"}
 
 
 def test_graph_right_side(capsys):

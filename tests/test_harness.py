@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from multired.monoid import IDENTITY, MonoidContext, Side
+from multired.monoid import Caps, IDENTITY, MonoidContext, Side
 from multired.multifraction import (
     Multifraction,
     format_multifraction,
@@ -356,6 +356,16 @@ def test_campaign_parallel(att):
         preset="A2tilde", conjecture="B", depth=4, length=12, trials=4, seed=9, jobs=1
     ))
     assert [r["input"] for r in report.records] == [r["input"] for r in serial.records]
+
+
+def test_campaign_cap_overflow_in_generation():
+    # the input generator overflows class_cap; each trial is inconclusive
+    ctx = MonoidContext(preset("A2tilde"), Caps(class_cap=1))
+    report = H.run_campaign(ctx, H.CampaignConfig("A2tilde", "A", length=12, trials=3, seed=2))
+    assert report.counts == {"inconclusive": 3}
+    for rec in report.records:
+        assert rec["input"] is None and rec["moves"] is None
+        assert rec["evidence"]["cap"] == "class_cap"
 
 
 def test_counterexample_dump(att, tmp_path):

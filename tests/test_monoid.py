@@ -3,8 +3,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multired.monoid import Caps, ClassCapExceeded, IDENTITY, MonoidContext, Side, TriState
-from multired.presentation import preset
+from class_oracle import tuple_class
+from multired.monoid import (
+    Caps,
+    ClassCapExceeded,
+    Element,
+    IDENTITY,
+    LatticeViolation,
+    MonoidContext,
+    MultiredError,
+    Side,
+    TriState,
+)
+from multired.presentation import parse_presentation, preset
 
 words = st.lists(st.integers(0, 2), min_size=0, max_size=6).map(tuple)
 
@@ -13,6 +24,31 @@ def test_canonical_examples(att):
     assert att.word_str(att.element("bab")) == "aba"
     assert att.word_str(att.element("abab")) == "aaba"
     assert att.element("") == IDENTITY
+
+
+# one preset of each family preset() knows
+EVERY_PRESET = [
+    "A2tilde", "A3tilde", "C2tilde", "K(4,3)", "braid(4)", "braid(5)", "free(2)", "I2(5)",
+]
+
+
+@pytest.mark.parametrize("preset_name", EVERY_PRESET)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_canonical_matches_tuple_closure(preset_name, data):
+    pres = preset(preset_name)
+    word = tuple(data.draw(st.lists(st.integers(0, pres.n_atoms - 1), max_size=10)))
+    ctx = MonoidContext(pres)  # fresh, so that the closure runs
+    cls = tuple_class(pres, word)
+    x = ctx.canonical(word)
+    assert x == Element(min(cls))
+    assert ctx.class_of(x) == cls
+
+
+def test_atom_limit():
+    assert MonoidContext(preset("free(256)")).pres.n_atoms == 256
+    with pytest.raises(MultiredError, match="at most 256"):
+        MonoidContext(preset("free(257)"))
 
 
 def test_class_cap():
@@ -230,3 +266,51 @@ def test_complement_unit_rows(att):
         assert t.complement[(u, u)] == IDENTITY
         assert t.complement[(IDENTITY, u)] == IDENTITY
         assert t.complement[(u, IDENTITY)] == u
+
+
+@pytest.mark.parametrize("side", list(Side))
+@pytest.mark.parametrize("preset_name", ["A2tilde", "braid(3)", "braid(4)", "I2(5)", "free(2)"])
+def test_atom_complements_match_oracle(preset_name, side):
+    ctx = MonoidContext(preset(preset_name))
+    t = ctx.basic_table(side)
+    slack = 2 * (1 + max((len(l) for l, _ in ctx.pres.relations), default=1))
+    for u in ctx.atoms():
+        for v in ctx.atoms():
+            if u == v:
+                continue
+            r = ctx.lcm_oracle(u, v, side, slack=slack)
+            if r is None:
+                assert (u, v) in t.no_multiple and (u, v) not in t.complement
+            else:
+                assert t.complement[(u, v)] == r[1]
+
+
+@pytest.mark.parametrize("text, side, message", [
+    # a and c have the common multiple ab = bc = ca, which no relation lists
+    ("atoms: a b c\nrel: ab = bc\nrel: bc = ca\n", Side.RIGHT,
+     r"cube condition fails on atoms \(a, b, c\)"),
+    ("atoms: a b c\nrel: ab = cb\n", Side.LEFT, "both sides of ab = cb end with b"),
+    ("atoms: a b c\nrel: ca = ab\nrel: cb = ba\n", Side.LEFT,
+     "cb = ba and another relation both end with b and a"),
+])
+def test_incomplete_presentations_rejected(text, side, message):
+    ctx = MonoidContext(parse_presentation(text))
+    with pytest.raises(LatticeViolation, match=message):
+        ctx.basic_table(side)
+
+
+def test_completed_presentation_table():
+    # the lcm of a and c listed: the table the brute-force search found
+    text = "atoms: a b c\nrel: ab = bc\nrel: bc = ca\nrel: ca = ab\n"
+    ctx = MonoidContext(parse_presentation(text))
+    expected = {
+        Side.RIGHT: {"ab": "c", "ac": "a", "ba": "b", "bc": "a", "ca": "b", "cb": "c"},
+        Side.LEFT: {"ab": "a", "ac": "b", "ba": "c", "bc": "b", "ca": "c", "cb": "a"},
+    }
+    for side, pairs in expected.items():
+        t = ctx.basic_table(side)
+        assert [ctx.word_str(b) for b in t.basics] == ["1", "a", "b", "c"]
+        assert not t.no_multiple and len(t.complement) == 16
+        got = {ctx.word_str(u) + ctx.word_str(v): ctx.word_str(w)
+               for (u, v), w in t.complement.items() if u.length == v.length == 1 and u != v}
+        assert got == pairs
