@@ -4,12 +4,14 @@ Exit codes: 0 success, 1 counterexample found, 2 inconclusive, 3 usage or
 input error.  All output is deterministic for a fixed argv and seed;
 reports are JSON with --format json, graphs are DOT.  The MULTIRED_CAPS
 environment variable overrides caps, e.g.
-MULTIRED_CAPS="class_cap=500000,reversing_cap=20000".
+MULTIRED_CAPS="reversing_cap=20000,graph_node_cap=100000".  `irr` and
+`graph` print what they found of an incomplete reduct graph and exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -41,12 +43,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _caps_from_env() -> Caps:
     text = os.environ.get("MULTIRED_CAPS", "")
+    fields = [f.name for f in dataclasses.fields(Caps)]
     kwargs = {}
     for piece in text.split(","):
         if not piece.strip():
             continue
-        key, _, value = piece.partition("=")
-        kwargs[key.strip()] = int(value)
+        key, _, value = (part.strip() for part in piece.partition("="))
+        if key not in fields or not value.isdecimal():
+            raise MultiredError(
+                f"MULTIRED_CAPS: {piece.strip()!r} is not <cap>=<integer>; "
+                f"the caps are {', '.join(fields)}"
+            )
+        kwargs[key] = int(value)
     return Caps(**kwargs)
 
 
@@ -156,6 +164,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _graph_verdict(g: red.ReductGraph) -> int:
+    """A reduct graph with undecided moves is no result: exit inconclusive."""
+    if not g.complete:
+        print(f"inconclusive: reduct graph incomplete, {len(g.inconclusive)} moves "
+              f"undecided (first: {g.inconclusive[0][3]})", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    return EXIT_OK
+
+
 def dispatch(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -203,9 +220,10 @@ def dispatch(argv) -> int:
 
     if args.command == "irr":
         a = parse_multifraction(ctx, args.multifraction)
-        irr = sorted(fmt(x) for x in red.irreducible_reducts(ctx, a))
+        g = red.reduct_graph(ctx, a)
+        irr = sorted(fmt(x) for x in g.sinks())
         _emit(args, {"input": fmt(a), "irreducible": irr}, irr)
-        return EXIT_OK
+        return _graph_verdict(g)
 
     if args.command == "graph":
         a = parse_multifraction(ctx, args.multifraction)
@@ -214,7 +232,7 @@ def dispatch(argv) -> int:
             print(g.to_dot(ctx))
         else:
             _emit(args, g.to_json(ctx))
-        return EXIT_OK
+        return _graph_verdict(g)
 
     if args.command == "wordproblem":
         w = parse_signed_word(ctx, args.word)

@@ -1,26 +1,29 @@
-"""Exact arithmetic in a homogeneous gcd-monoid.
+"""Exact arithmetic in a homogeneous gcd-monoid, on one engine: word
+reversing over a complement table (Dehornoy, "Complete positive group
+presentations", J. Algebra 2003).
 
-Elements are represented by the lexicographically least word of their
-rewrite-equivalence class (atom order = declaration order).  Homogeneity
-makes every class finite, so breadth-first closure of a word under
-single-relation rewrites decides equality; the closure runs on byte
-strings (one byte per atom, hence at most 256 atoms), whose order is the
-order of the atom tuples.  Divisibility peels boundary atoms off rewrite
-classes, and gcds are computed by dividing out joins of common boundary
-atoms.
+Reversing a word a against a word b gives (a past b, b past a), the words
+that extend b and a to their lcm, or None when there is no common
+multiple.  A grid cell not yet in the table is reversed letter by letter
+and stored (the iterated-lcm rule); a cell met again inside its own
+reversal has no common multiple.  Cells are basic elements, a finite set
+in Artin-Tits monoids (Dehornoy-Dyer-Hohlweg, "Garside families in
+Artin-Tits monoids and low elements in Coxeter groups", 2015).  The atom
+table is read off the relations: the presentation is complemented, so the
+relation whose sides start (RIGHT) or end (LEFT) with atoms u and v is
+their lcm, and a pair no relation covers has no common multiple.
+Reversing is exact when it is complete, which for homogeneous
+presentations is the cube condition on atom triples; a side's table is
+checked on first use, and a failure raises LatticeViolation.
 
-Conditional lcms are computed by grid reversing against a table of basic
-elements (the closure of the atoms under lcm-complement).  The presentation
-is complemented: the relation whose two sides start (RIGHT) or end (LEFT)
-with two atoms u and v is their lcm, so the atom table is read off the
-relations, and a pair no relation covers has no common multiple.  That
-reading is exact when word reversing is complete, which for homogeneous
-presentations is the cube condition on atom triples (Dehornoy, "Complete
-positive group presentations", J. Algebra 2003); `basic_table` checks it
-and raises LatticeViolation when it fails.  Complements of longer basics
-follow from the atom table by the iterated-lcm recursion.  `lcm_oracle`,
-`multiples` and `divides_scan` are brute-force searches kept for the tests
-to cross-check against; nothing in the package calls them.
+An atom s left-divides w exactly when reversing s against w leaves s
+nothing to add; what is left of w is the quotient.  Divisibility peels
+atoms, `divisors` searches over atom peels, and an element is represented
+by its lexicographically least word (atom order = declaration order),
+built by peeling off the least dividing atom again and again.  lcms are
+reversals; gcds divide out joins of common boundary atoms.  `lcm_oracle`
+and `multiples` are brute-force searches kept for the tests to
+cross-check against; nothing in the package calls them.
 
 Everything is cached in a MonoidContext.  Caches are pure-function memos
 (same key, same value), so concurrent reads plus idempotent concurrent
@@ -37,6 +40,10 @@ from enum import Enum
 from .presentation import Presentation, format_word, parse_word
 
 Word = tuple[int, ...]
+# (a past b, b past a), or None when a and b have no common multiple
+Reversal = tuple[Word, Word] | None
+
+_MISSING = object()
 
 
 class MultiredError(Exception):
@@ -45,10 +52,6 @@ class MultiredError(Exception):
 
 class CapExceeded(MultiredError):
     cap = ""  # the Caps field that overflowed
-
-
-class ClassCapExceeded(CapExceeded):
-    cap = "class_cap"
 
 
 class ReversingCapExceeded(CapExceeded):
@@ -104,7 +107,6 @@ IDENTITY = Element(())
 
 @dataclass(frozen=True)
 class Caps:
-    class_cap: int = 200_000
     reversing_cap: int = 10_000
     basics_cap: int = 5_000
     graph_node_cap: int = 50_000
@@ -124,33 +126,186 @@ class BasicTable:
         return 1 + max(b.length for b in self.basics)
 
 
-MAX_ATOMS = 256  # rewrite classes are closed on byte strings, one byte per atom
+def _concat(words) -> Word:
+    return tuple(itertools.chain.from_iterable(words))
 
 
 class MonoidContext:
     def __init__(self, pres: Presentation, caps: Caps | None = None):
-        if pres.n_atoms > MAX_ATOMS:
-            raise MultiredError(
-                f"{pres.n_atoms} atoms: at most {MAX_ATOMS} are supported"
-            )
         self.pres = pres
         self.caps = caps or Caps()
-        self._rules: list[tuple[bytes, bytes]] = []
-        for lhs, rhs in pres.relations:
-            self._rules.append((bytes(lhs), bytes(rhs)))
-            self._rules.append((bytes(rhs), bytes(lhs)))
         self._canon: dict[Word, Element] = {(): IDENTITY}
-        self._class: dict[Element, frozenset[Word]] = {IDENTITY: frozenset({()})}
         self._divides: dict[tuple[Word, Word, Side], Element | None] = {}
         self._gcd: dict[tuple[Word, Word, Side], Element] = {}
         self._lcm: dict[tuple[Word, Word, Side], tuple[Element, Element, Element] | None] = {}
         self._divisors: dict[tuple[Word, Side], tuple[Element, ...]] = {}
         self._tables: dict[Side, BasicTable] = {}
-        # live complement caches shared with the tables (idempotent inserts)
-        self._comp: dict[Side, dict[tuple[Element, Element], Element]] = {}
-        self._absent: dict[Side, set[tuple[Element, Element]]] = {}
+        # per side, the reversing table: (x, t) -> (x past t, t past x) | None
+        self._stores: dict[Side, dict[tuple[Word, Word], Reversal]] = {}
         self._multiples: dict[tuple[Word, Side], list[set[Element]]] = {}
         self._bound_C: int | None = None
+
+    # ------------------------------------------------------------------
+    # the reversing core
+
+    def _store(self, side: Side) -> dict[tuple[Word, Word], Reversal]:
+        """The reversing table of a side, read off the relations and
+        checked on first use, then filled as reversals resolve cells.
+
+        RIGHT reverses plain words to the right.  LEFT does the same on
+        mirror images: read backwards, a left lcm is a right lcm of the
+        mirror-image presentation."""
+        store = self._stores.get(side)
+        if store is None:
+            store = self._atom_store(side)
+            self._check_cube(side, store)
+            self._stores[side] = store
+        return store
+
+    def _atom_store(self, side: Side) -> dict[tuple[Word, Word], Reversal]:
+        """Complements of atom pairs, read off the relations.
+
+        RIGHT: a relation u*x = v*y is the lcm of u and v, so u past v is y
+        and v past u is x.  LEFT: x*u = y*v gives the same on mirror
+        images.  A pair no relation covers is left out: `_cell` reads a
+        missing atom pair as having no common multiple.
+        """
+        verb = "start" if side is Side.RIGHT else "end"
+        store: dict[tuple[Word, Word], Reversal] = {}
+        for lhs, rhs in self.pres.relations:
+            rel = f"{format_word(self.pres, lhs)} = {format_word(self.pres, rhs)}"
+            if side is Side.LEFT:
+                lhs, rhs = lhs[::-1], rhs[::-1]
+            u, v = lhs[:1], rhs[:1]
+            if u == v:
+                raise LatticeViolation(
+                    f"both sides of {rel} {verb} with {format_word(self.pres, u)}: "
+                    f"no {side.value} complement for the relation"
+                )
+            if (u, v) in store:
+                raise LatticeViolation(
+                    f"{rel} and another relation both {verb} with "
+                    f"{format_word(self.pres, u)} and {format_word(self.pres, v)}"
+                )
+            store[(u, v)] = (rhs[1:], lhs[1:])
+            store[(v, u)] = (lhs[1:], rhs[1:])
+        return store
+
+    def _check_cube(self, side: Side, store: dict[tuple[Word, Word], Reversal]) -> None:
+        """Raise LatticeViolation unless word reversing over the atom table
+        is complete.
+
+        For a homogeneous complemented presentation that is the cube
+        condition on atoms: for distinct r, s, t, (r\\s)\\(r\\t) and
+        (s\\r)\\(s\\t) are both undefined, or both defined and equal, where
+        x\\y extends x to the lcm of x and y (on the left for LEFT).  Two
+        words are equal when reversing one against the other leaves both
+        empty.  Both are undefined when r and s have no common multiple.
+        """
+
+        def under(x: Word | None, y: Word | None) -> Word | None:
+            if x is None or y is None:
+                return None
+            r = self._right_reverse(store, x, y)
+            return None if r is None else r[1]
+
+        n = self.pres.n_atoms
+        for r, s in itertools.permutations(range(n), 2):
+            if store.get(((r,), (s,))) is None:
+                continue
+            for t in range(n):
+                if t == r or t == s:
+                    continue
+                one = under(under((r,), (s,)), under((r,), (t,)))
+                two = under(under((s,), (r,)), under((s,), (t,)))
+                if (one is None) != (two is None) or (
+                    one is not None and self._right_reverse(store, one, two) != ((), ())
+                ):
+                    names = ", ".join(format_word(self.pres, (x,)) for x in (r, s, t))
+                    raise LatticeViolation(
+                        f"cube condition fails on atoms ({names}) for the {side.value} "
+                        "complement: word reversing is incomplete; add the relations "
+                        "for the missing atom lcms"
+                    )
+
+    def _right_reverse(self, store, a: Word, b: Word, stack=None) -> Reversal:
+        """Reverse a against b to the right over `store`: b*(a past b) =
+        a*(b past a) is their lcm.  One row per letter of a, one cell per
+        letter of b; reversing_cap bounds the cells of one call."""
+        if stack is None:
+            stack = set()
+        cells, cap = 0, self.caps.reversing_cap
+        top = [(t,) for t in b]
+        ends = []
+        for s in a:
+            x = (s,)
+            for j, t in enumerate(top):
+                cells += 1
+                if cells > cap:
+                    raise ReversingCapExceeded(f"reversing exceeded {cap} cell fills")
+                r = self._cell(store, x, t, stack)
+                if r is None:
+                    return None
+                x, top[j] = r
+            ends.append(x)
+        return _concat(ends), _concat(top)
+
+    def _cell(self, store, x: Word, t: Word, stack: set) -> Reversal:
+        """One grid cell: (x past t, t past x) from the table, or reversed
+        letter by letter and stored.
+
+        Every sub-lcm of an existing lcm exists and spans a strictly
+        shorter segment of its reversing diagram, so the recursion ends
+        whenever the lcm exists; a pair met again while it is being
+        reversed (`stack`) therefore has no common multiple.
+        """
+        if not x or not t:
+            return x, t
+        if x == t:
+            return (), ()
+        got = store.get((x, t), _MISSING)
+        if got is _MISSING:
+            if len(x) == len(t) == 1 or (x, t) in stack or (t, x) in stack:
+                got = None
+            else:
+                stack.add((x, t))
+                try:
+                    got = self._right_reverse(store, x, t, stack)
+                finally:
+                    stack.discard((x, t))
+            store[(x, t)] = got
+            store[(t, x)] = None if got is None else (got[1], got[0])
+        return got
+
+    def _peel(self, store, s: int, w: Word) -> Word | None:
+        """The quotient q with s*q = w over `store`, or None when the atom s
+        does not divide w: one reversing row of s against w."""
+        if w and w[0] == s:
+            return w[1:]
+        r = self._right_reverse(store, (s,), w)
+        return r[1] if r is not None and not r[0] else None
+
+    def _reverse(self, a: Word, b: Word, side: Side) -> Reversal:
+        """(a past b, b past a): RIGHT b*(a past b) = a*(b past a), LEFT
+        (a past b)*b = (b past a)*a, the lcm of a and b."""
+        store = self._store(side)
+        if side is Side.RIGHT:
+            return self._right_reverse(store, a, b)
+        r = self._right_reverse(store, a[::-1], b[::-1])
+        return None if r is None else (r[0][::-1], r[1][::-1])
+
+    def _divide(self, x: Word, w: Word, side: Side) -> Word | None:
+        """The word q with x*q = w (LEFT) or q*x = w (RIGHT), peeling the
+        letters of x off w; None when x does not divide w."""
+        if side is Side.LEFT:
+            store = self._store(Side.RIGHT)
+        else:
+            store, x, w = self._store(Side.LEFT), x[::-1], w[::-1]
+        for s in x:
+            w = self._peel(store, s, w)
+            if w is None:
+                return None
+        return w if side is Side.LEFT else w[::-1]
 
     # ------------------------------------------------------------------
     # canonical forms
@@ -159,46 +314,34 @@ class MonoidContext:
         return tuple(Element((i,)) for i in range(self.pres.n_atoms))
 
     def canonical(self, word: Word) -> Element:
-        cached = self._canon.get(word)
+        """The element of `word`, as the least word equal to it: the least
+        atom that left-divides it, then the least word of the quotient.
+        The first letter always divides, so only smaller atoms are tried."""
+        memo = self._canon
+        cached = memo.get(word)
         if cached is not None:
             return cached
         for i in word:
             if not 0 <= i < self.pres.n_atoms:
                 raise MultiredError(f"atom index {i} outside presentation")
-        start = bytes(word)
-        seen = {start}
-        found = [start]  # discovery order: a bytes set iterates in a per-process order
-        frontier = [start]
-        while frontier:
-            if len(seen) > self.caps.class_cap:
-                raise ClassCapExceeded(
-                    f"rewrite class of a length-{len(word)} word exceeds "
-                    f"class_cap={self.caps.class_cap}"
-                )
-            nxt = []
-            for w in frontier:
-                for lhs, rhs in self._rules:
-                    pos = w.find(lhs)
-                    while pos >= 0:
-                        w2 = w[:pos] + rhs + w[pos + len(lhs):]
-                        if w2 not in seen:
-                            seen.add(w2)
-                            nxt.append(w2)
-                        pos = w.find(lhs, pos + 1)
-            found += nxt
-            frontier = nxt
-        cls = frozenset(map(tuple, found))
-        elem = Element(tuple(min(found)))
-        self._class[elem] = cls
-        self._canon.update(dict.fromkeys(cls, elem))
+        store = self._store(Side.RIGHT)
+        peeled = []
+        rest = word
+        while rest not in memo:
+            for s in range(rest[0]):
+                q = self._peel(store, s, rest)
+                if q is not None:
+                    break
+            else:
+                s, q = rest[0], rest[1:]
+            peeled.append((rest, s))
+            rest = q
+        elem = memo[rest]
+        for w, s in reversed(peeled):
+            least = (s,) + elem.word
+            elem = memo.setdefault(least, Element(least))
+            memo[w] = elem
         return elem
-
-    def class_of(self, x: Element) -> frozenset[Word]:
-        got = self._class.get(x)
-        if got is None:
-            x = self.canonical(x.word)
-            got = self._class[x]
-        return got
 
     def element(self, text: str) -> Element:
         return self.canonical(parse_word(self.pres, text))
@@ -221,20 +364,13 @@ class MonoidContext:
     # divisibility
 
     def boundary_atoms(self, x: Element, side: Side) -> frozenset[int]:
-        """Atoms that begin (LEFT) or end (RIGHT) some word of x's class."""
-        cls = self.class_of(x)
-        if side is Side.LEFT:
-            return frozenset(w[0] for w in cls if w)
-        return frozenset(w[-1] for w in cls if w)
+        """Atoms that side-divide x: begin (LEFT) or end (RIGHT) a word of x."""
+        return frozenset(
+            s for s in range(self.pres.n_atoms) if self._divide((s,), x.word, side) is not None
+        )
 
     def divides(self, x: Element, a: Element, side: Side) -> Element | None:
-        """Quotient q with x*q = a (LEFT) or q*x = a (RIGHT), else None.
-
-        Peels one boundary atom of x at a time; cancellativity (part of the
-        gcd-monoid assumption) makes the atom quotient unique, so following
-        a single class word is enough.  `divides_scan` is the slow oracle
-        twin used by the tests.
-        """
+        """Quotient q with x*q = a (LEFT) or q*x = a (RIGHT), else None."""
         if x.is_identity:
             return a
         if x.length > a.length:
@@ -242,48 +378,33 @@ class MonoidContext:
         key = (x.word, a.word, side)
         if key in self._divides:
             return self._divides[key]
-        if side is Side.LEFT:
-            s = x.word[0]
-            rest = self.canonical(x.word[1:])
-        else:
-            s = x.word[-1]
-            rest = self.canonical(x.word[:-1])
-        result: Element | None = None
-        for w in self.class_of(a):
-            if side is Side.LEFT and w[0] == s:
-                result = self.divides(rest, self.canonical(w[1:]), side)
-                break
-            if side is Side.RIGHT and w[-1] == s:
-                result = self.divides(rest, self.canonical(w[:-1]), side)
-                break
+        q = self._divide(x.word, a.word, side)
+        result = None if q is None else self.canonical(q)
         self._divides[key] = result
         return result
 
-    def divides_scan(self, x: Element, a: Element, side: Side) -> Element | None:
-        """Divisibility by direct prefix/suffix scan of the rewrite class."""
-        if x.length > a.length:
-            return None
-        k = x.length
-        for w in self.class_of(a):
-            if side is Side.LEFT:
-                head, tail = w[:k], w[k:]
-            else:
-                head, tail = w[len(w) - k:], w[:len(w) - k]
-            if self.canonical(head) == x:
-                return self.canonical(tail)
-        return None
-
     def divisors(self, a: Element, side: Side) -> tuple[Element, ...]:
-        """All side-divisors of a, canonical, ordered by (length, word)."""
+        """All side-divisors of a, canonical, ordered by (length, word).
+
+        A depth-first search over atom peels: each divisor d found comes
+        with the rest r of a (d*r = a on the LEFT), and every atom that
+        side-divides r extends d."""
         key = (a.word, side)
         got = self._divisors.get(key)
         if got is not None:
             return got
-        found: set[Element] = set()
-        for w in self.class_of(a):
-            for k in range(len(w) + 1):
-                piece = w[:k] if side is Side.LEFT else w[len(w) - k:]
-                found.add(self.canonical(piece))
+        found = {IDENTITY}
+        todo = [(IDENTITY, a.word)]
+        while todo:
+            d, rest = todo.pop()
+            for s in range(self.pres.n_atoms):
+                q = self._divide((s,), rest, side)
+                if q is None:
+                    continue
+                e = self.canonical(d.word + (s,) if side is Side.LEFT else (s,) + d.word)
+                if e not in found:
+                    found.add(e)
+                    todo.append((e, q))
         out = tuple(sorted(found, key=Element.sort_key))
         self._divisors[key] = out
         return out
@@ -330,7 +451,7 @@ class MonoidContext:
         return result
 
     # ------------------------------------------------------------------
-    # lcm: bounded oracle and grid reversing
+    # lcm: bounded oracle and reversing
 
     def multiples(self, a: Element, extra: int, side: Side) -> list[set[Element]]:
         """Distinct side-multiples of a, graded by extension length 0..extra.
@@ -382,224 +503,30 @@ class MonoidContext:
                 return (m, compA, compB)
         return None
 
-    # ------------------------------------------------------------------
-    # basic elements
-
-    def basic_table(self, side: Side) -> BasicTable:
-        got = self._tables.get(side)
-        if got is not None:
-            return got
-        comp, absent = self._atom_table(side)
-        self._check_cube(side, comp, absent)
-        self._comp[side] = comp
-        self._absent[side] = absent
-        basics: set[Element] = {IDENTITY, *self.atoms()}
-        changed = True
-        while changed:
-            changed = False
-            for u, v in itertools.product(sorted(basics, key=Element.sort_key), repeat=2):
-                if (u, v) in comp or (u, v) in absent:
-                    continue
-                r = self._grid(u, v, side, comp, absent)
-                changed = True
-                if r is None:
-                    absent.add((u, v))
-                else:
-                    comp[(u, v)] = r[1]
-            fresh = {w for (u, v), w in comp.items() if u in basics and v in basics}
-            if not fresh <= basics:
-                basics |= fresh
-                changed = True
-                if len(basics) > self.caps.basics_cap:
-                    raise BasicsCapExceeded(
-                        f"basic-element closure exceeds basics_cap="
-                        f"{self.caps.basics_cap}; finiteness not witnessed"
-                    )
-        table = BasicTable(
-            side=side,
-            basics=tuple(sorted(basics, key=Element.sort_key)),
-            complement=comp,
-            no_multiple=frozenset(absent),
-        )
-        self._tables[side] = table
-        return table
-
-    def _atom_table(
-        self, side: Side
-    ) -> tuple[dict[tuple[Element, Element], Element], set[tuple[Element, Element]]]:
-        """Complements of atom pairs, read off the relations.
-
-        RIGHT: a relation u*x = v*y is the lcm of u and v, so
-        comp(u,v) = y and comp(v,u) = x.  LEFT: x*u = y*v gives the same.
-        A pair no relation covers has no common multiple.
-        """
-        comp: dict[tuple[Element, Element], Element] = {(IDENTITY, IDENTITY): IDENTITY}
-        atoms = self.atoms()
-        for u in atoms:
-            comp[(IDENTITY, u)] = IDENTITY
-            comp[(u, IDENTITY)] = u
-            comp[(u, u)] = IDENTITY
-        if side is Side.RIGHT:
-            k, rest, verb = 0, slice(1, None), "start"
-        else:
-            k, rest, verb = -1, slice(-1), "end"
-        for lhs, rhs in self.pres.relations:
-            u, v = Element((lhs[k],)), Element((rhs[k],))
-            rel = f"{format_word(self.pres, lhs)} = {format_word(self.pres, rhs)}"
-            if u == v:
-                raise LatticeViolation(
-                    f"both sides of {rel} {verb} with {self.word_str(u)}: "
-                    f"no {side.value} complement for the relation"
-                )
-            if (u, v) in comp:
-                raise LatticeViolation(
-                    f"{rel} and another relation both {verb} with "
-                    f"{self.word_str(u)} and {self.word_str(v)}"
-                )
-            comp[(u, v)] = self.canonical(rhs[rest])
-            comp[(v, u)] = self.canonical(lhs[rest])
-        absent = {(u, v) for u in atoms for v in atoms if (u, v) not in comp}
-        return comp, absent
-
-    def _check_cube(
-        self,
-        side: Side,
-        comp: dict[tuple[Element, Element], Element],
-        absent: set[tuple[Element, Element]],
-    ) -> None:
-        """Raise LatticeViolation unless word reversing over the atom table
-        is complete.
-
-        For a homogeneous complemented presentation that is the cube
-        condition on atoms: for distinct r, s, t, (r\\s)\\(r\\t) and
-        (s\\r)\\(s\\t) are both undefined or both defined and equal, where
-        x\\y extends x to the lcm of x and y (on the left for LEFT).
-        The reversals fill copies, so the table is left as read.
-        """
-        comp, absent = dict(comp), set(absent)
-
-        def past(x: Element | None, y: Element | None) -> Element | None:
-            if x is None or y is None:
-                return None
-            r = self._grid(x, y, side, comp, absent)
-            return None if r is None else r[2]
-
-        for r, s, t in itertools.permutations(self.atoms(), 3):
-            one = past(past(r, s), past(r, t))
-            two = past(past(s, r), past(s, t))
-            if one != two:
-                names = ", ".join(self.word_str(x) for x in (r, s, t))
-                raise LatticeViolation(
-                    f"cube condition fails on atoms ({names}) for the {side.value} "
-                    "complement: word reversing is incomplete; add the relations "
-                    "for the missing atom lcms"
-                )
-
-    def _grid(
-        self,
-        a: Element,
-        b: Element,
-        side: Side,
-        comp: dict[tuple[Element, Element], Element],
-        absent: set[tuple[Element, Element]],
-        stack: set[tuple[Element, Element]] | None = None,
-    ) -> tuple[Element, Element, Element] | None:
-        """Grid reversing of a against b over a complement table.
-
-        Cell pairs not yet in the table are resolved recursively letter by
-        letter (the iterated-lcm rule), so the atom-level table suffices to
-        bootstrap.  Returns (m, compA, compB) with the lcm_oracle
-        conventions, or None when some cell pair has no common multiple.
-
-        Every sub-lcm of an existing lcm exists and spans a strictly
-        shorter segment of its reversing diagram, so the recursion
-        terminates whenever the lcm exists; re-entering a pair already
-        being resolved therefore proves that pair has no common multiple.
-        """
-        if stack is None:
-            stack = set()
-        cells = 0
-
-        def cell(x: Element, t: Element) -> tuple[Element, Element] | None:
-            nonlocal cells
-            cells += 1
-            if cells > self.caps.reversing_cap:
-                raise ReversingCapExceeded(
-                    f"reversing exceeded {self.caps.reversing_cap} cell fills"
-                )
-            if x.is_identity:
-                return (x, t)
-            if t.is_identity:
-                return (x, t)
-            if x == t:
-                return (IDENTITY, IDENTITY)
-            if (x, t) in absent or (t, x) in absent:
-                return None
-            cx = comp.get((x, t))
-            ct = comp.get((t, x))
-            if cx is None or ct is None:
-                if (x, t) in stack or (t, x) in stack:
-                    absent.add((x, t))
-                    absent.add((t, x))
-                    return None
-                stack.add((x, t))
-                try:
-                    r = self._grid(x, t, side, comp, absent, stack)
-                finally:
-                    stack.discard((x, t))
-                if r is None:
-                    absent.add((x, t))
-                    absent.add((t, x))
-                    return None
-                _, cx, ct = r
-                comp[(x, t)] = cx
-                comp[(t, x)] = ct
-            return (cx, ct)
-
-        if side is Side.RIGHT:
-            rows = [Element((i,)) for i in a.word]
-            top = [Element((i,)) for i in b.word]
-        else:
-            rows = [Element((i,)) for i in reversed(a.word)]
-            top = [Element((i,)) for i in reversed(b.word)]
-        rowends: list[Element] = []
-        for x in rows:
-            new_top: list[Element] = []
-            for t in top:
-                r = cell(x, t)
-                if r is None:
-                    return None
-                x, t2 = r
-                new_top.append(t2)
-            top = new_top
-            rowends.append(x)
-        if side is Side.RIGHT:
-            compA = self.product(rowends)
-            compB = self.product(top)
-            m = self.multiply(a, compB)
-            assert m == self.multiply(b, compA)
-        else:
-            compA = self.product(reversed(rowends))
-            compB = self.product(reversed(top))
-            m = self.multiply(compB, a)
-            assert m == self.multiply(compA, b)
-        return (m, compA, compB)
-
     def lcm(
         self, a: Element, b: Element, side: Side
     ) -> tuple[Element, Element, Element] | None:
-        """Conditional lcm via grid reversing over the basic table.
+        """Conditional lcm by reversing.
 
         RIGHT: m = a \\/ b with m = b*compA = a*compB.
         LEFT:  m = a \\/~ b with m = compA*b = compB*a.
-        None is a proof that no common multiple exists (given the table);
-        cap overflow raises, which callers treat as inconclusive.
+        None is a proof that no common multiple exists; cap overflow
+        raises, which callers treat as inconclusive.
         """
         key = (a.word, b.word, side)
         if key in self._lcm:
             return self._lcm[key]
-        self.basic_table(side)
-        result = self._grid(a, b, side, self._comp[side], self._absent[side])
+        r = self._reverse(a.word, b.word, side)
+        result = None
+        if r is not None:
+            compA, compB = self.canonical(r[0]), self.canonical(r[1])
+            if side is Side.RIGHT:
+                m = self.multiply(a, compB)
+                assert m == self.multiply(b, compA)
+            else:
+                m = self.multiply(compB, a)
+                assert m == self.multiply(compA, b)
+            result = (m, compA, compB)
         self._lcm[key] = result
         return result
 
@@ -608,6 +535,47 @@ class MonoidContext:
             return TriState.NO if self.lcm(a, b, side) is None else TriState.YES
         except CapExceeded:
             return TriState.INCONCLUSIVE
+
+    # ------------------------------------------------------------------
+    # basic elements
+
+    def basic_table(self, side: Side) -> BasicTable:
+        """The basic elements (the closure of the atoms under complements)
+        and the complements of every pair of them.  A worklist: each new
+        basic is reversed once against itself and every earlier one."""
+        got = self._tables.get(side)
+        if got is not None:
+            return got
+        self._store(side)  # a bad atom table is refused before anything else
+        basics = [IDENTITY, *self.atoms()]
+        known = set(basics)
+        complement: dict[tuple[Element, Element], Element] = {}
+        no_multiple: set[tuple[Element, Element]] = set()
+        for k, u in enumerate(basics):  # grows while it is walked
+            for v in basics[: k + 1]:
+                r = self._reverse(u.word, v.word, side)
+                if r is None:
+                    no_multiple.update(((u, v), (v, u)))
+                    continue
+                cu, cv = self.canonical(r[0]), self.canonical(r[1])
+                complement[(u, v)], complement[(v, u)] = cu, cv
+                for c in (cu, cv):
+                    if c not in known:
+                        known.add(c)
+                        basics.append(c)
+                if len(basics) > self.caps.basics_cap:
+                    raise BasicsCapExceeded(
+                        f"basic-element closure exceeds basics_cap="
+                        f"{self.caps.basics_cap}; finiteness not witnessed"
+                    )
+        table = BasicTable(
+            side=side,
+            basics=tuple(sorted(basics, key=Element.sort_key)),
+            complement=complement,
+            no_multiple=frozenset(no_multiple),
+        )
+        self._tables[side] = table
+        return table
 
     # ------------------------------------------------------------------
     # enumeration and bounds

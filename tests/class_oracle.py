@@ -1,9 +1,11 @@
-"""Rewrite-class closure on atom tuples: the reference for the byte-string
-closure in `MonoidContext.canonical`.
+"""Rewrite-class closure on atom tuples: the reference the tests hold
+`MonoidContext`'s reversing-based canonical forms and divisibility to.
 
 It slices the word at every position for every rule, which is slow but
-obviously right; the tests compare the package's classes against it.
+obviously right.
 """
+
+from multired.monoid import Side
 
 
 def tuple_class(pres, word: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
@@ -24,3 +26,19 @@ def tuple_class(pres, word: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
                             nxt.append(w2)
         frontier = nxt
     return frozenset(seen)
+
+
+def divides_scan(ctx, x, a, side):
+    """Quotient q with x*q = a (LEFT) or q*x = a (RIGHT), else None, by a
+    prefix (suffix) scan of every word of a's class."""
+    if x.length > a.length:
+        return None
+    k = x.length
+    for w in tuple_class(ctx.pres, a.word):
+        if side is Side.LEFT:
+            head, tail = w[:k], w[k:]
+        else:
+            head, tail = w[len(w) - k:], w[:len(w) - k]
+        if ctx.canonical(head) == x:
+            return ctx.canonical(tail)
+    return None

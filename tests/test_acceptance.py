@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+from class_oracle import tuple_class
 from multired.monoid import IDENTITY, MonoidContext, Side
 from multired.multifraction import (
     Multifraction,
@@ -77,7 +78,7 @@ def _one_letter_apart(ctx, x, word):
     letter position (a substitution, not an insertion or deletion)."""
     return any(
         len(w) == len(word) and sum(p != q for p, q in zip(w, word)) == 1
-        for w in ctx.class_of(x)
+        for w in tuple_class(ctx.pres, x.word)
     )
 
 
@@ -94,7 +95,7 @@ def test_criterion_02_second_trace_as_printed(att):
 
     printed = parse_word(att.pres, "ac")
     assert red.apply_left(att, after_first, 3, att.element("ac")) is None
-    assert not any(w[-2:] == printed for w in att.class_of(after_first.entry(4)))
+    assert not any(w[-2:] == printed for w in tuple_class(att.pres, after_first.entry(4).word))
 
     level3 = red.reducers(att, after_first, 3, "all")
     assert sorted(att.word_str(x) for x in level3) == ["a", "ab", "aba", "b", "ba"]

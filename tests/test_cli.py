@@ -3,7 +3,11 @@ import os
 
 import pytest
 
+from multired import reduction as red
 from multired.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, dispatch, main
+from multired.monoid import MonoidContext, ReversingCapExceeded
+from multired.multifraction import format_multifraction, parse_multifraction
+from multired.presentation import preset
 
 
 def run(capsys, *argv):
@@ -128,6 +132,15 @@ def test_presentation_file(capsys, tmp_path):
     assert code == EXIT_OK and len(out.split()) == 5
 
 
+def test_cube_failure_refused_at_first_element(capsys, tmp_path):
+    # ab = bc, bc = ca without ca = ab: a nonzero-weight word needs no lcm,
+    # but its letters are canonicalised over the right table
+    path = tmp_path / "pres.txt"
+    path.write_text("atoms: a b c\nrel: ab = bc\nrel: bc = ca\n")
+    assert main(["wordproblem", "--presentation-file", str(path), "a b"]) == EXIT_USAGE
+    assert "cube condition fails on atoms (a, b, c)" in capsys.readouterr().err
+
+
 def test_usage_error():
     assert main(["bogus"]) == EXIT_USAGE
     assert main(["reduce", "--preset", "nope", "a/b"]) == EXIT_USAGE
@@ -136,13 +149,50 @@ def test_usage_error():
 def test_caps_env(capsys, monkeypatch):
     # a cap overflow is inconclusive, not an input error
     for caps, argv in (
-        ("class_cap=3", ["reduce", "--preset", "A2tilde", "ababab/1"]),
+        ("reversing_cap=1", ["reduce", "--preset", "A2tilde", "ababab/1"]),
         ("reversing_cap=3", ["wordproblem", "--preset", "A2tilde", "aba BAB"]),
     ):
         monkeypatch.setenv("MULTIRED_CAPS", caps)
         assert main(argv) == EXIT_INCONCLUSIVE, argv
         assert capsys.readouterr().err.startswith("inconclusive: ")
     monkeypatch.delenv("MULTIRED_CAPS")
+
+
+@pytest.mark.parametrize("caps", ["bogus_cap=3", "class_cap=3", "reversing_cap=many"])
+def test_caps_env_malformed(capsys, monkeypatch, caps):
+    monkeypatch.setenv("MULTIRED_CAPS", caps)
+    assert main(["reduce", "--preset", "A2tilde", "a/b"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: MULTIRED_CAPS: ")
+    assert "reversing_cap, basics_cap, graph_node_cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["irr", "--preset", "A2tilde", "1/c/aba"],
+    ["graph", "--preset", "A2tilde", "--dot", "1/c/aba"],
+])
+def test_incomplete_graph_inconclusive(capsys, monkeypatch, argv):
+    # one move overflows a cap: what the graph holds is printed, but it is
+    # no result
+    apply_left = red.apply_left
+
+    def overflowing(ctx, a, i, x):
+        if x == ctx.element("c"):
+            raise ReversingCapExceeded("reversing exceeded 0 cell fills")
+        return apply_left(ctx, a, i, x)
+
+    monkeypatch.setattr(red, "apply_left", overflowing)
+    ctx = MonoidContext(preset("A2tilde"))
+    g = red.reduct_graph(ctx, parse_multifraction(ctx, "1/c/aba"))
+    assert not g.complete
+    if argv[0] == "irr":
+        expected = sorted(format_multifraction(ctx, x) for x in g.sinks())
+    else:
+        expected = g.to_dot(ctx).splitlines()
+    assert main(argv) == EXIT_INCONCLUSIVE
+    out, err = capsys.readouterr()
+    assert out.splitlines() == expected
+    assert err.startswith("inconclusive: reduct graph incomplete")
 
 
 def test_campaign_cap_overflow_per_trial(capsys, monkeypatch):

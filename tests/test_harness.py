@@ -359,13 +359,13 @@ def test_campaign_parallel(att):
 
 
 def test_campaign_cap_overflow_in_generation():
-    # the input generator overflows class_cap; each trial is inconclusive
-    ctx = MonoidContext(preset("A2tilde"), Caps(class_cap=1))
+    # the input generator overflows reversing_cap; each trial is inconclusive
+    ctx = MonoidContext(preset("A2tilde"), Caps(reversing_cap=1))
     report = H.run_campaign(ctx, H.CampaignConfig("A2tilde", "A", length=12, trials=3, seed=2))
     assert report.counts == {"inconclusive": 3}
     for rec in report.records:
         assert rec["input"] is None and rec["moves"] is None
-        assert rec["evidence"]["cap"] == "class_cap"
+        assert rec["evidence"]["cap"] == "reversing_cap"
 
 
 def test_counterexample_dump(att, tmp_path):
