@@ -90,6 +90,15 @@ class TriState(Enum):
 class Element:
     word: Word
 
+    # elements are memo and graph keys, so the hash is computed once; it
+    # keeps the dataclass-generated value, hash((word,)), on which set and
+    # dict iteration order depend
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.word,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def length(self) -> int:
         return len(self.word)
@@ -339,7 +348,9 @@ class MonoidContext:
         elem = memo[rest]
         for w, s in reversed(peeled):
             least = (s,) + elem.word
-            elem = memo.setdefault(least, Element(least))
+            elem = memo.get(least)
+            if elem is None:
+                elem = memo[least] = Element(least)
             memo[w] = elem
         return elem
 

@@ -36,6 +36,11 @@ class Multifraction:
 
     def __post_init__(self):
         assert self.first_sign in (1, -1)
+        # computed once, as for Element, with the dataclass-generated value
+        object.__setattr__(self, "_hash", hash((self.first_sign, self.entries)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def depth(self) -> int:
@@ -65,9 +70,11 @@ class Multifraction:
         """Signed length sum; a nonzero weight certifies non-unitality."""
         return sum(self.sign(i) * e.length for i, e in enumerate(self.entries, 1))
 
-    def replace_entry(self, i: int, x: Element) -> "Multifraction":
+    def replace_entries(self, *changes: tuple[int, Element]) -> "Multifraction":
+        """A copy with entry i set to x for each (i, x) given, in order."""
         entries = list(self.entries)
-        entries[i - 1] = x
+        for i, x in changes:
+            entries[i - 1] = x
         return Multifraction(self.first_sign, tuple(entries))
 
 

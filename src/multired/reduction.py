@@ -14,7 +14,8 @@ moves this module provides:
   * red_tame, the composite of greatest-tame reductions along the
     universal level sequence u(n) = (1..n-1) ++ u(n-2);
   * strategy-driven exhaustive reduction (`reduce_left`, `reduce_right`),
-    atomic reduct graphs with DOT/JSON export, and the tower step bound.
+    atomic reduct graphs (optionally sharing one move memo) with DOT/JSON
+    export, and the tower step bound.
 
 Sign conventions: the due side at a positively-signed level is "right"
 (entries are divided on the right, lcms are left lcms), and mirrored at a
@@ -113,7 +114,7 @@ def _push(
         return None
     _, xp, comp = r  # comp with x attached on `side` = entry i with xp on `lcm_side`
     deposit = _attach(ctx, lcm_side, a.entry(dst), xp)
-    b = a.replace_entry(src, q).replace_entry(i, comp).replace_entry(dst, deposit)
+    b = a.replace_entries((src, q), (i, comp), (dst, deposit))
     assert b.entry(dst) == deposit and b.depth == a.depth
     assert _attach(ctx, side, b.entry(i), x) == _attach(ctx, lcm_side, a.entry(i), xp)
     assert _attach(ctx, side, b.entry(src), x) == a.entry(src)
@@ -167,7 +168,7 @@ def apply_division(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> 
     qj = ctx.divides(x, a.entry(i + 1), side)
     if qj is None:
         return None
-    b = a.replace_entry(i, qi).replace_entry(i + 1, qj)
+    b = a.replace_entries((i, qi), (i + 1, qj))
     assert _attach(ctx, side, b.entry(i), x) == a.entry(i)
     assert _attach(ctx, side, b.entry(i + 1), x) == a.entry(i + 1)
     return b
@@ -498,21 +499,23 @@ def reduct_graph(
     a: Multifraction,
     side: Side = Side.LEFT,
     node_cap: int | None = None,
-    granularity: str = "atomic",
+    memo: dict | None = None,
 ) -> ReductGraph:
-    """Exhaustive closure of a under moves of one side.
+    """Exhaustive closure of a under the atomic moves of one side.
 
     Every reduction decomposes into atomic steps at the same level, so the
-    default atomic closure reaches every reduct.  The "maximal" granularity
-    (left side only) follows maximal reducers instead; it provably misses
-    reducts and exists as an explicit mode for comparison.  Applicability
-    failures from cap overflow are recorded as inconclusive edges rather
-    than guessed at.
+    atomic closure reaches every reduct.  Applicability failures from cap
+    overflow are recorded as inconclusive edges rather than guessed at.
+
+    `memo` lets graphs of one side share their node expansions: it maps a
+    node to its outgoing moves, in strategy order, and the attempts that
+    overflowed a cap there, as (level, atom, reason).  A node found in it
+    is not expanded again; its moves are replayed and its overflows are
+    recorded under this graph's own node index.  Each graph still runs
+    its own breadth-first search, so node order, edges, the node cap and
+    `complete` are those of a graph built without a memo.  A memo must
+    only be shared by graphs of the same side.
     """
-    if granularity not in ("atomic", "maximal"):
-        raise ValueError(f"unknown granularity {granularity!r}")
-    if granularity == "maximal" and side is not Side.LEFT:
-        raise ValueError("maximal granularity is a left-side mode")
     cap = node_cap if node_cap is not None else ctx.caps.graph_node_cap
     g = ReductGraph(root=a, side=side)
     g.nodes.append(a)
@@ -521,13 +524,18 @@ def reduct_graph(
     while queue:
         src = queue.popleft()
         cur = g.nodes[src]
-        if granularity == "maximal":
-            outgoing = _maximal_moves(ctx, cur)
-        else:
+        known = memo.get(cur) if memo is not None else None
+        if known is None:
+            overflows = []
             outgoing = _atomic_moves(
                 ctx, cur, side,
-                on_cap=lambda i, s, e: g.inconclusive.append((src, i, s, str(e))),
+                on_cap=lambda i, s, e: overflows.append((i, s, str(e))),
             )
+            if memo is not None:
+                outgoing = list(outgoing)
+                memo[cur] = (outgoing, overflows)
+        else:
+            outgoing, overflows = known
         for move, b in outgoing:
             if b not in g.index:
                 if len(g.nodes) >= cap:
@@ -536,6 +544,7 @@ def reduct_graph(
                 g.nodes.append(b)
                 queue.append(g.index[b])
             g.edges.append((src, move, g.index[b]))
+        g.inconclusive.extend((src, i, s, r) for i, s, r in overflows)
     return g
 
 

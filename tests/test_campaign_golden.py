@@ -1,0 +1,106 @@
+"""Campaign golden: sha256 digests of timing-free campaign reports.
+
+Each digest is the sha256 of `CampaignReport.to_json(include_timing=False)`
+dumped as JSON with sorted keys.  The grid runs every conjecture kind on
+every preset below at depth 4, length 8, 6 trials, seed 3; three more
+campaigns pin how cap overflows degrade Cunif trials to inconclusive.  A
+change to the reduction or harness code must leave every digest as it is.
+
+    PYTHONPATH=src python tests/test_campaign_golden.py
+
+rewrites tests/campaign_golden.json from the code in the checkout.  Run
+it only on a commit whose outputs are the reference (the parent of a
+change), never to make a failing comparison pass.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from multired import reduction as red
+from multired.harness import CampaignConfig, run_campaign
+from multired.monoid import Caps, MonoidContext, ReversingCapExceeded
+from multired.presentation import preset
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "campaign_golden.json")
+
+PRESETS = ("A2tilde", "A3tilde", "C2tilde", "K(4,3)", "braid(4)", "braid(5)", "free(2)", "I2(5)")
+CONJECTURES = ("A", "B", "C", "Cunif", "depth4")
+OVERFLOWS = ("graph_node_cap=20", "graph_node_cap=60", "apply_left_level2_c")
+
+_CONTEXTS: dict[tuple, MonoidContext] = {}
+
+
+def _context(name: str, caps: Caps = Caps()) -> MonoidContext:
+    key = (name, caps)
+    if key not in _CONTEXTS:
+        _CONTEXTS[key] = MonoidContext(preset(name), caps)
+    return _CONTEXTS[key]
+
+
+def _digest(report) -> str:
+    text = json.dumps(report.to_json(include_timing=False), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def grid_digest(name: str, conjecture: str) -> str:
+    config = CampaignConfig(name, conjecture, depth=4, length=8, trials=6, seed=3)
+    return _digest(run_campaign(_context(name), config))
+
+
+def overflow_digest(case: str) -> str:
+    """Cunif on A2tilde, length 16, 20 trials, seed 1, under one overflow."""
+    config = CampaignConfig("A2tilde", "Cunif", depth=4, length=16, trials=20, seed=1)
+    if case.startswith("graph_node_cap="):
+        caps = Caps(graph_node_cap=int(case.split("=")[1]))
+        return _digest(run_campaign(_context("A2tilde", caps), config))
+    assert case == "apply_left_level2_c"
+    ctx = _context("A2tilde")
+    apply_left = red.apply_left
+    c = ctx.element("c")
+
+    def overflowing(ctx, a, i, x):
+        if i == 2 and x == c:
+            raise ReversingCapExceeded("reversing exceeded 0 cell fills")
+        return apply_left(ctx, a, i, x)
+
+    red.apply_left = overflowing
+    try:
+        return _digest(run_campaign(ctx, config))
+    finally:
+        red.apply_left = apply_left
+
+
+def _golden() -> dict:
+    with open(GOLDEN) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("conjecture", CONJECTURES)
+@pytest.mark.parametrize("name", PRESETS)
+def test_campaign_grid(name, conjecture):
+    assert grid_digest(name, conjecture) == _golden()["grid"][f"{conjecture} {name}"]
+
+
+@pytest.mark.parametrize("case", OVERFLOWS)
+def test_campaign_overflow(case):
+    assert overflow_digest(case) == _golden()["overflow"][case]
+
+
+if __name__ == "__main__":
+    golden = {
+        "grid": {
+            f"{conj} {name}": grid_digest(name, conj)
+            for name in PRESETS
+            for conj in CONJECTURES
+        },
+        "overflow": {case: overflow_digest(case) for case in OVERFLOWS},
+    }
+    with open(GOLDEN, "w") as fh:
+        json.dump(golden, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {len(golden['grid']) + len(golden['overflow'])} digests to {GOLDEN}")

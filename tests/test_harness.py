@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from multired.monoid import Caps, IDENTITY, MonoidContext, Side
+from multired.monoid import Caps, IDENTITY, MonoidContext, ReversingCapExceeded, Side
 from multired.multifraction import (
     Multifraction,
     format_multifraction,
@@ -397,6 +397,30 @@ def test_four_strategy_exists_without_forall(att):
     assert v.status == "confirmed"
     assert v.evidence["exists_k_forall_j"]
     assert not v.evidence["forall_k_forall_j"]
+
+
+def test_four_strategy_probe_incomplete_graphs(att, monkeypatch):
+    # a failure read off left graphs that dropped moves on a cap overflow
+    # is no counterexample
+    a = H.gen_multifraction(att, 4, 4, seed=0)
+    assert H.four_strategy_C_probe(att, a).status == "confirmed"
+    reduct_graph, apply_left = H.reduct_graph, red.apply_left
+
+    def overflowing(ctx, a, i, x):
+        raise ReversingCapExceeded("reversing exceeded 0 cell fills")
+
+    def graph_with_overflows(*args, **kwargs):
+        monkeypatch.setattr(red, "apply_left", overflowing)
+        try:
+            return reduct_graph(*args, **kwargs)
+        finally:
+            monkeypatch.setattr(red, "apply_left", apply_left)
+
+    monkeypatch.setattr(H, "reduct_graph", graph_with_overflows)
+    v = H.four_strategy_C_probe(att, a)
+    assert v.status == "inconclusive"
+    assert not v.evidence["exists_k_forall_j"]
+    assert v.evidence["incomplete_edges"] > 0
 
 
 def test_conjecture_A_trivial_empty_trace(att):

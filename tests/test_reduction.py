@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from multired.monoid import GraphNodeCapExceeded, IDENTITY, Side
+from multired.monoid import GraphNodeCapExceeded, IDENTITY, ReversingCapExceeded, Side
 from multired.multifraction import (
     Multifraction,
     format_multifraction,
@@ -354,17 +354,55 @@ def test_reduct_lattice_has_no_universal_join(att):
         assert not (g.contains(d1) and g.contains(d2))
 
 
+@pytest.mark.parametrize("overflow", [False, True], ids=["plain", "overflow"])
+def test_shared_memo_matches_fresh_graphs(att, monkeypatch, overflow):
+    # the left graphs of the right reducts of Cunif inputs, built with one
+    # shared memo, equal the graphs built without one; under an overflow on
+    # the atom c at level 2, a graph that reaches a node another graph
+    # expanded still records that node's overflows
+    if overflow:
+        apply_left, c = red.apply_left, att.element("c")
+
+        def overflowing(ctx, a, i, x):
+            if i == 2 and x == c:
+                raise ReversingCapExceeded("reversing exceeded 0 cell fills")
+            return apply_left(ctx, a, i, x)
+
+        monkeypatch.setattr(red, "apply_left", overflowing)
+    replayed_overflows = 0
+    for seed in range(8):
+        a = gen_multifraction(att, 4, 4, seed)
+        memo = {}
+        for node in red.reduct_graph(att, a, Side.RIGHT).nodes:
+            expanded = set(memo)
+            shared = red.reduct_graph(att, node, Side.LEFT, memo=memo)
+            fresh = red.reduct_graph(att, node, Side.LEFT)
+            assert shared.nodes == fresh.nodes
+            assert shared.edges == fresh.edges
+            assert shared.inconclusive == fresh.inconclusive
+            assert shared.complete == fresh.complete
+            replayed_overflows += sum(
+                shared.nodes[src] in expanded for src, _, _, _ in shared.inconclusive
+            )
+        assert set(memo) >= set(red.reduct_graph(att, a, Side.LEFT).nodes)
+    assert (replayed_overflows > 0) == overflow
+
+
 def test_maximal_granularity_misses_reducts(att):
     # maximal steps from ab/ba/ca/bcbc reach only one irreducible; atomic
     # closure also finds cb/abbc/ba/bc
     a = mf(att, "ab/ba/ca/bcbc")
     atomic = red.reduct_graph(att, a, Side.LEFT)
-    maximal = red.reduct_graph(att, a, Side.LEFT, granularity="maximal")
+    reached = {a: False}  # node -> has a maximal move
+    queue = [a]
+    while queue:
+        cur = queue.pop(0)
+        for _, b in red._maximal_moves(att, cur):
+            reached[cur] = True
+            if b not in reached:
+                reached[b] = False
+                queue.append(b)
     hidden = mf(att, "cb/abbc/ba/bc")
     assert atomic.contains(hidden)
-    assert not maximal.contains(hidden)
-    assert maximal.sinks() == [mf(att, "1/ab/ca/cb")]
-    with pytest.raises(ValueError):
-        red.reduct_graph(att, a, Side.RIGHT, granularity="maximal")
-    with pytest.raises(ValueError):
-        red.reduct_graph(att, a, granularity="bogus")
+    assert hidden not in reached
+    assert [n for n, moves in reached.items() if not moves] == [mf(att, "1/ab/ca/cb")]
