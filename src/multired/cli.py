@@ -1,5 +1,10 @@
 """Command-line front end.
 
+Each subcommand accepts only the options it reads.  Every subcommand
+that builds a monoid context takes --preset, --presentation-file and
+--format; `preset` takes --preset and --format.  --strategy belongs to
+`reduce` and `rreduce`, --seed and --jobs to `conjecture`.
+
 Exit codes: 0 success, 1 counterexample found, 2 inconclusive, 3 usage or
 input error.  All output is deterministic for a fixed argv and seed;
 reports are JSON with --format json, graphs are DOT.  The MULTIRED_CAPS
@@ -74,6 +79,8 @@ def parse_signed_word(ctx: MonoidContext, text: str) -> SignedWord:
     for token in text.split():
         for piece in token.split(".") if "." in token else [token]:
             if piece.endswith("^-1"):
+                if piece[:-3] not in by_name:
+                    raise MultiredError(f"unknown letter {piece[:-3]!r}")
                 out.append((by_name[piece[:-3]], -1))
             elif piece in by_name:
                 out.append((by_name[piece], 1))
@@ -96,13 +103,11 @@ def _emit(args, payload: dict, text_lines=None):
             print(line)
 
 
-def _add_common(p):
+def _add_context(p):
+    """The options every subcommand that builds a context reads."""
     p.add_argument("--preset", default="A2tilde")
     p.add_argument("--presentation-file")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strategy", choices=red.STRATEGIES, default="low_lex")
-    p.add_argument("--jobs", type=int, default=1)
 
 
 def build_parser() -> _Parser:
@@ -112,7 +117,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("preset", help="list or show presets")
     p.add_argument("action", choices=("list", "show"))
     p.add_argument("name", nargs="?")
-    _add_common(p)
+    p.add_argument("--preset", default="A2tilde")
+    p.add_argument("--format", choices=("text", "json"), default="text")
 
     for name, help_ in (
         ("reduce", "exhaust atomic left reductions"),
@@ -123,17 +129,19 @@ def build_parser() -> _Parser:
     ):
         p = sub.add_parser(name, help=help_)
         p.add_argument("multifraction")
-        _add_common(p)
+        if name in ("reduce", "rreduce"):
+            p.add_argument("--strategy", choices=red.STRATEGIES, default="low_lex")
+        _add_context(p)
 
     p = sub.add_parser("graph", help="atomic reduct graph")
     p.add_argument("multifraction")
     p.add_argument("--side", choices=("left", "right"), default="left")
     p.add_argument("--dot", action="store_true")
-    _add_common(p)
+    _add_context(p)
 
     p = sub.add_parser("wordproblem", help="decide whether a signed word is the group unit")
     p.add_argument("word")
-    _add_common(p)
+    _add_context(p)
 
     p = sub.add_parser("conjecture", help="seeded conjecture campaign")
     p.add_argument("which", choices=("A", "B", "C", "Cunif", "depth4"))
@@ -142,24 +150,26 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--log")
     p.add_argument("--dump-dir", default="counterexamples")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=1)
+    _add_context(p)
 
     p = sub.add_parser("vankampen", help="universal-shape diagram for a unital multifraction")
     p.add_argument("multifraction")
-    _add_common(p)
+    _add_context(p)
 
     p = sub.add_parser("basics", help="basic elements and complement table size")
     p.add_argument("--side", choices=("left", "right"), default="right")
-    _add_common(p)
+    _add_context(p)
 
     p = sub.add_parser("threeore", help="bounded scan for 3-Ore violations")
     p.add_argument("--maxlen", type=int, default=1)
     p.add_argument("--side", choices=("left", "right"), default="right")
-    _add_common(p)
+    _add_context(p)
 
     p = sub.add_parser("cycleprobe", help="replay the alternating non-terminating cycle")
     p.add_argument("--iterations", type=int, default=3)
-    _add_common(p)
+    _add_context(p)
 
     return parser
 

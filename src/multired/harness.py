@@ -44,7 +44,6 @@ from .reduction import (
     reduce_left,
     reduce_right,
     reduct_graph,
-    replay,
 )
 from .signedwords import applicable_steps, apply_step
 
@@ -65,7 +64,7 @@ class CentralCross:
 
 @dataclass(frozen=True)
 class UnitalCertificate:
-    kind: str  # brownian_trace | central_cross_seed | lcm_expansion_chain | explicit_trace_to_1
+    kind: str  # brownian_trace | central_cross_seed | lcm_expansion_chain
     payload: dict
 
 
@@ -73,10 +72,6 @@ class UnitalCertificate:
 class Verdict:
     status: str  # confirmed | counterexample | inconclusive
     evidence: dict = field(default_factory=dict)
-    millis: float = 0.0
-
-    def to_json(self) -> dict:
-        return {"status": self.status, "evidence": self.evidence, "millis": self.millis}
 
 
 def assemble_cross(ctx: MonoidContext, rays, first_sign: int = 1) -> Multifraction:
@@ -119,12 +114,6 @@ def validate_certificate(ctx: MonoidContext, a: Multifraction, cert: UnitalCerti
             if cur is None:
                 return False
         return cur == a
-    if cert.kind == "explicit_trace_to_1":
-        moves = [
-            Move(m["kind"], m["level"], ctx.element(m["x"]))
-            for m in cert.payload["moves"]
-        ]
-        return replay(ctx, a, moves) == unit(a.depth * (1 if a.first_sign > 0 else -1))
     raise ValueError(f"unknown certificate kind {cert.kind!r}")
 
 
@@ -300,18 +289,12 @@ def lcm_expand(
 # conjecture testers
 
 
-def _timer():
-    start = time.perf_counter()
-    return lambda: (time.perf_counter() - start) * 1000.0
-
-
 def test_conjecture_A(
     ctx: MonoidContext, a: Multifraction, certificate: UnitalCertificate
 ) -> Verdict:
     """Semi-convergence on one unital instance: a must reduce to the
     trivial multifraction.  Fast path: one strategy run; fallback:
     exhaustive graph search."""
-    ms = _timer()
     if not validate_certificate(ctx, a, certificate):
         raise MultiredError("certificate does not prove the input unital")
     trivial = unit(a.depth if a.first_sign > 0 else -a.depth)
@@ -320,21 +303,19 @@ def test_conjecture_A(
         return Verdict(
             "confirmed",
             {"trace_levels": [m.level for m in tr.moves], "steps": len(tr.moves)},
-            ms(),
         )
     try:
         graph = reduct_graph(ctx, a, Side.LEFT)
     except CapExceeded as e:
-        return Verdict("inconclusive", {"reason": str(e)}, ms())
+        return Verdict("inconclusive", {"reason": str(e)})
     if graph.contains(trivial):
-        return Verdict("confirmed", {"via": "graph", "nodes": len(graph.nodes)}, ms())
+        return Verdict("confirmed", {"via": "graph", "nodes": len(graph.nodes)})
     if graph.complete:
         return Verdict(
             "counterexample",
             {"nodes": len(graph.nodes), "certificate": certificate.kind},
-            ms(),
         )
-    return Verdict("inconclusive", {"incomplete_edges": len(graph.inconclusive)}, ms())
+    return Verdict("inconclusive", {"incomplete_edges": len(graph.inconclusive)})
 
 
 def test_conjecture_B(
@@ -343,7 +324,6 @@ def test_conjecture_B(
     """One tame pass must trivialize a unital multifraction.  The iterated
     fixpoint is recorded alongside (a single pass is what the conjecture
     asserts)."""
-    ms = _timer()
     if not validate_certificate(ctx, a, certificate):
         raise MultiredError("certificate does not prove the input unital")
     trivial = unit(a.depth if a.first_sign > 0 else -a.depth)
@@ -355,21 +335,20 @@ def test_conjecture_B(
         "fixpoint_iterations": iters,
     }
     if out == trivial:
-        return Verdict("confirmed", evidence, ms())
-    return Verdict("counterexample", evidence, ms())
+        return Verdict("confirmed", evidence)
+    return Verdict("counterexample", evidence)
 
 
 def test_cross_confluence_pair(
     ctx: MonoidContext, b: Multifraction, c: Multifraction, a: Multifraction
 ) -> Verdict:
     """b, c right reducts of a: search for a common left reduct."""
-    ms = _timer()
     memo: dict = {}
     try:
         gb = reduct_graph(ctx, b, Side.LEFT, memo=memo)
         gc = reduct_graph(ctx, c, Side.LEFT, memo=memo)
     except CapExceeded as e:
-        return Verdict("inconclusive", {"reason": str(e)}, ms())
+        return Verdict("inconclusive", {"reason": str(e)})
     common = [n for n in gb.nodes if gc.contains(n)]
     if common:
         witness = min(common, key=lambda m: (m.total_length(), format_multifraction(ctx, m)))
@@ -379,11 +358,10 @@ def test_cross_confluence_pair(
                 "witness": format_multifraction(ctx, witness),
                 "common": sorted(format_multifraction(ctx, x) for x in common),
             },
-            ms(),
         )
     if gb.complete and gc.complete:
-        return Verdict("counterexample", {"b_nodes": len(gb.nodes), "c_nodes": len(gc.nodes)}, ms())
-    return Verdict("inconclusive", {}, ms())
+        return Verdict("counterexample", {"b_nodes": len(gb.nodes), "c_nodes": len(gc.nodes)})
+    return Verdict("inconclusive", {})
 
 
 def _latest_common_ancestors(ctx, graph, targets):
@@ -420,7 +398,6 @@ def test_conjecture_C_uniform(ctx: MonoidContext, a: Multifraction) -> Verdict:
     (the tame reduct and the latest common ancestor of the irreducible
     left reducts) are evaluated alongside the witness set.  The left
     graphs share one move memo: they overlap almost completely."""
-    ms = _timer()
     memo: dict = {}
     try:
         rg = reduct_graph(ctx, a, Side.RIGHT)
@@ -430,7 +407,7 @@ def test_conjecture_C_uniform(ctx: MonoidContext, a: Multifraction) -> Verdict:
             left_sets.append((g, set(g.nodes)))
         lg = left_sets[0][0]  # rg.nodes[0] is a
     except CapExceeded as e:
-        return Verdict("inconclusive", {"reason": str(e)}, ms())
+        return Verdict("inconclusive", {"reason": str(e)})
     witnesses = set.intersection(*(s for _, s in left_sets))
     irr = lg.sinks()
     lca = _latest_common_ancestors(ctx, lg, irr) if irr else []
@@ -444,9 +421,9 @@ def test_conjecture_C_uniform(ctx: MonoidContext, a: Multifraction) -> Verdict:
         "lca_is_witness": any(x in witnesses for x in lca),
     }
     if witnesses:
-        return Verdict("confirmed", evidence, ms())
+        return Verdict("confirmed", evidence)
     complete = rg.complete and all(g.complete for g, _ in left_sets)
-    return Verdict("counterexample" if complete else "inconclusive", evidence, ms())
+    return Verdict("counterexample" if complete else "inconclusive", evidence)
 
 
 def four_strategy_C_probe(ctx: MonoidContext, a: Multifraction) -> Verdict:
@@ -454,14 +431,13 @@ def four_strategy_C_probe(ctx: MonoidContext, a: Multifraction) -> Verdict:
     reducts must all left-reduce to one of the four strategy left reducts
     (the all-pairs outcome is recorded as well).  A failure is a
     counterexample only when all four left graphs are complete."""
-    ms = _timer()
     rights = [reduce_right(ctx, a, s).end for s in red.STRATEGIES]
     lefts = [reduce_left(ctx, a, s).end for s in red.STRATEGIES]
     memo: dict = {}
     try:
         graphs = [reduct_graph(ctx, b, Side.LEFT, memo=memo) for b in rights]
     except CapExceeded as e:
-        return Verdict("inconclusive", {"reason": str(e)}, ms())
+        return Verdict("inconclusive", {"reason": str(e)})
     table = [[g.contains(c) for c in lefts] for g in graphs]
     exists_k = any(all(row[k] for row in table) for k in range(len(lefts)))
     all_pairs = all(all(row) for row in table)
@@ -472,11 +448,11 @@ def four_strategy_C_probe(ctx: MonoidContext, a: Multifraction) -> Verdict:
         "forall_k_forall_j": all_pairs,
     }
     if exists_k:
-        return Verdict("confirmed", evidence, ms())
+        return Verdict("confirmed", evidence)
     if all(g.complete for g in graphs):
-        return Verdict("counterexample", evidence, ms())
+        return Verdict("counterexample", evidence)
     evidence["incomplete_edges"] = sum(len(g.inconclusive) for g in graphs)
-    return Verdict("inconclusive", evidence, ms())
+    return Verdict("inconclusive", evidence)
 
 
 # ----------------------------------------------------------------------
@@ -513,20 +489,24 @@ def has_central_cross(ctx: MonoidContext, a: Multifraction) -> CentralCross | No
 def check_depth4_equivalences(ctx: MonoidContext, a: Multifraction) -> dict:
     """The three depth-4 predicates (graph reachability of the trivial
     multifraction, one-pass tame trivialization, central cross) must agree;
-    raises when they do not."""
+    raises when they do not.  An incomplete graph without the trivial
+    multifraction leaves reachability undecided: `reduces_to_trivial` and
+    `agree` are None and `incomplete_edges` counts the undecided moves."""
     if a.depth != 4:
         raise ValueError("depth-4 check")
     trivial = unit(4 if a.first_sign > 0 else -4)
     graph = reduct_graph(ctx, a, Side.LEFT)
     reaches = graph.contains(trivial)
-    tame = red_tame(ctx, a) == trivial
-    crossed = has_central_cross(ctx, a) is not None
     report = {
         "reduces_to_trivial": reaches,
-        "red_tame_trivial": tame,
-        "central_cross": crossed,
-        "agree": reaches == tame == crossed,
+        "red_tame_trivial": red_tame(ctx, a) == trivial,
+        "central_cross": has_central_cross(ctx, a) is not None,
     }
+    if not reaches and not graph.complete:
+        report.update(reduces_to_trivial=None, agree=None,
+                      incomplete_edges=len(graph.inconclusive))
+        return report
+    report["agree"] = reaches == report["red_tame_trivial"] == report["central_cross"]
     if not report["agree"]:
         raise MultiredError(f"depth-4 equivalence violated: {report}")
     return report
@@ -797,7 +777,7 @@ def run_trial(ctx: MonoidContext, config: CampaignConfig, index: int) -> dict:
             else:
                 a = gen_multifraction(ctx, 4, max(1, config.length // 4), seed)
             report = check_depth4_equivalences(ctx, a)
-            verdict = Verdict("confirmed", report)
+            verdict = Verdict("confirmed" if report["agree"] else "inconclusive", report)
         else:
             raise ValueError(f"unknown conjecture {config.conjecture!r}")
     except CapExceeded as e:
@@ -814,26 +794,16 @@ def run_trial(ctx: MonoidContext, config: CampaignConfig, index: int) -> dict:
     }
 
 
-def _pool_trial(args):
-    preset_text, caps_dict, config_dict, index = args
-    ctx = _pool_context(preset_text, tuple(sorted(caps_dict.items())))
-    config = CampaignConfig(**config_dict)
-    return run_trial(ctx, config, index)
+_worker: tuple = ()  # (context, config) of a pool process, set by _init_worker
 
 
-_POOL_CTX: dict[tuple, MonoidContext] = {}
+def _init_worker(pres, caps, config: CampaignConfig) -> None:
+    global _worker
+    _worker = (MonoidContext(pres, caps), config)
 
 
-def _pool_context(preset_text: str, caps_items: tuple) -> MonoidContext:
-    from .monoid import Caps
-    from .presentation import parse_presentation
-
-    key = (preset_text, caps_items)
-    ctx = _POOL_CTX.get(key)
-    if ctx is None:
-        ctx = MonoidContext(parse_presentation(preset_text), Caps(**dict(caps_items)))
-        _POOL_CTX[key] = ctx
-    return ctx
+def _pool_trial(index: int) -> dict:
+    return run_trial(*_worker, index)
 
 
 def run_campaign(
@@ -849,13 +819,13 @@ def run_campaign(
     pool = None
     if config.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        from .presentation import format_presentation
 
-        text = format_presentation(ctx.pres)
-        caps = ctx.caps.__dict__
-        args = [(text, caps, config.__dict__, i) for i in range(config.trials)]
-        pool = ProcessPoolExecutor(max_workers=config.jobs)
-        trials = pool.map(_pool_trial, args)
+        pool = ProcessPoolExecutor(
+            max_workers=config.jobs,
+            initializer=_init_worker,
+            initargs=(ctx.pres, ctx.caps, config),
+        )
+        trials = pool.map(_pool_trial, range(config.trials))
     else:
         trials = (run_trial(ctx, config, i) for i in range(config.trials))
     try:

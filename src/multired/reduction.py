@@ -325,10 +325,13 @@ def red_tame(
     return b
 
 
-def red_tame_fixpoint(ctx: MonoidContext, a: Multifraction, max_iter: int = 64):
+FIXPOINT_MAX_ITER = 64
+
+
+def red_tame_fixpoint(ctx: MonoidContext, a: Multifraction):
     """Iterate red_tame to a fixed point; returns (fixpoint, iterations)."""
     cur = a
-    for k in range(max_iter):
+    for k in range(FIXPOINT_MAX_ITER):
         nxt = red_tame(ctx, cur)
         if nxt == cur:
             return cur, k
@@ -498,7 +501,6 @@ def reduct_graph(
     ctx: MonoidContext,
     a: Multifraction,
     side: Side = Side.LEFT,
-    node_cap: int | None = None,
     memo: dict | None = None,
 ) -> ReductGraph:
     """Exhaustive closure of a under the atomic moves of one side.
@@ -516,7 +518,7 @@ def reduct_graph(
     `complete` are those of a graph built without a memo.  A memo must
     only be shared by graphs of the same side.
     """
-    cap = node_cap if node_cap is not None else ctx.caps.graph_node_cap
+    cap = ctx.caps.graph_node_cap
     g = ReductGraph(root=a, side=side)
     g.nodes.append(a)
     g.index[a] = 0

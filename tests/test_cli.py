@@ -1,10 +1,11 @@
 import json
 import os
+import shlex
 
 import pytest
 
 from multired import reduction as red
-from multired.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, dispatch, main
+from multired.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, build_parser, dispatch, main
 from multired.monoid import MonoidContext, ReversingCapExceeded
 from multired.multifraction import format_multifraction, parse_multifraction
 from multired.presentation import preset
@@ -144,6 +145,66 @@ def test_cube_failure_refused_at_first_element(capsys, tmp_path):
 def test_usage_error():
     assert main(["bogus"]) == EXIT_USAGE
     assert main(["reduce", "--preset", "nope", "a/b"]) == EXIT_USAGE
+
+
+def test_signed_word_unknown_inverse_name(capsys):
+    assert main(["wordproblem", "--preset", "A2tilde", "x^-1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: unknown letter 'x'\n"
+
+
+def test_options_are_those_read():
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    options = {
+        name: {a.dest for a in sub._actions if a.dest != "help"}
+        for name, sub in subparsers.items()
+    }
+    context = {"preset", "presentation_file", "format"}
+    assert options == {
+        "preset": {"action", "name", "preset", "format"},
+        "reduce": {"multifraction", "strategy"} | context,
+        "rreduce": {"multifraction", "strategy"} | context,
+        "derdiv": {"multifraction"} | context,
+        "redtame": {"multifraction"} | context,
+        "irr": {"multifraction"} | context,
+        "graph": {"multifraction", "side", "dot"} | context,
+        "wordproblem": {"word"} | context,
+        "conjecture": {"which", "depth", "length", "trials", "log", "dump_dir",
+                       "seed", "jobs"} | context,
+        "vankampen": {"multifraction"} | context,
+        "basics": {"side"} | context,
+        "threeore": {"maxlen", "side"} | context,
+        "cycleprobe": {"iterations"} | context,
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--seed", "3", "a/a"],
+    ["graph", "--jobs", "2", "1/c/aba"],
+    ["conjecture", "A", "--strategy", "high_lex"],
+    ["preset", "show", "--presentation-file", "x"],
+])
+def test_unread_option_refused(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+def test_readme_examples_parse():
+    # every `multired ...` line in the README's code blocks, less its
+    # comment and output redirection
+    lines, in_block = [], False
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        for line in fh:
+            if line.startswith("```"):
+                in_block = not in_block
+            elif in_block and line.startswith("multired "):
+                lines.append(line)
+    assert len(lines) >= 15
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        if ">" in argv:
+            argv = argv[:argv.index(">")]
+        parser.parse_args(argv)
 
 
 def test_caps_env(capsys, monkeypatch):

@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from multired.monoid import Caps, IDENTITY, MonoidContext, ReversingCapExceeded, Side
+from multired.monoid import (
+    Caps,
+    IDENTITY,
+    MonoidContext,
+    MultiredError,
+    ReversingCapExceeded,
+    Side,
+)
 from multired.multifraction import (
     Multifraction,
     format_multifraction,
@@ -421,6 +428,35 @@ def test_four_strategy_probe_incomplete_graphs(att, monkeypatch):
     assert v.status == "inconclusive"
     assert not v.evidence["exists_k_forall_j"]
     assert v.evidence["incomplete_edges"] > 0
+
+
+def test_depth4_incomplete_graph_inconclusive(att, monkeypatch):
+    # a left graph that dropped moves on a cap overflow cannot show that the
+    # trivial multifraction is out of reach: the trial is inconclusive and
+    # the campaign goes on
+    apply_left = red.apply_left
+    c = att.element("c")
+
+    def overflowing(ctx, a, i, x):
+        if i == 2 and x == c:
+            raise ReversingCapExceeded("reversing exceeded 0 cell fills")
+        return apply_left(ctx, a, i, x)
+
+    monkeypatch.setattr(red, "apply_left", overflowing)
+    config = H.CampaignConfig("A2tilde", "depth4", length=16, trials=20)
+    report = H.run_campaign(att, config)
+    undecided = [r for r in report.records if "incomplete_edges" in r["evidence"]]
+    assert undecided and report.counterexample is None
+    for rec in undecided:
+        assert rec["verdict"] == "inconclusive"
+        assert rec["evidence"]["reduces_to_trivial"] is None
+        assert rec["evidence"]["agree"] is None
+        assert rec["evidence"]["incomplete_edges"] > 0
+    # a disagreement read off a complete graph still raises
+    monkeypatch.setattr(red, "apply_left", apply_left)
+    monkeypatch.setattr(H, "has_central_cross", lambda ctx, a: None)
+    with pytest.raises(MultiredError, match="depth-4 equivalence violated"):
+        H.check_depth4_equivalences(att, unit(4))
 
 
 def test_conjecture_A_trivial_empty_trace(att):

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from multired.monoid import GraphNodeCapExceeded, IDENTITY, ReversingCapExceeded, Side
+from multired.monoid import (
+    Caps,
+    GraphNodeCapExceeded,
+    IDENTITY,
+    MonoidContext,
+    ReversingCapExceeded,
+    Side,
+)
 from multired.multifraction import (
     Multifraction,
     format_multifraction,
@@ -10,6 +17,7 @@ from multired.multifraction import (
     parse_multifraction,
     unit,
 )
+from multired.presentation import preset
 from multired import reduction as red
 from multired.harness import gen_multifraction
 
@@ -150,9 +158,10 @@ def test_reduct_graph_examples(att):
     assert red.irreducible_reducts(att, unit(3)) == [unit(3)]
 
 
-def test_reduct_graph_cap(att):
+def test_reduct_graph_cap():
+    ctx = MonoidContext(preset("A2tilde"), Caps(graph_node_cap=3))
     with pytest.raises(GraphNodeCapExceeded):
-        red.reduct_graph(att, mf(att, "ac/ca/ba/ab/cb/bc"), node_cap=3)
+        red.reduct_graph(ctx, mf(ctx, "ac/ca/ba/ab/cb/bc"))
 
 
 def test_graph_serialization(att):
