@@ -364,53 +364,28 @@ def test_cross_confluence_pair(
     return Verdict("inconclusive", {})
 
 
-def _latest_common_ancestors(ctx, graph, targets):
-    """Nodes from which every target is reachable and no strictly later
-    such node exists (left reduct graphs are acyclic)."""
-    reach: dict[int, set[int]] = {}
-    order = list(range(len(graph.nodes)))
-    succ: dict[int, set[int]] = {k: set() for k in order}
-    for s, _, d in graph.edges:
-        succ[s].add(d)
-    target_idx = {graph.index[t] for t in targets}
-
-    def reachable(k, memo={}):
-        if k in memo:
-            return memo[k]
-        out = {k}
-        for d in succ[k]:
-            out |= reachable(d)
-        memo[k] = out
-        return out
-
-    candidates = [k for k in order if target_idx <= reachable(k)]
-    latest = [
-        k
-        for k in candidates
-        if not any(j in candidates for j in reachable(k) - {k})
-    ]
-    return [graph.nodes[k] for k in latest]
-
-
 def test_conjecture_C_uniform(ctx: MonoidContext, a: Multifraction) -> Verdict:
     """Uniform cross-confluence on one instance: a single d with every
     right reduct of a left-reducing to d.  The two natural candidates
     (the tame reduct and the latest common ancestor of the irreducible
-    left reducts) are evaluated alongside the witness set.  The left
-    graphs share one move memo: they overlap almost completely."""
-    memo: dict = {}
+    left reducts) are evaluated alongside the witness set.
+
+    The left closures of all right reducts come from one walk of their
+    shared left graph (`left_closures`), as bitsets: the witnesses are
+    their intersection, the irreducible left reducts of a are the sinks
+    in a's closure, and a latest common ancestor is a member of a's
+    closure whose closure holds them all and no other such member."""
     try:
         rg = reduct_graph(ctx, a, Side.RIGHT)
-        left_sets = []
-        for node in rg.nodes:
-            g = reduct_graph(ctx, node, Side.LEFT, memo=memo)
-            left_sets.append((g, set(g.nodes)))
-        lg = left_sets[0][0]  # rg.nodes[0] is a
+        lc = red.left_closures(ctx, rg.nodes)
     except CapExceeded as e:
         return Verdict("inconclusive", {"reason": str(e)})
-    witnesses = set.intersection(*(s for _, s in left_sets))
-    irr = lg.sinks()
-    lca = _latest_common_ancestors(ctx, lg, irr) if irr else []
+    witness_bits = -1  # every bit set
+    for node in rg.nodes:
+        witness_bits &= lc.closure_of(node)
+    witnesses = set(lc.members(witness_bits))
+    irr = lc.closure_of(a) & lc.sinks
+    lca = lc.latest_common_ancestors(a, irr) if irr else []
     tame = red_tame(ctx, a)
     evidence = {
         "right_reducts": len(rg.nodes),
@@ -422,7 +397,7 @@ def test_conjecture_C_uniform(ctx: MonoidContext, a: Multifraction) -> Verdict:
     }
     if witnesses:
         return Verdict("confirmed", evidence)
-    complete = rg.complete and all(g.complete for g, _ in left_sets)
+    complete = rg.complete and all(lc.complete[lc.index[node]] for node in rg.nodes)
     return Verdict("counterexample" if complete else "inconclusive", evidence)
 
 
@@ -806,13 +781,32 @@ def _pool_trial(index: int) -> dict:
     return run_trial(*_worker, index)
 
 
+def _check_config(config: CampaignConfig) -> None:
+    """Refuse settings a campaign would not read or could not run."""
+    kind, depth = config.conjecture, config.depth
+    if kind in ("A", "B") and (depth < 2 or depth % 2):
+        raise MultiredError(
+            f"conjecture {kind} runs on central crosses, which need an even depth "
+            f">= 2; got depth {depth}"
+        )
+    if kind == "depth4" and depth != 4:
+        raise MultiredError(f"conjecture depth4 runs at depth 4 only; got depth {depth}")
+    if kind in ("C", "Cunif") and depth < 1:
+        raise MultiredError(f"conjecture {kind} needs depth >= 1; got depth {depth}")
+    for name in ("trials", "jobs"):
+        if getattr(config, name) < 1:
+            raise MultiredError(f"{name} must be >= 1; got {getattr(config, name)}")
+
+
 def run_campaign(
     ctx: MonoidContext,
     config: CampaignConfig,
     log_stream=None,
 ) -> CampaignReport:
     """Run seeded independent trials; any counterexample halts the run and
-    is dumped with its full evidence for replay."""
+    is dumped with its full evidence for replay.  Settings a campaign would
+    not read or could not run raise MultiredError before any trial."""
+    _check_config(config)
     start = time.perf_counter()
     records: list[dict] = []
     counterexample = None

@@ -143,11 +143,14 @@ class MonoidContext:
     def __init__(self, pres: Presentation, caps: Caps | None = None):
         self.pres = pres
         self.caps = caps or Caps()
+        self._atoms = tuple(Element((i,)) for i in range(pres.n_atoms))
         self._canon: dict[Word, Element] = {(): IDENTITY}
-        self._divides: dict[tuple[Word, Word, Side], Element | None] = {}
-        self._gcd: dict[tuple[Word, Word, Side], Element] = {}
-        self._lcm: dict[tuple[Word, Word, Side], tuple[Element, Element, Element] | None] = {}
-        self._divisors: dict[tuple[Word, Side], tuple[Element, ...]] = {}
+        # memo keys hold `side is Side.LEFT`, not the Side: an enum hashes
+        # in Python, a bool in C, and every move attempt looks these up
+        self._divides: dict[tuple[Word, Word, bool], Element | None] = {}
+        self._gcd: dict[tuple[Word, Word, bool], Element] = {}
+        self._lcm: dict[tuple[Word, Word, bool], tuple[Element, Element, Element] | None] = {}
+        self._divisors: dict[tuple[Word, bool], tuple[Element, ...]] = {}
         self._tables: dict[Side, BasicTable] = {}
         # per side, the reversing table: (x, t) -> (x past t, t past x) | None
         self._stores: dict[Side, dict[tuple[Word, Word], Reversal]] = {}
@@ -320,7 +323,7 @@ class MonoidContext:
     # canonical forms
 
     def atoms(self) -> tuple[Element, ...]:
-        return tuple(Element((i,)) for i in range(self.pres.n_atoms))
+        return self._atoms
 
     def canonical(self, word: Word) -> Element:
         """The element of `word`, as the least word equal to it: the least
@@ -361,8 +364,9 @@ class MonoidContext:
         return format_word(self.pres, x.word)
 
     def multiply(self, x: Element, y: Element) -> Element:
-        z = self.canonical(x.word + y.word)
-        assert z.length == x.length + y.length, "length must be additive"
+        xw, yw = x.word, y.word
+        z = self.canonical(xw + yw)
+        assert len(z.word) == len(xw) + len(yw), "length must be additive"
         return z
 
     def product(self, items) -> Element:
@@ -382,14 +386,16 @@ class MonoidContext:
 
     def divides(self, x: Element, a: Element, side: Side) -> Element | None:
         """Quotient q with x*q = a (LEFT) or q*x = a (RIGHT), else None."""
-        if x.is_identity:
+        xw, aw = x.word, a.word
+        if not xw:
             return a
-        if x.length > a.length:
+        if len(xw) > len(aw):
             return None
-        key = (x.word, a.word, side)
-        if key in self._divides:
-            return self._divides[key]
-        q = self._divide(x.word, a.word, side)
+        key = (xw, aw, side is Side.LEFT)
+        got = self._divides.get(key, _MISSING)
+        if got is not _MISSING:
+            return got
+        q = self._divide(xw, aw, side)
         result = None if q is None else self.canonical(q)
         self._divides[key] = result
         return result
@@ -400,7 +406,7 @@ class MonoidContext:
         A depth-first search over atom peels: each divisor d found comes
         with the rest r of a (d*r = a on the LEFT), and every atom that
         side-divides r extends d."""
-        key = (a.word, side)
+        key = (a.word, side is Side.LEFT)
         got = self._divisors.get(key)
         if got is not None:
             return got
@@ -433,7 +439,8 @@ class MonoidContext:
         """
         if a.is_identity or b.is_identity:
             return IDENTITY
-        key = (a.word, b.word, side) if a.word <= b.word else (b.word, a.word, side)
+        left = side is Side.LEFT
+        key = (a.word, b.word, left) if a.word <= b.word else (b.word, a.word, left)
         got = self._gcd.get(key)
         if got is not None:
             return got
@@ -524,9 +531,10 @@ class MonoidContext:
         None is a proof that no common multiple exists; cap overflow
         raises, which callers treat as inconclusive.
         """
-        key = (a.word, b.word, side)
-        if key in self._lcm:
-            return self._lcm[key]
+        key = (a.word, b.word, side is Side.LEFT)
+        got = self._lcm.get(key, _MISSING)
+        if got is not _MISSING:
+            return got
         r = self._reverse(a.word, b.word, side)
         result = None
         if r is not None:

@@ -15,7 +15,12 @@ moves this module provides:
     universal level sequence u(n) = (1..n-1) ++ u(n-2);
   * strategy-driven exhaustive reduction (`reduce_left`, `reduce_right`),
     atomic reduct graphs (optionally sharing one move memo) with DOT/JSON
-    export, and the tower step bound.
+    export, and the tower step bound;
+  * left reduct closures of many roots at once (`left_closures`): left
+    reduct graphs are acyclic, so one post-order walk of their shared
+    graph gives every node its closure as an int bitset, the union of
+    its reducts' closures; common reducts are then intersections of
+    bitsets instead of one graph search per root.
 
 Sign conventions: the due side at a positively-signed level is "right"
 (entries are divided on the right, lcms are left lcms), and mirrored at a
@@ -84,8 +89,10 @@ STRATEGIES = ("low_lex", "low_antilex", "high_lex", "high_antilex")
 
 
 def due_side(a: Multifraction, i: int) -> Side:
-    """Division side at level i: RIGHT when i is positive in a."""
-    return Side.RIGHT if a.sign(i) > 0 else Side.LEFT
+    """Division side at level i: RIGHT when i is positive in a, that is
+    when i is odd and a starts positive or i is even and a starts
+    negative.  i is not range-checked: every caller has checked it."""
+    return Side.RIGHT if (a.first_sign > 0) == (i % 2 == 1) else Side.LEFT
 
 
 # ----------------------------------------------------------------------
@@ -106,18 +113,19 @@ def _push(
     pushes from i+1 to i-1, right reduction from i-1 to i+1."""
     side = due_side(a, min(i, src))
     lcm_side = side.other
-    q = ctx.divides(x, a.entry(src), side)
+    entries = a.entries
+    q = ctx.divides(x, entries[src - 1], side)
     if q is None:
         return None
-    r = ctx.lcm(x, a.entry(i), lcm_side)
+    r = ctx.lcm(x, entries[i - 1], lcm_side)
     if r is None:
         return None
     _, xp, comp = r  # comp with x attached on `side` = entry i with xp on `lcm_side`
-    deposit = _attach(ctx, lcm_side, a.entry(dst), xp)
+    deposit = _attach(ctx, lcm_side, entries[dst - 1], xp)
     b = a.replace_entries((src, q), (i, comp), (dst, deposit))
-    assert b.entry(dst) == deposit and b.depth == a.depth
-    assert _attach(ctx, side, b.entry(i), x) == _attach(ctx, lcm_side, a.entry(i), xp)
-    assert _attach(ctx, side, b.entry(src), x) == a.entry(src)
+    assert b.entries[dst - 1] == deposit and b.depth == a.depth
+    assert _attach(ctx, side, b.entries[i - 1], x) == _attach(ctx, lcm_side, entries[i - 1], xp)
+    assert _attach(ctx, side, b.entries[src - 1], x) == entries[src - 1]
     return b
 
 
@@ -128,10 +136,10 @@ def apply_left(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> Mult
     the division D(1,x).  Cap overflow from the underlying lcm propagates
     (the move's applicability is then unknown).
     """
-    n = a.depth
+    n = len(a.entries)
     if not 1 <= i < n:
         raise ValueError(f"left reduction level {i} outside 1..{n - 1}")
-    if x.is_identity:
+    if not x.word:
         raise ValueError("reducer must be nontrivial")
     if i == 1:
         return apply_division(ctx, a, 1, x)
@@ -142,10 +150,10 @@ def apply_right(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> Mul
     """a . R~(i,x), or None.  Levels 1 <= i <= depth are accepted; level 1
     never applies (there is no entry 0 to extract from), and the truncated
     rule at level depth is the division D(depth-1,x)."""
-    n = a.depth
+    n = len(a.entries)
     if not 1 <= i <= n:
         raise ValueError(f"right reduction level {i} outside 1..{n}")
-    if x.is_identity:
+    if not x.word:
         raise ValueError("reducer must be nontrivial")
     if i == 1:
         return None
@@ -156,21 +164,22 @@ def apply_right(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> Mul
 
 def apply_division(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> Multifraction | None:
     """a . D(i,x): divide entries i and i+1 by x on the due side."""
-    n = a.depth
+    n = len(a.entries)
     if not 1 <= i < n:
         raise ValueError(f"division level {i} outside 1..{n - 1}")
-    if x.is_identity:
+    if not x.word:
         raise ValueError("divisor must be nontrivial")
     side = due_side(a, i)
-    qi = ctx.divides(x, a.entry(i), side)
+    entries = a.entries
+    qi = ctx.divides(x, entries[i - 1], side)
     if qi is None:
         return None
-    qj = ctx.divides(x, a.entry(i + 1), side)
+    qj = ctx.divides(x, entries[i], side)
     if qj is None:
         return None
     b = a.replace_entries((i, qi), (i + 1, qj))
-    assert _attach(ctx, side, b.entry(i), x) == a.entry(i)
-    assert _attach(ctx, side, b.entry(i + 1), x) == a.entry(i + 1)
+    assert _attach(ctx, side, b.entries[i - 1], x) == entries[i - 1]
+    assert _attach(ctx, side, b.entries[i], x) == entries[i]
     return b
 
 
@@ -346,10 +355,10 @@ def red_tame_fixpoint(ctx: MonoidContext, a: Multifraction):
 def _strategy_order(ctx: MonoidContext, n_levels: list[int], strategy: str):
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    levels = n_levels if strategy.startswith("low") else list(reversed(n_levels))
-    atoms = list(ctx.atoms())
+    levels = n_levels if strategy.startswith("low") else n_levels[::-1]
+    atoms = ctx.atoms()
     if strategy.endswith("antilex"):
-        atoms = list(reversed(atoms))
+        atoms = atoms[::-1]
     return levels, atoms
 
 
@@ -552,6 +561,116 @@ def reduct_graph(
 
 def irreducible_reducts(ctx: MonoidContext, a: Multifraction, side: Side = Side.LEFT) -> list[Multifraction]:
     return reduct_graph(ctx, a, side).sinks()
+
+
+@dataclass
+class LeftClosures:
+    """Left reduct closures as int bitsets: bit k stands for nodes[k].
+
+    closure[k] holds k and every node k left-reduces to; complete[k] says
+    that no node of it overflowed a cap; `sinks` holds the nodes with no
+    move and no overflow of their own.  Nodes are numbered in the order
+    their walks finish, so closure[k] holds no bit above k.
+    """
+
+    nodes: list[Multifraction] = field(default_factory=list)
+    index: dict[Multifraction, int] = field(default_factory=dict)
+    closure: list[int] = field(default_factory=list)
+    complete: list[bool] = field(default_factory=list)
+    sinks: int = 0
+
+    def members(self, bits: int) -> list[Multifraction]:
+        """The nodes of a bitset, in bit order."""
+        return [self.nodes[k] for k in _bit_indices(bits)]
+
+    def closure_of(self, root: Multifraction) -> int:
+        """The closure of a root."""
+        return self.closure[self.index[root]]
+
+    def latest_common_ancestors(self, root: Multifraction, targets: int) -> list[Multifraction]:
+        """The members of root's closure whose closure holds every target,
+        less those whose closure holds another such member."""
+        closure = self.closure
+        members = _bit_indices(self.closure_of(root))
+        found = [k for k in members if closure[k] & targets == targets]
+        found_bits = sum(1 << k for k in found)
+        return [self.nodes[k] for k in found if closure[k] & found_bits == 1 << k]
+
+
+def _bit_indices(bits: int) -> list[int]:
+    return [k for k, c in enumerate(reversed(bin(bits)[2:])) if c == "1"]
+
+
+def left_closures(ctx: MonoidContext, roots) -> LeftClosures:
+    """The left reduct closures of the roots, each node expanded once.
+
+    Left reduction is noetherian, so left reduct graphs are acyclic and
+    the closure of a node is the node plus the closures of its reducts by
+    one atomic move.  One iterative post-order walk from each root not yet
+    reached computes them bottom-up; nodes reached by an earlier walk are
+    not walked again.  A move attempt that overflows a cap makes the
+    closures holding its node incomplete, as in `reduct_graph`.
+
+    Raises GraphNodeCapExceeded, with `reduct_graph`'s message, as soon
+    as one walk finds more than graph_node_cap nodes or a closure holds
+    more: exactly when a fresh reduct_graph of some root would raise.
+    """
+    cap = ctx.caps.graph_node_cap
+    out = LeftClosures()
+    nodes, index, closure, complete = out.nodes, out.index, out.closure, out.complete
+    walking: set[Multifraction] = set()
+
+    def frame(node):
+        # [node, reducts, next reduct, closure so far, complete so far]
+        overflowed = []
+        reducts = [
+            b
+            for _, b in _atomic_moves(
+                ctx, node, Side.LEFT, on_cap=lambda i, s, e: overflowed.append(i)
+            )
+        ]
+        walking.add(node)
+        return [node, reducts, 0, 0, not overflowed]
+
+    for root in roots:
+        if root in index:
+            continue
+        found = 1
+        stack = [frame(root)]
+        while stack:
+            top = stack[-1]
+            node, reducts, pos = top[0], top[1], top[2]
+            if pos < len(reducts):
+                top[2] = pos + 1
+                b = reducts[pos]
+                k = index.get(b)
+                if k is not None:
+                    top[3] |= closure[k]
+                    top[4] = top[4] and complete[k]
+                elif b in walking:
+                    raise InternalInvariantError("left reduct graph has a cycle")
+                else:
+                    if found >= cap:
+                        raise GraphNodeCapExceeded(f"reduct graph exceeded {cap} nodes")
+                    found += 1
+                    stack.append(frame(b))
+                continue
+            stack.pop()
+            walking.discard(node)
+            k = len(nodes)
+            bits = top[3] | 1 << k
+            if reducts and bits.bit_count() > cap:
+                raise GraphNodeCapExceeded(f"reduct graph exceeded {cap} nodes")
+            nodes.append(node)
+            index[node] = k
+            closure.append(bits)
+            complete.append(top[4])
+            if not reducts and top[4]:
+                out.sinks |= 1 << k
+            if stack:
+                stack[-1][3] |= bits
+                stack[-1][4] = stack[-1][4] and top[4]
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -188,6 +188,25 @@ def test_unread_option_refused(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["conjecture", "A", "--depth", "3", "--trials", "2"],
+     "conjecture A runs on central crosses, which need an even depth >= 2; got depth 3"),
+    (["conjecture", "B", "--depth", "0", "--trials", "2"],
+     "conjecture B runs on central crosses, which need an even depth >= 2; got depth 0"),
+    (["conjecture", "depth4", "--depth", "6", "--trials", "2"],
+     "conjecture depth4 runs at depth 4 only; got depth 6"),
+    (["conjecture", "C", "--depth", "0", "--trials", "2"],
+     "conjecture C needs depth >= 1; got depth 0"),
+    (["conjecture", "Cunif", "--trials", "-1"], "trials must be >= 1; got -1"),
+    (["conjecture", "A", "--trials", "2", "--jobs", "0"], "jobs must be >= 1; got 0"),
+])
+def test_campaign_settings_refused(capsys, argv, message):
+    # refused before any trial runs: nothing is reported
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_readme_examples_parse():
     # every `multired ...` line in the README's code blocks, less its
     # comment and output redirection

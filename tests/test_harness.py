@@ -349,8 +349,8 @@ def test_campaign_small(att):
     assert report.counts == {"confirmed": 8}
     lines = [json.loads(line) for line in log.getvalue().splitlines()]
     assert len(lines) == 8 and all("seed" in r for r in lines)
-    empty = H.run_campaign(att, H.CampaignConfig("A2tilde", "B", trials=0))
-    assert empty.counts == {} and empty.records == []
+    with pytest.raises(MultiredError, match="trials must be >= 1; got 0"):
+        H.run_campaign(att, H.CampaignConfig("A2tilde", "B", trials=0))
 
 
 def test_campaign_parallel(att):

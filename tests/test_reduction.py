@@ -20,6 +20,7 @@ from multired.multifraction import (
 from multired.presentation import preset
 from multired import reduction as red
 from multired.harness import gen_multifraction
+from test_campaign_golden import PRESETS as GOLDEN_PRESETS
 
 
 def mf(ctx, text):
@@ -395,6 +396,99 @@ def test_shared_memo_matches_fresh_graphs(att, monkeypatch, overflow):
             )
         assert set(memo) >= set(red.reduct_graph(att, a, Side.LEFT).nodes)
     assert (replayed_overflows > 0) == overflow
+
+
+def latest_common_ancestors_oracle(graph, targets):
+    """Nodes of a left reduct graph from which every target is reachable
+    and no strictly later such node exists, by a search over its edges."""
+    order = list(range(len(graph.nodes)))
+    succ: dict[int, set[int]] = {k: set() for k in order}
+    for s, _, d in graph.edges:
+        succ[s].add(d)
+    target_idx = {graph.index[t] for t in targets}
+
+    def reachable(k, memo={}):
+        if k in memo:
+            return memo[k]
+        out = {k}
+        for d in succ[k]:
+            out |= reachable(d)
+        memo[k] = out
+        return out
+
+    candidates = [k for k in order if target_idx <= reachable(k)]
+    latest = [
+        k
+        for k in candidates
+        if not any(j in candidates for j in reachable(k) - {k})
+    ]
+    return [graph.nodes[k] for k in latest]
+
+
+@pytest.mark.parametrize("overflow", ["plain", "every", "applied"])
+@pytest.mark.parametrize("name", GOLDEN_PRESETS)
+def test_left_closures_match_fresh_graphs(monkeypatch, name, overflow):
+    # for every right reduct of seeded Cunif inputs, its closure is the node
+    # set of a fresh left reduct graph, with the same completeness, sinks
+    # and latest common ancestors of the sinks.  The overflows hit the atom
+    # c at level 2 on every attempt, or only where the move applies, so
+    # that a node without that move is incomplete through its reducts
+    ctx = MonoidContext(preset(name))
+    if overflow != "plain":
+        apply_left = red.apply_left
+        x = ctx.atoms()[min(2, ctx.pres.n_atoms - 1)]  # c; b on two atoms
+
+        def overflowing(ctx, a, i, y):
+            b = apply_left(ctx, a, i, y)
+            if i == 2 and y == x and (overflow == "every" or b is not None):
+                raise ReversingCapExceeded("reversing exceeded 0 cell fills")
+            return b
+
+        monkeypatch.setattr(red, "apply_left", overflowing)
+    incomplete = inherited = 0
+    for seed in range(6):
+        a = gen_multifraction(ctx, 4, 3, seed)
+        roots = red.reduct_graph(ctx, a, Side.RIGHT).nodes
+        lc = red.left_closures(ctx, roots)
+        for root in roots:
+            fresh = red.reduct_graph(ctx, root, Side.LEFT)
+            bits = lc.closure_of(root)
+            assert set(lc.members(bits)) == set(fresh.nodes)
+            assert lc.complete[lc.index[root]] == fresh.complete
+            irr = bits & lc.sinks
+            assert set(lc.members(irr)) == set(fresh.sinks())
+            if irr:
+                expected = latest_common_ancestors_oracle(fresh, fresh.sinks())
+                assert set(lc.latest_common_ancestors(root, irr)) == set(expected)
+            incomplete += not fresh.complete
+            inherited += not fresh.complete and all(src for src, *_ in fresh.inconclusive)
+    assert (incomplete > 0) == (overflow != "plain")
+    assert (inherited > 0) == (overflow == "applied")
+
+
+def test_left_closures_node_cap(att):
+    # the closures raise, with the same message, exactly when a fresh
+    # left reduct graph of some root raises
+    raised = []
+    for cap in (0, 1, 2, 3, 5, 8, 13, 21, 40):
+        ctx = MonoidContext(preset("A2tilde"), Caps(graph_node_cap=cap))
+        for seed in range(6):
+            a = gen_multifraction(att, 4, 3, seed)
+            roots = red.reduct_graph(att, a, Side.RIGHT).nodes
+            fresh = closures = None
+            for root in roots:
+                try:
+                    red.reduct_graph(ctx, root, Side.LEFT)
+                except GraphNodeCapExceeded as e:
+                    fresh = str(e)
+                    break
+            try:
+                red.left_closures(ctx, roots)
+            except GraphNodeCapExceeded as e:
+                closures = str(e)
+            assert closures == fresh, (cap, seed)
+            raised.append(fresh is not None)
+    assert any(raised) and not all(raised)
 
 
 def test_maximal_granularity_misses_reducts(att):
