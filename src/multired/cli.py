@@ -285,7 +285,10 @@ def dispatch(argv) -> int:
 
     if args.command == "vankampen":
         a = parse_multifraction(ctx, args.multifraction)
-        diagram = van_kampen(ctx, a)
+        try:
+            diagram = van_kampen(ctx, a)
+        except ValueError as e:  # an input van_kampen does not take
+            raise MultiredError(str(e)) from e
         _emit(
             args,
             diagram.to_json(ctx),

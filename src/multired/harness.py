@@ -342,14 +342,15 @@ def test_conjecture_B(
 def test_cross_confluence_pair(
     ctx: MonoidContext, b: Multifraction, c: Multifraction, a: Multifraction
 ) -> Verdict:
-    """b, c right reducts of a: search for a common left reduct."""
-    memo: dict = {}
+    """b, c right reducts of a: search for a common left reduct.  The
+    common left reducts are the intersection of b's and c's left reduct
+    closures (`left_closures`)."""
     try:
-        gb = reduct_graph(ctx, b, Side.LEFT, memo=memo)
-        gc = reduct_graph(ctx, c, Side.LEFT, memo=memo)
+        lc = red.left_closures(ctx, (b, c))
     except CapExceeded as e:
         return Verdict("inconclusive", {"reason": str(e)})
-    common = [n for n in gb.nodes if gc.contains(n)]
+    b_bits, c_bits = lc.closure_of(b), lc.closure_of(c)
+    common = lc.members(b_bits & c_bits)
     if common:
         witness = min(common, key=lambda m: (m.total_length(), format_multifraction(ctx, m)))
         return Verdict(
@@ -359,8 +360,10 @@ def test_cross_confluence_pair(
                 "common": sorted(format_multifraction(ctx, x) for x in common),
             },
         )
-    if gb.complete and gc.complete:
-        return Verdict("counterexample", {"b_nodes": len(gb.nodes), "c_nodes": len(gc.nodes)})
+    if not (b_bits | c_bits) & lc.overflowed:
+        return Verdict(
+            "counterexample", {"b_nodes": b_bits.bit_count(), "c_nodes": c_bits.bit_count()}
+        )
     return Verdict("inconclusive", {})
 
 
@@ -397,23 +400,25 @@ def test_conjecture_C_uniform(ctx: MonoidContext, a: Multifraction) -> Verdict:
     }
     if witnesses:
         return Verdict("confirmed", evidence)
-    complete = rg.complete and all(lc.complete[lc.index[node]] for node in rg.nodes)
+    complete = rg.complete and not any(lc.closure_of(node) & lc.overflowed for node in rg.nodes)
     return Verdict("counterexample" if complete else "inconclusive", evidence)
 
 
 def four_strategy_C_probe(ctx: MonoidContext, a: Multifraction) -> Verdict:
     """Strategy-restricted cross-confluence: the four strategy right
     reducts must all left-reduce to one of the four strategy left reducts
-    (the all-pairs outcome is recorded as well).  A failure is a
-    counterexample only when all four left graphs are complete."""
+    (the all-pairs outcome is recorded as well).  Reducibility is read off
+    the right reducts' left reduct closures (`left_closures`); a failure
+    is a counterexample only when all four closures are complete."""
     rights = [reduce_right(ctx, a, s).end for s in red.STRATEGIES]
     lefts = [reduce_left(ctx, a, s).end for s in red.STRATEGIES]
-    memo: dict = {}
     try:
-        graphs = [reduct_graph(ctx, b, Side.LEFT, memo=memo) for b in rights]
+        lc = red.left_closures(ctx, rights)
     except CapExceeded as e:
         return Verdict("inconclusive", {"reason": str(e)})
-    table = [[g.contains(c) for c in lefts] for g in graphs]
+    closures = [lc.closure_of(b) for b in rights]
+    positions = [lc.index.get(c) for c in lefts]
+    table = [[k is not None and bits >> k & 1 for k in positions] for bits in closures]
     exists_k = any(all(row[k] for row in table) for k in range(len(lefts)))
     all_pairs = all(all(row) for row in table)
     evidence = {
@@ -424,9 +429,9 @@ def four_strategy_C_probe(ctx: MonoidContext, a: Multifraction) -> Verdict:
     }
     if exists_k:
         return Verdict("confirmed", evidence)
-    if all(g.complete for g in graphs):
+    if not any(bits & lc.overflowed for bits in closures):
         return Verdict("counterexample", evidence)
-    evidence["incomplete_edges"] = sum(len(g.inconclusive) for g in graphs)
+    evidence["incomplete_edges"] = sum(lc.incomplete_edges(bits) for bits in closures)
     return Verdict("inconclusive", evidence)
 
 

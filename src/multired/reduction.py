@@ -14,8 +14,7 @@ moves this module provides:
   * red_tame, the composite of greatest-tame reductions along the
     universal level sequence u(n) = (1..n-1) ++ u(n-2);
   * strategy-driven exhaustive reduction (`reduce_left`, `reduce_right`),
-    atomic reduct graphs (optionally sharing one move memo) with DOT/JSON
-    export, and the tower step bound;
+    atomic reduct graphs with DOT/JSON export, and the tower step bound;
   * left reduct closures of many roots at once (`left_closures`): left
     reduct graphs are acyclic, so one post-order walk of their shared
     graph gives every node its closure as an int bitset, the union of
@@ -225,19 +224,10 @@ def reducers(ctx: MonoidContext, a: Multifraction, i: int, filter: str = "all") 
         raise ValueError(f"reducer level {i} outside 1..{n - 1}")
     if filter not in REDUCER_FILTERS:
         raise ValueError(f"unknown filter {filter!r}")
+    if filter == "atomic":
+        return tuple(s for s in ctx.atoms() if apply_left(ctx, a, i, s) is not None)
     side = due_side(a, i)
     lcm_side = side.other
-    if filter == "atomic":
-        out = []
-        for s in ctx.atoms():
-            if ctx.divides(s, a.entry(i + 1), side) is None:
-                continue
-            if i == 1:
-                if ctx.divides(s, a.entry(1), side) is not None:
-                    out.append(s)
-            elif ctx.lcm(s, a.entry(i), lcm_side) is not None:
-                out.append(s)
-        return tuple(out)
     if i == 1:
         g = ctx.gcd(a.entry(1), a.entry(2), side)
         all_red = [d for d in ctx.divisors(g, side) if not d.is_identity]
@@ -506,26 +496,14 @@ class ReductGraph:
         }
 
 
-def reduct_graph(
-    ctx: MonoidContext,
-    a: Multifraction,
-    side: Side = Side.LEFT,
-    memo: dict | None = None,
-) -> ReductGraph:
-    """Exhaustive closure of a under the atomic moves of one side.
+def reduct_graph(ctx: MonoidContext, a: Multifraction, side: Side = Side.LEFT) -> ReductGraph:
+    """Exhaustive closure of a under the atomic moves of one side, by a
+    breadth-first search from a.
 
     Every reduction decomposes into atomic steps at the same level, so the
     atomic closure reaches every reduct.  Applicability failures from cap
     overflow are recorded as inconclusive edges rather than guessed at.
-
-    `memo` lets graphs of one side share their node expansions: it maps a
-    node to its outgoing moves, in strategy order, and the attempts that
-    overflowed a cap there, as (level, atom, reason).  A node found in it
-    is not expanded again; its moves are replayed and its overflows are
-    recorded under this graph's own node index.  Each graph still runs
-    its own breadth-first search, so node order, edges, the node cap and
-    `complete` are those of a graph built without a memo.  A memo must
-    only be shared by graphs of the same side.
+    The left closures of many roots at once come from `left_closures`.
     """
     cap = ctx.caps.graph_node_cap
     g = ReductGraph(root=a, side=side)
@@ -535,19 +513,10 @@ def reduct_graph(
     while queue:
         src = queue.popleft()
         cur = g.nodes[src]
-        known = memo.get(cur) if memo is not None else None
-        if known is None:
-            overflows = []
-            outgoing = _atomic_moves(
-                ctx, cur, side,
-                on_cap=lambda i, s, e: overflows.append((i, s, str(e))),
-            )
-            if memo is not None:
-                outgoing = list(outgoing)
-                memo[cur] = (outgoing, overflows)
-        else:
-            outgoing, overflows = known
-        for move, b in outgoing:
+        overflows = []
+        for move, b in _atomic_moves(
+            ctx, cur, side, on_cap=lambda i, s, e: overflows.append((i, s, str(e)))
+        ):
             if b not in g.index:
                 if len(g.nodes) >= cap:
                     raise GraphNodeCapExceeded(f"reduct graph exceeded {cap} nodes")
@@ -567,16 +536,19 @@ def irreducible_reducts(ctx: MonoidContext, a: Multifraction, side: Side = Side.
 class LeftClosures:
     """Left reduct closures as int bitsets: bit k stands for nodes[k].
 
-    closure[k] holds k and every node k left-reduces to; complete[k] says
-    that no node of it overflowed a cap; `sinks` holds the nodes with no
-    move and no overflow of their own.  Nodes are numbered in the order
-    their walks finish, so closure[k] holds no bit above k.
+    closure[k] holds k and every node k left-reduces to; overflows[k]
+    counts the move attempts of node k itself that overflowed a cap, and
+    `overflowed` holds the nodes with any, so a closure `bits` is complete
+    when `bits & overflowed` is 0; `sinks` holds the nodes with no move
+    and no overflow of their own.  Nodes are numbered in the order their
+    walks finish, so closure[k] holds no bit above k.
     """
 
     nodes: list[Multifraction] = field(default_factory=list)
     index: dict[Multifraction, int] = field(default_factory=dict)
     closure: list[int] = field(default_factory=list)
-    complete: list[bool] = field(default_factory=list)
+    overflows: list[int] = field(default_factory=list)
+    overflowed: int = 0
     sinks: int = 0
 
     def members(self, bits: int) -> list[Multifraction]:
@@ -586,6 +558,11 @@ class LeftClosures:
     def closure_of(self, root: Multifraction) -> int:
         """The closure of a root."""
         return self.closure[self.index[root]]
+
+    def incomplete_edges(self, bits: int) -> int:
+        """The overflowed move attempts of the nodes of a bitset: for a
+        closure, the inconclusive edges of that root's `reduct_graph`."""
+        return sum(self.overflows[k] for k in _bit_indices(bits & self.overflowed))
 
     def latest_common_ancestors(self, root: Multifraction, targets: int) -> list[Multifraction]:
         """The members of root's closure whose closure holds every target,
@@ -617,20 +594,20 @@ def left_closures(ctx: MonoidContext, roots) -> LeftClosures:
     """
     cap = ctx.caps.graph_node_cap
     out = LeftClosures()
-    nodes, index, closure, complete = out.nodes, out.index, out.closure, out.complete
+    nodes, index, closure, overflows = out.nodes, out.index, out.closure, out.overflows
     walking: set[Multifraction] = set()
 
     def frame(node):
-        # [node, reducts, next reduct, closure so far, complete so far]
-        overflowed = []
+        # [node, reducts, next reduct, closure so far, overflowed attempts]
+        failed = []
         reducts = [
             b
             for _, b in _atomic_moves(
-                ctx, node, Side.LEFT, on_cap=lambda i, s, e: overflowed.append(i)
+                ctx, node, Side.LEFT, on_cap=lambda i, s, e: failed.append(i)
             )
         ]
         walking.add(node)
-        return [node, reducts, 0, 0, not overflowed]
+        return [node, reducts, 0, 0, len(failed)]
 
     for root in roots:
         if root in index:
@@ -646,7 +623,6 @@ def left_closures(ctx: MonoidContext, roots) -> LeftClosures:
                 k = index.get(b)
                 if k is not None:
                     top[3] |= closure[k]
-                    top[4] = top[4] and complete[k]
                 elif b in walking:
                     raise InternalInvariantError("left reduct graph has a cycle")
                 else:
@@ -664,12 +640,13 @@ def left_closures(ctx: MonoidContext, roots) -> LeftClosures:
             nodes.append(node)
             index[node] = k
             closure.append(bits)
-            complete.append(top[4])
-            if not reducts and top[4]:
+            overflows.append(top[4])
+            if top[4]:
+                out.overflowed |= 1 << k
+            elif not reducts:
                 out.sinks |= 1 << k
             if stack:
                 stack[-1][3] |= bits
-                stack[-1][4] = stack[-1][4] and top[4]
     return out
 
 

@@ -199,9 +199,12 @@ def test_unread_option_refused(capsys, argv):
      "conjecture C needs depth >= 1; got depth 0"),
     (["conjecture", "Cunif", "--trials", "-1"], "trials must be >= 1; got -1"),
     (["conjecture", "A", "--trials", "2", "--jobs", "0"], "jobs must be >= 1; got 0"),
+    (["vankampen", "1/1"], "universal diagrams need even depth >= 4"),
+    (["vankampen", "a/b/c"], "universal diagrams need even depth >= 4"),
+    (["vankampen", "/1/1/1/1"], "positive multifractions only"),
 ])
 def test_campaign_settings_refused(capsys, argv, message):
-    # refused before any trial runs: nothing is reported
+    # refused before any trial or diagram is built: nothing is reported
     assert main(argv) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
@@ -231,6 +234,13 @@ def test_caps_env(capsys, monkeypatch):
     for caps, argv in (
         ("reversing_cap=1", ["reduce", "--preset", "A2tilde", "ababab/1"]),
         ("reversing_cap=3", ["wordproblem", "--preset", "A2tilde", "aba BAB"]),
+        ("reversing_cap=1", ["rreduce", "ababab/1/ab"]),
+        ("reversing_cap=1", ["derdiv", "ab/aba/aca"]),
+        ("reversing_cap=1", ["redtame", "ac/aca/aba"]),
+        ("reversing_cap=1", ["vankampen", "ac/ca/ca/ac"]),
+        ("reversing_cap=1", ["basics"]),
+        ("reversing_cap=1", ["threeore", "--maxlen", "2"]),
+        ("reversing_cap=1", ["cycleprobe"]),
     ):
         monkeypatch.setenv("MULTIRED_CAPS", caps)
         assert main(argv) == EXIT_INCONCLUSIVE, argv

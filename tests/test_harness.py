@@ -128,6 +128,25 @@ def test_cross_confluence_pair_examples(att):
     assert same.status == "confirmed" and same.evidence["witness"] == fmt(att, b)
 
 
+def test_cross_confluence_pair_incomplete_closures(att, monkeypatch):
+    # b and c are irreducible and distinct, so they share no left reduct:
+    # that is a counterexample only when neither closure dropped a move on
+    # a cap overflow (b and c need not be right reducts of a for this)
+    b, c, a = mf(att, "a/1"), mf(att, "b/1"), unit(2)
+    v = H.test_cross_confluence_pair(att, b, c, a)
+    assert v.status == "counterexample"
+    assert v.evidence == {"b_nodes": 1, "c_nodes": 1}
+    apply_left = red.apply_left
+    for node in (b, c):
+        def overflowing(ctx, a, i, x, node=node):
+            if a == node:
+                raise ReversingCapExceeded("reversing exceeded 0 cell fills")
+            return apply_left(ctx, a, i, x)
+
+        monkeypatch.setattr(red, "apply_left", overflowing)
+        assert H.test_cross_confluence_pair(att, b, c, a).status == "inconclusive"
+
+
 def test_conjecture_C_uniform_trivial_and_braid(att, braid3):
     v = H.test_conjecture_C_uniform(att, unit(3))
     assert v.status == "confirmed" and fmt(att, unit(3)) in v.evidence["witnesses"]
@@ -407,23 +426,23 @@ def test_four_strategy_exists_without_forall(att):
 
 
 def test_four_strategy_probe_incomplete_graphs(att, monkeypatch):
-    # a failure read off left graphs that dropped moves on a cap overflow
-    # is no counterexample
+    # a failure read off left reduct closures that dropped moves on a cap
+    # overflow is no counterexample
     a = H.gen_multifraction(att, 4, 4, seed=0)
     assert H.four_strategy_C_probe(att, a).status == "confirmed"
-    reduct_graph, apply_left = H.reduct_graph, red.apply_left
+    left_closures, apply_left = red.left_closures, red.apply_left
 
     def overflowing(ctx, a, i, x):
         raise ReversingCapExceeded("reversing exceeded 0 cell fills")
 
-    def graph_with_overflows(*args, **kwargs):
+    def closures_with_overflows(*args, **kwargs):
         monkeypatch.setattr(red, "apply_left", overflowing)
         try:
-            return reduct_graph(*args, **kwargs)
+            return left_closures(*args, **kwargs)
         finally:
             monkeypatch.setattr(red, "apply_left", apply_left)
 
-    monkeypatch.setattr(H, "reduct_graph", graph_with_overflows)
+    monkeypatch.setattr(red, "left_closures", closures_with_overflows)
     v = H.four_strategy_C_probe(att, a)
     assert v.status == "inconclusive"
     assert not v.evidence["exists_k_forall_j"]

@@ -364,40 +364,6 @@ def test_reduct_lattice_has_no_universal_join(att):
         assert not (g.contains(d1) and g.contains(d2))
 
 
-@pytest.mark.parametrize("overflow", [False, True], ids=["plain", "overflow"])
-def test_shared_memo_matches_fresh_graphs(att, monkeypatch, overflow):
-    # the left graphs of the right reducts of Cunif inputs, built with one
-    # shared memo, equal the graphs built without one; under an overflow on
-    # the atom c at level 2, a graph that reaches a node another graph
-    # expanded still records that node's overflows
-    if overflow:
-        apply_left, c = red.apply_left, att.element("c")
-
-        def overflowing(ctx, a, i, x):
-            if i == 2 and x == c:
-                raise ReversingCapExceeded("reversing exceeded 0 cell fills")
-            return apply_left(ctx, a, i, x)
-
-        monkeypatch.setattr(red, "apply_left", overflowing)
-    replayed_overflows = 0
-    for seed in range(8):
-        a = gen_multifraction(att, 4, 4, seed)
-        memo = {}
-        for node in red.reduct_graph(att, a, Side.RIGHT).nodes:
-            expanded = set(memo)
-            shared = red.reduct_graph(att, node, Side.LEFT, memo=memo)
-            fresh = red.reduct_graph(att, node, Side.LEFT)
-            assert shared.nodes == fresh.nodes
-            assert shared.edges == fresh.edges
-            assert shared.inconclusive == fresh.inconclusive
-            assert shared.complete == fresh.complete
-            replayed_overflows += sum(
-                shared.nodes[src] in expanded for src, _, _, _ in shared.inconclusive
-            )
-        assert set(memo) >= set(red.reduct_graph(att, a, Side.LEFT).nodes)
-    assert (replayed_overflows > 0) == overflow
-
-
 def latest_common_ancestors_oracle(graph, targets):
     """Nodes of a left reduct graph from which every target is reachable
     and no strictly later such node exists, by a search over its edges."""
@@ -429,10 +395,13 @@ def latest_common_ancestors_oracle(graph, targets):
 @pytest.mark.parametrize("name", GOLDEN_PRESETS)
 def test_left_closures_match_fresh_graphs(monkeypatch, name, overflow):
     # for every right reduct of seeded Cunif inputs, its closure is the node
-    # set of a fresh left reduct graph, with the same completeness, sinks
-    # and latest common ancestors of the sinks.  The overflows hit the atom
-    # c at level 2 on every attempt, or only where the move applies, so
-    # that a node without that move is incomplete through its reducts
+    # set of a fresh left reduct graph, with the same completeness and
+    # count of inconclusive edges, sinks and latest common ancestors of the
+    # sinks.  The overflows hit every attempt at level 2, so that a node
+    # has several, or the atom c at level 2 only where the move applies, so
+    # that a node without that move is incomplete through its reducts;
+    # overflows of a node that the walk of another root reached first
+    # still count
     ctx = MonoidContext(preset(name))
     if overflow != "plain":
         apply_left = red.apply_left
@@ -440,21 +409,23 @@ def test_left_closures_match_fresh_graphs(monkeypatch, name, overflow):
 
         def overflowing(ctx, a, i, y):
             b = apply_left(ctx, a, i, y)
-            if i == 2 and y == x and (overflow == "every" or b is not None):
+            if i == 2 and (overflow == "every" or y == x and b is not None):
                 raise ReversingCapExceeded("reversing exceeded 0 cell fills")
             return b
 
         monkeypatch.setattr(red, "apply_left", overflowing)
-    incomplete = inherited = 0
+    incomplete = inherited = shared = several = 0
     for seed in range(6):
         a = gen_multifraction(ctx, 4, 3, seed)
         roots = red.reduct_graph(ctx, a, Side.RIGHT).nodes
         lc = red.left_closures(ctx, roots)
+        walked = 0  # the closures of the roots before this one
         for root in roots:
             fresh = red.reduct_graph(ctx, root, Side.LEFT)
             bits = lc.closure_of(root)
             assert set(lc.members(bits)) == set(fresh.nodes)
-            assert lc.complete[lc.index[root]] == fresh.complete
+            assert (not bits & lc.overflowed) == fresh.complete
+            assert lc.incomplete_edges(bits) == len(fresh.inconclusive)
             irr = bits & lc.sinks
             assert set(lc.members(irr)) == set(fresh.sinks())
             if irr:
@@ -462,7 +433,12 @@ def test_left_closures_match_fresh_graphs(monkeypatch, name, overflow):
                 assert set(lc.latest_common_ancestors(root, irr)) == set(expected)
             incomplete += not fresh.complete
             inherited += not fresh.complete and all(src for src, *_ in fresh.inconclusive)
+            shared += bool(bits & walked & lc.overflowed)
+            walked |= bits
+        several += max(lc.overflows) > 1
     assert (incomplete > 0) == (overflow != "plain")
+    assert (shared > 0) == (overflow != "plain")
+    assert (several > 0) == (overflow == "every")
     assert (inherited > 0) == (overflow == "applied")
 
 
