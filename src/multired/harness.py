@@ -81,15 +81,11 @@ def assemble_cross(ctx: MonoidContext, rays, first_sign: int = 1) -> Multifracti
     n = len(rays)
     if n % 2 != 0 or n < 2:
         raise ValueError("central crosses need even depth >= 2")
-    entries = []
     shell = Multifraction(first_sign, (IDENTITY,) * n)
-    for i in range(1, n + 1):
-        x, x_next = rays[i - 1], rays[i % n]
-        if shell.sign(i) > 0:
-            entries.append(ctx.multiply(x, x_next))
-        else:
-            entries.append(ctx.multiply(x_next, x))
-    return Multifraction(first_sign, tuple(entries))
+    entries = tuple(
+        ctx.attach(rays[i - 1], rays[i % n], red.due_side(shell, i)) for i in range(1, n + 1)
+    )
+    return Multifraction(first_sign, entries)
 
 
 def cross_is_valid(ctx: MonoidContext, a: Multifraction, cross: CentralCross) -> bool:
@@ -258,29 +254,20 @@ def lcm_expand(
         primes.append(d)
         seconds.append(q)
 
-    def prime(i):  # a'_i, 1-based cyclic
-        return primes[(i - 1) % n]
-
-    def second(i):  # a''_i
-        return seconds[(i - 1) % n]
-
     bp: dict[int, Element] = {}
     bpp: dict[int, Element] = {}
     for i in range(1, n + 1):
+        # a source vertex gives b''_{i-1} and b''_i, a sink vertex b'_{i-1} and b'_i
         if a.sign(i) < 0:
-            r = ctx.lcm(prime(i), prime(i + 1), Side.RIGHT)
-            if r is None:
-                return None
-            m, compA, compB = r  # m = prime(i+1)*compA = prime(i)*compB
-            bpp[(i - 2) % n + 1] = compB  # prime(i) * b''_{i-1} = m
-            bpp[i] = compA               # prime(i+1) * b''_i = m
+            parts, side, out = primes, Side.RIGHT, bpp
         else:
-            r = ctx.lcm(second(i), second(i + 1), Side.LEFT)
-            if r is None:
-                return None
-            m, compA, compB = r  # m = compA*second(i+1) = compB*second(i)
-            bp[(i - 2) % n + 1] = compB  # b'_{i-1} * second(i) = m
-            bp[i] = compA                # b'_i * second(i+1) = m
+            parts, side, out = seconds, Side.LEFT, bp
+        r = ctx.lcm(parts[i - 1], parts[i % n], side)
+        if r is None:
+            return None
+        _, compA, compB = r  # m = attach(part i, compB) = attach(part i+1, compA)
+        out[(i - 2) % n + 1] = compB
+        out[i] = compA
     entries = tuple(ctx.multiply(bp[i], bpp[i]) for i in range(1, n + 1))
     return Multifraction(a.first_sign, entries)
 
@@ -535,6 +522,8 @@ def unique_fraction_probe(
 def three_ore_scan(ctx: MonoidContext, max_len: int, side: Side = Side.RIGHT) -> dict:
     """Bounded scan for triples violating the 3-Ore condition: pairwise
     common multiples but no global one."""
+    if max_len < 1:
+        raise MultiredError(f"max_len must be >= 1; got {max_len}")
     elements = [e for e in ctx.elements_up_to(max_len) if not e.is_identity]
     violations = []
     inconclusive = []
@@ -616,6 +605,8 @@ def mixed_cycle_probe(ctx: MonoidContext, iterations: int = 3) -> dict:
     """Replay the alternating left/right six-move cycle that scales the
     outer entries of 1/a/bc/1, witnessing that the joint rewrite system
     does not terminate."""
+    if iterations < 1:
+        raise MultiredError(f"iterations must be >= 1; got {iterations}")
     el = ctx.element
     start = Multifraction(1, (IDENTITY, el("a"), el("bc"), IDENTITY))
     seq = [
@@ -801,6 +792,8 @@ def _check_config(config: CampaignConfig) -> None:
     for name in ("trials", "jobs"):
         if getattr(config, name) < 1:
             raise MultiredError(f"{name} must be >= 1; got {getattr(config, name)}")
+    if config.length < 0:
+        raise MultiredError(f"length must be >= 0; got {config.length}")
 
 
 def run_campaign(

@@ -25,6 +25,14 @@ reversals; gcds divide out joins of common boundary atoms.  `lcm_oracle`
 and `multiples` are brute-force searches kept for the tests to
 cross-check against; nothing in the package calls them.
 
+One side convention serves every operation that takes a Side: RIGHT
+attaches on the right and LEFT on the left.  `attach(y, x, side)` is y*x
+for RIGHT and x*y for LEFT, and it is the one place that orders a
+product by its side; `divides(x, a, side)` is the q with
+attach(q, x, side) == a, and the lcm m of a and b is
+attach(a, compB, side) == attach(b, compA, side).  A gcd on one side
+joins its common atoms by lcms on the other.
+
 Everything is cached in a MonoidContext.  Caches are pure-function memos
 (same key, same value), so concurrent reads plus idempotent concurrent
 inserts are safe; build the basic tables before sharing a context across
@@ -369,6 +377,11 @@ class MonoidContext:
         assert len(z.word) == len(xw) + len(yw), "length must be additive"
         return z
 
+    def attach(self, y: Element, x: Element, side: Side) -> Element:
+        """y with x attached on the given side: y*x for RIGHT, x*y for LEFT.
+        The one place that orders a product by its side."""
+        return self.multiply(y, x) if side is Side.RIGHT else self.multiply(x, y)
+
     def product(self, items) -> Element:
         out = IDENTITY
         for x in items:
@@ -449,9 +462,8 @@ class MonoidContext:
             result = IDENTITY
         else:
             m = Element((common[0],))
-            join_side = Side.RIGHT if side is Side.LEFT else Side.LEFT
             for s in common[1:]:
-                r = self.lcm(m, Element((s,)), join_side)
+                r = self.lcm(m, Element((s,)), side.other)
                 if r is None:
                     raise LatticeViolation(
                         "common divisors without a join: not a gcd-monoid"
@@ -464,7 +476,7 @@ class MonoidContext:
                     "join of common divisors fails to divide: not a gcd-monoid"
                 )
             sub = self.gcd(qa, qb, side)
-            result = self.multiply(m, sub) if side is Side.LEFT else self.multiply(sub, m)
+            result = self.attach(sub, m, side)
         self._gcd[key] = result
         return result
 
@@ -478,11 +490,7 @@ class MonoidContext:
         while len(levels) <= extra:
             nxt: set[Element] = set()
             for m in levels[-1]:
-                for i in range(self.pres.n_atoms):
-                    if side is Side.RIGHT:
-                        nxt.add(self.canonical(m.word + (i,)))
-                    else:
-                        nxt.add(self.canonical((i,) + m.word))
+                nxt.update(self.attach(m, s, side) for s in self._atoms)
             levels.append(nxt)
         return levels[: extra + 1]
 
@@ -502,7 +510,7 @@ class MonoidContext:
             if r is None:
                 return None
             return (r[0], r[2], r[1])
-        div_side = Side.LEFT if side is Side.RIGHT else Side.RIGHT
+        div_side = side.other
         for level in self.multiples(a, b.length + slack, side):
             hits = sorted(
                 (m for m in level if self.divides(b, m, div_side) is not None),
@@ -539,12 +547,8 @@ class MonoidContext:
         result = None
         if r is not None:
             compA, compB = self.canonical(r[0]), self.canonical(r[1])
-            if side is Side.RIGHT:
-                m = self.multiply(a, compB)
-                assert m == self.multiply(b, compA)
-            else:
-                m = self.multiply(compB, a)
-                assert m == self.multiply(compA, b)
+            m = self.attach(a, compB, side)
+            assert m == self.attach(b, compA, side)
             result = (m, compA, compB)
         self._lcm[key] = result
         return result

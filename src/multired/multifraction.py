@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .monoid import CapExceeded, IDENTITY, Element, MonoidContext, MultiredError
+from .monoid import CapExceeded, IDENTITY, Element, MonoidContext, MultiredError, Side
 from .presentation import format_word, parse_word
 
 # a signed letter is (atom index, +1 | -1)
@@ -109,10 +109,8 @@ def product(ctx: MonoidContext, a: Multifraction, b: Multifraction) -> Multifrac
         return a
     last_sign = a.sign(a.depth)
     if last_sign == b.first_sign:
-        if last_sign > 0:
-            merged = ctx.multiply(a.entries[-1], b.entries[0])
-        else:
-            merged = ctx.multiply(b.entries[0], a.entries[-1])
+        side = Side.RIGHT if last_sign > 0 else Side.LEFT
+        merged = ctx.attach(a.entries[-1], b.entries[0], side)
         return Multifraction(a.first_sign, a.entries[:-1] + (merged,) + b.entries[1:])
     return Multifraction(a.first_sign, a.entries + b.entries)
 

@@ -282,6 +282,17 @@ def _braid_word(s: int, t: int, m: int) -> tuple[int, ...]:
     return tuple(s if k % 2 == 0 else t for k in range(m))
 
 
+def _artin(name: str, n: int, labels, fc: bool) -> Presentation:
+    """The Artin-Tits presentation on n atoms named a, b, ...: one braid
+    relation sts... = tst... of m letters a side per (s, t, m) triple, in
+    the order given: relation order reaches the atom table and the order
+    of `signedwords.applicable_steps`."""
+    letters = _letters(n)
+    atoms = tuple(AtomId(i, letters[i]) for i in range(n))
+    rels = tuple((_braid_word(s, t, m), _braid_word(t, s, m)) for s, t, m in labels)
+    return Presentation(name, atoms, rels, fc=fc)
+
+
 class UnknownPreset(PresentationError):
     pass
 
@@ -304,13 +315,8 @@ def preset(name: str) -> Presentation:
         n, label = int(m.group(1)), int(m.group(2))
         if n < 3 or label != 3:
             raise UnknownPreset(f"unsupported complete-graph preset {raw!r}")
-        letters = _letters(n)
-        atoms = tuple(AtomId(i, letters[i]) for i in range(n))
-        rels = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                rels.append((_braid_word(i, j, 3), _braid_word(j, i, 3)))
-        return Presentation(f"K({n},3)", atoms, tuple(rels), fc=False)
+        pairs = [(i, j, 3) for i in range(n) for j in range(i + 1, n)]
+        return _artin(f"K({n},3)", n, pairs, fc=False)
 
     m = re.fullmatch(r"braid\(?(\d+)\)?", compact)
     if m:
@@ -318,53 +324,29 @@ def preset(name: str) -> Presentation:
         if n < 2:
             raise UnknownPreset("braid(n) needs n >= 2")
         k = n - 1
-        letters = _letters(k)
-        atoms = tuple(AtomId(i, letters[i]) for i in range(k))
-        rels = []
-        for i in range(k):
-            for j in range(i + 1, k):
-                mm = 3 if j == i + 1 else 2
-                rels.append((_braid_word(i, j, mm), _braid_word(j, i, mm)))
-        return Presentation(f"braid({n})", atoms, tuple(rels), fc=True)
+        pairs = [(i, j, 3 if j == i + 1 else 2) for i in range(k) for j in range(i + 1, k)]
+        return _artin(f"braid({n})", k, pairs, fc=True)
 
     m = re.fullmatch(r"free\(?(\d+)\)?", compact)
     if m:
         n = int(m.group(1))
         if n < 1:
             raise UnknownPreset("free(n) needs n >= 1")
-        letters = _letters(n)
-        atoms = tuple(AtomId(i, letters[i]) for i in range(n))
-        return Presentation(f"free({n})", atoms, (), fc=True)
+        return _artin(f"free({n})", n, [], fc=True)
 
     m = re.fullmatch(r"I2\(?(\d+)\)?", compact)
     if m:
         mm = int(m.group(1))
         if mm < 2:
             raise UnknownPreset("I2(m) needs m >= 2")
-        atoms = (AtomId(0, "a"), AtomId(1, "b"))
-        rels = ((_braid_word(0, 1, mm), _braid_word(1, 0, mm)),)
-        return Presentation(f"I2({mm})", atoms, rels, fc=True)
+        return _artin(f"I2({mm})", 2, [(0, 1, mm)], fc=True)
 
     if compact == "A3tilde":
-        atoms = tuple(AtomId(i, n_) for i, n_ in enumerate("abcd"))
-        rels = (
-            (_braid_word(0, 1, 3), _braid_word(1, 0, 3)),
-            (_braid_word(1, 2, 3), _braid_word(2, 1, 3)),
-            (_braid_word(2, 3, 3), _braid_word(3, 2, 3)),
-            (_braid_word(3, 0, 3), _braid_word(0, 3, 3)),
-            (_braid_word(0, 2, 2), _braid_word(2, 0, 2)),
-            (_braid_word(1, 3, 2), _braid_word(3, 1, 2)),
-        )
-        return Presentation("A3tilde", atoms, rels, fc=False)
+        pairs = [(0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 0, 3), (0, 2, 2), (1, 3, 2)]
+        return _artin("A3tilde", 4, pairs, fc=False)
 
     if compact == "C2tilde":
-        atoms = tuple(AtomId(i, n_) for i, n_ in enumerate("abc"))
-        rels = (
-            (_braid_word(0, 1, 4), _braid_word(1, 0, 4)),
-            (_braid_word(1, 2, 4), _braid_word(2, 1, 4)),
-            (_braid_word(0, 2, 2), _braid_word(2, 0, 2)),
-        )
-        return Presentation("C2tilde", atoms, rels, fc=False)
+        return _artin("C2tilde", 3, [(0, 1, 4), (1, 2, 4), (0, 2, 2)], fc=False)
 
     raise UnknownPreset(f"unknown preset {raw!r}")
 

@@ -21,10 +21,13 @@ moves this module provides:
     its reducts' closures; common reducts are then intersections of
     bitsets instead of one graph search per root.
 
-Sign conventions: the due side at a positively-signed level is "right"
-(entries are divided on the right, lcms are left lcms), and mirrored at a
-negatively-signed level.  Every applied move re-asserts its defining
-equations on the entries.
+Sign conventions: `due_side` is the one map from a level's sign to a
+Side.  The due side at a positively-signed level is RIGHT (entries are
+divided on the right, lcms are left lcms), and LEFT at a
+negatively-signed level.  Which side a factor goes on is then
+`MonoidContext.attach`'s decision alone, so one move core serves both
+sides.  Every applied move re-asserts its defining equations on the
+entries.
 """
 
 from __future__ import annotations
@@ -69,15 +72,14 @@ class ReductionTrace:
         """Coalesce consecutive same-kind same-level moves (reductions at a
         fixed level compose).  The reducers multiply in extraction order:
         left reductions strip the due side of entry i+1, right reductions
-        the opposite side of entry i-1."""
+        the opposite side of entry i-1, so a later reducer has the earlier
+        one attached on the side it was stripped from."""
         out: list[Move] = []
         for m in self.moves:
             if out and out[-1].kind == m.kind and out[-1].level == m.level:
                 prev = out.pop()
-                if (m.kind == "right") == (self.start.sign(m.level) > 0):
-                    x = ctx.multiply(prev.x, m.x)
-                else:
-                    x = ctx.multiply(m.x, prev.x)
+                side = due_side(self.start, m.level)
+                x = ctx.attach(m.x, prev.x, side.other if m.kind == "right" else side)
                 out.append(Move(m.kind, m.level, x))
             else:
                 out.append(m)
@@ -98,11 +100,6 @@ def due_side(a: Multifraction, i: int) -> Side:
 # elementary moves
 
 
-def _attach(ctx: MonoidContext, side: Side, y: Element, x: Element) -> Element:
-    """y with x attached on the given side: y*x for RIGHT, x*y for LEFT."""
-    return ctx.multiply(y, x) if side is Side.RIGHT else ctx.multiply(x, y)
-
-
 def _push(
     ctx: MonoidContext, a: Multifraction, i: int, x: Element, src: int, dst: int
 ) -> Multifraction | None:
@@ -120,11 +117,11 @@ def _push(
     if r is None:
         return None
     _, xp, comp = r  # comp with x attached on `side` = entry i with xp on `lcm_side`
-    deposit = _attach(ctx, lcm_side, entries[dst - 1], xp)
+    deposit = ctx.attach(entries[dst - 1], xp, lcm_side)
     b = a.replace_entries((src, q), (i, comp), (dst, deposit))
     assert b.entries[dst - 1] == deposit and b.depth == a.depth
-    assert _attach(ctx, side, b.entries[i - 1], x) == _attach(ctx, lcm_side, entries[i - 1], xp)
-    assert _attach(ctx, side, b.entries[src - 1], x) == entries[src - 1]
+    assert ctx.attach(b.entries[i - 1], x, side) == ctx.attach(entries[i - 1], xp, lcm_side)
+    assert ctx.attach(b.entries[src - 1], x, side) == entries[src - 1]
     return b
 
 
@@ -177,8 +174,8 @@ def apply_division(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> 
     if qj is None:
         return None
     b = a.replace_entries((i, qi), (i + 1, qj))
-    assert _attach(ctx, side, b.entries[i - 1], x) == entries[i - 1]
-    assert _attach(ctx, side, b.entries[i], x) == entries[i]
+    assert ctx.attach(b.entries[i - 1], x, side) == entries[i - 1]
+    assert ctx.attach(b.entries[i], x, side) == entries[i]
     return b
 
 
@@ -459,16 +456,11 @@ class ReductGraph:
             lines.append(f'  n{k} [label="{fmt(node)}"];')
         for src, move, dst in self.edges:
             label = move.label(ctx)
-            # divisions are both left and right reductions; label them D
-            node = self.nodes[src]
-            if move.kind == "left" and is_division(ctx, node, move.level, move.x):
-                label = f"D({move.level},{ctx.word_str(move.x)})"
-            elif (
-                move.kind == "right"
-                and move.level >= 2
-                and is_division(ctx, node, move.level - 1, move.x)
-            ):
-                label = f"D({move.level - 1},{ctx.word_str(move.x)})"
+            # divisions are both left and right reductions; label them D.
+            # R(i,x) divides at level i, R~(i,x) at level i-1
+            level = move.level - 1 if move.kind == "right" else move.level
+            if is_division(ctx, self.nodes[src], level, move.x):
+                label = f"D({level},{ctx.word_str(move.x)})"
             lines.append(f'  n{src} -> n{dst} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines)

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .monoid import Element, IDENTITY, MonoidContext, MultiredError
+from .monoid import Element, IDENTITY, MonoidContext, MultiredError, Side
 from .multifraction import Multifraction, format_multifraction, unit
 from .harness import has_central_cross
-from .reduction import Move, ReductionTrace, apply_left, due_side, red_tame, universal_sequence
+from .reduction import Move, apply_left, due_side, red_tame
 
 
 class VanKampenFailure(MultiredError):
@@ -67,27 +67,20 @@ def validate_diagram(ctx: MonoidContext, diagram: VanKampenDiagram, a: Multifrac
     if len(diagram.boundary) != a.depth:
         raise VanKampenFailure("boundary length mismatch")
     cursor = diagram.base
-    ring = [diagram.base]
     for i, eid in enumerate(diagram.boundary, 1):
         e = diagram.edges[eid]
         if e.label != a.entry(i):
             raise VanKampenFailure(f"boundary entry {i} label mismatch")
-        if a.sign(i) > 0:
-            if e.src != cursor:
-                raise VanKampenFailure(f"boundary entry {i} detached")
-            cursor = e.dst
-        else:
-            if e.dst != cursor:
-                raise VanKampenFailure(f"boundary entry {i} detached")
-            cursor = e.src
-        ring.append(cursor)
+        tail, head = (e.src, e.dst) if a.sign(i) > 0 else (e.dst, e.src)
+        if tail != cursor:
+            raise VanKampenFailure(f"boundary entry {i} detached")
+        cursor = head
     if cursor != diagram.base:
         raise VanKampenFailure("boundary does not close at the base vertex")
 
 
 class _Builder:
-    def __init__(self, ctx: MonoidContext):
-        self.ctx = ctx
+    def __init__(self):
         self.vertices: list[str] = []
         self.edges: dict[str, VKEdge] = {}
         self.triangles: list[tuple[str, str, str]] = []
@@ -133,49 +126,36 @@ def _ring_edges(builder, names, mf, existing=None):
             ids.append(existing[i - 1])
             continue
         u, v = names[i - 1], names[i % mf.depth]
-        if mf.sign(i) > 0:
-            ids.append(builder.edge(u, v, mf.entry(i)))
-        else:
-            ids.append(builder.edge(v, u, mf.entry(i)))
+        if mf.sign(i) < 0:
+            u, v = v, u
+        ids.append(builder.edge(u, v, mf.entry(i)))
     return ids
 
 
-def derive_universal_trace(ctx: MonoidContext, a: Multifraction) -> ReductionTrace:
-    """A trace along the universal level sequence (identity steps kept)."""
-    moves: list[Move] = []
-    end = red_tame(ctx, a, collect=moves)
-    return ReductionTrace(a, tuple(moves), end)
-
-
-def van_kampen(
-    ctx: MonoidContext, a: Multifraction, trace: ReductionTrace | None = None
-) -> VanKampenDiagram:
+def van_kampen(ctx: MonoidContext, a: Multifraction) -> VanKampenDiagram:
     """Build the universal-shape diagram for a positive unital even-depth
-    multifraction from a universal-sequence trace to the trivial one.
+    multifraction.
 
-    A given trace is used when it has exactly the universal level shape
-    and ends trivially; otherwise a fresh tame trace is derived.  Raises
-    VanKampenFailure when no such trace trivializes the input.
+    The diagram is read off the trace of red_tame along the universal
+    level sequence, identity steps kept: one annulus per sweep, down to
+    the depth-4 core.  Raises ValueError for an odd depth, a depth below
+    4 or a negative multifraction, and VanKampenFailure when red_tame
+    does not send the input to the trivial multifraction.
     """
     n = a.depth
     if n % 2 != 0 or n < 4:
         raise ValueError("universal diagrams need even depth >= 4")
     if a.first_sign < 0:
         raise ValueError("positive multifractions only")
-    usable = None
-    if trace is not None and tuple(m.level for m in trace.moves) == universal_sequence(n):
-        if trace.end == unit(n) and trace.start == a:
-            usable = trace
-    if usable is None:
-        usable = derive_universal_trace(ctx, a)
-    if usable.end != unit(n):
+    moves: list[Move] = []
+    end = red_tame(ctx, a, collect=moves)
+    if end != unit(n):
         raise VanKampenFailure(
             "no universal-sequence trace to the trivial multifraction "
-            f"(tame reduct: {format_multifraction(ctx, usable.end)})"
+            f"(tame reduct: {format_multifraction(ctx, end)})"
         )
-    builder = _Builder(ctx)
+    builder = _Builder()
     base = builder.vertex("*")
-    moves = list(usable.moves)
     cur = a
     ring = 0
     outer_names = [base] + [builder.vertex(f"r0v{j}") for j in range(1, n)]
@@ -253,35 +233,31 @@ def _annulus(builder, ctx, c, segment, outer_names, outer_ids, ring):
     builder.triangle(e_c12, e_cmp2, shared)
     builder.triangle(e_c11, e_cmp2, e_d1)
 
-    # middle cells: cell k couples the steps at levels k and k+1
+    # middle cells: cell k couples the steps at levels k and k+1.  They are
+    # drawn for a negative level k (due side LEFT); at a positive one every
+    # edge is reversed and the first two edges of each triangle swap
     for k in range(2, m - 2):
         Xk = centers[k - 1]
-        if k % 2 == 0:  # level k negative
-            e_xk = builder.edge(U[k], Xk, xs[k])
-            e_ck1 = builder.edge(Xk, U[k + 1], inter[k].entry(k + 1))
-            e_ckk = builder.edge(Xk, W[k - 1], inter[k].entry(k))
-            e_cmp = builder.edge(W[k], Xk, comp[k + 1])
-            new_shared = builder.edge(
-                W[k], U[k + 1], ctx.multiply(comp[k + 1], inter[k].entry(k + 1))
+        side = due_side(c, k)
+        flip = side is Side.RIGHT
+        e_xk, e_ck1, e_ckk, e_cmp, new_shared, e_dk = (
+            builder.edge(v, u, label) if flip else builder.edge(u, v, label)
+            for u, v, label in (
+                (U[k], Xk, xs[k]),
+                (Xk, U[k + 1], inter[k].entry(k + 1)),
+                (Xk, W[k - 1], inter[k].entry(k)),
+                (W[k], Xk, comp[k + 1]),
+                (W[k], U[k + 1], ctx.attach(inter[k].entry(k + 1), comp[k + 1], side)),
+                (W[k], W[k - 1], d.entry(k)),
             )
-            e_dk = builder.edge(W[k], W[k - 1], d.entry(k))
-            builder.triangle(e_xk, e_ck1, outer_ids[k])
-            builder.triangle(e_xk, e_ckk, shared)
-            builder.triangle(e_cmp, e_ckk, e_dk)
-            builder.triangle(e_cmp, e_ck1, new_shared)
-        else:  # level k positive
-            e_xk = builder.edge(Xk, U[k], xs[k])
-            e_ck1 = builder.edge(U[k + 1], Xk, inter[k].entry(k + 1))
-            e_ckk = builder.edge(W[k - 1], Xk, inter[k].entry(k))
-            e_cmp = builder.edge(Xk, W[k], comp[k + 1])
-            new_shared = builder.edge(
-                U[k + 1], W[k], ctx.multiply(inter[k].entry(k + 1), comp[k + 1])
-            )
-            e_dk = builder.edge(W[k - 1], W[k], d.entry(k))
-            builder.triangle(e_ck1, e_xk, outer_ids[k])
-            builder.triangle(e_ckk, e_xk, shared)
-            builder.triangle(e_ckk, e_cmp, e_dk)
-            builder.triangle(e_ck1, e_cmp, new_shared)
+        )
+        for e1, e2, e3 in (
+            (e_xk, e_ck1, outer_ids[k]),
+            (e_xk, e_ckk, shared),
+            (e_cmp, e_ckk, e_dk),
+            (e_cmp, e_ck1, new_shared),
+        ):
+            builder.triangle(*((e2, e1) if flip else (e1, e2)), e3)
         inner_ids[k - 1] = e_dk
         shared = new_shared
 

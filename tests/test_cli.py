@@ -202,6 +202,10 @@ def test_unread_option_refused(capsys, argv):
     (["vankampen", "1/1"], "universal diagrams need even depth >= 4"),
     (["vankampen", "a/b/c"], "universal diagrams need even depth >= 4"),
     (["vankampen", "/1/1/1/1"], "positive multifractions only"),
+    (["conjecture", "C", "--depth", "3", "--length", "-5"], "length must be >= 0; got -5"),
+    (["conjecture", "A", "--length", "-1"], "length must be >= 0; got -1"),
+    (["threeore", "--maxlen", "-1"], "max_len must be >= 1; got -1"),
+    (["cycleprobe", "--iterations", "0"], "iterations must be >= 1; got 0"),
 ])
 def test_campaign_settings_refused(capsys, argv, message):
     # refused before any trial or diagram is built: nothing is reported

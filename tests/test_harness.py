@@ -358,7 +358,8 @@ def test_mixed_cycle(att):
     report = H.mixed_cycle_probe(att, iterations=3)
     assert report["ok"]
     assert report["iterations"][0]["value"] == "bacbac/a/bc/acbacb"
-    assert H.mixed_cycle_probe(att, iterations=0)["iterations"] == []
+    with pytest.raises(MultiredError, match="iterations must be >= 1; got 0"):
+        H.mixed_cycle_probe(att, iterations=0)
 
 
 def test_campaign_small(att):

@@ -176,6 +176,25 @@ def test_lattice_laws(preset_name):
             assert ctx.gcd(comp_a, comp_b, Side.RIGHT) == IDENTITY
 
 
+@pytest.mark.parametrize("side", list(Side))
+@pytest.mark.parametrize("preset_name", ["A2tilde", "braid(4)", "C2tilde"])
+def test_attach_is_the_side_convention(preset_name, side):
+    # attach orders every sided product: divides undoes it, and lcm builds
+    # its multiple with it from either complement (checked here, not only
+    # by lcm's assert, so that it holds under python -O too)
+    ctx = MonoidContext(preset(preset_name))
+    a, b = ctx.element("a"), ctx.element("b")
+    assert ctx.word_str(ctx.attach(a, b, side)) == ("ab" if side is Side.RIGHT else "ba")
+    rng = random.Random(17)
+    for _ in range(80):
+        a, b, q, x = _random_elements(ctx, rng, 4)
+        assert ctx.divides(x, ctx.attach(q, x, side), side) == q
+        r = ctx.lcm(a, b, side)
+        if r is not None:
+            m, comp_a, comp_b = r
+            assert m == ctx.attach(a, comp_b, side) == ctx.attach(b, comp_a, side)
+
+
 @pytest.mark.parametrize("preset_name", ["A2tilde", "braid(3)"])
 def test_iterated_lcm_consistency(preset_name):
     ctx = MonoidContext(preset(preset_name))

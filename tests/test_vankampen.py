@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -8,7 +10,6 @@ from multired import reduction as red
 from multired.vankampen import (
     VanKampenFailure,
     VKEdge,
-    derive_universal_trace,
     validate_diagram,
     van_kampen,
 )
@@ -35,12 +36,23 @@ def test_att2_six_multifraction(att):
     assert len(d.vertices) == 14
 
 
-def test_supplied_trace_is_used(att):
-    a, _ = H.gen_central_cross(att, 6, 1, 123)
-    trace = derive_universal_trace(att, a)
-    assert trace.end == unit(6)
-    d = van_kampen(att, a, trace=trace)
+# diagrams of depth 8 and up nest one annulus inside another; the digests
+# pin edge ids, orientations and triangle order of their middle cells,
+# which meet levels of both signs
+@pytest.mark.parametrize("text, digest", [
+    ("ab/ba/c/ac/1/1/aba/ab",
+     "22b787c059e9ecff154560772c09aa7ffd399edd9c7e27ebff6ffee7a6e69105"),
+    ("1/bcba/bcb/1/aba/ba/1/bc/bc/1",
+     "66e213f49b0618f40a5ca1f1b08237a289b082a65d80846ff237d8f3eb523b8f"),
+    ("ab/ba/ca/ac/bc/cb",
+     "dcf83ce0bac13dd75c92b1fede7145d99399352205a31faa7934c4698c1d280c"),
+])
+def test_diagram_json_pinned(att, text, digest):
+    a = parse_multifraction(att, text)
+    d = van_kampen(att, a)
     validate_diagram(att, d, a)
+    payload = json.dumps(d.to_json(att), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 def test_non_unital_fails(att):
