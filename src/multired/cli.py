@@ -198,9 +198,10 @@ def dispatch(argv) -> int:
 
     ctx = _context(args)
     fmt = lambda a: format_multifraction(ctx, a)
+    if "multifraction" in args:
+        a = parse_multifraction(ctx, args.multifraction)
 
     if args.command in ("reduce", "rreduce"):
-        a = parse_multifraction(ctx, args.multifraction)
         fn = red.reduce_left if args.command == "reduce" else red.reduce_right
         tr = fn(ctx, a, args.strategy)
         payload = {
@@ -217,26 +218,22 @@ def dispatch(argv) -> int:
         return EXIT_OK
 
     if args.command == "derdiv":
-        a = parse_multifraction(ctx, args.multifraction)
         out = red.derdiv(ctx, a)
         _emit(args, {"input": fmt(a), "derdiv": fmt(out)}, [fmt(out)])
         return EXIT_OK
 
     if args.command == "redtame":
-        a = parse_multifraction(ctx, args.multifraction)
         out = red.red_tame(ctx, a)
         _emit(args, {"input": fmt(a), "red_tame": fmt(out)}, [fmt(out)])
         return EXIT_OK
 
     if args.command == "irr":
-        a = parse_multifraction(ctx, args.multifraction)
         g = red.reduct_graph(ctx, a)
         irr = sorted(fmt(x) for x in g.sinks())
         _emit(args, {"input": fmt(a), "irreducible": irr}, irr)
         return _graph_verdict(g)
 
     if args.command == "graph":
-        a = parse_multifraction(ctx, args.multifraction)
         g = red.reduct_graph(ctx, a, Side(args.side))
         if args.dot or args.format == "text":
             print(g.to_dot(ctx))
@@ -264,6 +261,7 @@ def dispatch(argv) -> int:
             seed=args.seed,
             jobs=args.jobs,
         )
+        harness.check_config(config)  # before the log is opened, which truncates it
         log_stream = open(args.log, "w") if args.log else None
         try:
             report = harness.run_campaign(ctx, config, log_stream=log_stream)
@@ -284,7 +282,6 @@ def dispatch(argv) -> int:
         return EXIT_OK
 
     if args.command == "vankampen":
-        a = parse_multifraction(ctx, args.multifraction)
         try:
             diagram = van_kampen(ctx, a)
         except ValueError as e:  # an input van_kampen does not take

@@ -81,17 +81,11 @@ class Multifraction:
 EMPTY = Multifraction(1, ())
 
 
-def make(ctx: MonoidContext, entries, first_sign: int = 1) -> Multifraction:
-    """Build a multifraction, canonicalizing entries given as str/Element."""
-    out = []
-    for e in entries:
-        if isinstance(e, str):
-            out.append(ctx.element(e))
-        else:
-            out.append(ctx.canonical(e.word))
-    if not out:
-        return EMPTY
-    return Multifraction(first_sign, tuple(out))
+def due_side(a: Multifraction, i: int) -> Side:
+    """Division side at level i: RIGHT when i is positive in a, that is
+    when i is odd and a starts positive or i is even and a starts
+    negative.  i is not range-checked: every caller has checked it."""
+    return Side.RIGHT if (a.first_sign > 0) == (i % 2 == 1) else Side.LEFT
 
 
 def unit(p: int) -> Multifraction:
@@ -107,10 +101,8 @@ def product(ctx: MonoidContext, a: Multifraction, b: Multifraction) -> Multifrac
         return b
     if b.is_empty:
         return a
-    last_sign = a.sign(a.depth)
-    if last_sign == b.first_sign:
-        side = Side.RIGHT if last_sign > 0 else Side.LEFT
-        merged = ctx.attach(a.entries[-1], b.entries[0], side)
+    if a.sign(a.depth) == b.first_sign:
+        merged = ctx.attach(a.entries[-1], b.entries[0], due_side(a, a.depth))
         return Multifraction(a.first_sign, a.entries[:-1] + (merged,) + b.entries[1:])
     return Multifraction(a.first_sign, a.entries + b.entries)
 
@@ -201,9 +193,3 @@ def parse_multifraction(ctx: MonoidContext, text: str) -> Multifraction:
         pos += len(chunk) + 1
     return Multifraction(first_sign, tuple(entries))
 
-
-def to_json(ctx: MonoidContext, a: Multifraction) -> dict:
-    return {
-        "sign": "-" if a.first_sign < 0 else "+",
-        "entries": [format_word(ctx.pres, e.word) for e in a.entries],
-    }

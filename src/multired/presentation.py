@@ -89,7 +89,7 @@ class ValidationReport:
         raise KeyError(name)
 
 
-def _word_str(p: Presentation, word: tuple[int, ...]) -> str:
+def format_word(p: Presentation, word: tuple[int, ...]) -> str:
     names = [p.atoms[i].name for i in word]
     if not names:
         return "1"
@@ -121,10 +121,6 @@ def parse_word(p: Presentation, text: str) -> tuple[int, ...]:
             indices.append(by_name[ch])
         out.extend(indices)
     return tuple(out)
-
-
-def format_word(p: Presentation, word: tuple[int, ...]) -> str:
-    return _word_str(p, word)
 
 
 def _braid_shape(lhs: tuple[int, ...], rhs: tuple[int, ...]) -> bool:
@@ -267,7 +263,7 @@ def parse_presentation(text: str, name: str = "parsed") -> Presentation:
 def format_presentation(p: Presentation) -> str:
     lines = ["atoms: " + " ".join(p.atom_names)]
     for lhs, rhs in p.relations:
-        lines.append(f"rel: {_word_str(p, lhs)} = {_word_str(p, rhs)}")
+        lines.append(f"rel: {format_word(p, lhs)} = {format_word(p, rhs)}")
     return "\n".join(lines) + "\n"
 
 

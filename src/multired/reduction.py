@@ -21,10 +21,11 @@ moves this module provides:
     its reducts' closures; common reducts are then intersections of
     bitsets instead of one graph search per root.
 
-Sign conventions: `due_side` is the one map from a level's sign to a
-Side.  The due side at a positively-signed level is RIGHT (entries are
-divided on the right, lcms are left lcms), and LEFT at a
-negatively-signed level.  Which side a factor goes on is then
+Sign conventions: `due_side`, defined in `multifraction` and imported
+here, is the one map from a level's sign to a Side; `product` merges its
+junction entries on it too.  The due side at a positively-signed level
+is RIGHT (entries are divided on the right, lcms are left lcms), and
+LEFT at a negatively-signed level.  Which side a factor goes on is then
 `MonoidContext.attach`'s decision alone, so one move core serves both
 sides.  Every applied move re-asserts its defining equations on the
 entries.
@@ -44,7 +45,7 @@ from .monoid import (
     MultiredError,
     Side,
 )
-from .multifraction import Multifraction, format_multifraction, inverse
+from .multifraction import Multifraction, due_side, format_multifraction, inverse
 
 
 class InternalInvariantError(MultiredError):
@@ -87,13 +88,6 @@ class ReductionTrace:
 
 
 STRATEGIES = ("low_lex", "low_antilex", "high_lex", "high_antilex")
-
-
-def due_side(a: Multifraction, i: int) -> Side:
-    """Division side at level i: RIGHT when i is positive in a, that is
-    when i is odd and a starts positive or i is even and a starts
-    negative.  i is not range-checked: every caller has checked it."""
-    return Side.RIGHT if (a.first_sign > 0) == (i % 2 == 1) else Side.LEFT
 
 
 # ----------------------------------------------------------------------
@@ -177,10 +171,6 @@ def apply_division(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> 
     assert ctx.attach(b.entries[i - 1], x, side) == entries[i - 1]
     assert ctx.attach(b.entries[i], x, side) == entries[i]
     return b
-
-
-def is_division(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> bool:
-    return apply_division(ctx, a, i, x) is not None
 
 
 def apply_move(ctx: MonoidContext, a: Multifraction, move: Move) -> Multifraction | None:
@@ -339,16 +329,6 @@ def red_tame_fixpoint(ctx: MonoidContext, a: Multifraction):
 # strategies and exhaustive reduction
 
 
-def _strategy_order(ctx: MonoidContext, n_levels: list[int], strategy: str):
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    levels = n_levels if strategy.startswith("low") else n_levels[::-1]
-    atoms = ctx.atoms()
-    if strategy.endswith("antilex"):
-        atoms = atoms[::-1]
-    return levels, atoms
-
-
 def _atomic_moves(ctx, a, side: Side, strategy: str = "low_lex", on_cap=None):
     """The applicable atomic moves of one side, in strategy order.
 
@@ -359,11 +339,17 @@ def _atomic_moves(ctx, a, side: Side, strategy: str = "low_lex", on_cap=None):
     A cap overflow propagates, or is handed to on_cap(level, atom, error)
     and the move skipped.
     """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     if side is Side.LEFT:
         levels, apply_fn = range(1, a.depth), apply_left
     else:
         levels, apply_fn = range(2, a.depth + 1), apply_right
-    levels, atoms = _strategy_order(ctx, list(levels), strategy)
+    if strategy.startswith("high"):
+        levels = levels[::-1]
+    atoms = ctx.atoms()
+    if strategy.endswith("antilex"):
+        atoms = atoms[::-1]
     for i in levels:
         for s in atoms:
             try:
@@ -459,7 +445,7 @@ class ReductGraph:
             # divisions are both left and right reductions; label them D.
             # R(i,x) divides at level i, R~(i,x) at level i-1
             level = move.level - 1 if move.kind == "right" else move.level
-            if is_division(ctx, self.nodes[src], level, move.x):
+            if apply_division(ctx, self.nodes[src], level, move.x) is not None:
                 label = f"D({level},{ctx.word_str(move.x)})"
             lines.append(f'  n{src} -> n{dst} [label="{label}"];')
         lines.append("}")
@@ -646,59 +632,43 @@ def left_closures(ctx: MonoidContext, roots) -> LeftClosures:
 # step bound
 
 
+def _tower(C: int, lengths, cap: int | None = None) -> int:
+    """F(lengths), the tower bound: F1(x) = x+2 and Fn(x1..xn) =
+    (x1+1) * C ** F(n-1)(x2..xn); 0 for no lengths.
+
+    Without a cap the value is exact, and a guard refuses to materialize
+    numbers beyond ~10^7 digits.  With a cap it is min(F, cap): each
+    exponent is clipped at cap.bit_length(), beyond which a power of
+    C >= 2 already exceeds the cap (for C = 1 every power is 1).
+    """
+    if not lengths:
+        return 0
+    f = lengths[-1] + 2
+    for x in reversed(lengths[:-1]):
+        if cap is None:
+            if f > 40_000_000:
+                raise MultiredError(
+                    "step bound too large to materialize; use within_step_bound"
+                )
+            f = (x + 1) * C**f
+        else:
+            f = min((x + 1) * C ** min(f, cap.bit_length()), cap)
+    return f if cap is None else min(f, cap)
+
+
 def step_bound(ctx: MonoidContext, a: Multifraction):
     """Tower bound on the number of reduction steps from a, exact.
 
-    F1(x) = x+2, Fn(x1..xn) = (x1+1) * C ** F(n-1)(x2..xn) with C one more
-    than the maximal basic length.  The value is astronomically large as
-    soon as the depth exceeds 3; a guard refuses to materialize numbers
-    beyond ~10^7 digits (use within_step_bound for comparisons).
+    C is one more than the maximal basic length.  The value is
+    astronomically large as soon as the depth exceeds 3 (use
+    within_step_bound for comparisons).
     """
-    C = ctx.basic_bound_C()
-    lengths = [e.length for e in a.entries]
-
-    def F(xs):
-        if len(xs) == 1:
-            return xs[0] + 2
-        e = F(xs[1:])
-        if e > 40_000_000:
-            raise MultiredError(
-                "step bound too large to materialize; use within_step_bound"
-            )
-        return (xs[0] + 1) * C**e
-
-    if not lengths:
-        return 0
-    return F(lengths)
+    return _tower(ctx.basic_bound_C(), [e.length for e in a.entries])
 
 
 def within_step_bound(ctx: MonoidContext, a: Multifraction, k: int) -> bool:
-    """Whether k <= step_bound(a), via saturating arithmetic."""
-    if a.depth == 0:
-        return k <= 0
-    C = ctx.basic_bound_C()
-    cap = k + 1
-    lengths = [e.length for e in a.entries]
-
-    def sat_pow(e: int) -> int:
-        if C == 1:
-            return 1
-        out = 1
-        for _ in range(e):
-            out *= C
-            if out >= cap:
-                return cap
-        return out
-
-    def F(xs) -> int:
-        if len(xs) == 1:
-            return min(xs[0] + 2, cap)
-        e = F(xs[1:])
-        if e >= cap and C > 1:
-            return cap
-        return min((xs[0] + 1) * sat_pow(e), cap)
-
-    return k <= F(lengths)
+    """Whether k <= step_bound(a), by the bound capped at k + 1."""
+    return k <= _tower(ctx.basic_bound_C(), [e.length for e in a.entries], k + 1)
 
 
 # ----------------------------------------------------------------------

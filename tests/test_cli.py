@@ -214,6 +214,17 @@ def test_campaign_settings_refused(capsys, argv, message):
     assert out == "" and err == f"error: {message}\n"
 
 
+def test_refused_campaign_leaves_log(capsys, tmp_path):
+    # the settings are checked before --log is opened, which truncates it
+    kept, missing = tmp_path / "kept.jsonl", tmp_path / "missing.jsonl"
+    kept.write_bytes(b'{"trial": 0}\n')
+    for log in (kept, missing):
+        assert main(["conjecture", "A", "--trials", "0", "--log", str(log)]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    assert kept.read_bytes() == b'{"trial": 0}\n'
+    assert not missing.exists()
+
+
 def test_readme_examples_parse():
     # every `multired ...` line in the README's code blocks, less its
     # comment and output redirection

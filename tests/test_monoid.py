@@ -1,4 +1,5 @@
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,7 +158,7 @@ def _random_elements(ctx, rng, count, max_len=4):
 @pytest.mark.parametrize("preset_name", ["A2tilde", "braid(3)", "K(4,3)", "free(2)"])
 def test_lattice_laws(preset_name):
     ctx = MonoidContext(preset(preset_name))
-    rng = random.Random(hash(preset_name) & 0xFFFF)
+    rng = random.Random(zlib.crc32(preset_name.encode()))
     for _ in range(120):
         a, b = _random_elements(ctx, rng, 2)
         for side in Side:

@@ -11,7 +11,6 @@ from multired.multifraction import (
     inverse,
     parse_multifraction,
     product,
-    to_json,
     to_signed_word,
     trim_trailing_units,
     unit,
@@ -133,7 +132,6 @@ def test_codec(att):
     for text in ("1/c/aba", "/cbac/ccb/ca", "a", "/a"):
         mf = parse_multifraction(att, text)
         assert format_multifraction(att, mf) == text
-    assert to_json(att, neg) == {"sign": "-", "entries": ["cbac", "ccb", "ca"]}
 
 
 def test_trim(att):

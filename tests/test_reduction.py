@@ -180,7 +180,7 @@ def test_is_prime(att):
     assert not red.is_prime(att, mf(att, "a/a"))
 
 
-def test_step_bound(att, braid3):
+def test_step_bound(att, free2):
     one = Multifraction(1, (att.element("ababa"),))
     assert red.step_bound(att, one) == 7
     two = unit(2)
@@ -190,6 +190,18 @@ def test_step_bound(att, braid3):
     assert red.step_bound(att, a) == 3 ** (2 * 3**5)
     assert red.within_step_bound(att, a, 10)
     assert not red.within_step_bound(att, unit(1), 4)  # F1(0) = 2
+    # the capped bound agrees with the exact one wherever that materializes:
+    # depth <= 2, or depth 3 with entries of length <= 1
+    rng = random.Random(16)
+    for ctx in (att, MonoidContext(preset("braid(4)")), free2):
+        for _ in range(40):
+            depth = rng.randint(1, 3)
+            a = gen_multifraction(ctx, depth, 1 if depth == 3 else 4, rng.randrange(10**9))
+            if rng.random() < 0.5:
+                a = Multifraction(-1, a.entries)
+            bound = red.step_bound(ctx, a)
+            for k in (bound - 1, bound, bound + 1):
+                assert red.within_step_bound(ctx, a, k) == (k <= bound)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
