@@ -11,6 +11,9 @@ reports are JSON with --format json, graphs are DOT.  The MULTIRED_CAPS
 environment variable overrides caps, e.g.
 MULTIRED_CAPS="reversing_cap=20000,graph_node_cap=100000".  `irr` and
 `graph` print what they found of an incomplete reduct graph and exit 2.
+A usage error names the offending argument on stderr.  The parser is
+built for the named subcommand only, and in full for help and unknown
+commands.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ EXIT_USAGE = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
 
 
@@ -110,40 +114,37 @@ def _add_context(p):
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="multired", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("preset", help="list or show presets")
+def _preset_options(p):
     p.add_argument("action", choices=("list", "show"))
     p.add_argument("name", nargs="?")
     p.add_argument("--preset", default="A2tilde")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    for name, help_ in (
-        ("reduce", "exhaust atomic left reductions"),
-        ("rreduce", "exhaust atomic right reductions"),
-        ("derdiv", "maximal divisions, top level down"),
-        ("redtame", "greatest tame reductions along the universal sequence"),
-        ("irr", "irreducible left reducts"),
-    ):
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("multifraction")
-        if name in ("reduce", "rreduce"):
-            p.add_argument("--strategy", choices=red.STRATEGIES, default="low_lex")
-        _add_context(p)
 
-    p = sub.add_parser("graph", help="atomic reduct graph")
+def _multifraction_options(p):
+    p.add_argument("multifraction")
+    _add_context(p)
+
+
+def _reduce_options(p):
+    p.add_argument("multifraction")
+    p.add_argument("--strategy", choices=red.STRATEGIES, default="low_lex")
+    _add_context(p)
+
+
+def _graph_options(p):
     p.add_argument("multifraction")
     p.add_argument("--side", choices=("left", "right"), default="left")
     p.add_argument("--dot", action="store_true")
     _add_context(p)
 
-    p = sub.add_parser("wordproblem", help="decide whether a signed word is the group unit")
+
+def _wordproblem_options(p):
     p.add_argument("word")
     _add_context(p)
 
-    p = sub.add_parser("conjecture", help="seeded conjecture campaign")
+
+def _conjecture_options(p):
     p.add_argument("which", choices=("A", "B", "C", "Cunif", "depth4"))
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--length", type=int, default=20)
@@ -154,23 +155,53 @@ def build_parser() -> _Parser:
     p.add_argument("--jobs", type=int, default=1)
     _add_context(p)
 
-    p = sub.add_parser("vankampen", help="universal-shape diagram for a unital multifraction")
-    p.add_argument("multifraction")
-    _add_context(p)
 
-    p = sub.add_parser("basics", help="basic elements and complement table size")
+def _basics_options(p):
     p.add_argument("--side", choices=("left", "right"), default="right")
     _add_context(p)
 
-    p = sub.add_parser("threeore", help="bounded scan for 3-Ore violations")
+
+def _threeore_options(p):
     p.add_argument("--maxlen", type=int, default=1)
     p.add_argument("--side", choices=("left", "right"), default="right")
     _add_context(p)
 
-    p = sub.add_parser("cycleprobe", help="replay the alternating non-terminating cycle")
+
+def _cycleprobe_options(p):
     p.add_argument("--iterations", type=int, default=3)
     _add_context(p)
 
+
+# subcommand -> (help, function adding its options), in the order help lists them
+SUBCOMMANDS = {
+    "preset": ("list or show presets", _preset_options),
+    "reduce": ("exhaust atomic left reductions", _reduce_options),
+    "rreduce": ("exhaust atomic right reductions", _reduce_options),
+    "derdiv": ("maximal divisions, top level down", _multifraction_options),
+    "redtame": ("greatest tame reductions along the universal sequence", _multifraction_options),
+    "irr": ("irreducible left reducts", _multifraction_options),
+    "graph": ("atomic reduct graph", _graph_options),
+    "wordproblem": ("decide whether a signed word is the group unit", _wordproblem_options),
+    "conjecture": ("seeded conjecture campaign", _conjecture_options),
+    "vankampen": ("universal-shape diagram for a unital multifraction", _multifraction_options),
+    "basics": ("basic elements and complement table size", _basics_options),
+    "threeore": ("bounded scan for 3-Ore violations", _threeore_options),
+    "cycleprobe": ("replay the alternating non-terminating cycle", _cycleprobe_options),
+}
+
+
+def build_parser(command=None) -> _Parser:
+    """The parser with only `command`'s subparser when the table names it,
+    with all of them otherwise (no command, help, an unknown name)."""
+    parser = _Parser(prog="multired", description=__doc__)
+    one = command in SUBCOMMANDS
+    # with one subparser the usage line would name only it; name them all,
+    # as the full parser does
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(SUBCOMMANDS) + "}" if one else None)
+    for name in [command] if one else SUBCOMMANDS:
+        help_, add_options = SUBCOMMANDS[name]
+        add_options(sub.add_parser(name, help=help_))
     return parser
 
 
@@ -184,8 +215,7 @@ def _graph_verdict(g: red.ReductGraph) -> int:
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
 
     if args.command == "preset":
         if args.action == "list":

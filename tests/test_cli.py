@@ -4,6 +4,7 @@ import shlex
 
 import pytest
 
+from multired import cli
 from multired import reduction as red
 from multired.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, build_parser, dispatch, main
 from multired.monoid import MonoidContext, ReversingCapExceeded
@@ -147,6 +148,54 @@ def test_usage_error():
     assert main(["reduce", "--preset", "nope", "a/b"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["reduce", "--strategy", "nope", "a/b"],
+     "multired reduce: error: argument --strategy: invalid choice: 'nope'"),
+    (["reduce", "--bogus", "a/b"], "multired: error: unrecognized arguments: --bogus"),
+    ([], "multired: error: the following arguments are required: command"),
+])
+def test_usage_error_names_argument(capsys, argv, message):
+    # the usage block, then what is wrong with the command line
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: multired")
+    assert err.splitlines()[-1].startswith(message)
+
+
+# the positionals each subcommand needs; the others take a multifraction
+_POSITIONALS = {"preset": ["list"], "wordproblem": ["a B"], "conjecture": ["A"],
+                "basics": [], "threeore": [], "cycleprobe": []}
+
+
+def _parser_corpus():
+    corpus = [["-h"], [], ["bogus"], ["--preset", "A2tilde", "reduce", "a/b"],
+              ["reduce", "--strategy", "nope", "a/b"], ["graph", "--format", "xml", "a/b"]]
+    for name in cli.SUBCOMMANDS:
+        positionals = _POSITIONALS.get(name, ["a/b"])
+        corpus += [[name, "-h"], [name, "--bogus", *positionals]]
+        if positionals:
+            corpus.append([name])
+    return corpus
+
+
+def test_per_command_parser_matches_full(capsys, monkeypatch):
+    # dispatch builds only the named subcommand's parser; help and usage
+    # errors read as they do from the parser of all subcommands
+    def outputs():
+        seen = []
+        for argv in _parser_corpus():
+            code = main(list(argv))
+            seen.append((argv, code, *capsys.readouterr()))
+        return seen
+
+    assert list(build_parser("reduce")._subparsers._group_actions[0].choices) == ["reduce"]
+    per_command = outputs()
+    full = build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert outputs() == per_command
+    assert {code for _, code, _, _ in per_command} == {EXIT_OK, EXIT_USAGE}
+
+
 def test_signed_word_unknown_inverse_name(capsys):
     assert main(["wordproblem", "--preset", "A2tilde", "x^-1"]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: unknown letter 'x'\n"
@@ -241,7 +290,8 @@ def test_readme_examples_parse():
         argv = shlex.split(line, comments=True)[1:]
         if ">" in argv:
             argv = argv[:argv.index(">")]
-        parser.parse_args(argv)
+        # the per-command parser dispatch builds reads each line alike
+        assert build_parser(argv[0]).parse_args(argv) == parser.parse_args(argv)
 
 
 def test_caps_env(capsys, monkeypatch):

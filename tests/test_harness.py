@@ -198,6 +198,11 @@ def test_unique_fraction_probe(att):
     a, b = att.element("ab"), att.element("cb")
     r = H.unique_fraction_probe(att, a, b, a, b)
     assert r["factorization_holds"]
+    # a reduced pair (right gcd 1) is compared; ab/cb, with gcd b, is not
+    for x, y, reduced in (("a", "b", True), ("ab", "c", True), ("aba", "c", True),
+                          ("ab", "cb", None)):
+        x, y = att.element(x), att.element(y)
+        assert H.unique_fraction_probe(att, x, y, x, y)["reduced_pair_equal"] is reduced
     # seeded: a/b and c/d from a common cross
     rng = random.Random(3)
     reports = []
