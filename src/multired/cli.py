@@ -81,7 +81,7 @@ def parse_signed_word(ctx: MonoidContext, text: str) -> SignedWord:
     by_name = {a.name: a.index for a in ctx.pres.atoms}
     out = []
     for token in text.split():
-        for piece in token.split(".") if "." in token else [token]:
+        for piece in token.split("."):
             if piece.endswith("^-1"):
                 if piece[:-3] not in by_name:
                     raise MultiredError(f"unknown letter {piece[:-3]!r}")

@@ -2,12 +2,14 @@
 testers, depth-4 central-cross machinery, bounded 3-Ore scans, the word
 problem, and seeded campaign runs.
 
-Verdict discipline: a "counterexample" is only ever reported from a fully
-expanded reduct graph with no inconclusive edges, together with an
-independently replayable certificate of unitality; cap overflows degrade
-verdicts to "inconclusive".  Negative word-problem answers are
-unconditional for presets of FC type (and whenever the signed length is
-nonzero), conditional on semi-convergence otherwise.
+Verdict discipline: cap overflows degrade verdicts to "inconclusive", and
+a "counterexample" is reported only when nothing was left undecided.  The
+A and B testers take a certificate of unitality with their input and
+replay it first; the replay rejects malformed steps, and a failed replay
+raises.  The C, Cunif and pair testers take none: their counterexamples
+are read off complete left reduct closures.  Negative word-problem
+answers are unconditional for presets of FC type (and whenever the
+signed length is nonzero), conditional on semi-convergence otherwise.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .reduction import (
     reduce_right,
     reduct_graph,
 )
-from .signedwords import applicable_steps, apply_step
+from .signedwords import applicable_steps, apply_step, cancels
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -101,6 +103,8 @@ def validate_certificate(ctx: MonoidContext, a: Multifraction, cert: UnitalCerti
         w: SignedWord = ()
         for item in cert.payload["walk"]:
             w = _replay_walk_step(ctx, w, item)
+            if w is None:
+                return False
         return from_signed_word(ctx, w) == a
     if cert.kind == "lcm_expansion_chain":
         base_rays = tuple(ctx.element(t) for t in cert.payload["rays"])
@@ -138,18 +142,22 @@ _WALK_INSERT = 0.5
 _WALK_TRANSFORM = 0.4  # remainder is deletion
 
 
-def _replay_walk_step(ctx: MonoidContext, w: SignedWord, item: dict) -> SignedWord:
+def _replay_walk_step(ctx: MonoidContext, w: SignedWord, item: dict) -> SignedWord | None:
+    """w after one recorded walk step; None when the step is malformed: an
+    insert whose sign is not 1 or -1 or whose atom or position is out of
+    range, a delete of no inverse pair, a transform index out of range."""
     if item["op"] == "insert":
         pos, atom, sign = item["pos"], item["atom"], item["sign"]
-        pair = ((atom, sign), (atom, -sign))
-        return w[:pos] + pair + w[pos:]
+        if sign not in (1, -1) or not 0 <= atom < ctx.pres.n_atoms or not 0 <= pos <= len(w):
+            return None
+        return w[:pos] + ((atom, sign), (atom, -sign)) + w[pos:]
     if item["op"] == "delete":
         pos = item["pos"]
-        assert w[pos][0] == w[pos + 1][0] and w[pos][1] == -w[pos + 1][1]
-        return w[:pos] + w[pos + 2:]
+        return w[:pos] + w[pos + 2:] if cancels(w, pos) else None
     if item["op"] == "transform":
         steps = applicable_steps(ctx, w)
-        return apply_step(w, steps[item["index"]])
+        k = item["index"]
+        return apply_step(w, steps[k]) if 0 <= k < len(steps) else None
     raise ValueError(item)
 
 
@@ -179,11 +187,7 @@ def gen_unital_brownian(
                 continue
             item = {"op": "transform", "index": rng.randrange(len(steps))}
         else:
-            pairs = [
-                k
-                for k in range(len(w) - 1)
-                if w[k][0] == w[k + 1][0] and w[k][1] == -w[k + 1][1]
-            ]
+            pairs = [k for k in range(len(w) - 1) if cancels(w, k)]
             if not pairs:
                 continue
             item = {"op": "delete", "pos": rng.choice(pairs)}
@@ -385,32 +389,43 @@ def test_conjecture_C_uniform(ctx: MonoidContext, a: Multifraction) -> Verdict:
     return Verdict("counterexample" if complete else "inconclusive", evidence)
 
 
+def _strategy_end(run, ctx: MonoidContext, a: Multifraction, strategy: str) -> Multifraction | None:
+    """End of one strategy run, None when the run overflows a cap."""
+    try:
+        return run(ctx, a, strategy).end
+    except CapExceeded:
+        return None
+
+
 def four_strategy_C_probe(ctx: MonoidContext, a: Multifraction) -> Verdict:
     """Strategy-restricted cross-confluence: the four strategy right
     reducts must all left-reduce to one of the four strategy left reducts
     (the all-pairs outcome is recorded as well).  Reducibility is read off
-    the right reducts' left reduct closures (`left_closures`); a failure
-    is a counterexample only when all four closures are complete."""
-    rights = [reduce_right(ctx, a, s).end for s in red.STRATEGIES]
-    lefts = [reduce_left(ctx, a, s).end for s in red.STRATEGIES]
+    the right reducts' left reduct closures (`left_closures`).  A strategy
+    run that overflows a cap leaves its reduct None; a failure is a
+    counterexample only when all eight runs finished and all four closures
+    are complete."""
+    rights = [_strategy_end(reduce_right, ctx, a, s) for s in red.STRATEGIES]
+    lefts = [_strategy_end(reduce_left, ctx, a, s) for s in red.STRATEGIES]
     try:
-        lc = red.left_closures(ctx, rights)
+        lc = red.left_closures(ctx, [b for b in rights if b is not None])
     except CapExceeded as e:
         return Verdict("inconclusive", {"reason": str(e)})
-    closures = [lc.closure_of(b) for b in rights]
+    # an unfinished right run reaches nothing; an unfinished left one is reached by none
+    closures = [0 if b is None else lc.closure_of(b) for b in rights]
     positions = [lc.index.get(c) for c in lefts]
     table = [[k is not None and bits >> k & 1 for k in positions] for bits in closures]
     exists_k = any(all(row[k] for row in table) for k in range(len(lefts)))
     all_pairs = all(all(row) for row in table)
     evidence = {
-        "rights": [format_multifraction(ctx, b) for b in rights],
-        "lefts": [format_multifraction(ctx, c) for c in lefts],
+        "rights": [None if b is None else format_multifraction(ctx, b) for b in rights],
+        "lefts": [None if c is None else format_multifraction(ctx, c) for c in lefts],
         "exists_k_forall_j": exists_k,
         "forall_k_forall_j": all_pairs,
     }
     if exists_k:
         return Verdict("confirmed", evidence)
-    if not any(bits & lc.overflowed for bits in closures):
+    if None not in rights + lefts and not any(bits & lc.overflowed for bits in closures):
         return Verdict("counterexample", evidence)
     evidence["incomplete_edges"] = sum(lc.incomplete_edges(bits) for bits in closures)
     return Verdict("inconclusive", evidence)
@@ -425,22 +440,13 @@ def has_central_cross(ctx: MonoidContext, a: Multifraction) -> CentralCross | No
     the adjacent-gcd quotient equations."""
     if a.depth != 4:
         raise ValueError("central-cross decision is depth-4 only")
-    if a.first_sign < 0:
-        # (x1..x4) is a cross for b4/b1/b2/b3 iff (x2,x3,x4,x1) is one for a
-        rot = Multifraction(1, (a.entries[3], a.entries[0], a.entries[1], a.entries[2]))
-        cross = has_central_cross(ctx, rot)
-        if cross is None:
-            return None
-        x1, x2, x3, x4 = cross.rays
-        restored = CentralCross((x2, x3, x4, x1))
-        assert cross_is_valid(ctx, a, restored)
-        return restored
-    g12 = ctx.gcd(a.entry(1), a.entry(2), Side.RIGHT)
-    g34 = ctx.gcd(a.entry(3), a.entry(4), Side.RIGHT)
-    x = ctx.divides(g12, a.entry(1), Side.RIGHT)
-    y = ctx.divides(g12, a.entry(2), Side.RIGHT)
+    side = red.due_side(a, 1)
+    g12 = ctx.gcd(a.entry(1), a.entry(2), side)
+    g34 = ctx.gcd(a.entry(3), a.entry(4), side)
+    x = ctx.divides(g12, a.entry(1), side)
+    y = ctx.divides(g12, a.entry(2), side)
     assert x is not None and y is not None
-    if a.entry(3) != ctx.multiply(y, g34) or a.entry(4) != ctx.multiply(x, g34):
+    if a.entry(3) != ctx.attach(y, g34, side) or a.entry(4) != ctx.attach(x, g34, side):
         return None
     cross = CentralCross((x, g12, y, g34))
     assert cross_is_valid(ctx, a, cross)

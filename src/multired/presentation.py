@@ -281,8 +281,9 @@ def _braid_word(s: int, t: int, m: int) -> tuple[int, ...]:
 def _artin(name: str, n: int, labels, fc: bool) -> Presentation:
     """The Artin-Tits presentation on n atoms named a, b, ...: one braid
     relation sts... = tst... of m letters a side per (s, t, m) triple, in
-    the order given: relation order reaches the atom table and the order
-    of `signedwords.applicable_steps`."""
+    the order given: relation order reaches the atom table and, in
+    `signedwords.applicable_steps`, only the order of the equivalence
+    steps."""
     letters = _letters(n)
     atoms = tuple(AtomId(i, letters[i]) for i in range(n))
     rels = tuple((_braid_word(s, t, m), _braid_word(t, s, m)) for s, t, m in labels)

@@ -3,9 +3,11 @@ positive or negative factors, and the two word-reversing moves.
 
 These are the elementary moves that keep the represented group element
 fixed; the random-walk generator of unital multifractions is built on them.
-A right reversing rewrite s^-1 t uses the relation pair whose sides start
-with s and t; a left reversing rewrite s t^-1 uses the pair whose sides end
-with s and t.
+A reversing rewrite takes the lcm of the atoms s and t from the monoid
+(`MonoidContext.lcm`): the right lcm for s^-1 t, the left lcm for s t^-1.
+Its complements x and y, from the relation s*x = t*y (x*s = y*t on the
+left), come as canonical words, which need not be spelt as in the
+relation; a pair with no lcm has no reversing step.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .monoid import MonoidContext
+from .monoid import MonoidContext, Side
 from .multifraction import SignedWord
 
 
@@ -41,71 +43,47 @@ def _positive(word: tuple[int, ...]) -> SignedWord:
     return tuple((a, 1) for a in word)
 
 
+def cancels(w: SignedWord, k: int) -> bool:
+    """w[k] w[k+1] is an inverse pair s s^-1 or s^-1 s."""
+    return 0 <= k < len(w) - 1 and w[k][0] == w[k + 1][0] and w[k][1] == -w[k + 1][1]
+
+
 def applicable_steps(ctx: MonoidContext, w: SignedWord) -> list[Step]:
     """All applicable elementary transformations, ordered by position then
     kind (enum order), then relation declaration order."""
-    rels = ctx.pres.relations
     steps: list[Step] = []
     n = len(w)
     for pos in range(n):
-        # free deletion of s s^-1 or s^-1 s
-        if pos + 1 < n:
-            (a1, s1), (a2, s2) = w[pos], w[pos + 1]
-            if a1 == a2 and s1 == -s2:
-                steps.append(Step(TransformKind.FREE_DELETE, pos, 2, ()))
-        # positive equivalence: a relation side as a positive factor
-        for lhs, rhs in rels:
-            for src, dst in ((lhs, rhs), (rhs, lhs)):
-                L = len(src)
-                if pos + L <= n and all(
-                    w[pos + k] == (src[k], 1) for k in range(L)
-                ):
-                    steps.append(
-                        Step(TransformKind.POS_EQUIV, pos, L, _positive(dst))
-                    )
-        # negative equivalence: the inverse of a relation side as a factor
-        for lhs, rhs in rels:
-            for src, dst in ((lhs, rhs), (rhs, lhs)):
-                inv = _inverse_word(src)
-                L = len(inv)
-                if pos + L <= n and tuple(w[pos + k] for k in range(L)) == inv:
-                    steps.append(
-                        Step(TransformKind.NEG_EQUIV, pos, L, _inverse_word(dst))
-                    )
-        if pos + 1 < n:
-            (a1, s1), (a2, s2) = w[pos], w[pos + 1]
-            # right reversing: s^-1 t -> v u^-1 with s v = t u a relation
-            if s1 < 0 and s2 > 0 and a1 != a2:
-                for lhs, rhs in rels:
-                    sides = {lhs[0]: lhs, rhs[0]: rhs}
-                    if set(sides) == {a1, a2}:
-                        v = sides[a1][1:]
-                        u = sides[a2][1:]
-                        steps.append(
-                            Step(
-                                TransformKind.RIGHT_REVERSE,
-                                pos,
-                                2,
-                                _positive(v) + _inverse_word(u),
-                            )
-                        )
-            # left reversing: s t^-1 -> u^-1 v with u s = v t a relation
-            if s1 > 0 and s2 < 0 and a1 != a2:
-                for lhs, rhs in rels:
-                    sides = {lhs[-1]: lhs, rhs[-1]: rhs}
-                    if set(sides) == {a1, a2}:
-                        u = sides[a1][:-1]
-                        v = sides[a2][:-1]
-                        steps.append(
-                            Step(
-                                TransformKind.LEFT_REVERSE,
-                                pos,
-                                2,
-                                _inverse_word(u) + _positive(v),
-                            )
-                        )
-    order = {k: i for i, k in enumerate(TransformKind)}
-    steps.sort(key=lambda s: (s.position, order[s.kind]))
+        if cancels(w, pos):
+            steps.append(Step(TransformKind.FREE_DELETE, pos, 2, ()))
+        # equivalence: a relation side, or the inverse of one, as a factor
+        for kind, spelling in (
+            (TransformKind.POS_EQUIV, _positive),
+            (TransformKind.NEG_EQUIV, _inverse_word),
+        ):
+            for lhs, rhs in ctx.pres.relations:
+                for src, dst in ((lhs, rhs), (rhs, lhs)):
+                    f = spelling(src)
+                    if w[pos:pos + len(f)] == f:
+                        steps.append(Step(kind, pos, len(f), spelling(dst)))
+        if pos + 1 == n:
+            continue
+        # reversing: s^-1 t -> (t past s)(s past t)^-1 on the RIGHT and
+        # s t^-1 -> (t past s)^-1 (s past t) on the LEFT, the complements
+        # of the side lcm of the atoms s and t
+        (s, sign), (t, t_sign) = w[pos], w[pos + 1]
+        if s == t or sign == t_sign:
+            continue
+        side = Side.RIGHT if sign < 0 else Side.LEFT
+        r = ctx.lcm(ctx.atoms()[s], ctx.atoms()[t], side)
+        if r is None:
+            continue
+        _, s_past_t, t_past_s = r
+        if side is Side.RIGHT:
+            kind, first, second = TransformKind.RIGHT_REVERSE, _positive, _inverse_word
+        else:
+            kind, first, second = TransformKind.LEFT_REVERSE, _inverse_word, _positive
+        steps.append(Step(kind, pos, 2, first(t_past_s.word) + second(s_past_t.word)))
     return steps
 
 

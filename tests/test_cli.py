@@ -5,8 +5,11 @@ import shlex
 import pytest
 
 from multired import cli
+from multired import harness
 from multired import reduction as red
-from multired.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, build_parser, dispatch, main
+from multired.cli import (
+    EXIT_COUNTEREXAMPLE, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, build_parser, dispatch, main,
+)
 from multired.monoid import MonoidContext, ReversingCapExceeded
 from multired.multifraction import format_multifraction, parse_multifraction
 from multired.presentation import preset
@@ -57,6 +60,10 @@ def test_graph_dot(capsys):
     code, out = run(capsys, "graph", "--preset", "A2tilde", "--dot", "1/c/aba")
     assert code == EXIT_OK
     assert out.startswith("digraph") and "R(2,a)" in out
+    # a move that is both a left and a right reduction is drawn as a division
+    code, out = run(capsys, "graph", "--preset", "A2tilde", "--dot", "a/a")
+    assert code == EXIT_OK
+    assert out.splitlines()[-2] == '  n0 -> n1 [label="D(1,a)"];'
 
 
 def test_basics(capsys):
@@ -132,6 +139,40 @@ def test_presentation_file(capsys, tmp_path):
     path.write_text("atoms: x y\nrel: xyx = yxy\n")
     code, out = run(capsys, "basics", "--presentation-file", str(path))
     assert code == EXIT_OK and len(out.split()) == 5
+
+
+def test_wordproblem_multiletter_atoms(capsys, tmp_path):
+    # atoms with names longer than one letter are joined by "." within a token
+    path = tmp_path / "pres.txt"
+    path.write_text("atoms: x1 x2\nrel: x1.x2.x1 = x2.x1.x2\n")
+    code, out = run(capsys, "wordproblem", "--presentation-file", str(path),
+                    "x1.x2.x1 x2^-1.x1^-1.x2^-1")
+    assert code == EXIT_OK and out.strip() == "trivial"
+
+
+def test_campaign_counterexample_dumped(capsys, monkeypatch, tmp_path):
+    # a counterexample halts the campaign at its trial, is dumped as a DOT
+    # graph and a JSON record, and exits 1
+    calls = []
+
+    def tester(ctx, a, cert):
+        calls.append(a)
+        return harness.Verdict("counterexample" if len(calls) == 2 else "confirmed", {})
+
+    monkeypatch.setattr(harness, "test_conjecture_B", tester)
+    dump = tmp_path / "dump"
+    code = main(["conjecture", "B", "--preset", "A2tilde", "--length", "8", "--trials", "5",
+                 "--dump-dir", str(dump), "--format", "json"])
+    assert code == EXIT_COUNTEREXAMPLE
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["counts"] == {"confirmed": 1, "counterexample": 1}
+    assert [rec["trial"] for rec in payload["records"]] == [0, 1]
+    assert sorted(os.listdir(dump)) == ["counterexample_1.dot", "counterexample_1.json"]
+    assert (dump / "counterexample_1.dot").read_text().startswith("digraph")
+    record = json.loads((dump / "counterexample_1.json").read_text())
+    assert record["verdict"] == "counterexample" and record["input"] == payload["counterexample"]["input"]
+    assert err.startswith("counterexample dumped: ")
 
 
 def test_cube_failure_refused_at_first_element(capsys, tmp_path):

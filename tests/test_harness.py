@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -180,10 +181,19 @@ def test_has_central_cross_examples(att):
         got = H.has_central_cross(att, a)
         assert got is not None and H.cross_is_valid(att, a, got)
     assert H.has_central_cross(att, mf(att, "ab/ac/1/1")) is None
-    # negative multifractions via rotation
+    # negative multifractions: the gcds and quotients are taken on the left
     neg = Multifraction(-1, mf(att, "ab/ab/1/1").entries)
-    got = H.has_central_cross(att, neg)
-    assert got is None or H.cross_is_valid(att, neg, got)
+    assert H.has_central_cross(att, neg).rays == (IDENTITY, att.element("ab"), IDENTITY, IDENTITY)
+    assert H.has_central_cross(att, Multifraction(-1, mf(att, "ab/ac/1/1").entries)) is None
+    # every cross assembled at first sign -1 is found, and what is found is a cross
+    for name in ("A2tilde", "braid(4)", "K(4,3)", "I2(5)"):
+        ctx = MonoidContext(preset(name))
+        rng = random.Random(name)
+        for _ in range(50):
+            rays = [H.gen_element(ctx, rng.randint(0, 3), rng.randrange(10**9)) for _ in range(4)]
+            a = H.assemble_cross(ctx, rays, first_sign=-1)
+            got = H.has_central_cross(ctx, a)
+            assert got is not None and H.cross_is_valid(ctx, a, got), (name, fmt(ctx, a))
 
 
 def test_check_depth4_equivalences(att):
@@ -428,6 +438,121 @@ def test_derive_seed_stable():
 def test_brownian_golden_value(att):
     a, _ = H.gen_unital_brownian(att, 12, 42)
     assert fmt(att, a) == "1/b/c/ac/cab/cab/ab"
+
+
+def test_brownian_walk_with_delete_replays(att):
+    a, cert = H.gen_unital_brownian(att, 12, 0)
+    assert "delete" in [item["op"] for item in cert.payload["walk"]]
+    assert H.validate_certificate(att, a, cert)
+
+
+def _insert(pos, atom, sign):
+    return {"op": "insert", "pos": pos, "atom": atom, "sign": sign}
+
+
+@pytest.mark.parametrize("walk, text", [
+    # a sign 2 insertion would put a^2 a^-2 in the word, not a cancelling pair
+    ([_insert(0, 0, 2)], "1/a/1/a"),
+    ([_insert(0, 3, 1)], "1/1"),
+    ([_insert(1, 0, 1)], "1/1"),
+    # a delete of "ab", which is no inverse pair
+    ([_insert(0, 0, 1), _insert(1, 1, 1), {"op": "delete", "pos": 0}], "1/ab"),
+    ([_insert(0, 0, 1), {"op": "delete", "pos": 1}], "a/a"),
+    ([_insert(0, 0, 1), {"op": "transform", "index": 7}], "1/1"),
+    ([_insert(0, 0, 1), {"op": "transform", "index": -1}], "1/1"),
+], ids=["sign", "atom", "insert_pos", "delete_pair", "delete_pos", "transform", "transform_neg"])
+def test_forged_brownian_steps_rejected(att, walk, text):
+    # explicit checks, not asserts: the replay refuses these under python -O too
+    a = mf(att, text)
+    cert = H.UnitalCertificate("brownian_trace", {"walk": walk})
+    assert not H.validate_certificate(att, a, cert)
+    for tester in (H.test_conjecture_A, H.test_conjecture_B):
+        with pytest.raises(MultiredError, match="certificate does not prove the input unital"):
+            tester(att, a, cert)
+
+
+def test_conjecture_A_graph_fallback(att, monkeypatch):
+    # a strategy run that misses the trivial multifraction hands over to
+    # the left reduct graph
+    a = mf(att, "a/a")
+    cert = H.UnitalCertificate("central_cross_seed", {"rays": ["a", "1"]})
+    stuck = lambda ctx, b, *args: SimpleNamespace(end=b)
+    monkeypatch.setattr(H, "reduce_left", stuck)
+    v = H.test_conjecture_A(att, a, cert)
+    assert (v.status, v.evidence) == ("confirmed", {"via": "graph", "nodes": 2})
+    small = MonoidContext(preset("A2tilde"), Caps(graph_node_cap=1))
+    v = H.test_conjecture_A(small, a, cert)
+    assert (v.status, v.evidence) == ("inconclusive", {"reason": "reduct graph exceeded 1 nodes"})
+
+    def overflowing(ctx, b, i, x):
+        raise ReversingCapExceeded("reversing exceeded 0 cell fills")
+
+    monkeypatch.setattr(red, "apply_left", overflowing)
+    v = H.test_conjecture_A(att, a, cert)
+    assert (v.status, v.evidence) == ("inconclusive", {"incomplete_edges": 3})
+    monkeypatch.undo()
+    # a/1 is not unital: a certificate forced through gives a counterexample
+    # read off its complete one-node graph
+    monkeypatch.setattr(H, "validate_certificate", lambda ctx, b, c: True)
+    v = H.test_conjecture_A(att, mf(att, "a/1"), cert)
+    assert (v.status, v.evidence) == (
+        "counterexample", {"nodes": 1, "certificate": "central_cross_seed"}
+    )
+
+
+def test_word_problem_graph_branches(att, monkeypatch):
+    w = ((0, 1), (0, -1))  # a a^-1, the multifraction a/a
+    monkeypatch.setattr(H, "reduce_left", lambda ctx, b, *args: SimpleNamespace(end=b))
+    r = H.word_problem(att, w)
+    assert (r["verdict"], r["basis"], r["unconditional"]) == ("trivial", "graph", True)
+    small = MonoidContext(preset("A2tilde"), Caps(graph_node_cap=1))
+    r = H.word_problem(small, w)
+    assert (r["verdict"], r["basis"]) == ("inconclusive", "reduct graph exceeded 1 nodes")
+
+    def overflowing(ctx, b, i, x):
+        raise ReversingCapExceeded("reversing exceeded 0 cell fills")
+
+    monkeypatch.setattr(red, "apply_left", overflowing)
+    r = H.word_problem(att, w)
+    assert (r["verdict"], r["basis"]) == ("inconclusive", "incomplete graph")
+
+
+def test_four_strategy_counterexample(att, monkeypatch):
+    # strategy left reducts that no right reduct's complete closure holds
+    a = mf(att, "ac/ca/ba")
+    far = mf(att, "b/b/b")
+    monkeypatch.setattr(H, "reduce_left", lambda ctx, b, *args: SimpleNamespace(end=far))
+    v = H.four_strategy_C_probe(att, a)
+    assert v.status == "counterexample"
+    assert v.evidence == {
+        "rights": ["1/c/aba"] * 4,
+        "lefts": ["b/b/b"] * 4,
+        "exists_k_forall_j": False,
+        "forall_k_forall_j": False,
+    }
+
+
+def test_four_strategy_overflowing_runs_keep_evidence(att, monkeypatch):
+    # a strategy run that overflows leaves its reduct null; the other runs
+    # and the closures of the finished right reducts are still reported
+    apply_left = red.apply_left
+    c = att.element("c")
+
+    def overflowing(ctx, a, i, x):
+        if i == 2 and x == c:
+            raise ReversingCapExceeded("reversing exceeded 0 cell fills")
+        return apply_left(ctx, a, i, x)
+
+    monkeypatch.setattr(red, "apply_left", overflowing)
+    config = H.CampaignConfig("A2tilde", "C", depth=4, length=12, trials=20, seed=1)
+    report = H.run_campaign(att, config)
+    assert report.counts == {"inconclusive": 20}
+    for rec in report.records:
+        ev = rec["evidence"]
+        assert "cap" not in ev and len(ev["rights"]) == len(ev["lefts"]) == 4
+        assert None in ev["rights"] + ev["lefts"]
+        assert not ev["exists_k_forall_j"] and ev["incomplete_edges"] >= 0
+    assert any(None not in rec["evidence"]["rights"] for rec in report.records)
 
 
 def test_four_strategy_exists_without_forall(att):

@@ -1,6 +1,8 @@
 import random
 
+from multired.monoid import MonoidContext
 from multired.multifraction import from_signed_word, unit
+from multired.presentation import preset
 from multired.reduction import reduce_left, reduct_graph
 from multired.signedwords import (
     Step,
@@ -66,25 +68,30 @@ def test_enumeration_order(att):
     )
 
 
-def test_steps_preserve_group_element(att):
-    rng = random.Random(4)
-    checked = 0
-    for _ in range(40):
-        w = tuple(
-            (rng.randrange(3), rng.choice((1, -1))) for _ in range(rng.randint(2, 6))
-        )
-        for step in applicable_steps(att, w)[:3]:
-            out = apply_step(w, step)
-            # w * inverse(out) must represent 1: reduce the evaluation
-            combined = w + inverse_word(out)
-            mf = from_signed_word(att, free_reduce(combined))
-            tr = reduce_left(att, mf)
-            end = tr.end
-            if end != unit(end.depth):
-                g = reduct_graph(att, mf)
-                assert g.contains(unit(mf.depth)), (w, step)
-            checked += 1
-    assert checked > 50
+def test_steps_preserve_group_element():
+    for name in ("A2tilde", "braid(4)", "I2(5)", "free(2)"):
+        ctx = MonoidContext(preset(name))
+        rng = random.Random(4)
+        checked = []
+        for _ in range(80):
+            w = tuple(
+                (rng.randrange(ctx.pres.n_atoms), rng.choice((1, -1)))
+                for _ in range(rng.randint(2, 6))
+            )
+            for step in applicable_steps(ctx, w):
+                out = apply_step(w, step)
+                # w * inverse(out) must represent 1: reduce the evaluation
+                combined = w + inverse_word(out)
+                mf = from_signed_word(ctx, free_reduce(combined))
+                end = reduce_left(ctx, mf).end
+                if end != unit(end.depth):
+                    g = reduct_graph(ctx, mf)
+                    assert g.contains(unit(mf.depth)), (name, w, step)
+                checked.append(step.kind)
+        assert len(checked) > 40, name
+        if ctx.pres.relations:
+            reversing = {TransformKind.RIGHT_REVERSE, TransformKind.LEFT_REVERSE}
+            assert reversing <= set(checked), name
 
 
 def test_free_reduce_roundtrip(att):
