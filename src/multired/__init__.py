@@ -1,4 +1,8 @@
-"""Multifraction reduction in homogeneous gcd-monoids."""
+"""Multifraction reduction in homogeneous gcd-monoids.
+
+`validate` checks a presentation's atom names and homogeneity only; the
+atom table of a `MonoidContext` refuses one that is not complemented at
+its first element, naming the relation."""
 
 from .presentation import (
     Presentation,

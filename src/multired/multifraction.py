@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .monoid import CapExceeded, IDENTITY, Element, MonoidContext, MultiredError, Side
-from .presentation import format_word, parse_word
+from .monoid import IDENTITY, Element, MonoidContext, MultiredError, Side
+from .presentation import PresentationError, format_word, parse_word
 
 # a signed letter is (atom index, +1 | -1)
 SignedWord = tuple[tuple[int, int], ...]
@@ -124,31 +124,16 @@ def trim_trailing_units(a: Multifraction) -> Multifraction:
 
 
 def from_signed_word(ctx: MonoidContext, w: SignedWord) -> Multifraction:
-    """Evaluate a signed word as a positive multifraction.
-
-    The word is cut into maximal sign runs w1 w2^-1 w3 ...; a leading
-    negative run yields a trivial first entry, so the result is always
-    positive (the word-problem pipeline works in positive multifractions).
-    """
-    runs: list[tuple[int, list[int]]] = []
+    """Evaluate a signed word as a positive multifraction: the product of
+    its letters as depth-1 multifractions, from unit(1).  A run of
+    inverse letters s~ t~ ... merges into the inverse of ...ts, and a
+    leading negative run follows a trivial first entry, so the result is
+    always positive (the word-problem pipeline works in positive
+    multifractions)."""
+    out = unit(1)
     for atom, sign in w:
-        if runs and runs[-1][0] == sign:
-            runs[-1][1].append(atom)
-        else:
-            runs.append((sign, [atom]))
-    entries: list[Element] = []
-    expected = 1
-    for sign, atoms in runs:
-        if sign != expected:
-            entries.append(IDENTITY)
-            expected = -expected
-        # a run of inverse letters s~ t~ ... spells the inverse of ...ts
-        word = tuple(atoms) if sign > 0 else tuple(reversed(atoms))
-        entries.append(ctx.canonical(word))
-        expected = -expected
-    if not entries:
-        entries = [IDENTITY]
-    return Multifraction(1, tuple(entries))
+        out = product(ctx, out, Multifraction(sign, (ctx.canonical((atom,)),)))
+    return out
 
 
 def to_signed_word(a: Multifraction) -> SignedWord:
@@ -185,11 +170,10 @@ def parse_multifraction(ctx: MonoidContext, text: str) -> Multifraction:
         if not chunk:
             raise MultifractionParseError("empty entry", pos)
         try:
-            entries.append(ctx.canonical(parse_word(ctx.pres, chunk)))
-        except CapExceeded:
-            raise
-        except Exception as e:
+            word = parse_word(ctx.pres, chunk)
+        except PresentationError as e:
             raise MultifractionParseError(str(e), pos) from e
+        entries.append(ctx.canonical(word))
         pos += len(chunk) + 1
     return Multifraction(first_sign, tuple(entries))
 

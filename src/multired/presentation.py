@@ -1,11 +1,13 @@
 """Monoid presentations: atoms plus homogeneous relations.
 
-A presentation is the ground data for everything else in this package.  We
-only accept positive homogeneous presentations (both sides of every relation
-have the same length, at least 2) with at most one relation per pair of
-atoms, each relation's two sides starting with distinct atoms.  Homogeneity
-gives a length function that is additive under multiplication, which the
-whole rewrite machinery relies on.
+A presentation is the ground data for everything else in this package.
+Parsing checks the atom names and that every relation is homogeneous
+(both sides of the same length, at least 2), which gives a length function
+additive under multiplication.  Whether the relations are complemented
+(one relation per pair of starting atoms, its sides starting with
+distinct atoms) is decided by the atom table of a `MonoidContext` alone:
+it refuses a presentation that is not at its first element, with a
+LatticeViolation naming the relation.
 
 Atom order is declaration order; it fixes every lexicographic tie-break
 downstream, so parsing is fully deterministic.
@@ -66,29 +68,6 @@ class Presentation:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[CheckResult, ...]
-    artin_tits: bool
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
 def format_word(p: Presentation, word: tuple[int, ...]) -> str:
     names = [p.atoms[i].name for i in word]
     if not names:
@@ -123,97 +102,21 @@ def parse_word(p: Presentation, text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _braid_shape(lhs: tuple[int, ...], rhs: tuple[int, ...]) -> bool:
-    """sts... = tst... of equal length (length-2 commutations included)."""
-    if len(lhs) != len(rhs) or len(lhs) < 2:
-        return False
-    s, t = lhs[0], rhs[0]
-    if s == t:
-        return False
-    for k in range(len(lhs)):
-        if lhs[k] != (s if k % 2 == 0 else t):
-            return False
-        if rhs[k] != (t if k % 2 == 0 else s):
-            return False
-    return True
-
-
-def _relation_key(rel: tuple[tuple[int, ...], tuple[int, ...]]) -> frozenset[int]:
-    lhs, rhs = rel
-    support = frozenset(lhs) | frozenset(rhs)
-    if len(support) <= 2:
-        return support
-    return frozenset({lhs[0], rhs[0]})
-
-
-def validate(p: Presentation) -> ValidationReport:
-    """Check all structural invariants; never raises, never mutates."""
-    checks: list[CheckResult] = []
-
+def validate(p: Presentation) -> Presentation:
+    """p, when its atom names are usable and its relations homogeneous;
+    raises ValidationFailure otherwise.  Complementedness is left to the
+    atom table of a `MonoidContext`."""
     bad_names = [
         a.name
         for a in p.atoms
         if not a.name or any(c.isspace() or c in FORBIDDEN_NAME_CHARS for c in a.name)
     ]
-    dup_names = len(set(p.atom_names)) != len(p.atom_names)
-    checks.append(
-        CheckResult(
-            "atom_names",
-            not bad_names and not dup_names,
-            "bad names: %s" % bad_names if bad_names else ("duplicates" if dup_names else ""),
-        )
-    )
-
-    dense = all(a.index == i for i, a in enumerate(p.atoms))
-    checks.append(CheckResult("atom_indices_dense", dense))
-
-    inhomogeneous = [
-        rel for rel in p.relations if len(rel[0]) != len(rel[1]) or len(rel[0]) < 2
-    ]
-    checks.append(
-        CheckResult(
-            "homogeneous",
-            not inhomogeneous,
-            "" if not inhomogeneous else f"{len(inhomogeneous)} non-homogeneous relation(s)",
-        )
-    )
-
-    same_start = [rel for rel in p.relations if rel[0][:1] == rel[1][:1]]
-    checks.append(
-        CheckResult(
-            "distinct_starting_atoms",
-            not same_start,
-            "" if not same_start else "relation sides start with identical atom",
-        )
-    )
-
-    seen: dict[frozenset[int], int] = {}
-    dup_pairs = 0
-    for rel in p.relations:
-        key = _relation_key(rel)
-        dup_pairs += seen.get(key, 0) > 0
-        seen[key] = seen.get(key, 0) + 1
-    checks.append(
-        CheckResult(
-            "pair_uniqueness",
-            dup_pairs == 0,
-            "" if dup_pairs == 0 else f"{dup_pairs} duplicated atom pair(s)",
-        )
-    )
-
-    artin = all(_braid_shape(l, r) for l, r in p.relations)
-    checks.append(CheckResult("artin_tits_shape", artin))
-
-    return ValidationReport(checks=tuple(checks), artin_tits=artin)
-
-
-def require_valid(p: Presentation) -> Presentation:
-    report = validate(p)
-    failed = [c for c in report.checks if not c.passed and c.name != "artin_tits_shape"]
-    if failed:
-        raise ValidationFailure(
-            "; ".join(f"{c.name}: {c.detail or 'failed'}" for c in failed)
-        )
+    if bad_names or len(set(p.atom_names)) != len(p.atom_names):
+        detail = f"bad names: {bad_names}" if bad_names else "duplicates"
+        raise ValidationFailure(f"atom_names: {detail}")
+    uneven = sum(len(lhs) != len(rhs) or len(lhs) < 2 for lhs, rhs in p.relations)
+    if uneven:
+        raise ValidationFailure(f"homogeneous: {uneven} non-homogeneous relation(s)")
     return p
 
 
@@ -222,25 +125,23 @@ def parse_presentation(text: str, name: str = "parsed") -> Presentation:
 
     ``atoms: a b c`` then any number of ``rel: aba = bab`` lines.  ``#``
     starts a comment.  Raises PresentationSyntaxError with a position, or
-    ValidationFailure naming the violated invariant.
+    ValidationFailure from `validate`.
     """
-    atoms: list[AtomId] | None = None
+    partial: Presentation | None = None  # the atoms, once their line is read
     relations: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    partial = Presentation(name=name, atoms=(), relations=())
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("atoms:"):
-            if atoms is not None:
+            if partial is not None:
                 raise PresentationSyntaxError("duplicate atoms: line", lineno)
             names = line[len("atoms:"):].split()
             if not names:
                 raise PresentationSyntaxError("empty atom list", lineno, line.index(":"))
-            atoms = [AtomId(i, n) for i, n in enumerate(names)]
-            partial = Presentation(name=name, atoms=tuple(atoms), relations=())
+            partial = Presentation(name, tuple(AtomId(i, n) for i, n in enumerate(names)), ())
         elif line.startswith("rel:"):
-            if atoms is None:
+            if partial is None:
                 raise PresentationSyntaxError("rel: before atoms:", lineno)
             body = line[len("rel:"):]
             if "=" not in body:
@@ -254,10 +155,9 @@ def parse_presentation(text: str, name: str = "parsed") -> Presentation:
             relations.append((lhs, rhs))
         else:
             raise PresentationSyntaxError(f"unrecognized line {line!r}", lineno)
-    if atoms is None:
+    if partial is None:
         raise PresentationSyntaxError("missing atoms: line", 1)
-    p = Presentation(name=name, atoms=tuple(atoms), relations=tuple(relations))
-    return require_valid(p)
+    return validate(dataclasses.replace(partial, relations=tuple(relations)))
 
 
 def format_presentation(p: Presentation) -> str:

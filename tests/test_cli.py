@@ -184,6 +184,34 @@ def test_cube_failure_refused_at_first_element(capsys, tmp_path):
     assert "cube condition fails on atoms (a, b, c)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("atoms: a b c\nrel: ab = bc\nrel: bc = ca\n", "cube condition fails on atoms (a, b, c)"),
+    ("atoms: a b\nrel: ab = ab\n", "both sides of ab = ab start with a"),
+])
+def test_lattice_error_is_no_parse_error(capsys, tmp_path, text, message):
+    # the presentation is at fault, not the multifraction: no position
+    path = tmp_path / "pres.txt"
+    path.write_text(text)
+    assert main(["reduce", "--presentation-file", str(path), "a/b"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err and "position" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["basics"], ["basics", "--side", "left"], ["threeore"], ["cycleprobe"],
+    ["reduce", "a/b"], ["rreduce", "a/b"], ["derdiv", "a/b"], ["redtame", "a/b"],
+    ["irr", "a/b"], ["graph", "a/b"], ["vankampen", "ab/ba/ab/ba"], ["wordproblem", "a B"],
+    ["conjecture", "Cunif", "--trials", "1"],
+], ids=lambda argv: " ".join(argv))
+def test_non_complemented_file_refused(capsys, tmp_path, argv):
+    # parsing checks names and homogeneity only; every context subcommand
+    # reads an atom table, which refuses the file
+    path = tmp_path / "pres.txt"
+    path.write_text("atoms: a b\nrel: ab = ab\n")
+    assert main(argv + ["--presentation-file", str(path)]) == EXIT_USAGE
+    assert "both sides of ab = ab" in capsys.readouterr().err
+
+
 def test_usage_error():
     assert main(["bogus"]) == EXIT_USAGE
     assert main(["reduce", "--preset", "nope", "a/b"]) == EXIT_USAGE

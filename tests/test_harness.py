@@ -162,6 +162,23 @@ def test_conjecture_C_uniform_trivial_and_braid(att, braid3):
         assert fmt(braid3, irr[0]) in v.evidence["witnesses"]
 
 
+def test_conjecture_C_uniform_red_tame_overflow_keeps_witnesses(att, monkeypatch):
+    # the tame reduct is a candidate alongside the witnesses: its overflow
+    # records it null, and the witnesses still decide the verdict
+    a = mf(att, "abb/acbb/c/bacb")
+    want = H.test_conjecture_C_uniform(att, a)
+
+    def overflowing(ctx, a):
+        raise ReversingCapExceeded("reversing exceeded 0 cell fills")
+
+    monkeypatch.setattr(H, "red_tame", overflowing)
+    got = H.test_conjecture_C_uniform(att, a)
+    assert got.status == want.status == "confirmed"
+    assert got.evidence["red_tame"] is None and got.evidence["red_tame_is_witness"] is False
+    assert got.evidence["witnesses"] == want.evidence["witnesses"] != []
+    assert got.evidence["right_reducts"] == want.evidence["right_reducts"]
+
+
 def test_four_strategy_probe(att, braid3):
     irr = mf(att, "ac/ca/ba")
     v = H.four_strategy_C_probe(att, irr)
@@ -460,11 +477,27 @@ def _insert(pos, atom, sign):
     ([_insert(0, 0, 1), {"op": "delete", "pos": 1}], "a/a"),
     ([_insert(0, 0, 1), {"op": "transform", "index": 7}], "1/1"),
     ([_insert(0, 0, 1), {"op": "transform", "index": -1}], "1/1"),
-], ids=["sign", "atom", "insert_pos", "delete_pair", "delete_pos", "transform", "transform_neg"])
+    ([{"op": "bogus"}], "1/1"),
+    ([{"op": "insert", "pos": 0, "atom": 0}], "1/1"),
+    ([_insert(0, 0.5, 1)], "1/1"),
+], ids=["sign", "atom", "insert_pos", "delete_pair", "delete_pos", "transform", "transform_neg",
+        "op", "missing_sign", "atom_not_int"])
 def test_forged_brownian_steps_rejected(att, walk, text):
+    _assert_refused(att, mf(att, text), H.UnitalCertificate("brownian_trace", {"walk": walk}))
+
+
+@pytest.mark.parametrize("kind, payload", [
+    # the cross ab/ab with a choice c that does not left-divide ab
+    ("lcm_expansion_chain", {"rays": ["a", "b"], "choices": [["c", "1"]]}),
+    ("lcm_expansion_chain", {"rays": ["a", "b"], "choices": [["a"]]}),
+    ("central_cross_seed", {"rays": ["a", "z"]}),
+], ids=["choice_not_divisor", "too_few_choices", "unknown_atom"])
+def test_forged_certificate_payloads_rejected(att, kind, payload):
+    _assert_refused(att, mf(att, "ab/ab"), H.UnitalCertificate(kind, payload))
+
+
+def _assert_refused(att, a, cert):
     # explicit checks, not asserts: the replay refuses these under python -O too
-    a = mf(att, text)
-    cert = H.UnitalCertificate("brownian_trace", {"walk": walk})
     assert not H.validate_certificate(att, a, cert)
     for tester in (H.test_conjecture_A, H.test_conjecture_B):
         with pytest.raises(MultiredError, match="certificate does not prove the input unital"):

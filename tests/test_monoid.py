@@ -315,6 +315,10 @@ def test_atom_complements_match_oracle(preset_name, side):
     ("atoms: a b c\nrel: ab = cb\n", Side.LEFT, "both sides of ab = cb end with b"),
     ("atoms: a b c\nrel: ca = ab\nrel: cb = ba\n", Side.LEFT,
      "cb = ba and another relation both end with b and a"),
+    # identical starts and a duplicate start pair: parsing leaves both to the atom table
+    ("atoms: a b\nrel: ab = ab\n", Side.RIGHT, "both sides of ab = ab start with a"),
+    ("atoms: a b\nrel: ab = ba\nrel: aab = bba\n", Side.RIGHT,
+     "aab = bba and another relation both start with a and b"),
 ])
 def test_incomplete_presentations_rejected(text, side, message):
     ctx = MonoidContext(parse_presentation(text))

@@ -1,6 +1,9 @@
 import pytest
 
+from multired.monoid import LatticeViolation, MonoidContext, Side
 from multired.presentation import (
+    AtomId,
+    Presentation,
     PresentationError,
     PresentationSyntaxError,
     UnknownPreset,
@@ -16,7 +19,6 @@ def test_parse_att():
     p = parse_presentation("atoms: a b c\nrel: aba = bab\nrel: bcb = cbc\nrel: cac = aca\n")
     assert p.atom_names == ("a", "b", "c")
     assert len(p.relations) == 3
-    assert validate(p).artin_tits
 
 
 def test_parse_free_monoid():
@@ -24,9 +26,11 @@ def test_parse_free_monoid():
     assert p.n_atoms == 1 and p.relations == ()
 
 
-def test_parse_rejects_identical_starts():
-    with pytest.raises(ValidationFailure):
-        parse_presentation("atoms: a b\nrel: ab = ab\n")
+def test_identical_starts_refused_at_first_element():
+    # parsing leaves complementedness to the atom table, which names the relation
+    ctx = MonoidContext(parse_presentation("atoms: a b\nrel: ab = ab\n"))
+    with pytest.raises(LatticeViolation, match="both sides of ab = ab start with a"):
+        ctx.element("a")
 
 
 def test_parse_comments_and_errors():
@@ -40,22 +44,23 @@ def test_parse_comments_and_errors():
         parse_presentation("atoms: a b\nnonsense\n")
 
 
-def test_validate_reports():
+def test_validate_names_and_homogeneity():
     p = parse_presentation("atoms: a b c\nrel: aba = bab\nrel: bcb = cbc\nrel: cac = aca\n")
-    report = validate(p)
-    assert report.ok and report.artin_tits
-    # duplicate pair {a,b}
-    from multired.presentation import AtomId, Presentation
-
-    dup = Presentation(
-        "dup",
-        (AtomId(0, "a"), AtomId(1, "b")),
-        (((0, 1), (1, 0)), ((0, 0, 1), (0, 1, 0))),
-    )
-    rep = validate(dup)
-    assert not rep.check("pair_uniqueness").passed
-    uneven = Presentation("odd", (AtomId(0, "a"), AtomId(1, "b")), (((0, 1), (1,)),))
-    assert not validate(uneven).check("homogeneous").passed
+    assert validate(p) is p
+    ab = (AtomId(0, "a"), AtomId(1, "b"))
+    with pytest.raises(ValidationFailure, match="homogeneous: 1 non-homogeneous"):
+        validate(Presentation("odd", ab, (((0, 1), (1,)),)))
+    with pytest.raises(ValidationFailure, match="homogeneous"):
+        parse_presentation("atoms: a b\nrel: a = b\n")
+    with pytest.raises(ValidationFailure, match="atom_names: duplicates"):
+        parse_presentation("atoms: a a\n")
+    with pytest.raises(ValidationFailure, match="atom_names: bad names: \\['a/b'\\]"):
+        parse_presentation("atoms: a/b c\n")
+    # a duplicated pair {a, b} is left to the atom table
+    dup = Presentation("dup", ab, (((0, 1), (1, 0)), ((0, 0, 1), (1, 1, 0))))
+    assert validate(dup) is dup
+    with pytest.raises(LatticeViolation, match="both start with a and b"):
+        MonoidContext(dup).basic_table(Side.RIGHT)
 
 
 def test_presets():
@@ -79,7 +84,8 @@ def test_presets():
     with pytest.raises(UnknownPreset):
         preset("braid(1)")
     for name in ("A2tilde", "braid(4)", "K(4,3)", "free(3)", "I2(2)", "A3tilde", "C2tilde"):
-        assert validate(preset(name)).ok, name
+        p = preset(name)
+        assert validate(p) is p, name
 
 
 def test_roundtrip():
