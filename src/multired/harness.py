@@ -423,15 +423,20 @@ def four_strategy_C_probe(ctx: MonoidContext, a: Multifraction) -> Verdict:
     reducts must all left-reduce to one of the four strategy left reducts
     (the all-pairs outcome is recorded as well).  Reducibility is read off
     the right reducts' left reduct closures (`left_closures`).  A strategy
-    run that overflows a cap leaves its reduct None; a failure is a
+    run that overflows a cap leaves its reduct None, and closures that
+    overflow leave only the runs' reducts and the reason; a failure is a
     counterexample only when all eight runs finished and all four closures
     are complete."""
     rights = [_strategy_end(reduce_right, ctx, a, s) for s in red.STRATEGIES]
     lefts = [_strategy_end(reduce_left, ctx, a, s) for s in red.STRATEGIES]
+    runs = {
+        "rights": [None if b is None else format_multifraction(ctx, b) for b in rights],
+        "lefts": [None if c is None else format_multifraction(ctx, c) for c in lefts],
+    }
     try:
         lc = red.left_closures(ctx, [b for b in rights if b is not None])
     except CapExceeded as e:
-        return Verdict("inconclusive", {"reason": str(e)})
+        return Verdict("inconclusive", {**runs, "reason": str(e)})
     # an unfinished right run reaches nothing; an unfinished left one is reached by none
     closures = [0 if b is None else lc.closure_of(b) for b in rights]
     positions = [lc.index.get(c) for c in lefts]
@@ -439,8 +444,7 @@ def four_strategy_C_probe(ctx: MonoidContext, a: Multifraction) -> Verdict:
     exists_k = any(all(row[k] for row in table) for k in range(len(lefts)))
     all_pairs = all(all(row) for row in table)
     evidence = {
-        "rights": [None if b is None else format_multifraction(ctx, b) for b in rights],
-        "lefts": [None if c is None else format_multifraction(ctx, c) for c in lefts],
+        **runs,
         "exists_k_forall_j": exists_k,
         "forall_k_forall_j": all_pairs,
     }

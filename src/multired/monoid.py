@@ -21,7 +21,7 @@ nothing to add; what is left of w is the quotient.  Divisibility peels
 atoms, `divisors` searches over atom peels, and an element is represented
 by its lexicographically least word (atom order = declaration order),
 built by peeling off the least dividing atom again and again.  lcms are
-reversals; gcds divide out joins of common boundary atoms.  `lcm_oracle`
+reversals; a gcd peels the least common atom again and again.  `lcm_oracle`
 and `multiples` are brute-force searches kept for the tests to
 cross-check against; nothing in the package calls them.
 
@@ -30,8 +30,7 @@ attaches on the right and LEFT on the left.  `attach(y, x, side)` is y*x
 for RIGHT and x*y for LEFT, and it is the one place that orders a
 product by its side; `divides(x, a, side)` is the q with
 attach(q, x, side) == a, and the lcm m of a and b is
-attach(a, compB, side) == attach(b, compA, side).  A gcd on one side
-joins its common atoms by lcms on the other.
+attach(a, compB, side) == attach(b, compA, side).
 
 Everything is cached in a MonoidContext.  Caches are pure-function memos
 (same key, same value), so concurrent reads plus idempotent concurrent
@@ -45,7 +44,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .presentation import Presentation, format_word, parse_word
+from .presentation import Presentation, format_word, parse_word, validate
 
 Word = tuple[int, ...]
 # (a past b, b past a), or None when a and b have no common multiple
@@ -75,8 +74,9 @@ class GraphNodeCapExceeded(CapExceeded):
 
 
 class LatticeViolation(MultiredError):
-    """The presentation does not define a gcd-monoid (incomparable maximal
-    common divisors, or common multiples without a least one)."""
+    """The presentation does not define a gcd-monoid: its atom table is not
+    complemented or fails the cube condition, or `lcm_oracle` met two
+    minimal common multiples."""
 
 
 class Side(Enum):
@@ -149,14 +149,13 @@ def _concat(words) -> Word:
 
 class MonoidContext:
     def __init__(self, pres: Presentation, caps: Caps | None = None):
-        self.pres = pres
+        self.pres = validate(pres)
         self.caps = caps or Caps()
         self._atoms = tuple(Element((i,)) for i in range(pres.n_atoms))
         self._canon: dict[Word, Element] = {(): IDENTITY}
         # memo keys hold `side is Side.LEFT`, not the Side: an enum hashes
         # in Python, a bool in C, and every move attempt looks these up
         self._divides: dict[tuple[Word, Word, bool], Element | None] = {}
-        self._gcd: dict[tuple[Word, Word, bool], Element] = {}
         self._lcm: dict[tuple[Word, Word, bool], tuple[Element, Element, Element] | None] = {}
         self._divisors: dict[tuple[Word, bool], tuple[Element, ...]] = {}
         self._tables: dict[Side, BasicTable] = {}
@@ -391,12 +390,6 @@ class MonoidContext:
     # ------------------------------------------------------------------
     # divisibility
 
-    def boundary_atoms(self, x: Element, side: Side) -> frozenset[int]:
-        """Atoms that side-divide x: begin (LEFT) or end (RIGHT) a word of x."""
-        return frozenset(
-            s for s in range(self.pres.n_atoms) if self._divide((s,), x.word, side) is not None
-        )
-
     def divides(self, x: Element, a: Element, side: Side) -> Element | None:
         """Quotient q with x*q = a (LEFT) or q*x = a (RIGHT), else None."""
         xw, aw = x.word, a.word
@@ -445,40 +438,27 @@ class MonoidContext:
     def gcd(self, a: Element, b: Element, side: Side) -> Element:
         """Greatest common side-divisor.
 
-        The join (conditional lcm) of the common boundary atoms divides
-        both arguments; divide it out and recurse.  In a gcd-monoid the
-        join always exists and the result is the unique maximal common
-        divisor; a failure raises LatticeViolation.
+        An atom that side-divides both a and b divides their gcd, so the
+        gcd is that atom attached to the gcd of the two quotients: peel the
+        least common atom until none is left, then attach the peeled atoms
+        back.  The cube condition, checked on the atom table `divides`
+        reads, makes the gcd exist.
         """
-        if a.is_identity or b.is_identity:
-            return IDENTITY
-        left = side is Side.LEFT
-        key = (a.word, b.word, left) if a.word <= b.word else (b.word, a.word, left)
-        got = self._gcd.get(key)
-        if got is not None:
-            return got
-        common = sorted(self.boundary_atoms(a, side) & self.boundary_atoms(b, side))
-        if not common:
-            result = IDENTITY
-        else:
-            m = Element((common[0],))
-            for s in common[1:]:
-                r = self.lcm(m, Element((s,)), side.other)
-                if r is None:
-                    raise LatticeViolation(
-                        "common divisors without a join: not a gcd-monoid"
-                    )
-                m = r[0]
-            qa = self.divides(m, a, side)
-            qb = self.divides(m, b, side)
-            if qa is None or qb is None:
-                raise LatticeViolation(
-                    "join of common divisors fails to divide: not a gcd-monoid"
-                )
-            sub = self.gcd(qa, qb, side)
-            result = self.attach(sub, m, side)
-        self._gcd[key] = result
-        return result
+        peeled = []
+        while True:
+            for s in self._atoms:
+                qa = self.divides(s, a, side)
+                qb = None if qa is None else self.divides(s, b, side)
+                if qb is not None:
+                    break
+            else:
+                break
+            peeled.append(s)
+            a, b = qa, qb
+        g = IDENTITY
+        for s in reversed(peeled):
+            g = self.attach(g, s, side)
+        return g
 
     # ------------------------------------------------------------------
     # lcm: bounded oracle and reversing

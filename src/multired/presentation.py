@@ -3,11 +3,12 @@
 A presentation is the ground data for everything else in this package.
 Parsing checks the atom names and that every relation is homogeneous
 (both sides of the same length, at least 2), which gives a length function
-additive under multiplication.  Whether the relations are complemented
-(one relation per pair of starting atoms, its sides starting with
-distinct atoms) is decided by the atom table of a `MonoidContext` alone:
-it refuses a presentation that is not at its first element, with a
-LatticeViolation naming the relation.
+additive under multiplication; a `MonoidContext` runs the same check
+(`validate`) on a presentation built in code.  Whether the relations are
+complemented (one relation per pair of starting atoms, its sides starting
+with distinct atoms) is decided by the atom table of a `MonoidContext`
+alone: it refuses a presentation that is not at its first element, with
+a LatticeViolation naming the relation.
 
 Atom order is declaration order; it fixes every lexicographic tie-break
 downstream, so parsing is fully deterministic.

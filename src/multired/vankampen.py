@@ -118,13 +118,10 @@ def _apply(ctx, c, i, x):
     return b
 
 
-def _ring_edges(builder, names, mf, existing=None):
-    """Boundary edges of one ring; reuses ids already created."""
+def _ring_edges(builder, names, mf):
+    """Boundary edges of the outer ring."""
     ids = []
     for i in range(1, mf.depth + 1):
-        if existing is not None and existing[i - 1] is not None:
-            ids.append(existing[i - 1])
-            continue
         u, v = names[i - 1], names[i % mf.depth]
         if mf.sign(i) < 0:
             u, v = v, u
@@ -214,6 +211,7 @@ def _annulus(builder, ctx, c, segment, outer_names, outer_ids, ring):
     inner_names = [outer_names[0]] + [
         builder.vertex(f"r{ring + 1}v{j}") for j in range(1, m - 2)
     ]
+    # the cells set every inner edge: 0, 1..m-4 and m-3
     inner_ids: list[str | None] = [None] * (m - 2)
     U = outer_names + [outer_names[0]]
     W = inner_names + [inner_names[0]]
@@ -275,5 +273,4 @@ def _annulus(builder, ctx, c, segment, outer_names, outer_ids, ring):
     builder.triangle(e_cmp, e_cf1, outer_ids[m - 1])
     builder.triangle(e_cmp, e_cfk, e_dlast)
 
-    ids = _ring_edges(builder, inner_names, d, existing=inner_ids)
-    return d, inner_names, ids
+    return d, inner_names, inner_ids

@@ -56,6 +56,13 @@ def test_rreduce_derdiv_redtame_irr(capsys):
     assert code == EXIT_OK and out.strip().endswith("1/1")
 
 
+def test_derdiv_deep_common_divisor(capsys):
+    # the two entries share a suffix of 1,401 letters, which divides out
+    w = "ab" * 700
+    assert main(["derdiv", "--preset", "free(2)", f"a{w}/b{w}"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "a/b"
+
+
 def test_graph_dot(capsys):
     code, out = run(capsys, "graph", "--preset", "A2tilde", "--dot", "1/c/aba")
     assert code == EXIT_OK

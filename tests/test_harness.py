@@ -128,6 +128,10 @@ def test_cross_confluence_pair_examples(att):
     assert v.evidence["common"] == expected
     same = H.test_cross_confluence_pair(att, b, b, a)
     assert same.status == "confirmed" and same.evidence["witness"] == fmt(att, b)
+    small = MonoidContext(preset("A2tilde"), Caps(graph_node_cap=1))
+    v = H.test_cross_confluence_pair(small, mf(small, fmt(att, b)), a, a)
+    assert v.status == "inconclusive"
+    assert v.evidence == {"reason": "reduct graph exceeded 1 nodes"}
 
 
 def test_cross_confluence_pair_incomplete_closures(att, monkeypatch):
@@ -586,6 +590,18 @@ def test_four_strategy_overflowing_runs_keep_evidence(att, monkeypatch):
         assert None in ev["rights"] + ev["lefts"]
         assert not ev["exists_k_forall_j"] and ev["incomplete_edges"] >= 0
     assert any(None not in rec["evidence"]["rights"] for rec in report.records)
+
+
+def test_four_strategy_closure_overflow_keeps_runs():
+    # closures that overflow still report the eight finished strategy runs
+    small = MonoidContext(preset("A2tilde"), Caps(graph_node_cap=1))
+    v = H.four_strategy_C_probe(small, mf(small, "ac/ca/ba"))
+    assert v.status == "inconclusive"
+    assert v.evidence == {
+        "rights": ["1/c/aba"] * 4,
+        "lefts": ["ac/ca/ba"] * 4,
+        "reason": "reduct graph exceeded 1 nodes",
+    }
 
 
 def test_four_strategy_exists_without_forall(att):

@@ -177,6 +177,29 @@ def test_lattice_laws(preset_name):
             assert ctx.gcd(comp_a, comp_b, Side.RIGHT) == IDENTITY
 
 
+@pytest.mark.parametrize("preset_name", EVERY_PRESET)
+def test_gcd_against_common_divisors(preset_name):
+    # oracle: the common divisors that `divisors` finds; the gcd is one of
+    # them and every one of them divides it
+    ctx = MonoidContext(preset(preset_name))
+    rng = random.Random(zlib.crc32(preset_name.encode()))
+    for side in Side:
+        for _ in range(40):
+            d, u, v = _random_elements(ctx, rng, 3, max_len=3)
+            a, b = ctx.attach(u, d, side), ctx.attach(v, d, side)
+            common = set(ctx.divisors(a, side)) & set(ctx.divisors(b, side))
+            g = ctx.gcd(a, b, side)
+            assert g in common
+            assert all(ctx.divides(x, g, side) is not None for x in common)
+
+
+def test_gcd_of_a_deep_common_divisor(free2):
+    # one loop turn per atom of the gcd, so no recursion limit is met
+    w = "ab" * 700
+    a, b = free2.element("a" + w), free2.element("b" + w)
+    assert free2.gcd(a, b, Side.RIGHT) == free2.element(w)
+
+
 @pytest.mark.parametrize("side", list(Side))
 @pytest.mark.parametrize("preset_name", ["A2tilde", "braid(4)", "C2tilde"])
 def test_attach_is_the_side_convention(preset_name, side):

@@ -63,6 +63,14 @@ def test_validate_names_and_homogeneity():
         MonoidContext(dup).basic_table(Side.RIGHT)
 
 
+def test_context_validates_a_presentation_built_in_code():
+    # a Presentation built without parsing is judged when a context takes
+    # it: an inhomogeneous relation would leave canonical forms undefined
+    odd = Presentation("odd", (AtomId(0, "a"), AtomId(1, "b")), (((0, 1), (1,)),))
+    with pytest.raises(ValidationFailure, match="homogeneous: 1 non-homogeneous"):
+        MonoidContext(odd)
+
+
 def test_presets():
     att = preset("A2tilde")
     assert att.n_atoms == 3 and len(att.relations) == 3
