@@ -68,12 +68,15 @@ def _caps_from_env() -> Caps:
 
 
 def _context(args) -> MonoidContext:
-    if args.presentation_file:
-        with open(args.presentation_file) as fh:
-            pres = parse_presentation(fh.read(), name=args.presentation_file)
-    else:
-        pres = preset(args.preset)
-    return MonoidContext(pres, _caps_from_env())
+    """A context for the query; a presentation file is judged as it is
+    loaded, so a query that names no atom still refuses a bad one."""
+    if not args.presentation_file:
+        return MonoidContext(preset(args.preset), _caps_from_env())
+    with open(args.presentation_file) as fh:
+        pres = parse_presentation(fh.read(), name=args.presentation_file)
+    ctx = MonoidContext(pres, _caps_from_env())
+    ctx.check_atom_tables()
+    return ctx
 
 
 def parse_signed_word(ctx: MonoidContext, text: str) -> SignedWord:

@@ -181,6 +181,12 @@ class MonoidContext:
             self._stores[side] = store
         return store
 
+    def check_atom_tables(self) -> None:
+        """Judge the presentation now: build and check both sides' atom
+        tables, raising LatticeViolation if either fails."""
+        self._store(Side.RIGHT)
+        self._store(Side.LEFT)
+
     def _atom_store(self, side: Side) -> dict[tuple[Word, Word], Reversal]:
         """Complements of atom pairs, read off the relations.
 
@@ -250,7 +256,8 @@ class MonoidContext:
     def _right_reverse(self, store, a: Word, b: Word, stack=None) -> Reversal:
         """Reverse a against b to the right over `store`: b*(a past b) =
         a*(b past a) is their lcm.  One row per letter of a, one cell per
-        letter of b; reversing_cap bounds the cells of one call."""
+        letter of b; reversing_cap bounds the cells of one call, a cell
+        whose row is used up included (a nested reversal counts its own)."""
         if stack is None:
             stack = set()
         cells, cap = 0, self.caps.reversing_cap
@@ -298,11 +305,30 @@ class MonoidContext:
 
     def _peel(self, store, s: int, w: Word) -> Word | None:
         """The quotient q with s*q = w over `store`, or None when the atom s
-        does not divide w: one reversing row of s against w."""
+        does not divide w: one reversing row of s against w.
+
+        The row stops at the letter where s is used up; what it has
+        collected, followed by the rest of w, is q.  reversing_cap bounds
+        the cells of the row up to that letter (a nested reversal counts
+        its own)."""
         if w and w[0] == s:
             return w[1:]
-        r = self._right_reverse(store, (s,), w)
-        return r[1] if r is not None and not r[0] else None
+        cap = self.caps.reversing_cap
+        x, stack, out = (s,), set(), []
+        for j, t in enumerate(w):
+            if j >= cap:
+                raise ReversingCapExceeded(f"reversing exceeded {cap} cell fills")
+            t = (t,)
+            r = store.get((x, t), _MISSING)  # a table hit skips the call
+            if r is _MISSING:
+                r = self._cell(store, x, t, stack)
+            if r is None:
+                return None
+            x, c = r
+            out.append(c)
+            if not x:
+                return _concat(out) + w[j + 1 :]
+        return None
 
     def _reverse(self, a: Word, b: Word, side: Side) -> Reversal:
         """(a past b, b past a): RIGHT b*(a past b) = a*(b past a), LEFT

@@ -667,8 +667,17 @@ def step_bound(ctx: MonoidContext, a: Multifraction):
 
 
 def within_step_bound(ctx: MonoidContext, a: Multifraction, k: int) -> bool:
-    """Whether k <= step_bound(a), by the bound capped at k + 1."""
-    return k <= _tower(ctx.basic_bound_C(), [e.length for e in a.entries], k + 1)
+    """Whether k <= step_bound(a), by the bound capped at k + 1.
+
+    The tower is monotone in C, and C >= 2 as soon as there is an atom
+    (an atom is basic), so the answer is first read off the tower at
+    C = 2 (C = 1 without atoms).  Only a k beyond that builds the basic
+    tables for the true C.  The answer is the same either way.
+    """
+    lengths = [e.length for e in a.entries]
+    if k <= _tower(2 if ctx.atoms() else 1, lengths, k + 1):
+        return True
+    return k <= _tower(ctx.basic_bound_C(), lengths, k + 1)
 
 
 # ----------------------------------------------------------------------

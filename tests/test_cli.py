@@ -208,15 +208,24 @@ def test_lattice_error_is_no_parse_error(capsys, tmp_path, text, message):
     ["basics"], ["basics", "--side", "left"], ["threeore"], ["cycleprobe"],
     ["reduce", "a/b"], ["rreduce", "a/b"], ["derdiv", "a/b"], ["redtame", "a/b"],
     ["irr", "a/b"], ["graph", "a/b"], ["vankampen", "ab/ba/ab/ba"], ["wordproblem", "a B"],
-    ["conjecture", "Cunif", "--trials", "1"],
+    ["conjecture", "Cunif", "--trials", "1"], ["reduce", "1"], ["wordproblem", ""],
 ], ids=lambda argv: " ".join(argv))
 def test_non_complemented_file_refused(capsys, tmp_path, argv):
-    # parsing checks names and homogeneity only; every context subcommand
-    # reads an atom table, which refuses the file
+    # parsing checks names and homogeneity only; the atom tables of a file
+    # are judged as it is loaded, so even a query naming no atom refuses it
     path = tmp_path / "pres.txt"
     path.write_text("atoms: a b\nrel: ab = ab\n")
     assert main(argv + ["--presentation-file", str(path)]) == EXIT_USAGE
     assert "both sides of ab = ab" in capsys.readouterr().err
+
+
+def test_left_complement_failure_refused_at_load(capsys, tmp_path):
+    # complemented on the right only: a query that never reverses on the
+    # left still refuses the file
+    path = tmp_path / "pres.txt"
+    path.write_text("atoms: a b c\nrel: ab = cb\n")
+    assert main(["reduce", "--presentation-file", str(path), "1"]) == EXIT_USAGE
+    assert "both sides of ab = cb end with b" in capsys.readouterr().err
 
 
 def test_usage_error():
@@ -370,11 +379,28 @@ def test_readme_examples_parse():
         assert build_parser(argv[0]).parse_args(argv) == parser.parse_args(argv)
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["reduce", "abcd/dcba/ab/ba"],
+     ["R(2,a)", "R(2,b)", "R(3,a)", "R(3,b)", "-> abcbdc/badcba/1/1"]),
+    (["wordproblem", "abcd DCBA"], ["trivial"]),
+    (["wordproblem", "acdb DCAB"], ["nontrivial (unconditional)"]),
+], ids=["reduce", "wordproblem-trivial", "wordproblem-nontrivial"])
+def test_one_shot_query_builds_no_basic_table(capsys, monkeypatch, argv, expected):
+    # the step-bound guard of a short reduction holds at C = 2, so the
+    # basic tables (a fifth of a second on braid(5)) are never built
+    def refuse(self, side):
+        raise AssertionError(f"{side.value} basic table built")
+
+    monkeypatch.setattr(MonoidContext, "basic_table", refuse)
+    assert main([argv[0], "--preset", "braid(5)", *argv[1:]]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def test_caps_env(capsys, monkeypatch):
     # a cap overflow is inconclusive, not an input error
     for caps, argv in (
         ("reversing_cap=1", ["reduce", "--preset", "A2tilde", "ababab/1"]),
-        ("reversing_cap=3", ["wordproblem", "--preset", "A2tilde", "aba BAB"]),
+        ("reversing_cap=1", ["wordproblem", "--preset", "A2tilde", "aba BAB"]),
         ("reversing_cap=1", ["rreduce", "ababab/1/ab"]),
         ("reversing_cap=1", ["derdiv", "ab/aba/aca"]),
         ("reversing_cap=1", ["redtame", "ac/aca/aba"]),
@@ -428,14 +454,14 @@ def test_incomplete_graph_inconclusive(capsys, monkeypatch, argv):
 
 def test_campaign_cap_overflow_per_trial(capsys, monkeypatch):
     # an overflow makes its trial inconclusive; the campaign still reports
-    monkeypatch.setenv("MULTIRED_CAPS", "reversing_cap=3")
+    monkeypatch.setenv("MULTIRED_CAPS", "reversing_cap=1")
     code = main(["conjecture", "A", "--preset", "A2tilde", "--trials", "2", "--length", "8",
                  "--format", "json"])
     assert code == EXIT_INCONCLUSIVE
     payload = json.loads(capsys.readouterr().out)
     assert payload["counts"] == {"inconclusive": 2}
     for rec in payload["records"]:
-        assert rec["evidence"] == {"reason": "reversing exceeded 3 cell fills",
+        assert rec["evidence"] == {"reason": "reversing exceeded 1 cell fills",
                                    "cap": "reversing_cap"}
 
 

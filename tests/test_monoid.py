@@ -193,6 +193,32 @@ def test_gcd_against_common_divisors(preset_name):
             assert all(ctx.divides(x, g, side) is not None for x in common)
 
 
+@pytest.mark.parametrize("side", list(Side))
+@pytest.mark.parametrize("preset_name", EVERY_PRESET)
+def test_peel_matches_full_row(preset_name, side):
+    # oracle: the whole reversing row of s against w, run past the letter
+    # where s is used up; each path fills the store of its own context
+    pres = preset(preset_name)
+    new, old = MonoidContext(pres), MonoidContext(pres)
+    new_store, old_store = new._store(side), old._store(side)
+
+    def full_row(s, w):
+        if w and w[0] == s:
+            return w[1:]
+        r = old._right_reverse(old_store, (s,), w)
+        return r[1] if r is not None and not r[0] else None
+
+    rng = random.Random(zlib.crc32(preset_name.encode()))
+    inner = 0
+    for _ in range(30):
+        w = tuple(rng.randrange(pres.n_atoms) for _ in range(rng.randint(0, 10)))
+        for s in range(pres.n_atoms):
+            q = new._peel(new_store, s, w)
+            assert q == full_row(s, w), (s, w)
+            inner += q is not None and w[0] != s
+    assert inner or preset_name == "free(2)"  # some rows run past their first cell
+
+
 def test_gcd_of_a_deep_common_divisor(free2):
     # one loop turn per atom of the gcd, so no recursion limit is met
     w = "ab" * 700

@@ -190,6 +190,9 @@ def test_step_bound(att, free2):
     assert red.step_bound(att, a) == 3 ** (2 * 3**5)
     assert red.within_step_bound(att, a, 10)
     assert not red.within_step_bound(att, unit(1), 4)  # F1(0) = 2
+    # F2(0,0) = C**2: with C = 2 the bound allows 4 steps, so k = 5..10
+    # reach the basic tables and their C = 3
+    assert [red.within_step_bound(att, two, k) for k in range(11)] == [True] * 10 + [False]
     # the capped bound agrees with the exact one wherever that materializes:
     # depth <= 2, or depth 3 with entries of length <= 1
     rng = random.Random(16)
