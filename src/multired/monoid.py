@@ -18,10 +18,13 @@ checked on first use, and a failure raises LatticeViolation.
 
 An atom s left-divides w exactly when reversing s against w leaves s
 nothing to add; what is left of w is the quotient.  Divisibility peels
-atoms, `divisors` searches over atom peels, and an element is represented
-by its lexicographically least word (atom order = declaration order),
-built by peeling off the least dividing atom again and again.  lcms are
-reversals; a gcd peels the least common atom again and again.  `lcm_oracle`
+atoms, and an element is represented by its lexicographically least word
+(atom order = declaration order), built by peeling off the least dividing
+atom again and again.  Which atoms divide an element, and the quotients,
+are one memoised table per element and side (`atom_quotients`): the move
+enumeration of `reduction` reads a level's atomic moves off it, a gcd
+peels the least atom present in both tables again and again, and
+`divisors` searches over its entries.  lcms are reversals.  `lcm_oracle`
 and `multiples` are brute-force searches kept for the tests to
 cross-check against; nothing in the package calls them.
 
@@ -147,6 +150,16 @@ def _concat(words) -> Word:
     return tuple(itertools.chain.from_iterable(words))
 
 
+def result_of(outcome):
+    """The result an outcome stands for: the outcome itself, unless it is
+    the CapExceeded of a computation that overflowed, which is raised.
+    `atom_quotients` and the move enumeration of `reduction` hold such
+    outcomes, so that an overflow is raised or reported at its turn."""
+    if isinstance(outcome, CapExceeded):
+        raise outcome
+    return outcome
+
+
 class MonoidContext:
     def __init__(self, pres: Presentation, caps: Caps | None = None):
         self.pres = validate(pres)
@@ -154,8 +167,10 @@ class MonoidContext:
         self._atoms = tuple(Element((i,)) for i in range(pres.n_atoms))
         self._canon: dict[Word, Element] = {(): IDENTITY}
         # memo keys hold `side is Side.LEFT`, not the Side: an enum hashes
-        # in Python, a bool in C, and every move attempt looks these up
+        # in Python, a bool in C, and every level of every enumerated node
+        # looks up `_quotients`
         self._divides: dict[tuple[Word, Word, bool], Element | None] = {}
+        self._quotients: dict[tuple[Word, bool], tuple[Element | None, ...]] = {}
         self._lcm: dict[tuple[Word, Word, bool], tuple[Element, Element, Element] | None] = {}
         self._divisors: dict[tuple[Word, bool], tuple[Element, ...]] = {}
         self._tables: dict[Side, BasicTable] = {}
@@ -432,25 +447,53 @@ class MonoidContext:
         self._divides[key] = result
         return result
 
+    def atom_quotients(self, a: Element, side: Side) -> tuple[Element | CapExceeded | None, ...]:
+        """For each atom s, in atom order, the q with attach(q, s, side) ==
+        a, or None when s does not side-divide a.
+
+        The division of a by one atom is one reversing row; a row that
+        overflows a cap leaves its CapExceeded in that atom's place, for
+        the caller to raise or report at that atom's turn, and a table
+        holding one is not memoised."""
+        key = (a.word, side is Side.LEFT)
+        got = self._quotients.get(key)
+        if got is not None:
+            return got
+        w, n = a.word, self.pres.n_atoms
+        if not w:  # no atom divides 1, and no reversing table is built
+            return self._quotients.setdefault(key, (None,) * n)
+        out, complete = [], True
+        for s in range(n):
+            try:  # building the reversing table on first use may overflow too
+                q = self._divide((s,), w, side)
+                if q is not None:
+                    q = self.canonical(q)
+            except CapExceeded as e:
+                q, complete = e, False
+            out.append(q)
+        table = tuple(out)
+        if complete:
+            self._quotients[key] = table
+        return table
+
     def divisors(self, a: Element, side: Side) -> tuple[Element, ...]:
         """All side-divisors of a, canonical, ordered by (length, word).
 
         A depth-first search over atom peels: each divisor d found comes
-        with the rest r of a (d*r = a on the LEFT), and every atom that
-        side-divides r extends d."""
+        with the rest r of a (d*r = a on the LEFT), and every atom in the
+        table of r extends d."""
         key = (a.word, side is Side.LEFT)
         got = self._divisors.get(key)
         if got is not None:
             return got
         found = {IDENTITY}
-        todo = [(IDENTITY, a.word)]
+        todo = [(IDENTITY, a)]
         while todo:
             d, rest = todo.pop()
-            for s in range(self.pres.n_atoms):
-                q = self._divide((s,), rest, side)
-                if q is None:
+            for s, q in zip(self._atoms, self.atom_quotients(rest, side)):
+                if result_of(q) is None:
                     continue
-                e = self.canonical(d.word + (s,) if side is Side.LEFT else (s,) + d.word)
+                e = self.attach(d, s, side.other)
                 if e not in found:
                     found.add(e)
                     todo.append((e, q))
@@ -466,15 +509,20 @@ class MonoidContext:
 
         An atom that side-divides both a and b divides their gcd, so the
         gcd is that atom attached to the gcd of the two quotients: peel the
-        least common atom until none is left, then attach the peeled atoms
-        back.  The cube condition, checked on the atom table `divides`
-        reads, makes the gcd exist.
+        least atom present in both tables until none is left, then attach
+        the peeled atoms back.  The cube condition, checked on the atom
+        table the quotients are read off, makes the gcd exist.  An
+        overflow is raised at its atom's turn.
         """
         peeled = []
         while True:
-            for s in self._atoms:
-                qa = self.divides(s, a, side)
-                qb = None if qa is None else self.divides(s, b, side)
+            qb_all = None
+            for s, qa in zip(self._atoms, self.atom_quotients(a, side)):
+                if result_of(qa) is None:
+                    continue
+                if qb_all is None:
+                    qb_all = self.atom_quotients(b, side)
+                qb = result_of(qb_all[s.word[0]])
                 if qb is not None:
                     break
             else:

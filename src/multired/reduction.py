@@ -29,6 +29,21 @@ LEFT at a negatively-signed level.  Which side a factor goes on is then
 `MonoidContext.attach`'s decision alone, so one move core serves both
 sides.  Every applied move re-asserts its defining equations on the
 entries.
+
+How the atomic moves of a node are found: an atomic move R(i,s) applies
+only when the atom s divides entry i+1 on the due side and has a common
+multiple with entry i (mirrored for R~), so `_level_moves` reads, once per
+level, the `MonoidContext.atom_quotients` table of the entry divided (both
+entries' for a truncated division rule) and takes lcms only for the
+atoms in it; `_atomic_moves` walks the levels in strategy order.  An
+attempt that overflows a cap is reported at its atom's turn, to the
+caller's on_cap or raised: `reduct_graph` records it as an inconclusive
+edge and `left_closures` counts it against its node.  `apply_left`,
+`apply_right` and `apply_division` are the single-move API; they divide
+with `MonoidContext.divides` and build the reduct with the same cores.
+Tests inject overflows by wrapping the module attributes `_level_moves`
+(every enumerated attempt) and `apply_left` (single moves, as `red_tame`
+makes them), which are looked up by name at call time.
 """
 
 from __future__ import annotations
@@ -44,6 +59,7 @@ from .monoid import (
     MonoidContext,
     MultiredError,
     Side,
+    result_of,
 )
 from .multifraction import Multifraction, due_side, format_multifraction, inverse
 
@@ -95,18 +111,22 @@ STRATEGIES = ("low_lex", "low_antilex", "high_lex", "high_antilex")
 
 
 def _push(
-    ctx: MonoidContext, a: Multifraction, i: int, x: Element, src: int, dst: int
+    ctx: MonoidContext,
+    a: Multifraction,
+    i: int,
+    x: Element,
+    q: Element,
+    src: int,
+    dst: int,
+    side: Side,
 ) -> Multifraction | None:
-    """The move core shared by both sides: divide x out of entry src on the
-    due side of level min(i, src), take the opposite-side lcm of x with
-    entry i, and deposit the complement of x in entry dst.  Left reduction
-    pushes from i+1 to i-1, right reduction from i-1 to i+1."""
-    side = due_side(a, min(i, src))
+    """The move core shared by both sides: given the quotient q of entry
+    src by x on `side`, the due side of level min(i, src), take the
+    opposite-side lcm of x with entry i and deposit the complement of x in
+    entry dst.  Left reduction pushes from i+1 to i-1, right reduction
+    from i-1 to i+1."""
     lcm_side = side.other
     entries = a.entries
-    q = ctx.divides(x, entries[src - 1], side)
-    if q is None:
-        return None
     r = ctx.lcm(x, entries[i - 1], lcm_side)
     if r is None:
         return None
@@ -116,6 +136,18 @@ def _push(
     assert b.entries[dst - 1] == deposit and b.depth == a.depth
     assert ctx.attach(b.entries[i - 1], x, side) == ctx.attach(entries[i - 1], xp, lcm_side)
     assert ctx.attach(b.entries[src - 1], x, side) == entries[src - 1]
+    return b
+
+
+def _divide_pair(
+    ctx: MonoidContext, a: Multifraction, i: int, x: Element, qi: Element, qj: Element, side: Side
+) -> Multifraction:
+    """The division core: the quotients qi, qj of entries i, i+1 by x on
+    `side`, the due side of level i, put in their places."""
+    entries = a.entries
+    b = a.replace_entries((i, qi), (i + 1, qj))
+    assert ctx.attach(b.entries[i - 1], x, side) == entries[i - 1]
+    assert ctx.attach(b.entries[i], x, side) == entries[i]
     return b
 
 
@@ -133,7 +165,9 @@ def apply_left(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> Mult
         raise ValueError("reducer must be nontrivial")
     if i == 1:
         return apply_division(ctx, a, 1, x)
-    return _push(ctx, a, i, x, i + 1, i - 1)
+    side = due_side(a, i)
+    q = ctx.divides(x, a.entries[i], side)
+    return None if q is None else _push(ctx, a, i, x, q, i + 1, i - 1, side)
 
 
 def apply_right(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> Multifraction | None:
@@ -149,7 +183,9 @@ def apply_right(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> Mul
         return None
     if i == n:
         return apply_division(ctx, a, n - 1, x)
-    return _push(ctx, a, i, x, i - 1, i + 1)
+    side = due_side(a, i - 1)
+    q = ctx.divides(x, a.entries[i - 2], side)
+    return None if q is None else _push(ctx, a, i, x, q, i - 1, i + 1, side)
 
 
 def apply_division(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> Multifraction | None:
@@ -167,10 +203,7 @@ def apply_division(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> 
     qj = ctx.divides(x, entries[i], side)
     if qj is None:
         return None
-    b = a.replace_entries((i, qi), (i + 1, qj))
-    assert ctx.attach(b.entries[i - 1], x, side) == entries[i - 1]
-    assert ctx.attach(b.entries[i], x, side) == entries[i]
-    return b
+    return _divide_pair(ctx, a, i, x, qi, qj, side)
 
 
 def apply_move(ctx: MonoidContext, a: Multifraction, move: Move) -> Multifraction | None:
@@ -212,7 +245,8 @@ def reducers(ctx: MonoidContext, a: Multifraction, i: int, filter: str = "all") 
     if filter not in REDUCER_FILTERS:
         raise ValueError(f"unknown filter {filter!r}")
     if filter == "atomic":
-        return tuple(s for s in ctx.atoms() if apply_left(ctx, a, i, s) is not None)
+        moves = _level_moves(ctx, a, Side.LEFT, i, ctx.atoms())
+        return tuple(s for s, b in moves if result_of(b) is not None)
     side = due_side(a, i)
     lcm_side = side.other
     if i == 1:
@@ -329,38 +363,85 @@ def red_tame_fixpoint(ctx: MonoidContext, a: Multifraction):
 # strategies and exhaustive reduction
 
 
+def _level_moves(ctx: MonoidContext, a: Multifraction, side: Side, i: int, atoms):
+    """Try the atomic moves R(i,s) (LEFT) or R~(i,s) (RIGHT) of a for each
+    atom s of `atoms`, in that order, yielding (s, outcome) for every one:
+    the reduct, None when the move does not apply, or the CapExceeded of
+    an attempt that overflowed a cap.
+
+    The due side is that of the level divided (i on the left, i-1 on the
+    right).  Whether s applies is read off the `atom_quotients` table of
+    the entry s is divided out of, entry i+1 on the left and i-1 on the
+    right, and the lcm is taken only for an atom in it.  The truncated
+    rules, D(1,s) at left level 1 and D(depth-1,s) at right level depth,
+    read the tables of both entries they divide.  The reducts are built
+    by the cores of `apply_left`, `apply_right` and `apply_division`.
+    """
+    entries = a.entries
+    if side is Side.LEFT:
+        level, src, dst = i, i + 1, i - 1
+    else:
+        level, src, dst = i - 1, i - 1, i + 1
+    due = due_side(a, level)
+    if 0 < dst <= len(entries):
+        quotients = ctx.atom_quotients(entries[src - 1], due)
+        for s in atoms:
+            b = quotients[s.word[0]]
+            if isinstance(b, Element):
+                try:
+                    b = _push(ctx, a, i, s, b, src, dst, due)
+                except CapExceeded as e:
+                    b = e
+            yield s, b
+        return
+    lower = ctx.atom_quotients(entries[level - 1], due)
+    upper = None  # read only once an atom divides the lower entry
+    for s in atoms:
+        b = lower[s.word[0]]
+        if isinstance(b, Element):
+            if upper is None:
+                upper = ctx.atom_quotients(entries[level], due)
+            qj = upper[s.word[0]]
+            if isinstance(qj, Element):
+                try:
+                    b = _divide_pair(ctx, a, level, s, b, qj, due)
+                except CapExceeded as e:
+                    b = e
+            else:
+                b = qj
+        yield s, b
+
+
 def _atomic_moves(ctx, a, side: Side, strategy: str = "low_lex", on_cap=None):
-    """The applicable atomic moves of one side, in strategy order.
+    """The applicable atomic moves of one side, in strategy order, as
+    (level, atom, reduct).
 
     This is the one place that maps a side to its levels (1..depth-1 on
-    the left, 2..depth on the right), its apply function and its move
-    kind.  The apply functions are looked up by module-global name at call
-    time, so a wrapper installed on the module attribute sees every call.
-    A cap overflow propagates, or is handed to on_cap(level, atom, error)
-    and the move skipped.
+    the left, 2..depth on the right); `_level_moves` tries the atoms of
+    one level, and is looked up by module-global name at call time, so a
+    wrapper installed on the module attribute (the tests inject overflows
+    so) sees every attempt.  An attempt that overflowed a cap is raised at
+    its turn, or handed to on_cap(level, atom, error) and the move
+    skipped.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if side is Side.LEFT:
-        levels, apply_fn = range(1, a.depth), apply_left
-    else:
-        levels, apply_fn = range(2, a.depth + 1), apply_right
+    levels = range(1, a.depth) if side is Side.LEFT else range(2, a.depth + 1)
     if strategy.startswith("high"):
         levels = levels[::-1]
     atoms = ctx.atoms()
     if strategy.endswith("antilex"):
         atoms = atoms[::-1]
     for i in levels:
-        for s in atoms:
-            try:
-                b = apply_fn(ctx, a, i, s)
-            except CapExceeded as e:
-                if on_cap is None:
-                    raise
-                on_cap(i, s, e)
+        for s, b in _level_moves(ctx, a, side, i, atoms):
+            if b is None:
                 continue
-            if b is not None:
-                yield Move(side.value, i, s), b
+            if isinstance(b, CapExceeded):
+                if on_cap is None:
+                    raise b
+                on_cap(i, s, b)
+                continue
+            yield i, s, b
 
 
 def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> ReductionTrace:
@@ -370,10 +451,10 @@ def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> 
     moves: list[Move] = []
     cur = a
     while True:
-        move, nxt = next(_atomic_moves(ctx, cur, side, strategy), (None, None))
-        if move is None:
+        i, s, nxt = next(_atomic_moves(ctx, cur, side, strategy), (None, None, None))
+        if nxt is None:
             break
-        moves.append(move)
+        moves.append(Move(side.value, i, s))
         cur = nxt
         if not within_step_bound(ctx, bounded, len(moves)):
             raise InternalInvariantError(
@@ -492,7 +573,7 @@ def reduct_graph(ctx: MonoidContext, a: Multifraction, side: Side = Side.LEFT) -
         src = queue.popleft()
         cur = g.nodes[src]
         overflows = []
-        for move, b in _atomic_moves(
+        for i, s, b in _atomic_moves(
             ctx, cur, side, on_cap=lambda i, s, e: overflows.append((i, s, str(e)))
         ):
             if b not in g.index:
@@ -501,7 +582,7 @@ def reduct_graph(ctx: MonoidContext, a: Multifraction, side: Side = Side.LEFT) -
                 g.index[b] = len(g.nodes)
                 g.nodes.append(b)
                 queue.append(g.index[b])
-            g.edges.append((src, move, g.index[b]))
+            g.edges.append((src, Move(side.value, i, s), g.index[b]))
         g.inconclusive.extend((src, i, s, r) for i, s, r in overflows)
     return g
 
@@ -580,7 +661,7 @@ def left_closures(ctx: MonoidContext, roots) -> LeftClosures:
         failed = []
         reducts = [
             b
-            for _, b in _atomic_moves(
+            for _, _, b in _atomic_moves(
                 ctx, node, Side.LEFT, on_cap=lambda i, s, e: failed.append(i)
             )
         ]

@@ -21,10 +21,10 @@ import os
 
 import pytest
 
-from multired import reduction as red
 from multired.harness import CampaignConfig, run_campaign
-from multired.monoid import Caps, MonoidContext, ReversingCapExceeded
+from multired.monoid import Caps, MonoidContext
 from multired.presentation import preset
+from overflows import overflow_left_moves
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "campaign_golden.json")
 
@@ -60,19 +60,10 @@ def overflow_digest(case: str) -> str:
         return _digest(run_campaign(_context("A2tilde", caps), config))
     assert case == "apply_left_level2_c"
     ctx = _context("A2tilde")
-    apply_left = red.apply_left
     c = ctx.element("c")
-
-    def overflowing(ctx, a, i, x):
-        if i == 2 and x == c:
-            raise ReversingCapExceeded("reversing exceeded 0 cell fills")
-        return apply_left(ctx, a, i, x)
-
-    red.apply_left = overflowing
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        overflow_left_moves(mp, lambda a, i, x, b: i == 2 and x == c)
         return _digest(run_campaign(ctx, config))
-    finally:
-        red.apply_left = apply_left
 
 
 def _golden() -> dict:

@@ -10,9 +10,10 @@ from multired import reduction as red
 from multired.cli import (
     EXIT_COUNTEREXAMPLE, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, build_parser, dispatch, main,
 )
-from multired.monoid import MonoidContext, ReversingCapExceeded
+from multired.monoid import MonoidContext
 from multired.multifraction import format_multifraction, parse_multifraction
 from multired.presentation import preset
+from overflows import overflow_left_moves
 
 
 def run(capsys, *argv):
@@ -431,15 +432,9 @@ def test_caps_env_malformed(capsys, monkeypatch, caps):
 def test_incomplete_graph_inconclusive(capsys, monkeypatch, argv):
     # one move overflows a cap: what the graph holds is printed, but it is
     # no result
-    apply_left = red.apply_left
-
-    def overflowing(ctx, a, i, x):
-        if x == ctx.element("c"):
-            raise ReversingCapExceeded("reversing exceeded 0 cell fills")
-        return apply_left(ctx, a, i, x)
-
-    monkeypatch.setattr(red, "apply_left", overflowing)
     ctx = MonoidContext(preset("A2tilde"))
+    c = ctx.element("c")
+    overflow_left_moves(monkeypatch, lambda a, i, x, b: x == c)
     g = red.reduct_graph(ctx, parse_multifraction(ctx, "1/c/aba"))
     assert not g.complete
     if argv[0] == "irr":

@@ -24,6 +24,7 @@ from multired.multifraction import (
 from multired.presentation import preset
 from multired import harness as H
 from multired import reduction as red
+from overflows import overflow_left_moves
 
 
 def mf(ctx, text):
@@ -142,14 +143,9 @@ def test_cross_confluence_pair_incomplete_closures(att, monkeypatch):
     v = H.test_cross_confluence_pair(att, b, c, a)
     assert v.status == "counterexample"
     assert v.evidence == {"b_nodes": 1, "c_nodes": 1}
-    apply_left = red.apply_left
     for node in (b, c):
-        def overflowing(ctx, a, i, x, node=node):
-            if a == node:
-                raise ReversingCapExceeded("reversing exceeded 0 cell fills")
-            return apply_left(ctx, a, i, x)
-
-        monkeypatch.setattr(red, "apply_left", overflowing)
+        monkeypatch.undo()
+        overflow_left_moves(monkeypatch, lambda a, i, x, _, node=node: a == node)
         assert H.test_cross_confluence_pair(att, b, c, a).status == "inconclusive"
 
 
@@ -521,10 +517,7 @@ def test_conjecture_A_graph_fallback(att, monkeypatch):
     v = H.test_conjecture_A(small, a, cert)
     assert (v.status, v.evidence) == ("inconclusive", {"reason": "reduct graph exceeded 1 nodes"})
 
-    def overflowing(ctx, b, i, x):
-        raise ReversingCapExceeded("reversing exceeded 0 cell fills")
-
-    monkeypatch.setattr(red, "apply_left", overflowing)
+    overflow_left_moves(monkeypatch, lambda *attempt: True)
     v = H.test_conjecture_A(att, a, cert)
     assert (v.status, v.evidence) == ("inconclusive", {"incomplete_edges": 3})
     monkeypatch.undo()
@@ -546,10 +539,7 @@ def test_word_problem_graph_branches(att, monkeypatch):
     r = H.word_problem(small, w)
     assert (r["verdict"], r["basis"]) == ("inconclusive", "reduct graph exceeded 1 nodes")
 
-    def overflowing(ctx, b, i, x):
-        raise ReversingCapExceeded("reversing exceeded 0 cell fills")
-
-    monkeypatch.setattr(red, "apply_left", overflowing)
+    overflow_left_moves(monkeypatch, lambda *attempt: True)
     r = H.word_problem(att, w)
     assert (r["verdict"], r["basis"]) == ("inconclusive", "incomplete graph")
 
@@ -572,15 +562,8 @@ def test_four_strategy_counterexample(att, monkeypatch):
 def test_four_strategy_overflowing_runs_keep_evidence(att, monkeypatch):
     # a strategy run that overflows leaves its reduct null; the other runs
     # and the closures of the finished right reducts are still reported
-    apply_left = red.apply_left
     c = att.element("c")
-
-    def overflowing(ctx, a, i, x):
-        if i == 2 and x == c:
-            raise ReversingCapExceeded("reversing exceeded 0 cell fills")
-        return apply_left(ctx, a, i, x)
-
-    monkeypatch.setattr(red, "apply_left", overflowing)
+    overflow_left_moves(monkeypatch, lambda a, i, x, b: i == 2 and x == c)
     config = H.CampaignConfig("A2tilde", "C", depth=4, length=12, trials=20, seed=1)
     report = H.run_campaign(att, config)
     assert report.counts == {"inconclusive": 20}
@@ -620,17 +603,12 @@ def test_four_strategy_probe_incomplete_graphs(att, monkeypatch):
     # overflow is no counterexample
     a = H.gen_multifraction(att, 4, 4, seed=0)
     assert H.four_strategy_C_probe(att, a).status == "confirmed"
-    left_closures, apply_left = red.left_closures, red.apply_left
-
-    def overflowing(ctx, a, i, x):
-        raise ReversingCapExceeded("reversing exceeded 0 cell fills")
+    left_closures = red.left_closures
 
     def closures_with_overflows(*args, **kwargs):
-        monkeypatch.setattr(red, "apply_left", overflowing)
-        try:
+        with pytest.MonkeyPatch.context() as mp:
+            overflow_left_moves(mp, lambda *attempt: True)
             return left_closures(*args, **kwargs)
-        finally:
-            monkeypatch.setattr(red, "apply_left", apply_left)
 
     monkeypatch.setattr(red, "left_closures", closures_with_overflows)
     v = H.four_strategy_C_probe(att, a)
@@ -643,15 +621,8 @@ def test_depth4_incomplete_graph_inconclusive(att, monkeypatch):
     # a left graph that dropped moves on a cap overflow cannot show that the
     # trivial multifraction is out of reach: the trial is inconclusive and
     # the campaign goes on
-    apply_left = red.apply_left
     c = att.element("c")
-
-    def overflowing(ctx, a, i, x):
-        if i == 2 and x == c:
-            raise ReversingCapExceeded("reversing exceeded 0 cell fills")
-        return apply_left(ctx, a, i, x)
-
-    monkeypatch.setattr(red, "apply_left", overflowing)
+    overflow_left_moves(monkeypatch, lambda a, i, x, b: i == 2 and x == c)
     config = H.CampaignConfig("A2tilde", "depth4", length=16, trials=20)
     report = H.run_campaign(att, config)
     undecided = [r for r in report.records if "incomplete_edges" in r["evidence"]]
@@ -662,7 +633,7 @@ def test_depth4_incomplete_graph_inconclusive(att, monkeypatch):
         assert rec["evidence"]["agree"] is None
         assert rec["evidence"]["incomplete_edges"] > 0
     # a disagreement read off a complete graph still raises
-    monkeypatch.setattr(red, "apply_left", apply_left)
+    monkeypatch.undo()
     monkeypatch.setattr(H, "has_central_cross", lambda ctx, a: None)
     with pytest.raises(MultiredError, match="depth-4 equivalence violated"):
         H.check_depth4_equivalences(att, unit(4))

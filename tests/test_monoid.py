@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from class_oracle import divides_scan, tuple_class
 from multired.monoid import (
+    Caps,
     Element,
     IDENTITY,
     LatticeViolation,
     MonoidContext,
+    ReversingCapExceeded,
     Side,
     TriState,
 )
@@ -96,6 +98,38 @@ def test_divisors(att):
     assert att.divisors(IDENTITY, Side.LEFT) == (IDENTITY,)
     aba = sorted(att.word_str(d) for d in att.divisors(att.element("aba"), Side.LEFT))
     assert aba == ["1", "a", "ab", "aba", "b", "ba"]
+
+
+@pytest.mark.parametrize("preset_name", EVERY_PRESET)
+def test_atom_quotients_match_divides(preset_name):
+    # a table holds, atom by atom, what `divides` finds; the two read
+    # contexts of their own
+    pres = preset(preset_name)
+    tables, probe = MonoidContext(pres), MonoidContext(pres)
+    rng = random.Random(zlib.crc32(preset_name.encode()))
+    for a in _random_elements(probe, rng, 40, max_len=6):
+        for side in Side:
+            expected = tuple(probe.divides(s, a, side) for s in probe.atoms())
+            assert tables.atom_quotients(a, side) == expected
+
+
+def test_atom_quotients_keep_overflows_unmemoised(att):
+    # an atom whose division overflows holds the overflow that `divides`
+    # raises, the other atoms their quotients; only a complete table is
+    # memoised
+    ctx = MonoidContext(preset("A2tilde"), Caps(reversing_cap=3))
+    probe = MonoidContext(preset("A2tilde"), Caps(reversing_cap=3))
+    a = att.element("abcab")
+    table = ctx.atom_quotients(a, Side.LEFT)
+    assert table[0] == att.element("bcab") and table[2] is None
+    assert isinstance(table[1], ReversingCapExceeded)
+    with pytest.raises(ReversingCapExceeded, match=str(table[1])):
+        probe.divides(att.element("b"), a, Side.LEFT)
+    assert ctx.atom_quotients(a, Side.LEFT) is not table
+    b = att.element("aab")
+    complete = ctx.atom_quotients(b, Side.LEFT)
+    assert complete == (att.element("ab"), None, None)
+    assert ctx.atom_quotients(b, Side.LEFT) is complete
 
 
 def test_gcd_examples(att):

@@ -3,11 +3,11 @@ import random
 import pytest
 
 from multired.monoid import (
+    CapExceeded,
     Caps,
     GraphNodeCapExceeded,
     IDENTITY,
     MonoidContext,
-    ReversingCapExceeded,
     Side,
 )
 from multired.multifraction import (
@@ -20,6 +20,7 @@ from multired.multifraction import (
 from multired.presentation import preset
 from multired import reduction as red
 from multired.harness import gen_multifraction
+from overflows import overflow_left_moves
 from test_campaign_golden import PRESETS as GOLDEN_PRESETS
 
 
@@ -379,6 +380,79 @@ def test_reduct_lattice_has_no_universal_join(att):
         assert not (g.contains(d1) and g.contains(d2))
 
 
+def probe_moves(ctx, a, side, strategy, on_cap):
+    """The atomic moves of one side as (level, atom, reduct), found by
+    probing every (level, atom) pair with apply_left or apply_right in
+    strategy order: the enumeration that atom-quotient tables replaced,
+    kept as an oracle with the same on_cap contract."""
+    if side is Side.LEFT:
+        levels, apply_fn = range(1, a.depth), red.apply_left
+    else:
+        levels, apply_fn = range(2, a.depth + 1), red.apply_right
+    if strategy.startswith("high"):
+        levels = levels[::-1]
+    atoms = ctx.atoms()
+    if strategy.endswith("antilex"):
+        atoms = atoms[::-1]
+    for i in levels:
+        for s in atoms:
+            try:
+                b = apply_fn(ctx, a, i, s)
+            except CapExceeded as e:
+                if on_cap is None:
+                    raise
+                on_cap(i, s, e)
+                continue
+            if b is not None:
+                yield i, s, b
+
+
+def enumerate_moves(moves_fn, ctx, a, side, strategy):
+    """The moves and the on_cap calls (level, atom, message) of one
+    enumeration; then, without on_cap, the moves found before it raises
+    and the message it raises."""
+    reported = []
+    moves = list(moves_fn(ctx, a, side, strategy, lambda i, s, e: reported.append((i, s, str(e)))))
+    before, error = [], None
+    try:
+        for move in moves_fn(ctx, a, side, strategy, None):
+            before.append(move)
+    except CapExceeded as e:
+        error = str(e)
+    return moves, reported, before, error
+
+
+@pytest.mark.parametrize("reversing_cap", [None, 1, 2, 3])
+@pytest.mark.parametrize("name", GOLDEN_PRESETS)
+def test_atomic_moves_match_probe_oracle(name, reversing_cap):
+    # the moves read off atom-quotient tables are those that probing every
+    # (level, atom) pair finds, in the same order, and an overflowing
+    # attempt is reported, or raised, at the same turn.  The two run in
+    # contexts of their own, so that neither reads the other's memos.  At
+    # reversing caps 1-3 most presets overflow while checking their
+    # reversing table, so every attempt overflows; A2tilde, C2tilde,
+    # K(4,3), free(2) and I2(5) also apply moves under some of those caps
+    caps = Caps() if reversing_cap is None else Caps(reversing_cap=reversing_cap)
+    fast, probe = MonoidContext(preset(name), caps), MonoidContext(preset(name), caps)
+    inputs = MonoidContext(preset(name))  # random words canonical under any cap
+    applied = overflowed = 0
+    for depth in range(3, 7):
+        for seed in range(3):
+            entries = gen_multifraction(inputs, depth, 4, 100 * depth + seed).entries
+            for a in (Multifraction(1, entries), Multifraction(-1, entries)):
+                for side in Side:
+                    for strategy in red.STRATEGIES:
+                        got = enumerate_moves(red._atomic_moves, fast, a, side, strategy)
+                        want = enumerate_moves(probe_moves, probe, a, side, strategy)
+                        assert got == want, (fmt(inputs, a), side, strategy)
+                        applied += len(want[0])
+                        overflowed += len(want[1])
+    if reversing_cap is None:
+        assert applied > 0 and overflowed == 0
+    else:
+        assert overflowed > 0
+
+
 def latest_common_ancestors_oracle(graph, targets):
     """Nodes of a left reduct graph from which every target is reachable
     and no strictly later such node exists, by a search over its edges."""
@@ -419,16 +493,12 @@ def test_left_closures_match_fresh_graphs(monkeypatch, name, overflow):
     # still count
     ctx = MonoidContext(preset(name))
     if overflow != "plain":
-        apply_left = red.apply_left
         x = ctx.atoms()[min(2, ctx.pres.n_atoms - 1)]  # c; b on two atoms
 
-        def overflowing(ctx, a, i, y):
-            b = apply_left(ctx, a, i, y)
-            if i == 2 and (overflow == "every" or y == x and b is not None):
-                raise ReversingCapExceeded("reversing exceeded 0 cell fills")
-            return b
+        def overflowing(a, i, y, b):
+            return i == 2 and (overflow == "every" or y == x and b is not None)
 
-        monkeypatch.setattr(red, "apply_left", overflowing)
+        overflow_left_moves(monkeypatch, overflowing)
     incomplete = inherited = shared = several = 0
     for seed in range(6):
         a = gen_multifraction(ctx, 4, 3, seed)
