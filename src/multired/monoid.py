@@ -17,14 +17,15 @@ presentations is the cube condition on atom triples; a side's table is
 checked on first use, and a failure raises LatticeViolation.
 
 An atom s left-divides w exactly when reversing s against w leaves s
-nothing to add; what is left of w is the quotient.  Divisibility peels
-atoms, and an element is represented by its lexicographically least word
-(atom order = declaration order), built by peeling off the least dividing
-atom again and again.  Which atoms divide an element, and the quotients,
-are one memoised table per element and side (`atom_quotients`): the move
-enumeration of `reduction` reads a level's atomic moves off it, a gcd
-peels the least atom present in both tables again and again, and
-`divisors` searches over its entries.  lcms are reversals.  `lcm_oracle`
+nothing to add; what is left of w is the quotient.  An element is
+represented by its lexicographically least word (atom order = declaration
+order), built by peeling off the least dividing atom again and again.
+Which atoms divide an element, and the quotients, are one memoised table
+per element and side (`atom_quotients`), and every division reads it: the
+move enumeration of `reduction` reads a level's atomic moves off it,
+`divides` divides x's letters off one at a time, a gcd peels the least
+atom present in both tables again and again, and `divisors` searches over
+its entries.  lcms are reversals.  `lcm_oracle`
 and `multiples` are brute-force searches kept for the tests to
 cross-check against; nothing in the package calls them.
 
@@ -169,13 +170,14 @@ class MonoidContext:
         # memo keys hold `side is Side.LEFT`, not the Side: an enum hashes
         # in Python, a bool in C, and every level of every enumerated node
         # looks up `_quotients`
-        self._divides: dict[tuple[Word, Word, bool], Element | None] = {}
         self._quotients: dict[tuple[Word, bool], tuple[Element | None, ...]] = {}
         self._lcm: dict[tuple[Word, Word, bool], tuple[Element, Element, Element] | None] = {}
         self._divisors: dict[tuple[Word, bool], tuple[Element, ...]] = {}
         self._tables: dict[Side, BasicTable] = {}
         # per side, the reversing table: (x, t) -> (x past t, t past x) | None
         self._stores: dict[Side, dict[tuple[Word, Word], Reversal]] = {}
+        # per side, the class and args of a cube check that overflowed
+        self._cube_overflows: dict[Side, tuple[type[CapExceeded], tuple]] = {}
         self._multiples: dict[tuple[Word, Side], list[set[Element]]] = {}
         self._bound_C: int | None = None
 
@@ -188,11 +190,20 @@ class MonoidContext:
 
         RIGHT reverses plain words to the right.  LEFT does the same on
         mirror images: read backwards, a left lcm is a right lcm of the
-        mirror-image presentation."""
+        mirror-image presentation.  A check that overflows a cap is kept
+        too: each later use raises its overflow again without re-running
+        it."""
         store = self._stores.get(side)
         if store is None:
+            if side in self._cube_overflows:  # raised afresh: no traceback grows
+                cls, args = self._cube_overflows[side]
+                raise cls(*args)
             store = self._atom_store(side)
-            self._check_cube(side, store)
+            try:
+                self._check_cube(side, store)
+            except CapExceeded as e:
+                self._cube_overflows[side] = (type(e), e.args)
+                raise
             self._stores[side] = store
         return store
 
@@ -354,19 +365,6 @@ class MonoidContext:
         r = self._right_reverse(store, a[::-1], b[::-1])
         return None if r is None else (r[0][::-1], r[1][::-1])
 
-    def _divide(self, x: Word, w: Word, side: Side) -> Word | None:
-        """The word q with x*q = w (LEFT) or q*x = w (RIGHT), peeling the
-        letters of x off w; None when x does not divide w."""
-        if side is Side.LEFT:
-            store = self._store(Side.RIGHT)
-        else:
-            store, x, w = self._store(Side.LEFT), x[::-1], w[::-1]
-        for s in x:
-            w = self._peel(store, s, w)
-            if w is None:
-                return None
-        return w if side is Side.LEFT else w[::-1]
-
     # ------------------------------------------------------------------
     # canonical forms
 
@@ -432,42 +430,42 @@ class MonoidContext:
     # divisibility
 
     def divides(self, x: Element, a: Element, side: Side) -> Element | None:
-        """Quotient q with x*q = a (LEFT) or q*x = a (RIGHT), else None."""
-        xw, aw = x.word, a.word
-        if not xw:
-            return a
-        if len(xw) > len(aw):
+        """Quotient q with x*q = a (LEFT) or q*x = a (RIGHT), else None: x's
+        letters divided off a one at a time (first to last on the LEFT, last
+        to first on the RIGHT), each read off an `atom_quotients` table."""
+        xw = x.word
+        if len(xw) > len(a.word):
             return None
-        key = (xw, aw, side is Side.LEFT)
-        got = self._divides.get(key, _MISSING)
-        if got is not _MISSING:
-            return got
-        q = self._divide(xw, aw, side)
-        result = None if q is None else self.canonical(q)
-        self._divides[key] = result
-        return result
+        for s in xw if side is Side.LEFT else reversed(xw):
+            a = result_of(self.atom_quotients(a, side)[s])
+            if a is None:
+                return None
+        return a
 
     def atom_quotients(self, a: Element, side: Side) -> tuple[Element | CapExceeded | None, ...]:
         """For each atom s, in atom order, the q with attach(q, s, side) ==
         a, or None when s does not side-divide a.
 
-        The division of a by one atom is one reversing row; a row that
-        overflows a cap leaves its CapExceeded in that atom's place, for
-        the caller to raise or report at that atom's turn, and a table
-        holding one is not memoised."""
-        key = (a.word, side is Side.LEFT)
+        The division of a by one atom is one reversing row over the other
+        side's table, on the mirror image for RIGHT; a row that overflows a
+        cap leaves its CapExceeded in that atom's place, for the caller to
+        raise or report at that atom's turn, and a table holding one is not
+        memoised."""
+        left = side is Side.LEFT
+        key = (a.word, left)
         got = self._quotients.get(key)
         if got is not None:
             return got
-        w, n = a.word, self.pres.n_atoms
-        if not w:  # no atom divides 1, and no reversing table is built
+        n = self.pres.n_atoms
+        if not a.word:  # no atom divides 1, and no reversing table is built
             return self._quotients.setdefault(key, (None,) * n)
+        w = a.word if left else a.word[::-1]
         out, complete = [], True
         for s in range(n):
             try:  # building the reversing table on first use may overflow too
-                q = self._divide((s,), w, side)
+                q = self._peel(self._store(side.other), s, w)
                 if q is not None:
-                    q = self.canonical(q)
+                    q = self.canonical(q if left else q[::-1])
             except CapExceeded as e:
                 q, complete = e, False
             out.append(q)

@@ -70,12 +70,12 @@ class InternalInvariantError(MultiredError):
 
 @dataclass(frozen=True)
 class Move:
-    kind: str  # "left" | "right" | "division"
+    kind: str  # "left" | "right"
     level: int
     x: Element
 
     def label(self, ctx: MonoidContext) -> str:
-        sym = {"left": "R", "right": "R̃", "division": "D"}[self.kind]
+        sym = {"left": "R", "right": "R̃"}[self.kind]
         return f"{sym}({self.level},{ctx.word_str(self.x)})"
 
 
@@ -211,8 +211,6 @@ def apply_move(ctx: MonoidContext, a: Multifraction, move: Move) -> Multifractio
         return apply_left(ctx, a, move.level, move.x)
     if move.kind == "right":
         return apply_right(ctx, a, move.level, move.x)
-    if move.kind == "division":
-        return apply_division(ctx, a, move.level, move.x)
     raise ValueError(move.kind)
 
 

@@ -437,6 +437,38 @@ def test_campaign_cap_overflow_in_generation():
         assert rec["evidence"]["cap"] == "reversing_cap"
 
 
+def test_cube_check_overflow_kept(monkeypatch):
+    # a cube check that overflows reversing_cap runs once per side: later
+    # uses raise a fresh overflow of the same class and message.  The
+    # report is byte for byte the one of a context that re-ran the check
+    # on every use (19 runs in this campaign)
+    calls = []
+    check = MonoidContext._check_cube
+
+    def spy(self, side, store):
+        calls.append(side)
+        return check(self, side, store)
+
+    monkeypatch.setattr(MonoidContext, "_check_cube", spy)
+    ctx = MonoidContext(preset("braid(4)"), Caps(reversing_cap=12))
+    config = H.CampaignConfig("braid(4)", "Cunif", length=8, trials=20, seed=1)
+    report = H.run_campaign(ctx, config)
+    assert report.counts == {"confirmed": 1, "inconclusive": 19}
+    text = json.dumps(report.to_json(include_timing=False), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4063a1603c4572d8bcef81fbcf4dbe18536318bdb2cd6c751a1d5092de38ebb3"
+    )
+    a, _, c = ctx.atoms()
+    for side in Side:
+        raised = []
+        for _ in range(2):
+            with pytest.raises(ReversingCapExceeded, match="reversing exceeded 12 cell fills") as e:
+                ctx.lcm(a, c, side)
+            raised.append(e.value)
+        assert raised[0] is not raised[1]
+    assert sorted(side.value for side in calls) == ["left", "right"]
+
+
 def test_counterexample_dump(att, tmp_path):
     record = {"trial": 0, "seed": 1, "input": "a/b", "verdict": "counterexample"}
     paths = H.dump_counterexample(att, record, str(tmp_path))

@@ -102,15 +102,39 @@ def test_divisors(att):
 
 @pytest.mark.parametrize("preset_name", EVERY_PRESET)
 def test_atom_quotients_match_divides(preset_name):
-    # a table holds, atom by atom, what `divides` finds; the two read
-    # contexts of their own
+    # a table holds, atom by atom, the quotient the class-scan oracle
+    # finds; the two read contexts of their own
     pres = preset(preset_name)
     tables, probe = MonoidContext(pres), MonoidContext(pres)
     rng = random.Random(zlib.crc32(preset_name.encode()))
     for a in _random_elements(probe, rng, 40, max_len=6):
         for side in Side:
-            expected = tuple(probe.divides(s, a, side) for s in probe.atoms())
+            expected = tuple(divides_scan(probe, s, a, side) for s in probe.atoms())
             assert tables.atom_quotients(a, side) == expected
+
+
+@pytest.mark.parametrize("preset_name", EVERY_PRESET)
+def test_divides_quotients_match_scan(preset_name):
+    # multi-letter divisors, each a true prefix (LEFT) or suffix (RIGHT) of
+    # a word of a, or a random element; the quotient, not only whether
+    # there is one, must be the class-scan oracle's
+    pres = preset(preset_name)
+    ctx, probe = MonoidContext(pres), MonoidContext(pres)
+    rng = random.Random(zlib.crc32(preset_name.encode()))
+    n = pres.n_atoms
+    for _ in range(150):
+        w = tuple(rng.randrange(n) for _ in range(rng.randint(2, 7)))
+        k = rng.randint(2, len(w))
+        a = ctx.canonical(w)
+        for side in Side:
+            part = w[:k] if side is Side.LEFT else w[len(w) - k:]
+            guess = tuple(rng.randrange(n) for _ in range(rng.randint(2, 4)))
+            true = ctx.canonical(part)
+            assert ctx.divides(true, a, side) is not None
+            for x in (true, ctx.canonical(guess)):
+                q = ctx.divides(x, a, side)
+                assert q == divides_scan(probe, x, a, side)
+                assert q is None or ctx.attach(q, x, side) == a
 
 
 def test_atom_quotients_keep_overflows_unmemoised(att):
