@@ -712,13 +712,14 @@ def _gen_unital_for_campaign(ctx, depth, length, expansions, seed):
     rng = random.Random(seed)
     ray_cap = max(1, length // depth)
     for attempt in range(50):
+        lengths = [rng.randint(0, ray_cap) for _ in range(depth)]
+        if 2 * sum(lengths) > length:  # each ray lies in two entries of the cross
+            continue
         rays = tuple(
-            gen_element(ctx, rng.randint(0, ray_cap), derive_seed(seed, 100 + 7 * attempt + i))
-            for i in range(depth)
+            gen_element(ctx, n, derive_seed(seed, 100 + 7 * attempt + i))
+            for i, n in enumerate(lengths)
         )
         a = assemble_cross(ctx, rays)
-        if a.total_length() > length:
-            continue
         chain = []
         for _ in range(rng.randint(0, expansions)):
             choices = _random_left_divisors(ctx, a, rng)
@@ -727,12 +728,11 @@ def _gen_unital_for_campaign(ctx, depth, length, expansions, seed):
                 break
             chain.append([ctx.word_str(c) for c in choices])
             a = nxt
-        if a.total_length() <= length:
-            cert = UnitalCertificate(
-                "lcm_expansion_chain",
-                {"rays": [ctx.word_str(r) for r in rays], "choices": chain},
-            )
-            return a, cert
+        cert = UnitalCertificate(
+            "lcm_expansion_chain",
+            {"rays": [ctx.word_str(r) for r in rays], "choices": chain},
+        )
+        return a, cert
     raise MultiredError("failed to generate a bounded unital input")
 
 

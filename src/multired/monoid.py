@@ -21,11 +21,14 @@ nothing to add; what is left of w is the quotient.  An element is
 represented by its lexicographically least word (atom order = declaration
 order), built by peeling off the least dividing atom again and again.
 Which atoms divide an element, and the quotients, are one memoised table
-per element and side (`atom_quotients`), and every division reads it: the
+per element and side (`atom_quotients`), each quotient checked by one
+multiplication when its table is built, and every division reads it: the
 move enumeration of `reduction` reads a level's atomic moves off it,
 `divides` divides x's letters off one at a time, a gcd peels the least
 atom present in both tables again and again, and `divisors` searches over
-its entries.  lcms are reversals.  `lcm_oracle`
+its entries.  lcms are reversals, each checked once when it is memoised.
+These checks raise InternalInvariantError, also under `python -O`; the
+moves of `reduction` rest on them and multiply nothing back.  `lcm_oracle`
 and `multiples` are brute-force searches kept for the tests to
 cross-check against; nothing in the package calls them.
 
@@ -75,6 +78,12 @@ class BasicsCapExceeded(CapExceeded):
 
 class GraphNodeCapExceeded(CapExceeded):
     cap = "graph_node_cap"
+
+
+class InternalInvariantError(MultiredError):
+    """A memoised fact failed the equation that defines it: a bug, not a
+    property of the presentation.  Raised, not asserted, so the checks
+    hold under `python -O` too."""
 
 
 class LatticeViolation(MultiredError):
@@ -447,10 +456,12 @@ class MonoidContext:
         a, or None when s does not side-divide a.
 
         The division of a by one atom is one reversing row over the other
-        side's table, on the mirror image for RIGHT; a row that overflows a
-        cap leaves its CapExceeded in that atom's place, for the caller to
-        raise or report at that atom's turn, and a table holding one is not
-        memoised."""
+        side's table, on the mirror image for RIGHT.  Each quotient found is
+        checked once, here, by multiplying it back: attach(q, s, side) must
+        be a, else InternalInvariantError.  A row that overflows a cap,
+        while dividing or while checking, leaves its CapExceeded in that
+        atom's place, for the caller to raise or report at that atom's
+        turn, and a table holding one is not memoised."""
         left = side is Side.LEFT
         key = (a.word, left)
         got = self._quotients.get(key)
@@ -461,11 +472,16 @@ class MonoidContext:
             return self._quotients.setdefault(key, (None,) * n)
         w = a.word if left else a.word[::-1]
         out, complete = [], True
-        for s in range(n):
+        for s, atom in enumerate(self._atoms):
             try:  # building the reversing table on first use may overflow too
                 q = self._peel(self._store(side.other), s, w)
                 if q is not None:
                     q = self.canonical(q if left else q[::-1])
+                    if self.attach(q, atom, side) != a:
+                        raise InternalInvariantError(
+                            f"{self.word_str(q)} with {self.word_str(atom)} attached "
+                            f"on the {side.value} is not {self.word_str(a)}"
+                        )
             except CapExceeded as e:
                 q, complete = e, False
             out.append(q)
@@ -589,7 +605,9 @@ class MonoidContext:
         RIGHT: m = a \\/ b with m = b*compA = a*compB.
         LEFT:  m = a \\/~ b with m = compA*b = compB*a.
         None is a proof that no common multiple exists; cap overflow
-        raises, which callers treat as inconclusive.
+        raises, which callers treat as inconclusive.  The equation is
+        checked once, when the lcm is memoised: the two products must be
+        one element, else InternalInvariantError.
         """
         key = (a.word, b.word, side is Side.LEFT)
         got = self._lcm.get(key, _MISSING)
@@ -600,7 +618,12 @@ class MonoidContext:
         if r is not None:
             compA, compB = self.canonical(r[0]), self.canonical(r[1])
             m = self.attach(a, compB, side)
-            assert m == self.attach(b, compA, side)
+            if m != self.attach(b, compA, side):
+                raise InternalInvariantError(
+                    f"reversing on the {side.value}: {self.word_str(a)} with "
+                    f"{self.word_str(compB)} attached is not {self.word_str(b)} with "
+                    f"{self.word_str(compA)} attached"
+                )
             result = (m, compA, compB)
         self._lcm[key] = result
         return result

@@ -27,8 +27,16 @@ junction entries on it too.  The due side at a positively-signed level
 is RIGHT (entries are divided on the right, lcms are left lcms), and
 LEFT at a negatively-signed level.  Which side a factor goes on is then
 `MonoidContext.attach`'s decision alone, so one move core serves both
-sides.  Every applied move re-asserts its defining equations on the
-entries.
+sides.
+
+Where a move's defining equations are checked: a move R(i,x) rests on two
+facts, the quotient q of entry i+1 by x on the due side and the lcm of x
+with entry i on the other.  `MonoidContext` checks each fact once, when
+it memoises it, and raises InternalInvariantError (also under `python
+-O`) when one fails: an atom quotient when its `atom_quotients` row is
+built (a multi-letter `divides` quotient is built from such rows), an lcm
+when it is first reversed.  An applied move only places those checked
+values; the one product it forms is the deposit.
 
 How the atomic moves of a node are found: an atomic move R(i,s) applies
 only when the atom s divides entry i+1 on the due side and has a common
@@ -56,16 +64,13 @@ from .monoid import (
     Element,
     GraphNodeCapExceeded,
     IDENTITY,
+    InternalInvariantError,
     MonoidContext,
     MultiredError,
     Side,
     result_of,
 )
 from .multifraction import Multifraction, due_side, format_multifraction, inverse
-
-
-class InternalInvariantError(MultiredError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -124,7 +129,12 @@ def _push(
     src by x on `side`, the due side of level min(i, src), take the
     opposite-side lcm of x with entry i and deposit the complement of x in
     entry dst.  Left reduction pushes from i+1 to i-1, right reduction
-    from i-1 to i+1."""
+    from i-1 to i+1.
+
+    Nothing is multiplied back: q, with x attached on `side`, is entry
+    src by the checks of `atom_quotients`, and comp, with x attached on
+    `side`, is entry i with xp attached on `lcm_side` by the check of
+    `lcm`.  The deposit is the one product formed."""
     lcm_side = side.other
     entries = a.entries
     r = ctx.lcm(x, entries[i - 1], lcm_side)
@@ -132,23 +142,7 @@ def _push(
         return None
     _, xp, comp = r  # comp with x attached on `side` = entry i with xp on `lcm_side`
     deposit = ctx.attach(entries[dst - 1], xp, lcm_side)
-    b = a.replace_entries((src, q), (i, comp), (dst, deposit))
-    assert b.entries[dst - 1] == deposit and b.depth == a.depth
-    assert ctx.attach(b.entries[i - 1], x, side) == ctx.attach(entries[i - 1], xp, lcm_side)
-    assert ctx.attach(b.entries[src - 1], x, side) == entries[src - 1]
-    return b
-
-
-def _divide_pair(
-    ctx: MonoidContext, a: Multifraction, i: int, x: Element, qi: Element, qj: Element, side: Side
-) -> Multifraction:
-    """The division core: the quotients qi, qj of entries i, i+1 by x on
-    `side`, the due side of level i, put in their places."""
-    entries = a.entries
-    b = a.replace_entries((i, qi), (i + 1, qj))
-    assert ctx.attach(b.entries[i - 1], x, side) == entries[i - 1]
-    assert ctx.attach(b.entries[i], x, side) == entries[i]
-    return b
+    return a.replace_entries((src, q), (i, comp), (dst, deposit))
 
 
 def apply_left(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> Multifraction | None:
@@ -203,7 +197,8 @@ def apply_division(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> 
     qj = ctx.divides(x, entries[i], side)
     if qj is None:
         return None
-    return _divide_pair(ctx, a, i, x, qi, qj, side)
+    # qi and qj are divides quotients, built from checked atom quotients
+    return a.replace_entries((i, qi), (i + 1, qj))
 
 
 def apply_move(ctx: MonoidContext, a: Multifraction, move: Move) -> Multifraction | None:
@@ -285,7 +280,10 @@ def greatest_tame_reducer(ctx: MonoidContext, a: Multifraction, i: int) -> Eleme
         for y in maximal[1:]:
             g = ctx.gcd(g, y, side)
     adj = ctx.gcd(a.entry(i), a.entry(i + 1), side)
-    assert ctx.divides(adj, g, side) is not None or adj.is_identity
+    if not adj.is_identity and ctx.divides(adj, g, side) is None:
+        raise InternalInvariantError(
+            "greatest tame reducer is no multiple of the adjacent gcd"
+        )
     return g
 
 
@@ -296,7 +294,8 @@ def div_max(ctx: MonoidContext, a: Multifraction, i: int) -> Multifraction:
     if g.is_identity:
         return a
     b = apply_division(ctx, a, i, g)
-    assert b is not None
+    if b is None:
+        raise InternalInvariantError("an adjacent gcd must divide its entries")
     return b
 
 
@@ -306,7 +305,8 @@ def derdiv(ctx: MonoidContext, a: Multifraction) -> Multifraction:
     b = a
     for i in range(a.depth - 1, 0, -1):
         b = div_max(ctx, b, i)
-    assert is_prime(ctx, b)
+    if not is_prime(ctx, b):
+        raise InternalInvariantError("derdiv must end on a prime multifraction")
     return b
 
 
@@ -338,7 +338,8 @@ def red_tame(
         if g.is_identity:
             continue
         nxt = apply_left(ctx, b, i, g)
-        assert nxt is not None, "greatest tame reducer must be applicable"
+        if nxt is None:
+            raise InternalInvariantError("greatest tame reducer must be applicable")
         b = nxt
     return b
 
@@ -372,8 +373,9 @@ def _level_moves(ctx: MonoidContext, a: Multifraction, side: Side, i: int, atoms
     the entry s is divided out of, entry i+1 on the left and i-1 on the
     right, and the lcm is taken only for an atom in it.  The truncated
     rules, D(1,s) at left level 1 and D(depth-1,s) at right level depth,
-    read the tables of both entries they divide.  The reducts are built
-    by the cores of `apply_left`, `apply_right` and `apply_division`.
+    read the tables of both entries they divide, and put the two checked
+    quotients in place.  A push is built by `_push`, the core of
+    `apply_left` and `apply_right`.
     """
     entries = a.entries
     if side is Side.LEFT:
@@ -401,10 +403,7 @@ def _level_moves(ctx: MonoidContext, a: Multifraction, side: Side, i: int, atoms
                 upper = ctx.atom_quotients(entries[level], due)
             qj = upper[s.word[0]]
             if isinstance(qj, Element):
-                try:
-                    b = _divide_pair(ctx, a, level, s, b, qj, due)
-                except CapExceeded as e:
-                    b = e
+                b = a.replace_entries((level, b), (level + 1, qj))
             else:
                 b = qj
         yield s, b

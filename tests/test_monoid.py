@@ -9,6 +9,7 @@ from multired.monoid import (
     Caps,
     Element,
     IDENTITY,
+    InternalInvariantError,
     LatticeViolation,
     MonoidContext,
     ReversingCapExceeded,
@@ -154,6 +155,43 @@ def test_atom_quotients_keep_overflows_unmemoised(att):
     complete = ctx.atom_quotients(b, Side.LEFT)
     assert complete == (att.element("ab"), None, None)
     assert ctx.atom_quotients(b, Side.LEFT) is complete
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_atom_quotients_check_each_quotient(monkeypatch, side):
+    # a reversing row that finds a wrong quotient is caught when its table
+    # is built, by a raise that python -O keeps
+    ctx = MonoidContext(preset("A2tilde"))
+    a = ctx.element("abc")
+    w = a.word if side is Side.LEFT else a.word[::-1]  # the word peeled
+    peel = ctx._peel
+
+    def wrong_for_first_atom(store, s, word):
+        if word == w and s == w[0]:
+            return w[:0:-1]  # the quotient's letters reversed: "cb", not "bc"
+        return peel(store, s, word)
+
+    monkeypatch.setattr(ctx, "_peel", wrong_for_first_atom)
+    with pytest.raises(InternalInvariantError, match=f"on the {side.value} is not abc"):
+        ctx.atom_quotients(a, side)
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_lcm_checks_its_complements(monkeypatch, side):
+    # complements that do not make one common multiple are caught when the
+    # lcm is memoised, by a raise that python -O keeps
+    ctx = MonoidContext(preset("A2tilde"))
+    a, b = ctx.element("a"), ctx.element("b")
+    reverse = ctx._reverse
+
+    def swapped(x, y, s):
+        r = reverse(x, y, s)
+        return None if r is None else (r[1], r[0])
+
+    monkeypatch.setattr(ctx, "_reverse", swapped)
+    with pytest.raises(InternalInvariantError, match=f"reversing on the {side.value}"):
+        ctx.lcm(a, b, side)
+    assert (a.word, b.word, side is Side.LEFT) not in ctx._lcm
 
 
 def test_gcd_examples(att):

@@ -117,6 +117,26 @@ def test_red_tame_values(att):
     assert fmt(att, first) == "1/c/ba/c"
 
 
+@pytest.mark.parametrize("check", ["gtr", "div_max", "derdiv", "red_tame"])
+def test_composite_moves_raise_on_a_broken_invariant(att, monkeypatch, check):
+    # each invariant of the composite moves is a raise that python -O keeps
+    a = mf(att, "ac/aca/aba")
+    if check == "gtr":  # a maximal reducer that is no multiple of the adjacent gcd a
+        monkeypatch.setattr(red, "reducers", lambda ctx, b, i, f: (att.element("b"),))
+        call = lambda: red.greatest_tame_reducer(att, mf(att, "a/a"), 1)
+    elif check == "div_max":
+        monkeypatch.setattr(red, "apply_division", lambda ctx, b, i, x: None)
+        call = lambda: red.div_max(att, mf(att, "a/a"), 1)
+    elif check == "derdiv":
+        monkeypatch.setattr(red, "is_prime", lambda ctx, b: False)
+        call = lambda: red.derdiv(att, a)
+    else:
+        monkeypatch.setattr(red, "apply_left", lambda ctx, b, i, x: None)
+        call = lambda: red.red_tame(att, a)
+    with pytest.raises(red.InternalInvariantError):
+        call()
+
+
 def test_red_tame_second_pass_moves(att):
     # the second pass applies exactly R(2,b) then R(3,c); the intermediate
     # after R(2,b) is bc/cb/a/c and the final value keeps the R(3,c) effect
