@@ -24,6 +24,7 @@ from .monoid import (
     CapExceeded,
     Element,
     IDENTITY,
+    InternalInvariantError,
     MonoidContext,
     MultiredError,
     Side,
@@ -146,7 +147,10 @@ def gen_element(ctx: MonoidContext, length: int, seed: int) -> Element:
     rng = random.Random(seed)
     word = tuple(rng.randrange(ctx.pres.n_atoms) for _ in range(length))
     e = ctx.canonical(word)
-    assert e.length == length
+    if e.length != length:
+        raise InternalInvariantError(
+            f"a word of length {length} has the canonical form {ctx.word_str(e)}"
+        )
     return e
 
 
@@ -470,11 +474,15 @@ def has_central_cross(ctx: MonoidContext, a: Multifraction) -> CentralCross | No
     g34 = ctx.gcd(a.entry(3), a.entry(4), side)
     x = ctx.divides(g12, a.entry(1), side)
     y = ctx.divides(g12, a.entry(2), side)
-    assert x is not None and y is not None
+    if x is None or y is None:
+        raise InternalInvariantError("a gcd does not divide the entries it is the gcd of")
     if a.entry(3) != ctx.attach(y, g34, side) or a.entry(4) != ctx.attach(x, g34, side):
         return None
     cross = CentralCross((x, g12, y, g34))
-    assert cross_is_valid(ctx, a, cross)
+    if not cross_is_valid(ctx, a, cross):
+        raise InternalInvariantError(
+            f"the cross read off {format_multifraction(ctx, a)} is not central"
+        )
     return cross
 
 

@@ -421,7 +421,11 @@ class MonoidContext:
     def multiply(self, x: Element, y: Element) -> Element:
         xw, yw = x.word, y.word
         z = self.canonical(xw + yw)
-        assert len(z.word) == len(xw) + len(yw), "length must be additive"
+        if len(z.word) != len(xw) + len(yw):
+            raise InternalInvariantError(
+                f"{self.word_str(x)} times {self.word_str(y)} is "
+                f"{self.word_str(z)}: length must be additive"
+            )
         return z
 
     def attach(self, y: Element, x: Element, side: Side) -> Element:
@@ -493,25 +497,49 @@ class MonoidContext:
     def divisors(self, a: Element, side: Side) -> tuple[Element, ...]:
         """All side-divisors of a, canonical, ordered by (length, word).
 
-        A depth-first search over atom peels: each divisor d found comes
-        with the rest r of a (d*r = a on the LEFT), and every atom in the
-        table of r extends d."""
-        key = (a.word, side is Side.LEFT)
+        A search over cofactors, one level per divisor length: the
+        cofactor of a divisor d is the r with attach(r, d, side) == a, and
+        each level maps its cofactors to the least words of their
+        divisors.  An atom t that side-divides r, with quotient q, makes
+        the word w of d one letter longer, w + (t,) on the LEFT and
+        (t,) + w on the RIGHT, a word of the divisor whose cofactor is q.
+
+        Of the candidates for one q the least is that divisor's canonical
+        word.  The monoid is homogeneous, so all words of an element have
+        one length, and a prefix (LEFT) or suffix (RIGHT) of a least word
+        is the least word of its own element: a smaller word for it would
+        make the whole word smaller.  That prefix or suffix is a divisor
+        one level down, whose least word is kept there, so the least word
+        of the new divisor is one of the candidates, and no candidate is
+        less than it.  Hence the search multiplies nothing and calls no
+        `canonical`; each word goes into the canonical memo as it is, and
+        the sorted words of each level are the (length, word) order.
+        """
+        left = side is Side.LEFT
+        key = (a.word, left)
         got = self._divisors.get(key)
         if got is not None:
             return got
-        found = {IDENTITY}
-        todo = [(IDENTITY, a)]
-        while todo:
-            d, rest = todo.pop()
-            for s, q in zip(self._atoms, self.atom_quotients(rest, side)):
-                if result_of(q) is None:
-                    continue
-                e = self.attach(d, s, side.other)
-                if e not in found:
-                    found.add(e)
-                    todo.append((e, q))
-        out = tuple(sorted(found, key=Element.sort_key))
+        memo = self._canon
+        found = [IDENTITY]
+        level: dict[Element, Word] = {a: ()}
+        while level:
+            nxt: dict[Element, Word] = {}
+            for r, w in level.items():
+                for t, q in enumerate(self.atom_quotients(r, side)):
+                    if result_of(q) is None:
+                        continue
+                    cand = w + (t,) if left else (t,) + w
+                    least = nxt.get(q)
+                    if least is None or cand < least:
+                        nxt[q] = cand
+            for w in sorted(nxt.values()):
+                d = memo.get(w)
+                if d is None:
+                    d = memo[w] = Element(w)
+                found.append(d)
+            level = nxt
+        out = tuple(found)
         self._divisors[key] = out
         return out
 

@@ -35,7 +35,8 @@ class Multifraction:
     entries: tuple[Element, ...]
 
     def __post_init__(self):
-        assert self.first_sign in (1, -1)
+        if self.first_sign not in (1, -1):
+            raise ValueError(f"first sign must be +1 or -1, not {self.first_sign!r}")
         # computed once, as for Element, with the dataclass-generated value
         object.__setattr__(self, "_hash", hash((self.first_sign, self.entries)))
 

@@ -442,21 +442,35 @@ def _atomic_moves(ctx, a, side: Side, strategy: str = "low_lex", on_cap=None):
 
 
 def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> ReductionTrace:
+    """Apply the first atomic move the strategy finds until there is none.
+
+    A step count past the tower bound is an InternalInvariantError.  The
+    bound is monotone in the count, so a count already seen within it
+    clears every smaller one: the guard runs only when the count passes
+    `safe`, and on success it asks for twice the count too, which
+    becomes the new `safe` when it holds.  A reduction of n steps thus
+    calls the guard O(log n) times, and still raises at the first step
+    past the bound.
+    """
     # a right reduction sequence from a is a left reduction sequence of the
     # same length from inverse(a), so both sides share the tower bound
     bounded = a if side is Side.LEFT else inverse(a)
     moves: list[Move] = []
     cur = a
+    safe = 0
     while True:
         i, s, nxt = next(_atomic_moves(ctx, cur, side, strategy), (None, None, None))
         if nxt is None:
             break
         moves.append(Move(side.value, i, s))
         cur = nxt
-        if not within_step_bound(ctx, bounded, len(moves)):
-            raise InternalInvariantError(
-                "reduction exceeded the tower step bound"
-            )
+        k = len(moves)
+        if k > safe:
+            if not within_step_bound(ctx, bounded, k):
+                raise InternalInvariantError(
+                    "reduction exceeded the tower step bound"
+                )
+            safe = 2 * k if within_step_bound(ctx, bounded, 2 * k) else k
     return ReductionTrace(a, tuple(moves), cur)
 
 
@@ -750,7 +764,9 @@ def within_step_bound(ctx: MonoidContext, a: Multifraction, k: int) -> bool:
     The tower is monotone in C, and C >= 2 as soon as there is an atom
     (an atom is basic), so the answer is first read off the tower at
     C = 2 (C = 1 without atoms).  Only a k beyond that builds the basic
-    tables for the true C.  The answer is the same either way.
+    tables for the true C.  The answer is the same either way.  It is
+    also monotone in k, which lets `_reduce` skip the counts below one
+    already seen within the bound.
     """
     lengths = [e.length for e in a.entries]
     if k <= _tower(2 if ctx.atoms() else 1, lengths, k + 1):

@@ -15,7 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .monoid import Element, IDENTITY, MonoidContext, MultiredError, Side
+from .monoid import (
+    Element,
+    IDENTITY,
+    InternalInvariantError,
+    MonoidContext,
+    MultiredError,
+    Side,
+)
 from .multifraction import Multifraction, format_multifraction, unit
 from .harness import has_central_cross
 from .reduction import Move, apply_left, due_side, red_tame
@@ -105,8 +112,13 @@ def _complement(ctx: MonoidContext, c: Multifraction, i: int, x: Element) -> Ele
     """The remainder x' deposited at entry i-1 by the step R(i,x) on c."""
     if x.is_identity or i == 1:
         return IDENTITY
-    r = ctx.lcm(x, c.entry(i), due_side(c, i).other)
-    assert r is not None
+    side = due_side(c, i).other
+    r = ctx.lcm(x, c.entry(i), side)
+    if r is None:
+        raise InternalInvariantError(
+            f"R({i},{ctx.word_str(x)}) applies, yet {ctx.word_str(x)} and entry {i} "
+            f"have no {side.value} lcm"
+        )
     return r[1]
 
 
@@ -114,7 +126,10 @@ def _apply(ctx, c, i, x):
     if x.is_identity:
         return c
     b = apply_left(ctx, c, i, x)
-    assert b is not None
+    if b is None:
+        raise InternalInvariantError(
+            f"the traced step R({i},{ctx.word_str(x)}) does not apply on replay"
+        )
     return b
 
 
@@ -198,7 +213,10 @@ def _annulus(builder, ctx, c, segment, outer_names, outer_ids, ring):
     """One sweep at levels 1..m-1: m-2 cells between the ring labeled by c
     and the ring labeled by the (depth m-2) result."""
     m = c.depth
-    assert len(segment) == m - 1
+    if len(segment) != m - 1:
+        raise InternalInvariantError(
+            f"a depth-{m} sweep holds {len(segment)} traced steps, not {m - 1}"
+        )
     xs = {mv.level: mv.x for mv in segment}
     inter = {0: c}
     for i in range(1, m):

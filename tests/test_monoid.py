@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from class_oracle import divides_scan, tuple_class
 from multired.monoid import (
+    CapExceeded,
     Caps,
     Element,
     IDENTITY,
@@ -15,6 +16,7 @@ from multired.monoid import (
     ReversingCapExceeded,
     Side,
     TriState,
+    result_of,
 )
 from multired.presentation import parse_presentation, preset
 
@@ -99,6 +101,92 @@ def test_divisors(att):
     assert att.divisors(IDENTITY, Side.LEFT) == (IDENTITY,)
     aba = sorted(att.word_str(d) for d in att.divisors(att.element("aba"), Side.LEFT))
     assert aba == ["1", "a", "ab", "aba", "b", "ba"]
+
+
+@pytest.mark.parametrize("preset_name", EVERY_PRESET)
+def test_divisors_match_class_prefixes(preset_name):
+    # oracle: the divisors of a are the canonical prefixes (LEFT) or
+    # suffixes (RIGHT) of the words of its rewrite class; the probe
+    # context computes them, the other one only runs `divisors`
+    pres = preset(preset_name)
+    ctx, probe = MonoidContext(pres), MonoidContext(pres)
+    rng = random.Random(zlib.crc32(preset_name.encode()))
+    for a in _random_elements(probe, rng, 30, max_len=7):
+        words = tuple_class(pres, a.word)
+        for side in Side:
+            parts = {
+                w[:k] if side is Side.LEFT else w[len(w) - k:]
+                for w in words
+                for k in range(len(w) + 1)
+            }
+            expected = sorted({probe.canonical(p) for p in parts}, key=Element.sort_key)
+            assert ctx.divisors(a, side) == tuple(expected)
+
+
+def _divisors_dfs(ctx, a, side):
+    """The depth-first search `divisors` once ran: each divisor found comes
+    with the rest of a, and every atom in the rest's table extends it by
+    one product."""
+    found = {IDENTITY}
+    todo = [(IDENTITY, a)]
+    while todo:
+        d, rest = todo.pop()
+        for s, q in zip(ctx.atoms(), ctx.atom_quotients(rest, side)):
+            if result_of(q) is None:
+                continue
+            e = ctx.attach(d, s, side.other)
+            if e not in found:
+                found.add(e)
+                todo.append((e, q))
+    return tuple(sorted(found, key=Element.sort_key))
+
+
+def _capped_outcome(search, pres, cap, a, side):
+    ctx = MonoidContext(pres, Caps(reversing_cap=cap))  # fresh: no memo carries over
+    try:
+        return search(ctx, a, side)
+    except CapExceeded as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+@pytest.mark.parametrize("preset_name", ["braid(4)", "A3tilde"])
+def test_divisors_overflow_as_the_dfs(preset_name, cap):
+    # at these caps the atom table's cube check overflows, so every
+    # element but 1 raises its overflow, as the search it replaced did
+    pres = preset(preset_name)
+    probe = MonoidContext(pres)
+    rng = random.Random(zlib.crc32(preset_name.encode()) + cap)
+    for a in [IDENTITY, *_random_elements(probe, rng, 12, max_len=8)]:
+        for side in Side:
+            new = _capped_outcome(MonoidContext.divisors, pres, cap, a, side)
+            assert new == _capped_outcome(_divisors_dfs, pres, cap, a, side)
+            if not a.is_identity:
+                assert new == (ReversingCapExceeded, f"reversing exceeded {cap} cell fills")
+
+
+@pytest.mark.parametrize(
+    "preset_name, cap, max_len", [("braid(4)", 16, 24), ("A3tilde", 17, 24), ("A2tilde", 3, 8)]
+)
+def test_divisors_under_a_cap_are_exact_or_inconclusive(preset_name, cap, max_len):
+    # at these caps the cube check passes and the atom divisions of long
+    # elements overflow.  A division's cell count depends on the cells
+    # that earlier divisions stored, so the level search and the DFS,
+    # which divide in different orders, may disagree on whether the cap
+    # is reached; when either returns, it returns every divisor
+    pres = preset(preset_name)
+    probe = MonoidContext(pres)
+    rng = random.Random(zlib.crc32(preset_name.encode()))
+    message = (ReversingCapExceeded, f"reversing exceeded {cap} cell fills")
+    kinds = set()
+    for a in _random_elements(probe, rng, 20, max_len=max_len):
+        for side in Side:
+            exact = _divisors_dfs(probe, a, side)
+            new = _capped_outcome(MonoidContext.divisors, pres, cap, a, side)
+            old = _capped_outcome(_divisors_dfs, pres, cap, a, side)
+            assert new in (exact, message) and old in (exact, message)
+            kinds.add((new == exact, old == exact))
+    assert {(True, True), (False, False)} <= kinds
 
 
 @pytest.mark.parametrize("preset_name", EVERY_PRESET)

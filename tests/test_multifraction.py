@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from multired.monoid import IDENTITY, MonoidContext
@@ -46,6 +47,13 @@ def test_unit():
     assert unit(-2) == Multifraction(-1, (IDENTITY, IDENTITY))
     assert unit(0) == EMPTY
     assert unit(2).is_trivial and not EMPTY.is_trivial
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2])
+def test_first_sign_is_checked(sign):
+    # a raise, so that python -O keeps it too
+    with pytest.raises(ValueError, match="first sign must be"):
+        Multifraction(sign, (IDENTITY,))
 
 
 def test_product_examples(att):

@@ -246,6 +246,49 @@ def test_step_bound_guard(att, monkeypatch, side):
     assert seen == [(bounded, 1)]
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_step_guard_raises_at_the_first_step_past_the_bound(att, monkeypatch, side):
+    # with a bound of 5 steps, a reduction of 10 (right) or 15 (left)
+    # steps raises once it has found its sixth move, at the guard's count 6
+    a = mf(att, "ac/ca/ba/ab/cb/bc")
+    reduce_fn = red.reduce_left if side == "left" else red.reduce_right
+    assert len(reduce_fn(att, a).moves) > 5
+    seen, searches = [], []
+    moves = red._atomic_moves
+
+    def five(ctx, b, k):
+        seen.append(k)
+        return k <= 5
+
+    def counted(*args):
+        searches.append(args)
+        return moves(*args)
+
+    monkeypatch.setattr(red, "within_step_bound", five)
+    monkeypatch.setattr(red, "_atomic_moves", counted)
+    with pytest.raises(red.InternalInvariantError, match="tower step bound"):
+        reduce_fn(att, a)
+    assert len(searches) == 6 and seen[-1] == 6
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_step_guard_runs_a_logarithmic_number_of_times(monkeypatch, side):
+    ctx = MonoidContext(preset("braid(4)"))
+    a = gen_multifraction(ctx, 8, 16, 1)
+    reduce_fn = red.reduce_left if side == "left" else red.reduce_right
+    guard = red.within_step_bound
+    seen = []
+
+    def counted(c, b, k):
+        seen.append(k)
+        return guard(c, b, k)
+
+    monkeypatch.setattr(red, "within_step_bound", counted)
+    n = len(reduce_fn(ctx, a).moves)
+    assert n > 80
+    assert len(seen) <= 2 * n.bit_length()
+
+
 def test_duality(att):
     rng = random.Random(17)
     checked = 0

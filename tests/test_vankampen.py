@@ -7,6 +7,7 @@ import pytest
 from multired.multifraction import Multifraction, format_multifraction, parse_multifraction, unit
 from multired import harness as H
 from multired import reduction as red
+from multired import vankampen as vk
 from multired.vankampen import (
     VanKampenFailure,
     VKEdge,
@@ -34,6 +35,21 @@ def test_att2_six_multifraction(att):
     a = parse_multifraction(att, "ac/ca/ba/ab/cb/bc")
     d = van_kampen(att, a)
     assert len(d.vertices) == 14
+
+
+def test_replayed_step_that_fails_to_apply_is_an_invariant_error(att, monkeypatch):
+    # a traced step that does not apply on replay is caught by a raise that
+    # python -O keeps, not by an attribute error on None
+    calls = []
+
+    def none_once(ctx, c, i, x):
+        calls.append(i)
+        return None if len(calls) == 1 else red.apply_left(ctx, c, i, x)
+
+    monkeypatch.setattr(vk, "apply_left", none_once)
+    with pytest.raises(red.InternalInvariantError, match="does not apply on replay"):
+        van_kampen(att, parse_multifraction(att, "ac/ca/ba/ab/cb/bc"))
+    assert len(calls) == 1  # raised at the first replayed step
 
 
 # diagrams of depth 8 and up nest one annulus inside another; the digests
