@@ -11,9 +11,10 @@ reports are JSON with --format json, graphs are DOT.  The MULTIRED_CAPS
 environment variable overrides caps, e.g.
 MULTIRED_CAPS="reversing_cap=20000,graph_node_cap=100000".  `irr` and
 `graph` print what they found of an incomplete reduct graph and exit 2.
-A usage error names the offending argument on stderr.  The parser is
-built for the named subcommand only, and in full for help and unknown
-commands.
+A usage error names the offending argument on stderr.  A query is read
+by a parser of its subcommand's options alone; the parser of every
+subcommand reads the rest: top-level help, an unknown command, and
+arguments the subcommand does not take.
 """
 
 from __future__ import annotations
@@ -193,19 +194,29 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(command=None) -> _Parser:
-    """The parser with only `command`'s subparser when the table names it,
-    with all of them otherwise (no command, help, an unknown name)."""
+def build_parser() -> _Parser:
+    """The parser of every subcommand."""
     parser = _Parser(prog="multired", description=__doc__)
-    one = command in SUBCOMMANDS
-    # with one subparser the usage line would name only it; name them all,
-    # as the full parser does
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(SUBCOMMANDS) + "}" if one else None)
-    for name in [command] if one else SUBCOMMANDS:
-        help_, add_options = SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, add_options) in SUBCOMMANDS.items():
         add_options(sub.add_parser(name, help=help_))
     return parser
+
+
+def parse_args(argv):
+    """The namespace `build_parser().parse_args(argv)` gives, read by a
+    parser of the named subcommand's options alone when argv starts with
+    one.  That parser is the subparser to which the full one hands the
+    rest of argv, so its help and its usage errors read alike.  Arguments
+    it leaves unread are refused by the full parser, which names them."""
+    if argv and argv[0] in SUBCOMMANDS:
+        parser = _Parser(prog=f"multired {argv[0]}")
+        SUBCOMMANDS[argv[0]][1](parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _graph_verdict(g: red.ReductGraph) -> int:
@@ -218,7 +229,7 @@ def _graph_verdict(g: red.ReductGraph) -> int:
 
 
 def dispatch(argv) -> int:
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = parse_args(argv)
 
     if args.command == "preset":
         if args.action == "list":

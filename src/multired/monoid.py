@@ -14,7 +14,8 @@ relation whose sides start (RIGHT) or end (LEFT) with atoms u and v is
 their lcm, and a pair no relation covers has no common multiple.
 Reversing is exact when it is complete, which for homogeneous
 presentations is the cube condition on atom triples; a side's table is
-checked on first use, and a failure raises LatticeViolation.
+checked on first use, unless it equals the other side's checked table,
+and a failure raises LatticeViolation.
 
 An atom s left-divides w exactly when reversing s against w leaves s
 nothing to add; what is left of w is the quotient.  An element is
@@ -187,6 +188,9 @@ class MonoidContext:
         self._stores: dict[Side, dict[tuple[Word, Word], Reversal]] = {}
         # per side, the class and args of a cube check that overflowed
         self._cube_overflows: dict[Side, tuple[type[CapExceeded], tuple]] = {}
+        # per side whose cube check passed, a copy of its store as the check
+        # left it
+        self._checked: dict[Side, dict[tuple[Word, Word], Reversal]] = {}
         self._multiples: dict[tuple[Word, Side], list[set[Element]]] = {}
         self._bound_C: int | None = None
 
@@ -201,18 +205,32 @@ class MonoidContext:
         mirror images: read backwards, a left lcm is a right lcm of the
         mirror-image presentation.  A check that overflows a cap is kept
         too: each later use raises its overflow again without re-running
-        it."""
+        it.
+
+        The check reads nothing but the atom table and the caps.  So when a
+        side's atom table equals that of the other side, whose check
+        passed, as it does in every Artin-Tits monoid (each relation reads
+        as itself, or with its sides swapped, backwards), the side starts
+        from a copy of the other side's store as the check left it and runs
+        no check.  A copy, not the other side's live store: reversing_cap
+        counts only the cells a store lacks, so a shared store would let
+        one side's reversals change whether the other's overflow."""
         store = self._stores.get(side)
         if store is None:
             if side in self._cube_overflows:  # raised afresh: no traceback grows
                 cls, args = self._cube_overflows[side]
                 raise cls(*args)
             store = self._atom_store(side)
-            try:
-                self._check_cube(side, store)
-            except CapExceeded as e:
-                self._cube_overflows[side] = (type(e), e.args)
-                raise
+            mirror = self._checked.get(side.other)
+            if mirror is not None and store == self._atom_store(side.other):
+                store = dict(mirror)
+            else:
+                try:
+                    self._check_cube(side, store)
+                except CapExceeded as e:
+                    self._cube_overflows[side] = (type(e), e.args)
+                    raise
+                self._checked[side] = dict(store)
             self._stores[side] = store
         return store
 
@@ -232,17 +250,18 @@ class MonoidContext:
         """
         verb = "start" if side is Side.RIGHT else "end"
         store: dict[tuple[Word, Word], Reversal] = {}
-        for lhs, rhs in self.pres.relations:
-            rel = f"{format_word(self.pres, lhs)} = {format_word(self.pres, rhs)}"
+        for relation in self.pres.relations:
+            lhs, rhs = relation
             if side is Side.LEFT:
                 lhs, rhs = lhs[::-1], rhs[::-1]
             u, v = lhs[:1], rhs[:1]
-            if u == v:
-                raise LatticeViolation(
-                    f"both sides of {rel} {verb} with {format_word(self.pres, u)}: "
-                    f"no {side.value} complement for the relation"
-                )
-            if (u, v) in store:
+            if u == v or (u, v) in store:  # named only when refused
+                rel = " = ".join(format_word(self.pres, w) for w in relation)
+                if u == v:
+                    raise LatticeViolation(
+                        f"both sides of {rel} {verb} with {format_word(self.pres, u)}: "
+                        f"no {side.value} complement for the relation"
+                    )
                 raise LatticeViolation(
                     f"{rel} and another relation both {verb} with "
                     f"{format_word(self.pres, u)} and {format_word(self.pres, v)}"
@@ -261,6 +280,13 @@ class MonoidContext:
         x\\y extends x to the lcm of x and y (on the left for LEFT).  Two
         words are equal when reversing one against the other leaves both
         empty.  Both are undefined when r and s have no common multiple.
+
+        The condition on (s, r, t) is that on (r, s, t) with its sides
+        swapped, and reversing b against a fills the transposed grid of a
+        against b, cell for cell.  So once (r, s, t) holds, (s, r, t) holds
+        and stores nothing new: the scan runs over r < s only, and it
+        stores, overflows and fails where a scan over every ordered pair
+        does, naming the same atoms.
         """
 
         def under(x: Word | None, y: Word | None) -> Word | None:
@@ -270,7 +296,7 @@ class MonoidContext:
             return None if r is None else r[1]
 
         n = self.pres.n_atoms
-        for r, s in itertools.permutations(range(n), 2):
+        for r, s in itertools.combinations(range(n), 2):
             if store.get(((r,), (s,))) is None:
                 continue
             for t in range(n):

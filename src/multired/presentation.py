@@ -17,6 +17,7 @@ downstream, so parsing is fully deterministic.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -62,6 +63,13 @@ class Presentation:
     def atom_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.atoms)
 
+    @functools.cached_property
+    def _spelling(self) -> tuple[tuple[str, ...], str]:
+        """The atom names and the separator `format_word` joins them with:
+        none when every name is one letter, "." otherwise."""
+        names = self.atom_names
+        return names, "" if all(len(n) == 1 for n in names) else "."
+
     def atom_index(self, name: str) -> int:
         for a in self.atoms:
             if a.name == name:
@@ -70,12 +78,10 @@ class Presentation:
 
 
 def format_word(p: Presentation, word: tuple[int, ...]) -> str:
-    names = [p.atoms[i].name for i in word]
-    if not names:
+    if not word:
         return "1"
-    if all(len(n) == 1 for n in p.atom_names):
-        return "".join(names)
-    return ".".join(names)
+    names, sep = p._spelling
+    return sep.join([names[i] for i in word])
 
 
 def parse_word(p: Presentation, text: str) -> tuple[int, ...]:

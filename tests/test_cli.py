@@ -255,7 +255,17 @@ _POSITIONALS = {"preset": ["list"], "wordproblem": ["a B"], "conjecture": ["A"],
 
 def _parser_corpus():
     corpus = [["-h"], [], ["bogus"], ["--preset", "A2tilde", "reduce", "a/b"],
-              ["reduce", "--strategy", "nope", "a/b"], ["graph", "--format", "xml", "a/b"]]
+              ["reduce", "--strategy", "nope", "a/b"], ["graph", "--format", "xml", "a/b"],
+              # an abbreviated option, --opt=value, a "--" separator, an option
+              # before its positional, an unknown option with a value, a
+              # repeated option, and help after a bad option
+              ["reduce", "--strat", "high_lex", "a/b"], ["reduce", "--strategy=high_lex", "a/b"],
+              ["reduce", "--", "a/b"], ["reduce", "a/b", "--"], ["reduce", "--", "--strategy"],
+              ["graph", "--side", "right", "--format=json", "a/b"],
+              ["reduce", "--bogus", "x", "a/b"], ["reduce", "--bogus=x", "a/b"],
+              ["reduce", "--strategy", "low_lex", "--strategy", "high_lex", "a/b"],
+              ["reduce", "--strategy", "nope", "-h"], ["reduce", "--bogus", "-h", "a/b"],
+              ["reduce", "--he"], ["reduce", "--pre", "braid3", "a/b"], ["reduce", "a/b", "extra"]]
     for name in cli.SUBCOMMANDS:
         positionals = _POSITIONALS.get(name, ["a/b"])
         corpus += [[name, "-h"], [name, "--bogus", *positionals]]
@@ -265,8 +275,9 @@ def _parser_corpus():
 
 
 def test_per_command_parser_matches_full(capsys, monkeypatch):
-    # dispatch builds only the named subcommand's parser; help and usage
-    # errors read as they do from the parser of all subcommands
+    # dispatch reads a query with its subcommand's parser alone: output,
+    # usage errors and exit codes are those of a parse by the parser of
+    # every subcommand
     def outputs():
         seen = []
         for argv in _parser_corpus():
@@ -274,10 +285,13 @@ def test_per_command_parser_matches_full(capsys, monkeypatch):
             seen.append((argv, code, *capsys.readouterr()))
         return seen
 
-    assert list(build_parser("reduce")._subparsers._group_actions[0].choices) == ["reduce"]
-    per_command = outputs()
+    full_builds = []
     full = build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    monkeypatch.setattr(cli, "build_parser", lambda: full_builds.append(1) or full())
+    per_command = outputs()
+    # both paths ran: some queries were read without the full parser
+    assert 0 < len(full_builds) < len(per_command)
+    monkeypatch.setattr(cli, "parse_args", lambda argv: full().parse_args(argv))
     assert outputs() == per_command
     assert {code for _, code, _, _ in per_command} == {EXIT_OK, EXIT_USAGE}
 
@@ -377,7 +391,7 @@ def test_readme_examples_parse():
         if ">" in argv:
             argv = argv[:argv.index(">")]
         # the per-command parser dispatch builds reads each line alike
-        assert build_parser(argv[0]).parse_args(argv) == parser.parse_args(argv)
+        assert cli.parse_args(argv) == parser.parse_args(argv)
 
 
 @pytest.mark.parametrize("argv, expected", [

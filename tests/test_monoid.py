@@ -1,3 +1,4 @@
+import itertools
 import random
 import zlib
 
@@ -18,7 +19,7 @@ from multired.monoid import (
     TriState,
     result_of,
 )
-from multired.presentation import parse_presentation, preset
+from multired.presentation import format_word, parse_presentation, preset
 
 words = st.lists(st.integers(0, 2), min_size=0, max_size=6).map(tuple)
 
@@ -557,6 +558,119 @@ def test_incomplete_presentations_rejected(text, side, message):
     ctx = MonoidContext(parse_presentation(text))
     with pytest.raises(LatticeViolation, match=message):
         ctx.basic_table(side)
+
+
+def _check_cube_every_pair(ctx, side, store):
+    """The cube check over every ordered pair of atoms, as first written:
+    the oracle of `MonoidContext._check_cube`, which scans r < s only."""
+
+    def under(x, y):
+        if x is None or y is None:
+            return None
+        r = ctx._right_reverse(store, x, y)
+        return None if r is None else r[1]
+
+    n = ctx.pres.n_atoms
+    for r, s in itertools.permutations(range(n), 2):
+        if store.get(((r,), (s,))) is None:
+            continue
+        for t in range(n):
+            if t == r or t == s:
+                continue
+            one = under(under((r,), (s,)), under((r,), (t,)))
+            two = under(under((s,), (r,)), under((s,), (t,)))
+            if (one is None) != (two is None) or (
+                one is not None and ctx._right_reverse(store, one, two) != ((), ())
+            ):
+                names = ", ".join(format_word(ctx.pres, (x,)) for x in (r, s, t))
+                raise LatticeViolation(
+                    f"cube condition fails on atoms ({names}) for the {side.value} "
+                    "complement: word reversing is incomplete; add the relations "
+                    "for the missing atom lcms"
+                )
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (LatticeViolation, CapExceeded) as e:
+        return type(e), str(e)
+
+
+def _scanned_store(pres, caps, side):
+    """The side's store as its own scan over every ordered pair leaves it,
+    on a fresh context, or the failure that scan raises."""
+    ctx = MonoidContext(pres, caps)
+
+    def run():
+        store = ctx._atom_store(side)
+        _check_cube_every_pair(ctx, side, store)
+        return store
+
+    return _outcome(run)
+
+
+# every preset family, and presentation files: one whose mirror image
+# differs, so that both sides are checked, and ones the cube refuses
+STORE_CASES = [
+    *(preset(name) for name in EVERY_PRESET + ["braid(3)", "K(5,3)"]),
+    parse_presentation("atoms: a b c\nrel: aa = bc\nrel: ab = cc\nrel: bb = ca\n",
+                       name="mirror-differs"),
+    parse_presentation("atoms: a b c\nrel: ab = bc\nrel: bc = ca\nrel: ca = ab\n",
+                       name="completed"),
+    parse_presentation("atoms: a b c\nrel: ab = bc\nrel: bc = ca\n", name="cube-fails"),
+    parse_presentation("atoms: a b c\nrel: aa = ba\nrel: aa = ca\nrel: bb = cc\n",
+                       name="cube-fails-defined"),
+]
+
+
+@pytest.fixture
+def cube_scans(monkeypatch):
+    """The sides whose cube check runs, in order."""
+    scans = []
+    check = MonoidContext._check_cube
+
+    def spy(self, side, store):
+        scans.append(side)
+        return check(self, side, store)
+
+    monkeypatch.setattr(MonoidContext, "_check_cube", spy)
+    return scans
+
+
+@pytest.mark.parametrize("cap", [3, 12, Caps.reversing_cap])
+@pytest.mark.parametrize("first", list(Side), ids=lambda side: f"{side.value}-first")
+@pytest.mark.parametrize("pres", STORE_CASES, ids=lambda pres: pres.name)
+def test_store_matches_every_pair_scan(pres, first, cap, cube_scans):
+    # whichever side is used first, each side's reversing store is, cell
+    # for cell, the one its own scan over every ordered pair leaves, and
+    # each check raises what that scan raises.  A side whose atom table is
+    # the other side's, which passed its check, runs no check of its own
+    caps = Caps(reversing_cap=cap)
+    ctx = MonoidContext(pres, caps)
+    order = (first, first.other)
+    got = {side: _outcome(lambda: ctx._store(side)) for side in order}
+    tables = {side: _outcome(lambda: ctx._atom_store(side)) for side in order}
+    if isinstance(got[first], dict) and tables[first] == tables[first.other]:
+        assert cube_scans == [first]
+    else:
+        assert cube_scans == [side for side in order if isinstance(tables[side], dict)]
+    for side in Side:
+        assert got[side] == _scanned_store(pres, caps, side)
+
+
+def test_mirror_store_is_a_copy():
+    # the second side starts from the first side's store as its check left
+    # it, not from that store as later reversals filled it
+    ctx = MonoidContext(preset("braid(4)"))
+    right = ctx._store(Side.RIGHT)
+    checked = dict(right)
+    ctx.lcm(ctx.element("abcab"), ctx.element("cbacb"), Side.RIGHT)
+    assert len(right) > len(checked)
+    left = ctx._store(Side.LEFT)
+    assert left == checked and left is not right
+    ctx.lcm(ctx.element("acb"), ctx.element("bca"), Side.LEFT)
+    assert right != left
 
 
 def test_completed_presentation_table():

@@ -9,7 +9,9 @@ from multired.presentation import (
     UnknownPreset,
     ValidationFailure,
     format_presentation,
+    format_word,
     parse_presentation,
+    parse_word,
     preset,
     validate,
 )
@@ -24,6 +26,23 @@ def test_parse_att():
 def test_parse_free_monoid():
     p = parse_presentation("atoms: a\n")
     assert p.n_atoms == 1 and p.relations == ()
+
+
+def test_format_word_spelling():
+    # one-letter names side by side, longer ones joined by ".", and the
+    # empty word as 1; each spelling parses back to its word
+    abc = parse_presentation("atoms: a b c\nrel: aba = bab\n")
+    x12 = parse_presentation("atoms: x1 x2\nrel: x1.x2.x1 = x2.x1.x2\n")
+    mixed = parse_presentation("atoms: a x2\n")
+    cases = {
+        abc: {(): "1", (2,): "c", (0, 1, 2, 2): "abcc"},
+        x12: {(): "1", (1,): "x2", (0, 1, 0): "x1.x2.x1"},
+        mixed: {(): "1", (0,): "a", (1, 0, 0): "x2.a.a"},
+    }
+    for p, spelled in cases.items():
+        for _ in range(2):  # the names are read once, then reused
+            assert {w: format_word(p, w) for w in spelled} == spelled
+        assert all(parse_word(p, text) == w for w, text in spelled.items())
 
 
 def test_identical_starts_refused_at_first_element():
