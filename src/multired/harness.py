@@ -231,11 +231,7 @@ def gen_central_cross(
     ray_length; unital by construction."""
     if depth % 2 != 0 or depth < 2:
         raise ValueError("central crosses need even depth >= 2")
-    rng = random.Random(seed)
-    rays = tuple(
-        gen_element(ctx, rng.randint(0, ray_length), derive_seed(seed, i))
-        for i in range(depth)
-    )
+    rays = gen_multifraction(ctx, depth, ray_length, seed).entries
     return assemble_cross(ctx, rays), CentralCross(rays)
 
 

@@ -30,8 +30,9 @@ atom present in both tables again and again, and `divisors` searches over
 its entries.  lcms are reversals, each checked once when it is memoised.
 These checks raise InternalInvariantError, also under `python -O`; the
 moves of `reduction` rest on them and multiply nothing back.  `lcm_oracle`
-and `multiples` are brute-force searches kept for the tests to
-cross-check against; nothing in the package calls them.
+is a brute-force search kept for the tests to cross-check `lcm` against;
+nothing in the package calls it.  The breadth-first search it rests on,
+`multiples`, also lists the elements up to a length (`elements_up_to`).
 
 One side convention serves every operation that takes a Side: RIGHT
 attaches on the right and LEFT on the left.  `attach(y, x, side)` is y*x
@@ -186,8 +187,6 @@ class MonoidContext:
         self._tables: dict[Side, BasicTable] = {}
         # per side, the reversing table: (x, t) -> (x past t, t past x) | None
         self._stores: dict[Side, dict[tuple[Word, Word], Reversal]] = {}
-        # per side, the class and args of a cube check that overflowed
-        self._cube_overflows: dict[Side, tuple[type[CapExceeded], tuple]] = {}
         # per side whose cube check passed, a copy of its store as the check
         # left it
         self._checked: dict[Side, dict[tuple[Word, Word], Reversal]] = {}
@@ -203,9 +202,11 @@ class MonoidContext:
 
         RIGHT reverses plain words to the right.  LEFT does the same on
         mirror images: read backwards, a left lcm is a right lcm of the
-        mirror-image presentation.  A check that overflows a cap is kept
-        too: each later use raises its overflow again without re-running
-        it.
+        mirror-image presentation.  A side whose check fails keeps no
+        store: each later use runs the check again, from a fresh atom
+        table under the same caps, and so fails again the same way (a cap
+        overflow raises a fresh CapExceeded of the same class and
+        message).
 
         The check reads nothing but the atom table and the caps.  So when a
         side's atom table equals that of the other side, whose check
@@ -217,19 +218,12 @@ class MonoidContext:
         one side's reversals change whether the other's overflow."""
         store = self._stores.get(side)
         if store is None:
-            if side in self._cube_overflows:  # raised afresh: no traceback grows
-                cls, args = self._cube_overflows[side]
-                raise cls(*args)
             store = self._atom_store(side)
             mirror = self._checked.get(side.other)
             if mirror is not None and store == self._atom_store(side.other):
                 store = dict(mirror)
             else:
-                try:
-                    self._check_cube(side, store)
-                except CapExceeded as e:
-                    self._cube_overflows[side] = (type(e), e.args)
-                    raise
+                self._check_cube(side, store)
                 self._checked[side] = dict(store)
             self._stores[side] = store
         return store
@@ -733,19 +727,10 @@ class MonoidContext:
     # enumeration and bounds
 
     def elements_up_to(self, max_length: int) -> list[Element]:
-        """All elements of length <= max_length, ordered by (length, word)."""
-        seen: set[Element] = {IDENTITY}
-        level = [IDENTITY]
-        for _ in range(max_length):
-            nxt = []
-            for x in level:
-                for i in range(self.pres.n_atoms):
-                    y = self.canonical(x.word + (i,))
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            level = nxt
-        return sorted(seen, key=Element.sort_key)
+        """All elements of length <= max_length, ordered by (length, word):
+        the right multiples of 1 up to that length."""
+        levels = self.multiples(IDENTITY, max_length, Side.RIGHT)
+        return sorted(set().union(*levels), key=Element.sort_key)
 
     def basic_bound_C(self) -> int:
         """1 + max length over basic elements (either side)."""

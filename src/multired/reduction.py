@@ -44,9 +44,10 @@ multiple with entry i (mirrored for R~), so `_level_moves` reads, once per
 level, the `MonoidContext.atom_quotients` table of the entry divided (both
 entries' for a truncated division rule) and takes lcms only for the
 atoms in it; `_atomic_moves` walks the levels in strategy order.  An
-attempt that overflows a cap is reported at its atom's turn, to the
-caller's on_cap or raised: `reduct_graph` records it as an inconclusive
-edge and `left_closures` counts it against its node.  `apply_left`,
+attempt that overflows a cap is a value in that stream, its CapExceeded
+at its atom's turn: `_reduce` raises it through `result_of`,
+`reduct_graph` records it as an inconclusive edge and `left_closures`
+counts it against its node.  `apply_left`,
 `apply_right` and `apply_division` are the single-move API; they divide
 with `MonoidContext.divides` and build the reduct with the same cores.
 Tests inject overflows by wrapping the module attributes `_level_moves`
@@ -409,17 +410,16 @@ def _level_moves(ctx: MonoidContext, a: Multifraction, side: Side, i: int, atoms
         yield s, b
 
 
-def _atomic_moves(ctx, a, side: Side, strategy: str = "low_lex", on_cap=None):
-    """The applicable atomic moves of one side, in strategy order, as
-    (level, atom, reduct).
+def _atomic_moves(ctx, a, side: Side, strategy: str = "low_lex"):
+    """The atomic move attempts of one side that applied or overflowed, in
+    strategy order, as (level, atom, outcome): the reduct, or the
+    CapExceeded of an attempt that overflowed a cap.
 
     This is the one place that maps a side to its levels (1..depth-1 on
     the left, 2..depth on the right); `_level_moves` tries the atoms of
     one level, and is looked up by module-global name at call time, so a
     wrapper installed on the module attribute (the tests inject overflows
-    so) sees every attempt.  An attempt that overflowed a cap is raised at
-    its turn, or handed to on_cap(level, atom, error) and the move
-    skipped.
+    so) sees every attempt.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -431,14 +431,8 @@ def _atomic_moves(ctx, a, side: Side, strategy: str = "low_lex", on_cap=None):
         atoms = atoms[::-1]
     for i in levels:
         for s, b in _level_moves(ctx, a, side, i, atoms):
-            if b is None:
-                continue
-            if isinstance(b, CapExceeded):
-                if on_cap is None:
-                    raise b
-                on_cap(i, s, b)
-                continue
-            yield i, s, b
+            if b is not None:
+                yield i, s, b
 
 
 def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> ReductionTrace:
@@ -462,8 +456,8 @@ def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> 
         i, s, nxt = next(_atomic_moves(ctx, cur, side, strategy), (None, None, None))
         if nxt is None:
             break
+        cur = result_of(nxt)
         moves.append(Move(side.value, i, s))
-        cur = nxt
         k = len(moves)
         if k > safe:
             if not within_step_bound(ctx, bounded, k):
@@ -583,10 +577,10 @@ def reduct_graph(ctx: MonoidContext, a: Multifraction, side: Side = Side.LEFT) -
     while queue:
         src = queue.popleft()
         cur = g.nodes[src]
-        overflows = []
-        for i, s, b in _atomic_moves(
-            ctx, cur, side, on_cap=lambda i, s, e: overflows.append((i, s, str(e)))
-        ):
+        for i, s, b in _atomic_moves(ctx, cur, side):
+            if isinstance(b, CapExceeded):
+                g.inconclusive.append((src, i, s, str(b)))
+                continue
             if b not in g.index:
                 if len(g.nodes) >= cap:
                     raise GraphNodeCapExceeded(f"reduct graph exceeded {cap} nodes")
@@ -594,7 +588,6 @@ def reduct_graph(ctx: MonoidContext, a: Multifraction, side: Side = Side.LEFT) -
                 g.nodes.append(b)
                 queue.append(g.index[b])
             g.edges.append((src, Move(side.value, i, s), g.index[b]))
-        g.inconclusive.extend((src, i, s, r) for i, s, r in overflows)
     return g
 
 
@@ -669,15 +662,10 @@ def left_closures(ctx: MonoidContext, roots) -> LeftClosures:
 
     def frame(node):
         # [node, reducts, next reduct, closure so far, overflowed attempts]
-        failed = []
-        reducts = [
-            b
-            for _, _, b in _atomic_moves(
-                ctx, node, Side.LEFT, on_cap=lambda i, s, e: failed.append(i)
-            )
-        ]
+        outcomes = [b for _, _, b in _atomic_moves(ctx, node, Side.LEFT)]
+        reducts = [b for b in outcomes if not isinstance(b, CapExceeded)]
         walking.add(node)
-        return [node, reducts, 0, 0, len(failed)]
+        return [node, reducts, 0, 0, len(outcomes) - len(reducts)]
 
     for root in roots:
         if root in index:

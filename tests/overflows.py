@@ -8,8 +8,8 @@ the move enumeration tries the atoms of one level through
 `overflow_left_moves` wraps both, so an attempt overflows wherever it is
 made: an attempt of x at level i of a whose outcome is b (the reduct, or
 None when the move does not apply) overflows when when(a, i, x, b) holds.
-The enumeration then hands the overflow on at that atom's turn, as it does
-a real one, and apply_left raises it.
+The enumeration then carries the overflow in its move stream at that
+atom's turn, as it does a real one, and apply_left raises it.
 """
 
 from multired import reduction as red

@@ -503,6 +503,33 @@ def test_elements_up_to(att, braid3):
     assert len({e.length for e in b}) == 4
 
 
+def elements_up_to_loop(ctx, max_length):
+    """The elements of length <= max_length by a breadth-first loop of
+    its own, one atom appended at a time: the enumeration
+    `elements_up_to` ran before it read `multiples`, kept as its oracle."""
+    seen, level = {IDENTITY}, [IDENTITY]
+    for _ in range(max_length):
+        nxt = []
+        for x in level:
+            for i in range(ctx.pres.n_atoms):
+                y = ctx.canonical(x.word + (i,))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        level = nxt
+    return sorted(seen, key=Element.sort_key)
+
+
+@pytest.mark.parametrize("preset_name", EVERY_PRESET)
+def test_elements_up_to_matches_loop(preset_name):
+    # in contexts of their own, so that neither reads the other's memos
+    ctx, oracle = MonoidContext(preset(preset_name)), MonoidContext(preset(preset_name))
+    for max_length in range(5):
+        got = ctx.elements_up_to(max_length)
+        assert got == elements_up_to_loop(oracle, max_length), max_length
+    assert ctx.elements_up_to(2) == elements_up_to_loop(oracle, 2)
+
+
 def test_grid_vs_oracle_second_preset(k43):
     els = k43.elements_up_to(2)
     for a in els:

@@ -443,11 +443,12 @@ def test_reduct_lattice_has_no_universal_join(att):
         assert not (g.contains(d1) and g.contains(d2))
 
 
-def probe_moves(ctx, a, side, strategy, on_cap):
-    """The atomic moves of one side as (level, atom, reduct), found by
-    probing every (level, atom) pair with apply_left or apply_right in
-    strategy order: the enumeration that atom-quotient tables replaced,
-    kept as an oracle with the same on_cap contract."""
+def probe_moves(ctx, a, side, strategy):
+    """The atomic move attempts of one side that applied or overflowed, as
+    (level, atom, reduct or CapExceeded), found by probing every (level,
+    atom) pair with apply_left or apply_right in strategy order: the
+    enumeration that atom-quotient tables replaced, kept as an oracle with
+    the same stream contract."""
     if side is Side.LEFT:
         levels, apply_fn = range(1, a.depth), red.apply_left
     else:
@@ -462,39 +463,30 @@ def probe_moves(ctx, a, side, strategy, on_cap):
             try:
                 b = apply_fn(ctx, a, i, s)
             except CapExceeded as e:
-                if on_cap is None:
-                    raise
-                on_cap(i, s, e)
-                continue
+                b = e
             if b is not None:
                 yield i, s, b
 
 
 def enumerate_moves(moves_fn, ctx, a, side, strategy):
-    """The moves and the on_cap calls (level, atom, message) of one
-    enumeration; then, without on_cap, the moves found before it raises
-    and the message it raises."""
-    reported = []
-    moves = list(moves_fn(ctx, a, side, strategy, lambda i, s, e: reported.append((i, s, str(e)))))
-    before, error = [], None
-    try:
-        for move in moves_fn(ctx, a, side, strategy, None):
-            before.append(move)
-    except CapExceeded as e:
-        error = str(e)
-    return moves, reported, before, error
+    """The (level, atom, outcome) list of one enumeration, each overflow
+    as its message."""
+    return [
+        (i, s, str(b) if isinstance(b, CapExceeded) else b)
+        for i, s, b in moves_fn(ctx, a, side, strategy)
+    ]
 
 
 @pytest.mark.parametrize("reversing_cap", [None, 1, 2, 3])
 @pytest.mark.parametrize("name", GOLDEN_PRESETS)
 def test_atomic_moves_match_probe_oracle(name, reversing_cap):
-    # the moves read off atom-quotient tables are those that probing every
-    # (level, atom) pair finds, in the same order, and an overflowing
-    # attempt is reported, or raised, at the same turn.  The two run in
-    # contexts of their own, so that neither reads the other's memos.  At
-    # reversing caps 1-3 most presets overflow while checking their
-    # reversing table, so every attempt overflows; A2tilde, C2tilde,
-    # K(4,3), free(2) and I2(5) also apply moves under some of those caps
+    # the move stream read off atom-quotient tables is the one that probing
+    # every (level, atom) pair finds: the same moves and the same overflows,
+    # each at the same place among the moves.  The two run in contexts of
+    # their own, so that neither reads the other's memos.  At reversing
+    # caps 1-3 most presets overflow while checking their reversing table,
+    # so every attempt overflows; A2tilde, C2tilde, K(4,3), free(2) and
+    # I2(5) also apply moves under some of those caps
     caps = Caps() if reversing_cap is None else Caps(reversing_cap=reversing_cap)
     fast, probe = MonoidContext(preset(name), caps), MonoidContext(preset(name), caps)
     inputs = MonoidContext(preset(name))  # random words canonical under any cap
@@ -508,8 +500,9 @@ def test_atomic_moves_match_probe_oracle(name, reversing_cap):
                         got = enumerate_moves(red._atomic_moves, fast, a, side, strategy)
                         want = enumerate_moves(probe_moves, probe, a, side, strategy)
                         assert got == want, (fmt(inputs, a), side, strategy)
-                        applied += len(want[0])
-                        overflowed += len(want[1])
+                        overflows = sum(isinstance(b, str) for _, _, b in want)
+                        applied += len(want) - overflows
+                        overflowed += overflows
     if reversing_cap is None:
         assert applied > 0 and overflowed == 0
     else:
