@@ -252,7 +252,7 @@ def dispatch(argv) -> int:
             "input": fmt(a),
             "strategy": args.strategy,
             "moves": [
-                {"kind": m.kind, "level": m.level, "x": ctx.word_str(m.x)}
+                {"kind": m.kind.value, "level": m.level, "x": ctx.word_str(m.x)}
                 for m in tr.moves
             ],
             "steps": len(tr.moves),

@@ -3,20 +3,27 @@ testers, depth-4 central-cross machinery, bounded 3-Ore scans, the word
 problem, and seeded campaign runs.
 
 Verdict discipline: cap overflows degrade verdicts to "inconclusive", and
-a "counterexample" is reported only when nothing was left undecided.  The
-A and B testers take a certificate of unitality with their input and
-replay it first; the replay rejects malformed steps, and a failed replay
-raises.  The C, Cunif and pair testers take none: their counterexamples
-are read off complete left reduct closures.  Negative word-problem
-answers are unconditional for presets of FC type (and whenever the
-signed length is nonzero), conditional on semi-convergence otherwise.
+a "counterexample" is reported only when nothing was left undecided.  It
+lives in two decisions.  `_reaches_trivial` asks whether a left-reduces
+to the trivial multifraction, for Conjecture A and the word problem: one
+strategy run, then the left reduct graph, with a counterexample only off
+a complete graph.  `LeftClosures.common` gives the common left reducts of
+some roots and whether that set is exact, for the pair, Cunif and
+four-strategy cross-confluence testers.  The A and B testers take a
+certificate of unitality with their input and replay it first; the
+replay rejects malformed steps, and a failed replay raises.  Negative
+word-problem answers are unconditional for presets of FC type (and
+whenever the signed length is nonzero), conditional on semi-convergence
+otherwise.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -35,6 +42,7 @@ from .multifraction import (
     SignedWord,
     format_multifraction,
     from_signed_word,
+    parse_multifraction,
     unit,
 )
 from .presentation import PresentationError
@@ -292,14 +300,13 @@ def lcm_expand(
 # conjecture testers
 
 
-def test_conjecture_A(
-    ctx: MonoidContext, a: Multifraction, certificate: UnitalCertificate
-) -> Verdict:
-    """Semi-convergence on one unital instance: a must reduce to the
-    trivial multifraction.  Fast path: one strategy run; fallback:
-    exhaustive graph search."""
-    if not validate_certificate(ctx, a, certificate):
-        raise MultiredError("certificate does not prove the input unital")
+def _reaches_trivial(ctx: MonoidContext, a: Multifraction) -> Verdict:
+    """Does a left-reduce to the trivial multifraction?  Confirmed by one
+    strategy run ("steps", "trace_levels") or, when the run ends
+    elsewhere, by the left reduct graph ("via": "graph", "nodes").  A
+    counterexample ("nodes") is read only off a complete graph; a graph
+    past its cap ("reason") or with overflowed moves ("incomplete_edges")
+    is inconclusive.  Conjecture A and the word problem both ask this."""
     trivial = unit(a.depth if a.first_sign > 0 else -a.depth)
     tr = reduce_left(ctx, a)
     if tr.end == trivial:
@@ -314,11 +321,21 @@ def test_conjecture_A(
     if graph.contains(trivial):
         return Verdict("confirmed", {"via": "graph", "nodes": len(graph.nodes)})
     if graph.complete:
-        return Verdict(
-            "counterexample",
-            {"nodes": len(graph.nodes), "certificate": certificate.kind},
-        )
+        return Verdict("counterexample", {"nodes": len(graph.nodes)})
     return Verdict("inconclusive", {"incomplete_edges": len(graph.inconclusive)})
+
+
+def test_conjecture_A(
+    ctx: MonoidContext, a: Multifraction, certificate: UnitalCertificate
+) -> Verdict:
+    """Semi-convergence on one unital instance: a must reduce to the
+    trivial multifraction (`_reaches_trivial`)."""
+    if not validate_certificate(ctx, a, certificate):
+        raise MultiredError("certificate does not prove the input unital")
+    verdict = _reaches_trivial(ctx, a)
+    if verdict.status == "counterexample":
+        verdict.evidence["certificate"] = certificate.kind
+    return verdict
 
 
 def test_conjecture_B(
@@ -331,11 +348,11 @@ def test_conjecture_B(
         raise MultiredError("certificate does not prove the input unital")
     trivial = unit(a.depth if a.first_sign > 0 else -a.depth)
     out = red_tame(ctx, a)
-    fix, iters = red_tame_fixpoint(ctx, a)
+    fix, iters = red_tame_fixpoint(ctx, out)  # out is the first pass from a
     evidence = {
         "red_tame": format_multifraction(ctx, out),
         "fixpoint": format_multifraction(ctx, fix),
-        "fixpoint_iterations": iters,
+        "fixpoint_iterations": iters + (out != a),
     }
     if out == trivial:
         return Verdict("confirmed", evidence)
@@ -345,15 +362,14 @@ def test_conjecture_B(
 def test_cross_confluence_pair(
     ctx: MonoidContext, b: Multifraction, c: Multifraction, a: Multifraction
 ) -> Verdict:
-    """b, c right reducts of a: search for a common left reduct.  The
-    common left reducts are the intersection of b's and c's left reduct
-    closures (`left_closures`)."""
+    """b, c right reducts of a: search for a common left reduct, in the
+    common left reducts of b and c (`LeftClosures.common`)."""
     try:
         lc = red.left_closures(ctx, (b, c))
     except CapExceeded as e:
         return Verdict("inconclusive", {"reason": str(e)})
-    b_bits, c_bits = lc.closure_of(b), lc.closure_of(c)
-    common = lc.members(b_bits & c_bits)
+    bits, complete = lc.common((b, c))
+    common = lc.members(bits)
     if common:
         witness = min(common, key=lambda m: (m.total_length(), format_multifraction(ctx, m)))
         return Verdict(
@@ -363,9 +379,10 @@ def test_cross_confluence_pair(
                 "common": sorted(format_multifraction(ctx, x) for x in common),
             },
         )
-    if not (b_bits | c_bits) & lc.overflowed:
+    if complete:
         return Verdict(
-            "counterexample", {"b_nodes": b_bits.bit_count(), "c_nodes": c_bits.bit_count()}
+            "counterexample",
+            {"b_nodes": lc.closure_of(b).bit_count(), "c_nodes": lc.closure_of(c).bit_count()},
         )
     return Verdict("inconclusive", {})
 
@@ -378,17 +395,16 @@ def test_conjecture_C_uniform(ctx: MonoidContext, a: Multifraction) -> Verdict:
 
     The left closures of all right reducts come from one walk of their
     shared left graph (`left_closures`), as bitsets: the witnesses are
-    their intersection, the irreducible left reducts of a are the sinks
-    in a's closure, and a latest common ancestor is a member of a's
-    closure whose closure holds them all and no other such member."""
+    their common reducts (`LeftClosures.common`), the irreducible left
+    reducts of a are the sinks in a's closure, and a latest common
+    ancestor is a member of a's closure whose closure holds them all and
+    no other such member."""
     try:
         rg = reduct_graph(ctx, a, Side.RIGHT)
         lc = red.left_closures(ctx, rg.nodes)
     except CapExceeded as e:
         return Verdict("inconclusive", {"reason": str(e)})
-    witness_bits = -1  # every bit set
-    for node in rg.nodes:
-        witness_bits &= lc.closure_of(node)
+    witness_bits, closures_complete = lc.common(rg.nodes)
     witnesses = set(lc.members(witness_bits))
     irr = lc.closure_of(a) & lc.sinks
     lca = lc.latest_common_ancestors(a, irr) if irr else []
@@ -406,7 +422,7 @@ def test_conjecture_C_uniform(ctx: MonoidContext, a: Multifraction) -> Verdict:
     }
     if witnesses:
         return Verdict("confirmed", evidence)
-    complete = rg.complete and not any(lc.closure_of(node) & lc.overflowed for node in rg.nodes)
+    complete = rg.complete and closures_complete
     return Verdict("counterexample" if complete else "inconclusive", evidence)
 
 
@@ -421,9 +437,11 @@ def _strategy_end(run, ctx: MonoidContext, a: Multifraction, strategy: str) -> M
 def four_strategy_C_probe(ctx: MonoidContext, a: Multifraction) -> Verdict:
     """Strategy-restricted cross-confluence: the four strategy right
     reducts must all left-reduce to one of the four strategy left reducts
-    (the all-pairs outcome is recorded as well).  Reducibility is read off
-    the right reducts' left reduct closures (`left_closures`).  A strategy
-    run that overflows a cap leaves its reduct None, and closures that
+    (whether they all reduce to all four is recorded as well), that is,
+    one strategy left reduct must lie in the common left reducts of the
+    right ones (`LeftClosures.common`).  A strategy run that overflows a
+    cap leaves its reduct None: an unfinished right run empties the
+    common set, an unfinished left one is in none.  Closures that
     overflow leave only the runs' reducts and the reason; a failure is a
     counterexample only when all eight runs finished and all four closures
     are complete."""
@@ -433,26 +451,25 @@ def four_strategy_C_probe(ctx: MonoidContext, a: Multifraction) -> Verdict:
         "rights": [None if b is None else format_multifraction(ctx, b) for b in rights],
         "lefts": [None if c is None else format_multifraction(ctx, c) for c in lefts],
     }
+    finished = [b for b in rights if b is not None]
     try:
-        lc = red.left_closures(ctx, [b for b in rights if b is not None])
+        lc = red.left_closures(ctx, finished)
     except CapExceeded as e:
         return Verdict("inconclusive", {**runs, "reason": str(e)})
-    # an unfinished right run reaches nothing; an unfinished left one is reached by none
-    closures = [0 if b is None else lc.closure_of(b) for b in rights]
-    positions = [lc.index.get(c) for c in lefts]
-    table = [[k is not None and bits >> k & 1 for k in positions] for bits in closures]
-    exists_k = any(all(row[k] for row in table) for k in range(len(lefts)))
-    all_pairs = all(all(row) for row in table)
+    bits, complete = lc.common(finished)
+    if None in rights:
+        bits = 0
+    reached = [k is not None and bits >> k & 1 == 1 for k in map(lc.index.get, lefts)]
     evidence = {
         **runs,
-        "exists_k_forall_j": exists_k,
-        "forall_k_forall_j": all_pairs,
+        "exists_k_forall_j": any(reached),
+        "forall_k_forall_j": all(reached),
     }
-    if exists_k:
+    if any(reached):
         return Verdict("confirmed", evidence)
-    if None not in rights + lefts and not any(bits & lc.overflowed for bits in closures):
+    if None not in rights + lefts and complete:
         return Verdict("counterexample", evidence)
-    evidence["incomplete_edges"] = sum(lc.incomplete_edges(bits) for bits in closures)
+    evidence["incomplete_edges"] = sum(lc.incomplete_edges(lc.closure_of(b)) for b in finished)
     return Verdict("inconclusive", evidence)
 
 
@@ -584,31 +601,22 @@ def word_problem(ctx: MonoidContext, w: SignedWord) -> dict:
     semi-convergence otherwise.
     """
     a = from_signed_word(ctx, w)
-    n = a.depth
     result = {
         "multifraction": format_multifraction(ctx, a),
-        "depth": n,
+        "depth": a.depth,
     }
     if a.weight() != 0:
         result.update(verdict="nontrivial", unconditional=True, basis="signed-length")
         return result
-    tr = reduce_left(ctx, a)
-    if tr.end == unit(n):
-        result.update(
-            verdict="trivial", unconditional=True, basis="trace",
-            steps=len(tr.moves),
-        )
+    verdict = _reaches_trivial(ctx, a)
+    evidence = verdict.evidence
+    if verdict.status == "confirmed":
+        result.update(verdict="trivial", unconditional=True, basis=evidence.get("via", "trace"))
+        if "steps" in evidence:
+            result["steps"] = evidence["steps"]
         return result
-    try:
-        graph = reduct_graph(ctx, a, Side.LEFT)
-    except CapExceeded as e:
-        result.update(verdict="inconclusive", basis=str(e))
-        return result
-    if graph.contains(unit(n)):
-        result.update(verdict="trivial", unconditional=True, basis="graph")
-        return result
-    if not graph.complete:
-        result.update(verdict="inconclusive", basis="incomplete graph")
+    if verdict.status == "inconclusive":
+        result.update(verdict="inconclusive", basis=evidence.get("reason", "incomplete graph"))
         return result
     fc = ctx.pres.fc
     result.update(
@@ -628,12 +636,12 @@ def mixed_cycle_probe(ctx: MonoidContext, iterations: int = 3) -> dict:
     el = ctx.element
     start = Multifraction(1, (IDENTITY, el("a"), el("bc"), IDENTITY))
     seq = [
-        ("left", 2, "b"),
-        ("right", 3, "a"),
-        ("left", 2, "c"),
-        ("right", 3, "b"),
-        ("left", 2, "a"),
-        ("right", 3, "c"),
+        (Side.LEFT, 2, "b"),
+        (Side.RIGHT, 3, "a"),
+        (Side.LEFT, 2, "c"),
+        (Side.RIGHT, 3, "b"),
+        (Side.LEFT, 2, "a"),
+        (Side.RIGHT, 3, "c"),
     ]
     outer_left = el("bacbac")
     outer_right = el("acbacb")
@@ -869,21 +877,18 @@ def run_campaign(
 
 
 def dump_counterexample(ctx: MonoidContext, record: dict, directory: str) -> list[str]:
-    """Write the graph (DOT) and certificate (JSON) for a counterexample."""
-    import os
-
+    """Write the replayable record (JSON) of a counterexample, then its
+    input's left reduct graph (DOT) when the graph fits within its caps;
+    a graph that overflows is left out, with the reason on stderr."""
     os.makedirs(directory, exist_ok=True)
-    from .multifraction import parse_multifraction
-
-    a = parse_multifraction(ctx, record["input"])
-    paths = []
-    graph = reduct_graph(ctx, a, Side.LEFT)
-    dot_path = os.path.join(directory, f"counterexample_{record['trial']}.dot")
-    with open(dot_path, "w") as fh:
-        fh.write(graph.to_dot(ctx))
-    paths.append(dot_path)
-    json_path = os.path.join(directory, f"counterexample_{record['trial']}.json")
-    with open(json_path, "w") as fh:
+    stem = os.path.join(directory, f"counterexample_{record['trial']}")
+    with open(stem + ".json", "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
-    paths.append(json_path)
-    return paths
+    try:
+        graph = reduct_graph(ctx, parse_multifraction(ctx, record["input"]), Side.LEFT)
+    except CapExceeded as e:
+        print(f"counterexample graph not dumped: {e}", file=sys.stderr)
+        return [stem + ".json"]
+    with open(stem + ".dot", "w") as fh:
+        fh.write(graph.to_dot(ctx))
+    return [stem + ".dot", stem + ".json"]

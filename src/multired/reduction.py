@@ -18,8 +18,9 @@ moves this module provides:
   * left reduct closures of many roots at once (`left_closures`): left
     reduct graphs are acyclic, so one post-order walk of their shared
     graph gives every node its closure as an int bitset, the union of
-    its reducts' closures; common reducts are then intersections of
-    bitsets instead of one graph search per root.
+    its reducts' closures; the common reducts of some roots
+    (`LeftClosures.common`) are then an intersection of bitsets instead
+    of one graph search per root.
 
 Sign conventions: `due_side`, defined in `multifraction` and imported
 here, is the one map from a level's sign to a Side; `product` merges its
@@ -47,12 +48,18 @@ atoms in it; `_atomic_moves` walks the levels in strategy order.  An
 attempt that overflows a cap is a value in that stream, its CapExceeded
 at its atom's turn: `_reduce` raises it through `result_of`,
 `reduct_graph` records it as an inconclusive edge and `left_closures`
-counts it against its node.  `apply_left`,
-`apply_right` and `apply_division` are the single-move API; they divide
-with `MonoidContext.divides` and build the reduct with the same cores.
-Tests inject overflows by wrapping the module attributes `_level_moves`
-(every enumerated attempt) and `apply_left` (single moves, as `red_tame`
-makes them), which are looked up by name at call time.
+counts it against its node.
+
+The single-move API: a Move's kind is its Side.  `_apply` holds the
+geometry of one move on either side: the level range check, the level
+map `_frame` (shared with `_level_moves` and `ReductGraph.to_dot`), the
+truncated rule and the push.  It divides with `MonoidContext.divides`,
+not the atom tables, so it is an oracle independent of `_level_moves`.
+`apply_left` and `apply_right` are one call into it each, `apply_move`
+dispatches on the kind, and `apply_division` is D(i,x).  Tests inject
+overflows by wrapping the module attributes `_level_moves` (every
+enumerated attempt) and `apply_left` (single left moves, as `red_tame`
+and `apply_move` make them), looked up by name at call time.
 """
 
 from __future__ import annotations
@@ -76,12 +83,12 @@ from .multifraction import Multifraction, due_side, format_multifraction, invers
 
 @dataclass(frozen=True)
 class Move:
-    kind: str  # "left" | "right"
+    kind: Side  # R(i,x) on the LEFT, R~(i,x) on the RIGHT
     level: int
     x: Element
 
     def label(self, ctx: MonoidContext) -> str:
-        sym = {"left": "R", "right": "R̃"}[self.kind]
+        sym = "R" if self.kind is Side.LEFT else "R̃"
         return f"{sym}({self.level},{ctx.word_str(self.x)})"
 
 
@@ -99,11 +106,10 @@ class ReductionTrace:
         one attached on the side it was stripped from."""
         out: list[Move] = []
         for m in self.moves:
-            if out and out[-1].kind == m.kind and out[-1].level == m.level:
+            if out and out[-1].kind is m.kind and out[-1].level == m.level:
                 prev = out.pop()
-                side = due_side(self.start, m.level)
-                x = ctx.attach(m.x, prev.x, side.other if m.kind == "right" else side)
-                out.append(Move(m.kind, m.level, x))
+                side = due_side(self.start, _frame(m.kind, m.level)[0])
+                out.append(Move(m.kind, m.level, ctx.attach(m.x, prev.x, side)))
             else:
                 out.append(m)
         return tuple(out)
@@ -114,6 +120,16 @@ STRATEGIES = ("low_lex", "low_antilex", "high_lex", "high_antilex")
 
 # ----------------------------------------------------------------------
 # elementary moves
+
+
+def _frame(side: Side, i: int) -> tuple[int, int, int]:
+    """The level map of a move at level i, as (level, src, dst): the level
+    whose due side divides, the entry x is divided out of and the entry
+    the remainder is deposited in.  R(i,x) divides entry i+1 at level i
+    and deposits in entry i-1; R~(i,x) divides entry i-1 at level i-1 and
+    deposits in entry i+1.  A dst outside 1..depth is the truncated rule,
+    the division D(level,x)."""
+    return (i, i + 1, i - 1) if side is Side.LEFT else (i - 1, i - 1, i + 1)
 
 
 def _push(
@@ -146,41 +162,37 @@ def _push(
     return a.replace_entries((src, q), (i, comp), (dst, deposit))
 
 
-def apply_left(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> Multifraction | None:
-    """a . R(i,x), or None when the rule does not apply.
-
-    1 <= i < depth and x != 1 required; the truncated rule at level 1 is
-    the division D(1,x).  Cap overflow from the underlying lcm propagates
-    (the move's applicability is then unknown).
-    """
+def _apply(ctx: MonoidContext, a: Multifraction, side: Side, i: int, x: Element) -> Multifraction | None:
+    """a . R(i,x) (LEFT) or a . R~(i,x) (RIGHT), or None when the move
+    does not apply.  Left levels run 1..depth-1 and right levels 1..depth;
+    x != 1.  Right level 1 never applies (there is no entry 0 to extract
+    from); the truncated rules at left level 1 and right level depth are
+    D(1,x) and D(depth-1,x).  Cap overflow from the underlying lcm
+    propagates (the move's applicability is then unknown)."""
     n = len(a.entries)
-    if not 1 <= i < n:
-        raise ValueError(f"left reduction level {i} outside 1..{n - 1}")
+    top = n - 1 if side is Side.LEFT else n
+    if not 1 <= i <= top:
+        raise ValueError(f"{side.value} reduction level {i} outside 1..{top}")
     if not x.word:
         raise ValueError("reducer must be nontrivial")
-    if i == 1:
-        return apply_division(ctx, a, 1, x)
-    side = due_side(a, i)
-    q = ctx.divides(x, a.entries[i], side)
-    return None if q is None else _push(ctx, a, i, x, q, i + 1, i - 1, side)
+    level, src, dst = _frame(side, i)
+    if level == 0:
+        return None
+    if not 0 < dst <= n:
+        return apply_division(ctx, a, level, x)
+    due = due_side(a, level)
+    q = ctx.divides(x, a.entries[src - 1], due)
+    return None if q is None else _push(ctx, a, i, x, q, src, dst, due)
+
+
+def apply_left(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> Multifraction | None:
+    """a . R(i,x), or None when the rule does not apply (see `_apply`)."""
+    return _apply(ctx, a, Side.LEFT, i, x)
 
 
 def apply_right(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> Multifraction | None:
-    """a . R~(i,x), or None.  Levels 1 <= i <= depth are accepted; level 1
-    never applies (there is no entry 0 to extract from), and the truncated
-    rule at level depth is the division D(depth-1,x)."""
-    n = len(a.entries)
-    if not 1 <= i <= n:
-        raise ValueError(f"right reduction level {i} outside 1..{n}")
-    if not x.word:
-        raise ValueError("reducer must be nontrivial")
-    if i == 1:
-        return None
-    if i == n:
-        return apply_division(ctx, a, n - 1, x)
-    side = due_side(a, i - 1)
-    q = ctx.divides(x, a.entries[i - 2], side)
-    return None if q is None else _push(ctx, a, i, x, q, i - 1, i + 1, side)
+    """a . R~(i,x), or None when the rule does not apply (see `_apply`)."""
+    return _apply(ctx, a, Side.RIGHT, i, x)
 
 
 def apply_division(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> Multifraction | None:
@@ -203,11 +215,8 @@ def apply_division(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> 
 
 
 def apply_move(ctx: MonoidContext, a: Multifraction, move: Move) -> Multifraction | None:
-    if move.kind == "left":
-        return apply_left(ctx, a, move.level, move.x)
-    if move.kind == "right":
-        return apply_right(ctx, a, move.level, move.x)
-    raise ValueError(move.kind)
+    apply = apply_left if move.kind is Side.LEFT else apply_right
+    return apply(ctx, a, move.level, move.x)
 
 
 def replay(ctx: MonoidContext, a: Multifraction, moves) -> Multifraction:
@@ -335,7 +344,7 @@ def red_tame(
     for i in universal_sequence(a.depth):
         g = greatest_tame_reducer(ctx, b, i)
         if collect is not None:
-            collect.append(Move("left", i, g))
+            collect.append(Move(Side.LEFT, i, g))
         if g.is_identity:
             continue
         nxt = apply_left(ctx, b, i, g)
@@ -369,20 +378,16 @@ def _level_moves(ctx: MonoidContext, a: Multifraction, side: Side, i: int, atoms
     the reduct, None when the move does not apply, or the CapExceeded of
     an attempt that overflowed a cap.
 
-    The due side is that of the level divided (i on the left, i-1 on the
-    right).  Whether s applies is read off the `atom_quotients` table of
-    the entry s is divided out of, entry i+1 on the left and i-1 on the
-    right, and the lcm is taken only for an atom in it.  The truncated
-    rules, D(1,s) at left level 1 and D(depth-1,s) at right level depth,
-    read the tables of both entries they divide, and put the two checked
-    quotients in place.  A push is built by `_push`, the core of
-    `apply_left` and `apply_right`.
+    The level divided, the entry divided and the deposit entry are
+    `_frame`'s, as in `_apply`.  Whether s applies is read off the
+    `atom_quotients` table of the entry divided, and the lcm is taken only
+    for an atom in it.  The truncated rules, D(1,s) at left level 1 and
+    D(depth-1,s) at right level depth, read the tables of both entries
+    they divide, and put the two checked quotients in place.  A push is
+    built by `_push`, the core of `_apply`.
     """
     entries = a.entries
-    if side is Side.LEFT:
-        level, src, dst = i, i + 1, i - 1
-    else:
-        level, src, dst = i - 1, i - 1, i + 1
+    level, src, dst = _frame(side, i)
     due = due_side(a, level)
     if 0 < dst <= len(entries):
         quotients = ctx.atom_quotients(entries[src - 1], due)
@@ -457,7 +462,7 @@ def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> 
         if nxt is None:
             break
         cur = result_of(nxt)
-        moves.append(Move(side.value, i, s))
+        moves.append(Move(side, i, s))
         k = len(moves)
         if k > safe:
             if not within_step_bound(ctx, bounded, k):
@@ -528,9 +533,8 @@ class ReductGraph:
             lines.append(f'  n{k} [label="{fmt(node)}"];')
         for src, move, dst in self.edges:
             label = move.label(ctx)
-            # divisions are both left and right reductions; label them D.
-            # R(i,x) divides at level i, R~(i,x) at level i-1
-            level = move.level - 1 if move.kind == "right" else move.level
+            # divisions are both left and right reductions; label them D
+            level = _frame(move.kind, move.level)[0]
             if apply_division(ctx, self.nodes[src], level, move.x) is not None:
                 label = f"D({level},{ctx.word_str(move.x)})"
             lines.append(f'  n{src} -> n{dst} [label="{label}"];')
@@ -546,7 +550,7 @@ class ReductGraph:
                 {
                     "src": s,
                     "dst": d,
-                    "kind": m.kind,
+                    "kind": m.kind.value,
                     "level": m.level,
                     "x": ctx.word_str(m.x),
                 }
@@ -587,7 +591,7 @@ def reduct_graph(ctx: MonoidContext, a: Multifraction, side: Side = Side.LEFT) -
                 g.index[b] = len(g.nodes)
                 g.nodes.append(b)
                 queue.append(g.index[b])
-            g.edges.append((src, Move(side.value, i, s), g.index[b]))
+            g.edges.append((src, Move(side, i, s), g.index[b]))
     return g
 
 
@@ -626,6 +630,17 @@ class LeftClosures:
         """The overflowed move attempts of the nodes of a bitset: for a
         closure, the inconclusive edges of that root's `reduct_graph`."""
         return sum(self.overflows[k] for k in _bit_indices(bits & self.overflowed))
+
+    def common(self, roots) -> tuple[int, bool]:
+        """The common left reducts of one or more roots, as the AND of
+        their closures, and whether none of those closures holds an
+        overflowed attempt (the set is then exact)."""
+        bits, union = -1, 0
+        for root in roots:
+            closure = self.closure_of(root)
+            bits &= closure
+            union |= closure
+        return bits, not union & self.overflowed
 
     def latest_common_ancestors(self, root: Multifraction, targets: int) -> list[Multifraction]:
         """The members of root's closure whose closure holds every target,
@@ -771,7 +786,7 @@ def _maximal_moves(ctx: MonoidContext, a: Multifraction):
         for x in reducers(ctx, a, i, "maximal"):
             b = apply_left(ctx, a, i, x)
             if b is not None:
-                yield Move("left", i, x), b
+                yield Move(Side.LEFT, i, x), b
 
 
 def connect_by_maximal_zigzag(

@@ -44,6 +44,11 @@ def test_reduce_json_deterministic(capsys):
     assert code == EXIT_OK and out1 == out2
     payload = json.loads(out1)
     assert payload["end"] in ("ac/ca/ba", "bc/cb/ab")
+    # a move's kind is spelled by its side
+    assert [m["kind"] for m in payload["moves"]] == ["left"] * payload["steps"] == ["left"]
+    _, out = run(capsys, "rreduce", "--preset", "A2tilde", "--format", "json", "ac/aca/aba/ab")
+    moves = json.loads(out)["moves"]
+    assert moves and {m["kind"] for m in moves} == {"right"}
 
 
 def test_rreduce_derdiv_redtame_irr(capsys):
@@ -181,6 +186,23 @@ def test_campaign_counterexample_dumped(capsys, monkeypatch, tmp_path):
     record = json.loads((dump / "counterexample_1.json").read_text())
     assert record["verdict"] == "counterexample" and record["input"] == payload["counterexample"]["input"]
     assert err.startswith("counterexample dumped: ")
+    # a reduct graph past its cap leaves the record, not the verdict, and
+    # says why the DOT graph is missing
+    calls.clear()
+    capped = tmp_path / "capped"
+    monkeypatch.setenv("MULTIRED_CAPS", "graph_node_cap=1")
+    code = main(["conjecture", "B", "--preset", "A2tilde", "--length", "8", "--trials", "5",
+                 "--dump-dir", str(capped), "--format", "json"])
+    assert code == EXIT_COUNTEREXAMPLE
+    out, err = capsys.readouterr()
+    assert json.loads(out)["counts"] == {"confirmed": 1, "counterexample": 1}
+    assert os.listdir(capped) == ["counterexample_1.json"]
+    capped_record = json.loads((capped / "counterexample_1.json").read_text())
+    assert (capped_record["trial"], capped_record["input"]) == (1, record["input"])
+    assert err.splitlines() == [
+        "counterexample graph not dumped: reduct graph exceeded 1 nodes",
+        f"counterexample dumped: {[str(capped / 'counterexample_1.json')]}",
+    ]
 
 
 def test_cube_failure_refused_at_first_element(capsys, tmp_path):

@@ -193,6 +193,10 @@ def test_graph_serialization(att):
     payload = g.to_json(att)
     assert payload["complete"] and payload["root"] == "1/c/aba"
     assert len(payload["nodes"]) == len(g.nodes)
+    assert [e["kind"] for e in payload["edges"]] == ["left", "left"]
+    right = red.reduct_graph(att, mf(att, "ac/ca/ba"), Side.RIGHT).to_json(att)
+    assert right["side"] == "right"
+    assert [e["kind"] for e in right["edges"]] == ["right", "right"]
 
 
 def test_is_prime(att):
@@ -561,8 +565,10 @@ def test_left_closures_match_fresh_graphs(monkeypatch, name, overflow):
         roots = red.reduct_graph(ctx, a, Side.RIGHT).nodes
         lc = red.left_closures(ctx, roots)
         walked = 0  # the closures of the roots before this one
+        graphs = []
         for root in roots:
             fresh = red.reduct_graph(ctx, root, Side.LEFT)
+            graphs.append(fresh)
             bits = lc.closure_of(root)
             assert set(lc.members(bits)) == set(fresh.nodes)
             assert (not bits & lc.overflowed) == fresh.complete
@@ -576,6 +582,11 @@ def test_left_closures_match_fresh_graphs(monkeypatch, name, overflow):
             inherited += not fresh.complete and all(src for src, *_ in fresh.inconclusive)
             shared += bool(bits & walked & lc.overflowed)
             walked |= bits
+        # the common reducts are those of every fresh graph, exact when
+        # every fresh graph is complete
+        bits, complete = lc.common(roots)
+        assert set(lc.members(bits)) == set.intersection(*(set(g.nodes) for g in graphs))
+        assert complete == all(g.complete for g in graphs)
         several += max(lc.overflows) > 1
     assert (incomplete > 0) == (overflow != "plain")
     assert (shared > 0) == (overflow != "plain")
