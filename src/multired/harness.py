@@ -387,24 +387,39 @@ def test_cross_confluence_pair(
     return Verdict("inconclusive", {})
 
 
+def _witness_roots(rg: red.ReductGraph) -> list[Multifraction]:
+    """The root of a right reduct graph and its nodes with no division
+    edge out, in node order: the roots whose left closures decide
+    uniform cross-confluence.  A division r -> r' is a left reduction
+    too, so the closure of r' lies in that of r, and r leaves the
+    intersection of the closures unchanged; divisions shorten entries,
+    so every chain of them ends at a node kept.  The root is kept for
+    its own closure."""
+    nodes = rg.nodes
+    divided = {s for s, move, d in rg.edges if red.is_division(move, nodes[s], nodes[d])}
+    return [r for k, r in enumerate(nodes) if k == 0 or k not in divided]
+
+
 def test_conjecture_C_uniform(ctx: MonoidContext, a: Multifraction) -> Verdict:
     """Uniform cross-confluence on one instance: a single d with every
     right reduct of a left-reducing to d.  The two natural candidates
     (the tame reduct and the latest common ancestor of the irreducible
     left reducts) are evaluated alongside the witness set.
 
-    The left closures of all right reducts come from one walk of their
-    shared left graph (`left_closures`), as bitsets: the witnesses are
-    their common reducts (`LeftClosures.common`), the irreducible left
-    reducts of a are the sinks in a's closure, and a latest common
-    ancestor is a member of a's closure whose closure holds them all and
-    no other such member."""
+    Only the left closures of the roots `_witness_roots` keeps are
+    walked, in one walk of their shared left graph (`left_closures`), as
+    bitsets, and its cap fires on them alone: the witnesses are their
+    common reducts (`LeftClosures.common`), exact when those closures
+    are complete, the irreducible left reducts of a are the sinks in a's
+    closure, and a latest common ancestor is a member of a's closure
+    whose closure holds them all and no other such member."""
     try:
         rg = reduct_graph(ctx, a, Side.RIGHT)
-        lc = red.left_closures(ctx, rg.nodes)
+        roots = _witness_roots(rg)
+        lc = red.left_closures(ctx, roots)
     except CapExceeded as e:
         return Verdict("inconclusive", {"reason": str(e)})
-    witness_bits, closures_complete = lc.common(rg.nodes)
+    witness_bits, closures_complete = lc.common(roots)
     witnesses = set(lc.members(witness_bits))
     irr = lc.closure_of(a) & lc.sinks
     lca = lc.latest_common_ancestors(a, irr) if irr else []

@@ -408,8 +408,9 @@ class MonoidContext:
         cached = memo.get(word)
         if cached is not None:
             return cached
+        n_atoms = self.pres.n_atoms
         for i in word:
-            if not 0 <= i < self.pres.n_atoms:
+            if not 0 <= i < n_atoms:
                 raise MultiredError(f"atom index {i} outside presentation")
         store = self._store(Side.RIGHT)
         peeled = []

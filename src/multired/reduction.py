@@ -52,11 +52,13 @@ counts it against its node.
 
 The single-move API: a Move's kind is its Side.  `_apply` holds the
 geometry of one move on either side: the level range check, the level
-map `_frame` (shared with `_level_moves` and `ReductGraph.to_dot`), the
-truncated rule and the push.  It divides with `MonoidContext.divides`,
-not the atom tables, so it is an oracle independent of `_level_moves`.
+map `_frame` (shared with `_level_moves`, `is_division` and
+`ReductGraph.to_dot`), the truncated rule and the push.  It divides with
+`MonoidContext.divides`, not the atom tables, so it is an oracle
+independent of `_level_moves`.
 `apply_left` and `apply_right` are one call into it each, `apply_move`
-dispatches on the kind, and `apply_division` is D(i,x).  Tests inject
+dispatches on the kind, `apply_division` is D(i,x), and `is_division`
+tells whether an applied move was a division.  Tests inject
 overflows by wrapping the module attributes `_level_moves` (every
 enumerated attempt) and `apply_left` (single left moves, as `red_tame`
 and `apply_move` make them), looked up by name at call time.
@@ -212,6 +214,16 @@ def apply_division(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> 
         return None
     # qi and qj are divides quotients, built from checked atom quotients
     return a.replace_entries((i, qi), (i + 1, qj))
+
+
+def is_division(move: Move, a: Multifraction, b: Multifraction) -> bool:
+    """Whether the move from a to b is the division D(level,x), level as
+    in `_frame`: the truncated rule, or a push that leaves its deposit
+    entry unchanged.  `_push` deposits the cofactor xp of entry i in the
+    lcm of x and entry i, which is 1 exactly when x divides entry i too.
+    A division is both a left and a right reduction."""
+    dst = _frame(move.kind, move.level)[2]
+    return not 0 < dst <= len(a.entries) or a.entries[dst - 1] == b.entries[dst - 1]
 
 
 def apply_move(ctx: MonoidContext, a: Multifraction, move: Move) -> Multifraction | None:
@@ -533,9 +545,8 @@ class ReductGraph:
             lines.append(f'  n{k} [label="{fmt(node)}"];')
         for src, move, dst in self.edges:
             label = move.label(ctx)
-            # divisions are both left and right reductions; label them D
-            level = _frame(move.kind, move.level)[0]
-            if apply_division(ctx, self.nodes[src], level, move.x) is not None:
+            if is_division(move, self.nodes[src], self.nodes[dst]):
+                level = _frame(move.kind, move.level)[0]
                 label = f"D({level},{ctx.word_str(move.x)})"
             lines.append(f'  n{src} -> n{dst} [label="{label}"];')
         lines.append("}")

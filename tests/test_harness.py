@@ -25,6 +25,7 @@ from multired.presentation import preset
 from multired import harness as H
 from multired import reduction as red
 from overflows import overflow_left_moves
+from test_reduction import DIVISION_PRESETS, seeded_graphs
 
 
 def mf(ctx, text):
@@ -160,6 +161,81 @@ def test_conjecture_C_uniform_trivial_and_braid(att, braid3):
         irr = red.irreducible_reducts(braid3, a)
         assert len(irr) == 1
         assert fmt(braid3, irr[0]) in v.evidence["witnesses"]
+
+
+@pytest.mark.parametrize("overflow", ["plain", "every", "applied"])
+@pytest.mark.parametrize("name", DIVISION_PRESETS)
+def test_cunif_witness_roots_match_all_roots(name, overflow):
+    # Cunif walks the left closures of a and of the right reducts with no
+    # division edge out.  Without overflows its witness set and exactness
+    # are those of the closures of every right reduct, the oracle.  With
+    # move attempts that overflow (every attempt at level 2, or the atom c
+    # at level 2 where it applies) its witnesses are still common left
+    # reducts of every right reduct; they are exact whenever the oracle's
+    # are, and then also when only closures left out hold an overflow
+    ctx = MonoidContext(preset(name))
+    x = ctx.atoms()[min(2, ctx.pres.n_atoms - 1)]
+
+    def overflowing(a, i, y, b):
+        return i == 2 and (overflow == "every" or y == x and b is not None)
+
+    left_out = incomplete = 0
+    for rg in seeded_graphs(ctx, Side.RIGHT):
+        roots = H._witness_roots(rg)
+        assert roots[0] == rg.root and set(roots) <= set(rg.nodes)
+        truth = red.left_closures(ctx, rg.nodes)
+        true_witnesses = set(truth.members(truth.common(rg.nodes)[0]))
+        with pytest.MonkeyPatch.context() as mp:
+            if overflow != "plain":
+                overflow_left_moves(mp, overflowing)
+            oracle = red.left_closures(ctx, rg.nodes)
+            bits, complete = oracle.common(rg.nodes)
+            walked = red.left_closures(ctx, roots)
+            walked_bits, walked_complete = walked.common(roots)
+            v = H.test_conjecture_C_uniform(ctx, rg.root)
+        witnesses = set(walked.members(walked_bits))
+        assert v.evidence["witnesses"] == sorted(fmt(ctx, w) for w in witnesses)
+        assert witnesses <= true_witnesses
+        if overflow == "plain":
+            assert witnesses == set(oracle.members(bits))
+            assert walked_complete == complete
+        assert walked_complete or not complete
+        if walked_complete:
+            assert witnesses == true_witnesses
+        left_out += len(rg.nodes) - len(roots)
+        incomplete += not complete
+    assert left_out > 0
+    assert (incomplete > 0) == (overflow != "plain")
+
+
+@pytest.mark.parametrize("cap, rescued, inconclusive", [(20, [0, 2], 9), (60, [8], 4)])
+def test_cunif_node_cap_fires_on_walked_closures(att, cap, rescued, inconclusive):
+    # the graph_node_cap overflow campaigns of the golden file: a trial is
+    # confirmed, with the record of the uncapped run, exactly when its
+    # right graph and the left closures it walks fit the cap, and is
+    # inconclusive on that cap otherwise.  The trials `rescued` fit so,
+    # though the closure of a right reduct that is left out does not
+    config = H.CampaignConfig("A2tilde", "Cunif", depth=4, length=16, trials=20, seed=1)
+    uncapped = H.run_campaign(att, config).records
+    ctx = MonoidContext(preset("A2tilde"), Caps(graph_node_cap=cap))
+    report = H.run_campaign(ctx, config)
+    assert report.counts == {"confirmed": 20 - inconclusive, "inconclusive": inconclusive}
+
+    def fits(root, side=Side.LEFT):
+        return len(red.reduct_graph(att, root, side).nodes) <= cap
+
+    found = []
+    for k, (rec, want) in enumerate(zip(report.records, uncapped)):
+        a = mf(att, want["input"])
+        rg = red.reduct_graph(att, a, Side.RIGHT)
+        if fits(a, Side.RIGHT) and all(fits(r) for r in H._witness_roots(rg)):
+            assert {**rec, "millis": 0} == {**want, "millis": 0}
+            if not all(fits(r) for r in rg.nodes):
+                found.append(k)
+        else:
+            assert rec["verdict"] == "inconclusive"
+            assert rec["evidence"] == {"reason": f"reduct graph exceeded {cap} nodes"}
+    assert found == rescued
 
 
 def test_conjecture_C_uniform_red_tame_overflow_keeps_witnesses(att, monkeypatch):

@@ -199,6 +199,57 @@ def test_graph_serialization(att):
     assert [e["kind"] for e in right["edges"]] == ["right", "right"]
 
 
+# the presets and shapes of the seeded division checks: (depth, entry length)
+DIVISION_PRESETS = ("A2tilde", "braid(4)", "K(4,3)", "C2tilde", "I2(5)")
+DIVISION_SHAPES = ((4, 3), (6, 1))
+
+
+def seeded_graphs(ctx, side):
+    for depth, length in DIVISION_SHAPES:
+        for seed in range(4):
+            yield red.reduct_graph(ctx, gen_multifraction(ctx, depth, length, seed), side)
+
+
+@pytest.mark.parametrize("name", DIVISION_PRESETS)
+def test_is_division_matches_apply_division(name):
+    # on every edge of seeded left and right graphs, a move is a division
+    # exactly when D(level,x) applies to its source, and it then lands
+    # where D(level,x) does; the DOT output labels an edge D exactly so
+    ctx = MonoidContext(preset(name))
+    seen = {True: 0, False: 0}
+    for side in Side:
+        for g in seeded_graphs(ctx, side):
+            edge_lines = g.to_dot(ctx).splitlines()[len(g.nodes) + 1:-1]
+            assert len(edge_lines) == len(g.edges)
+            for (src, move, dst), line in zip(g.edges, edge_lines):
+                level = red._frame(move.kind, move.level)[0]
+                d = red.apply_division(ctx, g.nodes[src], level, move.x)
+                division = red.is_division(move, g.nodes[src], g.nodes[dst])
+                assert division == (d is not None)
+                assert d is None or d == g.nodes[dst]
+                label = f"D({level},{ctx.word_str(move.x)})" if division else move.label(ctx)
+                assert line == f'  n{src} -> n{dst} [label="{label}"];'
+                seen[division] += 1
+    assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("name", DIVISION_PRESETS)
+def test_division_edges_nest_left_closures(name):
+    # a division r -> r' of a right graph is a left reduction too: the
+    # left closure of r' lies strictly inside that of r
+    ctx = MonoidContext(preset(name))
+    divisions = 0
+    for rg in seeded_graphs(ctx, Side.RIGHT):
+        lc = red.left_closures(ctx, rg.nodes)
+        for src, move, dst in rg.edges:
+            r, reduct = rg.nodes[src], rg.nodes[dst]
+            if red.is_division(move, r, reduct):
+                inner, outer = lc.closure_of(reduct), lc.closure_of(r)
+                assert inner & ~outer == 0 and inner != outer
+                divisions += 1
+    assert divisions
+
+
 def test_is_prime(att):
     assert red.is_prime(att, mf(att, "ab/ac/ca/cb/bc/ba"))
     assert red.is_prime(att, mf(att, "ac/ca/ba/ab/cb/bc"))
