@@ -18,12 +18,18 @@ checked on first use, unless it equals the other side's checked table,
 and a failure raises LatticeViolation.
 
 An atom s left-divides w exactly when reversing s against w leaves s
-nothing to add; what is left of w is the quotient.  An element is
-represented by its lexicographically least word (atom order = declaration
-order), built by peeling off the least dividing atom again and again.
-Which atoms divide an element, and the quotients, are one memoised table
-per element and side (`atom_quotients`), each quotient checked by one
-multiplication when its table is built, and every division reads it: the
+nothing to add; what is left of w is the quotient.  That reversing row
+(`_peel`) reads the table one atom at a time, as a state machine: each
+state, what is left of s, is a basic word interned once as an int, and a
+cell is a list lookup.  An element is represented by its lexicographically
+least word (atom order = declaration order), built by peeling off the
+least dividing atom again and again.  Which atoms divide an element, and
+the quotients, are one memoised table per element and side
+(`atom_quotients`).  The least word settles part of it with no reversing:
+its first letter (LEFT) or last letter (RIGHT) divides it, the rest of the
+word being the quotient's least word, and no atom below its first letter
+left-divides it.  Each quotient is checked by one multiplication when its
+table is built, and every division reads the table: the
 move enumeration of `reduction` reads a level's atomic moves off it,
 `divides` divides x's letters off one at a time, a gcd peels the least
 atom present in both tables again and again, and `divisors` searches over
@@ -50,6 +56,7 @@ workers.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -172,6 +179,41 @@ def result_of(outcome):
     return outcome
 
 
+class _Rows:
+    """One side's reversing store as `_peel` reads it: a state machine over
+    interned states.
+
+    A state is what is left of the atom being peeled, a basic word.  It
+    gets an int id once, each atom its own index, and -1 is the empty word
+    (the atom is used up).  next[x][t] is the cell of state x and atom t
+    as (the id of x past t, t past x), None when they have no common
+    multiple, or _MISSING until `MonoidContext._fill` reads it.  The store
+    stays the only source of truth: every transition is a copy of one of
+    its cells, so reversing_cap counts what it counted before."""
+
+    __slots__ = ("store", "n_atoms", "words", "ids", "next", "_lock")
+
+    def __init__(self, store: dict[tuple[Word, Word], Reversal], n_atoms: int):
+        self.store, self.n_atoms = store, n_atoms
+        self.words: list[Word] = [(s,) for s in range(n_atoms)]
+        self.ids: dict[Word, int] = {w: s for s, w in enumerate(self.words)}
+        self.next: list[list] = [[_MISSING] * n_atoms for _ in self.words]
+        self._lock = threading.Lock()  # an id is handed out once
+
+    def intern(self, word: Word) -> int:
+        if not word:
+            return -1
+        got = self.ids.get(word)
+        if got is None:
+            with self._lock:
+                got = self.ids.get(word)
+                if got is None:
+                    self.words.append(word)
+                    self.next.append([_MISSING] * self.n_atoms)
+                    got = self.ids[word] = len(self.words) - 1
+        return got
+
+
 class MonoidContext:
     def __init__(self, pres: Presentation, caps: Caps | None = None):
         self.pres = validate(pres)
@@ -190,6 +232,8 @@ class MonoidContext:
         # per side whose cube check passed, a copy of its store as the check
         # left it
         self._checked: dict[Side, dict[tuple[Word, Word], Reversal]] = {}
+        # per side, its store's peeling rows over interned states
+        self._row_index: dict[Side, _Rows] = {}
         self._multiples: dict[tuple[Word, Side], list[set[Element]]] = {}
         self._bound_C: int | None = None
 
@@ -358,9 +402,18 @@ class MonoidContext:
             store[(t, x)] = None if got is None else (got[1], got[0])
         return got
 
-    def _peel(self, store, s: int, w: Word) -> Word | None:
-        """The quotient q with s*q = w over `store`, or None when the atom s
-        does not divide w: one reversing row of s against w.
+    def _rows(self, side: Side) -> _Rows:
+        """The peeling rows of a side's reversing store (see `_Rows`),
+        built with the store on first use."""
+        rows = self._row_index.get(side)
+        if rows is None:
+            rows = self._row_index[side] = _Rows(self._store(side), self.pres.n_atoms)
+        return rows
+
+    def _peel(self, rows: _Rows, s: int, w: Word) -> Word | None:
+        """The quotient q with s*q = w over the store of `rows`, or None
+        when the atom s does not divide w: one reversing row of s against
+        w, read one state transition per letter.
 
         The row stops at the letter where s is used up; what it has
         collected, followed by the rest of w, is q.  reversing_cap bounds
@@ -369,21 +422,31 @@ class MonoidContext:
         if w and w[0] == s:
             return w[1:]
         cap = self.caps.reversing_cap
-        x, stack, out = (s,), set(), []
+        nxt = rows.next
+        x, out = s, []
         for j, t in enumerate(w):
             if j >= cap:
                 raise ReversingCapExceeded(f"reversing exceeded {cap} cell fills")
-            t = (t,)
-            r = store.get((x, t), _MISSING)  # a table hit skips the call
+            r = nxt[x][t]
             if r is _MISSING:
-                r = self._cell(store, x, t, stack)
+                r = self._fill(rows, x, t)
             if r is None:
                 return None
             x, c = r
             out.append(c)
-            if not x:
+            if x < 0:
                 return _concat(out) + w[j + 1 :]
         return None
+
+    def _fill(self, rows: _Rows, x: int, t: int) -> tuple[int, Word] | None:
+        """The transition of state x by atom t, read off the store's cell,
+        or reversed by `_cell` and stored there when the store lacks it."""
+        r = self._cell(rows.store, rows.words[x], (t,), set())
+        if r is not None:
+            rest, c = r
+            r = (rows.intern(rest), c)
+        rows.next[x][t] = r
+        return r
 
     def _reverse(self, a: Word, b: Word, side: Side) -> Reversal:
         """(a past b, b past a): RIGHT b*(a past b) = a*(b past a), LEFT
@@ -412,12 +475,12 @@ class MonoidContext:
         for i in word:
             if not 0 <= i < n_atoms:
                 raise MultiredError(f"atom index {i} outside presentation")
-        store = self._store(Side.RIGHT)
+        rows = self._rows(Side.RIGHT)
         peeled = []
         rest = word
         while rest not in memo:
             for s in range(rest[0]):
-                q = self._peel(store, s, rest)
+                q = self._peel(rows, s, rest)
                 if q is not None:
                     break
             else:
@@ -480,36 +543,61 @@ class MonoidContext:
         """For each atom s, in atom order, the q with attach(q, s, side) ==
         a, or None when s does not side-divide a.
 
-        The division of a by one atom is one reversing row over the other
-        side's table, on the mirror image for RIGHT.  Each quotient found is
-        checked once, here, by multiplying it back: attach(q, s, side) must
-        be a, else InternalInvariantError.  A row that overflows a cap,
-        while dividing or while checking, leaves its CapExceeded in that
-        atom's place, for the caller to raise or report at that atom's
-        turn, and a table holding one is not memoised."""
+        a's word is its least word, which settles part of the row.  Its
+        first letter (LEFT) or last letter (RIGHT) divides it, and the
+        quotient is the rest of the word: a suffix or prefix of a least
+        word is least (a smaller word for it would make a's word smaller),
+        so it is interned as it is, as `divisors` interns its words.  On
+        the LEFT no atom below the first letter divides a, or a would have
+        a least word starting with it.  Each other atom is divided off by
+        one reversing row (`_peel`) over the other side's table, on the
+        mirror image for RIGHT, and its quotient is made canonical.
+
+        Each quotient found is checked once, here, by multiplying it back:
+        attach(q, s, side) must be a, else InternalInvariantError.  A row
+        that overflows a cap, while dividing or while checking, leaves its
+        CapExceeded in that atom's place, for the caller to raise or report
+        at that atom's turn, and a table holding one is not memoised; when
+        the other side's table overflows as it is built, its overflow sits
+        in every atom's place."""
         left = side is Side.LEFT
-        key = (a.word, left)
+        word = a.word
+        key = (word, left)
         got = self._quotients.get(key)
         if got is not None:
             return got
         n = self.pres.n_atoms
-        if not a.word:  # no atom divides 1, and no reversing table is built
+        if not word:  # no atom divides 1, and no reversing table is built
             return self._quotients.setdefault(key, (None,) * n)
-        w = a.word if left else a.word[::-1]
-        out, complete = [], True
-        for s, atom in enumerate(self._atoms):
-            try:  # building the reversing table on first use may overflow too
-                q = self._peel(self._store(side.other), s, w)
-                if q is not None:
+        try:  # building the reversing table on first use may overflow
+            rows = self._rows(side.other)
+        except CapExceeded as e:
+            return (e,) * n
+        w = word if left else word[::-1]
+        first = w[0]
+        memo = self._canon
+        out, complete = [None] * n, True
+        for s in range(first if left else 0, n):
+            atom = self._atoms[s]
+            try:
+                if s == first:
+                    least = word[1:] if left else word[:-1]
+                    q = memo.get(least)
+                    if q is None:
+                        q = memo[least] = Element(least)
+                else:
+                    q = self._peel(rows, s, w)
+                    if q is None:
+                        continue
                     q = self.canonical(q if left else q[::-1])
-                    if self.attach(q, atom, side) != a:
-                        raise InternalInvariantError(
-                            f"{self.word_str(q)} with {self.word_str(atom)} attached "
-                            f"on the {side.value} is not {self.word_str(a)}"
-                        )
+                if self.attach(q, atom, side) != a:
+                    raise InternalInvariantError(
+                        f"{self.word_str(q)} with {self.word_str(atom)} attached "
+                        f"on the {side.value} is not {self.word_str(a)}"
+                    )
             except CapExceeded as e:
                 q, complete = e, False
-            out.append(q)
+            out[s] = q
         table = tuple(out)
         if complete:
             self._quotients[key] = table

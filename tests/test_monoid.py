@@ -1,11 +1,15 @@
 import itertools
 import random
+import sys
+import threading
 import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quotient_oracle
 from class_oracle import divides_scan, tuple_class
+from multired.harness import derive_seed, gen_element
 from multired.monoid import (
     CapExceeded,
     Caps,
@@ -20,6 +24,7 @@ from multired.monoid import (
     result_of,
 )
 from multired.presentation import format_word, parse_presentation, preset
+from test_campaign_golden import PRESETS as GOLDEN_PRESETS
 
 words = st.lists(st.integers(0, 2), min_size=0, max_size=6).map(tuple)
 
@@ -249,20 +254,136 @@ def test_atom_quotients_keep_overflows_unmemoised(att):
 @pytest.mark.parametrize("side", list(Side))
 def test_atom_quotients_check_each_quotient(monkeypatch, side):
     # a reversing row that finds a wrong quotient is caught when its table
-    # is built, by a raise that python -O keeps
+    # is built, by a raise that python -O keeps.  The row of b is peeled on
+    # both sides of aba = bab: b is neither its first nor its last letter
     ctx = MonoidContext(preset("A2tilde"))
-    a = ctx.element("abc")
+    a, b = ctx.element("aba"), ctx.element("b").word[0]
     w = a.word if side is Side.LEFT else a.word[::-1]  # the word peeled
     peel = ctx._peel
 
-    def wrong_for_first_atom(store, s, word):
-        if word == w and s == w[0]:
-            return w[:0:-1]  # the quotient's letters reversed: "cb", not "bc"
-        return peel(store, s, word)
+    def wrong_for_b(rows, s, word):
+        q = peel(rows, s, word)
+        if word == w and s == b:
+            return q[::-1]  # the quotient's letters reversed: "ba", not "ab"
+        return q
 
-    monkeypatch.setattr(ctx, "_peel", wrong_for_first_atom)
-    with pytest.raises(InternalInvariantError, match=f"on the {side.value} is not abc"):
+    monkeypatch.setattr(ctx, "_peel", wrong_for_b)
+    with pytest.raises(InternalInvariantError, match=f"on the {side.value} is not aba"):
         ctx.atom_quotients(a, side)
+
+
+def _seeded_elements(ctx, seed, count, max_len):
+    """Elements from `gen_element`, each followed by a random left and a
+    random right divisor of it."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        a = gen_element(ctx, rng.randint(1, max_len), derive_seed(seed, k))
+        out.append(a)
+        out.extend(rng.choice(ctx.divisors(a, side)) for side in Side)
+    return out
+
+
+@pytest.mark.parametrize("preset_name", GOLDEN_PRESETS)
+def test_atom_quotients_match_every_atom_peeled(preset_name):
+    # oracle: the rule that peeled every atom and made every quotient
+    # canonical (tests/quotient_oracle.py).  Under a reversing cap a
+    # division's cells depend on the cells earlier ones stored, so the
+    # reference reads each row first, on the same context; the row then
+    # meets at least the cells the reference met.  It may decide an entry
+    # whose reference overflowed (an atom that the least word rules out or
+    # divides off with no reversing), never the reverse.  At caps 1-3 the
+    # cube check of braid(4), braid(5) and A3tilde overflows, so cap 16
+    # gives them rows to divide under a cap
+    pres = preset(preset_name)
+    seed = zlib.crc32(preset_name.encode())
+    elements = _seeded_elements(MonoidContext(pres), seed, 10, max_len=24)
+    kinds = set()
+    for cap in (None, 1, 2, 3, 16):
+        ctx = MonoidContext(pres, Caps() if cap is None else Caps(reversing_cap=cap))
+        for a in elements:
+            for side in Side:
+                want = quotient_oracle.atom_quotients(ctx, a, side)
+                got = ctx.atom_quotients(a, side)
+                for g, w in zip(got, want):
+                    if isinstance(g, CapExceeded):
+                        assert (type(g), str(g)) == (type(w), str(w))
+                        kinds.add("both overflow")
+                    elif isinstance(w, CapExceeded):
+                        kinds.add("decided past an overflow")
+                    else:
+                        assert g == w
+                        kinds.add("equal" if cap is None else "equal under a cap")
+        if cap is None:
+            assert "both overflow" not in kinds and "decided past an overflow" not in kinds
+    assert {"equal", "equal under a cap"} <= kinds
+    if preset_name != "free(2)":  # free(2) has no cell to overflow
+        assert "both overflow" in kinds
+    # on A3tilde every entry that overflows at cap 16 is one that
+    # atom_quotients divides by a reversing row too
+    if preset_name not in ("free(2)", "A3tilde"):
+        assert "decided past an overflow" in kinds
+
+
+@pytest.mark.parametrize("preset_name", GOLDEN_PRESETS)
+def test_created_elements_hold_least_words(preset_name):
+    # atom_quotients rules out the atoms below a's first letter and interns
+    # the rest of a's word as least: both rest on every element holding
+    # the least word of its class.  Every element that canonical, divisors
+    # and atom_quotients create goes into the canonical memo, and each
+    # memo entry is the least word of its key's class (class closure as
+    # the oracle)
+    pres = preset(preset_name)
+    ctx = MonoidContext(pres)
+    memo = ctx._canon
+    seed = zlib.crc32(preset_name.encode())
+    created = []
+    for a in _seeded_elements(ctx, seed, 12, max_len=7):
+        created.append(a)
+        for side in Side:
+            created.extend(ctx.divisors(a, side))
+            created.extend(q for q in ctx.atom_quotients(a, side) if q is not None)
+    assert all(memo[e.word] is e for e in created)
+    for w, e in memo.items():
+        cls = tuple_class(pres, w)
+        assert e.word in cls and e.word == min(cls), format_word(pres, w)
+
+
+def test_peeling_rows_shared_across_threads():
+    # a context is safe to share across threads: four threads (more than
+    # the cores of a small host) read the same rows of one fresh context,
+    # switching often, so they meet new states together; each state keeps
+    # one id, and every row is the serial one
+    pres = preset("braid(5)")
+    elements = _seeded_elements(MonoidContext(pres), 7, 12, max_len=16)
+    serial = MonoidContext(pres)
+    expected = [serial.atom_quotients(a, side) for a in elements for side in Side]
+    shared = MonoidContext(pres)
+    shared.check_atom_tables()
+    results, errors = {}, []
+
+    def work(k):
+        try:
+            results[k] = [shared.atom_quotients(a, side) for a in elements for side in Side]
+        except Exception as e:  # reported below, after the join
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert all(results[k] == expected for k in range(4))
+    for side in Side:
+        rows = shared._rows(side)
+        assert len(rows.words) == len(rows.next) == len(rows.ids)
+        assert all(rows.ids[w] == i for i, w in enumerate(rows.words))
 
 
 @pytest.mark.parametrize("side", list(Side))
@@ -385,7 +506,7 @@ def test_peel_matches_full_row(preset_name, side):
     # where s is used up; each path fills the store of its own context
     pres = preset(preset_name)
     new, old = MonoidContext(pres), MonoidContext(pres)
-    new_store, old_store = new._store(side), old._store(side)
+    new_rows, old_store = new._rows(side), old._store(side)
 
     def full_row(s, w):
         if w and w[0] == s:
@@ -398,7 +519,7 @@ def test_peel_matches_full_row(preset_name, side):
     for _ in range(30):
         w = tuple(rng.randrange(pres.n_atoms) for _ in range(rng.randint(0, 10)))
         for s in range(pres.n_atoms):
-            q = new._peel(new_store, s, w)
+            q = new._peel(new_rows, s, w)
             assert q == full_row(s, w), (s, w)
             inner += q is not None and w[0] != s
     assert inner or preset_name == "free(2)"  # some rows run past their first cell
