@@ -29,11 +29,9 @@ from .multifraction import (
     inverse,
     parse_multifraction,
     product,
-    to_signed_word,
-    trim_trailing_units,
     unit,
 )
-from . import harness, reduction, signedwords, vankampen
+from . import harness, reduction, vankampen
 
 __all__ = [
     "Presentation",
@@ -56,11 +54,8 @@ __all__ = [
     "inverse",
     "parse_multifraction",
     "product",
-    "to_signed_word",
-    "trim_trailing_units",
     "unit",
     "harness",
     "reduction",
-    "signedwords",
     "vankampen",
 ]

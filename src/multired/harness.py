@@ -8,13 +8,13 @@ lives in two decisions.  `_reaches_trivial` asks whether a left-reduces
 to the trivial multifraction, for Conjecture A and the word problem: one
 strategy run, then the left reduct graph, with a counterexample only off
 a complete graph.  `LeftClosures.common` gives the common left reducts of
-some roots and whether that set is exact, for the pair, Cunif and
-four-strategy cross-confluence testers.  The A and B testers take a
-certificate of unitality with their input and replay it first; the
-replay rejects malformed steps, and a failed replay raises.  Negative
-word-problem answers are unconditional for presets of FC type (and
-whenever the signed length is nonzero), conditional on semi-convergence
-otherwise.
+some roots and whether that set is exact, for the Cunif and four-strategy
+cross-confluence testers.  The A and B testers take a certificate of
+unitality with their input, the lcm-expansion chain that built it from a
+central cross, and replay it first; the replay rejects malformed steps,
+and a failed replay raises.  Negative word-problem answers are
+unconditional for presets of FC type (and whenever the signed length is
+nonzero), conditional on semi-convergence otherwise.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .reduction import (
     reduce_right,
     reduct_graph,
 )
-from .signedwords import applicable_steps, apply_step, cancels
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -76,7 +75,7 @@ class CentralCross:
 
 @dataclass(frozen=True)
 class UnitalCertificate:
-    kind: str  # brownian_trace | central_cross_seed | lcm_expansion_chain
+    kind: str  # lcm_expansion_chain, the one kind replayed
     payload: dict
 
 
@@ -116,25 +115,17 @@ def _replay_elements(ctx: MonoidContext, texts) -> list[Element] | None:
 
 
 def validate_certificate(ctx: MonoidContext, a: Multifraction, cert: UnitalCertificate) -> bool:
-    """Replay the certificate payload and check it proves a unital.  A
-    malformed payload proves nothing: the replay returns False."""
-    if cert.kind == "brownian_trace":
-        walk = cert.payload.get("walk")
-        if type(walk) is not list:
-            return False
-        w: SignedWord = ()
-        for item in walk:
-            w = _replay_walk_step(ctx, w, item)
-            if w is None:
-                return False
-        return from_signed_word(ctx, w) == a
-    rays = _replay_elements(ctx, cert.payload.get("rays"))
-    if rays is None or len(rays) % 2 or not rays:  # crosses have even depth >= 2
+    """Replay an lcm-expansion chain and check that it ends at a: the
+    central cross on the payload's "rays", expanded once per entry of its
+    "choices", is unital.  Any other kind, and a malformed payload, proves
+    nothing: the replay returns False."""
+    payload = cert.payload
+    if cert.kind != "lcm_expansion_chain" or type(payload) is not dict:
         return False
-    if cert.kind == "central_cross_seed":
-        return cross_is_valid(ctx, a, CentralCross(tuple(rays)))
-    chain = cert.payload.get("choices")
-    if cert.kind != "lcm_expansion_chain" or type(chain) is not list:
+    rays = _replay_elements(ctx, payload.get("rays"))
+    chain = payload.get("choices")
+    # crosses have even depth >= 2
+    if rays is None or len(rays) % 2 or not rays or type(chain) is not list:
         return False
     cur = assemble_cross(ctx, rays)
     for texts in chain:
@@ -171,67 +162,6 @@ def gen_multifraction(ctx: MonoidContext, depth: int, max_entry_len: int, seed: 
     return Multifraction(1, tuple(entries))
 
 
-_WALK_INSERT = 0.5
-_WALK_TRANSFORM = 0.4  # remainder is deletion
-
-
-def _replay_walk_step(ctx: MonoidContext, w: SignedWord, item) -> SignedWord | None:
-    """w after one recorded walk step; None when the step is malformed: no
-    dict with a known op, a missing or non-integer field, an insert whose
-    sign is not 1 or -1 or whose atom or position is out of range, a
-    delete of no inverse pair, a transform index out of range."""
-    op = item.get("op") if type(item) is dict else None
-    if op == "insert":
-        pos, atom, sign = item.get("pos"), item.get("atom"), item.get("sign")
-        if {type(pos), type(atom), type(sign)} == {int} and sign in (1, -1) and (
-            0 <= atom < ctx.pres.n_atoms and 0 <= pos <= len(w)
-        ):
-            return w[:pos] + ((atom, sign), (atom, -sign)) + w[pos:]
-    elif op == "delete" and type(item.get("pos")) is int and cancels(w, item["pos"]):
-        return w[:item["pos"]] + w[item["pos"] + 2:]
-    elif op == "transform" and type(item.get("index")) is int:
-        steps, k = applicable_steps(ctx, w), item["index"]
-        if 0 <= k < len(steps):
-            return apply_step(w, steps[k])
-    return None
-
-
-def gen_unital_brownian(
-    ctx: MonoidContext, target_length: int, seed: int
-) -> tuple[Multifraction, UnitalCertificate]:
-    """Random walk on signed words from the empty word: insert cancelling
-    pairs, apply random elementary transformations, occasionally delete an
-    inverse pair.  Every step preserves the represented group element, so
-    the result is unital and the recorded walk is its certificate."""
-    rng = random.Random(seed)
-    w: SignedWord = ()
-    walk: list[dict] = []
-    max_steps = 40 + 20 * target_length
-    for _ in range(max_steps):
-        if len(w) >= target_length:
-            break
-        roll = rng.random()
-        if roll < _WALK_INSERT or not w:
-            pos = rng.randint(0, len(w))
-            atom = rng.randrange(ctx.pres.n_atoms)
-            sign = rng.choice((1, -1))
-            item = {"op": "insert", "pos": pos, "atom": atom, "sign": sign}
-        elif roll < _WALK_INSERT + _WALK_TRANSFORM:
-            steps = applicable_steps(ctx, w)
-            if not steps:
-                continue
-            item = {"op": "transform", "index": rng.randrange(len(steps))}
-        else:
-            pairs = [k for k in range(len(w) - 1) if cancels(w, k)]
-            if not pairs:
-                continue
-            item = {"op": "delete", "pos": rng.choice(pairs)}
-        w = _replay_walk_step(ctx, w, item)
-        walk.append(item)
-    a = from_signed_word(ctx, w)
-    return a, UnitalCertificate("brownian_trace", {"walk": walk})
-
-
 def gen_central_cross(
     ctx: MonoidContext, depth: int, ray_length: int, seed: int
 ) -> tuple[Multifraction, CentralCross]:
@@ -253,18 +183,16 @@ def _random_left_divisors(ctx: MonoidContext, a: Multifraction, rng: random.Rand
 
 
 def lcm_expand(
-    ctx: MonoidContext,
-    a: Multifraction,
-    seed: int | None = None,
-    choices: list[Element] | None = None,
+    ctx: MonoidContext, a: Multifraction, choices: list[Element]
 ) -> Multifraction | None:
     """One lcm-expansion step of an even-depth unital multifraction.
 
-    A left divisor a'_i of each entry is chosen (randomly per seed unless
-    given).  At each source vertex (negative index i) the right lcm of
-    a'_i and a'_{i+1} contributes the second factors of the new entries;
-    at each sink vertex (positive index i) the left lcm of the remainders
-    a''_i and a''_{i+1} contributes the first factors.  Indices wrap.
+    `choices` holds a left divisor a'_i of each entry, in entry order
+    (`_random_left_divisors` draws them).  At each source vertex
+    (negative index i) the right lcm of a'_i and a'_{i+1} contributes the
+    second factors of the new entries; at each sink vertex (positive
+    index i) the left lcm of the remainders a''_i and a''_{i+1}
+    contributes the first factors.  Indices wrap.
     Returns None when a choice does not left-divide its entry or a
     required lcm does not exist.  The result is conjugate to a in the
     enveloping group, hence unital when a is.
@@ -272,8 +200,6 @@ def lcm_expand(
     n = a.depth
     if n % 2 != 0 or n < 2:
         raise ValueError("lcm expansion needs even depth")
-    if choices is None:
-        choices = _random_left_divisors(ctx, a, random.Random(seed))
     seconds = [ctx.divides(d, a.entry(i), Side.LEFT) for i, d in enumerate(choices, 1)]
     if any(q is None for q in seconds):
         return None
@@ -357,34 +283,6 @@ def test_conjecture_B(
     if out == trivial:
         return Verdict("confirmed", evidence)
     return Verdict("counterexample", evidence)
-
-
-def test_cross_confluence_pair(
-    ctx: MonoidContext, b: Multifraction, c: Multifraction, a: Multifraction
-) -> Verdict:
-    """b, c right reducts of a: search for a common left reduct, in the
-    common left reducts of b and c (`LeftClosures.common`)."""
-    try:
-        lc = red.left_closures(ctx, (b, c))
-    except CapExceeded as e:
-        return Verdict("inconclusive", {"reason": str(e)})
-    bits, complete = lc.common((b, c))
-    common = lc.members(bits)
-    if common:
-        witness = min(common, key=lambda m: (m.total_length(), format_multifraction(ctx, m)))
-        return Verdict(
-            "confirmed",
-            {
-                "witness": format_multifraction(ctx, witness),
-                "common": sorted(format_multifraction(ctx, x) for x in common),
-            },
-        )
-    if complete:
-        return Verdict(
-            "counterexample",
-            {"b_nodes": lc.closure_of(b).bit_count(), "c_nodes": lc.closure_of(c).bit_count()},
-        )
-    return Verdict("inconclusive", {})
 
 
 def _witness_roots(rg: red.ReductGraph) -> list[Multifraction]:
@@ -537,31 +435,6 @@ def check_depth4_equivalences(ctx: MonoidContext, a: Multifraction) -> dict:
     report["agree"] = reaches == report["red_tame_trivial"] == report["central_cross"]
     if not report["agree"]:
         raise MultiredError(f"depth-4 equivalence violated: {report}")
-    return report
-
-
-def unique_fraction_probe(
-    ctx: MonoidContext, a: Element, b: Element, c: Element, d: Element
-) -> dict:
-    """For a b^-1 = c d^-1 certified in the group: reduced numerators and
-    denominators must coincide; in general the common cofactors x, y with
-    a = x(a /\\~ b), b = y(a /\\~ b), c = x(c /\\~ d), d = y(c /\\~ d) are
-    the rays of the central cross of a/b/d/c, which exists only when
-    those four equations hold."""
-    cross = has_central_cross(ctx, Multifraction(1, (a, b, d, c)))
-    if cross is None:
-        raise MultiredError("inputs do not represent the same fraction")
-    x, gab, y, gcd_ = cross.rays
-    report = {
-        "x": ctx.word_str(x),
-        "y": ctx.word_str(y),
-        "gcd_ab": ctx.word_str(gab),
-        "gcd_cd": ctx.word_str(gcd_),
-        "factorization_holds": True,
-        "reduced_pair_equal": None,
-    }
-    if gab.is_identity and gcd_.is_identity:
-        report["reduced_pair_equal"] = a == c and b == d
     return report
 
 

@@ -7,9 +7,8 @@ index i is the first sign flipped i-1 times.  Entries are kept canonical,
 so equality is structural.  The empty multifraction is the unit of the
 product and carries no sign.
 
-Trailing trivial entries are never trimmed automatically: right reduction
-is sensitive to them.  `trim_trailing_units` is provided for callers that
-explicitly want the shorter form.
+Trailing trivial entries are never trimmed: right reduction is sensitive
+to them.
 """
 
 from __future__ import annotations
@@ -115,15 +114,6 @@ def inverse(a: Multifraction) -> Multifraction:
     return Multifraction(-a.sign(a.depth), tuple(reversed(a.entries)))
 
 
-def trim_trailing_units(a: Multifraction) -> Multifraction:
-    entries = list(a.entries)
-    while entries and entries[-1].is_identity:
-        entries.pop()
-    if not entries:
-        return EMPTY
-    return Multifraction(a.first_sign, tuple(entries))
-
-
 def from_signed_word(ctx: MonoidContext, w: SignedWord) -> Multifraction:
     """Evaluate a signed word as a positive multifraction: the product of
     its letters as depth-1 multifractions, from unit(1).  A run of
@@ -137,17 +127,6 @@ def from_signed_word(ctx: MonoidContext, w: SignedWord) -> Multifraction:
     return out
 
 
-def to_signed_word(a: Multifraction) -> SignedWord:
-    out: list[tuple[int, int]] = []
-    for i, e in enumerate(a.entries, 1):
-        s = a.sign(i)
-        if s > 0:
-            out.extend((atom, 1) for atom in e.word)
-        else:
-            out.extend((atom, -1) for atom in reversed(e.word))
-    return tuple(out)
-
-
 def format_multifraction(ctx: MonoidContext, a: Multifraction) -> str:
     if a.is_empty:
         return ""
@@ -156,18 +135,22 @@ def format_multifraction(ctx: MonoidContext, a: Multifraction) -> str:
 
 
 def parse_multifraction(ctx: MonoidContext, text: str) -> Multifraction:
-    text = text.strip()
-    if not text:
+    """The multifraction `text` spells; an error's position is an offset
+    into `text` as given."""
+    body = text.lstrip()
+    pos = len(text) - len(body)  # where body starts in text
+    body = body.rstrip()
+    if not body:
         return EMPTY
     first_sign = 1
-    if text.startswith("/"):
+    if body.startswith("/"):
         first_sign = -1
-        text = text[1:]
-        if not text:
-            raise MultifractionParseError("dangling '/'", 0)
+        body = body[1:]
+        if not body:
+            raise MultifractionParseError("dangling '/'", pos)
+        pos += 1
     entries = []
-    pos = 0
-    for chunk in text.split("/"):
+    for chunk in body.split("/"):
         if not chunk:
             raise MultifractionParseError("empty entry", pos)
         try:

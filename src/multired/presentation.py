@@ -70,12 +70,6 @@ class Presentation:
         names = self.atom_names
         return names, "" if all(len(n) == 1 for n in names) else "."
 
-    def atom_index(self, name: str) -> int:
-        for a in self.atoms:
-            if a.name == name:
-                return a.index
-        raise KeyError(name)
-
 
 def format_word(p: Presentation, word: tuple[int, ...]) -> str:
     if not word:
@@ -111,12 +105,14 @@ def parse_word(p: Presentation, text: str) -> tuple[int, ...]:
 
 def validate(p: Presentation) -> Presentation:
     """p, when its atom names are usable and its relations homogeneous;
-    raises ValidationFailure otherwise.  Complementedness is left to the
-    atom table of a `MonoidContext`."""
+    raises ValidationFailure otherwise.  A name is unusable when it is
+    empty, holds a space or a character of FORBIDDEN_NAME_CHARS, or is
+    "1", which spells the identity.  Complementedness is left to the atom
+    table of a `MonoidContext`."""
     bad_names = [
         a.name
         for a in p.atoms
-        if not a.name or any(c.isspace() or c in FORBIDDEN_NAME_CHARS for c in a.name)
+        if a.name in ("", "1") or any(c.isspace() or c in FORBIDDEN_NAME_CHARS for c in a.name)
     ]
     if bad_names or len(set(p.atom_names)) != len(p.atom_names):
         detail = f"bad names: {bad_names}" if bad_names else "duplicates"
@@ -188,9 +184,7 @@ def _braid_word(s: int, t: int, m: int) -> tuple[int, ...]:
 def _artin(name: str, n: int, labels, fc: bool) -> Presentation:
     """The Artin-Tits presentation on n atoms named a, b, ...: one braid
     relation sts... = tst... of m letters a side per (s, t, m) triple, in
-    the order given: relation order reaches the atom table and, in
-    `signedwords.applicable_steps`, only the order of the equivalence
-    steps."""
+    the order given, which is the order the atom table reads them in."""
     letters = _letters(n)
     atoms = tuple(AtomId(i, letters[i]) for i in range(n))
     rels = tuple((_braid_word(s, t, m), _braid_word(t, s, m)) for s, t, m in labels)

@@ -100,22 +100,6 @@ class ReductionTrace:
     moves: tuple[Move, ...]
     end: Multifraction
 
-    def composed_moves(self, ctx: MonoidContext) -> tuple[Move, ...]:
-        """Coalesce consecutive same-kind same-level moves (reductions at a
-        fixed level compose).  The reducers multiply in extraction order:
-        left reductions strip the due side of entry i+1, right reductions
-        the opposite side of entry i-1, so a later reducer has the earlier
-        one attached on the side it was stripped from."""
-        out: list[Move] = []
-        for m in self.moves:
-            if out and out[-1].kind is m.kind and out[-1].level == m.level:
-                prev = out.pop()
-                side = due_side(self.start, _frame(m.kind, m.level)[0])
-                out.append(Move(m.kind, m.level, ctx.attach(m.x, prev.x, side)))
-            else:
-                out.append(m)
-        return tuple(out)
-
 
 STRATEGIES = ("low_lex", "low_antilex", "high_lex", "high_antilex")
 
@@ -232,6 +216,9 @@ def apply_move(ctx: MonoidContext, a: Multifraction, move: Move) -> Multifractio
 
 
 def replay(ctx: MonoidContext, a: Multifraction, moves) -> Multifraction:
+    """a after the moves, in order; raises when one does not apply.  Only
+    tests call it so far; it is kept as the checker a certificate given
+    as a move list needs."""
     cur = a
     for m in moves:
         nxt = apply_move(ctx, cur, m)
@@ -252,7 +239,9 @@ def reducers(ctx: MonoidContext, a: Multifraction, i: int, filter: str = "all") 
 
     atomic: the applicable atoms; all: every applicable x; maximal:
     divisibility-maximal among all (due side); tame: those dividing every
-    maximal one.  Deterministic (length, word) order.
+    maximal one.  Deterministic (length, word) order.  The package reads
+    only "maximal" (`greatest_tame_reducer`); the other filters are the
+    paper's reducer sets, which the acceptance tests check.
     """
     n = a.depth
     if not 1 <= i < n:
@@ -606,10 +595,6 @@ def reduct_graph(ctx: MonoidContext, a: Multifraction, side: Side = Side.LEFT) -
     return g
 
 
-def irreducible_reducts(ctx: MonoidContext, a: Multifraction, side: Side = Side.LEFT) -> list[Multifraction]:
-    return reduct_graph(ctx, a, side).sinks()
-
-
 @dataclass
 class LeftClosures:
     """Left reduct closures as int bitsets: bit k stands for nodes[k].
@@ -767,7 +752,8 @@ def step_bound(ctx: MonoidContext, a: Multifraction):
 
     C is one more than the maximal basic length.  The value is
     astronomically large as soon as the depth exceeds 3 (use
-    within_step_bound for comparisons).
+    within_step_bound for comparisons).  Only tests call it: it states
+    the paper's bound exactly, which the acceptance tests pin.
     """
     return _tower(ctx.basic_bound_C(), [e.length for e in a.entries])
 
@@ -786,68 +772,3 @@ def within_step_bound(ctx: MonoidContext, a: Multifraction, k: int) -> bool:
     if k <= _tower(2 if ctx.atoms() else 1, lengths, k + 1):
         return True
     return k <= _tower(ctx.basic_bound_C(), lengths, k + 1)
-
-
-# ----------------------------------------------------------------------
-# connecting irreducible reducts by maximal steps
-
-
-def _maximal_moves(ctx: MonoidContext, a: Multifraction):
-    for i in range(1, a.depth):
-        for x in reducers(ctx, a, i, "maximal"):
-            b = apply_left(ctx, a, i, x)
-            if b is not None:
-                yield Move(Side.LEFT, i, x), b
-
-
-def connect_by_maximal_zigzag(
-    ctx: MonoidContext,
-    b: Multifraction,
-    c: Multifraction,
-    source: Multifraction,
-    budget: int = 10_000,
-):
-    """Chain of maximal reductions and their inverses connecting b to c.
-
-    b and c must be reducts of `source`; the search runs over the
-    maximal-reduction relation restricted to the (finite) reduct set of
-    the source.  Returns a list of ("fwd"|"bwd", Move) steps read from b,
-    or None when the budget runs out (not a refutation).
-    """
-    if b == c:
-        return []
-    if budget <= 0:
-        return None
-    graph = reduct_graph(ctx, source, Side.LEFT)
-    if not (graph.contains(b) and graph.contains(c)):
-        raise ValueError("endpoints are not reducts of the given source")
-    # undirected adjacency by maximal steps among the reducts
-    adj: dict[Multifraction, list[tuple[Multifraction, str, Move]]] = {
-        n: [] for n in graph.nodes
-    }
-    for node in graph.nodes:
-        for move, nxt in _maximal_moves(ctx, node):
-            adj[node].append((nxt, "fwd", move))
-            adj[nxt].append((node, "bwd", move))
-    parent: dict[Multifraction, tuple[Multifraction, str, Move] | None] = {b: None}
-    queue = deque([b])
-    visited = 1
-    while queue:
-        cur = queue.popleft()
-        for nxt, direction, move in adj[cur]:
-            if nxt in parent:
-                continue
-            parent[nxt] = (cur, direction, move)
-            visited += 1
-            if nxt == c:
-                path = []
-                node = nxt
-                while parent[node] is not None:
-                    prev, direction, move = parent[node]
-                    path.append((direction, move))
-                    node = prev
-                return list(reversed(path))
-            if visited >= budget:
-                return None
-            queue.append(nxt)
-    return None

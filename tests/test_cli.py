@@ -214,6 +214,16 @@ def test_cube_failure_refused_at_first_element(capsys, tmp_path):
     assert "cube condition fails on atoms (a, b, c)" in capsys.readouterr().err
 
 
+def test_atom_named_1_refused(capsys, tmp_path):
+    # derdiv would print 1b/b as 1/1, which reads back as the trivial
+    # multifraction
+    path = tmp_path / "pres.txt"
+    path.write_text("atoms: 1 b\nrel: 1b1 = b1b\n")
+    assert main(["derdiv", "--presentation-file", str(path), "1b/b"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "bad names: ['1']" in err
+
+
 @pytest.mark.parametrize("text, message", [
     ("atoms: a b c\nrel: ab = bc\nrel: bc = ca\n", "cube condition fails on atoms (a, b, c)"),
     ("atoms: a b\nrel: ab = ab\n", "both sides of ab = ab start with a"),

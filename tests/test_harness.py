@@ -25,6 +25,8 @@ from multired.presentation import preset
 from multired import harness as H
 from multired import reduction as red
 from overflows import overflow_left_moves
+from reduct_oracles import cross_confluence_pair, unique_fraction_probe
+from signed_walks import gen_unital_brownian, replay_walk
 from test_reduction import DIVISION_PRESETS, seeded_graphs
 
 
@@ -36,6 +38,12 @@ def fmt(ctx, a):
     return format_multifraction(ctx, a)
 
 
+def cross_cert(*rays):
+    """The certificate of the central cross on the rays, expanded by no
+    lcm-expansion step."""
+    return H.UnitalCertificate("lcm_expansion_chain", {"rays": list(rays), "choices": []})
+
+
 def test_gen_element(att, free2):
     assert H.gen_element(att, 0, 1) == IDENTITY
     assert H.gen_element(att, 3, 5).length == 3
@@ -45,14 +53,15 @@ def test_gen_element(att, free2):
 
 
 def test_brownian_contract(att):
-    a, cert = H.gen_unital_brownian(att, 0, 3)
+    a, walk = gen_unital_brownian(att, 0, 3)
     assert a == unit(1)
-    a, cert = H.gen_unital_brownian(att, 12, 42)
-    assert H.validate_certificate(att, a, cert)
+    a, walk = gen_unital_brownian(att, 12, 42)
+    assert replay_walk(att, walk) == a
     # deterministic per seed (golden value pinned from the first run)
-    again, _ = H.gen_unital_brownian(att, 12, 42)
+    again, _ = gen_unital_brownian(att, 12, 42)
     assert again == a
-    assert H.test_conjecture_A(att, a, cert).status == "confirmed"
+    # Conjecture A on the walk's end, which the walk proves unital
+    assert H._reaches_trivial(att, a).status == "confirmed"
 
 
 def test_central_cross_shapes(att):
@@ -86,7 +95,8 @@ def test_lcm_expand_preserves_unitality(att):
     produced = 0
     for _ in range(25):
         a, _ = H.gen_central_cross(att, 4, 2, rng.randrange(10**9))
-        b = H.lcm_expand(att, a, seed=rng.randrange(10**9))
+        draws = random.Random(rng.randrange(10**9))
+        b = H.lcm_expand(att, a, choices=H._random_left_divisors(att, a, draws))
         if b is None or b.total_length() > 24:
             continue
         assert red.reduce_left(att, b).end == unit(4)
@@ -96,13 +106,13 @@ def test_lcm_expand_preserves_unitality(att):
 
 def test_conjecture_A_rejects_bad_certificate(att):
     a = mf(att, "a/b")
-    cert = H.UnitalCertificate("central_cross_seed", {"rays": ["a", "a"]})
+    cert = cross_cert("a", "a")
     with pytest.raises(Exception):
         H.test_conjecture_A(att, a, cert)
 
 
 def test_conjecture_B_trivial(att):
-    cert = H.UnitalCertificate("central_cross_seed", {"rays": ["1"] * 6})
+    cert = cross_cert(*["1"] * 6)
     v = H.test_conjecture_B(att, unit(6), cert)
     assert v.status == "confirmed"
 
@@ -111,9 +121,7 @@ def test_depth4_agreement_with_cross_existence(att):
     rng = random.Random(7)
     for _ in range(30):
         a, _ = H.gen_central_cross(att, 4, 2, rng.randrange(10**9))
-        cert = H.UnitalCertificate(
-            "central_cross_seed", {"rays": [att.word_str(r) for r in H.has_central_cross(att, a).rays]}
-        )
+        cert = cross_cert(*[att.word_str(r) for r in H.has_central_cross(att, a).rays])
         assert H.test_conjecture_B(att, a, cert).status == "confirmed"
 
 
@@ -123,15 +131,15 @@ def test_cross_confluence_pair_examples(att):
     for i, x in [(3, "cb"), (2, "ca"), (4, "a")]:
         b = red.apply_right(att, b, i, att.element(x))
     assert fmt(att, b) == "1/1/ac/ab"
-    v = H.test_cross_confluence_pair(att, b, a, a)
+    v = cross_confluence_pair(att, b, a, a)
     c = mf(att, "ac/cab/c/1")
     expected = sorted([fmt(att, c), fmt(att, red.apply_division(att, c, 2, att.element("c")))])
     assert v.status == "confirmed"
     assert v.evidence["common"] == expected
-    same = H.test_cross_confluence_pair(att, b, b, a)
+    same = cross_confluence_pair(att, b, b, a)
     assert same.status == "confirmed" and same.evidence["witness"] == fmt(att, b)
     small = MonoidContext(preset("A2tilde"), Caps(graph_node_cap=1))
-    v = H.test_cross_confluence_pair(small, mf(small, fmt(att, b)), a, a)
+    v = cross_confluence_pair(small, mf(small, fmt(att, b)), a, a)
     assert v.status == "inconclusive"
     assert v.evidence == {"reason": "reduct graph exceeded 1 nodes"}
 
@@ -141,13 +149,13 @@ def test_cross_confluence_pair_incomplete_closures(att, monkeypatch):
     # that is a counterexample only when neither closure dropped a move on
     # a cap overflow (b and c need not be right reducts of a for this)
     b, c, a = mf(att, "a/1"), mf(att, "b/1"), unit(2)
-    v = H.test_cross_confluence_pair(att, b, c, a)
+    v = cross_confluence_pair(att, b, c, a)
     assert v.status == "counterexample"
     assert v.evidence == {"b_nodes": 1, "c_nodes": 1}
     for node in (b, c):
         monkeypatch.undo()
         overflow_left_moves(monkeypatch, lambda a, i, x, _, node=node: a == node)
-        assert H.test_cross_confluence_pair(att, b, c, a).status == "inconclusive"
+        assert cross_confluence_pair(att, b, c, a).status == "inconclusive"
 
 
 def test_conjecture_C_uniform_trivial_and_braid(att, braid3):
@@ -158,7 +166,7 @@ def test_conjecture_C_uniform_trivial_and_braid(att, braid3):
         a = H.gen_multifraction(braid3, 3, 3, rng.randrange(10**9))
         v = H.test_conjecture_C_uniform(braid3, a)
         assert v.status == "confirmed"
-        irr = red.irreducible_reducts(braid3, a)
+        irr = red.reduct_graph(braid3, a).sinks()
         assert len(irr) == 1
         assert fmt(braid3, irr[0]) in v.evidence["witnesses"]
 
@@ -299,13 +307,13 @@ def test_check_depth4_equivalences(att):
 
 def test_unique_fraction_probe(att):
     a, b = att.element("ab"), att.element("cb")
-    r = H.unique_fraction_probe(att, a, b, a, b)
+    r = unique_fraction_probe(att, a, b, a, b)
     assert r["factorization_holds"]
     # a reduced pair (right gcd 1) is compared; ab/cb, with gcd b, is not
     for x, y, reduced in (("a", "b", True), ("ab", "c", True), ("aba", "c", True),
                           ("ab", "cb", None)):
         x, y = att.element(x), att.element(y)
-        assert H.unique_fraction_probe(att, x, y, x, y)["reduced_pair_equal"] is reduced
+        assert unique_fraction_probe(att, x, y, x, y)["reduced_pair_equal"] is reduced
     # seeded: a/b and c/d from a common cross
     rng = random.Random(3)
     reports = []
@@ -319,7 +327,7 @@ def test_unique_fraction_probe(att):
         d1 = att.multiply(y, g2)
         if att.gcd(x, y, Side.RIGHT) != IDENTITY:
             continue
-        r = H.unique_fraction_probe(att, a1, b1, c1, d1)
+        r = unique_fraction_probe(att, a1, b1, c1, d1)
         assert r["factorization_holds"]
         if att.gcd(a1, b1, Side.RIGHT) == g1 == IDENTITY and att.gcd(c1, d1, Side.RIGHT) == g2 == IDENTITY:
             assert r["reduced_pair_equal"]
@@ -561,45 +569,59 @@ def test_derive_seed_stable():
 
 
 def test_brownian_golden_value(att):
-    a, _ = H.gen_unital_brownian(att, 12, 42)
+    a, _ = gen_unital_brownian(att, 12, 42)
     assert fmt(att, a) == "1/b/c/ac/cab/cab/ab"
 
 
 def test_brownian_walk_with_delete_replays(att):
-    a, cert = H.gen_unital_brownian(att, 12, 0)
-    assert "delete" in [item["op"] for item in cert.payload["walk"]]
-    assert H.validate_certificate(att, a, cert)
+    a, walk = gen_unital_brownian(att, 12, 0)
+    assert "delete" in [item["op"] for item in walk]
+    assert replay_walk(att, walk) == a
 
 
 def _insert(pos, atom, sign):
     return {"op": "insert", "pos": pos, "atom": atom, "sign": sign}
 
 
-@pytest.mark.parametrize("walk, text", [
+@pytest.mark.parametrize("walk", [
     # a sign 2 insertion would put a^2 a^-2 in the word, not a cancelling pair
-    ([_insert(0, 0, 2)], "1/a/1/a"),
-    ([_insert(0, 3, 1)], "1/1"),
-    ([_insert(1, 0, 1)], "1/1"),
+    [_insert(0, 0, 2)],
+    [_insert(0, 3, 1)],
+    [_insert(1, 0, 1)],
     # a delete of "ab", which is no inverse pair
-    ([_insert(0, 0, 1), _insert(1, 1, 1), {"op": "delete", "pos": 0}], "1/ab"),
-    ([_insert(0, 0, 1), {"op": "delete", "pos": 1}], "a/a"),
-    ([_insert(0, 0, 1), {"op": "transform", "index": 7}], "1/1"),
-    ([_insert(0, 0, 1), {"op": "transform", "index": -1}], "1/1"),
-    ([{"op": "bogus"}], "1/1"),
-    ([{"op": "insert", "pos": 0, "atom": 0}], "1/1"),
-    ([_insert(0, 0.5, 1)], "1/1"),
+    [_insert(0, 0, 1), _insert(1, 1, 1), {"op": "delete", "pos": 0}],
+    [_insert(0, 0, 1), {"op": "delete", "pos": 1}],
+    [_insert(0, 0, 1), {"op": "transform", "index": 7}],
+    [_insert(0, 0, 1), {"op": "transform", "index": -1}],
+    [{"op": "bogus"}],
+    [{"op": "insert", "pos": 0, "atom": 0}],
+    [_insert(0, 0.5, 1)],
 ], ids=["sign", "atom", "insert_pos", "delete_pair", "delete_pos", "transform", "transform_neg",
         "op", "missing_sign", "atom_not_int"])
-def test_forged_brownian_steps_rejected(att, walk, text):
-    _assert_refused(att, mf(att, text), H.UnitalCertificate("brownian_trace", {"walk": walk}))
+def test_forged_brownian_steps_rejected(att, walk):
+    # each walk is well formed up to its last step, which the replay refuses
+    assert replay_walk(att, walk[:-1]) is not None
+    assert replay_walk(att, walk) is None
+
+
+# a walk whose replay ends at ab/ab: a b b^-1 a^-1
+_AB_AB_WALK = [_insert(0, 0, 1), _insert(1, 1, 1)]
 
 
 @pytest.mark.parametrize("kind, payload", [
     # the cross ab/ab with a choice c that does not left-divide ab
     ("lcm_expansion_chain", {"rays": ["a", "b"], "choices": [["c", "1"]]}),
     ("lcm_expansion_chain", {"rays": ["a", "b"], "choices": [["a"]]}),
-    ("central_cross_seed", {"rays": ["a", "z"]}),
-], ids=["choice_not_divisor", "too_few_choices", "unknown_atom"])
+    ("lcm_expansion_chain", {"rays": ["a", "z"], "choices": []}),
+    ("lcm_expansion_chain", None),
+    ("lcm_expansion_chain", []),
+    ("lcm_expansion_chain", "x"),
+    # kinds the replay does not read, with payloads that would prove ab/ab unital
+    ("brownian_trace", {"walk": _AB_AB_WALK}),
+    ("central_cross_seed", {"rays": ["a", "b"]}),
+    ("cross", {"rays": ["a", "b"], "choices": []}),
+], ids=["choice_not_divisor", "too_few_choices", "unknown_atom", "payload_none", "payload_list",
+        "payload_str", "brownian_trace", "central_cross_seed", "unknown_kind"])
 def test_forged_certificate_payloads_rejected(att, kind, payload):
     _assert_refused(att, mf(att, "ab/ab"), H.UnitalCertificate(kind, payload))
 
@@ -616,7 +638,7 @@ def test_conjecture_A_graph_fallback(att, monkeypatch):
     # a strategy run that misses the trivial multifraction hands over to
     # the left reduct graph
     a = mf(att, "a/a")
-    cert = H.UnitalCertificate("central_cross_seed", {"rays": ["a", "1"]})
+    cert = cross_cert("a", "1")
     stuck = lambda ctx, b, *args: SimpleNamespace(end=b)
     monkeypatch.setattr(H, "reduce_left", stuck)
     v = H.test_conjecture_A(att, a, cert)
@@ -634,7 +656,7 @@ def test_conjecture_A_graph_fallback(att, monkeypatch):
     monkeypatch.setattr(H, "validate_certificate", lambda ctx, b, c: True)
     v = H.test_conjecture_A(att, mf(att, "a/1"), cert)
     assert (v.status, v.evidence) == (
-        "counterexample", {"nodes": 1, "certificate": "central_cross_seed"}
+        "counterexample", {"nodes": 1, "certificate": "lcm_expansion_chain"}
     )
 
 
@@ -748,7 +770,7 @@ def test_depth4_incomplete_graph_inconclusive(att, monkeypatch):
 
 
 def test_conjecture_A_trivial_empty_trace(att):
-    cert = H.UnitalCertificate("central_cross_seed", {"rays": ["1"] * 4})
+    cert = cross_cert(*["1"] * 4)
     v = H.test_conjecture_A(att, unit(4), cert)
     assert v.status == "confirmed" and v.evidence["steps"] == 0
 

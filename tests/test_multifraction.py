@@ -7,16 +7,16 @@ from multired.monoid import IDENTITY, MonoidContext
 from multired.multifraction import (
     EMPTY,
     Multifraction,
+    MultifractionParseError,
     format_multifraction,
     from_signed_word,
     inverse,
     parse_multifraction,
     product,
-    to_signed_word,
-    trim_trailing_units,
     unit,
 )
 from multired.presentation import preset
+from signed_walks import to_signed_word, trim_trailing_units
 
 _CTX = None
 
@@ -140,6 +140,20 @@ def test_codec(att):
     for text in ("1/c/aba", "/cbac/ccb/ca", "a", "/a"):
         mf = parse_multifraction(att, text)
         assert format_multifraction(att, mf) == text
+
+
+@pytest.mark.parametrize("text, position", [
+    ("/a/zz", 3),
+    ("  a/zz", 4),
+    (" /zz", 2),
+])
+def test_parse_error_positions(att, text, position):
+    # positions count in the text as given: leading spaces and the
+    # leading "/" of a negative multifraction included
+    with pytest.raises(MultifractionParseError, match=f"^position {position}: ") as e:
+        parse_multifraction(att, text)
+    assert e.value.position == position
+    assert text[position:position + 2] == "zz"
 
 
 def test_trim(att):

@@ -82,6 +82,17 @@ def test_validate_names_and_homogeneity():
         MonoidContext(dup).basic_table(Side.RIGHT)
 
 
+def test_atom_named_1_refused():
+    # "1" spells the identity: a word over an atom of that name would print
+    # as 1 and read back as the identity
+    with pytest.raises(ValidationFailure, match="atom_names: bad names: \\['1'\\]"):
+        parse_presentation("atoms: 1 b\nrel: 1b1 = b1b\n")
+    with pytest.raises(ValidationFailure, match="atom_names: bad names: \\['1'\\]"):
+        MonoidContext(Presentation("one", (AtomId(0, "1"), AtomId(1, "b")), ()))
+    # a longer name holding the digit is usable
+    assert parse_presentation("atoms: x1 b\n").atom_names == ("x1", "b")
+
+
 def test_context_validates_a_presentation_built_in_code():
     # a Presentation built without parsing is judged when a context takes
     # it: an inhomogeneous relation would leave canonical forms undefined

@@ -21,6 +21,7 @@ from multired.presentation import preset
 from multired import reduction as red
 from multired.harness import gen_multifraction
 from overflows import overflow_left_moves
+from reduct_oracles import composed_moves, connect_by_maximal_zigzag, maximal_moves
 from test_campaign_golden import PRESETS as GOLDEN_PRESETS
 
 
@@ -162,7 +163,7 @@ def test_reduce_unital(att):
 def test_reduce_unique_sequence(att):
     a = mf(att, "1/ba/cb/ca/ab")
     tr = red.reduce_left(att, a, "low_lex")
-    composed = tr.composed_moves(att)
+    composed = composed_moves(att, tr)
     assert [(m.level, att.word_str(m.x)) for m in composed] == [
         (4, "a"),
         (2, "bc"),
@@ -175,9 +176,9 @@ def test_reduct_graph_examples(att):
     g = red.reduct_graph(att, mf(att, "1/c/aba"))
     assert sorted(fmt(att, s) for s in g.sinks()) == ["ac/ca/ba", "bc/cb/ab"]
     assert red.reduct_graph(att, unit(2)).nodes == [unit(2)]
-    irr = red.irreducible_reducts(att, mf(att, "ab/aba/aca"))
+    irr = red.reduct_graph(att, mf(att, "ab/aba/aca")).sinks()
     assert sorted(fmt(att, s) for s in irr) == ["ab/ba/ca", "cb/bc/ac"]
-    assert red.irreducible_reducts(att, unit(3)) == [unit(3)]
+    assert red.reduct_graph(att, unit(3)).sinks() == [unit(3)]
 
 
 def test_reduct_graph_cap():
@@ -390,19 +391,19 @@ def test_local_confluence_division_vs_reduction(att):
 
 def test_connect_by_maximal_zigzag(att):
     source = mf(att, "ab/ba/ca/bcbc")
-    sinks = red.irreducible_reducts(att, source)
+    sinks = red.reduct_graph(att, source).sinks()
     assert sorted(fmt(att, s) for s in sinks) == ["1/ab/ca/cb", "cb/abbc/ba/bc"]
     b, c = sinks
-    path = red.connect_by_maximal_zigzag(att, b, c, source)
+    path = connect_by_maximal_zigzag(att, b, c, source)
     assert path is not None and len(path) > 0
-    assert red.connect_by_maximal_zigzag(att, b, b, source) == []
-    assert red.connect_by_maximal_zigzag(att, b, c, source, budget=0) is None
+    assert connect_by_maximal_zigzag(att, b, b, source) == []
+    assert connect_by_maximal_zigzag(att, b, c, source, budget=0) is None
 
 
 def test_trace_composed_moves(att):
     b6 = mf(att, "ac/ca/ba/ab/cb/bc")
     tr = red.reduce_left(att, b6)
-    composed = tr.composed_moves(att)
+    composed = composed_moves(att, tr)
     assert red.replay(att, b6, composed) == tr.end
     assert len(composed) <= len(tr.moves)
 
@@ -679,7 +680,7 @@ def test_maximal_granularity_misses_reducts(att):
     queue = [a]
     while queue:
         cur = queue.pop(0)
-        for _, b in red._maximal_moves(att, cur):
+        for _, b in maximal_moves(att, cur):
             reached[cur] = True
             if b not in reached:
                 reached[b] = False

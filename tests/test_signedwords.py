@@ -4,8 +4,7 @@ from multired.monoid import MonoidContext
 from multired.multifraction import from_signed_word, unit
 from multired.presentation import preset
 from multired.reduction import reduce_left, reduct_graph
-from multired.signedwords import (
-    Step,
+from signed_walks import (
     TransformKind,
     applicable_steps,
     apply_step,

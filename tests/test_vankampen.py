@@ -101,7 +101,8 @@ def test_batch_depths_4_and_6(att):
         depth = 4 if tries % 2 else 6
         a, _ = H.gen_central_cross(att, depth, 2, rng.randrange(10**9))
         if rng.random() < 0.4:
-            b = H.lcm_expand(att, a, seed=rng.randrange(10**9))
+            draws = random.Random(rng.randrange(10**9))
+            b = H.lcm_expand(att, a, choices=H._random_left_divisors(att, a, draws))
             if b is not None and b.total_length() <= 22:
                 a = b
         if red.red_tame(att, a) != unit(depth):
