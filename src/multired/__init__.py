@@ -19,7 +19,6 @@ from .monoid import (
     IDENTITY,
     MonoidContext,
     Side,
-    TriState,
 )
 from .multifraction import (
     EMPTY,
@@ -46,7 +45,6 @@ __all__ = [
     "IDENTITY",
     "MonoidContext",
     "Side",
-    "TriState",
     "EMPTY",
     "Multifraction",
     "format_multifraction",

@@ -82,7 +82,7 @@ def _context(args) -> MonoidContext:
 
 def parse_signed_word(ctx: MonoidContext, text: str) -> SignedWord:
     """Inverse letters are uppercase single-letter atom names or name^-1."""
-    by_name = {a.name: a.index for a in ctx.pres.atoms}
+    by_name = ctx.pres.index_of
     out = []
     for token in text.split():
         for piece in token.split("."):
@@ -149,7 +149,7 @@ def _wordproblem_options(p):
 
 
 def _conjecture_options(p):
-    p.add_argument("which", choices=("A", "B", "C", "Cunif", "depth4"))
+    p.add_argument("which", choices=harness.CONJECTURES)
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--length", type=int, default=20)
     p.add_argument("--trials", type=int, default=100)

@@ -14,18 +14,28 @@ unitality with their input, the lcm-expansion chain that built it from a
 central cross, and replay it first; the replay rejects malformed steps,
 and a failed replay raises.  Negative word-problem answers are
 unconditional for presets of FC type (and whenever the signed length is
-nonzero), conditional on semi-convergence otherwise.
+nonzero), conditional on semi-convergence otherwise.  The 3-Ore scan
+reads each lcm as it comes: a tuple, None, or an overflow that leaves its
+triple inconclusive.
+
+A campaign's kind is one of CONJECTURES, which the command line offers
+as its choices.  `run_campaign` refuses, before any trial and before a
+worker pool starts, a kind not among them, settings the kind would not
+read or could not run (`check_config`), and a config naming a preset
+other than its context's.  The number of lcm-expansion steps of an A or
+B input is fixed, not a setting (`CampaignConfig.expansions`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .monoid import (
     CapExceeded,
@@ -35,7 +45,6 @@ from .monoid import (
     MonoidContext,
     MultiredError,
     Side,
-    TriState,
 )
 from .multifraction import (
     Multifraction,
@@ -444,37 +453,39 @@ def check_depth4_equivalences(ctx: MonoidContext, a: Multifraction) -> dict:
 
 def three_ore_scan(ctx: MonoidContext, max_len: int, side: Side = Side.RIGHT) -> dict:
     """Bounded scan for triples violating the 3-Ore condition: pairwise
-    common multiples but no global one."""
+    common multiples but no global one.
+
+    Each lcm reads as an answer: a tuple is a common multiple, None is
+    none, and a cap overflow leaves the triple inconclusive.  All three
+    pairs are reversed before any is read, then the lcm of the first pair
+    against the third element: reversing_cap counts only the cells a
+    store lacks, so the calls and their order decide which overflow."""
     if max_len < 1:
         raise MultiredError(f"max_len must be >= 1; got {max_len}")
+
+    def lcm(a, b):
+        try:
+            return ctx.lcm(a, b, side)
+        except CapExceeded as e:
+            return e
+
     elements = [e for e in ctx.elements_up_to(max_len) if not e.is_identity]
     violations = []
     inconclusive = []
-    n = len(elements)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                x, y, z = elements[i], elements[j], elements[k]
-                pair_states = [
-                    ctx.common_multiple_exists(x, y, side),
-                    ctx.common_multiple_exists(y, z, side),
-                    ctx.common_multiple_exists(x, z, side),
-                ]
-                if any(s is TriState.NO for s in pair_states):
-                    continue
-                if any(s is TriState.INCONCLUSIVE for s in pair_states):
-                    inconclusive.append([ctx.word_str(t) for t in (x, y, z)])
-                    continue
-                m = ctx.lcm(x, y, side)[0]
-                global_state = ctx.common_multiple_exists(m, z, side)
-                if global_state is TriState.NO:
-                    violations.append([ctx.word_str(t) for t in (x, y, z)])
-                elif global_state is TriState.INCONCLUSIVE:
-                    inconclusive.append([ctx.word_str(t) for t in (x, y, z)])
+    for x, y, z in itertools.combinations(elements, 3):
+        pairs = [lcm(x, y), lcm(y, z), lcm(x, z)]
+        if None in pairs:
+            continue
+        overflowed = any(isinstance(r, CapExceeded) for r in pairs)
+        whole = None if overflowed else lcm(pairs[0][0], z)
+        if overflowed or isinstance(whole, CapExceeded):
+            inconclusive.append([ctx.word_str(t) for t in (x, y, z)])
+        elif whole is None:
+            violations.append([ctx.word_str(t) for t in (x, y, z)])
     return {
         "max_len": max_len,
         "side": side.value,
-        "elements": n,
+        "elements": len(elements),
         "violations": violations,
         "inconclusive": inconclusive,
     }
@@ -562,16 +573,22 @@ def mixed_cycle_probe(ctx: MonoidContext, iterations: int = 3) -> dict:
 # campaigns
 
 
+# the kinds `run_trial` runs, in the order the command line lists them
+CONJECTURES = ("A", "B", "C", "Cunif", "depth4")
+
+
 @dataclass
 class CampaignConfig:
-    preset: str
-    conjecture: str  # A | B | C | Cunif | depth4
+    preset: str  # the name of the context's presentation
+    conjecture: str  # one of CONJECTURES
     depth: int = 4
     length: int = 20
     trials: int = 100
     seed: int = 0
     jobs: int = 1
-    expansions: int = 1
+    # lcm-expansion steps an A or B input takes at most: fixed, not a
+    # setting, and echoed in the report
+    expansions: int = field(default=1, init=False)
 
 
 @dataclass
@@ -587,7 +604,7 @@ class CampaignReport:
         """Timings are only reproducible run to run when excluded; the CLI
         prints the timing-free form and keeps timings in the trial log."""
         out = {
-            "config": self.config.__dict__,
+            "config": asdict(self.config),
             "counts": self.counts,
             "trace_lengths": self.trace_lengths,
             "counterexample": self.counterexample,
@@ -656,15 +673,13 @@ def run_trial(ctx: MonoidContext, config: CampaignConfig, index: int) -> dict:
                 if config.conjecture == "Cunif"
                 else four_strategy_C_probe(ctx, a)
             )
-        elif config.conjecture == "depth4":
+        else:  # depth4, the last of CONJECTURES; check_config refuses the rest
             if index % 2 == 0:
                 a, _ = gen_central_cross(ctx, 4, max(1, config.length // 8), seed)
             else:
                 a = gen_multifraction(ctx, 4, max(1, config.length // 4), seed)
             report = check_depth4_equivalences(ctx, a)
             verdict = Verdict("confirmed" if report["agree"] else "inconclusive", report)
-        else:
-            raise ValueError(f"unknown conjecture {config.conjecture!r}")
     except CapExceeded as e:
         verdict = Verdict("inconclusive", {"reason": str(e), "cap": e.cap})
     millis = (time.perf_counter() - start) * 1000.0
@@ -694,6 +709,10 @@ def _pool_trial(index: int) -> dict:
 def check_config(config: CampaignConfig) -> None:
     """Refuse settings a campaign would not read or could not run."""
     kind, depth = config.conjecture, config.depth
+    if kind not in CONJECTURES:
+        raise MultiredError(
+            f"unknown conjecture {kind!r}; the kinds are {', '.join(CONJECTURES)}"
+        )
     if kind in ("A", "B") and (depth < 2 or depth % 2):
         raise MultiredError(
             f"conjecture {kind} runs on central crosses, which need an even depth "
@@ -717,8 +736,14 @@ def run_campaign(
 ) -> CampaignReport:
     """Run seeded independent trials; any counterexample halts the run and
     is dumped with its full evidence for replay.  Settings a campaign would
-    not read or could not run raise MultiredError before any trial."""
+    not read or could not run, and a preset other than the context's,
+    raise MultiredError before any trial."""
     check_config(config)
+    if config.preset != ctx.pres.name:
+        raise MultiredError(
+            f"the campaign names preset {config.preset!r}, but the context "
+            f"holds {ctx.pres.name!r}"
+        )
     start = time.perf_counter()
     records: list[dict] = []
     counterexample = None

@@ -40,6 +40,13 @@ is a brute-force search kept for the tests to cross-check `lcm` against;
 nothing in the package calls it.  The breadth-first search it rests on,
 `multiples`, also lists the elements up to a length (`elements_up_to`).
 
+A cap overflow is a CapExceeded and nothing else: raised by the
+computation that overflows, or held as a value where outcomes are kept
+for the caller to raise or report at their turn (`result_of`).  So an lcm
+is a tuple (the common multiple), None (a proof that there is none), or
+a raised CapExceeded (unknown), which callers report as inconclusive,
+never as a no.
+
 One side convention serves every operation that takes a Side: RIGHT
 attaches on the right and LEFT on the left.  `attach(y, x, side)` is y*x
 for RIGHT and x*y for LEFT, and it is the one place that orders a
@@ -108,12 +115,6 @@ class Side(Enum):
     @property
     def other(self) -> "Side":
         return Side.RIGHT if self is Side.LEFT else Side.LEFT
-
-
-class TriState(Enum):
-    YES = "yes"
-    NO = "no"
-    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -235,7 +236,6 @@ class MonoidContext:
         # per side, its store's peeling rows over interned states
         self._row_index: dict[Side, _Rows] = {}
         self._multiples: dict[tuple[Word, Side], list[set[Element]]] = {}
-        self._bound_C: int | None = None
 
     # ------------------------------------------------------------------
     # the reversing core
@@ -419,8 +419,6 @@ class MonoidContext:
         collected, followed by the rest of w, is q.  reversing_cap bounds
         the cells of the row up to that letter (a nested reversal counts
         its own)."""
-        if w and w[0] == s:
-            return w[1:]
         cap = self.caps.reversing_cap
         nxt = rows.next
         x, out = s, []
@@ -736,7 +734,11 @@ class MonoidContext:
                 m = hits[0]
                 compA = self.divides(b, m, div_side)
                 compB = self.divides(a, m, div_side)
-                assert compA is not None and compB is not None
+                if compA is None or compB is None:
+                    raise InternalInvariantError(
+                        f"{self.word_str(m)} is not a common {side.value} multiple of "
+                        f"{self.word_str(a)} and {self.word_str(b)}"
+                    )
                 return (m, compA, compB)
         return None
 
@@ -770,12 +772,6 @@ class MonoidContext:
             result = (m, compA, compB)
         self._lcm[key] = result
         return result
-
-    def common_multiple_exists(self, a: Element, b: Element, side: Side) -> TriState:
-        try:
-            return TriState.NO if self.lcm(a, b, side) is None else TriState.YES
-        except CapExceeded:
-            return TriState.INCONCLUSIVE
 
     # ------------------------------------------------------------------
     # basic elements
@@ -829,6 +825,4 @@ class MonoidContext:
 
     def basic_bound_C(self) -> int:
         """1 + max length over basic elements (either side)."""
-        if self._bound_C is None:
-            self._bound_C = max(self.basic_table(Side.RIGHT).C, self.basic_table(Side.LEFT).C)
-        return self._bound_C
+        return max(self.basic_table(Side.RIGHT).C, self.basic_table(Side.LEFT).C)

@@ -10,8 +10,12 @@ with distinct atoms) is decided by the atom table of a `MonoidContext`
 alone: it refuses a presentation that is not at its first element, with
 a LatticeViolation naming the relation.
 
-Atom order is declaration order; it fixes every lexicographic tie-break
-downstream, so parsing is fully deterministic.
+An atom is its name.  Atom order is declaration order, and an atom's
+index, which words are spelled in, is its position in `atom_names`; that
+order fixes every lexicographic tie-break downstream, so parsing is fully
+deterministic.  `format_word` spells an index by position and
+`parse_word` reads a name through the one name-to-index map cached on the
+presentation (`index_of`), so each reads back what the other writes.
 """
 
 from __future__ import annotations
@@ -40,15 +44,10 @@ class ValidationFailure(PresentationError):
 
 
 @dataclass(frozen=True)
-class AtomId:
-    index: int
-    name: str
-
-
-@dataclass(frozen=True)
 class Presentation:
     name: str
-    atoms: tuple[AtomId, ...]
+    # in declaration order: an atom's index is its position
+    atom_names: tuple[str, ...]
     # each relation is a pair of words, a word being a tuple of atom indices
     relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     # True/False when the preset is known to satisfy / fail the 3-Ore
@@ -57,11 +56,12 @@ class Presentation:
 
     @property
     def n_atoms(self) -> int:
-        return len(self.atoms)
+        return len(self.atom_names)
 
-    @property
-    def atom_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.atoms)
+    @functools.cached_property
+    def index_of(self) -> dict[str, int]:
+        """Each atom name's index, the map words are read through."""
+        return {n: i for i, n in enumerate(self.atom_names)}
 
     @functools.cached_property
     def _spelling(self) -> tuple[tuple[str, ...], str]:
@@ -88,18 +88,16 @@ def parse_word(p: Presentation, text: str) -> tuple[int, ...]:
     text = text.strip()
     if text == "" or text == "1":
         return ()
-    by_name = {a.name: a.index for a in p.atoms}
+    by_name = p.index_of
     out: list[int] = []
     for token in text.split("."):
         if token in by_name:
             out.append(by_name[token])
             continue
-        indices = []
         for ch in token:
             if ch not in by_name:
                 raise PresentationError(f"unknown atom {ch!r} in word {text!r}")
-            indices.append(by_name[ch])
-        out.extend(indices)
+            out.append(by_name[ch])
     return tuple(out)
 
 
@@ -110,9 +108,9 @@ def validate(p: Presentation) -> Presentation:
     "1", which spells the identity.  Complementedness is left to the atom
     table of a `MonoidContext`."""
     bad_names = [
-        a.name
-        for a in p.atoms
-        if a.name in ("", "1") or any(c.isspace() or c in FORBIDDEN_NAME_CHARS for c in a.name)
+        n
+        for n in p.atom_names
+        if n in ("", "1") or any(c.isspace() or c in FORBIDDEN_NAME_CHARS for c in n)
     ]
     if bad_names or len(set(p.atom_names)) != len(p.atom_names):
         detail = f"bad names: {bad_names}" if bad_names else "duplicates"
@@ -142,7 +140,7 @@ def parse_presentation(text: str, name: str = "parsed") -> Presentation:
             names = line[len("atoms:"):].split()
             if not names:
                 raise PresentationSyntaxError("empty atom list", lineno, line.index(":"))
-            partial = Presentation(name, tuple(AtomId(i, n) for i, n in enumerate(names)), ())
+            partial = Presentation(name, tuple(names), ())
         elif line.startswith("rel:"):
             if partial is None:
                 raise PresentationSyntaxError("rel: before atoms:", lineno)
@@ -185,10 +183,8 @@ def _artin(name: str, n: int, labels, fc: bool) -> Presentation:
     """The Artin-Tits presentation on n atoms named a, b, ...: one braid
     relation sts... = tst... of m letters a side per (s, t, m) triple, in
     the order given, which is the order the atom table reads them in."""
-    letters = _letters(n)
-    atoms = tuple(AtomId(i, letters[i]) for i in range(n))
     rels = tuple((_braid_word(s, t, m), _braid_word(t, s, m)) for s, t, m in labels)
-    return Presentation(name, atoms, rels, fc=fc)
+    return Presentation(name, tuple(_letters(n)), rels, fc=fc)
 
 
 class UnknownPreset(PresentationError):

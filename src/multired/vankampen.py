@@ -94,8 +94,8 @@ class _Builder:
         self._n = 0
 
     def vertex(self, name: str) -> str:
-        if name not in self.vertices:
-            self.vertices.append(name)
+        """Add a vertex; every name the diagram builds is new."""
+        self.vertices.append(name)
         return name
 
     def edge(self, src: str, dst: str, label: Element) -> str:

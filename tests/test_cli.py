@@ -134,6 +134,26 @@ def test_threeore(capsys):
     assert json.loads(out)["violations"] == [["a", "b", "c"]]
 
 
+def test_threeore_overflow_inconclusive(capsys, monkeypatch):
+    # the cube check fits reversing_cap=6 and some lcms of the scan do not:
+    # their triples are listed as inconclusive, and the scan exits 2
+    monkeypatch.setenv("MULTIRED_CAPS", "reversing_cap=6")
+    code, out = run(capsys, "threeore", "--preset", "A2tilde", "--maxlen", "2", "--format", "json")
+    report = json.loads(out)
+    assert code == EXIT_INCONCLUSIVE
+    assert (len(report["violations"]), len(report["inconclusive"])) == (11, 18)
+    assert report["inconclusive"][0] == ["b", "aa", "ab"]
+
+
+def test_unknown_conjecture_lists_the_kinds(capsys):
+    assert main(["conjecture", "X"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice" in err
+    assert err.split("choose from", 1)[1].translate(str.maketrans("", "", "',()")).split() == (
+        list(harness.CONJECTURES)
+    )
+
+
 def test_cycleprobe(capsys):
     code, out = run(capsys, "cycleprobe", "--preset", "A2tilde")
     assert code == EXIT_OK and out.splitlines()[0] == "bacbac/a/bc/acbacb"

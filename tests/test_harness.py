@@ -1,7 +1,9 @@
+import concurrent.futures
 import hashlib
 import io
 import json
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -480,6 +482,30 @@ def test_three_ore_scans(att, braid3, free2):
     assert H.three_ore_scan(free2, 2)["violations"] == []
 
 
+@pytest.mark.parametrize("max_len, overflowing, inconclusive", [
+    (1, ("a", "c"), [["a", "b", "c"]]),  # a pair's lcm
+    (1, ("aba", "c"), [["a", "b", "c"]]),  # the first pair's lcm against the third
+    (2, ("a", "c"), [["a", "b", "c"], ["a", "c", "aa"], ["a", "c", "ac"],
+                     ["a", "c", "bb"], ["a", "c", "ca"], ["a", "c", "cc"]]),
+])
+def test_three_ore_scan_overflow_inconclusive(monkeypatch, max_len, overflowing, inconclusive):
+    # one lcm overflows: each triple that reads it is inconclusive, never a
+    # violation, and every other triple reads as it does without the overflow
+    violations = H.three_ore_scan(MonoidContext(preset("A2tilde")), max_len)["violations"]
+    ctx = MonoidContext(preset("A2tilde"))
+    lcm = ctx.lcm
+
+    def overflowing_lcm(a, b, side):
+        if (ctx.word_str(a), ctx.word_str(b)) == overflowing:
+            raise ReversingCapExceeded("reversing exceeded 0 cell fills")
+        return lcm(a, b, side)
+
+    monkeypatch.setattr(ctx, "lcm", overflowing_lcm)
+    report = H.three_ore_scan(ctx, max_len)
+    assert report["inconclusive"] == inconclusive
+    assert report["violations"] == [t for t in violations if t not in inconclusive]
+
+
 def test_mixed_cycle(att):
     report = H.mixed_cycle_probe(att, iterations=3)
     assert report["ok"]
@@ -497,6 +523,34 @@ def test_campaign_small(att):
     assert len(lines) == 8 and all("seed" in r for r in lines)
     with pytest.raises(MultiredError, match="trials must be >= 1; got 0"):
         H.run_campaign(att, H.CampaignConfig("A2tilde", "B", trials=0))
+
+
+@pytest.mark.parametrize("config, message", [
+    (H.CampaignConfig("A2tilde", "X", trials=2, jobs=2),
+     "unknown conjecture 'X'; the kinds are A, B, C, Cunif, depth4"),
+    (H.CampaignConfig("braid(4)", "A", trials=2, jobs=2),
+     "the campaign names preset 'braid(4)', but the context holds 'A2tilde'"),
+    (H.CampaignConfig("A2tilde", "A", trials=2, jobs=0), "jobs must be >= 1; got 0"),
+])
+def test_campaign_refused_before_any_trial(att, monkeypatch, config, message):
+    # no trial runs, no log line is written and no worker pool starts
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(H, "run_trial", no_pool)
+    log = io.StringIO()
+    with pytest.raises(MultiredError, match=f"^{re.escape(message)}$"):
+        H.run_campaign(att, config, log_stream=log)
+    assert log.getvalue() == ""
+
+
+def test_campaign_expansions_fixed(att):
+    # one lcm-expansion step at most: not a setting, but in the report
+    with pytest.raises(TypeError):
+        H.CampaignConfig("A2tilde", "A", expansions=2)
+    report = H.run_campaign(att, H.CampaignConfig("A2tilde", "B", length=8, trials=1))
+    assert report.to_json()["config"]["expansions"] == 1
 
 
 def test_campaign_parallel(att):

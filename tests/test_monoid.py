@@ -20,7 +20,6 @@ from multired.monoid import (
     MonoidContext,
     ReversingCapExceeded,
     Side,
-    TriState,
     result_of,
 )
 from multired.presentation import format_word, parse_presentation, preset
@@ -422,10 +421,15 @@ def test_lcm_examples(att):
 
 
 def test_common_multiple_tristate(att):
+    # an lcm answers yes (a tuple), no (None) or, past a cap, raises
     e = att.element
-    assert att.common_multiple_exists(e("b"), e("ca"), Side.RIGHT) is TriState.NO
-    assert att.common_multiple_exists(e("a"), e("c"), Side.RIGHT) is TriState.YES
-    assert att.common_multiple_exists(e("ab"), e("ab"), Side.RIGHT) is TriState.YES
+    assert att.lcm(e("b"), e("ca"), Side.RIGHT) is None
+    assert att.lcm(e("a"), e("c"), Side.RIGHT) is not None
+    assert att.lcm(e("ab"), e("ab"), Side.RIGHT) is not None
+    capped = MonoidContext(preset("A2tilde"), Caps(reversing_cap=2))
+    capped.check_atom_tables()
+    with pytest.raises(ReversingCapExceeded):
+        capped.lcm(capped.element("ab"), capped.element("ba"), Side.RIGHT)
 
 
 def test_basic_tables(att, k43, free2, braid3):
@@ -660,6 +664,20 @@ def test_grid_vs_oracle_second_preset(k43):
             assert (grid is None) == (oracle is None), (k43.word_str(a), k43.word_str(b))
             if grid is not None:
                 assert grid == oracle
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_lcm_oracle_checks_its_complements(monkeypatch, side):
+    # a common multiple the longer element does not divide is caught by a
+    # raise that python -O keeps
+    ctx = MonoidContext(preset("A2tilde"))
+    a, b = ctx.element("ab"), ctx.element("a")
+    divides = ctx.divides
+    monkeypatch.setattr(
+        ctx, "divides", lambda x, m, s: None if x == a else divides(x, m, s)
+    )
+    with pytest.raises(InternalInvariantError, match=f"common {side.value} multiple of ab and a"):
+        ctx.lcm_oracle(a, b, side)
 
 
 def test_complement_unit_rows(att):

@@ -2,7 +2,6 @@ import pytest
 
 from multired.monoid import LatticeViolation, MonoidContext, Side
 from multired.presentation import (
-    AtomId,
     Presentation,
     PresentationError,
     PresentationSyntaxError,
@@ -66,7 +65,7 @@ def test_parse_comments_and_errors():
 def test_validate_names_and_homogeneity():
     p = parse_presentation("atoms: a b c\nrel: aba = bab\nrel: bcb = cbc\nrel: cac = aca\n")
     assert validate(p) is p
-    ab = (AtomId(0, "a"), AtomId(1, "b"))
+    ab = ("a", "b")
     with pytest.raises(ValidationFailure, match="homogeneous: 1 non-homogeneous"):
         validate(Presentation("odd", ab, (((0, 1), (1,)),)))
     with pytest.raises(ValidationFailure, match="homogeneous"):
@@ -88,7 +87,7 @@ def test_atom_named_1_refused():
     with pytest.raises(ValidationFailure, match="atom_names: bad names: \\['1'\\]"):
         parse_presentation("atoms: 1 b\nrel: 1b1 = b1b\n")
     with pytest.raises(ValidationFailure, match="atom_names: bad names: \\['1'\\]"):
-        MonoidContext(Presentation("one", (AtomId(0, "1"), AtomId(1, "b")), ()))
+        MonoidContext(Presentation("one", ("1", "b"), ()))
     # a longer name holding the digit is usable
     assert parse_presentation("atoms: x1 b\n").atom_names == ("x1", "b")
 
@@ -96,9 +95,22 @@ def test_atom_named_1_refused():
 def test_context_validates_a_presentation_built_in_code():
     # a Presentation built without parsing is judged when a context takes
     # it: an inhomogeneous relation would leave canonical forms undefined
-    odd = Presentation("odd", (AtomId(0, "a"), AtomId(1, "b")), (((0, 1), (1,)),))
+    odd = Presentation("odd", ("a", "b"), (((0, 1), (1,)),))
     with pytest.raises(ValidationFailure, match="homogeneous: 1 non-homogeneous"):
         MonoidContext(odd)
+
+
+def test_atom_index_is_its_position():
+    # a presentation holds names only: the word a is read and spelled
+    # through the same position, in any declaration order
+    ba = Presentation("ba", ("b", "a"), ())
+    assert ba.index_of == {"b": 0, "a": 1} and ba.index_of is ba.index_of
+    assert parse_word(ba, "a") == (1,) and format_word(ba, (1,)) == "a"
+    ctx = MonoidContext(ba)
+    assert [ctx.word_str(ctx.element(w)) for w in ("a", "b", "ab")] == ["a", "b", "ab"]
+    # two atoms of one name are refused, also when built in code
+    with pytest.raises(ValidationFailure, match="atom_names: duplicates"):
+        MonoidContext(Presentation("aa", ("a", "a"), ()))
 
 
 def test_presets():
