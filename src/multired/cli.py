@@ -81,11 +81,15 @@ def _context(args) -> MonoidContext:
 
 
 def parse_signed_word(ctx: MonoidContext, text: str) -> SignedWord:
-    """Inverse letters are uppercase single-letter atom names or name^-1."""
+    """Inverse letters are uppercase single-letter atom names or name^-1.
+    A '.' separates atom names, so the piece on each side of one names
+    an atom."""
     by_name = ctx.pres.index_of
     out = []
     for token in text.split():
         for piece in token.split("."):
+            if not piece:
+                raise MultiredError(f"empty atom name in {token!r}")
             if piece.endswith("^-1"):
                 if piece[:-3] not in by_name:
                     raise MultiredError(f"unknown letter {piece[:-3]!r}")
@@ -251,10 +255,7 @@ def dispatch(argv) -> int:
         payload = {
             "input": fmt(a),
             "strategy": args.strategy,
-            "moves": [
-                {"kind": m.kind.value, "level": m.level, "x": ctx.word_str(m.x)}
-                for m in tr.moves
-            ],
+            "moves": [m.to_json(ctx) for m in tr.moves],
             "steps": len(tr.moves),
             "end": fmt(tr.end),
         }

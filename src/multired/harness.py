@@ -5,11 +5,15 @@ problem, and seeded campaign runs.
 Verdict discipline: cap overflows degrade verdicts to "inconclusive", and
 a "counterexample" is reported only when nothing was left undecided.  It
 lives in two decisions.  `_reaches_trivial` asks whether a left-reduces
-to the trivial multifraction, for Conjecture A and the word problem: one
-strategy run, then the left reduct graph, with a counterexample only off
-a complete graph.  `LeftClosures.common` gives the common left reducts of
+to the trivial multifraction, for Conjecture A, the word problem and the
+depth-4 check: one strategy run, then, when the run ends elsewhere or
+overflows a cap, the left reduct graph, with a counterexample only off a
+complete graph.  `LeftClosures.common` gives the common left reducts of
 some roots and whether that set is exact, for the Cunif and four-strategy
-cross-confluence testers.  The A and B testers take a certificate of
+cross-confluence testers; Cunif confirms only over a complete right
+reduct graph.  A central cross is its tuple of rays: `assemble_cross`
+builds the multifraction from them, and `has_central_cross` reads them
+back off a depth-4 one.  The A and B testers take a certificate of
 unitality with their input, the lcm-expansion chain that built it from a
 central cross, and replay it first; the replay rejects malformed steps,
 and a failed replay raises.  Negative word-problem answers are
@@ -78,11 +82,6 @@ def derive_seed(master: int, index: int) -> int:
 
 
 @dataclass(frozen=True)
-class CentralCross:
-    rays: tuple[Element, ...]  # x_1 .. x_n, n even, x_{n+1} = x_1
-
-
-@dataclass(frozen=True)
 class UnitalCertificate:
     kind: str  # lcm_expansion_chain, the one kind replayed
     payload: dict
@@ -106,10 +105,6 @@ def assemble_cross(ctx: MonoidContext, rays, first_sign: int = 1) -> Multifracti
         ctx.attach(rays[i - 1], rays[i % n], red.due_side(shell, i)) for i in range(1, n + 1)
     )
     return Multifraction(first_sign, entries)
-
-
-def cross_is_valid(ctx: MonoidContext, a: Multifraction, cross: CentralCross) -> bool:
-    return assemble_cross(ctx, cross.rays, a.first_sign) == a
 
 
 def _replay_elements(ctx: MonoidContext, texts) -> list[Element] | None:
@@ -173,13 +168,12 @@ def gen_multifraction(ctx: MonoidContext, depth: int, max_entry_len: int, seed: 
 
 def gen_central_cross(
     ctx: MonoidContext, depth: int, ray_length: int, seed: int
-) -> tuple[Multifraction, CentralCross]:
-    """Multifraction with a random central cross, rays of length up to
-    ray_length; unital by construction."""
-    if depth % 2 != 0 or depth < 2:
-        raise ValueError("central crosses need even depth >= 2")
+) -> tuple[Multifraction, tuple[Element, ...]]:
+    """Multifraction with a random central cross, and the cross's rays,
+    each of length up to ray_length; unital by construction.  The depth
+    is `assemble_cross`'s to check."""
     rays = gen_multifraction(ctx, depth, ray_length, seed).entries
-    return assemble_cross(ctx, rays), CentralCross(rays)
+    return assemble_cross(ctx, rays), rays
 
 
 def _random_left_divisors(ctx: MonoidContext, a: Multifraction, rng: random.Random) -> list[Element]:
@@ -238,17 +232,21 @@ def lcm_expand(
 def _reaches_trivial(ctx: MonoidContext, a: Multifraction) -> Verdict:
     """Does a left-reduce to the trivial multifraction?  Confirmed by one
     strategy run ("steps", "trace_levels") or, when the run ends
-    elsewhere, by the left reduct graph ("via": "graph", "nodes").  A
-    counterexample ("nodes") is read only off a complete graph; a graph
-    past its cap ("reason") or with overflowed moves ("incomplete_edges")
-    is inconclusive.  Conjecture A and the word problem both ask this."""
+    elsewhere or overflows a cap, by the left reduct graph ("via":
+    "graph", "nodes").  A counterexample ("nodes") is read only off a
+    complete graph; a graph past its cap ("reason") or with overflowed
+    moves ("incomplete_edges") is inconclusive.  Conjecture A, the word
+    problem and the depth-4 check all ask this."""
     trivial = unit(a.depth if a.first_sign > 0 else -a.depth)
-    tr = reduce_left(ctx, a)
-    if tr.end == trivial:
-        return Verdict(
-            "confirmed",
-            {"trace_levels": [m.level for m in tr.moves], "steps": len(tr.moves)},
-        )
+    try:
+        tr = reduce_left(ctx, a)
+        if tr.end == trivial:
+            return Verdict(
+                "confirmed",
+                {"trace_levels": [m.level for m in tr.moves], "steps": len(tr.moves)},
+            )
+    except CapExceeded:  # the graph records the overflowed attempt as undecided
+        pass
     try:
         graph = reduct_graph(ctx, a, Side.LEFT)
     except CapExceeded as e:
@@ -342,10 +340,11 @@ def test_conjecture_C_uniform(ctx: MonoidContext, a: Multifraction) -> Verdict:
         "latest_common_ancestors": sorted(format_multifraction(ctx, x) for x in lca),
         "lca_is_witness": any(x in witnesses for x in lca),
     }
+    if not rg.complete:  # a right reduct behind an undecided move goes unchecked
+        return Verdict("inconclusive", evidence)
     if witnesses:
         return Verdict("confirmed", evidence)
-    complete = rg.complete and closures_complete
-    return Verdict("counterexample" if complete else "inconclusive", evidence)
+    return Verdict("counterexample" if closures_complete else "inconclusive", evidence)
 
 
 def _strategy_end(run, ctx: MonoidContext, a: Multifraction, strategy: str) -> Multifraction | None:
@@ -399,9 +398,10 @@ def four_strategy_C_probe(ctx: MonoidContext, a: Multifraction) -> Verdict:
 # depth-4 central-cross machinery
 
 
-def has_central_cross(ctx: MonoidContext, a: Multifraction) -> CentralCross | None:
-    """Decide central-cross existence for a depth-4 multifraction through
-    the adjacent-gcd quotient equations."""
+def has_central_cross(ctx: MonoidContext, a: Multifraction) -> tuple[Element, ...] | None:
+    """The rays x_1..x_4 of a central cross of a depth-4 multifraction
+    (`assemble_cross` gives a back from them), or None when it has none:
+    decided through the adjacent-gcd quotient equations."""
     if a.depth != 4:
         raise ValueError("central-cross decision is depth-4 only")
     side = red.due_side(a, 1)
@@ -413,33 +413,32 @@ def has_central_cross(ctx: MonoidContext, a: Multifraction) -> CentralCross | No
         raise InternalInvariantError("a gcd does not divide the entries it is the gcd of")
     if a.entry(3) != ctx.attach(y, g34, side) or a.entry(4) != ctx.attach(x, g34, side):
         return None
-    cross = CentralCross((x, g12, y, g34))
-    if not cross_is_valid(ctx, a, cross):
+    rays = (x, g12, y, g34)
+    if assemble_cross(ctx, rays, a.first_sign) != a:
         raise InternalInvariantError(
             f"the cross read off {format_multifraction(ctx, a)} is not central"
         )
-    return cross
+    return rays
 
 
 def check_depth4_equivalences(ctx: MonoidContext, a: Multifraction) -> dict:
-    """The three depth-4 predicates (graph reachability of the trivial
+    """The three depth-4 predicates (left reduction to the trivial
     multifraction, one-pass tame trivialization, central cross) must agree;
-    raises when they do not.  An incomplete graph without the trivial
-    multifraction leaves reachability undecided: `reduces_to_trivial` and
-    `agree` are None and `incomplete_edges` counts the undecided moves."""
+    raises when they do not.  Reachability is `_reaches_trivial`'s
+    verdict; when that is inconclusive, `reduces_to_trivial` and `agree`
+    are None and its evidence is merged in: `incomplete_edges`, the
+    undecided moves, or `reason`, a graph past its cap."""
     if a.depth != 4:
         raise ValueError("depth-4 check")
-    trivial = unit(4 if a.first_sign > 0 else -4)
-    graph = reduct_graph(ctx, a, Side.LEFT)
-    reaches = graph.contains(trivial)
+    reach = _reaches_trivial(ctx, a)
+    reaches = {"confirmed": True, "counterexample": False}.get(reach.status)
     report = {
         "reduces_to_trivial": reaches,
-        "red_tame_trivial": red_tame(ctx, a) == trivial,
+        "red_tame_trivial": red_tame(ctx, a) == unit(4 if a.first_sign > 0 else -4),
         "central_cross": has_central_cross(ctx, a) is not None,
     }
-    if not reaches and not graph.complete:
-        report.update(reduces_to_trivial=None, agree=None,
-                      incomplete_edges=len(graph.inconclusive))
+    if reaches is None:
+        report.update(agree=None, **reach.evidence)
         return report
     report["agree"] = reaches == report["red_tame_trivial"] == report["central_cross"]
     if not report["agree"]:
@@ -616,41 +615,42 @@ class CampaignReport:
             out["records"] = [
                 {k: v for k, v in rec.items() if k != "millis"} for rec in self.records
             ]
-            if out["counterexample"] is not None:
-                out["counterexample"] = {
-                    k: v for k, v in out["counterexample"].items() if k != "millis"
-                }
+            if self.counterexample is not None:  # the last record: it halts the run
+                out["counterexample"] = out["records"][-1]
         return out
 
 
 def _gen_unital_for_campaign(ctx, depth, length, expansions, seed):
     """Cross-seeded unital input of bounded total length, with a chained
-    certificate over the expansion steps."""
+    certificate over the expansion steps.  Ray lengths are drawn up to 50
+    times; when no draw fits the length, the rays are empty, which fit
+    any length."""
     rng = random.Random(seed)
     ray_cap = max(1, length // depth)
     for attempt in range(50):
         lengths = [rng.randint(0, ray_cap) for _ in range(depth)]
-        if 2 * sum(lengths) > length:  # each ray lies in two entries of the cross
-            continue
-        rays = tuple(
-            gen_element(ctx, n, derive_seed(seed, 100 + 7 * attempt + i))
-            for i, n in enumerate(lengths)
-        )
-        a = assemble_cross(ctx, rays)
-        chain = []
-        for _ in range(rng.randint(0, expansions)):
-            choices = _random_left_divisors(ctx, a, rng)
-            nxt = lcm_expand(ctx, a, choices=choices)
-            if nxt is None or nxt.total_length() > length:
-                break
-            chain.append([ctx.word_str(c) for c in choices])
-            a = nxt
-        cert = UnitalCertificate(
-            "lcm_expansion_chain",
-            {"rays": [ctx.word_str(r) for r in rays], "choices": chain},
-        )
-        return a, cert
-    raise MultiredError("failed to generate a bounded unital input")
+        if 2 * sum(lengths) <= length:  # each ray lies in two entries of the cross
+            break
+    else:
+        lengths = [0] * depth
+    rays = tuple(
+        gen_element(ctx, n, derive_seed(seed, 100 + 7 * attempt + i))
+        for i, n in enumerate(lengths)
+    )
+    a = assemble_cross(ctx, rays)
+    chain = []
+    for _ in range(rng.randint(0, expansions)):
+        choices = _random_left_divisors(ctx, a, rng)
+        nxt = lcm_expand(ctx, a, choices=choices)
+        if nxt is None or nxt.total_length() > length:
+            break
+        chain.append([ctx.word_str(c) for c in choices])
+        a = nxt
+    cert = UnitalCertificate(
+        "lcm_expansion_chain",
+        {"rays": [ctx.word_str(r) for r in rays], "choices": chain},
+    )
+    return a, cert
 
 
 def run_trial(ctx: MonoidContext, config: CampaignConfig, index: int) -> dict:

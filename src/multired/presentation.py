@@ -81,9 +81,10 @@ def format_word(p: Presentation, word: tuple[int, ...]) -> str:
 def parse_word(p: Presentation, text: str) -> tuple[int, ...]:
     """Parse a word over the presentation's atom names.
 
-    Tokens separated by '.' are individual atom names.  A token without '.'
-    is first tried as a whole atom name, otherwise read letter by letter
-    (only possible when every letter is a single-character atom name).
+    Tokens separated by '.' are individual atom names, so none is empty.
+    A token without '.' is first tried as a whole atom name, otherwise
+    read letter by letter (only possible when every letter is a
+    single-character atom name).
     """
     text = text.strip()
     if text == "" or text == "1":
@@ -91,6 +92,8 @@ def parse_word(p: Presentation, text: str) -> tuple[int, ...]:
     by_name = p.index_of
     out: list[int] = []
     for token in text.split("."):
+        if not token:
+            raise PresentationError(f"empty atom name in word {text!r}")
         if token in by_name:
             out.append(by_name[token])
             continue

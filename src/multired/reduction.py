@@ -53,9 +53,11 @@ counts it against its node.
 The single-move API: a Move's kind is its Side.  `_apply` holds the
 geometry of one move on either side: the level range check, the level
 map `_frame` (shared with `_level_moves`, `is_division` and
-`ReductGraph.to_dot`), the truncated rule and the push.  It divides with
-`MonoidContext.divides`, not the atom tables, so it is an oracle
-independent of `_level_moves`.
+`ReductGraph.to_dot`), the truncated rule and the push.  It tests one
+given x with `MonoidContext.divides` instead of reading a level's atoms
+off one table, so it is an oracle independent of the level enumeration
+in `_level_moves`, though not of the arithmetic: `divides` is built on
+the same `atom_quotients` tables, and both build a push with `_push`.
 `apply_left` and `apply_right` are one call into it each, `apply_move`
 dispatches on the kind, `apply_division` is D(i,x), and `is_division`
 tells whether an applied move was a division.  Tests inject
@@ -92,6 +94,9 @@ class Move:
     def label(self, ctx: MonoidContext) -> str:
         sym = "R" if self.kind is Side.LEFT else "R̃"
         return f"{sym}({self.level},{ctx.word_str(self.x)})"
+
+    def to_json(self, ctx: MonoidContext) -> dict:
+        return {"kind": self.kind.value, "level": self.level, "x": ctx.word_str(self.x)}
 
 
 @dataclass(frozen=True)
@@ -546,16 +551,7 @@ class ReductGraph:
             "side": self.side.value,
             "root": format_multifraction(ctx, self.root),
             "nodes": [format_multifraction(ctx, n) for n in self.nodes],
-            "edges": [
-                {
-                    "src": s,
-                    "dst": d,
-                    "kind": m.kind.value,
-                    "level": m.level,
-                    "x": ctx.word_str(m.x),
-                }
-                for s, m, d in self.edges
-            ],
+            "edges": [{"src": s, "dst": d, **m.to_json(ctx)} for s, m, d in self.edges],
             "inconclusive": [
                 {"src": s, "level": i, "x": ctx.word_str(x), "reason": r}
                 for s, i, x, r in self.inconclusive

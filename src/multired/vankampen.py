@@ -183,10 +183,10 @@ def van_kampen(ctx: MonoidContext, a: Multifraction) -> VanKampenDiagram:
         ring += 1
         m -= 2
     # base cell: the depth-4 inner multifraction carries a central cross
-    cross = has_central_cross(ctx, cur)
-    if cross is None:
+    rays = has_central_cross(ctx, cur)
+    if rays is None:
         raise VanKampenFailure("depth-4 core admits no central cross")
-    x1, x2, x3, x4 = cross.rays
+    x1, x2, x3, x4 = rays
     hub = builder.vertex(f"r{ring}hub")
     w0, w1, w2, w3 = outer_names
     e_x1 = builder.edge(w0, hub, x1)

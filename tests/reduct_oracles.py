@@ -134,7 +134,7 @@ def unique_fraction_probe(
     cross = has_central_cross(ctx, Multifraction(1, (a, b, d, c)))
     if cross is None:
         raise MultiredError("inputs do not represent the same fraction")
-    x, gab, y, gcd_ = cross.rays
+    x, gab, y, gcd_ = cross
     report = {
         "x": ctx.word_str(x),
         "y": ctx.word_str(y),

@@ -353,6 +353,30 @@ def test_signed_word_unknown_inverse_name(capsys):
     assert capsys.readouterr().err == "error: unknown letter 'x'\n"
 
 
+def test_signed_word_unknown_letter(capsys):
+    assert main(["wordproblem", "--preset", "A2tilde", "aB zA"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: unknown letter 'z'\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reduce", "--preset", "A2tilde", "a..b/.c."],
+     "error: position 0: empty atom name in word 'a..b'\n"),
+    (["wordproblem", "--preset", "A2tilde", "a..b B A"], "error: empty atom name in 'a..b'\n"),
+], ids=["reduce", "wordproblem"])
+def test_empty_atom_name_is_a_usage_error(capsys, argv, message):
+    # both readers of a word refuse the empty name on either side of a "."
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == message
+
+
+def test_cunif_over_undecided_right_moves_exits_inconclusive(capsys, monkeypatch):
+    monkeypatch.setenv("MULTIRED_CAPS", "reversing_cap=4")
+    argv = ["conjecture", "Cunif", "--preset", "A2tilde", "--depth", "4", "--length", "16",
+            "--trials", "20", "--seed", "1"]
+    assert main(argv) == EXIT_INCONCLUSIVE
+    assert json.loads(capsys.readouterr().out)["counts"] == {"confirmed": 11, "inconclusive": 9}
+
+
 def test_options_are_those_read():
     subparsers = build_parser()._subparsers._group_actions[0].choices
     options = {

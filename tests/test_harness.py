@@ -67,8 +67,8 @@ def test_brownian_contract(att):
 
 
 def test_central_cross_shapes(att):
-    a, cross = H.gen_central_cross(att, 2, 2, 11)
-    assert a.entry(1) == a.entry(2) == att.multiply(cross.rays[0], cross.rays[1])
+    a, rays = H.gen_central_cross(att, 2, 2, 11)
+    assert a.entry(1) == a.entry(2) == att.multiply(rays[0], rays[1])
     b, _ = H.gen_central_cross(att, 4, 0, 0)
     assert b == unit(4)
     rays = tuple(att.element(w) for w in ("aba", "1", "aca", "1", "cbc", "1"))
@@ -123,7 +123,7 @@ def test_depth4_agreement_with_cross_existence(att):
     rng = random.Random(7)
     for _ in range(30):
         a, _ = H.gen_central_cross(att, 4, 2, rng.randrange(10**9))
-        cert = cross_cert(*[att.word_str(r) for r in H.has_central_cross(att, a).rays])
+        cert = cross_cert(*[att.word_str(r) for r in H.has_central_cross(att, a)])
         assert H.test_conjecture_B(att, a, cert).status == "confirmed"
 
 
@@ -277,16 +277,16 @@ def test_four_strategy_probe(att, braid3):
 
 
 def test_has_central_cross_examples(att):
-    assert H.has_central_cross(att, unit(4)).rays == (IDENTITY,) * 4
+    assert H.has_central_cross(att, unit(4)) == (IDENTITY,) * 4
     rng = random.Random(13)
     for _ in range(20):
         a, cross = H.gen_central_cross(att, 4, 2, rng.randrange(10**9))
         got = H.has_central_cross(att, a)
-        assert got is not None and H.cross_is_valid(att, a, got)
+        assert got is not None and H.assemble_cross(att, got, a.first_sign) == a
     assert H.has_central_cross(att, mf(att, "ab/ac/1/1")) is None
     # negative multifractions: the gcds and quotients are taken on the left
     neg = Multifraction(-1, mf(att, "ab/ab/1/1").entries)
-    assert H.has_central_cross(att, neg).rays == (IDENTITY, att.element("ab"), IDENTITY, IDENTITY)
+    assert H.has_central_cross(att, neg) == (IDENTITY, att.element("ab"), IDENTITY, IDENTITY)
     assert H.has_central_cross(att, Multifraction(-1, mf(att, "ab/ac/1/1").entries)) is None
     # every cross assembled at first sign -1 is found, and what is found is a cross
     for name in ("A2tilde", "braid(4)", "K(4,3)", "I2(5)"):
@@ -296,7 +296,7 @@ def test_has_central_cross_examples(att):
             rays = [H.gen_element(ctx, rng.randint(0, 3), rng.randrange(10**9)) for _ in range(4)]
             a = H.assemble_cross(ctx, rays, first_sign=-1)
             got = H.has_central_cross(ctx, a)
-            assert got is not None and H.cross_is_valid(ctx, a, got), (name, fmt(ctx, a))
+            assert got is not None and H.assemble_cross(ctx, got, -1) == a, (name, fmt(ctx, a))
 
 
 def test_check_depth4_equivalences(att):
@@ -838,3 +838,113 @@ def test_affine_presets_scan():
     assert H.three_ore_scan(c2, 1)["violations"] == [["a", "b", "c"]]
     config = H.CampaignConfig(preset="C2tilde", conjecture="B", depth=4, length=10, trials=15, seed=2)
     assert H.run_campaign(c2, config).counts == {"confirmed": 15}
+
+
+def test_reaches_trivial_after_an_overflowed_run(att, monkeypatch):
+    # a strategy run that overflows hands over to the left reduct graph,
+    # which records the overflowed attempt as an undecided move
+    a = mf(att, "ac/ca/ba/ab/cb/bc")
+    first = red.reduce_left(att, a).moves[0]
+    overflow_left_moves(monkeypatch, lambda b, i, x, r: b == a and (i, x) == (first.level, first.x))
+    with pytest.raises(ReversingCapExceeded):
+        red.reduce_left(att, a)
+    v = H._reaches_trivial(att, a)
+    assert (v.status, v.evidence) == ("confirmed", {"via": "graph", "nodes": 317})
+    # with both moves of a undecided, the graph holds a alone
+    monkeypatch.undo()
+    overflow_left_moves(monkeypatch, lambda b, i, x, r: b == a and r is not None)
+    v = H._reaches_trivial(att, a)
+    assert (v.status, v.evidence) == ("inconclusive", {"incomplete_edges": 2})
+
+
+def test_depth4_graph_past_its_cap_keeps_the_report():
+    # reachability undecided by a graph past its cap leaves the other two
+    # predicates in the report, with the reason and no cap name
+    small = MonoidContext(preset("A2tilde"), Caps(graph_node_cap=30))
+    config = H.CampaignConfig("A2tilde", "depth4", length=16, trials=50, seed=1)
+    report = H.run_campaign(small, config)
+    assert report.counts == {"confirmed": 47, "inconclusive": 3}
+    for rec in report.records:
+        ev = rec["evidence"]
+        assert "cap" not in ev and {"red_tame_trivial", "central_cross"} <= set(ev)
+        if rec["verdict"] == "inconclusive":
+            assert ev["reason"] == "reduct graph exceeded 30 nodes"
+            assert ev["reduces_to_trivial"] is None and ev["agree"] is None
+
+
+def _overflow_right_moves(monkeypatch, when):
+    """Overflow the right move attempts of a whose outcome b is a reduct,
+    when when(a, i, x, b) holds."""
+    level_moves = red._level_moves
+
+    def overflowing(ctx, a, side, i, atoms):
+        for s, b in level_moves(ctx, a, side, i, atoms):
+            if side is Side.RIGHT and isinstance(b, Multifraction) and when(a, i, s, b):
+                b = ReversingCapExceeded("reversing exceeded 0 cell fills")
+            yield s, b
+
+    monkeypatch.setattr(red, "_level_moves", overflowing)
+
+
+def test_cunif_incomplete_right_graph_inconclusive(att, monkeypatch):
+    # common reducts of the walked closures confirm nothing while right
+    # reducts behind undecided moves go unchecked; the witnesses are kept
+    a = H.gen_multifraction(att, 4, 4, seed=0)
+    v = H.test_conjecture_C_uniform(att, a)
+    assert v.status == "confirmed" and v.evidence["right_reducts"] > 1
+    _overflow_right_moves(monkeypatch, lambda b, i, x, r: b == a)
+    undecided = H.test_conjecture_C_uniform(att, a)
+    assert undecided.status == "inconclusive" and undecided.evidence["witnesses"]
+    assert undecided.evidence["right_reducts"] == 1
+    monkeypatch.undo()
+    # reversing_cap=4 overflows right moves of 9 of these 20 trials
+    small = MonoidContext(preset("A2tilde"), Caps(reversing_cap=4))
+    config = H.CampaignConfig("A2tilde", "Cunif", depth=4, length=16, trials=20, seed=1)
+    report = H.run_campaign(small, config)
+    assert report.counts == {"confirmed": 11, "inconclusive": 9}
+    assert all(rec["evidence"]["witnesses"] for rec in report.records)
+    first = report.records[0]
+    assert first["verdict"] == "inconclusive"
+    assert (first["evidence"]["right_reducts"], first["evidence"]["witnesses"]) == (6, ["ccba/c/b/1"])
+
+
+@pytest.mark.parametrize("kind", ["A", "B"])
+def test_unital_inputs_at_short_lengths(att, kind):
+    # when no drawn ray lengths fit the length, the rays are empty
+    for length in range(4):
+        config = H.CampaignConfig("A2tilde", kind, depth=8, length=length, trials=20)
+        report = H.run_campaign(att, config)
+        assert len(report.records) == 20
+        assert set(report.counts) <= {"confirmed", "inconclusive"}
+        for rec in report.records:
+            assert mf(att, rec["input"]).total_length() <= length
+
+
+def test_four_strategy_overflowed_right_run(att, monkeypatch):
+    # an unfinished right run empties the common reducts: no confirmation
+    a = mf(att, "ac/ca/ba")
+    assert H.four_strategy_C_probe(att, a).status == "confirmed"
+    reduce_right = H.reduce_right
+
+    def overflowing(ctx, b, strategy="low_lex"):
+        if strategy == "high_lex":
+            raise ReversingCapExceeded("reversing exceeded 0 cell fills")
+        return reduce_right(ctx, b, strategy)
+
+    monkeypatch.setattr(H, "reduce_right", overflowing)
+    v = H.four_strategy_C_probe(att, a)
+    assert v.status == "inconclusive"
+    assert v.evidence["rights"] == ["1/c/aba", "1/c/aba", None, "1/c/aba"]
+    assert v.evidence["lefts"] == ["ac/ca/ba"] * 4
+    assert not v.evidence["exists_k_forall_j"]
+
+
+def test_conjecture_B_counterexample(att, monkeypatch):
+    # a tame pass that leaves a nontrivial unital input as it is fails
+    # Conjecture B; the iterated fixpoint is still recorded
+    a = mf(att, "a/a")
+    monkeypatch.setattr(H, "red_tame", lambda ctx, b: b)
+    v = H.test_conjecture_B(att, a, cross_cert("a", "1"))
+    assert (v.status, v.evidence) == (
+        "counterexample", {"red_tame": "a/a", "fixpoint": "1/1", "fixpoint_iterations": 1}
+    )

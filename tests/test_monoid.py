@@ -18,6 +18,7 @@ from multired.monoid import (
     InternalInvariantError,
     LatticeViolation,
     MonoidContext,
+    MultiredError,
     ReversingCapExceeded,
     Side,
     result_of,
@@ -51,6 +52,12 @@ def test_canonical_matches_tuple_closure(preset_name, data):
     x = ctx.canonical(word)
     assert x == Element(min(cls))
     assert all(ctx.canonical(w) == x for w in cls)
+
+
+def test_canonical_refuses_an_unknown_atom(att):
+    for i in (3, -1):
+        with pytest.raises(MultiredError, match=f"^atom index {i} outside presentation$"):
+            att.canonical((0, i))
 
 
 def test_atom_limit():

@@ -156,6 +156,18 @@ def test_parse_error_positions(att, text, position):
     assert text[position:position + 2] == "zz"
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("/", "dangling '/'", 0),
+    ("  /", "dangling '/'", 2),
+    ("a//b", "empty entry", 2),
+    ("a/", "empty entry", 2),
+])
+def test_parse_shape_errors(att, text, message, position):
+    with pytest.raises(MultifractionParseError, match=f"^position {position}: {message}$") as e:
+        parse_multifraction(att, text)
+    assert e.value.position == position
+
+
 def test_trim(att):
     a = parse_multifraction(att, "a/b/1/1")
     assert format_multifraction(att, trim_trailing_units(a)) == "a/b"

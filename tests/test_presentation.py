@@ -62,6 +62,13 @@ def test_parse_comments_and_errors():
         parse_presentation("atoms: a b\nnonsense\n")
 
 
+@pytest.mark.parametrize("text", ["a..b", ".a", "a."])
+def test_empty_atom_name_refused(text):
+    # a "." separates two atom names, so neither side of it is empty
+    with pytest.raises(PresentationError, match=f"^empty atom name in word {text!r}$"):
+        parse_word(preset("A2tilde"), text)
+
+
 def test_validate_names_and_homogeneity():
     p = parse_presentation("atoms: a b c\nrel: aba = bab\nrel: bcb = cbc\nrel: cac = aca\n")
     assert validate(p) is p
