@@ -11,14 +11,17 @@ overflows a cap, the left reduct graph, with a counterexample only off a
 complete graph.  `LeftClosures.common` gives the common left reducts of
 some roots and whether that set is exact, for the Cunif and four-strategy
 cross-confluence testers; Cunif confirms only over a complete right
-reduct graph.  A central cross is its tuple of rays: `assemble_cross`
-builds the multifraction from them, and `has_central_cross` reads them
-back off a depth-4 one.  The A and B testers take a certificate of
-unitality with their input, the lcm-expansion chain that built it from a
-central cross, and replay it first; the replay rejects malformed steps,
-and a failed replay raises.  Negative word-problem answers are
-unconditional for presets of FC type (and whenever the signed length is
-nonzero), conditional on semi-convergence otherwise.  The 3-Ore scan
+reduct graph, and walks left closures from a and from no other right
+reduct whose closure holds another right reduct, as such a closure
+changes no intersection.  A central cross is its tuple of rays:
+`assemble_cross` builds the multifraction from them, and
+`has_central_cross` reads them back off a depth-4 one.  The A and B
+testers take a certificate of unitality with their input, the
+lcm-expansion chain that built it from a central cross, and replay it
+first; the replay rejects malformed steps, and a failed replay raises.
+Negative word-problem answers are unconditional for presets of FC type
+(and whenever the signed length is nonzero), conditional on
+semi-convergence otherwise.  The 3-Ore scan
 reads each lcm as it comes: a tuple, None, or an overflow that leaves its
 triple inconclusive.
 
@@ -294,12 +297,14 @@ def test_conjecture_B(
 
 def _witness_roots(rg: red.ReductGraph) -> list[Multifraction]:
     """The root of a right reduct graph and its nodes with no division
-    edge out, in node order: the roots whose left closures decide
-    uniform cross-confluence.  A division r -> r' is a left reduction
-    too, so the closure of r' lies in that of r, and r leaves the
-    intersection of the closures unchanged; divisions shorten entries,
-    so every chain of them ends at a node kept.  The root is kept for
-    its own closure."""
+    edge out, in node order: the roots that `left_closures` is given.  A
+    division r -> r' is a left reduction too, so the closure of r' lies
+    in that of r, and r leaves the intersection of the closures
+    unchanged; divisions shorten entries, so every chain of them ends at
+    a node kept.  This is the one-step case, read off the graph for free;
+    `left_closures`, with the right reducts as targets, leaves out the
+    roots whose closure holds another right reduct at any depth.  The
+    root is kept for its own closure."""
     nodes = rg.nodes
     divided = {s for s, move, d in rg.edges if red.is_division(move, nodes[s], nodes[d])}
     return [r for k, r in enumerate(nodes) if k == 0 or k not in divided]
@@ -311,20 +316,24 @@ def test_conjecture_C_uniform(ctx: MonoidContext, a: Multifraction) -> Verdict:
     (the tame reduct and the latest common ancestor of the irreducible
     left reducts) are evaluated alongside the witness set.
 
-    Only the left closures of the roots `_witness_roots` keeps are
-    walked, in one walk of their shared left graph (`left_closures`), as
-    bitsets, and its cap fires on them alone: the witnesses are their
-    common reducts (`LeftClosures.common`), exact when those closures
-    are complete, the irreducible left reducts of a are the sinks in a's
-    closure, and a latest common ancestor is a member of a's closure
-    whose closure holds them all and no other such member."""
+    The left closures are walked from the roots `_witness_roots` keeps,
+    in one walk of their shared left graph (`left_closures`), as
+    bitsets, with the right reducts as targets: a root after a whose
+    closure holds another right reduct is left out, found by a
+    breadth-first search, and the cap fires on the walks and searches
+    alone.  The witnesses are the common reducts of the roots walked
+    (`LeftClosures.common`), exact when those closures are complete; the
+    irreducible left reducts of a are the sinks in a's closure, and a
+    latest common ancestor is a member of a's closure whose closure
+    holds them all and no other such member.  An incomplete right graph
+    leaves the trial inconclusive with its count of undecided moves
+    ("incomplete_right_edges")."""
     try:
         rg = reduct_graph(ctx, a, Side.RIGHT)
-        roots = _witness_roots(rg)
-        lc = red.left_closures(ctx, roots)
+        lc = red.left_closures(ctx, _witness_roots(rg), rg.index)
     except CapExceeded as e:
         return Verdict("inconclusive", {"reason": str(e)})
-    witness_bits, closures_complete = lc.common(roots)
+    witness_bits, closures_complete = lc.common(lc.walked)
     witnesses = set(lc.members(witness_bits))
     irr = lc.closure_of(a) & lc.sinks
     lca = lc.latest_common_ancestors(a, irr) if irr else []
@@ -341,6 +350,7 @@ def test_conjecture_C_uniform(ctx: MonoidContext, a: Multifraction) -> Verdict:
         "lca_is_witness": any(x in witnesses for x in lca),
     }
     if not rg.complete:  # a right reduct behind an undecided move goes unchecked
+        evidence["incomplete_right_edges"] = len(rg.inconclusive)
         return Verdict("inconclusive", evidence)
     if witnesses:
         return Verdict("confirmed", evidence)

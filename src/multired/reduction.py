@@ -20,7 +20,9 @@ moves this module provides:
     graph gives every node its closure as an int bitset, the union of
     its reducts' closures; the common reducts of some roots
     (`LeftClosures.common`) are then an intersection of bitsets instead
-    of one graph search per root.
+    of one graph search per root.  Given target nodes, a root whose
+    closure holds another target, found by a breadth-first search, is
+    left out of the walk: its closure changes no intersection.
 
 Sign conventions: `due_side`, defined in `multifraction` and imported
 here, is the one map from a level's sign to a Side; `product` merges its
@@ -600,7 +602,9 @@ class LeftClosures:
     `overflowed` holds the nodes with any, so a closure `bits` is complete
     when `bits & overflowed` is 0; `sinks` holds the nodes with no move
     and no overflow of their own.  Nodes are numbered in the order their
-    walks finish, so closure[k] holds no bit above k.
+    walks finish, so closure[k] holds no bit above k.  `walked` holds the
+    roots whose closures were computed, in root order: every root but
+    those a redundancy search left out (see `left_closures`).
     """
 
     nodes: list[Multifraction] = field(default_factory=list)
@@ -609,6 +613,7 @@ class LeftClosures:
     overflows: list[int] = field(default_factory=list)
     overflowed: int = 0
     sinks: int = 0
+    walked: list[Multifraction] = field(default_factory=list)
 
     def members(self, bits: int) -> list[Multifraction]:
         """The nodes of a bitset, in bit order."""
@@ -648,7 +653,7 @@ def _bit_indices(bits: int) -> list[int]:
     return [k for k, c in enumerate(reversed(bin(bits)[2:])) if c == "1"]
 
 
-def left_closures(ctx: MonoidContext, roots) -> LeftClosures:
+def left_closures(ctx: MonoidContext, roots, targets=()) -> LeftClosures:
     """The left reduct closures of the roots, each node expanded once.
 
     Left reduction is noetherian, so left reduct graphs are acyclic and
@@ -658,25 +663,76 @@ def left_closures(ctx: MonoidContext, roots) -> LeftClosures:
     not walked again.  A move attempt that overflows a cap makes the
     closures holding its node incomplete, as in `reduct_graph`.
 
+    With `targets`, a container of nodes holding the roots, each root
+    after the first that no walk has reached is first searched
+    breadth-first over its left moves.  It is left out of `walked` at the
+    first node found that is another target, or an already walked node
+    whose closure holds a walked target: its closure then strictly holds
+    that target's.  So when the closure of every target holds a root,
+    the closures of the walked roots have the intersection of those of
+    all targets.  The search does not enter walked nodes, and a root it
+    clears is walked over the moves the search found, so each node's
+    moves are enumerated once.  The search is breadth-first because it
+    stops at the nearest target, where a depth-first one would follow a
+    deep path first.
+
     Raises GraphNodeCapExceeded, with `reduct_graph`'s message, as soon
-    as one walk finds more than graph_node_cap nodes or a closure holds
-    more: exactly when a fresh reduct_graph of some root would raise.
+    as one walk or search finds more than graph_node_cap nodes or a
+    closure holds more: without targets, exactly when a fresh
+    reduct_graph of some root would raise.
     """
     cap = ctx.caps.graph_node_cap
     out = LeftClosures()
     nodes, index, closure, overflows = out.nodes, out.index, out.closure, out.overflows
     walking: set[Multifraction] = set()
+    expanded: dict[Multifraction, tuple[list[Multifraction], int]] = {}  # searched, not walked
+    walked_targets = 0
+
+    def expand(node):
+        # (reducts, overflowed attempts) of one node
+        outcomes = [b for _, _, b in _atomic_moves(ctx, node, Side.LEFT)]
+        reducts = [b for b in outcomes if not isinstance(b, CapExceeded)]
+        return reducts, len(outcomes) - len(reducts)
 
     def frame(node):
         # [node, reducts, next reduct, closure so far, overflowed attempts]
-        outcomes = [b for _, _, b in _atomic_moves(ctx, node, Side.LEFT)]
-        reducts = [b for b in outcomes if not isinstance(b, CapExceeded)]
+        reducts, overflowed = expanded.pop(node, None) or expand(node)
         walking.add(node)
-        return [node, reducts, 0, 0, len(outcomes) - len(reducts)]
+        return [node, reducts, 0, 0, overflowed]
+
+    def redundant(root) -> bool:
+        # whether the closure of root holds another target
+        seen = {root}
+        found = 1
+        queue = deque([root])
+        while queue:
+            node = queue.popleft()
+            if node not in expanded:
+                expanded[node] = expand(node)
+            for b in expanded[node][0]:
+                if b in seen:
+                    continue
+                seen.add(b)
+                k = index.get(b)
+                if k is not None:
+                    if closure[k] & walked_targets:
+                        return True
+                elif b in targets:
+                    return True
+                else:
+                    if found >= cap:
+                        raise GraphNodeCapExceeded(f"reduct graph exceeded {cap} nodes")
+                    found += 1
+                    queue.append(b)
+        return False
 
     for root in roots:
         if root in index:
+            out.walked.append(root)
             continue
+        if targets and out.walked and redundant(root):
+            continue
+        out.walked.append(root)
         found = 1
         stack = [frame(root)]
         while stack:
@@ -710,6 +766,8 @@ def left_closures(ctx: MonoidContext, roots) -> LeftClosures:
                 out.overflowed |= 1 << k
             elif not reducts:
                 out.sinks |= 1 << k
+            if node in targets:
+                walked_targets |= 1 << k
             if stack:
                 stack[-1][3] |= bits
     return out

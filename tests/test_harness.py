@@ -10,6 +10,7 @@ import pytest
 
 from multired.monoid import (
     Caps,
+    GraphNodeCapExceeded,
     IDENTITY,
     MonoidContext,
     MultiredError,
@@ -29,6 +30,7 @@ from multired import reduction as red
 from overflows import overflow_left_moves
 from reduct_oracles import cross_confluence_pair, unique_fraction_probe
 from signed_walks import gen_unital_brownian, replay_walk
+from test_campaign_golden import PRESETS as GOLDEN_PRESETS
 from test_reduction import DIVISION_PRESETS, seeded_graphs
 
 
@@ -177,10 +179,11 @@ def test_conjecture_C_uniform_trivial_and_braid(att, braid3):
 @pytest.mark.parametrize("name", DIVISION_PRESETS)
 def test_cunif_witness_roots_match_all_roots(name, overflow):
     # Cunif walks the left closures of a and of the right reducts with no
-    # division edge out.  Without overflows its witness set and exactness
-    # are those of the closures of every right reduct, the oracle.  With
-    # move attempts that overflow (every attempt at level 2, or the atom c
-    # at level 2 where it applies) its witnesses are still common left
+    # division edge out, less those whose closure holds another right
+    # reduct.  Without overflows its witness set and exactness are those
+    # of the closures of every right reduct, the oracle.  With move
+    # attempts that overflow (every attempt at level 2, or the atom c at
+    # level 2 where it applies) its witnesses are still common left
     # reducts of every right reduct; they are exact whenever the oracle's
     # are, and then also when only closures left out hold an overflow
     ctx = MonoidContext(preset(name))
@@ -200,8 +203,8 @@ def test_cunif_witness_roots_match_all_roots(name, overflow):
                 overflow_left_moves(mp, overflowing)
             oracle = red.left_closures(ctx, rg.nodes)
             bits, complete = oracle.common(rg.nodes)
-            walked = red.left_closures(ctx, roots)
-            walked_bits, walked_complete = walked.common(roots)
+            walked = red.left_closures(ctx, roots, rg.index)
+            walked_bits, walked_complete = walked.common(walked.walked)
             v = H.test_conjecture_C_uniform(ctx, rg.root)
         witnesses = set(walked.members(walked_bits))
         assert v.evidence["witnesses"] == sorted(fmt(ctx, w) for w in witnesses)
@@ -212,19 +215,129 @@ def test_cunif_witness_roots_match_all_roots(name, overflow):
         assert walked_complete or not complete
         if walked_complete:
             assert witnesses == true_witnesses
-        left_out += len(rg.nodes) - len(roots)
+        left_out += len(rg.nodes) - len(walked.walked)
         incomplete += not complete
     assert left_out > 0
     assert (incomplete > 0) == (overflow != "plain")
 
 
-@pytest.mark.parametrize("cap, rescued, inconclusive", [(20, [0, 2], 9), (60, [8], 4)])
+# seeded Cunif inputs whose right graph and left closures fit this cap
+ORACLE_CAP = 2000
+ORACLE_SHAPES = ((4, 4), (6, 2))  # depth, longest entry
+
+
+@pytest.mark.parametrize("overflow", ["plain", "every", "applied"])
+@pytest.mark.parametrize("name", GOLDEN_PRESETS)
+def test_cunif_search_matches_all_closures(name, overflow):
+    # the walk Cunif makes, with the right reducts as targets, leaves out
+    # every witness root whose closure holds another right reduct, and
+    # only those: a fresh walk of each root left out holds one, and a
+    # root walked from holds none.  Each node's moves are found once.
+    # Without overflows, the witnesses, their exactness, the irreducible
+    # left reducts of a and their latest common ancestors are those of
+    # the closures of every right reduct.  With overflows (as in
+    # test_cunif_witness_roots_match_all_roots) the witnesses are true
+    # ones, exact when the walked closures are complete, and a
+    # counterexample needs those closures complete
+    ctx = MonoidContext(preset(name), Caps(graph_node_cap=ORACLE_CAP))
+    x = ctx.atoms()[min(2, ctx.pres.n_atoms - 1)]
+    atomic_moves = red._atomic_moves
+
+    def overflowing(a, i, y, b):
+        return i == 2 and (overflow == "every" or y == x and b is not None)
+
+    inputs = left_out = 0
+    for depth, length in ORACLE_SHAPES:
+        for seed in range(4):
+            a = H.gen_multifraction(ctx, depth, length, seed)
+            try:
+                rg = red.reduct_graph(ctx, a, Side.RIGHT)
+                truth = red.left_closures(ctx, rg.nodes)
+            except GraphNodeCapExceeded:
+                continue
+            true_bits, true_complete = truth.common(rg.nodes)
+            assert true_complete
+            true_witnesses = set(truth.members(true_bits))
+            roots = H._witness_roots(rg)
+            expanded = []
+
+            def counted(c, node, side, strategy="low_lex"):
+                expanded.append(node)
+                return atomic_moves(c, node, side, strategy)
+
+            with pytest.MonkeyPatch.context() as mp:
+                if overflow != "plain":
+                    overflow_left_moves(mp, overflowing)
+                v = H.test_conjecture_C_uniform(ctx, a)
+                mp.setattr(red, "_atomic_moves", counted)
+                lc = red.left_closures(ctx, roots, rg.index)
+            # each node's moves are found once, by the search or the walk
+            assert len(expanded) == len(set(expanded)) and set(lc.nodes) <= set(expanded)
+            assert lc.walked[0] == a and set(lc.walked) <= set(roots)
+            # a root walked from, after a, holds no other right reduct
+            reached = 0
+            for r in lc.walked:
+                bits = lc.closure_of(r)
+                others = [n for n in lc.members(bits) if n != r and n in rg.index]
+                assert r == a or reached >> lc.index[r] & 1 or not others
+                reached |= bits
+            bits, complete = lc.common(lc.walked)
+            witnesses = set(lc.members(bits))
+            assert v.evidence["witnesses"] == sorted(fmt(ctx, w) for w in witnesses)
+            assert witnesses <= true_witnesses
+            if complete:
+                assert witnesses == true_witnesses
+            if v.status == "counterexample":
+                assert complete
+            if overflow == "plain":
+                assert complete and v.status == "confirmed"
+                irr = lc.closure_of(a) & lc.sinks
+                true_irr = truth.closure_of(a) & truth.sinks
+                assert set(lc.members(irr)) == set(truth.members(true_irr))
+                assert set(lc.latest_common_ancestors(a, irr)) == set(
+                    truth.latest_common_ancestors(a, true_irr)
+                )
+            for r in set(roots) - set(lc.walked):
+                fresh = red.reduct_graph(ctx, r, Side.LEFT)
+                assert any(n != r and n in rg.index for n in fresh.nodes)
+                left_out += 1
+            inputs += 1
+    assert inputs >= 6 and left_out > 0
+
+
+def test_cunif_redundancy_search_node_cap(att):
+    # the breadth-first search of a root after the first counts the nodes
+    # it finds against graph_node_cap, and raises with reduct_graph's
+    # message past it.  Here the other targets are an irreducible first
+    # root and a sink of the root searched, which the search meets after
+    # the nodes reduct_graph numbers before it (both search breadth-first,
+    # in the same move order)
+    a, root = mf(att, "ac/ca/ba"), mf(att, "ab/ba/ca/bcbc")
+    graph = red.reduct_graph(att, root, Side.LEFT)
+    sink = max(graph.sinks(), key=graph.index.get)
+    before = graph.index[sink]  # the nodes found when the sink is met
+    targets = {a, root, sink}
+    for cap in (1, before - 1, before, len(graph.nodes)):
+        small = MonoidContext(preset("A2tilde"), Caps(graph_node_cap=cap))
+        if cap < before:
+            with pytest.raises(GraphNodeCapExceeded) as raised:
+                red.left_closures(small, (a, root), targets)
+            assert str(raised.value) == f"reduct graph exceeded {cap} nodes"
+        else:
+            lc = red.left_closures(small, (a, root), targets)
+            assert lc.walked == [a] and root not in lc.index
+    # walking the root instead raises on its closure, which is larger
+    with pytest.raises(GraphNodeCapExceeded):
+        red.left_closures(MonoidContext(preset("A2tilde"), Caps(graph_node_cap=before)), (a, root))
+
+
+@pytest.mark.parametrize("cap, rescued, inconclusive", [(20, [1, 6, 9, 13, 19], 4), (60, [1, 9, 12], 1)])
 def test_cunif_node_cap_fires_on_walked_closures(att, cap, rescued, inconclusive):
-    # the graph_node_cap overflow campaigns of the golden file: a trial is
-    # confirmed, with the record of the uncapped run, exactly when its
-    # right graph and the left closures it walks fit the cap, and is
-    # inconclusive on that cap otherwise.  The trials `rescued` fit so,
-    # though the closure of a right reduct that is left out does not
+    # the graph_node_cap overflow campaigns of the golden file: a trial
+    # confirmed under the cap has the record of the uncapped run, and its
+    # right graph and the left closures it walked fit the cap; any other
+    # trial is inconclusive on that cap.  The trials `rescued` are
+    # confirmed though the closure of a witness root left out does not fit
     config = H.CampaignConfig("A2tilde", "Cunif", depth=4, length=16, trials=20, seed=1)
     uncapped = H.run_campaign(att, config).records
     ctx = MonoidContext(preset("A2tilde"), Caps(graph_node_cap=cap))
@@ -236,11 +349,13 @@ def test_cunif_node_cap_fires_on_walked_closures(att, cap, rescued, inconclusive
 
     found = []
     for k, (rec, want) in enumerate(zip(report.records, uncapped)):
-        a = mf(att, want["input"])
-        rg = red.reduct_graph(att, a, Side.RIGHT)
-        if fits(a, Side.RIGHT) and all(fits(r) for r in H._witness_roots(rg)):
+        if rec["verdict"] == "confirmed":
             assert {**rec, "millis": 0} == {**want, "millis": 0}
-            if not all(fits(r) for r in rg.nodes):
+            a = mf(att, want["input"])
+            rg = red.reduct_graph(att, a, Side.RIGHT)
+            walked = red.left_closures(att, H._witness_roots(rg), rg.index).walked
+            assert fits(a, Side.RIGHT) and all(fits(r) for r in walked)
+            if not all(fits(r) for r in H._witness_roots(rg)):
                 found.append(k)
         else:
             assert rec["verdict"] == "inconclusive"
@@ -896,6 +1011,8 @@ def test_cunif_incomplete_right_graph_inconclusive(att, monkeypatch):
     undecided = H.test_conjecture_C_uniform(att, a)
     assert undecided.status == "inconclusive" and undecided.evidence["witnesses"]
     assert undecided.evidence["right_reducts"] == 1
+    assert undecided.evidence["incomplete_right_edges"] > 0
+    assert "incomplete_right_edges" not in v.evidence
     monkeypatch.undo()
     # reversing_cap=4 overflows right moves of 9 of these 20 trials
     small = MonoidContext(preset("A2tilde"), Caps(reversing_cap=4))
@@ -906,6 +1023,11 @@ def test_cunif_incomplete_right_graph_inconclusive(att, monkeypatch):
     first = report.records[0]
     assert first["verdict"] == "inconclusive"
     assert (first["evidence"]["right_reducts"], first["evidence"]["witnesses"]) == (6, ["ccba/c/b/1"])
+    assert first["evidence"]["incomplete_right_edges"] == 2
+    for rec in report.records:
+        undecided = rec["evidence"].get("incomplete_right_edges")
+        assert (rec["verdict"] == "inconclusive") == (undecided is not None)
+        assert undecided is None or undecided > 0
 
 
 @pytest.mark.parametrize("kind", ["A", "B"])
