@@ -66,6 +66,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .presentation import Presentation, format_word, parse_word, validate
 
@@ -117,18 +118,14 @@ class Side(Enum):
         return Side.RIGHT if self is Side.LEFT else Side.LEFT
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
+    """A monoid element, by its least word.  A tuple type so that it hashes
+    and compares in C, as every memo, graph and closure key does; the
+    tuple is for hashing and equality only, and no code treats an element
+    as a sequence.  Its hash is hash((word,)), on which set and dict
+    iteration order depend."""
+
     word: Word
-
-    # elements are memo and graph keys, so the hash is computed once; it
-    # keeps the dataclass-generated value, hash((word,)), on which set and
-    # dict iteration order depend
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.word,)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def length(self) -> int:
@@ -221,10 +218,11 @@ class MonoidContext:
         self.caps = caps or Caps()
         self._atoms = tuple(Element((i,)) for i in range(pres.n_atoms))
         self._canon: dict[Word, Element] = {(): IDENTITY}
-        # memo keys hold `side is Side.LEFT`, not the Side: an enum hashes
-        # in Python, a bool in C, and every level of every enumerated node
-        # looks up `_quotients`
-        self._quotients: dict[tuple[Word, bool], tuple[Element | None, ...]] = {}
+        # the atom-quotient tables, one dict per side keyed by the word and
+        # indexed by `side is Side.LEFT`: every level of every enumerated
+        # node looks one up, and neither a key tuple nor an enum hash (in
+        # Python) is built for it
+        self._quotients: tuple[dict[Word, tuple[Element | None, ...]], ...] = ({}, {})
         self._lcm: dict[tuple[Word, Word, bool], tuple[Element, Element, Element] | None] = {}
         self._divisors: dict[tuple[Word, bool], tuple[Element, ...]] = {}
         self._tables: dict[Side, BasicTable] = {}
@@ -560,13 +558,13 @@ class MonoidContext:
         in every atom's place."""
         left = side is Side.LEFT
         word = a.word
-        key = (word, left)
-        got = self._quotients.get(key)
+        tables = self._quotients[left]
+        got = tables.get(word)
         if got is not None:
             return got
         n = self.pres.n_atoms
         if not word:  # no atom divides 1, and no reversing table is built
-            return self._quotients.setdefault(key, (None,) * n)
+            return tables.setdefault(word, (None,) * n)
         try:  # building the reversing table on first use may overflow
             rows = self._rows(side.other)
         except CapExceeded as e:
@@ -598,7 +596,7 @@ class MonoidContext:
             out[s] = q
         table = tuple(out)
         if complete:
-            self._quotients[key] = table
+            tables[word] = table
         return table
 
     def divisors(self, a: Element, side: Side) -> tuple[Element, ...]:
@@ -620,7 +618,8 @@ class MonoidContext:
         of the new divisor is one of the candidates, and no candidate is
         less than it.  Hence the search multiplies nothing and calls no
         `canonical`; each word goes into the canonical memo as it is, and
-        the sorted words of each level are the (length, word) order.
+        the sorted words of each level are the (length, word) order.  A
+        quotient table holding an overflow raises it at that atom's turn.
         """
         left = side is Side.LEFT
         key = (a.word, left)
@@ -634,8 +633,10 @@ class MonoidContext:
             nxt: dict[Element, Word] = {}
             for r, w in level.items():
                 for t, q in enumerate(self.atom_quotients(r, side)):
-                    if result_of(q) is None:
+                    if q is None:
                         continue
+                    if isinstance(q, CapExceeded):
+                        raise q
                     cand = w + (t,) if left else (t,) + w
                     least = nxt.get(q)
                     if least is None or cand < least:

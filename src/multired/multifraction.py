@@ -9,11 +9,19 @@ product and carries no sign.
 
 Trailing trivial entries are never trimmed: right reduction is sensitive
 to them.
+
+A Multifraction is the tuple (first_sign, entries), so that it hashes and
+compares in C: it is the key of every reduct graph and closure index.  Its
+hash is hash((first_sign, entries)), on which set and dict iteration order
+depend.  The tuple is there for hashing and equality only: no code
+treats a multifraction as a sequence (its depth is `depth`, its entries
+`entries`).  The constructor refuses a first sign other than +1 or -1
+with a ValueError, also under `python -O`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .monoid import IDENTITY, Element, MonoidContext, MultiredError, Side
 from .presentation import PresentationError, format_word, parse_word
@@ -28,19 +36,20 @@ class MultifractionParseError(MultiredError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Multifraction:
+class _Fields(NamedTuple):
     first_sign: int  # +1 or -1; empty multifraction stores +1
     entries: tuple[Element, ...]
 
-    def __post_init__(self):
-        if self.first_sign not in (1, -1):
-            raise ValueError(f"first sign must be +1 or -1, not {self.first_sign!r}")
-        # computed once, as for Element, with the dataclass-generated value
-        object.__setattr__(self, "_hash", hash((self.first_sign, self.entries)))
 
-    def __hash__(self) -> int:
-        return self._hash
+# a NamedTuple may not define __new__, so the sign check lives in a
+# subclass; it builds the tuple directly, one Python call per multifraction
+class Multifraction(_Fields):
+    __slots__ = ()
+
+    def __new__(cls, first_sign: int, entries: tuple[Element, ...]):
+        if first_sign not in (1, -1):
+            raise ValueError(f"first sign must be +1 or -1, not {first_sign!r}")
+        return tuple.__new__(cls, (first_sign, entries))
 
     @property
     def depth(self) -> int:

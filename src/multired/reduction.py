@@ -72,6 +72,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .monoid import (
     CapExceeded,
@@ -87,9 +88,14 @@ from .monoid import (
 from .multifraction import Multifraction, due_side, format_multifraction, inverse
 
 
-@dataclass(frozen=True)
-class Move:
-    kind: Side  # R(i,x) on the LEFT, R~(i,x) on the RIGHT
+class Move(NamedTuple):
+    """One atomic or composite move, R(level,x) when its kind is LEFT and
+    R~(level,x) when it is RIGHT.  A tuple type, so that it hashes and
+    compares in C; no code treats a move as a sequence.  Its hash,
+    hash((kind, level, x)), varies from process to process (a Side hashes
+    by its name string), so no output may depend on it."""
+
+    kind: Side
     level: int
     x: Element
 

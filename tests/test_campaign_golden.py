@@ -3,7 +3,8 @@
 Each digest is the sha256 of `CampaignReport.to_json(include_timing=False)`
 dumped as JSON with sorted keys.  The grid runs every conjecture kind on
 every preset below at depth 4, length 8, 6 trials, seed 3; three more
-campaigns pin how cap overflows degrade Cunif trials to inconclusive.  A
+campaigns pin how cap overflows degrade Cunif trials to inconclusive, and
+two pin Cunif at depth 6 (the campaigns of the CI depth-6 smoke step).  A
 change to the reduction or harness code must leave every digest as it is.
 
     PYTHONPATH=src python tests/test_campaign_golden.py
@@ -31,6 +32,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "campaign_golden.json")
 PRESETS = ("A2tilde", "A3tilde", "C2tilde", "K(4,3)", "braid(4)", "braid(5)", "free(2)", "I2(5)")
 CONJECTURES = ("A", "B", "C", "Cunif", "depth4")
 OVERFLOWS = ("graph_node_cap=20", "graph_node_cap=60", "apply_left_level2_c")
+DEPTH6 = ("A3tilde", "braid(4)")
 
 _CONTEXTS: dict[tuple, MonoidContext] = {}
 
@@ -66,6 +68,12 @@ def overflow_digest(case: str) -> str:
         return _digest(run_campaign(ctx, config))
 
 
+def depth6_digest(name: str) -> str:
+    """Cunif at depth 6, length 18, 20 trials, seed 1."""
+    config = CampaignConfig(name, "Cunif", depth=6, length=18, trials=20, seed=1)
+    return _digest(run_campaign(_context(name), config))
+
+
 def _golden() -> dict:
     with open(GOLDEN) as fh:
         return json.load(fh)
@@ -82,6 +90,11 @@ def test_campaign_overflow(case):
     assert overflow_digest(case) == _golden()["overflow"][case]
 
 
+@pytest.mark.parametrize("name", DEPTH6)
+def test_campaign_depth6(name):
+    assert depth6_digest(name) == _golden()["depth6"][name]
+
+
 if __name__ == "__main__":
     golden = {
         "grid": {
@@ -90,8 +103,9 @@ if __name__ == "__main__":
             for conj in CONJECTURES
         },
         "overflow": {case: overflow_digest(case) for case in OVERFLOWS},
+        "depth6": {name: depth6_digest(name) for name in DEPTH6},
     }
     with open(GOLDEN, "w") as fh:
         json.dump(golden, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {len(golden['grid']) + len(golden['overflow'])} digests to {GOLDEN}")
+    print(f"wrote {sum(map(len, golden.values()))} digests to {GOLDEN}")

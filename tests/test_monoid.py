@@ -410,6 +410,32 @@ def test_lcm_checks_its_complements(monkeypatch, side):
     assert (a.word, b.word, side is Side.LEFT) not in ctx._lcm
 
 
+def test_canonical_and_lcm_memo_sizes_count_hits():
+    """`perfbench/tracing.py` (`MEMOS`) reads `ctx._canon` and `ctx._lcm`
+    by name and counts a call that leaves the memo's size unchanged as a
+    hit: each is one flat dict, whose size grows on a miss and stays the
+    same on a hit."""
+    ctx = MonoidContext(preset("braid(4)"))
+    assert type(ctx._canon) is dict and type(ctx._lcm) is dict
+    word = (2, 1, 0, 2, 1)
+    before = len(ctx._canon)
+    x = ctx.canonical(word)
+    grown = len(ctx._canon)
+    assert grown > before
+    assert ctx.canonical(word) is x and len(ctx._canon) == grown
+    a, b = ctx.element("ab"), ctx.element("cb")
+    for side in Side:
+        before = len(ctx._lcm)
+        m = ctx.lcm(a, b, side)
+        assert len(ctx._lcm) == before + 1
+        canon = len(ctx._canon)
+        assert ctx.lcm(a, b, side) is m
+        assert len(ctx._lcm) == before + 1 and len(ctx._canon) == canon
+    # flat: a word keys the canonical memo, (word, word, LEFT?) the lcm memo
+    assert all(type(w) is tuple and all(type(i) is int for i in w) for w in ctx._canon)
+    assert (a.word, b.word, True) in ctx._lcm and (a.word, b.word, False) in ctx._lcm
+
+
 def test_gcd_examples(att):
     e = att.element
     assert att.gcd(e("ac"), e("ca"), Side.RIGHT) == IDENTITY

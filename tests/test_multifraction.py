@@ -51,9 +51,10 @@ def test_unit():
 
 @pytest.mark.parametrize("sign", [0, 2, -2])
 def test_first_sign_is_checked(sign):
-    # a raise, so that python -O keeps it too
-    with pytest.raises(ValueError, match="first sign must be"):
-        Multifraction(sign, (IDENTITY,))
+    # a raise, so that python -O keeps it too, with entries or without
+    for entries in ((IDENTITY,), ()):
+        with pytest.raises(ValueError, match="first sign must be"):
+            Multifraction(sign, entries)
 
 
 def test_product_examples(att):
