@@ -59,7 +59,6 @@ from .multifraction import (
     format_multifraction,
     from_signed_word,
     parse_multifraction,
-    unit,
 )
 from .presentation import PresentationError
 from . import reduction as red
@@ -240,10 +239,9 @@ def _reaches_trivial(ctx: MonoidContext, a: Multifraction) -> Verdict:
     complete graph; a graph past its cap ("reason") or with overflowed
     moves ("incomplete_edges") is inconclusive.  Conjecture A, the word
     problem and the depth-4 check all ask this."""
-    trivial = unit(a.depth if a.first_sign > 0 else -a.depth)
     try:
         tr = reduce_left(ctx, a)
-        if tr.end == trivial:
+        if tr.end.is_trivial:
             return Verdict(
                 "confirmed",
                 {"trace_levels": [m.level for m in tr.moves], "steps": len(tr.moves)},
@@ -254,7 +252,7 @@ def _reaches_trivial(ctx: MonoidContext, a: Multifraction) -> Verdict:
         graph = reduct_graph(ctx, a, Side.LEFT)
     except CapExceeded as e:
         return Verdict("inconclusive", {"reason": str(e)})
-    if graph.contains(trivial):
+    if any(node.is_trivial for node in graph.nodes):
         return Verdict("confirmed", {"via": "graph", "nodes": len(graph.nodes)})
     if graph.complete:
         return Verdict("counterexample", {"nodes": len(graph.nodes)})
@@ -282,7 +280,6 @@ def test_conjecture_B(
     asserts)."""
     if not validate_certificate(ctx, a, certificate):
         raise MultiredError("certificate does not prove the input unital")
-    trivial = unit(a.depth if a.first_sign > 0 else -a.depth)
     out = red_tame(ctx, a)
     fix, iters = red_tame_fixpoint(ctx, out)  # out is the first pass from a
     evidence = {
@@ -290,7 +287,7 @@ def test_conjecture_B(
         "fixpoint": format_multifraction(ctx, fix),
         "fixpoint_iterations": iters + (out != a),
     }
-    if out == trivial:
+    if out.is_trivial:
         return Verdict("confirmed", evidence)
     return Verdict("counterexample", evidence)
 
@@ -444,7 +441,7 @@ def check_depth4_equivalences(ctx: MonoidContext, a: Multifraction) -> dict:
     reaches = {"confirmed": True, "counterexample": False}.get(reach.status)
     report = {
         "reduces_to_trivial": reaches,
-        "red_tame_trivial": red_tame(ctx, a) == unit(4 if a.first_sign > 0 else -4),
+        "red_tame_trivial": red_tame(ctx, a).is_trivial,
         "central_cross": has_central_cross(ctx, a) is not None,
     }
     if reaches is None:
@@ -555,7 +552,6 @@ def mixed_cycle_probe(ctx: MonoidContext, iterations: int = 3) -> dict:
     outer_right = el("acbacb")
     results = []
     cur = start
-    ok = True
     for p in range(1, iterations + 1):
         for kind, i, x in seq:
             cur = apply_move(ctx, cur, Move(kind, i, el(x)))
@@ -570,11 +566,10 @@ def mixed_cycle_probe(ctx: MonoidContext, iterations: int = 3) -> dict:
                 ctx.product([outer_right] * p),
             ),
         )
-        match = cur == expected
-        ok = ok and match
         results.append(
-            {"p": p, "value": format_multifraction(ctx, cur), "matches": match}
+            {"p": p, "value": format_multifraction(ctx, cur), "matches": cur == expected}
         )
+    ok = all(r["matches"] for r in results)
     return {"start": format_multifraction(ctx, start), "iterations": results, "ok": ok}
 
 
@@ -761,8 +756,10 @@ def run_campaign(
     if config.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # under fork a pool starts all its workers at the first submit, so
+        # it gets no more workers than there are trials
         pool = ProcessPoolExecutor(
-            max_workers=config.jobs,
+            max_workers=min(config.jobs, config.trials),
             initializer=_init_worker,
             initargs=(ctx.pres, ctx.caps, config),
         )

@@ -70,7 +70,7 @@ and `apply_move` make them), looked up by name at call time.
 
 from __future__ import annotations
 
-from collections import deque
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -458,19 +458,18 @@ def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> 
     """Apply the first atomic move the strategy finds until there is none.
 
     A step count past the tower bound is an InternalInvariantError.  The
-    bound is monotone in the count, so a count already seen within it
-    clears every smaller one: the guard runs only when the count passes
-    `safe`, and on success it asks for twice the count too, which
-    becomes the new `safe` when it holds.  A reduction of n steps thus
-    calls the guard O(log n) times, and still raises at the first step
-    past the bound.
+    tower is monotone in C, and C >= 2 as soon as there is an atom (an
+    atom is basic), so the guard takes the bound at C = 2 (C = 1 without
+    atoms) once per run and asks `within_step_bound`, which builds the
+    basic tables for the true C, only for a count past it.  It still
+    raises at the first step past the bound.
     """
     # a right reduction sequence from a is a left reduction sequence of the
     # same length from inverse(a), so both sides share the tower bound
     bounded = a if side is Side.LEFT else inverse(a)
+    cleared = _tower(2 if ctx.atoms() else 1, [e.length for e in bounded.entries], sys.maxsize)
     moves: list[Move] = []
     cur = a
-    safe = 0
     while True:
         i, s, nxt = next(_atomic_moves(ctx, cur, side, strategy), (None, None, None))
         if nxt is None:
@@ -478,12 +477,8 @@ def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> 
         cur = result_of(nxt)
         moves.append(Move(side, i, s))
         k = len(moves)
-        if k > safe:
-            if not within_step_bound(ctx, bounded, k):
-                raise InternalInvariantError(
-                    "reduction exceeded the tower step bound"
-                )
-            safe = 2 * k if within_step_bound(ctx, bounded, 2 * k) else k
+        if k > cleared and not within_step_bound(ctx, bounded, k):
+            raise InternalInvariantError("reduction exceeded the tower step bound")
     return ReductionTrace(a, tuple(moves), cur)
 
 
@@ -581,10 +576,7 @@ def reduct_graph(ctx: MonoidContext, a: Multifraction, side: Side = Side.LEFT) -
     g = ReductGraph(root=a, side=side)
     g.nodes.append(a)
     g.index[a] = 0
-    queue = deque([0])
-    while queue:
-        src = queue.popleft()
-        cur = g.nodes[src]
+    for src, cur in enumerate(g.nodes):  # the node list is the queue
         for i, s, b in _atomic_moves(ctx, cur, side):
             if isinstance(b, CapExceeded):
                 g.inconclusive.append((src, i, s, str(b)))
@@ -594,7 +586,6 @@ def reduct_graph(ctx: MonoidContext, a: Multifraction, side: Side = Side.LEFT) -
                     raise GraphNodeCapExceeded(f"reduct graph exceeded {cap} nodes")
                 g.index[b] = len(g.nodes)
                 g.nodes.append(b)
-                queue.append(g.index[b])
             g.edges.append((src, Move(side, i, s), g.index[b]))
     return g
 
@@ -709,10 +700,8 @@ def left_closures(ctx: MonoidContext, roots, targets=()) -> LeftClosures:
     def redundant(root) -> bool:
         # whether the closure of root holds another target
         seen = {root}
-        found = 1
-        queue = deque([root])
-        while queue:
-            node = queue.popleft()
+        order = [root]  # the search's queue and its nodes so far
+        for node in order:
             if node not in expanded:
                 expanded[node] = expand(node)
             for b in expanded[node][0]:
@@ -726,10 +715,9 @@ def left_closures(ctx: MonoidContext, roots, targets=()) -> LeftClosures:
                 elif b in targets:
                     return True
                 else:
-                    if found >= cap:
+                    if len(order) >= cap:
                         raise GraphNodeCapExceeded(f"reduct graph exceeded {cap} nodes")
-                    found += 1
-                    queue.append(b)
+                    order.append(b)
         return False
 
     for root in roots:
@@ -821,14 +809,7 @@ def step_bound(ctx: MonoidContext, a: Multifraction):
 def within_step_bound(ctx: MonoidContext, a: Multifraction, k: int) -> bool:
     """Whether k <= step_bound(a), by the bound capped at k + 1.
 
-    The tower is monotone in C, and C >= 2 as soon as there is an atom
-    (an atom is basic), so the answer is first read off the tower at
-    C = 2 (C = 1 without atoms).  Only a k beyond that builds the basic
-    tables for the true C.  The answer is the same either way.  It is
-    also monotone in k, which lets `_reduce` skip the counts below one
-    already seen within the bound.
+    It builds the basic tables for C; `_reduce` asks it only for a step
+    count past the bound at C = 2, which needs none.
     """
-    lengths = [e.length for e in a.entries]
-    if k <= _tower(2 if ctx.atoms() else 1, lengths, k + 1):
-        return True
-    return k <= _tower(ctx.basic_bound_C(), lengths, k + 1)
+    return k <= _tower(ctx.basic_bound_C(), [e.length for e in a.entries], k + 1)

@@ -23,7 +23,7 @@ from .monoid import (
     MultiredError,
     Side,
 )
-from .multifraction import Multifraction, format_multifraction, unit
+from .multifraction import Multifraction, format_multifraction
 from .harness import has_central_cross
 from .reduction import Move, apply_left, due_side, red_tame
 
@@ -91,7 +91,6 @@ class _Builder:
         self.vertices: list[str] = []
         self.edges: dict[str, VKEdge] = {}
         self.triangles: list[tuple[str, str, str]] = []
-        self._n = 0
 
     def vertex(self, name: str) -> str:
         """Add a vertex; every name the diagram builds is new."""
@@ -99,8 +98,7 @@ class _Builder:
         return name
 
     def edge(self, src: str, dst: str, label: Element) -> str:
-        eid = f"e{self._n}"
-        self._n += 1
+        eid = f"e{len(self.edges)}"
         self.edges[eid] = VKEdge(src, dst, label)
         return eid
 
@@ -161,7 +159,7 @@ def van_kampen(ctx: MonoidContext, a: Multifraction) -> VanKampenDiagram:
         raise ValueError("positive multifractions only")
     moves: list[Move] = []
     end = red_tame(ctx, a, collect=moves)
-    if end != unit(n):
+    if not end.is_trivial:
         raise VanKampenFailure(
             "no universal-sequence trace to the trivial multifraction "
             f"(tame reduct: {format_multifraction(ctx, end)})"

@@ -629,6 +629,21 @@ def test_mixed_cycle(att):
         H.mixed_cycle_probe(att, iterations=0)
 
 
+def test_mixed_cycle_reports_a_miss(att, monkeypatch):
+    # an iteration whose value misses its expected one makes the probe
+    # fail, here the second, whose expected outer entries are cut short
+    product = att.product
+    short = [att.element("bacbac")] * 2
+
+    def cut(items):
+        return product(items[1:] if list(items) == short else items)
+
+    monkeypatch.setattr(att, "product", cut)
+    report = H.mixed_cycle_probe(att, iterations=3)
+    assert [r["matches"] for r in report["iterations"]] == [True, False, True]
+    assert report["ok"] is False
+
+
 def test_campaign_small(att):
     config = H.CampaignConfig(preset="A2tilde", conjecture="A", depth=4, length=16, trials=8, seed=5)
     log = io.StringIO()
@@ -678,6 +693,33 @@ def test_campaign_parallel(att):
         preset="A2tilde", conjecture="B", depth=4, length=12, trials=4, seed=9, jobs=1
     ))
     assert [r["input"] for r in report.records] == [r["input"] for r in serial.records]
+
+
+def test_campaign_pool_has_no_more_workers_than_trials(att, monkeypatch):
+    # a pool stand-in that runs its workers' calls in this process records
+    # how many workers the campaign asks for, and forks nothing
+    workers = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            workers.append(max_workers)
+            initializer(*initargs)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(H, "_worker", H._worker)  # restored after the test
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    config = H.CampaignConfig("A2tilde", "A", depth=4, length=16, trials=2, seed=1, jobs=8)
+    pooled = H.run_campaign(att, config).to_json(include_timing=False)
+    serial = H.run_campaign(att, H.CampaignConfig(
+        "A2tilde", "A", depth=4, length=16, trials=2, seed=1, jobs=1
+    )).to_json(include_timing=False)
+    assert workers == [2]
+    assert pooled["records"] == serial["records"] and len(serial["records"]) == 2
 
 
 def test_campaign_cap_overflow_in_generation():
@@ -970,6 +1012,20 @@ def test_reaches_trivial_after_an_overflowed_run(att, monkeypatch):
     overflow_left_moves(monkeypatch, lambda b, i, x, r: b == a and r is not None)
     v = H._reaches_trivial(att, a)
     assert (v.status, v.evidence) == ("inconclusive", {"incomplete_edges": 2})
+
+
+def test_reaches_trivial_at_a_negative_first_sign(att, monkeypatch):
+    # the trivial end of a negative input is found by the run and, with
+    # the run's first move overflowed, by the graph over the other route
+    a = mf(att, "/aba/aba")
+    v = H._reaches_trivial(att, a)
+    assert (v.status, v.evidence) == ("confirmed", {"trace_levels": [1, 1, 1], "steps": 3})
+    first = red.reduce_left(att, a).moves[0]
+    overflow_left_moves(monkeypatch, lambda b, i, x, r: b == a and (i, x) == (first.level, first.x))
+    with pytest.raises(ReversingCapExceeded):
+        red.reduce_left(att, a)
+    v = H._reaches_trivial(att, a)
+    assert (v.status, v.evidence) == ("confirmed", {"via": "graph", "nodes": 4})
 
 
 def test_depth4_graph_past_its_cap_keeps_the_report():
