@@ -6,8 +6,10 @@ that builds a monoid context takes --preset, --presentation-file and
 `reduce` and `rreduce`, --seed and --jobs to `conjecture`.
 
 Exit codes: 0 success, 1 counterexample found, 2 inconclusive, 3 usage or
-input error.  All output is deterministic for a fixed argv and seed;
-reports are JSON with --format json, graphs are DOT.  The MULTIRED_CAPS
+input error.  A reader that closes stdout early (`| head`) drops the rest
+of the output, quietly, and the exit code stays the command's own.  All
+output is deterministic for a fixed argv and seed; reports are JSON with
+--format json, graphs are DOT.  The MULTIRED_CAPS
 environment variable overrides caps, e.g.
 MULTIRED_CAPS="reversing_cap=20000,graph_node_cap=100000".  `irr` and
 `graph` print what they found of an incomplete reduct graph and exit 2.
@@ -107,12 +109,26 @@ def parse_signed_word(ctx: MonoidContext, text: str) -> SignedWord:
     return tuple(out)
 
 
+def _write(lines) -> None:
+    """Print the lines to stdout.  A reader that closes the pipe early
+    (`multired ... | head`) ends the output, not the run: stdout is then
+    pointed at the null device, which takes the rest of the output and the
+    flush at exit, and the command still exits with its own code."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+
+
 def _emit(args, payload: dict, text_lines=None):
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _write([json.dumps(payload, indent=2, sort_keys=True)])
     else:
-        for line in text_lines if text_lines is not None else [json.dumps(payload, sort_keys=True)]:
-            print(line)
+        _write(text_lines if text_lines is not None else [json.dumps(payload, sort_keys=True)])
 
 
 def _add_context(p):
@@ -281,7 +297,7 @@ def dispatch(argv) -> int:
     if args.command == "graph":
         g = red.reduct_graph(ctx, a, Side(args.side))
         if args.dot or args.format == "text":
-            print(g.to_dot(ctx))
+            _write([g.to_dot(ctx)])
         else:
             _emit(args, g.to_json(ctx))
         return _graph_verdict(g)

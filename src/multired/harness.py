@@ -11,10 +11,10 @@ overflows a cap, the left reduct graph, with a counterexample only off a
 complete graph.  `LeftClosures.common` gives the common left reducts of
 some roots and whether that set is exact, for the Cunif and four-strategy
 cross-confluence testers; Cunif confirms only over a complete right
-reduct graph, and walks left closures from a and from no other right
-reduct whose closure holds another right reduct, as such a closure
-changes no intersection.  A central cross is its tuple of rays:
-`assemble_cross` builds the multifraction from them, and
+walk (`right_roots`, which keeps no edges), and walks left closures from
+a and from no other right reduct whose closure holds another right
+reduct, as such a closure changes no intersection.  A central cross is
+its tuple of rays: `assemble_cross` builds the multifraction from them, and
 `has_central_cross` reads them back off a depth-4 one.  The A and B
 testers take a certificate of unitality with their input, the
 lcm-expansion chain that built it from a central cross, and replay it
@@ -49,8 +49,10 @@ from .monoid import (
     Element,
     IDENTITY,
     InternalInvariantError,
+    LEFT,
     MonoidContext,
     MultiredError,
+    RIGHT,
     Side,
 )
 from .multifraction import (
@@ -182,7 +184,7 @@ def _random_left_divisors(ctx: MonoidContext, a: Multifraction, rng: random.Rand
     """One uniformly drawn left divisor of each entry, in entry order."""
     choices = []
     for i in range(1, a.depth + 1):
-        divs = ctx.divisors(a.entry(i), Side.LEFT)
+        divs = ctx.divisors(a.entry(i), LEFT)
         choices.append(divs[rng.randrange(len(divs))])
     return choices
 
@@ -205,7 +207,7 @@ def lcm_expand(
     n = a.depth
     if n % 2 != 0 or n < 2:
         raise ValueError("lcm expansion needs even depth")
-    seconds = [ctx.divides(d, a.entry(i), Side.LEFT) for i, d in enumerate(choices, 1)]
+    seconds = [ctx.divides(d, a.entry(i), LEFT) for i, d in enumerate(choices, 1)]
     if any(q is None for q in seconds):
         return None
 
@@ -214,9 +216,9 @@ def lcm_expand(
     for i in range(1, n + 1):
         # a source vertex gives b''_{i-1} and b''_i, a sink vertex b'_{i-1} and b'_i
         if a.sign(i) < 0:
-            parts, side, out = choices, Side.RIGHT, bpp
+            parts, side, out = choices, RIGHT, bpp
         else:
-            parts, side, out = seconds, Side.LEFT, bp
+            parts, side, out = seconds, LEFT, bp
         r = ctx.lcm(parts[i - 1], parts[i % n], side)
         if r is None:
             return None
@@ -249,7 +251,7 @@ def _reaches_trivial(ctx: MonoidContext, a: Multifraction) -> Verdict:
     except CapExceeded:  # the graph records the overflowed attempt as undecided
         pass
     try:
-        graph = reduct_graph(ctx, a, Side.LEFT)
+        graph = reduct_graph(ctx, a, LEFT)
     except CapExceeded as e:
         return Verdict("inconclusive", {"reason": str(e)})
     if any(node.is_trivial for node in graph.nodes):
@@ -292,42 +294,30 @@ def test_conjecture_B(
     return Verdict("counterexample", evidence)
 
 
-def _witness_roots(rg: red.ReductGraph) -> list[Multifraction]:
-    """The root of a right reduct graph and its nodes with no division
-    edge out, in node order: the roots that `left_closures` is given.  A
-    division r -> r' is a left reduction too, so the closure of r' lies
-    in that of r, and r leaves the intersection of the closures
-    unchanged; divisions shorten entries, so every chain of them ends at
-    a node kept.  This is the one-step case, read off the graph for free;
-    `left_closures`, with the right reducts as targets, leaves out the
-    roots whose closure holds another right reduct at any depth.  The
-    root is kept for its own closure."""
-    nodes = rg.nodes
-    divided = {s for s, move, d in rg.edges if red.is_division(move, nodes[s], nodes[d])}
-    return [r for k, r in enumerate(nodes) if k == 0 or k not in divided]
-
-
 def test_conjecture_C_uniform(ctx: MonoidContext, a: Multifraction) -> Verdict:
     """Uniform cross-confluence on one instance: a single d with every
     right reduct of a left-reducing to d.  The two natural candidates
     (the tame reduct and the latest common ancestor of the irreducible
     left reducts) are evaluated alongside the witness set.
 
-    The left closures are walked from the roots `_witness_roots` keeps,
-    in one walk of their shared left graph (`left_closures`), as
-    bitsets, with the right reducts as targets: a root after a whose
-    closure holds another right reduct is left out, found by a
-    breadth-first search, and the cap fires on the walks and searches
-    alone.  The witnesses are the common reducts of the roots walked
+    One breadth-first right walk that keeps no edges (`right_roots`)
+    gives the right reducts and the roots of the left walk: a and every
+    right reduct with no division move out (a division is a left move
+    too).  The left closures are walked from those roots in one walk of
+    their shared left graph (`left_closures`), as bitsets, with the right
+    reducts as targets: a root after a whose closure holds another right
+    reduct is left out, found by a breadth-first search, and the cap
+    fires on the right walk and on the left walks and searches alone.
+    The witnesses are the common reducts of the roots walked
     (`LeftClosures.common`), exact when those closures are complete; the
     irreducible left reducts of a are the sinks in a's closure, and a
     latest common ancestor is a member of a's closure whose closure
-    holds them all and no other such member.  An incomplete right graph
+    holds them all and no other such member.  An incomplete right walk
     leaves the trial inconclusive with its count of undecided moves
     ("incomplete_right_edges")."""
     try:
-        rg = reduct_graph(ctx, a, Side.RIGHT)
-        lc = red.left_closures(ctx, _witness_roots(rg), rg.index)
+        reducts, roots, undecided = red.right_roots(ctx, a)
+        lc = red.left_closures(ctx, roots, reducts)
     except CapExceeded as e:
         return Verdict("inconclusive", {"reason": str(e)})
     witness_bits, closures_complete = lc.common(lc.walked)
@@ -339,15 +329,15 @@ def test_conjecture_C_uniform(ctx: MonoidContext, a: Multifraction) -> Verdict:
     except CapExceeded:  # the witnesses still decide
         tame = None
     evidence = {
-        "right_reducts": len(rg.nodes),
+        "right_reducts": len(reducts),
         "witnesses": sorted(format_multifraction(ctx, w) for w in witnesses),
         "red_tame": None if tame is None else format_multifraction(ctx, tame),
         "red_tame_is_witness": tame in witnesses,
         "latest_common_ancestors": sorted(format_multifraction(ctx, x) for x in lca),
         "lca_is_witness": any(x in witnesses for x in lca),
     }
-    if not rg.complete:  # a right reduct behind an undecided move goes unchecked
-        evidence["incomplete_right_edges"] = len(rg.inconclusive)
+    if undecided:  # a right reduct behind an undecided move goes unchecked
+        evidence["incomplete_right_edges"] = undecided
         return Verdict("inconclusive", evidence)
     if witnesses:
         return Verdict("confirmed", evidence)
@@ -457,7 +447,7 @@ def check_depth4_equivalences(ctx: MonoidContext, a: Multifraction) -> dict:
 # 3-Ore scan, word problem, mixed cycle
 
 
-def three_ore_scan(ctx: MonoidContext, max_len: int, side: Side = Side.RIGHT) -> dict:
+def three_ore_scan(ctx: MonoidContext, max_len: int, side: Side = RIGHT) -> dict:
     """Bounded scan for triples violating the 3-Ore condition: pairwise
     common multiples but no global one.
 
@@ -541,12 +531,12 @@ def mixed_cycle_probe(ctx: MonoidContext, iterations: int = 3) -> dict:
     el = ctx.element
     start = Multifraction(1, (IDENTITY, el("a"), el("bc"), IDENTITY))
     seq = [
-        (Side.LEFT, 2, "b"),
-        (Side.RIGHT, 3, "a"),
-        (Side.LEFT, 2, "c"),
-        (Side.RIGHT, 3, "b"),
-        (Side.LEFT, 2, "a"),
-        (Side.RIGHT, 3, "c"),
+        (LEFT, 2, "b"),
+        (RIGHT, 3, "a"),
+        (LEFT, 2, "c"),
+        (RIGHT, 3, "b"),
+        (LEFT, 2, "a"),
+        (RIGHT, 3, "c"),
     ]
     outer_left = el("bacbac")
     outer_right = el("acbacb")
@@ -805,7 +795,7 @@ def dump_counterexample(ctx: MonoidContext, record: dict, directory: str) -> lis
     with open(stem + ".json", "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
     try:
-        graph = reduct_graph(ctx, parse_multifraction(ctx, record["input"]), Side.LEFT)
+        graph = reduct_graph(ctx, parse_multifraction(ctx, record["input"]), LEFT)
     except CapExceeded as e:
         print(f"counterexample graph not dumped: {e}", file=sys.stderr)
         return [stem + ".json"]

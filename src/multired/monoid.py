@@ -54,6 +54,14 @@ product by its side; `divides(x, a, side)` is the q with
 attach(q, x, side) == a, and the lcm m of a and b is
 attach(a, compB, side) == attach(b, compA, side).
 
+`Side` is the public enum, whose values name the sides in JSON and on
+the command line.  Inside the package the sides are read as this
+module's names LEFT and RIGHT, and a memo kept per side is indexed by
+`side is LEFT`: reading a member off the enum class, and hashing a
+member, both run in Python, and the move enumeration of `reduction`
+does both once per move tried.  A test keeps every function reading the
+module names.
+
 Everything is cached in a MonoidContext.  Caches are pure-function memos
 (same key, same value), so concurrent reads plus idempotent concurrent
 inserts are safe; build the basic tables before sharing a context across
@@ -115,7 +123,12 @@ class Side(Enum):
 
     @property
     def other(self) -> "Side":
-        return Side.RIGHT if self is Side.LEFT else Side.LEFT
+        return RIGHT if self is LEFT else LEFT
+
+
+# the sides as module names, which every function of the package reads
+# (see the module docstring)
+LEFT, RIGHT = Side.LEFT, Side.RIGHT
 
 
 class Element(NamedTuple):
@@ -218,21 +231,21 @@ class MonoidContext:
         self.caps = caps or Caps()
         self._atoms = tuple(Element((i,)) for i in range(pres.n_atoms))
         self._canon: dict[Word, Element] = {(): IDENTITY}
-        # the atom-quotient tables, one dict per side keyed by the word and
-        # indexed by `side is Side.LEFT`: every level of every enumerated
-        # node looks one up, and neither a key tuple nor an enum hash (in
-        # Python) is built for it
+        # the per-side memos below that a hot path reads are indexed by
+        # `side is LEFT`, not keyed by the Side, whose hash runs in Python.
+        # The atom-quotient tables, one dict per side keyed by the word:
+        # every level of every enumerated node looks one up
         self._quotients: tuple[dict[Word, tuple[Element | None, ...]], ...] = ({}, {})
         self._lcm: dict[tuple[Word, Word, bool], tuple[Element, Element, Element] | None] = {}
         self._divisors: dict[tuple[Word, bool], tuple[Element, ...]] = {}
         self._tables: dict[Side, BasicTable] = {}
         # per side, the reversing table: (x, t) -> (x past t, t past x) | None
-        self._stores: dict[Side, dict[tuple[Word, Word], Reversal]] = {}
+        self._stores: list[dict[tuple[Word, Word], Reversal] | None] = [None, None]
         # per side whose cube check passed, a copy of its store as the check
         # left it
         self._checked: dict[Side, dict[tuple[Word, Word], Reversal]] = {}
         # per side, its store's peeling rows over interned states
-        self._row_index: dict[Side, _Rows] = {}
+        self._row_index: list[_Rows | None] = [None, None]
         self._multiples: dict[tuple[Word, Side], list[set[Element]]] = {}
 
     # ------------------------------------------------------------------
@@ -258,7 +271,7 @@ class MonoidContext:
         no check.  A copy, not the other side's live store: reversing_cap
         counts only the cells a store lacks, so a shared store would let
         one side's reversals change whether the other's overflow."""
-        store = self._stores.get(side)
+        store = self._stores[side is LEFT]
         if store is None:
             store = self._atom_store(side)
             mirror = self._checked.get(side.other)
@@ -267,14 +280,14 @@ class MonoidContext:
             else:
                 self._check_cube(side, store)
                 self._checked[side] = dict(store)
-            self._stores[side] = store
+            self._stores[side is LEFT] = store
         return store
 
     def check_atom_tables(self) -> None:
         """Judge the presentation now: build and check both sides' atom
         tables, raising LatticeViolation if either fails."""
-        self._store(Side.RIGHT)
-        self._store(Side.LEFT)
+        self._store(RIGHT)
+        self._store(LEFT)
 
     def _atom_store(self, side: Side) -> dict[tuple[Word, Word], Reversal]:
         """Complements of atom pairs, read off the relations.
@@ -284,11 +297,11 @@ class MonoidContext:
         images.  A pair no relation covers is left out: `_cell` reads a
         missing atom pair as having no common multiple.
         """
-        verb = "start" if side is Side.RIGHT else "end"
+        verb = "start" if side is RIGHT else "end"
         store: dict[tuple[Word, Word], Reversal] = {}
         for relation in self.pres.relations:
             lhs, rhs = relation
-            if side is Side.LEFT:
+            if side is LEFT:
                 lhs, rhs = lhs[::-1], rhs[::-1]
             u, v = lhs[:1], rhs[:1]
             if u == v or (u, v) in store:  # named only when refused
@@ -403,9 +416,9 @@ class MonoidContext:
     def _rows(self, side: Side) -> _Rows:
         """The peeling rows of a side's reversing store (see `_Rows`),
         built with the store on first use."""
-        rows = self._row_index.get(side)
+        rows = self._row_index[side is LEFT]
         if rows is None:
-            rows = self._row_index[side] = _Rows(self._store(side), self.pres.n_atoms)
+            rows = self._row_index[side is LEFT] = _Rows(self._store(side), self.pres.n_atoms)
         return rows
 
     def _peel(self, rows: _Rows, s: int, w: Word) -> Word | None:
@@ -448,7 +461,7 @@ class MonoidContext:
         """(a past b, b past a): RIGHT b*(a past b) = a*(b past a), LEFT
         (a past b)*b = (b past a)*a, the lcm of a and b."""
         store = self._store(side)
-        if side is Side.RIGHT:
+        if side is RIGHT:
             return self._right_reverse(store, a, b)
         r = self._right_reverse(store, a[::-1], b[::-1])
         return None if r is None else (r[0][::-1], r[1][::-1])
@@ -471,7 +484,7 @@ class MonoidContext:
         for i in word:
             if not 0 <= i < n_atoms:
                 raise MultiredError(f"atom index {i} outside presentation")
-        rows = self._rows(Side.RIGHT)
+        rows = self._rows(RIGHT)
         peeled = []
         rest = word
         while rest not in memo:
@@ -511,7 +524,7 @@ class MonoidContext:
     def attach(self, y: Element, x: Element, side: Side) -> Element:
         """y with x attached on the given side: y*x for RIGHT, x*y for LEFT.
         The one place that orders a product by its side."""
-        return self.multiply(y, x) if side is Side.RIGHT else self.multiply(x, y)
+        return self.multiply(y, x) if side is RIGHT else self.multiply(x, y)
 
     def product(self, items) -> Element:
         out = IDENTITY
@@ -529,7 +542,7 @@ class MonoidContext:
         xw = x.word
         if len(xw) > len(a.word):
             return None
-        for s in xw if side is Side.LEFT else reversed(xw):
+        for s in xw if side is LEFT else reversed(xw):
             a = result_of(self.atom_quotients(a, side)[s])
             if a is None:
                 return None
@@ -556,7 +569,7 @@ class MonoidContext:
         at that atom's turn, and a table holding one is not memoised; when
         the other side's table overflows as it is built, its overflow sits
         in every atom's place."""
-        left = side is Side.LEFT
+        left = side is LEFT
         word = a.word
         tables = self._quotients[left]
         got = tables.get(word)
@@ -621,7 +634,7 @@ class MonoidContext:
         the sorted words of each level are the (length, word) order.  A
         quotient table holding an overflow raises it at that atom's turn.
         """
-        left = side is Side.LEFT
+        left = side is LEFT
         key = (a.word, left)
         got = self._divisors.get(key)
         if got is not None:
@@ -755,7 +768,7 @@ class MonoidContext:
         checked once, when the lcm is memoised: the two products must be
         one element, else InternalInvariantError.
         """
-        key = (a.word, b.word, side is Side.LEFT)
+        key = (a.word, b.word, side is LEFT)
         got = self._lcm.get(key, _MISSING)
         if got is not _MISSING:
             return got
@@ -821,9 +834,9 @@ class MonoidContext:
     def elements_up_to(self, max_length: int) -> list[Element]:
         """All elements of length <= max_length, ordered by (length, word):
         the right multiples of 1 up to that length."""
-        levels = self.multiples(IDENTITY, max_length, Side.RIGHT)
+        levels = self.multiples(IDENTITY, max_length, RIGHT)
         return sorted(set().union(*levels), key=Element.sort_key)
 
     def basic_bound_C(self) -> int:
         """1 + max length over basic elements (either side)."""
-        return max(self.basic_table(Side.RIGHT).C, self.basic_table(Side.LEFT).C)
+        return max(self.basic_table(RIGHT).C, self.basic_table(LEFT).C)

@@ -16,14 +16,15 @@ hash is hash((first_sign, entries)), on which set and dict iteration order
 depend.  The tuple is there for hashing and equality only: no code
 treats a multifraction as a sequence (its depth is `depth`, its entries
 `entries`).  The constructor refuses a first sign other than +1 or -1
-with a ValueError, also under `python -O`.
+with a ValueError, also under `python -O`; `with_entries` takes the sign
+of a multifraction already built.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .monoid import IDENTITY, Element, MonoidContext, MultiredError, Side
+from .monoid import IDENTITY, LEFT, RIGHT, Element, MonoidContext, MultiredError, Side
 from .presentation import PresentationError, format_word, parse_word
 
 # a signed letter is (atom index, +1 | -1)
@@ -79,12 +80,11 @@ class Multifraction(_Fields):
         """Signed length sum; a nonzero weight certifies non-unitality."""
         return sum(self.sign(i) * e.length for i, e in enumerate(self.entries, 1))
 
-    def replace_entries(self, *changes: tuple[int, Element]) -> "Multifraction":
-        """A copy with entry i set to x for each (i, x) given, in order."""
-        entries = list(self.entries)
-        for i, x in changes:
-            entries[i - 1] = x
-        return Multifraction(self.first_sign, tuple(entries))
+    def with_entries(self, entries: tuple[Element, ...]) -> "Multifraction":
+        """A multifraction with this one's first sign and the given entries,
+        as a move builds its reduct.  The sign was checked when this one
+        was built, so it is not checked again."""
+        return tuple.__new__(Multifraction, (self.first_sign, entries))
 
 
 EMPTY = Multifraction(1, ())
@@ -94,7 +94,7 @@ def due_side(a: Multifraction, i: int) -> Side:
     """Division side at level i: RIGHT when i is positive in a, that is
     when i is odd and a starts positive or i is even and a starts
     negative.  i is not range-checked: every caller has checked it."""
-    return Side.RIGHT if (a.first_sign > 0) == (i % 2 == 1) else Side.LEFT
+    return RIGHT if (a.first_sign > 0) == (i % 2 == 1) else LEFT
 
 
 def unit(p: int) -> Multifraction:

@@ -15,6 +15,9 @@ moves this module provides:
     universal level sequence u(n) = (1..n-1) ++ u(n-2);
   * strategy-driven exhaustive reduction (`reduce_left`, `reduce_right`),
     atomic reduct graphs with DOT/JSON export, and the tower step bound;
+  * the right walk of the Cunif tester (`right_roots`): the breadth-first
+    search of `reduct_graph` on the right, keeping the node index and the
+    roots of the left closure walk instead of edges;
   * left reduct closures of many roots at once (`left_closures`): left
     reduct graphs are acyclic, so one post-order walk of their shared
     graph gives every node its closure as an int bitset, the union of
@@ -39,18 +42,22 @@ it memoises it, and raises InternalInvariantError (also under `python
 -O`) when one fails: an atom quotient when its `atom_quotients` row is
 built (a multi-letter `divides` quotient is built from such rows), an lcm
 when it is first reversed.  An applied move only places those checked
-values; the one product it forms is the deposit.
+values; the one product it forms is the deposit.  The entries it changes
+are adjacent, so it builds its reduct as one slice of the parent's
+entries, with the parent's checked sign (`Multifraction.with_entries`).
 
 How the atomic moves of a node are found: an atomic move R(i,s) applies
 only when the atom s divides entry i+1 on the due side and has a common
 multiple with entry i (mirrored for R~), so `_level_moves` reads, once per
 level, the `MonoidContext.atom_quotients` table of the entry divided (both
-entries' for a truncated division rule) and takes lcms only for the
-atoms in it; `_atomic_moves` walks the levels in strategy order.  An
-attempt that overflows a cap is a value in that stream, its CapExceeded
-at its atom's turn: `_reduce` raises it through `result_of`,
-`reduct_graph` records it as an inconclusive edge and `left_closures`
-counts it against its node.
+entries' for a truncated division rule), takes lcms only for the atoms in
+it, and returns one list of every atom's attempt at that level;
+`_atomic_moves` walks the levels in strategy order and passes on the
+attempts that applied or overflowed.  An attempt that overflows a cap is
+a value in that stream, its CapExceeded at its atom's turn: `_reduce`
+raises it through `result_of`, `reduct_graph` records it as an
+inconclusive edge, `right_roots` counts it as undecided and
+`left_closures` counts it against its node.
 
 The single-move API: a Move's kind is its Side.  `_apply` holds the
 geometry of one move on either side: the level range check, the level
@@ -80,8 +87,10 @@ from .monoid import (
     GraphNodeCapExceeded,
     IDENTITY,
     InternalInvariantError,
+    LEFT,
     MonoidContext,
     MultiredError,
+    RIGHT,
     Side,
     result_of,
 )
@@ -100,7 +109,7 @@ class Move(NamedTuple):
     x: Element
 
     def label(self, ctx: MonoidContext) -> str:
-        sym = "R" if self.kind is Side.LEFT else "R̃"
+        sym = "R" if self.kind is LEFT else "R̃"
         return f"{sym}({self.level},{ctx.word_str(self.x)})"
 
     def to_json(self, ctx: MonoidContext) -> dict:
@@ -128,7 +137,7 @@ def _frame(side: Side, i: int) -> tuple[int, int, int]:
     and deposits in entry i-1; R~(i,x) divides entry i-1 at level i-1 and
     deposits in entry i+1.  A dst outside 1..depth is the truncated rule,
     the division D(level,x)."""
-    return (i, i + 1, i - 1) if side is Side.LEFT else (i - 1, i - 1, i + 1)
+    return (i, i + 1, i - 1) if side is LEFT else (i - 1, i - 1, i + 1)
 
 
 def _push(
@@ -150,7 +159,9 @@ def _push(
     Nothing is multiplied back: q, with x attached on `side`, is entry
     src by the checks of `atom_quotients`, and comp, with x attached on
     `side`, is entry i with xp attached on `lcm_side` by the check of
-    `lcm`.  The deposit is the one product formed."""
+    `lcm`.  The deposit is the one product formed.  The three entries
+    changed, src, i and dst, are i-1, i and i+1 in some order, so the
+    reduct is one slice of a's entries with them in it."""
     lcm_side = side.other
     entries = a.entries
     r = ctx.lcm(x, entries[i - 1], lcm_side)
@@ -158,7 +169,8 @@ def _push(
         return None
     _, xp, comp = r  # comp with x attached on `side` = entry i with xp on `lcm_side`
     deposit = ctx.attach(entries[dst - 1], xp, lcm_side)
-    return a.replace_entries((src, q), (i, comp), (dst, deposit))
+    three = (deposit, comp, q) if src > dst else (q, comp, deposit)
+    return a.with_entries(entries[: i - 2] + three + entries[i + 1 :])
 
 
 def _apply(ctx: MonoidContext, a: Multifraction, side: Side, i: int, x: Element) -> Multifraction | None:
@@ -169,7 +181,7 @@ def _apply(ctx: MonoidContext, a: Multifraction, side: Side, i: int, x: Element)
     D(1,x) and D(depth-1,x).  Cap overflow from the underlying lcm
     propagates (the move's applicability is then unknown)."""
     n = len(a.entries)
-    top = n - 1 if side is Side.LEFT else n
+    top = n - 1 if side is LEFT else n
     if not 1 <= i <= top:
         raise ValueError(f"{side.value} reduction level {i} outside 1..{top}")
     if not x.word:
@@ -186,12 +198,12 @@ def _apply(ctx: MonoidContext, a: Multifraction, side: Side, i: int, x: Element)
 
 def apply_left(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> Multifraction | None:
     """a . R(i,x), or None when the rule does not apply (see `_apply`)."""
-    return _apply(ctx, a, Side.LEFT, i, x)
+    return _apply(ctx, a, LEFT, i, x)
 
 
 def apply_right(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> Multifraction | None:
     """a . R~(i,x), or None when the rule does not apply (see `_apply`)."""
-    return _apply(ctx, a, Side.RIGHT, i, x)
+    return _apply(ctx, a, RIGHT, i, x)
 
 
 def apply_division(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> Multifraction | None:
@@ -210,7 +222,7 @@ def apply_division(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> 
     if qj is None:
         return None
     # qi and qj are divides quotients, built from checked atom quotients
-    return a.replace_entries((i, qi), (i + 1, qj))
+    return a.with_entries(entries[: i - 1] + (qi, qj) + entries[i + 1 :])
 
 
 def is_division(move: Move, a: Multifraction, b: Multifraction) -> bool:
@@ -224,7 +236,7 @@ def is_division(move: Move, a: Multifraction, b: Multifraction) -> bool:
 
 
 def apply_move(ctx: MonoidContext, a: Multifraction, move: Move) -> Multifraction | None:
-    apply = apply_left if move.kind is Side.LEFT else apply_right
+    apply = apply_left if move.kind is LEFT else apply_right
     return apply(ctx, a, move.level, move.x)
 
 
@@ -262,7 +274,7 @@ def reducers(ctx: MonoidContext, a: Multifraction, i: int, filter: str = "all") 
     if filter not in REDUCER_FILTERS:
         raise ValueError(f"unknown filter {filter!r}")
     if filter == "atomic":
-        moves = _level_moves(ctx, a, Side.LEFT, i, ctx.atoms())
+        moves = _level_moves(ctx, a, LEFT, i, ctx.atoms())
         return tuple(s for s, b in moves if result_of(b) is not None)
     side = due_side(a, i)
     lcm_side = side.other
@@ -358,7 +370,7 @@ def red_tame(
     for i in universal_sequence(a.depth):
         g = greatest_tame_reducer(ctx, b, i)
         if collect is not None:
-            collect.append(Move(Side.LEFT, i, g))
+            collect.append(Move(LEFT, i, g))
         if g.is_identity:
             continue
         nxt = apply_left(ctx, b, i, g)
@@ -388,9 +400,9 @@ def red_tame_fixpoint(ctx: MonoidContext, a: Multifraction):
 
 def _level_moves(ctx: MonoidContext, a: Multifraction, side: Side, i: int, atoms):
     """Try the atomic moves R(i,s) (LEFT) or R~(i,s) (RIGHT) of a for each
-    atom s of `atoms`, in that order, yielding (s, outcome) for every one:
-    the reduct, None when the move does not apply, or the CapExceeded of
-    an attempt that overflowed a cap.
+    atom s of `atoms`, in that order: a list of (s, outcome), one for every
+    atom, where the outcome is the reduct, None when the move does not
+    apply, or the CapExceeded of an attempt that overflowed a cap.
 
     The level divided, the entry divided and the deposit entry are
     `_frame`'s, as in `_apply`.  Whether s applies is read off the
@@ -405,6 +417,7 @@ def _level_moves(ctx: MonoidContext, a: Multifraction, side: Side, i: int, atoms
     due = due_side(a, level)
     if 0 < dst <= len(entries):
         quotients = ctx.atom_quotients(entries[src - 1], due)
+        moves = []
         for s in atoms:
             b = quotients[s.word[0]]
             if isinstance(b, Element):
@@ -412,10 +425,11 @@ def _level_moves(ctx: MonoidContext, a: Multifraction, side: Side, i: int, atoms
                     b = _push(ctx, a, i, s, b, src, dst, due)
                 except CapExceeded as e:
                     b = e
-            yield s, b
-        return
+            moves.append((s, b))
+        return moves
     lower = ctx.atom_quotients(entries[level - 1], due)
     upper = None  # read only once an atom divides the lower entry
+    moves = []
     for s in atoms:
         b = lower[s.word[0]]
         if isinstance(b, Element):
@@ -423,10 +437,11 @@ def _level_moves(ctx: MonoidContext, a: Multifraction, side: Side, i: int, atoms
                 upper = ctx.atom_quotients(entries[level], due)
             qj = upper[s.word[0]]
             if isinstance(qj, Element):
-                b = a.replace_entries((level, b), (level + 1, qj))
+                b = a.with_entries(entries[: level - 1] + (b, qj) + entries[level + 1 :])
             else:
                 b = qj
-        yield s, b
+        moves.append((s, b))
+    return moves
 
 
 def _atomic_moves(ctx, a, side: Side, strategy: str = "low_lex"):
@@ -442,7 +457,7 @@ def _atomic_moves(ctx, a, side: Side, strategy: str = "low_lex"):
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    levels = range(1, a.depth) if side is Side.LEFT else range(2, a.depth + 1)
+    levels = range(1, a.depth) if side is LEFT else range(2, a.depth + 1)
     if strategy.startswith("high"):
         levels = levels[::-1]
     atoms = ctx.atoms()
@@ -466,7 +481,7 @@ def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> 
     """
     # a right reduction sequence from a is a left reduction sequence of the
     # same length from inverse(a), so both sides share the tower bound
-    bounded = a if side is Side.LEFT else inverse(a)
+    bounded = a if side is LEFT else inverse(a)
     cleared = _tower(2 if ctx.atoms() else 1, [e.length for e in bounded.entries], sys.maxsize)
     moves: list[Move] = []
     cur = a
@@ -488,12 +503,12 @@ def reduce_left(ctx: MonoidContext, a: Multifraction, strategy: str = "low_lex")
     Terminates by noetherianity; the number of steps is checked against
     the tower bound (a violation is an internal error).
     """
-    return _reduce(ctx, a, strategy, Side.LEFT)
+    return _reduce(ctx, a, strategy, LEFT)
 
 
 def reduce_right(ctx: MonoidContext, a: Multifraction, strategy: str = "low_lex") -> ReductionTrace:
     """The mirror image of reduce_left: exhaust atomic right reductions."""
-    return _reduce(ctx, a, strategy, Side.RIGHT)
+    return _reduce(ctx, a, strategy, RIGHT)
 
 
 def is_prime(ctx: MonoidContext, a: Multifraction) -> bool:
@@ -530,9 +545,6 @@ class ReductGraph:
             if k not in has_out and k not in unsure
         ]
 
-    def contains(self, a: Multifraction) -> bool:
-        return a in self.index
-
     def to_dot(self, ctx: MonoidContext) -> str:
         def fmt(mf):
             return format_multifraction(ctx, mf) or "()"
@@ -563,7 +575,7 @@ class ReductGraph:
         }
 
 
-def reduct_graph(ctx: MonoidContext, a: Multifraction, side: Side = Side.LEFT) -> ReductGraph:
+def reduct_graph(ctx: MonoidContext, a: Multifraction, side: Side = LEFT) -> ReductGraph:
     """Exhaustive closure of a under the atomic moves of one side, by a
     breadth-first search from a.
 
@@ -588,6 +600,45 @@ def reduct_graph(ctx: MonoidContext, a: Multifraction, side: Side = Side.LEFT) -
                 g.nodes.append(b)
             g.edges.append((src, Move(side, i, s), g.index[b]))
     return g
+
+
+def right_roots(ctx: MonoidContext, a: Multifraction):
+    """The right reducts of a and the roots of its left closure walk, by
+    the breadth-first walk of `reduct_graph(ctx, a, RIGHT)` keeping no
+    edges: (index, roots, undecided).
+
+    index numbers the reducts as the graph's index does.  roots holds a
+    and every reduct with no division move out (see `is_division`), in
+    that order.  A division r -> r' is a left reduction too, so the left
+    closure of r' lies in that of r, and r changes no intersection of
+    closures; divisions shorten entries, so every chain of them ends at a
+    root kept.  a is kept for its own closure.  undecided counts the move
+    attempts that overflowed a cap, the graph's inconclusive edges.
+    Raises GraphNodeCapExceeded where `reduct_graph` does, with its
+    message."""
+    cap = ctx.caps.graph_node_cap
+    nodes = [a]
+    index = {a: 0}
+    roots = []
+    undecided = 0
+    for cur in nodes:  # the node list is the queue
+        entries = cur.entries
+        divided = False
+        for i, _, b in _atomic_moves(ctx, cur, RIGHT):
+            if isinstance(b, CapExceeded):
+                undecided += 1
+                continue
+            # R~(i,x) deposits in entry i+1: a division is the truncated
+            # rule at i = depth, or a move that leaves that entry unchanged
+            divided = divided or i == len(entries) or entries[i] == b.entries[i]
+            if b not in index:
+                if len(nodes) >= cap:
+                    raise GraphNodeCapExceeded(f"reduct graph exceeded {cap} nodes")
+                index[b] = len(nodes)
+                nodes.append(b)
+        if cur is a or not divided:
+            roots.append(cur)
+    return index, roots, undecided
 
 
 @dataclass
@@ -687,7 +738,7 @@ def left_closures(ctx: MonoidContext, roots, targets=()) -> LeftClosures:
 
     def expand(node):
         # (reducts, overflowed attempts) of one node
-        outcomes = [b for _, _, b in _atomic_moves(ctx, node, Side.LEFT)]
+        outcomes = [b for _, _, b in _atomic_moves(ctx, node, LEFT)]
         reducts = [b for b in outcomes if not isinstance(b, CapExceeded)]
         return reducts, len(outcomes) - len(reducts)
 

@@ -21,7 +21,7 @@ from .monoid import (
     InternalInvariantError,
     MonoidContext,
     MultiredError,
-    Side,
+    RIGHT,
 )
 from .multifraction import Multifraction, format_multifraction
 from .harness import has_central_cross
@@ -253,7 +253,7 @@ def _annulus(builder, ctx, c, segment, outer_names, outer_ids, ring):
     for k in range(2, m - 2):
         Xk = centers[k - 1]
         side = due_side(c, k)
-        flip = side is Side.RIGHT
+        flip = side is RIGHT
         e_xk, e_ck1, e_ckk, e_cmp, new_shared, e_dk = (
             builder.edge(v, u, label) if flip else builder.edge(u, v, label)
             for u, v, label in (

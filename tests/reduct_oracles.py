@@ -1,7 +1,8 @@
 """Reduction questions the tests ask of the package and the package does
 not ask itself: a zigzag of maximal steps between two reducts, the
-composed moves of a trace, the cross-confluence of one pair, and the
-unique-fraction probe.  Each is built on the package's moves, graphs and
+composed moves of a trace, the cross-confluence of one pair, the
+unique-fraction probe, and the witness roots of a right reduct graph read
+off its edges.  Each is built on the package's moves, graphs and
 closures, as the tests that use it are.
 """
 
@@ -61,7 +62,7 @@ def connect_by_maximal_zigzag(
     if budget <= 0:
         return None
     graph = red.reduct_graph(ctx, source, Side.LEFT)
-    if not (graph.contains(b) and graph.contains(c)):
+    if not (b in graph.index and c in graph.index):
         raise ValueError("endpoints are not reducts of the given source")
     # undirected adjacency by maximal steps among the reducts
     adj: dict[Multifraction, list[tuple[Multifraction, str, Move]]] = {
@@ -121,6 +122,15 @@ def cross_confluence_pair(
             {"b_nodes": lc.closure_of(b).bit_count(), "c_nodes": lc.closure_of(c).bit_count()},
         )
     return Verdict("inconclusive", {})
+
+
+def witness_roots(rg: red.ReductGraph) -> list[Multifraction]:
+    """The root of a right reduct graph and its nodes with no division
+    edge out, in node order, read off the graph's edges: the oracle of
+    the roots `red.right_roots` finds without keeping edges."""
+    nodes = rg.nodes
+    divided = {s for s, move, d in rg.edges if red.is_division(move, nodes[s], nodes[d])}
+    return [r for k, r in enumerate(nodes) if k == 0 or k not in divided]
 
 
 def unique_fraction_probe(

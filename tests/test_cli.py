@@ -1,6 +1,8 @@
 import json
 import os
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -568,3 +570,41 @@ def test_conjecture_output_byte_identical(capsys):
     payload = json.loads(out1)
     assert "millis" not in payload
     assert all("millis" not in rec for rec in payload["records"])
+
+
+@pytest.mark.parametrize("argv, caps, code", [
+    (["conjecture", "A", "--preset", "A2tilde", "--trials", "50", "--format", "json"], "", EXIT_OK),
+    (["graph", "--preset", "A2tilde", "--dot", "1/c/aba"], "", EXIT_OK),
+    (["conjecture", "Cunif", "--preset", "A2tilde", "--length", "16", "--trials", "20",
+      "--seed", "1"], "reversing_cap=4", EXIT_INCONCLUSIVE),
+], ids=["campaign", "dot", "inconclusive"])
+def test_closed_pipe_ends_output_not_command(capsys, monkeypatch, argv, caps, code):
+    # stdout is a pipe whose reader is gone (`multired ... | head`), so
+    # each write to it raises BrokenPipeError: the rest of the output is
+    # dropped with nothing on stderr, and the exit code is the command's
+    monkeypatch.setenv("MULTIRED_CAPS", caps)
+    reader, writer = os.pipe()
+    os.close(reader)
+    with open(writer, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        with pytest.raises(BrokenPipeError):
+            os.write(stdout.fileno(), b"x")
+        assert main(argv) == code
+        print("later output is dropped too")
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_leaves_no_noise_at_exit():
+    # in a process of its own, the flush of stdout at exit meets the
+    # closed pipe as well; the reader is gone before the first write
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "multired.cli", "reduce", "--preset", "A2tilde", "ac/ca/ba"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == EXIT_OK
+    assert err == b""

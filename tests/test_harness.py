@@ -28,7 +28,7 @@ from multired.presentation import preset
 from multired import harness as H
 from multired import reduction as red
 from overflows import overflow_left_moves
-from reduct_oracles import cross_confluence_pair, unique_fraction_probe
+from reduct_oracles import cross_confluence_pair, unique_fraction_probe, witness_roots
 from signed_walks import gen_unital_brownian, replay_walk
 from test_campaign_golden import PRESETS as GOLDEN_PRESETS
 from test_reduction import DIVISION_PRESETS, seeded_graphs
@@ -194,7 +194,7 @@ def test_cunif_witness_roots_match_all_roots(name, overflow):
 
     left_out = incomplete = 0
     for rg in seeded_graphs(ctx, Side.RIGHT):
-        roots = H._witness_roots(rg)
+        roots = witness_roots(rg)
         assert roots[0] == rg.root and set(roots) <= set(rg.nodes)
         truth = red.left_closures(ctx, rg.nodes)
         true_witnesses = set(truth.members(truth.common(rg.nodes)[0]))
@@ -258,7 +258,7 @@ def test_cunif_search_matches_all_closures(name, overflow):
             true_bits, true_complete = truth.common(rg.nodes)
             assert true_complete
             true_witnesses = set(truth.members(true_bits))
-            roots = H._witness_roots(rg)
+            roots = witness_roots(rg)
             expanded = []
 
             def counted(c, node, side, strategy="low_lex"):
@@ -303,6 +303,60 @@ def test_cunif_search_matches_all_closures(name, overflow):
                 left_out += 1
             inputs += 1
     assert inputs >= 6 and left_out > 0
+
+
+# the depths and lengths of the overflow and depth-6 Cunif campaigns of
+# the golden file
+RIGHT_WALK_SHAPES = ((4, 16), (6, 18))
+
+
+@pytest.mark.parametrize("reversing_cap", [Caps().reversing_cap, 4])
+@pytest.mark.parametrize("name", GOLDEN_PRESETS)
+def test_right_roots_match_reduct_graph(name, reversing_cap):
+    # the right walk that keeps no edges numbers the nodes of the right
+    # reduct graph as the graph does, keeps the roots read off its edges,
+    # in node order, and counts its inconclusive edges, also where right
+    # moves overflow (reversing_cap=4); past graph_node_cap both raise the
+    # same message.  The inputs are drawn under the default caps, and each
+    # walk has a context of its own, so that it meets the memos the other
+    # does
+    inputs = MonoidContext(preset(name))
+    caps = Caps(reversing_cap=reversing_cap, graph_node_cap=ORACLE_CAP)
+    graphs, walks = (MonoidContext(preset(name), caps) for _ in range(2))
+    fits = undecided = 0
+    for depth, length in RIGHT_WALK_SHAPES:
+        for k in range(4):
+            a = H.gen_multifraction(inputs, depth, max(1, length // depth), H.derive_seed(1, k))
+            try:
+                rg = red.reduct_graph(graphs, a, Side.RIGHT)
+            except GraphNodeCapExceeded as e:
+                with pytest.raises(GraphNodeCapExceeded) as raised:
+                    red.right_roots(walks, a)
+                assert str(raised.value) == str(e)
+                continue
+            index, roots, count = red.right_roots(walks, a)
+            assert index == rg.index and list(index) == rg.nodes
+            assert roots == witness_roots(rg)
+            assert count == len(rg.inconclusive)
+            fits += 1
+            undecided += count
+    assert fits >= 4
+    assert (undecided > 0) == (reversing_cap == 4)
+
+
+def test_right_roots_node_cap(att):
+    # the walk raises where reduct_graph does: on the first node past the cap
+    a = mf(att, "a/bac/bb/aca")
+    n = len(red.reduct_graph(att, a, Side.RIGHT).nodes)
+    for cap in (1, n - 1, n):
+        small = MonoidContext(preset("A2tilde"), Caps(graph_node_cap=cap))
+        if cap < n:
+            for walk in (red.right_roots, lambda c, a: red.reduct_graph(c, a, Side.RIGHT)):
+                with pytest.raises(GraphNodeCapExceeded) as raised:
+                    walk(small, a)
+                assert str(raised.value) == f"reduct graph exceeded {cap} nodes"
+        else:
+            assert len(red.right_roots(small, a)[0]) == n
 
 
 def test_cunif_redundancy_search_node_cap(att):
@@ -353,9 +407,9 @@ def test_cunif_node_cap_fires_on_walked_closures(att, cap, rescued, inconclusive
             assert {**rec, "millis": 0} == {**want, "millis": 0}
             a = mf(att, want["input"])
             rg = red.reduct_graph(att, a, Side.RIGHT)
-            walked = red.left_closures(att, H._witness_roots(rg), rg.index).walked
+            walked = red.left_closures(att, witness_roots(rg), rg.index).walked
             assert fits(a, Side.RIGHT) and all(fits(r) for r in walked)
-            if not all(fits(r) for r in H._witness_roots(rg)):
+            if not all(fits(r) for r in witness_roots(rg)):
                 found.append(k)
         else:
             assert rec["verdict"] == "inconclusive"
@@ -511,7 +565,7 @@ def test_local_cross_confluence_witness(att):
                     moves.append(b)
         for b in moves[:3]:
             g = red.reduct_graph(att, b, Side.LEFT)
-            assert g.contains(d)
+            assert d in g.index
             checked += 1
 
 
@@ -522,7 +576,7 @@ def test_depth23_semiconvergence(att):
         b = H.gen_element(att, rng.randint(0, 3), rng.randrange(10**9))
         two = Multifraction(1, (a, b))
         graph = red.reduct_graph(att, two, Side.LEFT)
-        assert graph.contains(unit(2)) == (a == b)
+        assert (unit(2) in graph.index) == (a == b)
         three = Multifraction(1, (a, att.multiply(b, a), b))
         assert red.reduce_left(att, three).end == unit(3)
 

@@ -10,18 +10,52 @@ from multired.multifraction import format_multifraction
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
-def test_no_assert_in_package():
-    # python -O strips asserts, so a check the package relies on is a raise
-    found = []
+def _package_trees():
+    """(file name, syntax tree) of each module of the package."""
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "multired", "*.py"))):
         with open(path) as fh:
-            tree = ast.parse(fh.read(), path)
-        found += [
-            f"{os.path.basename(path)}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Assert)
-        ]
+            yield os.path.basename(path), ast.parse(fh.read(), path)
+
+
+def test_no_assert_in_package():
+    # python -O strips asserts, so a check the package relies on is a raise
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
     assert found == []
+
+
+def test_functions_read_sides_as_module_names():
+    # a function reads the sides as monoid's LEFT and RIGHT: Side.LEFT,
+    # read off the Enum class, costs about 20 times a module name, on
+    # paths that run once per move tried
+    def side_member(node):
+        if not (isinstance(node, ast.Attribute) and node.attr in ("LEFT", "RIGHT")):
+            return False
+        owner = node.value
+        return (isinstance(owner, ast.Name) and owner.id == "Side") or (
+            isinstance(owner, ast.Attribute) and owner.attr == "Side"
+        )
+
+    found = set()
+    for name, tree in _package_trees():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = fn.body
+            elif isinstance(fn, ast.Lambda):
+                body = [fn.body]
+            else:
+                continue
+            found |= {
+                f"{name}:{node.lineno}"
+                for stmt in body
+                for node in ast.walk(stmt)
+                if side_member(node)
+            }
+    assert found == set()
 
 
 def test_readme_library_block():
