@@ -48,31 +48,33 @@ entries, with the parent's checked sign (`Multifraction.with_entries`).
 
 How the atomic moves of a node are found: an atomic move R(i,s) applies
 only when the atom s divides entry i+1 on the due side and has a common
-multiple with entry i (mirrored for R~), so `_level_moves` reads, once per
-level, the `MonoidContext.atom_quotients` table of the entry divided (both
+multiple with entry i (mirrored for R~), so `_moves` reads, once per
+level, the `MonoidContext.atom_quotients` row of the entry divided (both
 entries' for a truncated division rule), takes lcms only for the atoms in
-it, and returns one list of every atom's attempt at that level;
-`_atomic_moves` walks the levels in strategy order and passes on the
-attempts that applied or overflowed.  An attempt that overflows a cap is
-a value in that stream, its CapExceeded at its atom's turn: `_reduce`
-raises it through `result_of`, `reduct_graph` records it as an
-inconclusive edge, `right_roots` counts it as undecided and
-`left_closures` counts it against its node.
+it, and returns one flat list of the attempts that applied or overflowed
+at the levels it is given.  `reduct_graph`, `right_roots` and the
+`left_closures` walk ask it once per node for every level of their side
+(`_levels`); `_atomic_moves` asks it one level at a time in strategy
+order, for `_reduce`.  An attempt that overflows a cap is a value in that
+list, its CapExceeded at its atom's place: `_reduce` raises it through
+`result_of`, `reduct_graph` records it as an inconclusive edge,
+`right_roots` counts it as undecided and `left_closures` counts it
+against its node.
 
 The single-move API: a Move's kind is its Side.  `_apply` holds the
 geometry of one move on either side: the level range check, the level
-map `_frame` (shared with `_level_moves`, `is_division` and
+map `_frame` (shared with `_moves`, `is_division` and
 `ReductGraph.to_dot`), the truncated rule and the push.  It tests one
 given x with `MonoidContext.divides` instead of reading a level's atoms
-off one table, so it is an oracle independent of the level enumeration
-in `_level_moves`, though not of the arithmetic: `divides` is built on
-the same `atom_quotients` tables, and both build a push with `_push`.
+off one row, so it is an oracle independent of the level enumeration
+in `_moves`, though not of the arithmetic: `divides` is built on the
+same `atom_quotients` tables, and both build a push with `_push`.
 `apply_left` and `apply_right` are one call into it each, `apply_move`
 dispatches on the kind, `apply_division` is D(i,x), and `is_division`
 tells whether an applied move was a division.  Tests inject
-overflows by wrapping the module attributes `_level_moves` (every
-enumerated attempt) and `apply_left` (single left moves, as `red_tame`
-and `apply_move` make them), looked up by name at call time.
+overflows by wrapping the module attributes `_moves` (every enumerated
+attempt) and `apply_left` (single left moves, as `red_tame` and
+`apply_move` make them), looked up by name at call time.
 """
 
 from __future__ import annotations
@@ -274,8 +276,10 @@ def reducers(ctx: MonoidContext, a: Multifraction, i: int, filter: str = "all") 
     if filter not in REDUCER_FILTERS:
         raise ValueError(f"unknown filter {filter!r}")
     if filter == "atomic":
-        moves = _level_moves(ctx, a, LEFT, i, ctx.atoms())
-        return tuple(s for s, b in moves if result_of(b) is not None)
+        moves = _moves(ctx, a, LEFT, (i,))
+        for _, _, b in moves:
+            result_of(b)  # an overflowed attempt raises
+        return tuple(s for _, s, _ in moves)
     side = due_side(a, i)
     lcm_side = side.other
     if i == 1:
@@ -398,49 +402,68 @@ def red_tame_fixpoint(ctx: MonoidContext, a: Multifraction):
 # strategies and exhaustive reduction
 
 
-def _level_moves(ctx: MonoidContext, a: Multifraction, side: Side, i: int, atoms):
-    """Try the atomic moves R(i,s) (LEFT) or R~(i,s) (RIGHT) of a for each
-    atom s of `atoms`, in that order: a list of (s, outcome), one for every
-    atom, where the outcome is the reduct, None when the move does not
-    apply, or the CapExceeded of an attempt that overflowed a cap.
+def _levels(a: Multifraction, side: Side) -> range:
+    """The levels of a's atomic moves on one side, low to high: 1..depth-1
+    on the left, 2..depth on the right (right level 1 never applies)."""
+    return range(1, a.depth) if side is LEFT else range(2, a.depth + 1)
+
+
+def _moves(ctx: MonoidContext, a: Multifraction, side: Side, levels) -> list:
+    """The atomic moves R(i,s) (LEFT) or R~(i,s) (RIGHT) of a at the given
+    levels that applied or overflowed, as one list of (level, atom,
+    outcome): the reduct, or the CapExceeded of an attempt that
+    overflowed a cap.  Levels come in the order given, and atoms in atom
+    order within a level.  An atom that does not divide, or whose lcm
+    does not exist, gives no entry.
 
     The level divided, the entry divided and the deposit entry are
     `_frame`'s, as in `_apply`.  Whether s applies is read off the
-    `atom_quotients` table of the entry divided, and the lcm is taken only
+    `atom_quotients` row of the entry divided, and the lcm is taken only
     for an atom in it.  The truncated rules, D(1,s) at left level 1 and
-    D(depth-1,s) at right level depth, read the tables of both entries
-    they divide, and put the two checked quotients in place.  A push is
-    built by `_push`, the core of `_apply`.
+    D(depth-1,s) at right level depth, read the rows of both entries
+    they divide, the upper one only once an atom divides the lower, and
+    put the two checked quotients in place.  A push is built by `_push`,
+    the core of `_apply`.
     """
     entries = a.entries
-    level, src, dst = _frame(side, i)
-    due = due_side(a, level)
-    if 0 < dst <= len(entries):
-        quotients = ctx.atom_quotients(entries[src - 1], due)
-        moves = []
-        for s in atoms:
-            b = quotients[s.word[0]]
-            if isinstance(b, Element):
-                try:
-                    b = _push(ctx, a, i, s, b, src, dst, due)
-                except CapExceeded as e:
-                    b = e
-            moves.append((s, b))
-        return moves
-    lower = ctx.atom_quotients(entries[level - 1], due)
-    upper = None  # read only once an atom divides the lower entry
+    n = len(entries)
+    atoms = ctx.atoms()
     moves = []
-    for s in atoms:
-        b = lower[s.word[0]]
-        if isinstance(b, Element):
-            if upper is None:
-                upper = ctx.atom_quotients(entries[level], due)
-            qj = upper[s.word[0]]
-            if isinstance(qj, Element):
-                b = a.with_entries(entries[: level - 1] + (b, qj) + entries[level + 1 :])
+    for i in levels:
+        level, src, dst = _frame(side, i)
+        due = due_side(a, level)
+        if 0 < dst <= n:
+            for t, q in enumerate(ctx.atom_quotients(entries[src - 1], due)):
+                if q is None:
+                    continue
+                if isinstance(q, Element):
+                    try:
+                        b = _push(ctx, a, i, atoms[t], q, src, dst, due)
+                    except CapExceeded as e:
+                        b = e
+                    if b is None:
+                        continue
+                else:
+                    b = q  # the row's overflow
+                moves.append((i, atoms[t], b))
+            continue
+        upper = None  # read only once an atom divides the lower entry
+        for t, q in enumerate(ctx.atom_quotients(entries[level - 1], due)):
+            if q is None:
+                continue
+            if isinstance(q, Element):
+                if upper is None:
+                    upper = ctx.atom_quotients(entries[level], due)
+                qj = upper[t]
+                if qj is None:
+                    continue
+                if isinstance(qj, Element):
+                    b = a.with_entries(entries[: level - 1] + (q, qj) + entries[level + 1 :])
+                else:
+                    b = qj  # the upper row's overflow
             else:
-                b = qj
-        moves.append((s, b))
+                b = q  # the lower row's overflow
+            moves.append((i, atoms[t], b))
     return moves
 
 
@@ -449,24 +472,21 @@ def _atomic_moves(ctx, a, side: Side, strategy: str = "low_lex"):
     strategy order, as (level, atom, outcome): the reduct, or the
     CapExceeded of an attempt that overflowed a cap.
 
-    This is the one place that maps a side to its levels (1..depth-1 on
-    the left, 2..depth on the right); `_level_moves` tries the atoms of
-    one level, and is looked up by module-global name at call time, so a
-    wrapper installed on the module attribute (the tests inject overflows
-    so) sees every attempt.
+    It asks `_moves` for one level at a time, so that `_reduce` stops at
+    the first level with a move, and reverses that level's list for the
+    antilex strategies.  `_moves` is looked up by module-global name at
+    call time, so a wrapper installed on the module attribute (the tests
+    inject overflows so) sees every attempt.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    levels = range(1, a.depth) if side is LEFT else range(2, a.depth + 1)
+    levels = _levels(a, side)
     if strategy.startswith("high"):
         levels = levels[::-1]
-    atoms = ctx.atoms()
-    if strategy.endswith("antilex"):
-        atoms = atoms[::-1]
+    antilex = strategy.endswith("antilex")
     for i in levels:
-        for s, b in _level_moves(ctx, a, side, i, atoms):
-            if b is not None:
-                yield i, s, b
+        moves = _moves(ctx, a, side, (i,))
+        yield from reversed(moves) if antilex else moves
 
 
 def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> ReductionTrace:
@@ -588,8 +608,9 @@ def reduct_graph(ctx: MonoidContext, a: Multifraction, side: Side = LEFT) -> Red
     g = ReductGraph(root=a, side=side)
     g.nodes.append(a)
     g.index[a] = 0
+    levels = _levels(a, side)
     for src, cur in enumerate(g.nodes):  # the node list is the queue
-        for i, s, b in _atomic_moves(ctx, cur, side):
+        for i, s, b in _moves(ctx, cur, side, levels):
             if isinstance(b, CapExceeded):
                 g.inconclusive.append((src, i, s, str(b)))
                 continue
@@ -614,17 +635,19 @@ def right_roots(ctx: MonoidContext, a: Multifraction):
     closures; divisions shorten entries, so every chain of them ends at a
     root kept.  a is kept for its own closure.  undecided counts the move
     attempts that overflowed a cap, the graph's inconclusive edges.
-    Raises GraphNodeCapExceeded where `reduct_graph` does, with its
-    message."""
+    Like `reduct_graph`, it asks `_moves` once per node for every right
+    level.  Raises GraphNodeCapExceeded where `reduct_graph` does, with
+    its message."""
     cap = ctx.caps.graph_node_cap
     nodes = [a]
     index = {a: 0}
     roots = []
     undecided = 0
+    levels = _levels(a, RIGHT)
     for cur in nodes:  # the node list is the queue
         entries = cur.entries
         divided = False
-        for i, _, b in _atomic_moves(ctx, cur, RIGHT):
+        for i, _, b in _moves(ctx, cur, RIGHT, levels):
             if isinstance(b, CapExceeded):
                 undecided += 1
                 continue
@@ -738,7 +761,7 @@ def left_closures(ctx: MonoidContext, roots, targets=()) -> LeftClosures:
 
     def expand(node):
         # (reducts, overflowed attempts) of one node
-        outcomes = [b for _, _, b in _atomic_moves(ctx, node, LEFT)]
+        outcomes = [b for _, _, b in _moves(ctx, node, LEFT, _levels(node, LEFT))]
         reducts = [b for b in outcomes if not isinstance(b, CapExceeded)]
         return reducts, len(outcomes) - len(reducts)
 

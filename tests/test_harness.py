@@ -241,7 +241,6 @@ def test_cunif_search_matches_all_closures(name, overflow):
     # counterexample needs those closures complete
     ctx = MonoidContext(preset(name), Caps(graph_node_cap=ORACLE_CAP))
     x = ctx.atoms()[min(2, ctx.pres.n_atoms - 1)]
-    atomic_moves = red._atomic_moves
 
     def overflowing(a, i, y, b):
         return i == 2 and (overflow == "every" or y == x and b is not None)
@@ -260,16 +259,17 @@ def test_cunif_search_matches_all_closures(name, overflow):
             true_witnesses = set(truth.members(true_bits))
             roots = witness_roots(rg)
             expanded = []
-
-            def counted(c, node, side, strategy="low_lex"):
-                expanded.append(node)
-                return atomic_moves(c, node, side, strategy)
-
             with pytest.MonkeyPatch.context() as mp:
                 if overflow != "plain":
                     overflow_left_moves(mp, overflowing)
                 v = H.test_conjecture_C_uniform(ctx, a)
-                mp.setattr(red, "_atomic_moves", counted)
+                moves = red._moves  # with the overflows, if any
+
+                def counted(c, node, side, levels):
+                    expanded.append(node)
+                    return moves(c, node, side, levels)
+
+                mp.setattr(red, "_moves", counted)
                 lc = red.left_closures(ctx, roots, rg.index)
             # each node's moves are found once, by the search or the walk
             assert len(expanded) == len(set(expanded)) and set(lc.nodes) <= set(expanded)
@@ -1100,15 +1100,17 @@ def test_depth4_graph_past_its_cap_keeps_the_report():
 def _overflow_right_moves(monkeypatch, when):
     """Overflow the right move attempts of a whose outcome b is a reduct,
     when when(a, i, x, b) holds."""
-    level_moves = red._level_moves
+    moves = red._moves
 
-    def overflowing(ctx, a, side, i, atoms):
-        for s, b in level_moves(ctx, a, side, i, atoms):
-            if side is Side.RIGHT and isinstance(b, Multifraction) and when(a, i, s, b):
-                b = ReversingCapExceeded("reversing exceeded 0 cell fills")
-            yield s, b
+    def overflowing(ctx, a, side, levels):
+        return [
+            (i, s, ReversingCapExceeded("reversing exceeded 0 cell fills"))
+            if side is Side.RIGHT and isinstance(b, Multifraction) and when(a, i, s, b)
+            else (i, s, b)
+            for i, s, b in moves(ctx, a, side, levels)
+        ]
 
-    monkeypatch.setattr(red, "_level_moves", overflowing)
+    monkeypatch.setattr(red, "_moves", overflowing)
 
 
 def test_cunif_incomplete_right_graph_inconclusive(att, monkeypatch):

@@ -554,13 +554,16 @@ def probe_moves(ctx, a, side, strategy):
                 yield i, s, b
 
 
+def with_messages(moves):
+    """A (level, atom, outcome) stream as a list, each overflow as its
+    message."""
+    return [(i, s, str(b) if isinstance(b, CapExceeded) else b) for i, s, b in moves]
+
+
 def enumerate_moves(moves_fn, ctx, a, side, strategy):
     """The (level, atom, outcome) list of one enumeration, each overflow
     as its message."""
-    return [
-        (i, s, str(b) if isinstance(b, CapExceeded) else b)
-        for i, s, b in moves_fn(ctx, a, side, strategy)
-    ]
+    return with_messages(moves_fn(ctx, a, side, strategy))
 
 
 @pytest.mark.parametrize("reversing_cap", [None, 1, 2, 3])
@@ -593,6 +596,86 @@ def test_atomic_moves_match_probe_oracle(name, reversing_cap):
         assert applied > 0 and overflowed == 0
     else:
         assert overflowed > 0
+
+
+@pytest.mark.parametrize("reversing_cap", [None, 1, 2, 3])
+@pytest.mark.parametrize("name", GOLDEN_PRESETS)
+def test_moves_match_probe_oracle(name, reversing_cap):
+    # _moves over every level of a side, low to high and high to low, is
+    # the low_lex and the high_lex stream that probing every (level, atom)
+    # pair finds, each overflow at its place, on both first signs.  As in
+    # test_atomic_moves_match_probe_oracle, the two run in contexts of
+    # their own, and under caps 1-3 some presets overflow every attempt
+    caps = Caps() if reversing_cap is None else Caps(reversing_cap=reversing_cap)
+    fast, probe = MonoidContext(preset(name), caps), MonoidContext(preset(name), caps)
+    inputs = MonoidContext(preset(name))
+    applied = overflowed = 0
+    for depth in range(3, 7):
+        for seed in range(3):
+            entries = gen_multifraction(inputs, depth, 4, 100 * depth + seed).entries
+            for a in (Multifraction(1, entries), Multifraction(-1, entries)):
+                for side in Side:
+                    levels = range(1, depth) if side is Side.LEFT else range(2, depth + 1)
+                    for order, strategy in ((levels, "low_lex"), (levels[::-1], "high_lex")):
+                        got = with_messages(red._moves(fast, a, side, order))
+                        want = enumerate_moves(probe_moves, probe, a, side, strategy)
+                        assert got == want, (fmt(inputs, a), side, strategy)
+                        overflows = sum(isinstance(b, str) for _, _, b in want)
+                        applied += len(want) - overflows
+                        overflowed += overflows
+    if reversing_cap is None:
+        assert applied > 0 and overflowed == 0
+    else:
+        assert overflowed > 0
+
+
+def probe_graph(ctx, a, side):
+    """The nodes in order, the edges and the inconclusive edges of a's
+    reduct graph on one side, by a breadth-first search over the
+    low_lex stream of `probe_moves`."""
+    nodes, index, edges, inconclusive = [a], {a: 0}, [], []
+    for src, cur in enumerate(nodes):
+        for i, s, b in probe_moves(ctx, cur, side, "low_lex"):
+            if isinstance(b, CapExceeded):
+                inconclusive.append((src, i, s, str(b)))
+                continue
+            if b not in index:
+                index[b] = len(nodes)
+                nodes.append(b)
+            edges.append((src, red.Move(side, i, s), index[b]))
+    return nodes, edges, inconclusive
+
+
+@pytest.mark.parametrize("reversing_cap", [None, 1, 3])
+@pytest.mark.parametrize("name", GOLDEN_PRESETS)
+def test_reduct_graph_matches_probe_bfs(name, reversing_cap):
+    # reduct_graph is the breadth-first search over the moves that probing
+    # finds: the same nodes in the same order, the same edges and the same
+    # inconclusive edges, on seeded depth-3 to depth-5 inputs of both
+    # first signs, on both sides, in contexts of their own.  Every capped
+    # run overflows some attempt but free(2)'s at cap 3.  No graph here
+    # passes 2,500 nodes; the node cap stops a wrong move enumeration
+    # whose graph grows without end before the search with no cap runs
+    caps = Caps(graph_node_cap=5000)
+    if reversing_cap is not None:
+        caps = Caps(reversing_cap=reversing_cap, graph_node_cap=5000)
+    fast, probe = MonoidContext(preset(name), caps), MonoidContext(preset(name), caps)
+    inputs = MonoidContext(preset(name))
+    edges = inconclusive = 0
+    for depth in range(3, 6):
+        for seed in range(2):
+            entries = gen_multifraction(inputs, depth, 3, 10 * depth + seed).entries
+            for a in (Multifraction(1, entries), Multifraction(-1, entries)):
+                for side in Side:
+                    g = red.reduct_graph(fast, a, side)
+                    want = probe_graph(probe, a, side)
+                    assert (g.nodes, g.edges, g.inconclusive) == want, (fmt(inputs, a), side)
+                    edges += len(g.edges)
+                    inconclusive += len(g.inconclusive)
+    if reversing_cap is None:
+        assert edges > 0 and inconclusive == 0
+    else:
+        assert inconclusive > 0 or (name, reversing_cap) == ("free(2)", 3)
 
 
 def latest_common_ancestors_oracle(graph, targets):
