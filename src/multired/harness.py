@@ -152,7 +152,7 @@ def validate_certificate(ctx: MonoidContext, a: Multifraction, cert: UnitalCerti
 
 def gen_element(ctx: MonoidContext, length: int, seed: int) -> Element:
     rng = random.Random(seed)
-    word = tuple(rng.randrange(ctx.pres.n_atoms) for _ in range(length))
+    word = "".join(chr(rng.randrange(ctx.pres.n_atoms)) for _ in range(length))
     e = ctx.canonical(word)
     if e.length != length:
         raise InternalInvariantError(

@@ -40,6 +40,17 @@ is a brute-force search kept for the tests to cross-check `lcm` against;
 nothing in the package calls it.  The breadth-first search it rests on,
 `multiples`, also lists the elements up to a length (`elements_up_to`).
 
+A word is a str whose k-th character has the code point of its k-th
+atom's index (`Word`), so a presentation has at most sys.maxunicode + 1
+atoms (`presentation.validate`).  A str caches its hash and concatenates,
+slices and compares in C: every memo keyed by words (the canonical memo,
+the quotient tables, the lcm and divisor memos) hashes a word once, and a
+product is one concatenation.  Code-point order is index order, so a
+word's (length, word) order is that of its index sequence.  A str's hash
+is salted per process: the hashes of Element and Multifraction, and the
+iteration order of a set or dict of them, differ from one process to the
+next, and no output rests on them.
+
 A cap overflow is a CapExceeded and nothing else: raised by the
 computation that overflows, or held as a value where outcomes are kept
 for the caller to raise or report at their turn (`result_of`).  So an lcm
@@ -78,7 +89,8 @@ from typing import NamedTuple
 
 from .presentation import Presentation, format_word, parse_word, validate
 
-Word = tuple[int, ...]
+# the k-th character of a word has the code point of its k-th atom's index
+Word = str
 # (a past b, b past a), or None when a and b have no common multiple
 Reversal = tuple[Word, Word] | None
 
@@ -135,8 +147,9 @@ class Element(NamedTuple):
     """A monoid element, by its least word.  A tuple type so that it hashes
     and compares in C, as every memo, graph and closure key does; the
     tuple is for hashing and equality only, and no code treats an element
-    as a sequence.  Its hash is hash((word,)), on which set and dict
-    iteration order depend."""
+    as a sequence.  Its hash is hash((word,)), which a str word makes
+    differ from one process to the next, and so does the iteration order
+    of a set or dict of elements; no output rests on it."""
 
     word: Word
 
@@ -152,7 +165,7 @@ class Element(NamedTuple):
         return (len(self.word), self.word)
 
 
-IDENTITY = Element(())
+IDENTITY = Element("")
 
 
 @dataclass(frozen=True)
@@ -174,10 +187,6 @@ class BasicTable:
     @property
     def C(self) -> int:
         return 1 + max(b.length for b in self.basics)
-
-
-def _concat(words) -> Word:
-    return tuple(itertools.chain.from_iterable(words))
 
 
 def result_of(outcome):
@@ -206,7 +215,7 @@ class _Rows:
 
     def __init__(self, store: dict[tuple[Word, Word], Reversal], n_atoms: int):
         self.store, self.n_atoms = store, n_atoms
-        self.words: list[Word] = [(s,) for s in range(n_atoms)]
+        self.words: list[Word] = [chr(s) for s in range(n_atoms)]
         self.ids: dict[Word, int] = {w: s for s, w in enumerate(self.words)}
         self.next: list[list] = [[_MISSING] * n_atoms for _ in self.words]
         self._lock = threading.Lock()  # an id is handed out once
@@ -229,8 +238,8 @@ class MonoidContext:
     def __init__(self, pres: Presentation, caps: Caps | None = None):
         self.pres = validate(pres)
         self.caps = caps or Caps()
-        self._atoms = tuple(Element((i,)) for i in range(pres.n_atoms))
-        self._canon: dict[Word, Element] = {(): IDENTITY}
+        self._atoms = tuple(Element(chr(i)) for i in range(pres.n_atoms))
+        self._canon: dict[Word, Element] = {"": IDENTITY}
         # the per-side memos below that a hot path reads are indexed by
         # `side is LEFT`, not keyed by the Side, whose hash runs in Python.
         # The atom-quotient tables, one dict per side keyed by the word:
@@ -344,19 +353,19 @@ class MonoidContext:
             r = self._right_reverse(store, x, y)
             return None if r is None else r[1]
 
-        n = self.pres.n_atoms
-        for r, s in itertools.combinations(range(n), 2):
-            if store.get(((r,), (s,))) is None:
+        atoms = [chr(i) for i in range(self.pres.n_atoms)]
+        for r, s in itertools.combinations(atoms, 2):
+            if store.get((r, s)) is None:
                 continue
-            for t in range(n):
+            for t in atoms:
                 if t == r or t == s:
                     continue
-                one = under(under((r,), (s,)), under((r,), (t,)))
-                two = under(under((s,), (r,)), under((s,), (t,)))
+                one = under(under(r, s), under(r, t))
+                two = under(under(s, r), under(s, t))
                 if (one is None) != (two is None) or (
-                    one is not None and self._right_reverse(store, one, two) != ((), ())
+                    one is not None and self._right_reverse(store, one, two) != ("", "")
                 ):
-                    names = ", ".join(format_word(self.pres, (x,)) for x in (r, s, t))
+                    names = ", ".join(format_word(self.pres, x) for x in (r, s, t))
                     raise LatticeViolation(
                         f"cube condition fails on atoms ({names}) for the {side.value} "
                         "complement: word reversing is incomplete; add the relations "
@@ -371,10 +380,9 @@ class MonoidContext:
         if stack is None:
             stack = set()
         cells, cap = 0, self.caps.reversing_cap
-        top = [(t,) for t in b]
+        top = list(b)
         ends = []
-        for s in a:
-            x = (s,)
+        for x in a:
             for j, t in enumerate(top):
                 cells += 1
                 if cells > cap:
@@ -384,7 +392,7 @@ class MonoidContext:
                     return None
                 x, top[j] = r
             ends.append(x)
-        return _concat(ends), _concat(top)
+        return "".join(ends), "".join(top)
 
     def _cell(self, store, x: Word, t: Word, stack: set) -> Reversal:
         """One grid cell: (x past t, t past x) from the table, or reversed
@@ -398,7 +406,7 @@ class MonoidContext:
         if not x or not t:
             return x, t
         if x == t:
-            return (), ()
+            return "", ""
         got = store.get((x, t), _MISSING)
         if got is _MISSING:
             if len(x) == len(t) == 1 or (x, t) in stack or (t, x) in stack:
@@ -433,9 +441,7 @@ class MonoidContext:
         cap = self.caps.reversing_cap
         nxt = rows.next
         x, out = s, []
-        for j, t in enumerate(w):
-            if j >= cap:
-                raise ReversingCapExceeded(f"reversing exceeded {cap} cell fills")
+        for t in map(ord, w[:cap]):
             r = nxt[x][t]
             if r is _MISSING:
                 r = self._fill(rows, x, t)
@@ -444,13 +450,15 @@ class MonoidContext:
             x, c = r
             out.append(c)
             if x < 0:
-                return _concat(out) + w[j + 1 :]
+                return "".join(out) + w[len(out) :]
+        if len(w) > cap:
+            raise ReversingCapExceeded(f"reversing exceeded {cap} cell fills")
         return None
 
     def _fill(self, rows: _Rows, x: int, t: int) -> tuple[int, Word] | None:
         """The transition of state x by atom t, read off the store's cell,
         or reversed by `_cell` and stored there when the store lacks it."""
-        r = self._cell(rows.store, rows.words[x], (t,), set())
+        r = self._cell(rows.store, rows.words[x], chr(t), set())
         if r is not None:
             rest, c = r
             r = (rows.intern(rest), c)
@@ -481,24 +489,25 @@ class MonoidContext:
         if cached is not None:
             return cached
         n_atoms = self.pres.n_atoms
-        for i in word:
-            if not 0 <= i < n_atoms:
-                raise MultiredError(f"atom index {i} outside presentation")
+        if word and ord(max(word)) >= n_atoms:
+            i = next(i for i in map(ord, word) if i >= n_atoms)
+            raise MultiredError(f"atom index {i} outside presentation")
         rows = self._rows(RIGHT)
         peeled = []
         rest = word
         while rest not in memo:
-            for s in range(rest[0]):
+            first = ord(rest[0])
+            for s in range(first):
                 q = self._peel(rows, s, rest)
                 if q is not None:
                     break
             else:
-                s, q = rest[0], rest[1:]
+                s, q = first, rest[1:]
             peeled.append((rest, s))
             rest = q
         elem = memo[rest]
         for w, s in reversed(peeled):
-            least = (s,) + elem.word
+            least = chr(s) + elem.word
             elem = memo.get(least)
             if elem is None:
                 elem = memo[least] = Element(least)
@@ -542,7 +551,7 @@ class MonoidContext:
         xw = x.word
         if len(xw) > len(a.word):
             return None
-        for s in xw if side is LEFT else reversed(xw):
+        for s in map(ord, xw if side is LEFT else reversed(xw)):
             a = result_of(self.atom_quotients(a, side)[s])
             if a is None:
                 return None
@@ -583,7 +592,7 @@ class MonoidContext:
         except CapExceeded as e:
             return (e,) * n
         w = word if left else word[::-1]
-        first = w[0]
+        first = ord(w[0])
         memo = self._canon
         out, complete = [None] * n, True
         for s in range(first if left else 0, n):
@@ -618,9 +627,10 @@ class MonoidContext:
         A search over cofactors, one level per divisor length: the
         cofactor of a divisor d is the r with attach(r, d, side) == a, and
         each level maps its cofactors to the least words of their
-        divisors.  An atom t that side-divides r, with quotient q, makes
-        the word w of d one letter longer, w + (t,) on the LEFT and
-        (t,) + w on the RIGHT, a word of the divisor whose cofactor is q.
+        divisors.  An atom that side-divides r, with quotient q, makes the
+        word w of d one letter longer, w + t on the LEFT and t + w on the
+        RIGHT for the atom's letter t, a word of the divisor whose cofactor
+        is q.
 
         Of the candidates for one q the least is that divisor's canonical
         word.  The monoid is homogeneous, so all words of an element have
@@ -641,16 +651,17 @@ class MonoidContext:
             return got
         memo = self._canon
         found = [IDENTITY]
-        level: dict[Element, Word] = {a: ()}
+        level: dict[Element, Word] = {a: ""}
         while level:
             nxt: dict[Element, Word] = {}
             for r, w in level.items():
-                for t, q in enumerate(self.atom_quotients(r, side)):
+                for atom, q in zip(self._atoms, self.atom_quotients(r, side)):
                     if q is None:
                         continue
                     if isinstance(q, CapExceeded):
                         raise q
-                    cand = w + (t,) if left else (t,) + w
+                    t = atom.word
+                    cand = w + t if left else t + w
                     least = nxt.get(q)
                     if least is None or cand < least:
                         nxt[q] = cand
@@ -680,17 +691,17 @@ class MonoidContext:
         peeled = []
         while True:
             qb_all = None
-            for s, qa in zip(self._atoms, self.atom_quotients(a, side)):
+            for s, qa in enumerate(self.atom_quotients(a, side)):
                 if result_of(qa) is None:
                     continue
                 if qb_all is None:
                     qb_all = self.atom_quotients(b, side)
-                qb = result_of(qb_all[s.word[0]])
+                qb = result_of(qb_all[s])
                 if qb is not None:
                     break
             else:
                 break
-            peeled.append(s)
+            peeled.append(self._atoms[s])
             a, b = qa, qb
         g = IDENTITY
         for s in reversed(peeled):

@@ -12,8 +12,10 @@ to them.
 
 A Multifraction is the tuple (first_sign, entries), so that it hashes and
 compares in C: it is the key of every reduct graph and closure index.  Its
-hash is hash((first_sign, entries)), on which set and dict iteration order
-depend.  The tuple is there for hashing and equality only: no code
+hash is hash((first_sign, entries)).  An entry's hash is that of its word,
+a str, salted per process, so the hash and the iteration order of a set or
+dict of multifractions differ from one process to the next; no output
+rests on them.  The tuple is there for hashing and equality only: no code
 treats a multifraction as a sequence (its depth is `depth`, its entries
 `entries`).  The constructor refuses a first sign other than +1 or -1
 with a ValueError, also under `python -O`; `with_entries` takes the sign
@@ -132,7 +134,7 @@ def from_signed_word(ctx: MonoidContext, w: SignedWord) -> Multifraction:
     multifractions)."""
     out = unit(1)
     for atom, sign in w:
-        out = product(ctx, out, Multifraction(sign, (ctx.canonical((atom,)),)))
+        out = product(ctx, out, Multifraction(sign, (ctx.canonical(chr(atom)),)))
     return out
 
 

@@ -11,11 +11,14 @@ alone: it refuses a presentation that is not at its first element, with
 a LatticeViolation naming the relation.
 
 An atom is its name.  Atom order is declaration order, and an atom's
-index, which words are spelled in, is its position in `atom_names`; that
-order fixes every lexicographic tie-break downstream, so parsing is fully
-deterministic.  `format_word` spells an index by position and
-`parse_word` reads a name through the one name-to-index map cached on the
-presentation (`index_of`), so each reads back what the other writes.
+index is its position in `atom_names`.  A word is a str spelled in
+indices: its k-th character has the code point of its k-th atom's index,
+so there are at most MAX_ATOMS atoms, one per code point.  Index order
+fixes every lexicographic tie-break downstream, and code-point order is
+index order, so parsing is fully deterministic.  `format_word` spells an
+index by position and `parse_word` reads a name through the one
+name-to-index map cached on the presentation (`index_of`), so each reads
+back what the other writes.
 """
 
 from __future__ import annotations
@@ -23,9 +26,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import re
+import sys
 from dataclasses import dataclass, field
 
 FORBIDDEN_NAME_CHARS = set("/^-.")
+# a word spells atom i as the character with code point i
+MAX_ATOMS = sys.maxunicode + 1
 
 
 class PresentationError(Exception):
@@ -48,8 +54,9 @@ class Presentation:
     name: str
     # in declaration order: an atom's index is its position
     atom_names: tuple[str, ...]
-    # each relation is a pair of words, a word being a tuple of atom indices
-    relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    # each relation is a pair of words, a word being a str whose k-th
+    # character has the code point of its k-th atom's index
+    relations: tuple[tuple[str, str], ...]
     # True/False when the preset is known to satisfy / fail the 3-Ore
     # condition (type FC); None when unknown (e.g. parsed from a file).
     fc: bool | None = field(default=None, compare=False)
@@ -71,14 +78,14 @@ class Presentation:
         return names, "" if all(len(n) == 1 for n in names) else "."
 
 
-def format_word(p: Presentation, word: tuple[int, ...]) -> str:
+def format_word(p: Presentation, word: str) -> str:
     if not word:
         return "1"
     names, sep = p._spelling
-    return sep.join([names[i] for i in word])
+    return sep.join([names[ord(c)] for c in word])
 
 
-def parse_word(p: Presentation, text: str) -> tuple[int, ...]:
+def parse_word(p: Presentation, text: str) -> str:
     """Parse a word over the presentation's atom names.
 
     Tokens separated by '.' are individual atom names, so none is empty.
@@ -88,28 +95,30 @@ def parse_word(p: Presentation, text: str) -> tuple[int, ...]:
     """
     text = text.strip()
     if text == "" or text == "1":
-        return ()
+        return ""
     by_name = p.index_of
-    out: list[int] = []
+    out: list[str] = []
     for token in text.split("."):
         if not token:
             raise PresentationError(f"empty atom name in word {text!r}")
         if token in by_name:
-            out.append(by_name[token])
+            out.append(chr(by_name[token]))
             continue
         for ch in token:
             if ch not in by_name:
                 raise PresentationError(f"unknown atom {ch!r} in word {text!r}")
-            out.append(by_name[ch])
-    return tuple(out)
+            out.append(chr(by_name[ch]))
+    return "".join(out)
 
 
 def validate(p: Presentation) -> Presentation:
     """p, when its atom names are usable and its relations homogeneous;
-    raises ValidationFailure otherwise.  A name is unusable when it is
-    empty, holds a space or a character of FORBIDDEN_NAME_CHARS, or is
-    "1", which spells the identity.  Complementedness is left to the atom
-    table of a `MonoidContext`."""
+    raises ValidationFailure otherwise.  There are at most MAX_ATOMS names,
+    one per code point, and a name is unusable when it is empty, holds a
+    space or a character of FORBIDDEN_NAME_CHARS, or is "1", which spells
+    the identity.  Complementedness is left to the atom table of a
+    `MonoidContext`."""
+    _check_atom_count(p.atom_names)
     bad_names = [
         n
         for n in p.atom_names
@@ -124,6 +133,11 @@ def validate(p: Presentation) -> Presentation:
     return p
 
 
+def _check_atom_count(names) -> None:
+    if len(names) > MAX_ATOMS:
+        raise ValidationFailure(f"atom_names: {len(names)} atoms, at most {MAX_ATOMS}")
+
+
 def parse_presentation(text: str, name: str = "parsed") -> Presentation:
     """Parse the line-oriented presentation format.
 
@@ -132,7 +146,7 @@ def parse_presentation(text: str, name: str = "parsed") -> Presentation:
     ValidationFailure from `validate`.
     """
     partial: Presentation | None = None  # the atoms, once their line is read
-    relations: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    relations: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -143,6 +157,7 @@ def parse_presentation(text: str, name: str = "parsed") -> Presentation:
             names = line[len("atoms:"):].split()
             if not names:
                 raise PresentationSyntaxError("empty atom list", lineno, line.index(":"))
+            _check_atom_count(names)  # before a relation spells an atom
             partial = Presentation(name, tuple(names), ())
         elif line.startswith("rel:"):
             if partial is None:
@@ -178,8 +193,8 @@ def _letters(n: int) -> list[str]:
     return [f"s{i}" for i in range(n)]
 
 
-def _braid_word(s: int, t: int, m: int) -> tuple[int, ...]:
-    return tuple(s if k % 2 == 0 else t for k in range(m))
+def _braid_word(s: int, t: int, m: int) -> str:
+    return "".join(chr(s if k % 2 == 0 else t) for k in range(m))
 
 
 def _artin(name: str, n: int, labels, fc: bool) -> Presentation:

@@ -1,4 +1,4 @@
-"""Rewrite-class closure on atom tuples: the reference the tests hold
+"""Rewrite-class closure on words: the reference the tests hold
 `MonoidContext`'s reversing-based canonical forms and divisibility to.
 
 It slices the word at every position for every rule, which is slow but
@@ -8,7 +8,7 @@ obviously right.
 from multired.monoid import Side
 
 
-def tuple_class(pres, word: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+def word_class(pres, word: str) -> frozenset[str]:
     """All words equal to `word` under the relations of `pres`."""
     rules = [rule for lhs, rhs in pres.relations for rule in ((lhs, rhs), (rhs, lhs))]
     seen = {word}
@@ -34,7 +34,7 @@ def divides_scan(ctx, x, a, side):
     if x.length > a.length:
         return None
     k = x.length
-    for w in tuple_class(ctx.pres, a.word):
+    for w in word_class(ctx.pres, a.word):
         if side is Side.LEFT:
             head, tail = w[:k], w[k:]
         else:

@@ -12,27 +12,27 @@ from multired.monoid import (
     InternalInvariantError,
     ReversingCapExceeded,
     Side,
-    _concat,
 )
 
 
 def peel(ctx, store, s, w):
     """The q with s*q = w, or None: one reversing row of s against w over
     `store`, which stops where s is used up."""
-    if w and w[0] == s:
+    x = chr(s)
+    if w and w[0] == x:
         return w[1:]
     cap = ctx.caps.reversing_cap
-    x, stack, out = (s,), set(), []
+    stack, out = set(), []
     for j, t in enumerate(w):
         if j >= cap:
             raise ReversingCapExceeded(f"reversing exceeded {cap} cell fills")
-        r = ctx._cell(store, x, (t,), stack)
+        r = ctx._cell(store, x, t, stack)
         if r is None:
             return None
         x, c = r
         out.append(c)
         if not x:
-            return _concat(out) + w[j + 1:]
+            return "".join(out) + w[j + 1:]
     return None
 
 

@@ -48,12 +48,12 @@ class Step:
     replacement: SignedWord
 
 
-def _inverse_word(word: tuple[int, ...]) -> SignedWord:
-    return tuple((a, -1) for a in reversed(word))
+def _inverse_word(word: str) -> SignedWord:
+    return tuple((ord(a), -1) for a in reversed(word))
 
 
-def _positive(word: tuple[int, ...]) -> SignedWord:
-    return tuple((a, 1) for a in word)
+def _positive(word: str) -> SignedWord:
+    return tuple((ord(a), 1) for a in word)
 
 
 def cancels(w: SignedWord, k: int) -> bool:
@@ -128,9 +128,9 @@ def to_signed_word(a: Multifraction) -> SignedWord:
     for i, e in enumerate(a.entries, 1):
         s = a.sign(i)
         if s > 0:
-            out.extend((atom, 1) for atom in e.word)
+            out.extend((ord(atom), 1) for atom in e.word)
         else:
-            out.extend((atom, -1) for atom in reversed(e.word))
+            out.extend((ord(atom), -1) for atom in reversed(e.word))
     return tuple(out)
 
 

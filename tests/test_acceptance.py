@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from class_oracle import tuple_class
+from class_oracle import word_class
 from multired.monoid import IDENTITY, MonoidContext, Side
 from multired.multifraction import (
     Multifraction,
@@ -31,6 +31,7 @@ from multired.presentation import parse_word, preset
 from multired import harness as H
 from multired import reduction as red
 from multired.vankampen import validate_diagram, van_kampen
+from words import word
 
 
 def mf(ctx, text):
@@ -78,7 +79,7 @@ def _one_letter_apart(ctx, x, word):
     letter position (a substitution, not an insertion or deletion)."""
     return any(
         len(w) == len(word) and sum(p != q for p, q in zip(w, word)) == 1
-        for w in tuple_class(ctx.pres, x.word)
+        for w in word_class(ctx.pres, x.word)
     )
 
 
@@ -95,7 +96,7 @@ def test_criterion_02_second_trace_as_printed(att):
 
     printed = parse_word(att.pres, "ac")
     assert red.apply_left(att, after_first, 3, att.element("ac")) is None
-    assert not any(w[-2:] == printed for w in tuple_class(att.pres, after_first.entry(4).word))
+    assert not any(w[-2:] == printed for w in word_class(att.pres, after_first.entry(4).word))
 
     level3 = red.reducers(att, after_first, 3, "all")
     assert sorted(att.word_str(x) for x in level3) == ["a", "ab", "aba", "b", "ba"]
@@ -367,7 +368,7 @@ def test_criterion_15_lattice_suite(att, braid3, k43, free2):
         for _ in range(90):
             def rand(max_len=3):
                 return ctx.canonical(
-                    tuple(rng.randrange(n_atoms) for _ in range(rng.randint(0, max_len)))
+                    word(*(rng.randrange(n_atoms) for _ in range(rng.randint(0, max_len))))
                 )
 
             a, b, c = rand(), rand(), rand()

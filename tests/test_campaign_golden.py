@@ -5,7 +5,8 @@ dumped as JSON with sorted keys.  The grid runs every conjecture kind on
 every preset below at depth 4, length 8, 6 trials, seed 3; three more
 campaigns pin how cap overflows degrade Cunif trials to inconclusive, and
 two pin Cunif at depth 6 (the campaigns of the CI depth-6 smoke step).  A
-change to the reduction or harness code must leave every digest as it is.
+change to the reduction or harness code must leave every digest as it is,
+under every hash seed.
 
     PYTHONPATH=src python tests/test_campaign_golden.py
 
@@ -19,6 +20,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -93,6 +96,32 @@ def test_campaign_overflow(case):
 @pytest.mark.parametrize("name", DEPTH6)
 def test_campaign_depth6(name):
     assert depth6_digest(name) == _golden()["depth6"][name]
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_digests_do_not_depend_on_the_hash_seed(hash_seed):
+    # a word is a str, whose hash is salted per process, and a Move hashes
+    # its Side by name: the hashes of Element, Multifraction and Move, and
+    # the order of every set of them, change with the hash seed.  A report
+    # does not: one digest of each kind, recomputed in a process of its own
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    code = (
+        "from test_campaign_golden import depth6_digest, grid_digest, overflow_digest\n"
+        "print(grid_digest('A3tilde', 'Cunif'), overflow_digest('graph_node_cap=60'),"
+        " depth6_digest('braid(4)'))"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join([src, tests])}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    golden = _golden()
+    assert run.stdout.split() == [
+        golden["grid"]["Cunif A3tilde"],
+        golden["overflow"]["graph_node_cap=60"],
+        golden["depth6"]["braid(4)"],
+    ]
 
 
 if __name__ == "__main__":

@@ -246,6 +246,16 @@ def test_atom_named_1_refused(capsys, tmp_path):
     assert out == "" and "bad names: ['1']" in err
 
 
+def test_more_atoms_than_code_points_refused(capsys, tmp_path):
+    # a relation over an atom index past sys.maxunicode has no word to
+    # spell it: a usage error, not a traceback
+    n = sys.maxunicode + 2
+    path = tmp_path / "pres.txt"
+    path.write_text("atoms:" + " a" * n + "\nrel: aa = aa\n")
+    assert main(["basics", "--presentation-file", str(path)]) == EXIT_USAGE
+    assert f"atom_names: {n} atoms, at most {n - 1}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text, message", [
     ("atoms: a b c\nrel: ab = bc\nrel: bc = ca\n", "cube condition fails on atoms (a, b, c)"),
     ("atoms: a b\nrel: ab = ab\n", "both sides of ab = ab start with a"),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quotient_oracle
-from class_oracle import divides_scan, tuple_class
+from class_oracle import divides_scan, word_class
 from multired.harness import derive_seed, gen_element
 from multired.monoid import (
     CapExceeded,
@@ -23,10 +23,11 @@ from multired.monoid import (
     Side,
     result_of,
 )
-from multired.presentation import format_word, parse_presentation, preset
+from multired.presentation import format_word, parse_presentation, parse_word, preset
 from test_campaign_golden import PRESETS as GOLDEN_PRESETS
+from words import index_words, word
 
-words = st.lists(st.integers(0, 2), min_size=0, max_size=6).map(tuple)
+words = index_words(3, min_size=0, max_size=6)
 
 
 def test_canonical_examples(att):
@@ -46,29 +47,52 @@ EVERY_PRESET = [
 @given(data=st.data())
 def test_canonical_matches_tuple_closure(preset_name, data):
     pres = preset(preset_name)
-    word = tuple(data.draw(st.lists(st.integers(0, pres.n_atoms - 1), max_size=10)))
+    word = data.draw(index_words(pres.n_atoms, max_size=10))
     ctx = MonoidContext(pres)  # fresh, so that nothing is memoised
-    cls = tuple_class(pres, word)
+    cls = word_class(pres, word)
     x = ctx.canonical(word)
     assert x == Element(min(cls))
     assert all(ctx.canonical(w) == x for w in cls)
 
 
 def test_canonical_refuses_an_unknown_atom(att):
-    for i in (3, -1):
-        with pytest.raises(MultiredError, match=f"^atom index {i} outside presentation$"):
-            att.canonical((0, i))
+    with pytest.raises(MultiredError, match="^atom index 3 outside presentation$"):
+        att.canonical(word(0, 3, 1, 4))
 
 
 def test_atom_limit():
     ctx = MonoidContext(preset("free(257)"))
-    assert ctx.canonical((256, 3, 0)).word == (256, 3, 0)
+    assert ctx.canonical(word(256, 3, 0)).word == word(256, 3, 0)
+
+
+def test_words_order_as_their_index_tuples():
+    # a word's k-th character has the code point of its k-th atom's index,
+    # so words compare as their index tuples, and (length, word) order,
+    # every tie-break's, is theirs; also past 256 atoms, where a byte per
+    # atom would no longer do
+    rng = random.Random(300)
+    tuples = [
+        tuple(rng.randrange(n) for _ in range(rng.randint(0, 6)))
+        for n in (2, 3, 256, 257, 300)
+        for _ in range(100)
+    ]
+    by_word = sorted((Element(word(*t)) for t in tuples), key=Element.sort_key)
+    by_tuple = sorted(tuples, key=lambda t: (len(t), t))
+    assert [e.word for e in by_word] == [word(*t) for t in by_tuple]
+    for t, u in zip(tuples, reversed(tuples)):
+        assert (word(*t) < word(*u)) == (t < u)
+    # each word spells and parses back over atoms named s0.s1 ...
+    pres = preset("free(300)")
+    assert pres.atom_names[299] == "s299"
+    for t in tuples:
+        w = word(*t)
+        assert parse_word(pres, format_word(pres, w)) == w
 
 
 def test_braid5_delta_squared():
     # the Garside square of braid(5) is central
     ctx = MonoidContext(preset("braid(5)"))
-    delta = (0, 1, 0, 2, 1, 0, 3, 2, 1, 0)
+    delta = word(0, 1, 0, 2, 1, 0, 3, 2, 1, 0)
     dd = ctx.canonical(delta + delta)
     assert dd.length == 20
     for s in ctx.atoms():
@@ -101,8 +125,8 @@ def test_divides_examples(att):
     # the scan oracle agrees with the recursive route
     rng = random.Random(0)
     for _ in range(300):
-        x = att.canonical(tuple(rng.randrange(3) for _ in range(rng.randint(0, 3))))
-        y = att.canonical(tuple(rng.randrange(3) for _ in range(rng.randint(0, 5))))
+        x = att.canonical(word(*(rng.randrange(3) for _ in range(rng.randint(0, 3)))))
+        y = att.canonical(word(*(rng.randrange(3) for _ in range(rng.randint(0, 5)))))
         for side in Side:
             assert (att.divides(x, y, side) is None) == (divides_scan(att, x, y, side) is None)
 
@@ -124,7 +148,7 @@ def test_divisors_match_class_prefixes(preset_name):
     ctx, probe = MonoidContext(pres), MonoidContext(pres)
     rng = random.Random(zlib.crc32(preset_name.encode()))
     for a in _random_elements(probe, rng, 30, max_len=7):
-        words = tuple_class(pres, a.word)
+        words = word_class(pres, a.word)
         for side in Side:
             parts = {
                 w[:k] if side is Side.LEFT else w[len(w) - k:]
@@ -224,12 +248,12 @@ def test_divides_quotients_match_scan(preset_name):
     rng = random.Random(zlib.crc32(preset_name.encode()))
     n = pres.n_atoms
     for _ in range(150):
-        w = tuple(rng.randrange(n) for _ in range(rng.randint(2, 7)))
+        w = word(*(rng.randrange(n) for _ in range(rng.randint(2, 7))))
         k = rng.randint(2, len(w))
         a = ctx.canonical(w)
         for side in Side:
             part = w[:k] if side is Side.LEFT else w[len(w) - k:]
-            guess = tuple(rng.randrange(n) for _ in range(rng.randint(2, 4)))
+            guess = word(*(rng.randrange(n) for _ in range(rng.randint(2, 4))))
             true = ctx.canonical(part)
             assert ctx.divides(true, a, side) is not None
             for x in (true, ctx.canonical(guess)):
@@ -263,7 +287,7 @@ def test_atom_quotients_check_each_quotient(monkeypatch, side):
     # is built, by a raise that python -O keeps.  The row of b is peeled on
     # both sides of aba = bab: b is neither its first nor its last letter
     ctx = MonoidContext(preset("A2tilde"))
-    a, b = ctx.element("aba"), ctx.element("b").word[0]
+    a, b = ctx.element("aba"), ord(ctx.element("b").word)
     w = a.word if side is Side.LEFT else a.word[::-1]  # the word peeled
     peel = ctx._peel
 
@@ -351,7 +375,7 @@ def test_created_elements_hold_least_words(preset_name):
             created.extend(q for q in ctx.atom_quotients(a, side) if q is not None)
     assert all(memo[e.word] is e for e in created)
     for w, e in memo.items():
-        cls = tuple_class(pres, w)
+        cls = word_class(pres, w)
         assert e.word in cls and e.word == min(cls), format_word(pres, w)
 
 
@@ -417,12 +441,12 @@ def test_canonical_and_lcm_memo_sizes_count_hits():
     same on a hit."""
     ctx = MonoidContext(preset("braid(4)"))
     assert type(ctx._canon) is dict and type(ctx._lcm) is dict
-    word = (2, 1, 0, 2, 1)
+    w = word(2, 1, 0, 2, 1)
     before = len(ctx._canon)
-    x = ctx.canonical(word)
+    x = ctx.canonical(w)
     grown = len(ctx._canon)
     assert grown > before
-    assert ctx.canonical(word) is x and len(ctx._canon) == grown
+    assert ctx.canonical(w) is x and len(ctx._canon) == grown
     a, b = ctx.element("ab"), ctx.element("cb")
     for side in Side:
         before = len(ctx._lcm)
@@ -432,7 +456,7 @@ def test_canonical_and_lcm_memo_sizes_count_hits():
         assert ctx.lcm(a, b, side) is m
         assert len(ctx._lcm) == before + 1 and len(ctx._canon) == canon
     # flat: a word keys the canonical memo, (word, word, LEFT?) the lcm memo
-    assert all(type(w) is tuple and all(type(i) is int for i in w) for w in ctx._canon)
+    assert all(type(w) is str for w in ctx._canon)
     assert (a.word, b.word, True) in ctx._lcm and (a.word, b.word, False) in ctx._lcm
 
 
@@ -494,7 +518,8 @@ def test_closure_of_complements(att):
 def _random_elements(ctx, rng, count, max_len=4):
     out = []
     for _ in range(count):
-        out.append(ctx.canonical(tuple(rng.randrange(ctx.pres.n_atoms) for _ in range(rng.randint(0, max_len)))))
+        atoms = [rng.randrange(ctx.pres.n_atoms) for _ in range(rng.randint(0, max_len))]
+        out.append(ctx.canonical(word(*atoms)))
     return out
 
 
@@ -546,19 +571,19 @@ def test_peel_matches_full_row(preset_name, side):
     new_rows, old_store = new._rows(side), old._store(side)
 
     def full_row(s, w):
-        if w and w[0] == s:
+        if w and w[0] == chr(s):
             return w[1:]
-        r = old._right_reverse(old_store, (s,), w)
+        r = old._right_reverse(old_store, chr(s), w)
         return r[1] if r is not None and not r[0] else None
 
     rng = random.Random(zlib.crc32(preset_name.encode()))
     inner = 0
     for _ in range(30):
-        w = tuple(rng.randrange(pres.n_atoms) for _ in range(rng.randint(0, 10)))
+        w = word(*(rng.randrange(pres.n_atoms) for _ in range(rng.randint(0, 10))))
         for s in range(pres.n_atoms):
             q = new._peel(new_rows, s, w)
             assert q == full_row(s, w), (s, w)
-            inner += q is not None and w[0] != s
+            inner += q is not None and w[0] != chr(s)
     assert inner or preset_name == "free(2)"  # some rows run past their first cell
 
 
@@ -670,7 +695,7 @@ def elements_up_to_loop(ctx, max_length):
         nxt = []
         for x in level:
             for i in range(ctx.pres.n_atoms):
-                y = ctx.canonical(x.word + (i,))
+                y = ctx.canonical(x.word + word(i))
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -771,17 +796,17 @@ def _check_cube_every_pair(ctx, side, store):
 
     n = ctx.pres.n_atoms
     for r, s in itertools.permutations(range(n), 2):
-        if store.get(((r,), (s,))) is None:
+        if store.get((word(r), word(s))) is None:
             continue
         for t in range(n):
             if t == r or t == s:
                 continue
-            one = under(under((r,), (s,)), under((r,), (t,)))
-            two = under(under((s,), (r,)), under((s,), (t,)))
+            one = under(under(word(r), word(s)), under(word(r), word(t)))
+            two = under(under(word(s), word(r)), under(word(s), word(t)))
             if (one is None) != (two is None) or (
-                one is not None and ctx._right_reverse(store, one, two) != ((), ())
+                one is not None and ctx._right_reverse(store, one, two) != ("", "")
             ):
-                names = ", ".join(format_word(ctx.pres, (x,)) for x in (r, s, t))
+                names = ", ".join(format_word(ctx.pres, word(x)) for x in (r, s, t))
                 raise LatticeViolation(
                     f"cube condition fails on atoms ({names}) for the {side.value} "
                     "complement: word reversing is incomplete; add the relations "

@@ -17,6 +17,7 @@ from multired.multifraction import (
 )
 from multired.presentation import preset
 from signed_walks import to_signed_word, trim_trailing_units
+from words import index_words
 
 _CTX = None
 
@@ -35,10 +36,7 @@ def multifractions(draw):
     if depth == 0:
         return EMPTY
     sign = draw(st.sampled_from((1, -1)))
-    entries = tuple(
-        c.canonical(tuple(draw(st.lists(st.integers(0, 2), max_size=3))))
-        for _ in range(depth)
-    )
+    entries = tuple(c.canonical(draw(index_words(3, max_size=3))) for _ in range(depth))
     return Multifraction(sign, entries)
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from multired.monoid import LatticeViolation, MonoidContext, Side
@@ -14,6 +16,7 @@ from multired.presentation import (
     preset,
     validate,
 )
+from words import word
 
 
 def test_parse_att():
@@ -34,9 +37,9 @@ def test_format_word_spelling():
     x12 = parse_presentation("atoms: x1 x2\nrel: x1.x2.x1 = x2.x1.x2\n")
     mixed = parse_presentation("atoms: a x2\n")
     cases = {
-        abc: {(): "1", (2,): "c", (0, 1, 2, 2): "abcc"},
-        x12: {(): "1", (1,): "x2", (0, 1, 0): "x1.x2.x1"},
-        mixed: {(): "1", (0,): "a", (1, 0, 0): "x2.a.a"},
+        abc: {word(): "1", word(2): "c", word(0, 1, 2, 2): "abcc"},
+        x12: {word(): "1", word(1): "x2", word(0, 1, 0): "x1.x2.x1"},
+        mixed: {word(): "1", word(0): "a", word(1, 0, 0): "x2.a.a"},
     }
     for p, spelled in cases.items():
         for _ in range(2):  # the names are read once, then reused
@@ -74,7 +77,7 @@ def test_validate_names_and_homogeneity():
     assert validate(p) is p
     ab = ("a", "b")
     with pytest.raises(ValidationFailure, match="homogeneous: 1 non-homogeneous"):
-        validate(Presentation("odd", ab, (((0, 1), (1,)),)))
+        validate(Presentation("odd", ab, ((word(0, 1), word(1)),)))
     with pytest.raises(ValidationFailure, match="homogeneous"):
         parse_presentation("atoms: a b\nrel: a = b\n")
     with pytest.raises(ValidationFailure, match="atom_names: duplicates"):
@@ -82,10 +85,26 @@ def test_validate_names_and_homogeneity():
     with pytest.raises(ValidationFailure, match="atom_names: bad names: \\['a/b'\\]"):
         parse_presentation("atoms: a/b c\n")
     # a duplicated pair {a, b} is left to the atom table
-    dup = Presentation("dup", ab, (((0, 1), (1, 0)), ((0, 0, 1), (1, 1, 0))))
+    dup = Presentation("dup", ab, ((word(0, 1), word(1, 0)), (word(0, 0, 1), word(1, 1, 0))))
     assert validate(dup) is dup
     with pytest.raises(LatticeViolation, match="both start with a and b"):
         MonoidContext(dup).basic_table(Side.RIGHT)
+
+
+def test_more_atoms_than_code_points_refused():
+    # a word spells atom i as the character of code point i, so there are
+    # at most sys.maxunicode + 1 atoms.  More are refused before anything
+    # spells a word: the count is judged first, so the names here may all
+    # be one (index_of reads "a" as the last index, past every code point)
+    n = sys.maxunicode + 2
+    message = f"^atom_names: {n} atoms, at most {n - 1}$"
+    many = Presentation("many", ("a",) * n, ())
+    with pytest.raises(ValidationFailure, match=message):
+        validate(many)
+    with pytest.raises(ValidationFailure, match=message):
+        MonoidContext(many)
+    with pytest.raises(ValidationFailure, match=message):
+        parse_presentation("atoms:" + " a" * n + "\nrel: aa = aa\n")
 
 
 def test_atom_named_1_refused():
@@ -102,7 +121,7 @@ def test_atom_named_1_refused():
 def test_context_validates_a_presentation_built_in_code():
     # a Presentation built without parsing is judged when a context takes
     # it: an inhomogeneous relation would leave canonical forms undefined
-    odd = Presentation("odd", ("a", "b"), (((0, 1), (1,)),))
+    odd = Presentation("odd", ("a", "b"), ((word(0, 1), word(1)),))
     with pytest.raises(ValidationFailure, match="homogeneous: 1 non-homogeneous"):
         MonoidContext(odd)
 
@@ -112,7 +131,7 @@ def test_atom_index_is_its_position():
     # through the same position, in any declaration order
     ba = Presentation("ba", ("b", "a"), ())
     assert ba.index_of == {"b": 0, "a": 1} and ba.index_of is ba.index_of
-    assert parse_word(ba, "a") == (1,) and format_word(ba, (1,)) == "a"
+    assert parse_word(ba, "a") == word(1) and format_word(ba, word(1)) == "a"
     ctx = MonoidContext(ba)
     assert [ctx.word_str(ctx.element(w)) for w in ("a", "b", "ab")] == ["a", "b", "ab"]
     # two atoms of one name are refused, also when built in code

@@ -1,9 +1,11 @@
 """The value types Element, Multifraction and Move: tuple types that hash
 and compare in C.
 
-Set and dict iteration order, and so the order of every graph's nodes and
-every campaign's output, rests on their hash values: each is the hash of
-the tuple of its fields.  They are frozen, keep their repr text, and
+Each hash is the hash of the tuple of its fields.  A word is a str and a
+Move's kind a Side, both hashed with the per-process salt, so these hashes,
+and set and dict iteration order, differ from one process to the next; no
+output rests on them (tests/test_campaign_golden.py recomputes digests
+under two hash seeds).  They are frozen, keep their repr text, and
 survive pickling (the campaign pool) and copying.  The tuple is there for
 hashing and equality only: no code treats them as sequences.
 """
@@ -18,8 +20,9 @@ from multired.monoid import IDENTITY, Element, MonoidContext, Side
 from multired.multifraction import EMPTY, Multifraction
 from multired.presentation import preset
 from multired.reduction import Move
+from words import word
 
-WORD = (0, 2, 1)
+WORD = word(0, 2, 1)
 ELEMENT = Element(WORD)
 MULTIFRACTION = Multifraction(-1, (ELEMENT, IDENTITY))
 MOVE = Move(Side.RIGHT, 2, ELEMENT)
@@ -31,7 +34,7 @@ VALUES = {
 
 def test_hash_is_the_hash_of_the_fields():
     assert hash(ELEMENT) == hash((WORD,))
-    assert hash(IDENTITY) == hash(((),))
+    assert hash(IDENTITY) == hash(("",))
     assert hash(MULTIFRACTION) == hash((-1, (ELEMENT, IDENTITY)))
     assert hash(EMPTY) == hash((1, ()))
     assert hash(MOVE) == hash((Side.RIGHT, 2, ELEMENT))
@@ -54,12 +57,14 @@ def test_no_other_attribute_can_be_set(value):
 
 
 def test_repr_text():
-    assert repr(ELEMENT) == "Element(word=(0, 2, 1))"
+    assert repr(ELEMENT) == r"Element(word='\x00\x02\x01')"
     assert repr(MULTIFRACTION) == (
-        "Multifraction(first_sign=-1, entries=(Element(word=(0, 2, 1)), Element(word=())))"
+        r"Multifraction(first_sign=-1, entries=(Element(word='\x00\x02\x01'), Element(word='')))"
     )
     assert repr(EMPTY) == "Multifraction(first_sign=1, entries=())"
-    assert repr(MOVE) == "Move(kind=<Side.RIGHT: 'right'>, level=2, x=Element(word=(0, 2, 1)))"
+    assert repr(MOVE) == (
+        r"Move(kind=<Side.RIGHT: 'right'>, level=2, x=Element(word='\x00\x02\x01'))"
+    )
 
 
 @pytest.mark.parametrize("value", VALUES.values(), ids=VALUES.keys())
