@@ -87,7 +87,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .presentation import Presentation, format_word, parse_word, validate
+from .presentation import Presentation, format_word, not_a_word, parse_word, validate
 
 # the k-th character of a word has the code point of its k-th atom's index
 Word = str
@@ -488,6 +488,8 @@ class MonoidContext:
         cached = memo.get(word)
         if cached is not None:
             return cached
+        if not isinstance(word, str):
+            raise not_a_word(word)
         n_atoms = self.pres.n_atoms
         if word and ord(max(word)) >= n_atoms:
             i = next(i for i in map(ord, word) if i >= n_atoms)

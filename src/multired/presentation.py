@@ -78,11 +78,22 @@ class Presentation:
         return names, "" if all(len(n) == 1 for n in names) else "."
 
 
+def not_a_word(word) -> TypeError:
+    """The error for a word given as anything but a str, such as a tuple
+    of atom indices."""
+    return TypeError(
+        f"a word is a str, one code point per atom index, not {type(word).__name__}"
+    )
+
+
 def format_word(p: Presentation, word: str) -> str:
     if not word:
         return "1"
     names, sep = p._spelling
-    return sep.join([names[ord(c)] for c in word])
+    try:
+        return sep.join([names[ord(c)] for c in word])
+    except TypeError:  # ord() of a str's character never raises one
+        raise not_a_word(word) from None
 
 
 def parse_word(p: Presentation, text: str) -> str:

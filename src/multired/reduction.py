@@ -8,7 +8,12 @@ divides both adjacent entries, making them shorter.  On top of the raw
 moves this module provides:
 
   * reducer enumeration (atomic / all / maximal / tame) and the greatest
-    tame reducer (gcd of the maximal reducers);
+    tame reducer (gcd of the maximal reducers).  Every i-reducer divides
+    one element, the gcd of entries 1 and 2 at level 1 and entry i+1
+    above, and in a gcd-monoid that element is the only maximal reducer
+    whenever it is a reducer at all, which one gcd (level 1) or one lcm
+    with entry i (levels i >= 2) decides; only when that lcm does not
+    exist are the divisors of entry i+1 listed;
   * derdiv, the composite of maximal divisions from the top level down,
     which always lands on a prime multifraction;
   * red_tame, the composite of greatest-tame reductions along the
@@ -267,8 +272,10 @@ def reducers(ctx: MonoidContext, a: Multifraction, i: int, filter: str = "all") 
     atomic: the applicable atoms; all: every applicable x; maximal:
     divisibility-maximal among all (due side); tame: those dividing every
     maximal one.  Deterministic (length, word) order.  The package reads
-    only "maximal" (`greatest_tame_reducer`); the other filters are the
-    paper's reducer sets, which the acceptance tests check.
+    only "maximal", in `greatest_tame_reducer` at a level i >= 2 whose
+    entries i+1 and i have no lcm: elsewhere the one maximal reducer is
+    known in closed form.  This listing is the paper's definition, which
+    the acceptance tests and the closed form's oracle check against.
     """
     n = a.depth
     if not 1 <= i < n:
@@ -310,9 +317,33 @@ def greatest_tame_reducer(ctx: MonoidContext, a: Multifraction, i: int) -> Eleme
     """Due-side gcd of the maximal i-reducers (identity when none).
 
     Always a multiple of the due-side gcd of entries i and i+1.
+
+    Every i-reducer divides one element on the due side: at level 1 the
+    gcd g of entries 1 and 2 (the truncated rule is the division D(1,x)),
+    at level i >= 2 entry i+1.  At level 1 every divisor of g is a
+    reducer, so the answer is g.  At level i >= 2 a trivial entry i+1
+    leaves no reducer; when entry i+1 has an lcm with entry i on the other
+    side, a common multiple of entry i and any divisor of entry i+1 exists
+    (Paper I, arXiv 1606.08991), so entry i+1 is the only maximal reducer
+    and the answer.  Only when that lcm does not exist are the maximal
+    reducers listed (`reducers`) and their gcd folded, checking that it is
+    a multiple of the adjacent gcd, as each closed form is by
+    construction.  The closed forms take other gcds and lcms than the
+    listing, so under a cap either may overflow where the other finishes.
     """
-    maximal = reducers(ctx, a, i, "maximal")
+    n = a.depth
+    if not 1 <= i < n:
+        raise ValueError(f"reducer level {i} outside 1..{n - 1}")
     side = due_side(a, i)
+    entries = a.entries
+    if i == 1:
+        return ctx.gcd(entries[0], entries[1], side)
+    top = entries[i]
+    if top.is_identity:
+        return IDENTITY
+    if ctx.lcm(top, entries[i - 1], side.other) is not None:
+        return top
+    maximal = reducers(ctx, a, i, "maximal")
     if not maximal:
         g = IDENTITY
     else:

@@ -60,6 +60,13 @@ def test_canonical_refuses_an_unknown_atom(att):
         att.canonical(word(0, 3, 1, 4))
 
 
+def test_canonical_refuses_a_tuple_word(att):
+    # a word is a str; a tuple of atom indices is named as such
+    for bad in ((0, 1), ()):
+        with pytest.raises(TypeError, match="^a word is a str, one code point per atom index, not tuple$"):
+            att.canonical(bad)
+
+
 def test_atom_limit():
     ctx = MonoidContext(preset("free(257)"))
     assert ctx.canonical(word(256, 3, 0)).word == word(256, 3, 0)

@@ -47,6 +47,13 @@ def test_format_word_spelling():
         assert all(parse_word(p, text) == w for w, text in spelled.items())
 
 
+def test_format_word_refuses_a_tuple_word():
+    # a word is a str; a tuple of atom indices is named as such
+    abc = parse_presentation("atoms: a b c\nrel: aba = bab\n")
+    with pytest.raises(TypeError, match="^a word is a str, one code point per atom index, not tuple$"):
+        format_word(abc, (0, 1))
+
+
 def test_identical_starts_refused_at_first_element():
     # parsing leaves complementedness to the atom table, which names the relation
     ctx = MonoidContext(parse_presentation("atoms: a b\nrel: ab = ab\n"))

@@ -85,6 +85,91 @@ def test_greatest_tame_reducer(att):
     assert att.word_str(red.greatest_tame_reducer(att, mf(att, "1/a/cabab"), 2)) == "ca"
     assert red.greatest_tame_reducer(att, mf(att, "1/c/aba"), 2) == IDENTITY
     assert att.word_str(red.greatest_tame_reducer(att, mf(att, "a/a"), 1)) == "a"
+    a = mf(att, "ab/ba/ca")
+    for i in (0, a.depth):  # levels run 1..depth-1
+        with pytest.raises(ValueError, match="^reducer level"):
+            red.greatest_tame_reducer(att, a, i)
+
+
+SPHERICAL = ("braid(4)", "braid(5)", "I2(5)")
+
+
+def reference_gtr(ctx, a, i):
+    """The greatest tame reducer by the paper's definition: the due-side
+    gcd fold of the maximal reducers, or the identity when there are
+    none."""
+    maximal = red.reducers(ctx, a, i, "maximal")
+    g = maximal[0] if maximal else IDENTITY
+    for y in maximal[1:]:
+        g = ctx.gcd(g, y, red.due_side(a, i))
+    return g
+
+
+def outcome(f, *args):
+    """f(*args), or None when a cap overflows."""
+    try:
+        return f(*args)
+    except CapExceeded:
+        return None
+
+
+@pytest.mark.parametrize("reversing_cap", [None, 3, 4, 5, 6])
+@pytest.mark.parametrize("name", GOLDEN_PRESETS)
+def test_greatest_tame_reducer_matches_reducer_listing(name, reversing_cap):
+    # the closed forms (level 1, a trivial entry i+1, an lcm of entries i+1
+    # and i) and the listing they fall back to give the gcd of the maximal
+    # reducers at every level, on both first signs.  The two sides run in
+    # contexts of their own; under a cap they take different lcms and gcds,
+    # so either may overflow where the other finishes, and they are compared
+    # where both finish
+    caps = Caps() if reversing_cap is None else Caps(reversing_cap=reversing_cap)
+    fast, ref = MonoidContext(preset(name), caps), MonoidContext(preset(name), caps)
+    inputs = MonoidContext(preset(name))  # random words canonical under any cap
+    compared = closed = listed = 0
+    for depth in range(2, 9):
+        for seed in range(3):
+            entries = gen_multifraction(inputs, depth, 5, 1000 * depth + seed).entries
+            for a in (Multifraction(1, entries), Multifraction(-1, entries)):
+                for i in range(1, depth):
+                    got = outcome(red.greatest_tame_reducer, fast, a, i)
+                    want = outcome(reference_gtr, ref, a, i)
+                    if reversing_cap is None:
+                        assert got is not None and want is not None
+                    if got is None or want is None:
+                        continue
+                    assert got == want, (fmt(inputs, a), i)
+                    compared += 1
+                    side = red.due_side(a, i).other
+                    if i == 1 or a.entry(i + 1).is_identity or outcome(
+                        inputs.lcm, a.entry(i + 1), a.entry(i), side
+                    ):
+                        closed += 1
+                    else:
+                        listed += 1
+    assert compared > 0
+    if reversing_cap is None:
+        # in a spherical monoid every two elements have an lcm
+        assert closed > 0 and (listed > 0) == (name not in SPHERICAL)
+
+
+@pytest.mark.parametrize("name", GOLDEN_PRESETS)
+def test_red_tame_collects_the_reference_sweep(name):
+    # red_tame records one move per level of u(depth), the reference's
+    # reducer at that level, and ends where applying them ends
+    ctx = MonoidContext(preset(name))
+    for depth in range(2, 9):
+        for seed in range(3):
+            entries = gen_multifraction(ctx, depth, 5, 2000 * depth + seed).entries
+            for a in (Multifraction(1, entries), Multifraction(-1, entries)):
+                want, b = [], a
+                for i in red.universal_sequence(depth):
+                    g = reference_gtr(ctx, b, i)
+                    want.append(red.Move(Side.LEFT, i, g))
+                    if not g.is_identity:
+                        b = red.apply_left(ctx, b, i, g)
+                got = []
+                assert red.red_tame(ctx, a, collect=got) == b
+                assert got == want, fmt(ctx, a)
 
 
 def test_div_max(braid3, att):
@@ -123,8 +208,10 @@ def test_composite_moves_raise_on_a_broken_invariant(att, monkeypatch, check):
     # each invariant of the composite moves is a raise that python -O keeps
     a = mf(att, "ac/aca/aba")
     if check == "gtr":  # a maximal reducer that is no multiple of the adjacent gcd a
+        # entries 3 and 2 of 1/ac/aba have no lcm, so level 2 lists its
+        # maximal reducers instead of taking a closed form
         monkeypatch.setattr(red, "reducers", lambda ctx, b, i, f: (att.element("b"),))
-        call = lambda: red.greatest_tame_reducer(att, mf(att, "a/a"), 1)
+        call = lambda: red.greatest_tame_reducer(att, mf(att, "1/ac/aba"), 2)
     elif check == "div_max":
         monkeypatch.setattr(red, "apply_division", lambda ctx, b, i, x: None)
         call = lambda: red.div_max(att, mf(att, "a/a"), 1)
