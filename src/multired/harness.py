@@ -312,7 +312,10 @@ def test_conjecture_C_uniform(ctx: MonoidContext, a: Multifraction) -> Verdict:
     (`LeftClosures.common`), exact when those closures are complete; the
     irreducible left reducts of a are the sinks in a's closure, and a
     latest common ancestor is a member of a's closure whose closure
-    holds them all and no other such member.  An incomplete right walk
+    holds them all and no other such member.  Walked closures that hold
+    an overflowed move attempt make the witnesses a lower bound, and the
+    evidence counts those attempts ("incomplete_closure_edges"); with no
+    witness the trial is then inconclusive.  An incomplete right walk
     leaves the trial inconclusive with its count of undecided moves
     ("incomplete_right_edges")."""
     try:
@@ -336,6 +339,11 @@ def test_conjecture_C_uniform(ctx: MonoidContext, a: Multifraction) -> Verdict:
         "latest_common_ancestors": sorted(format_multifraction(ctx, x) for x in lca),
         "lca_is_witness": any(x in witnesses for x in lca),
     }
+    if not closures_complete:  # the witnesses are a lower bound
+        walked = 0
+        for root in lc.walked:
+            walked |= lc.closure_of(root)
+        evidence["incomplete_closure_edges"] = lc.incomplete_edges(walked)
     if undecided:  # a right reduct behind an undecided move goes unchecked
         evidence["incomplete_right_edges"] = undecided
         return Verdict("inconclusive", evidence)
@@ -454,8 +462,10 @@ def three_ore_scan(ctx: MonoidContext, max_len: int, side: Side = RIGHT) -> dict
     Each lcm reads as an answer: a tuple is a common multiple, None is
     none, and a cap overflow leaves the triple inconclusive.  All three
     pairs are reversed before any is read, then the lcm of the first pair
-    against the third element: reversing_cap counts only the cells a
-    store lacks, so the calls and their order decide which overflow."""
+    against the third element.  A reversal counts every cell of its grid
+    against reversing_cap, but an lcm or canonical form already memoised
+    is read, not computed again, so the calls and their order decide
+    which overflow."""
     if max_len < 1:
         raise MultiredError(f"max_len must be >= 1; got {max_len}")
 

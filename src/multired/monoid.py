@@ -19,9 +19,9 @@ and a failure raises LatticeViolation.
 
 An atom s left-divides w exactly when reversing s against w leaves s
 nothing to add; what is left of w is the quotient.  That reversing row
-(`_peel`) reads the table one atom at a time, as a state machine: each
-state, what is left of s, is a basic word interned once as an int, and a
-cell is a list lookup.  An element is represented by its lexicographically
+(`_peel`) reads the table one letter of w at a time: each cell is one
+lookup in the reversing store, keyed by what is left of s and the
+letter.  An element is represented by its lexicographically
 least word (atom order = declaration order), built by peeling off the
 least dividing atom again and again.  Which atoms divide an element, and
 the quotients, are one memoised table per element and side
@@ -82,7 +82,6 @@ workers.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -199,41 +198,6 @@ def result_of(outcome):
     return outcome
 
 
-class _Rows:
-    """One side's reversing store as `_peel` reads it: a state machine over
-    interned states.
-
-    A state is what is left of the atom being peeled, a basic word.  It
-    gets an int id once, each atom its own index, and -1 is the empty word
-    (the atom is used up).  next[x][t] is the cell of state x and atom t
-    as (the id of x past t, t past x), None when they have no common
-    multiple, or _MISSING until `MonoidContext._fill` reads it.  The store
-    stays the only source of truth: every transition is a copy of one of
-    its cells, so reversing_cap counts what it counted before."""
-
-    __slots__ = ("store", "n_atoms", "words", "ids", "next", "_lock")
-
-    def __init__(self, store: dict[tuple[Word, Word], Reversal], n_atoms: int):
-        self.store, self.n_atoms = store, n_atoms
-        self.words: list[Word] = [chr(s) for s in range(n_atoms)]
-        self.ids: dict[Word, int] = {w: s for s, w in enumerate(self.words)}
-        self.next: list[list] = [[_MISSING] * n_atoms for _ in self.words]
-        self._lock = threading.Lock()  # an id is handed out once
-
-    def intern(self, word: Word) -> int:
-        if not word:
-            return -1
-        got = self.ids.get(word)
-        if got is None:
-            with self._lock:
-                got = self.ids.get(word)
-                if got is None:
-                    self.words.append(word)
-                    self.next.append([_MISSING] * self.n_atoms)
-                    got = self.ids[word] = len(self.words) - 1
-        return got
-
-
 class MonoidContext:
     def __init__(self, pres: Presentation, caps: Caps | None = None):
         self.pres = validate(pres)
@@ -253,8 +217,6 @@ class MonoidContext:
         # per side whose cube check passed, a copy of its store as the check
         # left it
         self._checked: dict[Side, dict[tuple[Word, Word], Reversal]] = {}
-        # per side, its store's peeling rows over interned states
-        self._row_index: list[_Rows | None] = [None, None]
         self._multiples: dict[tuple[Word, Side], list[set[Element]]] = {}
 
     # ------------------------------------------------------------------
@@ -277,9 +239,11 @@ class MonoidContext:
         passed, as it does in every Artin-Tits monoid (each relation reads
         as itself, or with its sides swapped, backwards), the side starts
         from a copy of the other side's store as the check left it and runs
-        no check.  A copy, not the other side's live store: reversing_cap
-        counts only the cells a store lacks, so a shared store would let
-        one side's reversals change whether the other's overflow."""
+        no check.  A copy, not the other side's live store: a reversal
+        counts every cell of its own grid against reversing_cap, stored or
+        not, but a cell the store lacks is reversed by a nested reversal
+        under a cap of its own, so a shared store would let one side's
+        reversals change whether the other's overflow."""
         store = self._stores[side is LEFT]
         if store is None:
             store = self._atom_store(side)
@@ -421,49 +385,33 @@ class MonoidContext:
             store[(t, x)] = None if got is None else (got[1], got[0])
         return got
 
-    def _rows(self, side: Side) -> _Rows:
-        """The peeling rows of a side's reversing store (see `_Rows`),
-        built with the store on first use."""
-        rows = self._row_index[side is LEFT]
-        if rows is None:
-            rows = self._row_index[side is LEFT] = _Rows(self._store(side), self.pres.n_atoms)
-        return rows
+    def _peel(self, store, s: Word, w: Word) -> Word | None:
+        """The quotient q with s*q = w over `store`, or None when the atom
+        s does not divide w: one reversing row of s against w, one cell per
+        letter, read off the store, or reversed by `_cell` and stored there
+        when the store lacks it.
 
-    def _peel(self, rows: _Rows, s: int, w: Word) -> Word | None:
-        """The quotient q with s*q = w over the store of `rows`, or None
-        when the atom s does not divide w: one reversing row of s against
-        w, read one state transition per letter.
-
-        The row stops at the letter where s is used up; what it has
-        collected, followed by the rest of w, is q.  reversing_cap bounds
-        the cells of the row up to that letter (a nested reversal counts
-        its own)."""
+        The state x, what is left of s, is used up at the first letter
+        equal to it, whose cell is ("", ""), and `_cell` stores no such
+        cell; in a homogeneous monoid no other cell uses a state up.  What
+        the row has collected, followed by the rest of w, is q.
+        reversing_cap bounds the cells of the row up to that letter (a
+        nested reversal counts its own)."""
         cap = self.caps.reversing_cap
-        nxt = rows.next
         x, out = s, []
-        for t in map(ord, w[:cap]):
-            r = nxt[x][t]
+        for t in w[:cap]:
+            if x == t:
+                return "".join(out) + w[len(out) + 1 :]
+            r = store.get((x, t), _MISSING)
             if r is _MISSING:
-                r = self._fill(rows, x, t)
+                r = self._cell(store, x, t, set())
             if r is None:
                 return None
             x, c = r
             out.append(c)
-            if x < 0:
-                return "".join(out) + w[len(out) :]
         if len(w) > cap:
             raise ReversingCapExceeded(f"reversing exceeded {cap} cell fills")
         return None
-
-    def _fill(self, rows: _Rows, x: int, t: int) -> tuple[int, Word] | None:
-        """The transition of state x by atom t, read off the store's cell,
-        or reversed by `_cell` and stored there when the store lacks it."""
-        r = self._cell(rows.store, rows.words[x], chr(t), set())
-        if r is not None:
-            rest, c = r
-            r = (rows.intern(rest), c)
-        rows.next[x][t] = r
-        return r
 
     def _reverse(self, a: Word, b: Word, side: Side) -> Reversal:
         """(a past b, b past a): RIGHT b*(a past b) = a*(b past a), LEFT
@@ -483,7 +431,8 @@ class MonoidContext:
     def canonical(self, word: Word) -> Element:
         """The element of `word`, as the least word equal to it: the least
         atom that left-divides it, then the least word of the quotient.
-        The first letter always divides, so only smaller atoms are tried."""
+        The first letter always divides, so only smaller atoms are tried,
+        each by one reversing row (`_peel`) over the RIGHT store."""
         memo = self._canon
         cached = memo.get(word)
         if cached is not None:
@@ -494,13 +443,13 @@ class MonoidContext:
         if word and ord(max(word)) >= n_atoms:
             i = next(i for i in map(ord, word) if i >= n_atoms)
             raise MultiredError(f"atom index {i} outside presentation")
-        rows = self._rows(RIGHT)
+        store = self._store(RIGHT)
         peeled = []
         rest = word
         while rest not in memo:
             first = ord(rest[0])
             for s in range(first):
-                q = self._peel(rows, s, rest)
+                q = self._peel(store, chr(s), rest)
                 if q is not None:
                     break
             else:
@@ -570,7 +519,7 @@ class MonoidContext:
         so it is interned as it is, as `divisors` interns its words.  On
         the LEFT no atom below the first letter divides a, or a would have
         a least word starting with it.  Each other atom is divided off by
-        one reversing row (`_peel`) over the other side's table, on the
+        one reversing row (`_peel`) over the other side's store, on the
         mirror image for RIGHT, and its quotient is made canonical.
 
         Each quotient found is checked once, here, by multiplying it back:
@@ -590,7 +539,7 @@ class MonoidContext:
         if not word:  # no atom divides 1, and no reversing table is built
             return tables.setdefault(word, (None,) * n)
         try:  # building the reversing table on first use may overflow
-            rows = self._rows(side.other)
+            store = self._store(side.other)
         except CapExceeded as e:
             return (e,) * n
         w = word if left else word[::-1]
@@ -606,7 +555,7 @@ class MonoidContext:
                     if q is None:
                         q = memo[least] = Element(least)
                 else:
-                    q = self._peel(rows, s, w)
+                    q = self._peel(store, atom.word, w)
                     if q is None:
                         continue
                     q = self.canonical(q if left else q[::-1])

@@ -208,6 +208,7 @@ def test_cunif_witness_roots_match_all_roots(name, overflow):
             v = H.test_conjecture_C_uniform(ctx, rg.root)
         witnesses = set(walked.members(walked_bits))
         assert v.evidence["witnesses"] == sorted(fmt(ctx, w) for w in witnesses)
+        assert ("incomplete_closure_edges" in v.evidence) != walked_complete
         assert witnesses <= true_witnesses
         if overflow == "plain":
             assert witnesses == set(oracle.members(bits))
@@ -1140,6 +1141,24 @@ def test_cunif_incomplete_right_graph_inconclusive(att, monkeypatch):
         undecided = rec["evidence"].get("incomplete_right_edges")
         assert (rec["verdict"] == "inconclusive") == (undecided is not None)
         assert undecided is None or undecided > 0
+
+
+def test_cunif_counts_incomplete_closure_edges():
+    # walked closures that hold an overflowed attempt make the witnesses a
+    # lower bound, and the evidence counts those attempts whatever the
+    # verdict: at reversing_cap=3, 14 of these 30 trials have them, and
+    # trials 16 and 24 are confirmed with 2 and 4; at default caps none
+    config = H.CampaignConfig("A2tilde", "Cunif", depth=4, length=16, trials=30, seed=1)
+    small = H.run_campaign(MonoidContext(preset("A2tilde"), Caps(reversing_cap=3)), config)
+    counted = {
+        rec["trial"]: (rec["verdict"], rec["evidence"]["incomplete_closure_edges"])
+        for rec in small.records
+        if "incomplete_closure_edges" in rec["evidence"]
+    }
+    assert len(counted) == 14 and all(n > 0 for _, n in counted.values())
+    assert counted[16] == ("confirmed", 2) and counted[24] == ("confirmed", 4)
+    full = H.run_campaign(MonoidContext(preset("A2tilde")), config)
+    assert not any("incomplete_closure_edges" in rec["evidence"] for rec in full.records)
 
 
 @pytest.mark.parametrize("kind", ["A", "B"])

@@ -294,12 +294,12 @@ def test_atom_quotients_check_each_quotient(monkeypatch, side):
     # is built, by a raise that python -O keeps.  The row of b is peeled on
     # both sides of aba = bab: b is neither its first nor its last letter
     ctx = MonoidContext(preset("A2tilde"))
-    a, b = ctx.element("aba"), ord(ctx.element("b").word)
+    a, b = ctx.element("aba"), ctx.element("b").word
     w = a.word if side is Side.LEFT else a.word[::-1]  # the word peeled
     peel = ctx._peel
 
-    def wrong_for_b(rows, s, word):
-        q = peel(rows, s, word)
+    def wrong_for_b(store, s, word):
+        q = peel(store, s, word)
         if word == w and s == b:
             return q[::-1]  # the quotient's letters reversed: "ba", not "ab"
         return q
@@ -386,11 +386,41 @@ def test_created_elements_hold_least_words(preset_name):
         assert e.word in cls and e.word == min(cls), format_word(pres, w)
 
 
-def test_peeling_rows_shared_across_threads():
+@pytest.mark.parametrize("preset_name", GOLDEN_PRESETS)
+def test_mirror_images_swap_the_sides(preset_name):
+    # every preset's relations read the same reversed, so reversing words
+    # is an anti-automorphism of its monoid: each side's atom quotients,
+    # lcms and gcds are the other side's on mirror images.  One context
+    # answers both, off both sides' reversing stores
+    ctx = MonoidContext(preset(preset_name))
+
+    def mirror(e):
+        return e if not isinstance(e, Element) else ctx.canonical(e.word[::-1])
+
+    seed = zlib.crc32(preset_name.encode())
+    elements = _seeded_elements(ctx, seed, 10, max_len=8)
+    found = set()
+    for a in elements:
+        for side in Side:
+            want = ctx.atom_quotients(mirror(a), side.other)
+            assert tuple(map(mirror, ctx.atom_quotients(a, side))) == want
+    for a, b in itertools.combinations(elements, 2):
+        for side in Side:
+            m = ctx.lcm(a, b, side)
+            want = ctx.lcm(mirror(a), mirror(b), side.other)
+            assert (m if m is None else tuple(map(mirror, m))) == want
+            g = ctx.gcd(a, b, side)
+            assert mirror(g) == ctx.gcd(mirror(a), mirror(b), side.other)
+            found.add("no lcm" if m is None else "lcm")
+            found.add("gcd 1" if g.is_identity else "gcd")
+    assert {"lcm", "gcd", "gcd 1"} <= found
+
+
+def test_quotient_tables_shared_across_threads():
     # a context is safe to share across threads: four threads (more than
-    # the cores of a small host) read the same rows of one fresh context,
-    # switching often, so they meet new states together; each state keeps
-    # one id, and every row is the serial one
+    # the cores of a small host) build the quotient tables of one fresh
+    # context, switching often, so they fill its reversing stores
+    # together, and every table is the serial one
     pres = preset("braid(5)")
     elements = _seeded_elements(MonoidContext(pres), 7, 12, max_len=16)
     serial = MonoidContext(pres)
@@ -417,10 +447,6 @@ def test_peeling_rows_shared_across_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and not errors
     assert all(results[k] == expected for k in range(4))
-    for side in Side:
-        rows = shared._rows(side)
-        assert len(rows.words) == len(rows.next) == len(rows.ids)
-        assert all(rows.ids[w] == i for i, w in enumerate(rows.words))
 
 
 @pytest.mark.parametrize("side", list(Side))
@@ -568,6 +594,37 @@ def test_gcd_against_common_divisors(preset_name):
             assert all(ctx.divides(x, g, side) is not None for x in common)
 
 
+def test_reversing_cap_counts_every_cell_of_a_grid():
+    # reversing_cap bounds the cells of one reversal, each cell of its own
+    # grid counted whether the store holds it or not: once a default-cap
+    # context has reversed aa against ba on A2tilde, all 4 cells are
+    # stored, and the same reversal still overflows at cap 3
+    ctx = MonoidContext(preset("A2tilde"))
+    store = ctx._store(Side.RIGHT)
+    aa, ba = word(0, 0), word(1, 0)
+    want = ctx._right_reverse(store, aa, ba)
+    stored = dict(store)
+    ctx.caps = Caps(reversing_cap=3)
+    with pytest.raises(ReversingCapExceeded, match="exceeded 3 cell fills"):
+        ctx._right_reverse(store, aa, ba)
+    ctx.caps = Caps(reversing_cap=4)
+    assert ctx._right_reverse(store, aa, ba) == want and store == stored
+    # a cell the store lacks is reversed by a nested reversal, which counts
+    # against a cap of its own: over C2tilde's atom table, a against ba is
+    # a 2-cell grid whose second cell, aba against a, is not stored and
+    # takes a nested 3-cell reversal, so it overflows cap 2 until a
+    # default-cap reversal has stored that cell
+    tight = MonoidContext(preset("C2tilde"), Caps(reversing_cap=2))
+    store = tight._atom_store(Side.RIGHT)
+    a, ba = word(0), word(1, 0)
+    assert (word(0, 1, 0), a) not in store
+    with pytest.raises(ReversingCapExceeded, match="exceeded 2 cell fills"):
+        tight._right_reverse(store, a, ba)
+    want = MonoidContext(preset("C2tilde"))._right_reverse(store, a, ba)
+    assert (word(0, 1, 0), a) in store
+    assert tight._right_reverse(store, a, ba) == want == (word(1, 0), word(1, 0, 1))
+
+
 @pytest.mark.parametrize("side", list(Side))
 @pytest.mark.parametrize("preset_name", EVERY_PRESET)
 def test_peel_matches_full_row(preset_name, side):
@@ -575,7 +632,7 @@ def test_peel_matches_full_row(preset_name, side):
     # where s is used up; each path fills the store of its own context
     pres = preset(preset_name)
     new, old = MonoidContext(pres), MonoidContext(pres)
-    new_rows, old_store = new._rows(side), old._store(side)
+    new_store, old_store = new._store(side), old._store(side)
 
     def full_row(s, w):
         if w and w[0] == chr(s):
@@ -588,7 +645,7 @@ def test_peel_matches_full_row(preset_name, side):
     for _ in range(30):
         w = word(*(rng.randrange(pres.n_atoms) for _ in range(rng.randint(0, 10))))
         for s in range(pres.n_atoms):
-            q = new._peel(new_rows, s, w)
+            q = new._peel(new_store, chr(s), w)
             assert q == full_row(s, w), (s, w)
             inner += q is not None and w[0] != chr(s)
     assert inner or preset_name == "free(2)"  # some rows run past their first cell
