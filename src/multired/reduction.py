@@ -59,12 +59,14 @@ entries' for a truncated division rule), takes lcms only for the atoms in
 it, and returns one flat list of the attempts that applied or overflowed
 at the levels it is given.  `reduct_graph`, `right_roots` and the
 `left_closures` walk ask it once per node for every level of their side
-(`_levels`); `_atomic_moves` asks it one level at a time in strategy
-order, for `_reduce`.  An attempt that overflows a cap is a value in that
-list, its CapExceeded at its atom's place: `_reduce` raises it through
-`result_of`, `reduct_graph` records it as an inconclusive edge,
-`right_roots` counts it as undecided and `left_closures` counts it
-against its node.
+(`_levels`).  A strategy run (`_reduce`) reads its strategy once, into
+a level order and the attempt to take at a level (the first for lex, the
+last for antilex), and at each step asks it for one level at a time in
+that order, up to the first level with an attempt.  An attempt that
+overflows a cap is a value in that list, its CapExceeded at its atom's
+place: `_reduce` raises it through `result_of`, `reduct_graph` records
+it as an inconclusive edge, `right_roots` counts it as undecided and
+`left_closures` counts it against its node.
 
 The single-move API: a Move's kind is its Side.  `_apply` holds the
 geometry of one move on either side: the level range check, the level
@@ -78,8 +80,9 @@ same `atom_quotients` tables, and both build a push with `_push`.
 dispatches on the kind, `apply_division` is D(i,x), and `is_division`
 tells whether an applied move was a division.  Tests inject
 overflows by wrapping the module attributes `_moves` (every enumerated
-attempt) and `apply_left` (single left moves, as `red_tame` and
-`apply_move` make them), looked up by name at call time.
+attempt: the walks ask it for all their levels at once and a strategy
+run for one level at a time) and `apply_left` (single left moves, as
+`red_tame` and `apply_move` make them), looked up by name at call time.
 """
 
 from __future__ import annotations
@@ -498,30 +501,17 @@ def _moves(ctx: MonoidContext, a: Multifraction, side: Side, levels) -> list:
     return moves
 
 
-def _atomic_moves(ctx, a, side: Side, strategy: str = "low_lex"):
-    """The atomic move attempts of one side that applied or overflowed, in
-    strategy order, as (level, atom, outcome): the reduct, or the
-    CapExceeded of an attempt that overflowed a cap.
-
-    It asks `_moves` for one level at a time, so that `_reduce` stops at
-    the first level with a move, and reverses that level's list for the
-    antilex strategies.  `_moves` is looked up by module-global name at
-    call time, so a wrapper installed on the module attribute (the tests
-    inject overflows so) sees every attempt.
-    """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    levels = _levels(a, side)
-    if strategy.startswith("high"):
-        levels = levels[::-1]
-    antilex = strategy.endswith("antilex")
-    for i in levels:
-        moves = _moves(ctx, a, side, (i,))
-        yield from reversed(moves) if antilex else moves
-
-
 def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> ReductionTrace:
     """Apply the first atomic move the strategy finds until there is none.
+
+    The strategy is read once per run: it fixes the level order (`_levels`,
+    high to low for `high_*`) and which attempt of a level to take, the
+    first in atom order for `*_lex` and the last for `*_antilex`.  Each
+    step asks `_moves` for one level at a time in that order and takes
+    the chosen attempt of the first level that has one; an overflowed
+    attempt raises through `result_of`.  `_moves` is looked up by
+    module-global name at call time, so a wrapper installed on the module
+    attribute (the tests inject overflows so) sees every attempt.
 
     A step count past the tower bound is an InternalInvariantError.  The
     tower is monotone in C, and C >= 2 as soon as there is an atom (an
@@ -530,6 +520,11 @@ def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> 
     basic tables for the true C, only for a count past it.  It still
     raises at the first step past the bound.
     """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    step = -1 if strategy.startswith("high") else 1
+    order = [(i,) for i in _levels(a, side)[::step]]
+    pick = -1 if strategy.endswith("antilex") else 0
     # a right reduction sequence from a is a left reduction sequence of the
     # same length from inverse(a), so both sides share the tower bound
     bounded = a if side is LEFT else inverse(a)
@@ -537,9 +532,13 @@ def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> 
     moves: list[Move] = []
     cur = a
     while True:
-        i, s, nxt = next(_atomic_moves(ctx, cur, side, strategy), (None, None, None))
-        if nxt is None:
+        for level in order:
+            found = _moves(ctx, cur, side, level)
+            if found:
+                break
+        else:
             break
+        i, s, nxt = found[pick]
         cur = result_of(nxt)
         moves.append(Move(side, i, s))
         k = len(moves)

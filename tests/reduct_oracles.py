@@ -1,9 +1,10 @@
 """Reduction questions the tests ask of the package and the package does
 not ask itself: a zigzag of maximal steps between two reducts, the
 composed moves of a trace, the cross-confluence of one pair, the
-unique-fraction probe, and the witness roots of a right reduct graph read
-off its edges.  Each is built on the package's moves, graphs and
-closures, as the tests that use it are.
+unique-fraction probe, the witness roots of a right reduct graph read
+off its edges, and the mirror image of a multifraction.  Each is built
+on the package's moves, graphs and closures, as the tests that use it
+are.
 """
 
 from __future__ import annotations
@@ -122,6 +123,16 @@ def cross_confluence_pair(
             {"b_nodes": lc.closure_of(b).bit_count(), "c_nodes": lc.closure_of(c).bit_count()},
         )
     return Verdict("inconclusive", {})
+
+
+def mirror(ctx: MonoidContext, a: Multifraction) -> Multifraction:
+    """The mirror image of a: its entries in reverse order, each word
+    reversed and made canonical, with a's last sign as its first.  Every
+    preset's relations read the same reversed, so word reversal is an
+    anti-automorphism of its monoid, and the left moves of a are the
+    right moves of mirror(a)."""
+    entries = tuple(ctx.canonical(e.word[::-1]) for e in reversed(a.entries))
+    return Multifraction(a.sign(a.depth), entries)
 
 
 def witness_roots(rg: red.ReductGraph) -> list[Multifraction]:

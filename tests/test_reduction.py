@@ -21,7 +21,7 @@ from multired.presentation import preset
 from multired import reduction as red
 from multired.harness import gen_multifraction
 from overflows import overflow_left_moves
-from reduct_oracles import composed_moves, connect_by_maximal_zigzag, maximal_moves
+from reduct_oracles import composed_moves, connect_by_maximal_zigzag, maximal_moves, mirror
 from test_campaign_golden import PRESETS as GOLDEN_PRESETS
 
 
@@ -398,23 +398,23 @@ def test_step_guard_raises_at_the_first_step_past_the_bound(att, monkeypatch, si
     a = mf(att, "ac/ca/ba/ab/cb/bc")
     reduce_fn = red.reduce_left if side == "left" else red.reduce_right
     assert len(reduce_fn(att, a).moves) > 5
-    seen, searches = [], []
-    moves = red._atomic_moves
+    seen, searched = [], set()
+    moves = red._moves
 
     def five(ctx, b, k):
         seen.append(k)
         return k <= 5
 
-    def counted(*args):
-        searches.append(args)
-        return moves(*args)
+    def counted(ctx, b, *args):
+        searched.add(b)
+        return moves(ctx, b, *args)
 
     monkeypatch.setattr(red, "_tower", lambda *args: 0)
     monkeypatch.setattr(red, "within_step_bound", five)
-    monkeypatch.setattr(red, "_atomic_moves", counted)
+    monkeypatch.setattr(red, "_moves", counted)
     with pytest.raises(red.InternalInvariantError, match="tower step bound"):
         reduce_fn(att, a)
-    assert len(searches) == 6 and seen == [1, 2, 3, 4, 5, 6]
+    assert len(searched) == 6 and seen == [1, 2, 3, 4, 5, 6]
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -481,6 +481,37 @@ def test_duality():
                         assert set(right.nodes) == {inverse(b) for b in left.nodes}
                         graphs += 1
     assert (runs, graphs) == (1280, 256) and applied > 500
+
+
+@pytest.mark.parametrize("name", GOLDEN_PRESETS)
+def test_reduct_graphs_mirror_across_the_sides(name):
+    # word reversal is an anti-automorphism of every preset's monoid, so
+    # R(i,s) on a is R~(n+1-i,s) on mirror(a): the right reduct graph of
+    # mirror(a) is the left reduct graph of a mirrored, node for node and
+    # edge for edge, on seeded inputs of depth 2-5 (entries of up to 3
+    # letters) and both first signs.  No graph here passes 7,000 nodes; the
+    # node cap stops a wrong move whose graph grows without end
+    ctx = MonoidContext(preset(name), Caps(graph_node_cap=10000))
+    graphs = 0
+    for depth in range(2, 6):
+        for seed in range(6):
+            entries = gen_multifraction(ctx, depth, 3, 10 * depth + seed).entries
+            for a in (Multifraction(1, entries), Multifraction(-1, entries)):
+                left = red.reduct_graph(ctx, a, Side.LEFT)
+                right = red.reduct_graph(ctx, mirror(ctx, a), Side.RIGHT)
+                assert left.complete and right.complete
+                nodes = [mirror(ctx, b) for b in left.nodes]
+                want = {
+                    (nodes[src], red.Move(Side.RIGHT, depth + 1 - m.level, m.x), nodes[dst])
+                    for src, m, dst in left.edges
+                }
+                got = {(right.nodes[src], m, right.nodes[dst]) for src, m, dst in right.edges}
+                # counted, so that a failure does not print two large sets
+                stray = len(set(nodes) ^ set(right.nodes)), len(got ^ want)
+                assert stray == (0, 0), fmt(ctx, a)
+                assert (len(right.nodes), len(right.edges)) == (len(nodes), len(left.edges))
+                graphs += 1
+    assert graphs == 48
 
 
 def test_local_confluence_division_vs_reduction(att):
@@ -641,6 +672,35 @@ def probe_moves(ctx, a, side, strategy):
                 yield i, s, b
 
 
+def strategy_moves(ctx, a, side, strategy):
+    """The atomic move attempts of one side that applied or overflowed, in
+    strategy order, as (level, atom, reduct or CapExceeded): `_moves`
+    asked one level at a time, low to high or high to low, each level's
+    list reversed for antilex.  A strategy run takes the first attempt of
+    this stream at each step."""
+    levels = range(1, a.depth) if side is Side.LEFT else range(2, a.depth + 1)
+    if strategy.startswith("high"):
+        levels = levels[::-1]
+    for i in levels:
+        moves = red._moves(ctx, a, side, (i,))
+        yield from reversed(moves) if strategy.endswith("antilex") else moves
+
+
+def reference_run(moves_fn, ctx, a, side, strategy):
+    """The nodes a strategy run passes through, a first, and how it ends:
+    the moves it made and its end, or the message of the overflow it
+    raised, taking the first attempt of `moves_fn`'s stream at each step."""
+    nodes, moves = [a], []
+    while True:
+        i, s, b = next(moves_fn(ctx, nodes[-1], side, strategy), (None, None, None))
+        if b is None:
+            return nodes, (tuple(moves), nodes[-1])
+        if isinstance(b, CapExceeded):
+            return nodes, str(b)
+        nodes.append(b)
+        moves.append(red.Move(side, i, s))
+
+
 def with_messages(moves):
     """A (level, atom, outcome) stream as a list, each overflow as its
     message."""
@@ -656,13 +716,14 @@ def enumerate_moves(moves_fn, ctx, a, side, strategy):
 @pytest.mark.parametrize("reversing_cap", [None, 1, 2, 3])
 @pytest.mark.parametrize("name", GOLDEN_PRESETS)
 def test_atomic_moves_match_probe_oracle(name, reversing_cap):
-    # the move stream read off atom-quotient tables is the one that probing
-    # every (level, atom) pair finds: the same moves and the same overflows,
-    # each at the same place among the moves.  The two run in contexts of
-    # their own, so that neither reads the other's memos.  At reversing
-    # caps 1-3 most presets overflow while checking their reversing table,
-    # so every attempt overflows; A2tilde, C2tilde, K(4,3), free(2) and
-    # I2(5) also apply moves under some of those caps
+    # the strategy-order stream of `_moves` asked one level at a time is the
+    # one that probing every (level, atom) pair finds: the same moves and
+    # the same overflows, each at the same place among the moves, under
+    # every strategy.  The two run in contexts of their own, so that
+    # neither reads the other's memos.  At reversing caps 1-3 most presets
+    # overflow while checking their reversing table, so every attempt
+    # overflows; A2tilde, C2tilde, K(4,3), free(2) and I2(5) also apply
+    # moves under some of those caps
     caps = Caps() if reversing_cap is None else Caps(reversing_cap=reversing_cap)
     fast, probe = MonoidContext(preset(name), caps), MonoidContext(preset(name), caps)
     inputs = MonoidContext(preset(name))  # random words canonical under any cap
@@ -673,7 +734,7 @@ def test_atomic_moves_match_probe_oracle(name, reversing_cap):
             for a in (Multifraction(1, entries), Multifraction(-1, entries)):
                 for side in Side:
                     for strategy in red.STRATEGIES:
-                        got = enumerate_moves(red._atomic_moves, fast, a, side, strategy)
+                        got = enumerate_moves(strategy_moves, fast, a, side, strategy)
                         want = enumerate_moves(probe_moves, probe, a, side, strategy)
                         assert got == want, (fmt(inputs, a), side, strategy)
                         overflows = sum(isinstance(b, str) for _, _, b in want)
@@ -712,6 +773,53 @@ def test_moves_match_probe_oracle(name, reversing_cap):
                         overflowed += overflows
     if reversing_cap is None:
         assert applied > 0 and overflowed == 0
+    else:
+        assert overflowed > 0
+
+
+@pytest.mark.parametrize("reversing_cap", [None, 1, 2, 3])
+@pytest.mark.parametrize("name", GOLDEN_PRESETS)
+def test_runs_match_reference_run(monkeypatch, name, reversing_cap):
+    # reduce_left and reduce_right pass through the nodes, make the moves
+    # and reach the end of the reference run that takes the first attempt
+    # of strategy_moves at each step, or raise its overflow at the same
+    # node, under every strategy, on both sides and both first signs.  The
+    # run under test and the reference run in contexts of their own; at
+    # default caps a run over probe_moves, in a third, agrees too.  The
+    # nodes a run passes through are the ones it asks `_moves` about
+    caps = Caps() if reversing_cap is None else Caps(reversing_cap=reversing_cap)
+    fast, ref, probe = (MonoidContext(preset(name), caps) for _ in range(3))
+    inputs = MonoidContext(preset(name))
+    moves, passed = red._moves, []
+
+    def recorded(ctx, b, side, levels):
+        if ctx is fast and passed[-1] != b:
+            passed.append(b)
+        return moves(ctx, b, side, levels)
+
+    monkeypatch.setattr(red, "_moves", recorded)
+    steps = overflowed = 0
+    for depth in range(3, 7):
+        for seed in range(3):
+            entries = gen_multifraction(inputs, depth, 4, 100 * depth + seed).entries
+            for a in (Multifraction(1, entries), Multifraction(-1, entries)):
+                for side in Side:
+                    reduce_fn = red.reduce_left if side is Side.LEFT else red.reduce_right
+                    for strategy in red.STRATEGIES:
+                        passed[:] = [a]
+                        try:
+                            tr = reduce_fn(fast, a, strategy)
+                            got = (tr.moves, tr.end)
+                        except CapExceeded as e:
+                            got = str(e)
+                        want = reference_run(strategy_moves, ref, a, side, strategy)
+                        assert (passed, got) == want, (fmt(inputs, a), side, strategy)
+                        if reversing_cap is None:
+                            assert reference_run(probe_moves, probe, a, side, strategy) == want
+                        steps += len(passed) - 1
+                        overflowed += isinstance(got, str)
+    if reversing_cap is None:
+        assert steps > 0 and overflowed == 0
     else:
         assert overflowed > 0
 
