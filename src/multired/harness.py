@@ -314,16 +314,17 @@ def test_conjecture_C_uniform(ctx: MonoidContext, a: Multifraction) -> Verdict:
     latest common ancestor is a member of a's closure whose closure
     holds them all and no other such member.  Walked closures that hold
     an overflowed move attempt make the witnesses a lower bound, and the
-    evidence counts those attempts ("incomplete_closure_edges"); with no
-    witness the trial is then inconclusive.  An incomplete right walk
-    leaves the trial inconclusive with its count of undecided moves
+    evidence counts those attempts, each once (`LeftClosures.common`,
+    "incomplete_closure_edges"); with no witness the trial is then
+    inconclusive.  An incomplete right walk leaves the trial
+    inconclusive with its count of undecided moves
     ("incomplete_right_edges")."""
     try:
-        reducts, roots, undecided = red.right_roots(ctx, a)
+        reducts, roots, undecided_right = red.right_roots(ctx, a)
         lc = red.left_closures(ctx, roots, reducts)
     except CapExceeded as e:
         return Verdict("inconclusive", {"reason": str(e)})
-    witness_bits, closures_complete = lc.common(lc.walked)
+    witness_bits, undecided_left = lc.common(lc.walked)
     witnesses = set(lc.members(witness_bits))
     irr = lc.closure_of(a) & lc.sinks
     lca = lc.latest_common_ancestors(a, irr) if irr else []
@@ -339,17 +340,14 @@ def test_conjecture_C_uniform(ctx: MonoidContext, a: Multifraction) -> Verdict:
         "latest_common_ancestors": sorted(format_multifraction(ctx, x) for x in lca),
         "lca_is_witness": any(x in witnesses for x in lca),
     }
-    if not closures_complete:  # the witnesses are a lower bound
-        walked = 0
-        for root in lc.walked:
-            walked |= lc.closure_of(root)
-        evidence["incomplete_closure_edges"] = lc.incomplete_edges(walked)
-    if undecided:  # a right reduct behind an undecided move goes unchecked
-        evidence["incomplete_right_edges"] = undecided
+    if undecided_left:  # the witnesses are a lower bound
+        evidence["incomplete_closure_edges"] = undecided_left
+    if undecided_right:  # a right reduct behind an undecided move goes unchecked
+        evidence["incomplete_right_edges"] = undecided_right
         return Verdict("inconclusive", evidence)
     if witnesses:
         return Verdict("confirmed", evidence)
-    return Verdict("counterexample" if closures_complete else "inconclusive", evidence)
+    return Verdict("inconclusive" if undecided_left else "counterexample", evidence)
 
 
 def _strategy_end(run, ctx: MonoidContext, a: Multifraction, strategy: str) -> Multifraction | None:
@@ -369,8 +367,10 @@ def four_strategy_C_probe(ctx: MonoidContext, a: Multifraction) -> Verdict:
     cap leaves its reduct None: an unfinished right run empties the
     common set, an unfinished left one is in none.  Closures that
     overflow leave only the runs' reducts and the reason; a failure is a
-    counterexample only when all eight runs finished and all four closures
-    are complete."""
+    counterexample only when all eight runs finished and the closures of
+    the right reducts are complete.  Otherwise the evidence counts the
+    overflowed move attempts in those closures, each once, however many
+    runs ended at a root or closures hold a node ("incomplete_edges")."""
     rights = [_strategy_end(reduce_right, ctx, a, s) for s in red.STRATEGIES]
     lefts = [_strategy_end(reduce_left, ctx, a, s) for s in red.STRATEGIES]
     runs = {
@@ -382,7 +382,7 @@ def four_strategy_C_probe(ctx: MonoidContext, a: Multifraction) -> Verdict:
         lc = red.left_closures(ctx, finished)
     except CapExceeded as e:
         return Verdict("inconclusive", {**runs, "reason": str(e)})
-    bits, complete = lc.common(finished)
+    bits, undecided = lc.common(finished)
     if None in rights:
         bits = 0
     reached = [k is not None and bits >> k & 1 == 1 for k in map(lc.index.get, lefts)]
@@ -393,9 +393,9 @@ def four_strategy_C_probe(ctx: MonoidContext, a: Multifraction) -> Verdict:
     }
     if any(reached):
         return Verdict("confirmed", evidence)
-    if None not in rights + lefts and complete:
+    if None not in rights + lefts and not undecided:
         return Verdict("counterexample", evidence)
-    evidence["incomplete_edges"] = sum(lc.incomplete_edges(lc.closure_of(b)) for b in finished)
+    evidence["incomplete_edges"] = undecided
     return Verdict("inconclusive", evidence)
 
 

@@ -14,8 +14,9 @@ relation whose sides start (RIGHT) or end (LEFT) with atoms u and v is
 their lcm, and a pair no relation covers has no common multiple.
 Reversing is exact when it is complete, which for homogeneous
 presentations is the cube condition on atom triples; a side's table is
-checked on first use, unless it equals the other side's checked table,
-and a failure raises LatticeViolation.
+checked on first use, and a failure raises LatticeViolation.  A side
+whose atom table equals the other side's checked table, as in every
+Artin-Tits monoid, runs no check and shares that side's reversing store.
 
 An atom s left-divides w exactly when reversing s against w leaves s
 nothing to add; what is left of w is the quotient.  That reversing row
@@ -212,11 +213,9 @@ class MonoidContext:
         self._lcm: dict[tuple[Word, Word, bool], tuple[Element, Element, Element] | None] = {}
         self._divisors: dict[tuple[Word, bool], tuple[Element, ...]] = {}
         self._tables: dict[Side, BasicTable] = {}
-        # per side, the reversing table: (x, t) -> (x past t, t past x) | None
+        # per side, the reversing table: (x, t) -> (x past t, t past x) | None;
+        # one dict for both sides when their atom tables are equal
         self._stores: list[dict[tuple[Word, Word], Reversal] | None] = [None, None]
-        # per side whose cube check passed, a copy of its store as the check
-        # left it
-        self._checked: dict[Side, dict[tuple[Word, Word], Reversal]] = {}
         self._multiples: dict[tuple[Word, Side], list[set[Element]]] = {}
 
     # ------------------------------------------------------------------
@@ -234,25 +233,26 @@ class MonoidContext:
         overflow raises a fresh CapExceeded of the same class and
         message).
 
-        The check reads nothing but the atom table and the caps.  So when a
-        side's atom table equals that of the other side, whose check
-        passed, as it does in every Artin-Tits monoid (each relation reads
-        as itself, or with its sides swapped, backwards), the side starts
-        from a copy of the other side's store as the check left it and runs
-        no check.  A copy, not the other side's live store: a reversal
-        counts every cell of its own grid against reversing_cap, stored or
-        not, but a cell the store lacks is reversed by a nested reversal
-        under a cap of its own, so a shared store would let one side's
-        reversals change whether the other's overflow."""
+        The check reads nothing but the atom table and the caps, and every
+        cell of a store is a function of its atom table.  So when a side's
+        atom table equals that of the other side, whose check passed, as it
+        does in every Artin-Tits monoid (each relation reads as itself, or
+        with its sides swapped, backwards), the side runs no check and
+        shares the other side's store: one reversing table serves both
+        sides, and a cell either side stores is read by both.  Whether a
+        reversal overflows may then depend on the cells the other side
+        stored, as it already depends on those its own side stored: a
+        reversal counts every cell of its own grid against reversing_cap,
+        stored or not, but a cell the store lacks is reversed by a nested
+        reversal under a cap of its own."""
         store = self._stores[side is LEFT]
         if store is None:
             store = self._atom_store(side)
-            mirror = self._checked.get(side.other)
+            mirror = self._stores[side is not LEFT]
             if mirror is not None and store == self._atom_store(side.other):
-                store = dict(mirror)
+                store = mirror
             else:
                 self._check_cube(side, store)
-                self._checked[side] = dict(store)
             self._stores[side is LEFT] = store
         return store
 

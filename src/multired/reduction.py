@@ -7,8 +7,8 @@ top level i = depth.  Division D(i,x) is the remainder-free case where x
 divides both adjacent entries, making them shorter.  On top of the raw
 moves this module provides:
 
-  * reducer enumeration (atomic / all / maximal / tame) and the greatest
-    tame reducer (gcd of the maximal reducers).  Every i-reducer divides
+  * the maximal reducers of a level (`reducers`) and the greatest tame
+    reducer (gcd of the maximal reducers).  Every i-reducer divides
     one element, the gcd of entries 1 and 2 at level 1 and entry i+1
     above, and in a gcd-monoid that element is the only maximal reducer
     whenever it is a reducer at all, which one gcd (level 1) or one lcm
@@ -19,7 +19,8 @@ moves this module provides:
   * red_tame, the composite of greatest-tame reductions along the
     universal level sequence u(n) = (1..n-1) ++ u(n-2);
   * strategy-driven exhaustive reduction (`reduce_left`, `reduce_right`),
-    atomic reduct graphs with DOT/JSON export, and the tower step bound;
+    atomic reduct graphs with DOT/JSON export, and the tower step bound
+    guard (`within_step_bound`);
   * the right walk of the Cunif tester (`right_roots`): the breadth-first
     search of `reduct_graph` on the right, keeping the node index and the
     roots of the left closure walk instead of edges;
@@ -266,30 +267,23 @@ def replay(ctx: MonoidContext, a: Multifraction, moves) -> Multifraction:
 # ----------------------------------------------------------------------
 # reducers
 
-REDUCER_FILTERS = ("atomic", "all", "maximal", "tame")
+def reducers(ctx: MonoidContext, a: Multifraction, i: int) -> tuple[Element, ...]:
+    """The maximal i-reducers of a: the nontrivial x for which a . R(i,x)
+    is defined that divide no other such x on the due side, in (length,
+    word) order.
 
-
-def reducers(ctx: MonoidContext, a: Multifraction, i: int, filter: str = "all") -> tuple[Element, ...]:
-    """The nontrivial x for which a . R(i,x) is defined, filtered.
-
-    atomic: the applicable atoms; all: every applicable x; maximal:
-    divisibility-maximal among all (due side); tame: those dividing every
-    maximal one.  Deterministic (length, word) order.  The package reads
-    only "maximal", in `greatest_tame_reducer` at a level i >= 2 whose
-    entries i+1 and i have no lcm: elsewhere the one maximal reducer is
-    known in closed form.  This listing is the paper's definition, which
-    the acceptance tests and the closed form's oracle check against.
+    `greatest_tame_reducer` asks for them at a level i >= 2 whose entries
+    i+1 and i have no lcm: elsewhere the one maximal reducer is known in
+    closed form.  Every i-reducer divides one element on the due side,
+    and the listing runs over its divisors: at level 1 the gcd of entries
+    1 and 2, every divisor of which is a reducer, and above it entry i+1,
+    a divisor of which is a reducer when it has an lcm with entry i.  The
+    paper's other listings (atomic, all and tame reducers) are test
+    oracles.
     """
     n = a.depth
     if not 1 <= i < n:
         raise ValueError(f"reducer level {i} outside 1..{n - 1}")
-    if filter not in REDUCER_FILTERS:
-        raise ValueError(f"unknown filter {filter!r}")
-    if filter == "atomic":
-        moves = _moves(ctx, a, LEFT, (i,))
-        for _, _, b in moves:
-            result_of(b)  # an overflowed attempt raises
-        return tuple(s for _, s, _ in moves)
     side = due_side(a, i)
     lcm_side = side.other
     if i == 1:
@@ -301,19 +295,11 @@ def reducers(ctx: MonoidContext, a: Multifraction, i: int, filter: str = "all") 
             for d in ctx.divisors(a.entry(i + 1), side)
             if not d.is_identity and ctx.lcm(d, a.entry(i), lcm_side) is not None
         ]
-    if filter == "all":
-        return tuple(all_red)
-    maximal = [
+    return tuple(
         x
         for x in all_red
         if not any(y != x and ctx.divides(x, y, side) is not None for y in all_red)
-    ]
-    if filter == "maximal":
-        return tuple(maximal)
-    tame = [
-        x for x in all_red if all(ctx.divides(x, y, side) is not None for y in maximal)
-    ]
-    return tuple(tame)
+    )
 
 
 def greatest_tame_reducer(ctx: MonoidContext, a: Multifraction, i: int) -> Element:
@@ -346,7 +332,7 @@ def greatest_tame_reducer(ctx: MonoidContext, a: Multifraction, i: int) -> Eleme
         return IDENTITY
     if ctx.lcm(top, entries[i - 1], side.other) is not None:
         return top
-    maximal = reducers(ctx, a, i, "maximal")
+    maximal = reducers(ctx, a, i)
     if not maximal:
         g = IDENTITY
     else:
@@ -701,11 +687,12 @@ class LeftClosures:
     closure[k] holds k and every node k left-reduces to; overflows[k]
     counts the move attempts of node k itself that overflowed a cap, and
     `overflowed` holds the nodes with any, so a closure `bits` is complete
-    when `bits & overflowed` is 0; `sinks` holds the nodes with no move
-    and no overflow of their own.  Nodes are numbered in the order their
-    walks finish, so closure[k] holds no bit above k.  `walked` holds the
-    roots whose closures were computed, in root order: every root but
-    those a redundancy search left out (see `left_closures`).
+    when `bits & overflowed` is 0 (`common` counts them); `sinks` holds
+    the nodes with no move and no overflow of their own.  Nodes are
+    numbered in the order their walks finish, so closure[k] holds no bit
+    above k.  `walked` holds the roots whose closures were computed, in
+    root order: every root but those a redundancy search left out (see
+    `left_closures`).
     """
 
     nodes: list[Multifraction] = field(default_factory=list)
@@ -724,21 +711,19 @@ class LeftClosures:
         """The closure of a root."""
         return self.closure[self.index[root]]
 
-    def incomplete_edges(self, bits: int) -> int:
-        """The overflowed move attempts of the nodes of a bitset: for a
-        closure, the inconclusive edges of that root's `reduct_graph`."""
-        return sum(self.overflows[k] for k in _bit_indices(bits & self.overflowed))
-
-    def common(self, roots) -> tuple[int, bool]:
+    def common(self, roots) -> tuple[int, int]:
         """The common left reducts of one or more roots, as the AND of
-        their closures, and whether none of those closures holds an
-        overflowed attempt (the set is then exact)."""
+        their closures, and the undecided moves of those closures: the
+        overflowed move attempts of the nodes in the union of the
+        closures, each counted once.  The set is exact when that count is
+        0.  For one root the count is the number of inconclusive edges of
+        its `reduct_graph`."""
         bits, union = -1, 0
         for root in roots:
             closure = self.closure_of(root)
             bits &= closure
             union |= closure
-        return bits, not union & self.overflowed
+        return bits, sum(self.overflows[k] for k in _bit_indices(union & self.overflowed))
 
     def latest_common_ancestors(self, root: Multifraction, targets: int) -> list[Multifraction]:
         """The members of root's closure whose closure holds every target,
@@ -875,43 +860,23 @@ def left_closures(ctx: MonoidContext, roots, targets=()) -> LeftClosures:
 # step bound
 
 
-def _tower(C: int, lengths, cap: int | None = None) -> int:
-    """F(lengths), the tower bound: F1(x) = x+2 and Fn(x1..xn) =
-    (x1+1) * C ** F(n-1)(x2..xn); 0 for no lengths.
-
-    Without a cap the value is exact, and a guard refuses to materialize
-    numbers beyond ~10^7 digits.  With a cap it is min(F, cap): each
+def _tower(C: int, lengths, cap: int) -> int:
+    """min(F(lengths), cap), F the tower bound: F1(x) = x+2 and
+    Fn(x1..xn) = (x1+1) * C ** F(n-1)(x2..xn); 0 for no lengths.  Each
     exponent is clipped at cap.bit_length(), beyond which a power of
-    C >= 2 already exceeds the cap (for C = 1 every power is 1).
-    """
+    C >= 2 already exceeds the cap (for C = 1 every power is 1)."""
     if not lengths:
         return 0
     f = lengths[-1] + 2
     for x in reversed(lengths[:-1]):
-        if cap is None:
-            if f > 40_000_000:
-                raise MultiredError(
-                    "step bound too large to materialize; use within_step_bound"
-                )
-            f = (x + 1) * C**f
-        else:
-            f = min((x + 1) * C ** min(f, cap.bit_length()), cap)
-    return f if cap is None else min(f, cap)
-
-
-def step_bound(ctx: MonoidContext, a: Multifraction):
-    """Tower bound on the number of reduction steps from a, exact.
-
-    C is one more than the maximal basic length.  The value is
-    astronomically large as soon as the depth exceeds 3 (use
-    within_step_bound for comparisons).  Only tests call it: it states
-    the paper's bound exactly, which the acceptance tests pin.
-    """
-    return _tower(ctx.basic_bound_C(), [e.length for e in a.entries])
+        f = min((x + 1) * C ** min(f, cap.bit_length()), cap)
+    return min(f, cap)
 
 
 def within_step_bound(ctx: MonoidContext, a: Multifraction, k: int) -> bool:
-    """Whether k <= step_bound(a), by the bound capped at k + 1.
+    """Whether k is at most the tower bound on the number of reduction
+    steps from a, C being one more than the maximal basic length: the
+    bound is taken capped at k + 1.
 
     It builds the basic tables for C; `_reduce` asks it only for a step
     count past the bound at C = 2, which needs none.

@@ -1,6 +1,7 @@
 """Reduction questions the tests ask of the package and the package does
-not ask itself: a zigzag of maximal steps between two reducts, the
-composed moves of a trace, the cross-confluence of one pair, the
+not ask itself: the paper's atomic, all and tame reducer listings, the
+exact tower step bound, a zigzag of maximal steps between two reducts,
+the composed moves of a trace, the cross-confluence of one pair, the
 unique-fraction probe, the witness roots of a right reduct graph read
 off its edges, and the mirror image of a multifraction.  Each is built
 on the package's moves, graphs and closures, as the tests that use it
@@ -16,6 +17,59 @@ from multired.monoid import CapExceeded, Element, MonoidContext, MultiredError, 
 from multired.multifraction import Multifraction, format_multifraction
 from multired import reduction as red
 from multired.reduction import Move, ReductionTrace
+
+
+def atomic_reducers(ctx: MonoidContext, a: Multifraction, i: int) -> tuple[Element, ...]:
+    """The atoms s for which a . R(i,s) is defined, in atom order, each
+    tried by `apply_left`: independent of the move enumeration `_moves`.
+    An overflowed attempt raises."""
+    return tuple(s for s in ctx.atoms() if red.apply_left(ctx, a, i, s) is not None)
+
+
+def all_reducers(ctx: MonoidContext, a: Multifraction, i: int) -> tuple[Element, ...]:
+    """Every nontrivial x for which a . R(i,x) is defined, in (length,
+    word) order: the due-side divisors of entry i+1 that `apply_left`
+    applies (at level 1, the truncated rule D(1,x), those that divide
+    entry 1 too)."""
+    side = red.due_side(a, i)
+    return tuple(
+        d
+        for d in ctx.divisors(a.entry(i + 1), side)
+        if not d.is_identity and red.apply_left(ctx, a, i, d) is not None
+    )
+
+
+def tame_reducers(ctx: MonoidContext, a: Multifraction, i: int) -> tuple[Element, ...]:
+    """The i-reducers that divide every maximal one on the due side."""
+    side = red.due_side(a, i)
+    maximal = red.reducers(ctx, a, i)
+    return tuple(
+        x
+        for x in all_reducers(ctx, a, i)
+        if all(ctx.divides(x, y, side) is not None for y in maximal)
+    )
+
+
+def tower(C: int, lengths) -> int:
+    """The tower bound F(lengths) exactly, where `red._tower` caps it:
+    F1(x) = x+2 and Fn(x1..xn) = (x1+1) * C ** F(n-1)(x2..xn); 0 for no
+    lengths.  Refuses to materialize numbers beyond ~10^7 digits."""
+    if not lengths:
+        return 0
+    f = lengths[-1] + 2
+    for x in reversed(lengths[:-1]):
+        if f > 40_000_000:
+            raise MultiredError("step bound too large to materialize; use within_step_bound")
+        f = (x + 1) * C**f
+    return f
+
+
+def step_bound(ctx: MonoidContext, a: Multifraction) -> int:
+    """The tower bound on the number of reduction steps from a, exact: C
+    is one more than the maximal basic length.  Astronomically large as
+    soon as the depth exceeds 3 (the package compares counts with
+    `red.within_step_bound`)."""
+    return tower(ctx.basic_bound_C(), [e.length for e in a.entries])
 
 
 def composed_moves(ctx: MonoidContext, trace: ReductionTrace) -> tuple[Move, ...]:
@@ -38,7 +92,7 @@ def composed_moves(ctx: MonoidContext, trace: ReductionTrace) -> tuple[Move, ...
 def maximal_moves(ctx: MonoidContext, a: Multifraction):
     """The left moves of a by a maximal reducer, with their reducts."""
     for i in range(1, a.depth):
-        for x in red.reducers(ctx, a, i, "maximal"):
+        for x in red.reducers(ctx, a, i):
             b = red.apply_left(ctx, a, i, x)
             if b is not None:
                 yield Move(Side.LEFT, i, x), b
@@ -106,7 +160,7 @@ def cross_confluence_pair(
         lc = red.left_closures(ctx, (b, c))
     except CapExceeded as e:
         return Verdict("inconclusive", {"reason": str(e)})
-    bits, complete = lc.common((b, c))
+    bits, undecided = lc.common((b, c))
     common = lc.members(bits)
     if common:
         witness = min(common, key=lambda m: (m.total_length(), format_multifraction(ctx, m)))
@@ -117,7 +171,7 @@ def cross_confluence_pair(
                 "common": sorted(format_multifraction(ctx, x) for x in common),
             },
         )
-    if complete:
+    if not undecided:
         return Verdict(
             "counterexample",
             {"b_nodes": lc.closure_of(b).bit_count(), "c_nodes": lc.closure_of(c).bit_count()},

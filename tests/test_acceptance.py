@@ -31,6 +31,7 @@ from multired.presentation import parse_word, preset
 from multired import harness as H
 from multired import reduction as red
 from multired.vankampen import validate_diagram, van_kampen
+from reduct_oracles import all_reducers, atomic_reducers, step_bound
 from words import word
 
 
@@ -54,7 +55,7 @@ def test_criterion_01_example_exact_reducts(att):
     assert rb == mf(att, "bc/cb/ab")
     for out in (ra, rb):
         for i in (1, 2):
-            assert red.reducers(att, out, i, "atomic") == ()
+            assert atomic_reducers(att, out, i) == ()
     ok(1, "R(2,a)=ac/ca/ba R(2,b)=bc/cb/ab, both irreducible")
 
 
@@ -98,7 +99,7 @@ def test_criterion_02_second_trace_as_printed(att):
     assert red.apply_left(att, after_first, 3, att.element("ac")) is None
     assert not any(w[-2:] == printed for w in word_class(att.pres, after_first.entry(4).word))
 
-    level3 = red.reducers(att, after_first, 3, "all")
+    level3 = all_reducers(att, after_first, 3)
     assert sorted(att.word_str(x) for x in level3) == ["a", "ab", "aba", "b", "ba"]
     corrections = [x for x in level3 if _one_letter_apart(att, x, printed)]
     assert [att.word_str(x) for x in corrections] == ["ab"]
@@ -184,7 +185,7 @@ def test_criterion_04_second_application_as_stated(att):
 
 def test_criterion_05_tame_reducers(att):
     a = mf(att, "1/a/cabab")
-    maximal = red.reducers(att, a, 2, "maximal")
+    maximal = red.reducers(att, a, 2)
     assert sorted(att.word_str(x) for x in maximal) == ["caa", "cab"]
     assert att.word_str(red.greatest_tame_reducer(att, a, 2)) == "ca"
     ok(5, "maximal 2-reducers {caa, cab}, greatest tame reducer ca")
@@ -315,7 +316,7 @@ def test_criterion_13_left_right_division_identities(att):
         n = a.depth
         if first < 500:
             for i in range(1, n):
-                for x in red.reducers(att, a, i, "all")[:3]:
+                for x in all_reducers(att, a, i)[:3]:
                     b = red.apply_left(att, a, i, x)
                     if b is None:
                         continue
@@ -447,8 +448,8 @@ def test_criterion_16_step_bound(att, braid3):
             assert red.within_step_bound(ctx, a, len(tr.moves))
             observed += 1
     a = mf(att, "1/c/aba")
-    assert red.step_bound(att, a) == 3 ** (2 * 3**5)
-    assert red.step_bound(att, Multifraction(1, (att.element("ababa"),))) == 7
+    assert step_bound(att, a) == 3 ** (2 * 3**5)
+    assert step_bound(att, Multifraction(1, (att.element("ababa"),))) == 7
     ok(16, f"{observed} traces within the tower bound (also asserted inside reduce)")
 
 

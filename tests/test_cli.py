@@ -88,6 +88,21 @@ def test_basics(capsys):
     assert json.loads(out)["count"] == 17
 
 
+def test_basics_cap_overflow_inconclusive(capsys, monkeypatch):
+    # A2tilde has 10 basic elements: a closure past basics_cap is
+    # inconclusive, exit 2, and a cap that holds them all lists them
+    monkeypatch.setenv("MULTIRED_CAPS", "basics_cap=3")
+    assert main(["basics", "--preset", "A2tilde"]) == EXIT_INCONCLUSIVE
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "inconclusive: basic-element closure exceeds basics_cap=3; finiteness not witnessed\n"
+    )
+    monkeypatch.setenv("MULTIRED_CAPS", "basics_cap=10")
+    assert main(["basics", "--preset", "A2tilde"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert len(out.split()) == 10 and err == ""
+
+
 def test_wordproblem(capsys):
     code, out = run(capsys, "wordproblem", "--preset", "braid3", "a B")
     assert code == EXIT_OK and "nontrivial (unconditional)" in out
@@ -291,6 +306,28 @@ def test_left_complement_failure_refused_at_load(capsys, tmp_path):
     path.write_text("atoms: a b c\nrel: ab = cb\n")
     assert main(["reduce", "--presentation-file", str(path), "1"]) == EXIT_USAGE
     assert "both sides of ab = cb end with b" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--presentation-file", "atoms: a b\natoms: c\n", "line 2, col 0: duplicate atoms: line"),
+    ("--presentation-file", "atoms:\n", "line 1, col 5: empty atom list"),
+    ("--presentation-file", "atoms: a b\n\nrel: ab = bz\n",
+     "line 3, col 0: unknown atom 'z' in word 'bz'"),
+    ("--presentation-file", "# no atoms\n", "line 1, col 0: missing atoms: line"),
+    ("--preset", "K(4,4)", "unsupported complete-graph preset 'K(4,4)'"),
+    ("--preset", "free(0)", "free(n) needs n >= 1"),
+    ("--preset", "I2(1)", "I2(m) needs m >= 2"),
+], ids=["second-atoms", "empty-atoms", "unknown-atom", "no-atoms", "K(4,4)", "free(0)", "I2(1)"])
+def test_bad_presentation_refused(capsys, tmp_path, option, value, message):
+    # a presentation file that does not parse, or a preset outside its
+    # family's range, is an input error: exit 3, and stderr says what is wrong
+    if option == "--presentation-file":
+        path = tmp_path / "pres.txt"
+        path.write_text(value)
+        value = str(path)
+    assert main(["basics", option, value]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
 
 
 def test_usage_error():

@@ -202,13 +202,15 @@ def test_cunif_witness_roots_match_all_roots(name, overflow):
             if overflow != "plain":
                 overflow_left_moves(mp, overflowing)
             oracle = red.left_closures(ctx, rg.nodes)
-            bits, complete = oracle.common(rg.nodes)
+            bits, undecided = oracle.common(rg.nodes)
+            complete = not undecided
             walked = red.left_closures(ctx, roots, rg.index)
-            walked_bits, walked_complete = walked.common(walked.walked)
+            walked_bits, walked_undecided = walked.common(walked.walked)
+            walked_complete = not walked_undecided
             v = H.test_conjecture_C_uniform(ctx, rg.root)
         witnesses = set(walked.members(walked_bits))
         assert v.evidence["witnesses"] == sorted(fmt(ctx, w) for w in witnesses)
-        assert ("incomplete_closure_edges" in v.evidence) != walked_complete
+        assert v.evidence.get("incomplete_closure_edges", 0) == walked_undecided
         assert witnesses <= true_witnesses
         if overflow == "plain":
             assert witnesses == set(oracle.members(bits))
@@ -255,8 +257,8 @@ def test_cunif_search_matches_all_closures(name, overflow):
                 truth = red.left_closures(ctx, rg.nodes)
             except GraphNodeCapExceeded:
                 continue
-            true_bits, true_complete = truth.common(rg.nodes)
-            assert true_complete
+            true_bits, true_undecided = truth.common(rg.nodes)
+            assert not true_undecided
             true_witnesses = set(truth.members(true_bits))
             roots = witness_roots(rg)
             expanded = []
@@ -282,9 +284,11 @@ def test_cunif_search_matches_all_closures(name, overflow):
                 others = [n for n in lc.members(bits) if n != r and n in rg.index]
                 assert r == a or reached >> lc.index[r] & 1 or not others
                 reached |= bits
-            bits, complete = lc.common(lc.walked)
+            bits, undecided = lc.common(lc.walked)
+            complete = not undecided
             witnesses = set(lc.members(bits))
             assert v.evidence["witnesses"] == sorted(fmt(ctx, w) for w in witnesses)
+            assert v.evidence.get("incomplete_closure_edges", 0) == undecided
             assert witnesses <= true_witnesses
             if complete:
                 assert witnesses == true_witnesses
@@ -1190,6 +1194,21 @@ def test_four_strategy_overflowed_right_run(att, monkeypatch):
     assert v.evidence["rights"] == ["1/c/aba", "1/c/aba", None, "1/c/aba"]
     assert v.evidence["lefts"] == ["ac/ca/ba"] * 4
     assert not v.evidence["exists_k_forall_j"]
+
+
+def test_four_strategy_counts_each_undecided_move_once(att, monkeypatch):
+    # with every left attempt overflowing, the four right runs all end at
+    # 1/c/aba and no left run finishes.  The undecided moves are those of
+    # the one closure walked, each counted once, not once per run that
+    # ended at its root: the inconclusive edges of its left reduct graph
+    a = mf(att, "ac/ca/ba")
+    overflow_left_moves(monkeypatch, lambda *attempt: True)
+    v = H.four_strategy_C_probe(att, a)
+    assert v.status == "inconclusive"
+    assert v.evidence["rights"] == ["1/c/aba"] * 4
+    assert v.evidence["lefts"] == [None] * 4
+    graph = red.reduct_graph(att, mf(att, "1/c/aba"), Side.LEFT)
+    assert v.evidence["incomplete_edges"] == len(graph.inconclusive) == 6
 
 
 def test_conjecture_B_counterexample(att, monkeypatch):

@@ -21,7 +21,16 @@ from multired.presentation import preset
 from multired import reduction as red
 from multired.harness import gen_multifraction
 from overflows import overflow_left_moves
-from reduct_oracles import composed_moves, connect_by_maximal_zigzag, maximal_moves, mirror
+from reduct_oracles import (
+    all_reducers,
+    atomic_reducers,
+    composed_moves,
+    connect_by_maximal_zigzag,
+    maximal_moves,
+    mirror,
+    step_bound,
+    tame_reducers,
+)
 from test_campaign_golden import PRESETS as GOLDEN_PRESETS
 
 
@@ -69,13 +78,13 @@ def test_apply_division_examples(braid3):
 
 def test_reducers_examples(att):
     a = mf(att, "1/a/cabab")
-    maximal = red.reducers(att, a, 2, "maximal")
+    maximal = red.reducers(att, a, 2)
     assert sorted(att.word_str(x) for x in maximal) == ["caa", "cab"]
-    atomic = red.reducers(att, mf(att, "1/c/aba"), 2, "atomic")
+    atomic = atomic_reducers(att, mf(att, "1/c/aba"), 2)
     assert sorted(att.word_str(x) for x in atomic) == ["a", "b"]
-    assert red.reducers(att, unit(2), 1, "all") == ()
+    assert all_reducers(att, unit(2), 1) == ()
     # tame reducers divide every maximal one
-    tame = red.reducers(att, a, 2, "tame")
+    tame = tame_reducers(att, a, 2)
     for t in tame:
         for m in maximal:
             assert att.divides(t, m, Side.LEFT) is not None
@@ -98,7 +107,7 @@ def reference_gtr(ctx, a, i):
     """The greatest tame reducer by the paper's definition: the due-side
     gcd fold of the maximal reducers, or the identity when there are
     none."""
-    maximal = red.reducers(ctx, a, i, "maximal")
+    maximal = red.reducers(ctx, a, i)
     g = maximal[0] if maximal else IDENTITY
     for y in maximal[1:]:
         g = ctx.gcd(g, y, red.due_side(a, i))
@@ -210,7 +219,7 @@ def test_composite_moves_raise_on_a_broken_invariant(att, monkeypatch, check):
     if check == "gtr":  # a maximal reducer that is no multiple of the adjacent gcd a
         # entries 3 and 2 of 1/ac/aba have no lcm, so level 2 lists its
         # maximal reducers instead of taking a closed form
-        monkeypatch.setattr(red, "reducers", lambda ctx, b, i, f: (att.element("b"),))
+        monkeypatch.setattr(red, "reducers", lambda ctx, b, i: (att.element("b"),))
         call = lambda: red.greatest_tame_reducer(att, mf(att, "1/ac/aba"), 2)
     elif check == "div_max":
         monkeypatch.setattr(red, "apply_division", lambda ctx, b, i, x: None)
@@ -346,12 +355,12 @@ def test_is_prime(att):
 
 def test_step_bound(att, free2):
     one = Multifraction(1, (att.element("ababa"),))
-    assert red.step_bound(att, one) == 7
+    assert step_bound(att, one) == 7
     two = unit(2)
-    assert red.step_bound(att, two) == 9  # (0+1) * 3**F1(0) with C = 3
+    assert step_bound(att, two) == 9  # (0+1) * 3**F1(0) with C = 3
     a = mf(att, "1/c/aba")
     # F3(0,1,3) = (0+1) * C**F2(1,3), F2(1,3) = 2*3**5
-    assert red.step_bound(att, a) == 3 ** (2 * 3**5)
+    assert step_bound(att, a) == 3 ** (2 * 3**5)
     assert red.within_step_bound(att, a, 10)
     assert not red.within_step_bound(att, unit(1), 4)  # F1(0) = 2
     # F2(0,0) = C**2: with C = 2 the bound allows 4 steps, so k = 5..10
@@ -366,7 +375,7 @@ def test_step_bound(att, free2):
             a = gen_multifraction(ctx, depth, 1 if depth == 3 else 4, rng.randrange(10**9))
             if rng.random() < 0.5:
                 a = Multifraction(-1, a.entries)
-            bound = red.step_bound(ctx, a)
+            bound = step_bound(ctx, a)
             for k in (bound - 1, bound, bound + 1):
                 assert red.within_step_bound(ctx, a, k) == (k <= bound)
 
@@ -526,7 +535,7 @@ def test_local_confluence_division_vs_reduction(att):
             y = att.gcd(a.entry(i), a.entry(i + 1), red.due_side(a, i))
             if y.is_identity:
                 continue
-            for x in red.reducers(att, a, i + 1, "atomic"):
+            for x in atomic_reducers(att, a, i + 1):
                 b = red.apply_left(att, a, i + 1, x)
                 c = red.apply_division(att, a, i, y)
                 assert c is not None
@@ -588,10 +597,10 @@ def test_wild_reducers_on_tame_irreducible(att):
     # levels 2 and 5; the 2-reducts reconverge, the 5-reducts do not
     c = mf(att, "1/c/aba/bc/a/bcb")
     assert red.red_tame(att, c) == c
-    assert [att.word_str(x) for x in red.reducers(att, c, 2, "atomic")] == ["a", "b"]
-    assert [att.word_str(x) for x in red.reducers(att, c, 5, "atomic")] == ["b", "c"]
-    assert red.reducers(att, c, 2, "tame") == ()
-    assert red.reducers(att, c, 5, "tame") == ()
+    assert [att.word_str(x) for x in atomic_reducers(att, c, 2)] == ["a", "b"]
+    assert [att.word_str(x) for x in atomic_reducers(att, c, 5)] == ["b", "c"]
+    assert tame_reducers(att, c, 2) == ()
+    assert tame_reducers(att, c, 5) == ()
     r2a = red.apply_left(att, c, 2, att.element("a"))
     r2b = red.apply_left(att, c, 2, att.element("b"))
     ga = red.reduct_graph(att, r2a, Side.LEFT)
@@ -616,7 +625,7 @@ def test_tame_routes_through_trivial_entries(att):
     ):
         cur = a
         for i, x in route:
-            assert att.element(x) in red.reducers(att, cur, i, "tame")
+            assert att.element(x) in tame_reducers(att, cur, i)
             cur = red.apply_left(att, cur, i, att.element(x))
         assert cur == mf(att, end)
     b1 = red.apply_left(att, a, 4, att.element("a"))
@@ -932,7 +941,7 @@ def test_left_closures_match_fresh_graphs(monkeypatch, name, overflow):
             bits = lc.closure_of(root)
             assert set(lc.members(bits)) == set(fresh.nodes)
             assert (not bits & lc.overflowed) == fresh.complete
-            assert lc.incomplete_edges(bits) == len(fresh.inconclusive)
+            assert lc.common((root,))[1] == len(fresh.inconclusive)
             irr = bits & lc.sinks
             assert set(lc.members(irr)) == set(fresh.sinks())
             if irr:
@@ -942,11 +951,14 @@ def test_left_closures_match_fresh_graphs(monkeypatch, name, overflow):
             inherited += not fresh.complete and all(src for src, *_ in fresh.inconclusive)
             shared += bool(bits & walked & lc.overflowed)
             walked |= bits
-        # the common reducts are those of every fresh graph, exact when
-        # every fresh graph is complete
-        bits, complete = lc.common(roots)
+        # the common reducts are those of every fresh graph, and their
+        # undecided moves the inconclusive edges of the fresh graphs, each
+        # (node, level, atom) counted once however many graphs hold it
+        bits, undecided = lc.common(roots)
         assert set(lc.members(bits)) == set.intersection(*(set(g.nodes) for g in graphs))
-        assert complete == all(g.complete for g in graphs)
+        assert undecided == len(
+            {(g.nodes[src], i, x) for g in graphs for src, i, x, _ in g.inconclusive}
+        )
         several += max(lc.overflows) > 1
     assert (incomplete > 0) == (overflow != "plain")
     assert (shared > 0) == (overflow != "plain")

@@ -92,6 +92,50 @@ def test_validation_catches_tampering(att):
         validate_diagram(att, d, unit(4))
 
 
+def _swap_path(d, a):
+    e1, e2, e3 = d.triangles[0]
+    d.triangles[0] = (e2, e1, e3)
+    return rf"^triangle \('{e2}', '{e1}', '{e3}'\) is not a path pair$"
+
+
+def _drop_entry(d, a):
+    d.boundary.pop()
+    return "^boundary length mismatch$"
+
+
+def _relabel(d, a):
+    d.boundary[0] = next(k for k, e in d.edges.items() if e.label != a.entry(1))
+    return "^boundary entry 1 label mismatch$"
+
+
+def _detach(d, a):
+    d.edges["loose"] = VKEdge("nowhere", "nowhere", a.entry(2))
+    d.boundary[1] = "loose"
+    return "^boundary entry 2 detached$"
+
+
+def _open_end(d, a):
+    # entry 6 is negative: its edge is walked from dst to src
+    e = d.edges[d.boundary[-1]]
+    d.edges["loose"] = VKEdge("nowhere", e.dst, e.label)
+    d.boundary[-1] = "loose"
+    return "^boundary does not close at the base vertex$"
+
+
+@pytest.mark.parametrize("tamper", [_swap_path, _drop_entry, _relabel, _detach, _open_end],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_validation_names_each_defect(att, tamper):
+    # one defect per diagram, each refused by its own check; the diagram
+    # as built passes
+    a = parse_multifraction(att, "ab/ba/ca/ac/bc/cb")
+    d = van_kampen(att, a)
+    validate_diagram(att, d, a)
+    assert a.sign(6) < 0
+    message = tamper(d, a)
+    with pytest.raises(VanKampenFailure, match=message):
+        validate_diagram(att, d, a)
+
+
 def test_batch_depths_4_and_6(att):
     rng = random.Random(77)
     built = 0
