@@ -462,10 +462,8 @@ def three_ore_scan(ctx: MonoidContext, max_len: int, side: Side = RIGHT) -> dict
     Each lcm reads as an answer: a tuple is a common multiple, None is
     none, and a cap overflow leaves the triple inconclusive.  All three
     pairs are reversed before any is read, then the lcm of the first pair
-    against the third element.  A reversal counts every cell of its grid
-    against reversing_cap, but an lcm or canonical form already memoised
-    is read, not computed again, so the calls and their order decide
-    which overflow."""
+    against the third element.  Whether an lcm overflows depends only on
+    its two elements and the caps, not on the lcms computed before it."""
     if max_len < 1:
         raise MultiredError(f"max_len must be >= 1; got {max_len}")
 

@@ -59,6 +59,21 @@ is a tuple (the common multiple), None (a proof that there is none), or
 a raised CapExceeded (unknown), which callers report as inconclusive,
 never as a no.
 
+reversing_cap bounds only the grid of a reversal that a query asks for,
+an lcm's or the cube check's, cell by cell whether the store holds a cell
+or not.  A peel row and a nested reversal of a cell the store lacks are
+not charged; basics_cap guards the nested reversals, whose words are
+basic elements.  So canonical forms, quotient rows, `divides`, `gcd` and
+`divisors` overflow only where a side's reversing table cannot be built,
+or at that guard.  A memo hit skips only work that charges no
+reversing_cap, and an overflow is never memoised: whether a query
+overflows reversing_cap depends on the query and the cap, not on what
+its context computed before.  The guard fires only at a basics_cap below
+the longest basic element's length, and there a least word that a
+context interned without peeling it (`atom_quotients`, `divisors`) is
+read, not peeled, so a fresh context can meet the guard where a warmed
+one does not.
+
 One side convention serves every operation that takes a Side: RIGHT
 attaches on the right and LEFT on the left.  `attach(y, x, side)` is y*x
 for RIGHT and x*y for LEFT, and it is the one place that orders a
@@ -239,12 +254,10 @@ class MonoidContext:
         does in every Artin-Tits monoid (each relation reads as itself, or
         with its sides swapped, backwards), the side runs no check and
         shares the other side's store: one reversing table serves both
-        sides, and a cell either side stores is read by both.  Whether a
-        reversal overflows may then depend on the cells the other side
-        stored, as it already depends on those its own side stored: a
-        reversal counts every cell of its own grid against reversing_cap,
-        stored or not, but a cell the store lacks is reversed by a nested
-        reversal under a cap of its own."""
+        sides, and a cell either side stores is read by both.  No overflow
+        depends on what a store holds: a query's reversal counts every
+        cell of its own grid against reversing_cap, stored or not, and a
+        nested reversal, of a cell the store lacks, is not counted."""
         store = self._stores[side is LEFT]
         if store is None:
             store = self._atom_store(side)
@@ -339,11 +352,16 @@ class MonoidContext:
     def _right_reverse(self, store, a: Word, b: Word, stack=None) -> Reversal:
         """Reverse a against b to the right over `store`: b*(a past b) =
         a*(b past a) is their lcm.  One row per letter of a, one cell per
-        letter of b; reversing_cap bounds the cells of one call, a cell
-        whose row is used up included (a nested reversal counts its own)."""
+        letter of b.  reversing_cap bounds the cells of a query's reversal,
+        a call made without a `stack`, each cell counted whether the store
+        holds it or not.  A nested reversal, of a cell the store lacks
+        (`_cell`), is not counted: it reverses two basic elements, which
+        basics_cap bounds."""
         if stack is None:
-            stack = set()
-        cells, cap = 0, self.caps.reversing_cap
+            stack, cap = set(), self.caps.reversing_cap
+        else:  # a grid has len(a) * len(b) cells, so this never overflows
+            cap = len(a) * len(b)
+        cells = 0
         top = list(b)
         ends = []
         for x in a:
@@ -366,6 +384,13 @@ class MonoidContext:
         shorter segment of its reversing diagram, so the recursion ends
         whenever the lcm exists; a pair met again while it is being
         reversed (`stack`) therefore has no common multiple.
+
+        The words of a cell are basic elements, so the one guard on a
+        nested reversal is basics_cap: a cell the store lacks whose word is
+        longer than basics_cap raises BasicsCapExceeded, with
+        `basic_table`'s message.  Every key of the store passed that guard
+        or is a pair of atoms, so a longer cell is always missing: the
+        guard fires on such a cell whatever the store holds.
         """
         if not x or not t:
             return x, t
@@ -376,6 +401,8 @@ class MonoidContext:
             if len(x) == len(t) == 1 or (x, t) in stack or (t, x) in stack:
                 got = None
             else:
+                if max(len(x), len(t)) > self.caps.basics_cap:
+                    raise self._basics_exceeded()
                 stack.add((x, t))
                 try:
                     got = self._right_reverse(store, x, t, stack)
@@ -394,12 +421,11 @@ class MonoidContext:
         The state x, what is left of s, is used up at the first letter
         equal to it, whose cell is ("", ""), and `_cell` stores no such
         cell; in a homogeneous monoid no other cell uses a state up.  What
-        the row has collected, followed by the rest of w, is q.
-        reversing_cap bounds the cells of the row up to that letter (a
-        nested reversal counts its own)."""
-        cap = self.caps.reversing_cap
+        the row has collected, followed by the rest of w, is q.  A row is
+        linear in w and charges no cap; a nested reversal is bounded by
+        `_cell`'s guard."""
         x, out = s, []
-        for t in w[:cap]:
+        for t in w:
             if x == t:
                 return "".join(out) + w[len(out) + 1 :]
             r = store.get((x, t), _MISSING)
@@ -409,8 +435,6 @@ class MonoidContext:
                 return None
             x, c = r
             out.append(c)
-        if len(w) > cap:
-            raise ReversingCapExceeded(f"reversing exceeded {cap} cell fills")
         return None
 
     def _reverse(self, a: Word, b: Word, side: Side) -> Reversal:
@@ -524,11 +548,13 @@ class MonoidContext:
 
         Each quotient found is checked once, here, by multiplying it back:
         attach(q, s, side) must be a, else InternalInvariantError.  A row
-        that overflows a cap, while dividing or while checking, leaves its
-        CapExceeded in that atom's place, for the caller to raise or report
-        at that atom's turn, and a table holding one is not memoised; when
-        the other side's table overflows as it is built, its overflow sits
-        in every atom's place."""
+        reads two reversing stores, the other side's to peel and RIGHT's to
+        make quotients canonical, and both are built before anything else.
+        A peel charges no reversing_cap, so a row overflows it only when a
+        store cannot be built; the row is then that store's CapExceeded in
+        every atom's place, for the caller to raise or report at an atom's
+        turn, and is not memoised.  Every other row is memoised, and a
+        nested reversal past basics_cap raises out of the row (`_cell`)."""
         left = side is LEFT
         word = a.word
         tables = self._quotients[left]
@@ -538,39 +564,34 @@ class MonoidContext:
         n = self.pres.n_atoms
         if not word:  # no atom divides 1, and no reversing table is built
             return tables.setdefault(word, (None,) * n)
-        try:  # building the reversing table on first use may overflow
+        try:  # building a reversing table on first use may overflow
             store = self._store(side.other)
+            self._store(RIGHT)
         except CapExceeded as e:
             return (e,) * n
         w = word if left else word[::-1]
         first = ord(w[0])
         memo = self._canon
-        out, complete = [None] * n, True
+        out = [None] * n
         for s in range(first if left else 0, n):
             atom = self._atoms[s]
-            try:
-                if s == first:
-                    least = word[1:] if left else word[:-1]
-                    q = memo.get(least)
-                    if q is None:
-                        q = memo[least] = Element(least)
-                else:
-                    q = self._peel(store, atom.word, w)
-                    if q is None:
-                        continue
-                    q = self.canonical(q if left else q[::-1])
-                if self.attach(q, atom, side) != a:
-                    raise InternalInvariantError(
-                        f"{self.word_str(q)} with {self.word_str(atom)} attached "
-                        f"on the {side.value} is not {self.word_str(a)}"
-                    )
-            except CapExceeded as e:
-                q, complete = e, False
+            if s == first:
+                least = word[1:] if left else word[:-1]
+                q = memo.get(least)
+                if q is None:
+                    q = memo[least] = Element(least)
+            else:
+                q = self._peel(store, atom.word, w)
+                if q is None:
+                    continue
+                q = self.canonical(q if left else q[::-1])
+            if self.attach(q, atom, side) != a:
+                raise InternalInvariantError(
+                    f"{self.word_str(q)} with {self.word_str(atom)} attached "
+                    f"on the {side.value} is not {self.word_str(a)}"
+                )
             out[s] = q
-        table = tuple(out)
-        if complete:
-            tables[word] = table
-        return table
+        return tables.setdefault(word, tuple(out))
 
     def divisors(self, a: Element, side: Side) -> tuple[Element, ...]:
         """All side-divisors of a, canonical, ordered by (length, word).
@@ -777,10 +798,7 @@ class MonoidContext:
                         known.add(c)
                         basics.append(c)
                 if len(basics) > self.caps.basics_cap:
-                    raise BasicsCapExceeded(
-                        f"basic-element closure exceeds basics_cap="
-                        f"{self.caps.basics_cap}; finiteness not witnessed"
-                    )
+                    raise self._basics_exceeded()
         table = BasicTable(
             side=side,
             basics=tuple(sorted(basics, key=Element.sort_key)),
@@ -789,6 +807,12 @@ class MonoidContext:
         )
         self._tables[side] = table
         return table
+
+    def _basics_exceeded(self) -> BasicsCapExceeded:
+        return BasicsCapExceeded(
+            f"basic-element closure exceeds basics_cap={self.caps.basics_cap}; "
+            "finiteness not witnessed"
+        )
 
     # ------------------------------------------------------------------
     # enumeration and bounds

@@ -4,15 +4,13 @@ word, by a reversing row read cell by cell off the other side's store,
 and every quotient found is made canonical and multiplied back.
 
 It reads nothing of the element's word but its letters: no atom is ruled
-out or divided off by its place in the least word.
+out or divided off by its place in the least word.  Like the package's
+rows, a row charges no cap: it overflows only where a reversing store
+cannot be built, or where a nested reversal meets `_cell`'s basics_cap
+guard.
 """
 
-from multired.monoid import (
-    CapExceeded,
-    InternalInvariantError,
-    ReversingCapExceeded,
-    Side,
-)
+from multired.monoid import CapExceeded, InternalInvariantError, Side
 
 
 def peel(ctx, store, s, w):
@@ -21,11 +19,8 @@ def peel(ctx, store, s, w):
     x = chr(s)
     if w and w[0] == x:
         return w[1:]
-    cap = ctx.caps.reversing_cap
     stack, out = set(), []
     for j, t in enumerate(w):
-        if j >= cap:
-            raise ReversingCapExceeded(f"reversing exceeded {cap} cell fills")
         r = ctx._cell(store, x, t, stack)
         if r is None:
             return None

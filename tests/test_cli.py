@@ -103,6 +103,18 @@ def test_basics_cap_overflow_inconclusive(capsys, monkeypatch):
     assert len(out.split()) == 10 and err == ""
 
 
+def test_nested_reversal_past_basics_cap_inconclusive(capsys, monkeypatch):
+    # a nested reversal reverses two basic elements, so basics_cap is its
+    # guard: A2tilde's nested cells have 2-letter words, which basics_cap=1
+    # refuses, and a reduction that needs one is inconclusive, exit 2
+    monkeypatch.setenv("MULTIRED_CAPS", "basics_cap=1")
+    assert main(["reduce", "--preset", "A2tilde", "ac/ca/ba/ab/cb/bc"]) == EXIT_INCONCLUSIVE
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "inconclusive: basic-element closure exceeds basics_cap=1; finiteness not witnessed\n"
+    )
+
+
 def test_wordproblem(capsys):
     code, out = run(capsys, "wordproblem", "--preset", "braid3", "a B")
     assert code == EXIT_OK and "nontrivial (unconditional)" in out
@@ -423,7 +435,7 @@ def test_cunif_over_undecided_right_moves_exits_inconclusive(capsys, monkeypatch
     argv = ["conjecture", "Cunif", "--preset", "A2tilde", "--depth", "4", "--length", "16",
             "--trials", "20", "--seed", "1"]
     assert main(argv) == EXIT_INCONCLUSIVE
-    assert json.loads(capsys.readouterr().out)["counts"] == {"confirmed": 11, "inconclusive": 9}
+    assert json.loads(capsys.readouterr().out)["counts"] == {"confirmed": 16, "inconclusive": 4}
 
 
 def test_options_are_those_read():

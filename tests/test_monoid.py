@@ -25,6 +25,7 @@ from multired.monoid import (
 )
 from multired.presentation import format_word, parse_presentation, parse_word, preset
 from test_campaign_golden import PRESETS as GOLDEN_PRESETS
+from test_history_free_caps import _plain
 from words import index_words, word
 
 words = index_words(3, min_size=0, max_size=6)
@@ -212,24 +213,20 @@ def test_divisors_overflow_as_the_dfs(preset_name, cap):
     "preset_name, cap, max_len", [("braid(4)", 16, 24), ("A3tilde", 17, 24), ("A2tilde", 3, 8)]
 )
 def test_divisors_under_a_cap_are_exact_or_inconclusive(preset_name, cap, max_len):
-    # at these caps the cube check passes and the atom divisions of long
-    # elements overflow.  A division's cell count depends on the cells
-    # that earlier divisions stored, so the level search and the DFS,
-    # which divide in different orders, may disagree on whether the cap
-    # is reached; when either returns, it returns every divisor
+    # at these caps the cube check passes, and the words divided are
+    # longer than the cap.  An atom division is a reversing row, which
+    # charges no cap, so on a fresh context the level search and the DFS,
+    # which divide in different orders, both return every divisor
     pres = preset(preset_name)
     probe = MonoidContext(pres)
     rng = random.Random(zlib.crc32(preset_name.encode()))
-    message = (ReversingCapExceeded, f"reversing exceeded {cap} cell fills")
-    kinds = set()
-    for a in _random_elements(probe, rng, 20, max_len=max_len):
+    elements = _random_elements(probe, rng, 20, max_len=max_len)
+    assert any(a.length > cap for a in elements)
+    for a in elements:
         for side in Side:
             exact = _divisors_dfs(probe, a, side)
-            new = _capped_outcome(MonoidContext.divisors, pres, cap, a, side)
-            old = _capped_outcome(_divisors_dfs, pres, cap, a, side)
-            assert new in (exact, message) and old in (exact, message)
-            kinds.add((new == exact, old == exact))
-    assert {(True, True), (False, False)} <= kinds
+            assert _capped_outcome(MonoidContext.divisors, pres, cap, a, side) == exact
+            assert _capped_outcome(_divisors_dfs, pres, cap, a, side) == exact
 
 
 @pytest.mark.parametrize("preset_name", EVERY_PRESET)
@@ -270,22 +267,25 @@ def test_divides_quotients_match_scan(preset_name):
 
 
 def test_atom_quotients_keep_overflows_unmemoised(att):
-    # an atom whose division overflows holds the overflow that `divides`
-    # raises, the other atoms their quotients; only a complete table is
-    # memoised
+    # a row charges no cap, so at reversing_cap=3 the row of abcab is the
+    # default-cap row, and it is memoised.  Where the cube check of the
+    # atom table overflows (cap 1), no reversing table can be built: the
+    # overflow sits in every atom's place, `divides` raises it, and the
+    # row is not memoised
     ctx = MonoidContext(preset("A2tilde"), Caps(reversing_cap=3))
-    probe = MonoidContext(preset("A2tilde"), Caps(reversing_cap=3))
     a = att.element("abcab")
     table = ctx.atom_quotients(a, Side.LEFT)
-    assert table[0] == att.element("bcab") and table[2] is None
-    assert isinstance(table[1], ReversingCapExceeded)
-    with pytest.raises(ReversingCapExceeded, match=str(table[1])):
-        probe.divides(att.element("b"), a, Side.LEFT)
-    assert ctx.atom_quotients(a, Side.LEFT) is not table
-    b = att.element("aab")
-    complete = ctx.atom_quotients(b, Side.LEFT)
-    assert complete == (att.element("ab"), None, None)
-    assert ctx.atom_quotients(b, Side.LEFT) is complete
+    assert table == att.atom_quotients(a, Side.LEFT) == (att.element("bcab"), None, None)
+    assert ctx.atom_quotients(a, Side.LEFT) is table
+    tight = MonoidContext(preset("A2tilde"), Caps(reversing_cap=1))
+    row = tight.atom_quotients(a, Side.LEFT)
+    message = "reversing exceeded 1 cell fills"
+    assert len(row) == 3
+    assert all(type(q) is ReversingCapExceeded and str(q) == message for q in row)
+    with pytest.raises(ReversingCapExceeded, match=message):
+        tight.divides(att.element("b"), a, Side.LEFT)
+    assert tight.atom_quotients(a, Side.LEFT) is not row
+    assert a.word not in tight._quotients[True]  # the LEFT tables
 
 
 @pytest.mark.parametrize("side", list(Side))
@@ -324,42 +324,34 @@ def _seeded_elements(ctx, seed, count, max_len):
 @pytest.mark.parametrize("preset_name", GOLDEN_PRESETS)
 def test_atom_quotients_match_every_atom_peeled(preset_name):
     # oracle: the rule that peeled every atom and made every quotient
-    # canonical (tests/quotient_oracle.py).  Under a reversing cap a
-    # division's cells depend on the cells earlier ones stored, so the
-    # reference reads each row first, on the same context; the row then
-    # meets at least the cells the reference met.  It may decide an entry
-    # whose reference overflowed (an atom that the least word rules out or
-    # divides off with no reversing), never the reverse.  At caps 1-3 the
-    # cube check of braid(4), braid(5) and A3tilde overflows, so cap 16
-    # gives them rows to divide under a cap
+    # canonical (tests/quotient_oracle.py).  Neither charges a row, so the
+    # rows equal the reference's at every cap, overflows included, and a
+    # row overflows only where the atom table's cube check does: at caps
+    # 1-3 on braid(4), braid(5) and A3tilde, cap 1 on A2tilde and K(4,3),
+    # caps 1-2 on C2tilde.  Cap 16 gives braid(4), braid(5) and A3tilde
+    # rows longer than the cap to divide
     pres = preset(preset_name)
     seed = zlib.crc32(preset_name.encode())
     elements = _seeded_elements(MonoidContext(pres), seed, 10, max_len=24)
+    assert any(a.length > 16 for a in elements)
     kinds = set()
     for cap in (None, 1, 2, 3, 16):
-        ctx = MonoidContext(pres, Caps() if cap is None else Caps(reversing_cap=cap))
+        caps = Caps() if cap is None else Caps(reversing_cap=cap)
+        cube = _outcome(MonoidContext(pres, caps).check_atom_tables)
+        ctx = MonoidContext(pres, caps)
         for a in elements:
             for side in Side:
-                want = quotient_oracle.atom_quotients(ctx, a, side)
-                got = ctx.atom_quotients(a, side)
-                for g, w in zip(got, want):
-                    if isinstance(g, CapExceeded):
-                        assert (type(g), str(g)) == (type(w), str(w))
-                        kinds.add("both overflow")
-                    elif isinstance(w, CapExceeded):
-                        kinds.add("decided past an overflow")
-                    else:
-                        assert g == w
-                        kinds.add("equal" if cap is None else "equal under a cap")
-        if cap is None:
-            assert "both overflow" not in kinds and "decided past an overflow" not in kinds
+                got = _plain(ctx.atom_quotients(a, side))
+                assert got == _plain(quotient_oracle.atom_quotients(ctx, a, side))
+                if cube is None or a.is_identity:
+                    assert not any(isinstance(q, CapExceeded) for q in ctx.atom_quotients(a, side))
+                    kinds.add("equal" if cap is None else "equal under a cap")
+                else:
+                    assert got == [cube] * pres.n_atoms
+                    kinds.add("both overflow")
     assert {"equal", "equal under a cap"} <= kinds
-    if preset_name != "free(2)":  # free(2) has no cell to overflow
+    if preset_name not in ("free(2)", "I2(5)"):  # their cube checks fit every cap
         assert "both overflow" in kinds
-    # on A3tilde every entry that overflows at cap 16 is one that
-    # atom_quotients divides by a reversing row too
-    if preset_name not in ("free(2)", "A3tilde"):
-        assert "decided past an overflow" in kinds
 
 
 @pytest.mark.parametrize("preset_name", GOLDEN_PRESETS)
@@ -609,20 +601,20 @@ def test_reversing_cap_counts_every_cell_of_a_grid():
         ctx._right_reverse(store, aa, ba)
     ctx.caps = Caps(reversing_cap=4)
     assert ctx._right_reverse(store, aa, ba) == want and store == stored
-    # a cell the store lacks is reversed by a nested reversal, which counts
-    # against a cap of its own: over C2tilde's atom table, a against ba is
-    # a 2-cell grid whose second cell, aba against a, is not stored and
-    # takes a nested 3-cell reversal, so it overflows cap 2 until a
+    # a cell the store lacks is reversed by a nested reversal, which is not
+    # counted: over C2tilde's atom table, a against ba is a 2-cell grid
+    # whose second cell, aba against a, is not stored and takes a nested
+    # 3-cell reversal.  At cap 2 it gives the same pair before and after a
     # default-cap reversal has stored that cell
     tight = MonoidContext(preset("C2tilde"), Caps(reversing_cap=2))
     store = tight._atom_store(Side.RIGHT)
     a, ba = word(0), word(1, 0)
+    want = (word(1, 0), word(1, 0, 1))
     assert (word(0, 1, 0), a) not in store
-    with pytest.raises(ReversingCapExceeded, match="exceeded 2 cell fills"):
-        tight._right_reverse(store, a, ba)
-    want = MonoidContext(preset("C2tilde"))._right_reverse(store, a, ba)
+    assert tight._right_reverse(tight._atom_store(Side.RIGHT), a, ba) == want
+    assert MonoidContext(preset("C2tilde"))._right_reverse(store, a, ba) == want
     assert (word(0, 1, 0), a) in store
-    assert tight._right_reverse(store, a, ba) == want == (word(1, 0), word(1, 0, 1))
+    assert tight._right_reverse(store, a, ba) == want
 
 
 @pytest.mark.parametrize("side", list(Side))
