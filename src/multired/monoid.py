@@ -6,7 +6,9 @@ Reversing a word a against a word b gives (a past b, b past a), the words
 that extend b and a to their lcm, or None when there is no common
 multiple.  A grid cell not yet in the table is reversed letter by letter
 and stored (the iterated-lcm rule); a cell met again inside its own
-reversal has no common multiple.  Cells are basic elements, a finite set
+reversal has no common multiple.  A cell with an empty word is trivial
+and is skipped: a row ends where its letter is used up, and a column
+that is used up is passed over.  Cells are basic elements, a finite set
 in Artin-Tits monoids (Dehornoy-Dyer-Hohlweg, "Garside families in
 Artin-Tits monoids and low elements in Coxeter groups", 2015).  The atom
 table is read off the relations: the presentation is complemented, so the
@@ -16,7 +18,9 @@ Reversing is exact when it is complete, which for homogeneous
 presentations is the cube condition on atom triples; a side's table is
 checked on first use, and a failure raises LatticeViolation.  A side
 whose atom table equals the other side's checked table, as in every
-Artin-Tits monoid, runs no check and shares that side's reversing store.
+Artin-Tits monoid, runs no check and shares that side's reversing store;
+its basic table is then read off the other side's, word by word reversed
+(`basic_table`).
 
 An atom s left-divides w exactly when reversing s against w leaves s
 nothing to add; what is left of w is the quotient.  That reversing row
@@ -352,38 +356,64 @@ class MonoidContext:
     def _right_reverse(self, store, a: Word, b: Word, stack=None) -> Reversal:
         """Reverse a against b to the right over `store`: b*(a past b) =
         a*(b past a) is their lcm.  One row per letter of a, one cell per
-        letter of b.  reversing_cap bounds the cells of a query's reversal,
-        a call made without a `stack`, each cell counted whether the store
-        holds it or not.  A nested reversal, of a cell the store lacks
-        (`_cell`), is not counted: it reverses two basic elements, which
-        basics_cap bounds."""
+        letter of b, each read off the store, or reversed by `_cell` when
+        the store lacks it.
+
+        A cell with an empty word is trivial and stores nothing: (x, "")
+        passes x on and ("", t) leaves t as it is.  So a used-up column is
+        skipped, and a row ends where its state x is used up, at a letter
+        equal to it or at a stored cell that empties it.
+
+        reversing_cap bounds the cells of a query's reversal, a call made
+        without a `stack`, each counted whether the store holds it or not.
+        A cell's count is its place in the grid, row by row, and the first
+        cell past the cap raises, trivial or not: a non-trivial one before
+        it is filled, skipped ones at the end of their row, which raises
+        the same since a trivial cell has no effect.  A nested reversal,
+        of a cell the store lacks, is not counted: it reverses two basic
+        elements, which basics_cap bounds."""
+        n = len(b)
         if stack is None:
             stack, cap = set(), self.caps.reversing_cap
+            room = max(cap, 0)  # the cells from the start of this row up to the cap
         else:  # a grid has len(a) * len(b) cells, so this never overflows
-            cap = len(a) * len(b)
-        cells = 0
+            cap = room = len(a) * n
         top = list(b)
         ends = []
         for x in a:
             for j, t in enumerate(top):
-                cells += 1
-                if cells > cap:
+                if not t:
+                    continue
+                if j >= room:
                     raise ReversingCapExceeded(f"reversing exceeded {cap} cell fills")
-                r = self._cell(store, x, t, stack)
+                if x == t:
+                    top[j] = x = ""
+                    break
+                r = store.get((x, t), _MISSING)
+                if r is _MISSING:
+                    r = self._cell(store, x, t, stack)
                 if r is None:
                     return None
                 x, top[j] = r
+                if not x:
+                    break
+            if room < n:
+                raise ReversingCapExceeded(f"reversing exceeded {cap} cell fills")
+            room -= n
             ends.append(x)
         return "".join(ends), "".join(top)
 
     def _cell(self, store, x: Word, t: Word, stack: set) -> Reversal:
-        """One grid cell: (x past t, t past x) from the table, or reversed
-        letter by letter and stored.
+        """A grid cell the store lacks, (x past t, t past x) for two
+        non-empty words x != t, reversed letter by letter and stored.  The
+        callers (`_right_reverse`, `_peel`) read trivial cells and stored
+        ones themselves.
 
-        Every sub-lcm of an existing lcm exists and spans a strictly
-        shorter segment of its reversing diagram, so the recursion ends
-        whenever the lcm exists; a pair met again while it is being
-        reversed (`stack`) therefore has no common multiple.
+        A missing pair of atoms is one no relation covers: it has no
+        common multiple.  Every sub-lcm of an existing lcm exists and spans
+        a strictly shorter segment of its reversing diagram, so the
+        recursion ends whenever the lcm exists; a pair met again while it
+        is being reversed (`stack`) therefore has no common multiple.
 
         The words of a cell are basic elements, so the one guard on a
         nested reversal is basics_cap: a cell the store lacks whose word is
@@ -392,24 +422,18 @@ class MonoidContext:
         or is a pair of atoms, so a longer cell is always missing: the
         guard fires on such a cell whatever the store holds.
         """
-        if not x or not t:
-            return x, t
-        if x == t:
-            return "", ""
-        got = store.get((x, t), _MISSING)
-        if got is _MISSING:
-            if len(x) == len(t) == 1 or (x, t) in stack or (t, x) in stack:
-                got = None
-            else:
-                if max(len(x), len(t)) > self.caps.basics_cap:
-                    raise self._basics_exceeded()
-                stack.add((x, t))
-                try:
-                    got = self._right_reverse(store, x, t, stack)
-                finally:
-                    stack.discard((x, t))
-            store[(x, t)] = got
-            store[(t, x)] = None if got is None else (got[1], got[0])
+        if len(x) == len(t) == 1 or (x, t) in stack or (t, x) in stack:
+            got = None
+        else:
+            if max(len(x), len(t)) > self.caps.basics_cap:
+                raise self._basics_exceeded()
+            stack.add((x, t))
+            try:
+                got = self._right_reverse(store, x, t, stack)
+            finally:
+                stack.discard((x, t))
+        store[(x, t)] = got
+        store[(t, x)] = None if got is None else (got[1], got[0])
         return got
 
     def _peel(self, store, s: Word, w: Word) -> Word | None:
@@ -419,7 +443,7 @@ class MonoidContext:
         when the store lacks it.
 
         The state x, what is left of s, is used up at the first letter
-        equal to it, whose cell is ("", ""), and `_cell` stores no such
+        equal to it, whose cell is ("", ""), and no store holds such a
         cell; in a homogeneous monoid no other cell uses a state up.  What
         the row has collected, followed by the rest of w, is q.  A row is
         linear in w and charges no cap; a nested reversal is bounded by
@@ -776,11 +800,30 @@ class MonoidContext:
     def basic_table(self, side: Side) -> BasicTable:
         """The basic elements (the closure of the atoms under complements)
         and the complements of every pair of them.  A worklist: each new
-        basic is reversed once against itself and every earlier one."""
+        basic is reversed once against itself and every earlier one.
+
+        When both sides share one reversing store, as in every Artin-Tits
+        monoid (`_store`), reversing a word is an anti-automorphism: a
+        LEFT reversal is a RIGHT one of the reversed words, over the same
+        store.  So a side's table is the mirror image of the other side's,
+        once that one is built: each basic, pair and complement read as
+        canonical(its word reversed).  The mirror is taken only where the
+        direct build cannot overflow at these caps, which then builds that
+        same table: no pair grid, of at most (C-1)**2 cells, passes
+        reversing_cap, and neither a nested cell's word, a basic element,
+        nor the closure, as large as the other side's, passes basics_cap."""
         got = self._tables.get(side)
         if got is not None:
             return got
         self._store(side)  # a bad atom table is refused before anything else
+        other = self._tables.get(side.other)
+        if (
+            other is not None
+            and self._stores[0] is self._stores[1]
+            and (other.C - 1) ** 2 <= self.caps.reversing_cap
+            and max(other.C - 1, len(other.basics)) <= self.caps.basics_cap
+        ):
+            return self._tables.setdefault(side, self._mirror_table(other))
         basics = [IDENTITY, *self.atoms()]
         known = set(basics)
         complement: dict[tuple[Element, Element], Element] = {}
@@ -807,6 +850,18 @@ class MonoidContext:
         )
         self._tables[side] = table
         return table
+
+    def _mirror_table(self, table: BasicTable) -> BasicTable:
+        """`table` read on the other side, each element x as
+        canonical(x.word reversed); complements are basic elements, so one
+        map over the basics serves every pair and value."""
+        m = {x: self.canonical(x.word[::-1]) for x in table.basics}
+        return BasicTable(
+            side=table.side.other,
+            basics=tuple(sorted(m.values(), key=Element.sort_key)),
+            complement={(m[u], m[v]): m[c] for (u, v), c in table.complement.items()},
+            no_multiple=frozenset((m[u], m[v]) for u, v in table.no_multiple),
+        )
 
     def _basics_exceeded(self) -> BasicsCapExceeded:
         return BasicsCapExceeded(

@@ -978,3 +978,93 @@ def test_completed_presentation_table():
         got = {ctx.word_str(u) + ctx.word_str(v): ctx.word_str(w)
                for (u, v), w in t.complement.items() if u.length == v.length == 1 and u != v}
         assert got == pairs
+
+
+# reversing_caps up to 8, at which many grids overflow (a negative cap
+# admits no cell), the default, and basics_caps at which nested
+# reversals meet their guard
+KERNEL_CAPS = [
+    *(Caps(reversing_cap=cap) for cap in range(-1, 9)),
+    Caps(),
+    *(Caps(basics_cap=cap) for cap in (1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("caps", KERNEL_CAPS, ids=repr)
+@pytest.mark.parametrize("preset_name", GOLDEN_PRESETS)
+def test_right_reverse_matches_cell_by_cell_oracle(preset_name, caps):
+    # the kernel skips trivial cells and ends a row where its state is
+    # used up; the oracle fills every cell (tests/quotient_oracle.py).
+    # Over one seeded sequence of word pairs, each on its own fresh
+    # context and atom store, they give the same reversal or the same
+    # overflow, and leave the same store after every pair
+    pres = preset(preset_name)
+    rng = random.Random(zlib.crc32(preset_name.encode()))
+    for side in Side:
+        new, old = MonoidContext(pres, caps), MonoidContext(pres, caps)
+        new_store, old_store = new._atom_store(side), old._atom_store(side)
+        for _ in range(40):
+            a, b = (
+                word(*(rng.randrange(pres.n_atoms) for _ in range(rng.randint(0, 6))))
+                for _ in range(2)
+            )
+            got = _outcome(lambda: new._right_reverse(new_store, a, b))
+            want = _outcome(lambda: quotient_oracle.right_reverse(old, old_store, a, b))
+            assert got == want, (side, a, b)
+            assert new_store == old_store, (side, a, b)
+
+
+def _table_outcome(ctx, side):
+    def run():
+        t = ctx.basic_table(side)
+        return t.side, t.basics, t.complement, t.no_multiple, t.C
+
+    return _outcome(run)
+
+
+def _mirror_caps(pres):
+    """Caps about the bounds of the mirror: reversing_cap (C-1)**2 - 1 and
+    (C-1)**2, and basics_cap C-2, C-1 and the basic count less 1 and
+    itself, each with the other caps at their defaults."""
+    t = MonoidContext(pres).basic_table(Side.RIGHT)
+    longest, count = t.C - 1, len(t.basics)
+    return [
+        Caps(),
+        *(Caps(reversing_cap=longest**2 + d) for d in (-1, 0)),
+        *(Caps(basics_cap=cap) for cap in (longest - 1, longest, count - 1, count)),
+    ]
+
+
+@pytest.mark.parametrize("first", list(Side), ids=lambda side: f"{side.value}-first")
+@pytest.mark.parametrize(
+    "pres",
+    [pres for pres in STORE_CASES if not pres.name.startswith("cube-fails")],
+    ids=lambda pres: pres.name,
+)
+def test_mirrored_table_matches_direct_build(pres, first, monkeypatch):
+    # the second side's table, read off the first side's where both sides
+    # share one store, is the table a fresh context builds directly, or
+    # the same overflow: with the first side built at default caps and
+    # the second asked for at each cap about the mirror's bounds.  The
+    # files whose mirror image differs are always built directly
+    mirrored = []
+    mirror = MonoidContext._mirror_table
+
+    def spy(self, table):
+        mirrored.append(table.side)
+        return mirror(self, table)
+
+    monkeypatch.setattr(MonoidContext, "_mirror_table", spy)
+    side = first.other
+    shared = pres.name not in ("mirror-differs", "completed")
+    for caps in _mirror_caps(pres):
+        ctx = MonoidContext(pres)
+        other = ctx.basic_table(first)
+        ctx.caps = caps
+        mirrored.clear()
+        got = _table_outcome(ctx, side)
+        assert got == _table_outcome(MonoidContext(pres, caps), side), caps
+        fits = (other.C - 1) ** 2 <= caps.reversing_cap and max(
+            other.C - 1, len(other.basics)
+        ) <= caps.basics_cap
+        assert mirrored == ([first] if shared and fits else []), caps
