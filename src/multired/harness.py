@@ -4,16 +4,18 @@ problem, and seeded campaign runs.
 
 Verdict discipline: cap overflows degrade verdicts to "inconclusive", and
 a "counterexample" is reported only when nothing was left undecided.  It
-lives in two decisions.  `_reaches_trivial` asks whether a left-reduces
-to the trivial multifraction, for Conjecture A, the word problem and the
-depth-4 check: one strategy run, then, when the run ends elsewhere or
-overflows a cap, the left reduct graph, with a counterexample only off a
-complete graph.  `LeftClosures.common` gives the common left reducts of
-some roots and whether that set is exact, for the Cunif and four-strategy
-cross-confluence testers; Cunif confirms only over a complete right
-walk (`right_roots`, which keeps no edges), and walks left closures from
-a and from no other right reduct whose closure holds another right
-reduct, as such a closure changes no intersection.  A central cross is
+lives in two decisions.  Whether some roots left-reduce to some targets
+is one search, `red.reaches`, exact when it counts no undecided move:
+`_reaches_trivial` asks it whether a reaches the trivial multifraction,
+for Conjecture A, the word problem and the depth-4 check, after one
+strategy run that ends elsewhere or overflows a cap, and the
+four-strategy probe asks it which strategy left ends each strategy
+right end reaches.  `LeftClosures.common` gives the common left reducts
+of some roots and whether that set is exact, for the Cunif tester, which
+confirms only over a complete right walk (`right_roots`, which keeps no
+edges), and walks left closures from a and from no other right reduct
+whose closure holds another right reduct, as such a closure changes no
+intersection.  A central cross is
 its tuple of rays: `assemble_cross` builds the multifraction from them, and
 `has_central_cross` reads them back off a depth-4 one.  The A and B
 testers take a certificate of unitality with their input, the
@@ -235,12 +237,13 @@ def lcm_expand(
 
 def _reaches_trivial(ctx: MonoidContext, a: Multifraction) -> Verdict:
     """Does a left-reduce to the trivial multifraction?  Confirmed by one
-    strategy run ("steps", "trace_levels") or, when the run ends
-    elsewhere or overflows a cap, by the left reduct graph ("via":
-    "graph", "nodes").  A counterexample ("nodes") is read only off a
-    complete graph; a graph past its cap ("reason") or with overflowed
-    moves ("incomplete_edges") is inconclusive.  Conjecture A, the word
-    problem and the depth-4 check all ask this."""
+    `low_lex` run ("steps", "trace_levels") or, when the run ends
+    elsewhere or overflows a cap, by a search of the left reduct graph
+    (`red.reaches`; "via": "graph", "nodes" the nodes it found).  A
+    counterexample ("nodes") is read only off a search that missed with
+    no undecided move; a search past its cap ("reason") or one that
+    missed with overflowed moves ("incomplete_edges") is inconclusive.
+    Conjecture A, the word problem and the depth-4 check all ask this."""
     try:
         tr = reduce_left(ctx, a)
         if tr.end.is_trivial:
@@ -248,17 +251,18 @@ def _reaches_trivial(ctx: MonoidContext, a: Multifraction) -> Verdict:
                 "confirmed",
                 {"trace_levels": [m.level for m in tr.moves], "steps": len(tr.moves)},
             )
-    except CapExceeded:  # the graph records the overflowed attempt as undecided
+    except CapExceeded:  # the search counts the overflowed attempt as undecided
         pass
+    trivial = Multifraction(a.first_sign, (IDENTITY,) * a.depth)
     try:
-        graph = reduct_graph(ctx, a, LEFT)
+        (hit,), nodes, undecided = red.reaches(ctx, [a], [trivial])
     except CapExceeded as e:
         return Verdict("inconclusive", {"reason": str(e)})
-    if any(node.is_trivial for node in graph.nodes):
-        return Verdict("confirmed", {"via": "graph", "nodes": len(graph.nodes)})
-    if graph.complete:
-        return Verdict("counterexample", {"nodes": len(graph.nodes)})
-    return Verdict("inconclusive", {"incomplete_edges": len(graph.inconclusive)})
+    if hit:
+        return Verdict("confirmed", {"via": "graph", "nodes": nodes})
+    if not undecided:
+        return Verdict("counterexample", {"nodes": nodes})
+    return Verdict("inconclusive", {"incomplete_edges": undecided})
 
 
 def test_conjecture_A(
@@ -361,31 +365,33 @@ def _strategy_end(run, ctx: MonoidContext, a: Multifraction, strategy: str) -> M
 def four_strategy_C_probe(ctx: MonoidContext, a: Multifraction) -> Verdict:
     """Strategy-restricted cross-confluence: the four strategy right
     reducts must all left-reduce to one of the four strategy left reducts
-    (whether they all reduce to all four is recorded as well), that is,
-    one strategy left reduct must lie in the common left reducts of the
-    right ones (`LeftClosures.common`).  A strategy run that overflows a
-    cap leaves its reduct None: an unfinished right run empties the
-    common set, an unfinished left one is in none.  Closures that
-    overflow leave only the runs' reducts and the reason; a failure is a
-    counterexample only when all eight runs finished and the closures of
-    the right reducts are complete.  Otherwise the evidence counts the
-    overflowed move attempts in those closures, each once, however many
-    runs ended at a root or closures hold a node ("incomplete_edges")."""
+    (whether they all reduce to all four is recorded as well).  One
+    search (`red.reaches`) from the distinct right reducts, with the
+    distinct left reducts as targets in strategy order, answers both.  A
+    strategy run that overflows a cap leaves its reduct None: an
+    unfinished right run leaves no target reached by all, an unfinished
+    left one is no target.  A search past its cap leaves only the runs'
+    reducts and the reason; a failure is a counterexample only when all
+    eight runs finished and the search counted no undecided move.
+    Otherwise the evidence counts the overflowed move attempts of the
+    nodes searched, each once, however many runs ended at a root
+    ("incomplete_edges")."""
     rights = [_strategy_end(reduce_right, ctx, a, s) for s in red.STRATEGIES]
     lefts = [_strategy_end(reduce_left, ctx, a, s) for s in red.STRATEGIES]
     runs = {
         "rights": [None if b is None else format_multifraction(ctx, b) for b in rights],
         "lefts": [None if c is None else format_multifraction(ctx, c) for c in lefts],
     }
-    finished = [b for b in rights if b is not None]
+    ends = list(dict.fromkeys(b for b in rights if b is not None))
+    targets = list(dict.fromkeys(c for c in lefts if c is not None))
     try:
-        lc = red.left_closures(ctx, finished)
+        hits, _, undecided = red.reaches(ctx, ends, targets)
     except CapExceeded as e:
         return Verdict("inconclusive", {**runs, "reason": str(e)})
-    bits, undecided = lc.common(finished)
-    if None in rights:
-        bits = 0
-    reached = [k is not None and bits >> k & 1 == 1 for k in map(lc.index.get, lefts)]
+    common = 0 if None in rights else -1
+    for bits in hits:
+        common &= bits
+    reached = [c in targets and common >> targets.index(c) & 1 == 1 for c in lefts]
     evidence = {
         **runs,
         "exists_k_forall_j": any(reached),
@@ -432,7 +438,7 @@ def check_depth4_equivalences(ctx: MonoidContext, a: Multifraction) -> dict:
     raises when they do not.  Reachability is `_reaches_trivial`'s
     verdict; when that is inconclusive, `reduces_to_trivial` and `agree`
     are None and its evidence is merged in: `incomplete_edges`, the
-    undecided moves, or `reason`, a graph past its cap."""
+    undecided moves of its search, or `reason`, a search past its cap."""
     if a.depth != 4:
         raise ValueError("depth-4 check")
     reach = _reaches_trivial(ctx, a)

@@ -24,8 +24,15 @@ moves this module provides:
   * the right walk of the Cunif tester (`right_roots`): the breadth-first
     search of `reduct_graph` on the right, keeping the node index and the
     roots of the left closure walk instead of edges;
-  * left reduct closures of many roots at once (`left_closures`): left
-    reduct graphs are acyclic, so one post-order walk of their shared
+  * the one answer to "which of these targets does each root
+    left-reduce to?" (`reaches`), which the Conjecture A, word-problem,
+    depth-4 and four-strategy deciders ask: left reduct graphs are
+    acyclic, so one depth-first post-order search of the roots' shared
+    graph gives every node an int over the targets, its own bit OR its
+    reducts' values, and enters no more reducts of a node whose value
+    holds them all;
+  * left reduct closures of many roots at once (`left_closures`), for
+    the Cunif tester alone: one post-order walk of the roots' shared
     graph gives every node its closure as an int bitset, the union of
     its reducts' closures; the common reducts of some roots
     (`LeftClosures.common`) are then an intersection of bitsets instead
@@ -58,16 +65,17 @@ multiple with entry i (mirrored for R~), so `_moves` reads, once per
 level, the `MonoidContext.atom_quotients` row of the entry divided (both
 entries' for a truncated division rule), takes lcms only for the atoms in
 it, and returns one flat list of the attempts that applied or overflowed
-at the levels it is given.  `reduct_graph`, `right_roots` and the
-`left_closures` walk ask it once per node for every level of their side
-(`_levels`).  A strategy run (`_reduce`) reads its strategy once, into
-a level order and the attempt to take at a level (the first for lex, the
-last for antilex), and at each step asks it for one level at a time in
-that order, up to the first level with an attempt.  An attempt that
+at the levels it is given.  `reduct_graph`, `right_roots`, `reaches`
+and the `left_closures` walk ask it once per node for every level of
+their side (`_levels`; the last two through `_left_reducts`).  A
+strategy run (`_reduce`) reads its strategy once, into a level order and
+the attempt to take at a level (the first for lex, the last for
+antilex), and at each step asks it for one level at a time in that
+order, up to the first level with an attempt.  An attempt that
 overflows a cap is a value in that list, its CapExceeded at its atom's
 place: `_reduce` raises it through `result_of`, `reduct_graph` records
-it as an inconclusive edge, `right_roots` counts it as undecided and
-`left_closures` counts it against its node.
+it as an inconclusive edge, `right_roots` and `reaches` count it as
+undecided and `left_closures` counts it against its node.
 
 The single-move API: a Move's kind is its Side.  `_apply` holds the
 geometry of one move on either side: the level range check, the level
@@ -618,7 +626,8 @@ def reduct_graph(ctx: MonoidContext, a: Multifraction, side: Side = LEFT) -> Red
     Every reduction decomposes into atomic steps at the same level, so the
     atomic closure reaches every reduct.  Applicability failures from cap
     overflow are recorded as inconclusive edges rather than guessed at.
-    The left closures of many roots at once come from `left_closures`.
+    The left closures of many roots at once come from `left_closures`,
+    and which targets some roots reach from `reaches`.
     """
     cap = ctx.caps.graph_node_cap
     g = ReductGraph(root=a, side=side)
@@ -739,6 +748,85 @@ def _bit_indices(bits: int) -> list[int]:
     return [k for k, c in enumerate(reversed(bin(bits)[2:])) if c == "1"]
 
 
+def _left_reducts(ctx: MonoidContext, node: Multifraction) -> tuple[list[Multifraction], int]:
+    """The reducts of node by one atomic left move, in `_moves` order, and
+    the number of its move attempts that overflowed a cap."""
+    outcomes = [b for _, _, b in _moves(ctx, node, LEFT, _levels(node, LEFT))]
+    reducts = [b for b in outcomes if not isinstance(b, CapExceeded)]
+    return reducts, len(outcomes) - len(reducts)
+
+
+class Reach(NamedTuple):
+    """What `reaches` found: hits[k], the targets that roots[k] left-reduces
+    to, as a bitset over target positions; nodes, the nodes it found; and
+    undecided, the overflowed move attempts of those nodes."""
+
+    hits: list[int]
+    nodes: int
+    undecided: int
+
+
+def reaches(ctx: MonoidContext, roots, targets) -> Reach:
+    """Which of the distinct targets each root left-reduces to, by one
+    depth-first search of the roots' shared left reduct graph.
+
+    Left reduct graphs are acyclic, so one iterative post-order walk gives
+    every node its value, the bits of the targets it reduces to: its own
+    bit, OR the values of its reducts by one atomic move, taken in
+    `_moves` order.  Each node found has its moves listed once, and its
+    overflowed attempts counted; once its value holds every target, no
+    more of its reducts are entered.  A node reached again keeps its
+    value, also from another root.  So the search keeps one int per node,
+    where `left_closures` keeps a bitset over all nodes.
+
+    A root's miss is exact when undecided is 0: a node whose value lacks
+    a target entered all its reducts, and so did every node it reduces to.
+    Otherwise a hit still holds, and a miss is a lower bound.  Raises
+    GraphNodeCapExceeded, with `reduct_graph`'s message, once more than
+    graph_node_cap nodes are found; a one-root search that misses finds
+    the nodes of that root's `reduct_graph` and as many overflowed
+    attempts as it has inconclusive edges."""
+    cap = ctx.caps.graph_node_cap
+    bit = {t: 1 << k for k, t in enumerate(targets)}
+    full = (1 << len(bit)) - 1
+    value: dict[Multifraction, int] = {}
+    walking: set[Multifraction] = set()
+    found = undecided = 0
+
+    def frame(node):
+        # [node, reducts, next reduct, value so far]
+        nonlocal found, undecided
+        if found and found >= cap:  # the first node fits any cap, as in reduct_graph
+            raise GraphNodeCapExceeded(f"reduct graph exceeded {cap} nodes")
+        found += 1
+        reducts, overflowed = _left_reducts(ctx, node)
+        undecided += overflowed
+        walking.add(node)
+        return [node, reducts, 0, bit.get(node, 0)]
+
+    for root in roots:
+        stack = [] if root in value else [frame(root)]
+        while stack:
+            top = stack[-1]
+            node, reducts, pos, v = top
+            if v != full and pos < len(reducts):
+                top[2] = pos + 1
+                b = reducts[pos]
+                if b in value:
+                    top[3] = v | value[b]
+                elif b in walking:
+                    raise InternalInvariantError("left reduct graph has a cycle")
+                else:
+                    stack.append(frame(b))
+                continue
+            stack.pop()
+            walking.discard(node)
+            value[node] = v
+            if stack:
+                stack[-1][3] |= v
+    return Reach([value[root] for root in roots], found, undecided)
+
+
 def left_closures(ctx: MonoidContext, roots, targets=()) -> LeftClosures:
     """The left reduct closures of the roots, each node expanded once.
 
@@ -774,15 +862,9 @@ def left_closures(ctx: MonoidContext, roots, targets=()) -> LeftClosures:
     expanded: dict[Multifraction, tuple[list[Multifraction], int]] = {}  # searched, not walked
     walked_targets = 0
 
-    def expand(node):
-        # (reducts, overflowed attempts) of one node
-        outcomes = [b for _, _, b in _moves(ctx, node, LEFT, _levels(node, LEFT))]
-        reducts = [b for b in outcomes if not isinstance(b, CapExceeded)]
-        return reducts, len(outcomes) - len(reducts)
-
     def frame(node):
         # [node, reducts, next reduct, closure so far, overflowed attempts]
-        reducts, overflowed = expanded.pop(node, None) or expand(node)
+        reducts, overflowed = expanded.pop(node, None) or _left_reducts(ctx, node)
         walking.add(node)
         return [node, reducts, 0, 0, overflowed]
 
@@ -792,7 +874,7 @@ def left_closures(ctx: MonoidContext, roots, targets=()) -> LeftClosures:
         order = [root]  # the search's queue and its nodes so far
         for node in order:
             if node not in expanded:
-                expanded[node] = expand(node)
+                expanded[node] = _left_reducts(ctx, node)
             for b in expanded[node][0]:
                 if b in seen:
                     continue

@@ -999,22 +999,80 @@ def test_four_strategy_exists_without_forall(att):
 
 
 def test_four_strategy_probe_incomplete_graphs(att, monkeypatch):
-    # a failure read off left reduct closures that dropped moves on a cap
-    # overflow is no counterexample
-    a = H.gen_multifraction(att, 4, 4, seed=0)
-    assert H.four_strategy_C_probe(att, a).status == "confirmed"
-    left_closures = red.left_closures
-
-    def closures_with_overflows(*args, **kwargs):
-        with pytest.MonkeyPatch.context() as mp:
-            overflow_left_moves(mp, lambda *attempt: True)
-            return left_closures(*args, **kwargs)
-
-    monkeypatch.setattr(red, "left_closures", closures_with_overflows)
+    # a failure read off a search that dropped moves on a cap overflow is
+    # no counterexample.  Every left attempt overflows outside the left
+    # reducts of a, so the left runs finish, while the search starts at
+    # right ends that are no left reducts of a and meets only overflows
+    a = H.gen_multifraction(att, 4, 4, seed=3)
+    clean = H.four_strategy_C_probe(att, a)
+    assert clean.status == "confirmed"
+    region = red.reduct_graph(att, a).index
+    overflow_left_moves(monkeypatch, lambda b, *attempt: b not in region)
     v = H.four_strategy_C_probe(att, a)
     assert v.status == "inconclusive"
+    assert v.evidence["lefts"] == clean.evidence["lefts"] and None not in v.evidence["lefts"]
+    assert not any(parse_multifraction(att, b) in region for b in v.evidence["rights"])
     assert not v.evidence["exists_k_forall_j"]
     assert v.evidence["incomplete_edges"] > 0
+
+
+@pytest.mark.parametrize("name", GOLDEN_PRESETS)
+def test_search_misses_with_undecided_moves_are_no_counterexamples(name):
+    # A: under overflows of the applied level-2 moves, a search from a
+    # unital cross (even seeds) or a seeded input (odd seeds) that misses
+    # the trivial multifraction with an undecided move is inconclusive,
+    # with the search's count; an exact miss is a counterexample, and it
+    # is one without the overflows too.  C: with every left attempt
+    # overflowing outside the left reducts of a, the left runs finish, and
+    # a probe whose search has an undecided move is never a counterexample
+    ctx = MonoidContext(preset(name), Caps(graph_node_cap=2000))
+    trivial = unit(4)
+    inconclusive = {"A": 0, "C": 0}
+    for seed in range(8):
+        if seed % 2:
+            a = H.gen_multifraction(ctx, 4, 3, seed)
+        else:
+            a, _ = H.gen_central_cross(ctx, 4, 2, seed)
+        try:
+            region = red.reduct_graph(ctx, a).index
+            clean = red.reaches(ctx, [a], [trivial])
+        except GraphNodeCapExceeded:
+            continue
+        with pytest.MonkeyPatch.context() as mp:
+            overflow_left_moves(mp, lambda b, i, x, r: i == 2 and r is not None)
+            reach = red.reaches(ctx, [a], [trivial])
+            v = H._reaches_trivial(ctx, a)
+        if reach.hits == [1]:
+            assert v.status == "confirmed"
+        elif reach.undecided:
+            assert (v.status, v.evidence) == ("inconclusive", {"incomplete_edges": reach.undecided})
+            inconclusive["A"] += 1
+        else:
+            assert (v.status, v.evidence) == ("counterexample", {"nodes": reach.nodes})
+            assert clean.hits == [0]
+        with pytest.MonkeyPatch.context() as mp:
+            overflow_left_moves(mp, lambda b, *attempt: b not in region)
+            c = H.four_strategy_C_probe(ctx, a)
+            ends = [parse_multifraction(ctx, b) for b in c.evidence["rights"]]
+            targets = [parse_multifraction(ctx, b) for b in dict.fromkeys(c.evidence["lefts"])]
+            reach = red.reaches(ctx, list(dict.fromkeys(ends)), targets)
+        assert c.status != "counterexample"
+        if c.status == "inconclusive":
+            assert c.evidence["incomplete_edges"] == reach.undecided > 0
+            inconclusive["C"] += 1
+    assert inconclusive["A"] and inconclusive["C"]
+
+
+def test_four_strategy_depth6_trials_past_the_closure_cap():
+    # braid(4) trials 25, 29 and 37 of the depth-6 C campaign once walked
+    # the right ends' left closures past 50,000 nodes; the search confirms
+    # them, with both flags true
+    ctx = MonoidContext(preset("braid(4)"))
+    config = H.CampaignConfig("braid(4)", "C", depth=6, length=18, trials=40, seed=1)
+    for index in (25, 29, 37):
+        rec = H.run_trial(ctx, config, index)
+        assert rec["verdict"] == "confirmed", index
+        assert rec["evidence"]["exists_k_forall_j"] and rec["evidence"]["forall_k_forall_j"]
 
 
 def test_depth4_incomplete_graph_inconclusive(att, monkeypatch):
@@ -1057,16 +1115,18 @@ def test_affine_presets_scan():
 
 
 def test_reaches_trivial_after_an_overflowed_run(att, monkeypatch):
-    # a strategy run that overflows hands over to the left reduct graph,
-    # which records the overflowed attempt as an undecided move
+    # a strategy run that overflows hands over to the search, which counts
+    # the overflowed attempt as an undecided move and stops at the trivial
+    # multifraction: 14 of the 317 nodes of the left reduct graph
     a = mf(att, "ac/ca/ba/ab/cb/bc")
     first = red.reduce_left(att, a).moves[0]
     overflow_left_moves(monkeypatch, lambda b, i, x, r: b == a and (i, x) == (first.level, first.x))
     with pytest.raises(ReversingCapExceeded):
         red.reduce_left(att, a)
     v = H._reaches_trivial(att, a)
-    assert (v.status, v.evidence) == ("confirmed", {"via": "graph", "nodes": 317})
-    # with both moves of a undecided, the graph holds a alone
+    assert (v.status, v.evidence) == ("confirmed", {"via": "graph", "nodes": 14})
+    assert len(red.reduct_graph(att, a).nodes) == 317
+    # with both moves of a undecided, the search finds a alone
     monkeypatch.undo()
     overflow_left_moves(monkeypatch, lambda b, i, x, r: b == a and r is not None)
     v = H._reaches_trivial(att, a)

@@ -991,6 +991,97 @@ def test_left_closures_node_cap(att):
     assert any(raised) and not all(raised)
 
 
+REACH_CAP = 2000
+REACH_SHAPES = ((4, 3), (6, 2))  # depth, longest entry
+
+
+@pytest.mark.parametrize("overflow", ["plain", "every", "applied"])
+@pytest.mark.parametrize("name", GOLDEN_PRESETS)
+def test_reaches_matches_left_closures(name, overflow):
+    # the roots are right reducts of seeded inputs, and the targets nodes
+    # of one root's left closure, with a node of any closure on odd seeds.
+    # Each hit bit is membership in the root's closure, also under the
+    # overflows of test_left_closures_match_fresh_graphs.  A one-root
+    # search gives the same bits; when it misses a target it finds the
+    # nodes of the root's left reduct graph and counts its inconclusive
+    # edges, and when it hits them all it finds no more nodes
+    ctx = MonoidContext(preset(name), Caps(graph_node_cap=REACH_CAP))
+    x = ctx.atoms()[min(2, ctx.pres.n_atoms - 1)]
+
+    def overflowing(a, i, y, b):
+        return i == 2 and (overflow == "every" or y == x and b is not None)
+
+    hits = misses = undecided = 0
+    with pytest.MonkeyPatch.context() as mp:
+        if overflow != "plain":
+            overflow_left_moves(mp, overflowing)
+        for depth, length in REACH_SHAPES:
+            for seed in range(4):
+                a = gen_multifraction(ctx, depth, length, seed)
+                try:
+                    roots = red.reduct_graph(ctx, a, Side.RIGHT).nodes[:8]
+                    lc = red.left_closures(ctx, roots)
+                except GraphNodeCapExceeded:
+                    continue
+                rng = random.Random(seed)
+                near = lc.members(lc.closure_of(roots[seed % len(roots)]))
+                targets = rng.sample(near, min(3, len(near)))
+                extra = rng.choice(lc.nodes)
+                if seed % 2 and extra not in targets:
+                    targets.append(extra)
+                full = (1 << len(targets)) - 1
+                reach = red.reaches(ctx, roots, targets)
+                assert len(reach.hits) == len(roots)
+                for root, got in zip(roots, reach.hits):
+                    bits = lc.closure_of(root)
+                    assert got == sum(1 << k for k, t in enumerate(targets) if bits >> lc.index[t] & 1)
+                    one = red.reaches(ctx, [root], targets)
+                    graph = red.reduct_graph(ctx, root, Side.LEFT)
+                    assert one.hits == [got]
+                    if got == full:
+                        assert one.nodes <= len(graph.nodes)
+                        hits += 1
+                    else:
+                        assert (one.nodes, one.undecided) == (len(graph.nodes), len(graph.inconclusive))
+                        misses += 1
+                        undecided += one.undecided > 0
+    assert hits and misses
+    assert (undecided > 0) == (overflow != "plain")
+
+
+def test_reaches_node_cap(att):
+    # past graph_node_cap the search raises with the left reduct graph's
+    # message: a one-root miss exactly when a fresh graph of its root
+    # raises, and a hit only then
+    raised = []
+    for cap in (0, 1, 2, 3, 5, 8, 13, 21, 40):
+        ctx = MonoidContext(preset("A2tilde"), Caps(graph_node_cap=cap))
+        for seed in range(6):
+            a = gen_multifraction(att, 4, 3, seed)
+            try:
+                red.reduct_graph(ctx, a, Side.LEFT)
+                fits = True
+            except GraphNodeCapExceeded:
+                fits = False
+            for target in (red.reduce_left(att, a).end, unit(4)):
+                try:
+                    reach = red.reaches(ctx, [a], [target])
+                except GraphNodeCapExceeded as e:
+                    assert str(e) == f"reduct graph exceeded {cap} nodes" and not fits
+                    raised.append(True)
+                else:
+                    assert fits or reach.hits == [1]
+                    raised.append(False)
+    assert any(raised) and not all(raised)
+
+
+def test_reaches_refuses_a_cycle(att, monkeypatch):
+    a = mf(att, "ac/ca/ba")
+    monkeypatch.setattr(red, "_moves", lambda ctx, b, side, levels: [(1, ctx.atoms()[0], a)])
+    with pytest.raises(red.InternalInvariantError, match="cycle"):
+        red.reaches(att, [a], [unit(3)])
+
+
 def test_maximal_granularity_misses_reducts(att):
     # maximal steps from ab/ba/ca/bcbc reach only one irreducible; atomic
     # closure also finds cb/abbc/ba/bc
