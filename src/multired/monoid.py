@@ -40,7 +40,8 @@ move enumeration of `reduction` reads a level's atomic moves off it,
 atom present in both tables again and again, and `divisors` searches over
 its entries.  lcms are reversals, each checked once when it is memoised.
 These checks raise InternalInvariantError, also under `python -O`; the
-moves of `reduction` rest on them and multiply nothing back.  `lcm_oracle`
+moves of `reduction` rest on them and multiply nothing back; a move gets
+its lcm and deposit product in one call (`lcm_attach`).  `lcm_oracle`
 is a brute-force search kept for the tests to cross-check `lcm` against;
 nothing in the package calls it.  The breadth-first search it rests on,
 `multiples`, also lists the elements up to a length (`elements_up_to`).
@@ -793,6 +794,26 @@ class MonoidContext:
             result = (m, compA, compB)
         self._lcm[key] = result
         return result
+
+    def lcm_attach(
+        self, x: Element, e: Element, d: Element, side: Side
+    ) -> tuple[Element, Element] | None:
+        """(comp, d with xp attached on `side`) for the lcm (m, xp, comp) of
+        x and e on `side`, or None when there is none: a move's push in one
+        call.  A hit reads the memos; a miss, or a product whose length is
+        not additive, goes through `lcm` or `attach`."""
+        left = side is LEFT
+        got = self._lcm.get((x.word, e.word, left), _MISSING)
+        if got is _MISSING:
+            got = self.lcm(x, e, side)
+        if got is None:
+            return None
+        _, xp, comp = got
+        word = xp.word + d.word if left else d.word + xp.word
+        z = self._canon.get(word)
+        if z is None or len(z.word) != len(word):  # attach raises on the latter
+            return comp, self.attach(d, xp, side)
+        return comp, z
 
     # ------------------------------------------------------------------
     # basic elements

@@ -61,41 +61,44 @@ entries, with the parent's checked sign (`Multifraction.with_entries`).
 
 How the atomic moves of a node are found: an atomic move R(i,s) applies
 only when the atom s divides entry i+1 on the due side and has a common
-multiple with entry i (mirrored for R~), so `_moves` reads, once per
-level, the `MonoidContext.atom_quotients` row of the entry divided (both
-entries' for a truncated division rule), takes lcms only for the atoms in
-it, and returns one flat list of the attempts that applied or overflowed
-at the levels it is given.  `reduct_graph`, `right_roots`, `reaches`
-and the `left_closures` walk ask it once per node for every level of
-their side (`_levels`; the last two through `_left_reducts`).  A
-strategy run (`_reduce`) reads its strategy once, into a level order and
-the attempt to take at a level (the first for lex, the last for
-antilex), and at each step asks it for one level at a time in that
-order, up to the first level with an attempt.  An attempt that
-overflows a cap is a value in that list, its CapExceeded at its atom's
-place: `_reduce` raises it through `result_of`, `reduct_graph` records
-it as an inconclusive edge, `right_roots` and `reaches` count it as
-undecided and `left_closures` counts it against its node.
+multiple with entry i (mirrored for R~), so `_moves` runs one loop over
+the levels (`_push`, framed by `_frames`): it reads each level's
+`MonoidContext.atom_quotients` row of the entry divided once (both
+entries' for a truncated division rule), takes each atom in it through
+one `MonoidContext.lcm_attach` call, its lcm and deposit, and returns
+one flat list of the attempts that applied or overflowed.
+`reduct_graph`, `right_roots`, `reaches` and the `left_closures` walk
+ask it once per node for every level of their side (`_levels`; the last
+two through `_left_reducts`), and hash each new reduct once.  A strategy
+run (`_reduce`) reads its strategy once, into a level order and the
+attempt to take at a level (the first for lex, the last for antilex),
+and at each step asks it for one level at a time in that order, up to
+the first level with an attempt.  An attempt that overflows a cap is a
+value in that list, its CapExceeded at its atom's place: `_reduce`
+raises it through `result_of`, `reduct_graph` records it as an
+inconclusive edge, `right_roots` and `reaches` count it as undecided and
+`left_closures` counts it against its node.
 
 The single-move API: a Move's kind is its Side.  `_apply` holds the
 geometry of one move on either side: the level range check, the level
-map `_frame` (shared with `_moves`, `is_division` and
-`ReductGraph.to_dot`), the truncated rule and the push.  It tests one
-given x with `MonoidContext.divides` instead of reading a level's atoms
-off one row, so it is an oracle independent of the level enumeration
-in `_moves`, though not of the arithmetic: `divides` is built on the
-same `atom_quotients` tables, and both build a push with `_push`.
-`apply_left` and `apply_right` are one call into it each, `apply_move`
-dispatches on the kind, `apply_division` is D(i,x), and `is_division`
-tells whether an applied move was a division.  Tests inject
-overflows by wrapping the module attributes `_moves` (every enumerated
-attempt: the walks ask it for all their levels at once and a strategy
-run for one level at a time) and `apply_left` (single left moves, as
-`red_tame` and `apply_move` make them), looked up by name at call time.
+map `_frame` (shared with `_frames`, `is_division` and
+`ReductGraph.to_dot`), the truncated rule and the push, `_push` run for
+x alone.  It tests x with `MonoidContext.divides` instead of reading a
+level's atoms off one row, so it is an oracle for how `_moves` reads a
+row, not for the push (the tests check that against `lcm` and `attach`)
+nor for the arithmetic.  `apply_left` and `apply_right` are one call
+into it each, `apply_move` dispatches on the kind, `apply_division` is
+D(i,x), and `is_division` tells whether an applied move was a division.
+Tests inject overflows by wrapping the module attributes `_moves` (every
+enumerated attempt: the walks ask it for all their levels at once and a
+strategy run for one level at a time) and `apply_left` (single left
+moves, as `red_tame` and `apply_move` make them), looked up by name at
+call time.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -113,7 +116,7 @@ from .monoid import (
     Side,
     result_of,
 )
-from .multifraction import Multifraction, due_side, format_multifraction, inverse
+from .multifraction import Multifraction, due_side, format_multifraction, inverse, unit
 
 
 class Move(NamedTuple):
@@ -159,37 +162,91 @@ def _frame(side: Side, i: int) -> tuple[int, int, int]:
     return (i, i + 1, i - 1) if side is LEFT else (i - 1, i - 1, i + 1)
 
 
-def _push(
-    ctx: MonoidContext,
-    a: Multifraction,
-    i: int,
-    x: Element,
-    q: Element,
-    src: int,
-    dst: int,
-    side: Side,
-) -> Multifraction | None:
-    """The move core shared by both sides: given the quotient q of entry
-    src by x on `side`, the due side of level min(i, src), take the
-    opposite-side lcm of x with entry i and deposit the complement of x in
-    entry dst.  Left reduction pushes from i+1 to i-1, right reduction
-    from i-1 to i+1.
+@functools.lru_cache(maxsize=1024)  # a few keys per depth met
+def _frames(left: bool, positive: bool, levels) -> tuple:
+    """(i, level, src, dst, due, other) for each level of a side, given
+    whether the first sign is positive: `_frame` with src and dst 0-based,
+    the level's `due_side` and the other side; none for right level 1."""
+    side = LEFT if left else RIGHT
+    signed = unit(1 if positive else -1)  # due_side reads the first sign
+    out = []
+    for i in levels:
+        level, src, dst = _frame(side, i)
+        if level == 0:  # no entry 0 to extract from
+            continue
+        due = due_side(signed, level)
+        out.append((i, level, src - 1, dst - 1, due, due.other))
+    return tuple(out)
 
-    Nothing is multiplied back: q, with x attached on `side`, is entry
-    src by the checks of `atom_quotients`, and comp, with x attached on
-    `side`, is entry i with xp attached on `lcm_side` by the check of
-    `lcm`.  The deposit is the one product formed.  The three entries
-    changed, src, i and dst, are i-1, i and i+1 in some order, so the
-    reduct is one slice of a's entries with them in it."""
-    lcm_side = side.other
+
+def _push(
+    ctx: MonoidContext, a: Multifraction, side: Side, levels, x: Element | None = None
+) -> list:
+    """The move core of `_moves` and `_apply`: the attempts at the levels
+    of a, as `_moves` lists them, of every atom s, or of x alone when
+    given (`_apply` gives x only at a level with a deposit entry).
+
+    A level reads the `atom_quotients` row of the entry divided once (x's
+    quotient is `divides`', which raises an overflow; a trivial entry
+    has none).  For each s in it, one `MonoidContext.lcm_attach` call
+    gives the complement comp of s in its lcm with entry i on the side
+    opposite the due side, and the deposit, the deposit entry with the
+    complement xp of entry i attached there; a cap overflow there is the
+    attempt's outcome.  Left reduction pushes from i+1 to i-1, right
+    reduction from i-1 to i+1, and the reduct is one slice of a's entries
+    with the three it changes.  The quotients and the lcm were checked
+    when memoised and the deposit's length is checked, so nothing is
+    multiplied back.  The truncated rules, D(1,s) at left level 1 and
+    D(depth-1,s) at right level depth, read the rows of both entries they
+    divide, the upper one only once an atom divides the lower."""
     entries = a.entries
-    r = ctx.lcm(x, entries[i - 1], lcm_side)
-    if r is None:
-        return None
-    _, xp, comp = r  # comp with x attached on `side` = entry i with xp on `lcm_side`
-    deposit = ctx.attach(entries[dst - 1], xp, lcm_side)
-    three = (deposit, comp, q) if src > dst else (q, comp, deposit)
-    return a.with_entries(entries[: i - 2] + three + entries[i + 1 :])
+    n = len(entries)
+    atoms = ctx.atoms() if x is None else (x,)
+    quotients = ctx.atom_quotients
+    left = side is LEFT
+    moves: list = []
+    for i, level, src, dst, due, other in _frames(left, a.first_sign > 0, levels):
+        if 0 <= dst < n:
+            if not entries[src].word:
+                continue  # no atom divides 1
+            row = quotients(entries[src], due) if x is None else (ctx.divides(x, entries[src], due),)
+            for t, q in enumerate(row):
+                if q is None:
+                    continue
+                s = atoms[t]
+                if isinstance(q, Element):
+                    try:
+                        r = ctx.lcm_attach(s, entries[i - 1], entries[dst], other)
+                    except CapExceeded as exc:
+                        moves.append((i, s, exc))
+                        continue
+                    if r is None:
+                        continue
+                    comp, deposit = r
+                    three = (deposit, comp, q) if left else (q, comp, deposit)
+                    q = a.with_entries(entries[: i - 2] + three + entries[i + 1 :])
+                moves.append((i, s, q))  # the reduct, or the row's overflow
+            continue
+        if not entries[level - 1].word:
+            continue
+        upper = None  # read only once an atom divides the lower entry
+        for t, q in enumerate(quotients(entries[level - 1], due)):
+            if q is None:
+                continue
+            if isinstance(q, Element):
+                if upper is None:
+                    upper = quotients(entries[level], due)
+                qj = upper[t]
+                if qj is None:
+                    continue
+                if isinstance(qj, Element):
+                    b = a.with_entries(entries[: level - 1] + (q, qj) + entries[level + 1 :])
+                else:
+                    b = qj  # the upper row's overflow
+            else:
+                b = q  # the lower row's overflow
+            moves.append((i, atoms[t], b))
+    return moves
 
 
 def _apply(ctx: MonoidContext, a: Multifraction, side: Side, i: int, x: Element) -> Multifraction | None:
@@ -205,14 +262,13 @@ def _apply(ctx: MonoidContext, a: Multifraction, side: Side, i: int, x: Element)
         raise ValueError(f"{side.value} reduction level {i} outside 1..{top}")
     if not x.word:
         raise ValueError("reducer must be nontrivial")
-    level, src, dst = _frame(side, i)
+    level, _, dst = _frame(side, i)
     if level == 0:
         return None
     if not 0 < dst <= n:
         return apply_division(ctx, a, level, x)
-    due = due_side(a, level)
-    q = ctx.divides(x, a.entries[src - 1], due)
-    return None if q is None else _push(ctx, a, i, x, q, src, dst, due)
+    moves = _push(ctx, a, side, (i,), x)
+    return result_of(moves[0][2]) if moves else None
 
 
 def apply_left(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> Multifraction | None:
@@ -438,61 +494,13 @@ def _levels(a: Multifraction, side: Side) -> range:
 
 def _moves(ctx: MonoidContext, a: Multifraction, side: Side, levels) -> list:
     """The atomic moves R(i,s) (LEFT) or R~(i,s) (RIGHT) of a at the given
-    levels that applied or overflowed, as one list of (level, atom,
-    outcome): the reduct, or the CapExceeded of an attempt that
-    overflowed a cap.  Levels come in the order given, and atoms in atom
-    order within a level.  An atom that does not divide, or whose lcm
-    does not exist, gives no entry.
-
-    The level divided, the entry divided and the deposit entry are
-    `_frame`'s, as in `_apply`.  Whether s applies is read off the
-    `atom_quotients` row of the entry divided, and the lcm is taken only
-    for an atom in it.  The truncated rules, D(1,s) at left level 1 and
-    D(depth-1,s) at right level depth, read the rows of both entries
-    they divide, the upper one only once an atom divides the lower, and
-    put the two checked quotients in place.  A push is built by `_push`,
-    the core of `_apply`.
-    """
-    entries = a.entries
-    n = len(entries)
-    atoms = ctx.atoms()
-    moves = []
-    for i in levels:
-        level, src, dst = _frame(side, i)
-        due = due_side(a, level)
-        if 0 < dst <= n:
-            for t, q in enumerate(ctx.atom_quotients(entries[src - 1], due)):
-                if q is None:
-                    continue
-                if isinstance(q, Element):
-                    try:
-                        b = _push(ctx, a, i, atoms[t], q, src, dst, due)
-                    except CapExceeded as e:
-                        b = e
-                    if b is None:
-                        continue
-                else:
-                    b = q  # the row's overflow
-                moves.append((i, atoms[t], b))
-            continue
-        upper = None  # read only once an atom divides the lower entry
-        for t, q in enumerate(ctx.atom_quotients(entries[level - 1], due)):
-            if q is None:
-                continue
-            if isinstance(q, Element):
-                if upper is None:
-                    upper = ctx.atom_quotients(entries[level], due)
-                qj = upper[t]
-                if qj is None:
-                    continue
-                if isinstance(qj, Element):
-                    b = a.with_entries(entries[: level - 1] + (q, qj) + entries[level + 1 :])
-                else:
-                    b = qj  # the upper row's overflow
-            else:
-                b = q  # the lower row's overflow
-            moves.append((i, atoms[t], b))
-    return moves
+    levels, a range or a tuple, that applied or overflowed, as one list
+    of (level, atom, outcome): the reduct, or the CapExceeded of an
+    attempt that overflowed a cap.  Levels come in the order given, and
+    atoms in atom order within a level.  An atom that does not divide,
+    or whose lcm does not exist, gives no entry (`_push`).  Every
+    enumerated attempt passes through this module-global name."""
+    return _push(ctx, a, side, levels)
 
 
 def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> ReductionTrace:
@@ -631,20 +639,22 @@ def reduct_graph(ctx: MonoidContext, a: Multifraction, side: Side = LEFT) -> Red
     """
     cap = ctx.caps.graph_node_cap
     g = ReductGraph(root=a, side=side)
-    g.nodes.append(a)
-    g.index[a] = 0
+    nodes, index, edges = g.nodes, g.index, g.edges
+    nodes.append(a)
+    index[a] = 0
     levels = _levels(a, side)
-    for src, cur in enumerate(g.nodes):  # the node list is the queue
+    for src, cur in enumerate(nodes):  # the node list is the queue
         for i, s, b in _moves(ctx, cur, side, levels):
             if isinstance(b, CapExceeded):
                 g.inconclusive.append((src, i, s, str(b)))
                 continue
-            if b not in g.index:
-                if len(g.nodes) >= cap:
+            k = len(nodes)
+            dst = index.setdefault(b, k)  # one hash of b, new or not
+            if dst == k:
+                if k >= cap:
                     raise GraphNodeCapExceeded(f"reduct graph exceeded {cap} nodes")
-                g.index[b] = len(g.nodes)
-                g.nodes.append(b)
-            g.edges.append((src, Move(side, i, s), g.index[b]))
+                nodes.append(b)
+            edges.append((src, Move(side, i, s), dst))
     return g
 
 
@@ -669,6 +679,7 @@ def right_roots(ctx: MonoidContext, a: Multifraction):
     roots = []
     undecided = 0
     levels = _levels(a, RIGHT)
+    n = a.depth
     for cur in nodes:  # the node list is the queue
         entries = cur.entries
         divided = False
@@ -678,11 +689,11 @@ def right_roots(ctx: MonoidContext, a: Multifraction):
                 continue
             # R~(i,x) deposits in entry i+1: a division is the truncated
             # rule at i = depth, or a move that leaves that entry unchanged
-            divided = divided or i == len(entries) or entries[i] == b.entries[i]
-            if b not in index:
-                if len(nodes) >= cap:
+            divided = divided or i == n or entries[i] == b.entries[i]
+            k = len(nodes)
+            if index.setdefault(b, k) == k:  # one hash of b, new or not
+                if k >= cap:
                     raise GraphNodeCapExceeded(f"reduct graph exceeded {cap} nodes")
-                index[b] = len(nodes)
                 nodes.append(b)
         if cur is a or not divided:
             roots.append(cur)
@@ -748,12 +759,18 @@ def _bit_indices(bits: int) -> list[int]:
     return [k for k, c in enumerate(reversed(bin(bits)[2:])) if c == "1"]
 
 
-def _left_reducts(ctx: MonoidContext, node: Multifraction) -> tuple[list[Multifraction], int]:
+def _left_reducts(ctx: MonoidContext, node: Multifraction, levels) -> tuple[list[Multifraction], int]:
     """The reducts of node by one atomic left move, in `_moves` order, and
-    the number of its move attempts that overflowed a cap."""
-    outcomes = [b for _, _, b in _moves(ctx, node, LEFT, _levels(node, LEFT))]
-    reducts = [b for b in outcomes if not isinstance(b, CapExceeded)]
-    return reducts, len(outcomes) - len(reducts)
+    the number of its move attempts that overflowed a cap; levels is
+    `_levels(node, LEFT)`, taken once per root."""
+    reducts = []
+    overflowed = 0
+    for _, _, b in _moves(ctx, node, LEFT, levels):
+        if isinstance(b, CapExceeded):
+            overflowed += 1
+        else:
+            reducts.append(b)
+    return reducts, overflowed
 
 
 class Reach(NamedTuple):
@@ -789,38 +806,38 @@ def reaches(ctx: MonoidContext, roots, targets) -> Reach:
     cap = ctx.caps.graph_node_cap
     bit = {t: 1 << k for k, t in enumerate(targets)}
     full = (1 << len(bit)) - 1
-    value: dict[Multifraction, int] = {}
-    walking: set[Multifraction] = set()
+    value: dict[Multifraction, int] = {}  # -1 while the node is on the stack
     found = undecided = 0
 
-    def frame(node):
+    def frame(node, levels):
         # [node, reducts, next reduct, value so far]
         nonlocal found, undecided
         if found and found >= cap:  # the first node fits any cap, as in reduct_graph
             raise GraphNodeCapExceeded(f"reduct graph exceeded {cap} nodes")
         found += 1
-        reducts, overflowed = _left_reducts(ctx, node)
+        reducts, overflowed = _left_reducts(ctx, node, levels)
         undecided += overflowed
-        walking.add(node)
+        value[node] = -1
         return [node, reducts, 0, bit.get(node, 0)]
 
     for root in roots:
-        stack = [] if root in value else [frame(root)]
+        levels = _levels(root, LEFT)
+        stack = [] if root in value else [frame(root, levels)]
         while stack:
             top = stack[-1]
             node, reducts, pos, v = top
             if v != full and pos < len(reducts):
                 top[2] = pos + 1
                 b = reducts[pos]
-                if b in value:
-                    top[3] = v | value[b]
-                elif b in walking:
+                w = value.get(b)
+                if w is None:
+                    stack.append(frame(b, levels))
+                elif w < 0:
                     raise InternalInvariantError("left reduct graph has a cycle")
                 else:
-                    stack.append(frame(b))
+                    top[3] = v | w
                 continue
             stack.pop()
-            walking.discard(node)
             value[node] = v
             if stack:
                 stack[-1][3] |= v
@@ -858,27 +875,27 @@ def left_closures(ctx: MonoidContext, roots, targets=()) -> LeftClosures:
     cap = ctx.caps.graph_node_cap
     out = LeftClosures()
     nodes, index, closure, overflows = out.nodes, out.index, out.closure, out.overflows
-    walking: set[Multifraction] = set()
     expanded: dict[Multifraction, tuple[list[Multifraction], int]] = {}  # searched, not walked
     walked_targets = 0
 
-    def frame(node):
+    def frame(node, levels):
         # [node, reducts, next reduct, closure so far, overflowed attempts]
-        reducts, overflowed = expanded.pop(node, None) or _left_reducts(ctx, node)
-        walking.add(node)
+        reducts, overflowed = expanded.pop(node, None) or _left_reducts(ctx, node, levels)
+        index[node] = -1  # on the stack until its walk finishes
         return [node, reducts, 0, 0, overflowed]
 
-    def redundant(root) -> bool:
+    def redundant(root, levels) -> bool:
         # whether the closure of root holds another target
-        seen = {root}
+        seen = {root: 0}
         order = [root]  # the search's queue and its nodes so far
         for node in order:
-            if node not in expanded:
-                expanded[node] = _left_reducts(ctx, node)
-            for b in expanded[node][0]:
-                if b in seen:
+            got = expanded.get(node)
+            if got is None:
+                got = expanded[node] = _left_reducts(ctx, node, levels)
+            for b in got[0]:
+                m = len(seen)
+                if seen.setdefault(b, m) != m:  # one hash of b, new or not
                     continue
-                seen.add(b)
                 k = index.get(b)
                 if k is not None:
                     if closure[k] & walked_targets:
@@ -895,11 +912,12 @@ def left_closures(ctx: MonoidContext, roots, targets=()) -> LeftClosures:
         if root in index:
             out.walked.append(root)
             continue
-        if targets and out.walked and redundant(root):
+        levels = _levels(root, LEFT)
+        if targets and out.walked and redundant(root, levels):
             continue
         out.walked.append(root)
         found = 1
-        stack = [frame(root)]
+        stack = [frame(root, levels)]
         while stack:
             top = stack[-1]
             node, reducts, pos = top[0], top[1], top[2]
@@ -907,18 +925,17 @@ def left_closures(ctx: MonoidContext, roots, targets=()) -> LeftClosures:
                 top[2] = pos + 1
                 b = reducts[pos]
                 k = index.get(b)
-                if k is not None:
-                    top[3] |= closure[k]
-                elif b in walking:
-                    raise InternalInvariantError("left reduct graph has a cycle")
-                else:
+                if k is None:
                     if found >= cap:
                         raise GraphNodeCapExceeded(f"reduct graph exceeded {cap} nodes")
                     found += 1
-                    stack.append(frame(b))
+                    stack.append(frame(b, levels))
+                elif k < 0:
+                    raise InternalInvariantError("left reduct graph has a cycle")
+                else:
+                    top[3] |= closure[k]
                 continue
             stack.pop()
-            walking.discard(node)
             k = len(nodes)
             bits = top[3] | 1 << k
             if reducts and bits.bit_count() > cap:

@@ -3,11 +3,15 @@ import random
 import pytest
 
 from multired.monoid import (
+    BasicsCapExceeded,
     CapExceeded,
     Caps,
+    Element,
     GraphNodeCapExceeded,
     IDENTITY,
+    InternalInvariantError,
     MonoidContext,
+    ReversingCapExceeded,
     Side,
 )
 from multired.multifraction import (
@@ -722,6 +726,34 @@ def enumerate_moves(moves_fn, ctx, a, side, strategy):
     return with_messages(moves_fn(ctx, a, side, strategy))
 
 
+def push_by_lcm(ctx, a, side, i, s):
+    """a . R(i,s) (LEFT) or a . R~(i,s) (RIGHT) for an atom s that applies,
+    by the move's defining equations alone: the quotients by `divides`, the
+    lcm by `lcm` and the deposit by `attach`, not by the move core."""
+    level, src, dst = red._frame(side, i)
+    due = red.due_side(a, level)
+    e = list(a.entries)
+    if not 0 < dst <= len(e):  # the truncated rule D(level, s)
+        e[level - 1] = ctx.divides(s, e[level - 1], due)
+        e[level] = ctx.divides(s, e[level], due)
+    else:
+        _, xp, comp = ctx.lcm(s, e[i - 1], due.other)
+        e[src - 1] = ctx.divides(s, e[src - 1], due)
+        e[i - 1] = comp
+        e[dst - 1] = ctx.attach(e[dst - 1], xp, due.other)
+    return Multifraction(a.first_sign, tuple(e))
+
+
+def sample_inputs(ctx, depths=range(3, 9), seeds=range(3)):
+    """Seeded multifractions of each depth, entries up to 4 letters, each
+    with both first signs."""
+    for depth in depths:
+        for seed in seeds:
+            entries = gen_multifraction(ctx, depth, 4, 100 * depth + seed).entries
+            yield Multifraction(1, entries)
+            yield Multifraction(-1, entries)
+
+
 @pytest.mark.parametrize("reversing_cap", [None, 1, 2, 3])
 @pytest.mark.parametrize("name", GOLDEN_PRESETS)
 def test_atomic_moves_match_probe_oracle(name, reversing_cap):
@@ -737,18 +769,15 @@ def test_atomic_moves_match_probe_oracle(name, reversing_cap):
     fast, probe = MonoidContext(preset(name), caps), MonoidContext(preset(name), caps)
     inputs = MonoidContext(preset(name))  # random words canonical under any cap
     applied = overflowed = 0
-    for depth in range(3, 7):
-        for seed in range(3):
-            entries = gen_multifraction(inputs, depth, 4, 100 * depth + seed).entries
-            for a in (Multifraction(1, entries), Multifraction(-1, entries)):
-                for side in Side:
-                    for strategy in red.STRATEGIES:
-                        got = enumerate_moves(strategy_moves, fast, a, side, strategy)
-                        want = enumerate_moves(probe_moves, probe, a, side, strategy)
-                        assert got == want, (fmt(inputs, a), side, strategy)
-                        overflows = sum(isinstance(b, str) for _, _, b in want)
-                        applied += len(want) - overflows
-                        overflowed += overflows
+    for a in sample_inputs(inputs):
+        for side in Side:
+            for strategy in red.STRATEGIES:
+                got = enumerate_moves(strategy_moves, fast, a, side, strategy)
+                want = enumerate_moves(probe_moves, probe, a, side, strategy)
+                assert got == want, (fmt(inputs, a), side, strategy)
+                overflows = sum(isinstance(b, str) for _, _, b in want)
+                applied += len(want) - overflows
+                overflowed += overflows
     if reversing_cap is None:
         assert applied > 0 and overflowed == 0
     else:
@@ -762,28 +791,133 @@ def test_moves_match_probe_oracle(name, reversing_cap):
     # the low_lex and the high_lex stream that probing every (level, atom)
     # pair finds, each overflow at its place, on both first signs.  As in
     # test_atomic_moves_match_probe_oracle, the two run in contexts of
-    # their own, and under caps 1-3 some presets overflow every attempt
+    # their own, and under caps 1-3 some presets overflow every attempt.
+    # The probe pushes through the same core, so each reduct is also
+    # checked against the move's equations, by lcm and attach themselves.
+    # Right level 1, which never applies, is asked too and gives nothing
     caps = Caps() if reversing_cap is None else Caps(reversing_cap=reversing_cap)
     fast, probe = MonoidContext(preset(name), caps), MonoidContext(preset(name), caps)
     inputs = MonoidContext(preset(name))
     applied = overflowed = 0
-    for depth in range(3, 7):
-        for seed in range(3):
-            entries = gen_multifraction(inputs, depth, 4, 100 * depth + seed).entries
-            for a in (Multifraction(1, entries), Multifraction(-1, entries)):
-                for side in Side:
-                    levels = range(1, depth) if side is Side.LEFT else range(2, depth + 1)
-                    for order, strategy in ((levels, "low_lex"), (levels[::-1], "high_lex")):
-                        got = with_messages(red._moves(fast, a, side, order))
-                        want = enumerate_moves(probe_moves, probe, a, side, strategy)
-                        assert got == want, (fmt(inputs, a), side, strategy)
-                        overflows = sum(isinstance(b, str) for _, _, b in want)
-                        applied += len(want) - overflows
-                        overflowed += overflows
+    for a in sample_inputs(inputs):
+        for side in Side:
+            levels = range(1, a.depth + (side is Side.RIGHT))
+            for order, strategy in ((levels, "low_lex"), (levels[::-1], "high_lex")):
+                moves = red._moves(fast, a, side, order)
+                want = enumerate_moves(probe_moves, probe, a, side, strategy)
+                assert with_messages(moves) == want, (fmt(inputs, a), side, strategy)
+                for i, s, b in moves:
+                    if not isinstance(b, CapExceeded):
+                        assert b == push_by_lcm(inputs, a, side, i, s), (fmt(inputs, a), side, i)
+                overflows = sum(isinstance(b, str) for _, _, b in want)
+                applied += len(want) - overflows
+                overflowed += overflows
     if reversing_cap is None:
         assert applied > 0 and overflowed == 0
     else:
         assert overflowed > 0
+
+
+def deposits(ctx, a, side):
+    """The pushes among a's atomic moves on one side, as (level, atom,
+    deposit word): the word whose canonical form is the deposit, the
+    deposit entry with the complement of entry i attached."""
+    out = []
+    for i, s, b in red._moves(ctx, a, side, red._levels(a, side)):
+        level, _, dst = red._frame(side, i)
+        if 0 < dst <= a.depth:
+            other = red.due_side(a, level).other
+            xp, d = ctx.lcm(s, a.entry(i), other)[1].word, a.entry(dst).word
+            out.append((i, s, xp + d if other is Side.LEFT else d + xp))
+    return out
+
+
+@pytest.mark.parametrize("side", list(Side))
+@pytest.mark.parametrize("name", ["A2tilde", "braid(4)"])
+def test_memo_hit_deposit_keeps_length_check(name, side):
+    # a deposit read off the canonical memo is checked as a product is:
+    # a word of the wrong length planted there for one deposit makes
+    # _moves raise, as multiply raises on the same memo
+    ctx = MonoidContext(preset(name))
+    for a in sample_inputs(ctx, depths=(5,)):
+        pushes = [p for p in deposits(ctx, a, side) if p[2]]
+        if pushes:
+            break
+    i, _, word = pushes[0]
+    ctx._canon[word] = Element(word + word[-1])
+    with pytest.raises(InternalInvariantError, match="length must be additive"):
+        red._moves(ctx, a, side, (i,))
+    with pytest.raises(InternalInvariantError, match="length must be additive"):
+        ctx.multiply(Element(word[:1]), Element(word[1:]))
+
+
+def warmed(name, a, side, lcms):
+    """A fresh context that holds the quotient rows a's moves on one side
+    read and, with lcms, the lcms their pushes take, but no deposit."""
+    ctx = MonoidContext(preset(name))
+    for i in red._levels(a, side):
+        level, src, dst = red._frame(side, i)
+        due = red.due_side(a, level)
+        if not 0 < dst <= a.depth:  # a truncated rule reads entries level and level+1
+            ctx.atom_quotients(a.entry(level), due)
+            ctx.atom_quotients(a.entry(level + 1), due)
+            continue
+        row = ctx.atom_quotients(a.entry(src), due)
+        if lcms:
+            for s, q in zip(ctx.atoms(), row):
+                if q is not None:
+                    ctx.lcm(s, a.entry(i), due.other)
+    return ctx
+
+
+@pytest.mark.parametrize("fact", ["lcm", "deposit"])
+@pytest.mark.parametrize("side", list(Side))
+@pytest.mark.parametrize("name", GOLDEN_PRESETS)
+def test_overflow_on_a_memo_miss_lands_at_its_atom(monkeypatch, name, side, fact):
+    # a cap overflow while taking an lcm or forming a deposit on a memo
+    # miss is that attempt's outcome, at its atom's place, and the other
+    # attempts are as without it.  The rows, and for a deposit the lcms
+    # too, are memoised first, so that the overflowing computation is
+    # the only miss left: every lcm (a ReversingCapExceeded), or every
+    # deposit that the canonical memo lacks (a BasicsCapExceeded)
+    inputs = MonoidContext(preset(name))
+    for a in sample_inputs(inputs, depths=(5, 6, 7, 8)):
+        ctx = warmed(name, a, side, lcms=fact == "deposit")
+        pushes = {(i, s): w for i, s, w in deposits(inputs, a, side)}
+        missing = {w for w in pushes.values() if w not in ctx._canon}
+        if missing:
+            break
+    levels = red._levels(a, side)
+    want = red._moves(inputs, a, side, levels)
+    if fact == "deposit":
+        error, method = BasicsCapExceeded("basic-element closure exceeds basics_cap=0"), "attach"
+    else:
+        error, method = ReversingCapExceeded("reversing exceeded 0 cell fills"), "lcm"
+    calls = []
+
+    def overflowing(self, *args):
+        calls.append(args)
+        raise error
+
+    monkeypatch.setattr(MonoidContext, method, overflowing)
+    got = red._moves(ctx, a, side, levels)
+    if fact == "deposit":
+        assert len(calls) == len(missing)
+        assert [(i, s) for i, s, _ in got] == [(i, s) for i, s, _ in want]
+        for (i, s, b), (_, _, c) in zip(got, want):
+            assert b is error if pushes.get((i, s)) in missing else b == c
+    else:
+        # every atom that divides has an overflowed lcm, in atom order
+        expected = []
+        for i in levels:
+            level, src, dst = red._frame(side, i)
+            if 0 < dst <= a.depth:
+                row = ctx.atom_quotients(a.entry(src), red.due_side(a, level))
+                expected += [(i, s, error) for s, q in zip(ctx.atoms(), row) if q is not None]
+            else:
+                expected += [m for m in want if m[0] == i]
+        assert len(calls) == sum(b is error for _, _, b in expected)
+        assert got == expected
 
 
 @pytest.mark.parametrize("reversing_cap", [None, 1, 2, 3])
