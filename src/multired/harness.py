@@ -21,9 +21,10 @@ its tuple of rays: `assemble_cross` builds the multifraction from them, and
 testers take a certificate of unitality with their input, the
 lcm-expansion chain that built it from a central cross, and replay it
 first; the replay rejects malformed steps, and a failed replay raises.
-Negative word-problem answers are unconditional for presets of FC type
-(and whenever the signed length is nonzero), conditional on
-semi-convergence otherwise.  The 3-Ore scan
+Negative word-problem answers are unconditional for presentations whose
+relations are Artin-Tits of FC type, files included, which the context
+decides from the relations (`MonoidContext.fc`), and whenever the signed
+length is nonzero; conditional on semi-convergence otherwise.  The 3-Ore scan
 reads each lcm as it comes: a tuple, None, or an overflow that leaves its
 triple inconclusive.
 
@@ -506,7 +507,9 @@ def word_problem(ctx: MonoidContext, w: SignedWord) -> dict:
 
     verdict: trivial | nontrivial | inconclusive.  Positive answers are
     unconditional.  Negative answers are unconditional when the signed
-    length is nonzero or the preset is of FC type, and conditional on
+    length is nonzero or the presentation's relations are Artin-Tits of FC
+    type, files included (`MonoidContext.fc`), where left reduction
+    converges (Dehornoy, arXiv 1606.08991), and conditional on
     semi-convergence otherwise.
     """
     a = from_signed_word(ctx, w)
@@ -527,7 +530,7 @@ def word_problem(ctx: MonoidContext, w: SignedWord) -> dict:
     if verdict.status == "inconclusive":
         result.update(verdict="inconclusive", basis=evidence.get("reason", "incomplete graph"))
         return result
-    fc = ctx.pres.fc
+    fc = ctx.fc
     result.update(
         verdict="nontrivial",
         unconditional=bool(fc),

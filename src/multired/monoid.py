@@ -45,6 +45,8 @@ its lcm and deposit product in one call (`lcm_attach`).  `lcm_oracle`
 is a brute-force search kept for the tests to cross-check `lcm` against;
 nothing in the package calls it.  The breadth-first search it rests on,
 `multiples`, also lists the elements up to a length (`elements_up_to`).
+Whether an Artin-Tits presentation is of type FC is decided by reversing
+too (`fc`), with no table of Coxeter graphs.
 
 A word is a str whose k-th character has the code point of its k-th
 atom's index (`Word`), so a presentation has at most sys.maxunicode + 1
@@ -102,7 +104,9 @@ workers.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -815,6 +819,45 @@ class MonoidContext:
             return comp, self.attach(d, xp, side)
         return comp, z
 
+    @functools.cached_property
+    def fc(self) -> bool | None:
+        """Whether the presentation is Artin-Tits of type FC: every set of
+        atoms whose pairs all have relations generates a finite parabolic
+        subgroup.  None when the relations are not Artin-Tits
+        (`Presentation.coxeter`).
+
+        In an Artin-Tits monoid a set of atoms has a common multiple iff it
+        generates a finite parabolic subgroup (Brieskorn-Saito 1972), so
+        reversing decides it, with no classification of Coxeter graphs.  A
+        subset of such a set is one too, and a pair's relation is its lcm,
+        so one RIGHT fold per maximal set of three atoms or more settles
+        every set: the set's first atoms have the common multiple m, a
+        word, and m followed by the next atom past m is the next one.
+
+        The answer is the presentation's, not a query's: the fold runs in a
+        context of its own under no cap, so no cap or memo of this context
+        changes it.  Reversing an Artin-Tits presentation ends, and the
+        fold reverses words without canonical forms, each step one row per
+        letter of m."""
+        labels = self.pres.coxeter
+        if labels is None:
+            return None
+        near: dict[int, set[int]] = {s: set() for s in range(self.pres.n_atoms)}
+        for s, t in labels:
+            near[s].add(t)
+            near[t].add(s)
+        uncapped = MonoidContext(self.pres, Caps(reversing_cap=sys.maxsize, basics_cap=sys.maxsize))
+        for clique in _maximal_cliques(near, [], set(near), set()):
+            if len(clique) < 3:
+                continue
+            m = chr(clique[0])
+            for s in clique[1:]:
+                r = uncapped._reverse(m, chr(s), RIGHT)
+                if r is None:
+                    return False
+                m += r[1]
+        return True
+
     # ------------------------------------------------------------------
     # basic elements
 
@@ -902,3 +945,19 @@ class MonoidContext:
     def basic_bound_C(self) -> int:
         """1 + max length over basic elements (either side)."""
         return max(self.basic_table(RIGHT).C, self.basic_table(LEFT).C)
+
+
+def _maximal_cliques(near: dict[int, set[int]], clique: list[int], room: set[int], done: set[int]):
+    """The maximal cliques of the graph `near` that extend `clique` by
+    vertices of `room` and by none of `done` (Bron-Kerbosch), each a list
+    of increasing vertices.  Only vertices that the pivot, the vertex with
+    the most neighbours in `room`, does not neighbour start a branch, so a
+    complete graph takes one branch per level, not one per subset."""
+    if not room and not done:
+        yield sorted(clique)
+        return
+    pivot = max(room | done, key=lambda u: len(room & near[u]))
+    for v in sorted(room - near[pivot]):
+        yield from _maximal_cliques(near, [*clique, v], room & near[v], done & near[v])
+        room = room - {v}
+        done = done | {v}

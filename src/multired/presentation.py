@@ -8,7 +8,10 @@ additive under multiplication; a `MonoidContext` runs the same check
 complemented (one relation per pair of starting atoms, its sides starting
 with distinct atoms) is decided by the atom table of a `MonoidContext`
 alone: it refuses a presentation that is not at its first element, with
-a LatticeViolation naming the relation.
+a LatticeViolation naming the relation.  Whether the relations are
+Artin-Tits is read off them too, presets and files alike: `coxeter` gives
+the label m of each pair a braid relation covers, or None, and a
+`MonoidContext` decides type FC from those labels (`MonoidContext.fc`).
 
 An atom is its name.  Atom order is declaration order, and an atom's
 index is its position in `atom_names`.  A word is a str spelled in
@@ -27,7 +30,7 @@ import dataclasses
 import functools
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 FORBIDDEN_NAME_CHARS = set("/^-.")
 # a word spells atom i as the character with code point i
@@ -57,9 +60,6 @@ class Presentation:
     # each relation is a pair of words, a word being a str whose k-th
     # character has the code point of its k-th atom's index
     relations: tuple[tuple[str, str], ...]
-    # True/False when the preset is known to satisfy / fail the 3-Ore
-    # condition (type FC); None when unknown (e.g. parsed from a file).
-    fc: bool | None = field(default=None, compare=False)
 
     @property
     def n_atoms(self) -> int:
@@ -69,6 +69,24 @@ class Presentation:
     def index_of(self) -> dict[str, int]:
         """Each atom name's index, the map words are read through."""
         return {n: i for i, n in enumerate(self.atom_names)}
+
+    @functools.cached_property
+    def coxeter(self) -> dict[tuple[int, int], int] | None:
+        """The Coxeter labels read off the relations: each pair s < t of
+        atom indices that a relation covers, mapped to m, the length of
+        that relation's sides; a pair no relation covers has m = infinity.
+        None unless every relation is a braid relation sts... = tst... (s
+        != t, either atom first) and no two cover one pair."""
+        labels: dict[tuple[int, int], int] = {}
+        for lhs, rhs in self.relations:
+            if not lhs or not rhs or lhs[0] == rhs[0]:
+                return None
+            s, t, m = ord(lhs[0]), ord(rhs[0]), len(lhs)
+            pair = (min(s, t), max(s, t))
+            if pair in labels or (lhs, rhs) != (_braid_word(s, t, m), _braid_word(t, s, m)):
+                return None
+            labels[pair] = m
+        return labels
 
     @functools.cached_property
     def _spelling(self) -> tuple[tuple[str, ...], str]:
@@ -208,12 +226,12 @@ def _braid_word(s: int, t: int, m: int) -> str:
     return "".join(chr(s if k % 2 == 0 else t) for k in range(m))
 
 
-def _artin(name: str, n: int, labels, fc: bool) -> Presentation:
+def _artin(name: str, n: int, labels) -> Presentation:
     """The Artin-Tits presentation on n atoms named a, b, ...: one braid
     relation sts... = tst... of m letters a side per (s, t, m) triple, in
     the order given, which is the order the atom table reads them in."""
     rels = tuple((_braid_word(s, t, m), _braid_word(t, s, m)) for s, t, m in labels)
-    return Presentation(name, tuple(_letters(n)), rels, fc=fc)
+    return Presentation(name, tuple(_letters(n)), rels)
 
 
 class UnknownPreset(PresentationError):
@@ -239,7 +257,7 @@ def preset(name: str) -> Presentation:
         if n < 3 or label != 3:
             raise UnknownPreset(f"unsupported complete-graph preset {raw!r}")
         pairs = [(i, j, 3) for i in range(n) for j in range(i + 1, n)]
-        return _artin(f"K({n},3)", n, pairs, fc=False)
+        return _artin(f"K({n},3)", n, pairs)
 
     m = re.fullmatch(r"braid\(?(\d+)\)?", compact)
     if m:
@@ -248,28 +266,28 @@ def preset(name: str) -> Presentation:
             raise UnknownPreset("braid(n) needs n >= 2")
         k = n - 1
         pairs = [(i, j, 3 if j == i + 1 else 2) for i in range(k) for j in range(i + 1, k)]
-        return _artin(f"braid({n})", k, pairs, fc=True)
+        return _artin(f"braid({n})", k, pairs)
 
     m = re.fullmatch(r"free\(?(\d+)\)?", compact)
     if m:
         n = int(m.group(1))
         if n < 1:
             raise UnknownPreset("free(n) needs n >= 1")
-        return _artin(f"free({n})", n, [], fc=True)
+        return _artin(f"free({n})", n, [])
 
     m = re.fullmatch(r"I2\(?(\d+)\)?", compact)
     if m:
         mm = int(m.group(1))
         if mm < 2:
             raise UnknownPreset("I2(m) needs m >= 2")
-        return _artin(f"I2({mm})", 2, [(0, 1, mm)], fc=True)
+        return _artin(f"I2({mm})", 2, [(0, 1, mm)])
 
     if compact == "A3tilde":
         pairs = [(0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 0, 3), (0, 2, 2), (1, 3, 2)]
-        return _artin("A3tilde", 4, pairs, fc=False)
+        return _artin("A3tilde", 4, pairs)
 
     if compact == "C2tilde":
-        return _artin("C2tilde", 3, [(0, 1, 4), (1, 2, 4), (0, 2, 2)], fc=False)
+        return _artin("C2tilde", 3, [(0, 1, 4), (1, 2, 4), (0, 2, 2)])
 
     raise UnknownPreset(f"unknown preset {raw!r}")
 

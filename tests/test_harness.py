@@ -24,7 +24,7 @@ from multired.multifraction import (
     product,
     unit,
 )
-from multired.presentation import preset
+from multired.presentation import format_presentation, parse_presentation, preset
 from multired import harness as H
 from multired import reduction as red
 from overflows import overflow_left_moves
@@ -646,6 +646,67 @@ def test_word_problem(att, braid3):
     r = H.word_problem(att, w)
     if r["verdict"] == "nontrivial" and r["basis"].startswith("exhaustive"):
         assert not r["unconditional"]
+
+
+AB_AB = ((0, 1), (1, 1), (0, -1), (1, -1))  # ab AB, the multifraction ab/ba
+CONDITIONAL = {
+    "verdict": "nontrivial",
+    "unconditional": False,
+    "basis": "exhaustive, conditional on semi-convergence",
+}
+
+
+def _weight_zero_words(n_atoms, count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(1, 4)
+        letters = [(rng.randrange(n_atoms), e) for e in [1] * k + [-1] * k]
+        rng.shuffle(letters)
+        yield tuple(letters)
+
+
+def test_word_problem_reads_fc_off_the_relations_of_a_file():
+    # a file that spells braid(4)'s relations is licensed as the preset
+    # is: each word gets the preset's answer, ab AB an unconditional one
+    pres = preset("braid(4)")
+    spelled = MonoidContext(parse_presentation(format_presentation(pres), "spelled"))
+    ctx = MonoidContext(pres)
+    for w in [AB_AB, *_weight_zero_words(pres.n_atoms, 40, 43)]:
+        assert H.word_problem(spelled, w) == H.word_problem(ctx, w), w
+    assert H.word_problem(spelled, AB_AB)["basis"] == "exhaustive-fc"
+    assert H.word_problem(MonoidContext(preset("A2tilde")), AB_AB).items() >= CONDITIONAL.items()
+
+
+def test_word_problem_is_conditional_without_an_fc_decision():
+    # a relation that is no braid relation leaves the answer conditional
+    odd = MonoidContext(parse_presentation("atoms: a b\nrel: aab = bba\n"))
+    assert H.word_problem(odd, AB_AB).items() >= CONDITIONAL.items()
+    assert odd.fc is None
+
+
+# braid(n) answers from reversing_cap 16 and basics_cap 2 on
+TIGHT_CAPS = [*(Caps(reversing_cap=r) for r in range(14, 30)), *(Caps(basics_cap=b) for b in range(8))]
+
+
+@pytest.mark.parametrize("name", ["braid(4)", "braid(5)", "braid(6)", "braid(8)", "I2(3)", "I2(5)"])
+def test_fc_answers_stay_unconditional_at_tight_caps(name):
+    # type FC belongs to the presentation, so no cap of the query's context
+    # weakens a negative answer to conditional: a fold run under the
+    # context's own caps overflowed at basics_cap 2 on braid(4), and at
+    # reversing_cap 16 on braid(8), whose fold reverses 21 letters against g
+    answered = []
+    for caps in TIGHT_CAPS:
+        ctx = MonoidContext(preset(name), caps)
+        assert ctx.fc is True
+        for w in [((0, 1), (1, -1)), AB_AB]:  # a B and ab AB
+            try:
+                r = H.word_problem(ctx, w)
+            except MultiredError:
+                continue
+            if r["verdict"] == "nontrivial":
+                assert r["unconditional"] and r["basis"] == "exhaustive-fc", (caps, w)
+                answered.append(caps)
+    assert {Caps(basics_cap=2), Caps(reversing_cap=16)} <= set(answered)
 
 
 def test_three_ore_scans(att, braid3, free2):

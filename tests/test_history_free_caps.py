@@ -10,7 +10,7 @@ fresh context per query, or per trial, is the oracle.
 
 A nested reversal, of a cell the store lacks, reverses two basic elements
 and charges no reversing_cap; basics_cap is its guard, which a basics_cap
-that holds the basic elements never meets.
+of at least the longest basic element's length never meets.
 """
 
 import random
@@ -22,6 +22,7 @@ from multired import harness as H
 from multired import reduction as red
 from multired.monoid import BasicsCapExceeded, CapExceeded, Caps, MonoidContext, Side
 from multired.presentation import preset
+from test_campaign_golden import PRESETS as GOLDEN_PRESETS
 
 # (preset, reversing_cap): caps at which many queries overflow, so that a
 # memo hit that skipped a charge would show, and braid(4), whose cube
@@ -51,6 +52,10 @@ def _outcome(query, ctx):
         return _plain(query(ctx))
     except CapExceeded as e:
         return type(e), str(e)
+
+
+def _untimed(record):
+    return {k: v for k, v in record.items() if k != "millis"}
 
 
 def _queries(preset_name, count):
@@ -115,9 +120,7 @@ def test_a_campaign_runs_as_fresh_trials(preset_name, kind, cap):
     report = H.run_campaign(MonoidContext(preset(preset_name), caps), config)
     for index, rec in enumerate(report.records):
         fresh = H.run_trial(MonoidContext(preset(preset_name), caps), config, index)
-        assert {k: v for k, v in rec.items() if k != "millis"} == {
-            k: v for k, v in fresh.items() if k != "millis"
-        }
+        assert _untimed(rec) == _untimed(fresh)
     assert "inconclusive" in report.counts and len(report.records) == 30
 
 
@@ -141,3 +144,34 @@ def test_basics_cap_at_the_basic_count_changes_nothing(preset_name):
             H.run_campaign(tight, config).to_json(include_timing=False)
             == H.run_campaign(default, config).to_json(include_timing=False)
         )
+
+
+@pytest.mark.parametrize("preset_name", GOLDEN_PRESETS)
+def test_basics_cap_at_the_longest_basic_sees_no_history(preset_name):
+    # the guard on nested reversals fires only at a basics_cap below C-1,
+    # the longest basic element's length, where a warmed context can read a
+    # least word that a fresh one peels.  At C-1 no query or trial meets it:
+    # a warmed context answers as a fresh one and as default caps, and one
+    # context carried through a campaign gives each trial's fresh record.
+    # At C-2 some query meets it, on every preset with a nested reversal
+    pres = preset(preset_name)
+    longest = MonoidContext(pres).basic_table(Side.RIGHT).C - 1
+    caps = Caps(basics_cap=longest)
+    warmed, default = MonoidContext(pres, caps), MonoidContext(pres)
+    below = MonoidContext(pres, Caps(basics_cap=longest - 1))
+    guarded = 0
+    for query in _queries(preset_name, QUERIES):
+        got = _outcome(query, warmed)
+        assert got == _outcome(query, MonoidContext(pres, caps)) == _outcome(query, default)
+        low = _outcome(query, below)
+        guarded += type(low) is tuple and low[0] is BasicsCapExceeded
+    assert (guarded == 0) == (preset_name == "free(2)")
+    for kind in ("Cunif", "A", "C", "depth4"):
+        config = H.CampaignConfig(preset_name, kind, depth=4, length=16, trials=20, seed=1)
+        report = H.run_campaign(MonoidContext(pres, caps), config)
+        assert report.to_json(include_timing=False) == (
+            H.run_campaign(MonoidContext(pres), config).to_json(include_timing=False)
+        )
+        for index, rec in enumerate(report.records):
+            fresh = H.run_trial(MonoidContext(pres, caps), config, index)
+            assert _untimed(rec) == _untimed(fresh)

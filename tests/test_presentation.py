@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -150,7 +153,7 @@ def test_presets():
     att = preset("A2tilde")
     assert att.n_atoms == 3 and len(att.relations) == 3
     b3 = preset("braid(3)")
-    assert b3.n_atoms == 2 and len(b3.relations) == 1 and b3.fc
+    assert b3.n_atoms == 2 and len(b3.relations) == 1
     assert preset("braid3").relations == b3.relations
     k43 = preset("K(4,3)")
     assert k43.n_atoms == 4 and len(k43.relations) == 6
@@ -181,3 +184,69 @@ def test_roundtrip():
 
 def test_preset_a2tilde_equals_k33():
     assert preset("A2tilde").relations == preset("K(3,3)").relations
+
+
+def _braid_relation(s, t, m):
+    return word(*([s, t] * m)[:m]), word(*([t, s] * m)[:m])
+
+
+# the (s, t, m) triples each preset is built from, one braid relation
+# sts... = tst... of m letters a side per triple
+LABELS = {
+    **{
+        f"braid({n})": [(i, j, 2 + (j == i + 1)) for i, j in itertools.combinations(range(n - 1), 2)]
+        for n in range(2, 9)
+    },
+    **{f"free({n})": [] for n in range(1, 5)},
+    **{f"I2({m})": [(0, 1, m)] for m in range(2, 10)},
+    **{f"K({n},3)": [(i, j, 3) for i, j in itertools.combinations(range(n), 2)] for n in range(3, 7)},
+    "A2tilde": [(0, 1, 3), (0, 2, 3), (1, 2, 3)],
+    "A3tilde": [(0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 0, 3), (0, 2, 2), (1, 3, 2)],
+    "C2tilde": [(0, 1, 4), (1, 2, 4), (0, 2, 2)],
+}
+
+
+@pytest.mark.parametrize("name", LABELS)
+def test_coxeter_labels_are_read_off_the_relations(name):
+    # keyed by the pair in index order, whichever atom its relation starts with
+    assert preset(name).coxeter == {(min(s, t), max(s, t)): m for s, t, m in LABELS[name]}
+
+
+@pytest.mark.parametrize("name", LABELS)
+def test_fc_is_computed_from_the_relations(name):
+    # the flags the presets were once built with: braid(n), free(n) and
+    # I2(m) are of type FC, the affine presets and K(n,3) are not
+    assert MonoidContext(preset(name)).fc is name.startswith(("braid", "free", "I2"))
+
+
+def test_fc_of_three_atoms_is_the_triangle_rule():
+    # three atoms whose pairs all have relations, with labels p, q and r,
+    # are of type FC iff they generate a finite Coxeter group, iff 1/p + 1/q
+    # + 1/r > 1; a pair with no relation (m = infinity) leaves only pairs
+    pairs = ((0, 1), (1, 2), (0, 2))
+    for labels in itertools.product((2, 3, 4, 6, None), repeat=3):
+        rels = tuple(_braid_relation(s, t, m) for (s, t), m in zip(pairs, labels) if m)
+        ctx = MonoidContext(Presentation("triangle", ("a", "b", "c"), rels))
+        expected = None in labels or sum(Fraction(1, m) for m in labels) > 1
+        assert ctx.fc is expected, labels
+
+
+def test_a3tilde_is_not_fc_though_every_triple_is_spherical():
+    # a check of triples alone would call A3tilde FC: each of its triples
+    # has a common multiple, only the four atoms have none
+    ctx = MonoidContext(preset("A3tilde"))
+    for x, y, z in itertools.combinations(ctx.atoms(), 3):
+        assert ctx.lcm(ctx.lcm(x, y, Side.RIGHT)[0], z, Side.RIGHT) is not None
+    assert ctx.fc is False
+
+
+def test_coxeter_needs_one_braid_relation_per_pair():
+    # either atom may come first; a relation that is no braid relation, or
+    # a second relation on a pair, leaves no labels and no FC decision
+    assert parse_presentation("atoms: a b\nrel: bab = aba\n").coxeter == {(0, 1): 3}
+    odd = parse_presentation("atoms: a b\nrel: aab = bba\n")
+    assert odd.coxeter is None and MonoidContext(odd).fc is None
+    two = parse_presentation("atoms: a b\nrel: ab = ba\nrel: aba = bab\n")
+    assert two.coxeter is None
+    # nothing else sets the licence: a presentation holds no FC flag
+    assert "fc" not in {f.name for f in dataclasses.fields(Presentation)}
