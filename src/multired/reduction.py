@@ -69,15 +69,18 @@ one `MonoidContext.lcm_attach` call, its lcm and deposit, and returns
 one flat list of the attempts that applied or overflowed.
 `reduct_graph`, `right_roots`, `reaches` and the `left_closures` walk
 ask it once per node for every level of their side (`_levels`; the last
-two through `_left_reducts`), and hash each new reduct once.  A strategy
-run (`_reduce`) reads its strategy once, into a level order and the
-attempt to take at a level (the first for lex, the last for antilex),
-and at each step asks it for one level at a time in that order, up to
-the first level with an attempt.  An attempt that overflows a cap is a
-value in that list, its CapExceeded at its atom's place: `_reduce`
-raises it through `result_of`, `reduct_graph` records it as an
-inconclusive edge, `right_roots` and `reaches` count it as undecided and
-`left_closures` counts it against its node.
+two through `_left_reducts`), and hash each new reduct once.  An
+attempt that overflows a cap is a value in that list, its CapExceeded
+at its atom's place: `reduct_graph` records it as an inconclusive edge,
+`right_roots` and `reaches` count it as undecided and `left_closures`
+counts it against its node.  A strategy run (`_reduce`) wants one
+attempt per step, so it has a step loop of its own: it reads its
+strategy and its frames once, into a level order and an atom order, and
+each step makes one `_first_move` call, which reads rows and pushes in
+that order up to the first attempt that applies or overflows, and
+raises an overflow at once.  Its move is the first attempt of `_moves`
+asked one level at a time in level order, or the last of that level for
+antilex; the tests keep that run over `_moves` as the reference.
 
 The single-move API: a Move's kind is its Side.  `_apply` holds the
 geometry of one move on either side: the level range check, the level
@@ -90,10 +93,10 @@ nor for the arithmetic.  `apply_left` and `apply_right` are one call
 into it each, `apply_move` dispatches on the kind, `apply_division` is
 D(i,x), and `is_division` tells whether an applied move was a division.
 Tests inject overflows by wrapping the module attributes `_moves` (every
-enumerated attempt: the walks ask it for all their levels at once and a
-strategy run for one level at a time) and `apply_left` (single left
-moves, as `red_tame` and `apply_move` make them), looked up by name at
-call time.
+attempt of the walks, which ask it for all their levels at once),
+`_first_move` (every step of a strategy run) and `apply_left` (single
+left moves, as `red_tame` and `apply_move` make them), looked up by
+name at call time.
 """
 
 from __future__ import annotations
@@ -499,21 +502,78 @@ def _moves(ctx: MonoidContext, a: Multifraction, side: Side, levels) -> list:
     attempt that overflowed a cap.  Levels come in the order given, and
     atoms in atom order within a level.  An atom that does not divide,
     or whose lcm does not exist, gives no entry (`_push`).  Every
-    enumerated attempt passes through this module-global name."""
+    attempt of the walks passes through this module-global name; a
+    strategy run makes its own through `_first_move`."""
     return _push(ctx, a, side, levels)
+
+
+def _first_move(ctx: MonoidContext, a: Multifraction, side: Side, frames, order):
+    """The first atomic move of a that a strategy run takes, as (level,
+    atom, reduct), or None when a has none: the first attempt of `_moves`
+    over the levels of `frames` (a `_frames` table, in the strategy's
+    level order) with each level's atoms in `order`, a range of atom
+    indices.  It reads rows and pushes as `_push` does, up to that
+    attempt and no further: the upper row of a truncated rule only once
+    an atom divides the lower entry, and no lcm of a later atom.  That
+    attempt's overflow, a row's or `lcm_attach`'s, is raised."""
+    entries = a.entries
+    n = len(entries)
+    atoms = ctx.atoms()
+    quotients = ctx.atom_quotients
+    left = side is LEFT
+    for i, level, src, dst, due, other in frames:
+        if 0 <= dst < n:
+            if not entries[src].word:
+                continue  # no atom divides 1
+            row = quotients(entries[src], due)
+            for t in order:
+                q = row[t]
+                if q is None:
+                    continue
+                if not isinstance(q, Element):
+                    raise q  # the row's overflow
+                s = atoms[t]
+                r = ctx.lcm_attach(s, entries[i - 1], entries[dst], other)
+                if r is None:
+                    continue
+                comp, deposit = r
+                three = (deposit, comp, q) if left else (q, comp, deposit)
+                return i, s, a.with_entries(entries[: i - 2] + three + entries[i + 1 :])
+            continue
+        if not entries[level - 1].word:
+            continue
+        row = quotients(entries[level - 1], due)
+        upper = None  # read only once an atom divides the lower entry
+        for t in order:
+            q = row[t]
+            if q is None:
+                continue
+            if not isinstance(q, Element):
+                raise q
+            if upper is None:
+                upper = quotients(entries[level], due)
+            qj = upper[t]
+            if qj is None:
+                continue
+            if not isinstance(qj, Element):
+                raise qj
+            return i, atoms[t], a.with_entries(entries[: level - 1] + (q, qj) + entries[level + 1 :])
+    return None
 
 
 def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> ReductionTrace:
     """Apply the first atomic move the strategy finds until there is none.
 
     The strategy is read once per run: it fixes the level order (`_levels`,
-    high to low for `high_*`) and which attempt of a level to take, the
-    first in atom order for `*_lex` and the last for `*_antilex`.  Each
-    step asks `_moves` for one level at a time in that order and takes
-    the chosen attempt of the first level that has one; an overflowed
-    attempt raises through `result_of`.  `_moves` is looked up by
-    module-global name at call time, so a wrapper installed on the module
-    attribute (the tests inject overflows so) sees every attempt.
+    high to low for `high_*`) and the atom order within a level, forward
+    for `*_lex` and reversed for `*_antilex`.  So are the run's frames
+    (`_frames`): a move keeps the depth and the first sign.  Each step
+    makes one call to `_first_move`, which stops at the first attempt in
+    that order that applies or overflows: the first attempt of `_moves`
+    asked one level at a time in level order, or the last of a level for
+    antilex.  An overflowed attempt raises.  `_first_move` is looked up
+    by module-global name at call time, so a wrapper installed on the
+    module attribute (the tests inject overflows so) sees every step.
 
     A step count past the tower bound is an InternalInvariantError.  The
     tower is monotone in C, and C >= 2 as soon as there is an atom (an
@@ -525,8 +585,10 @@ def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> 
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     step = -1 if strategy.startswith("high") else 1
-    order = [(i,) for i in _levels(a, side)[::step]]
-    pick = -1 if strategy.endswith("antilex") else 0
+    frames = _frames(side is LEFT, a.first_sign > 0, _levels(a, side)[::step])
+    order = range(len(ctx.atoms()))
+    if strategy.endswith("antilex"):
+        order = order[::-1]
     # a right reduction sequence from a is a left reduction sequence of the
     # same length from inverse(a), so both sides share the tower bound
     bounded = a if side is LEFT else inverse(a)
@@ -534,14 +596,10 @@ def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> 
     moves: list[Move] = []
     cur = a
     while True:
-        for level in order:
-            found = _moves(ctx, cur, side, level)
-            if found:
-                break
-        else:
+        found = _first_move(ctx, cur, side, frames, order)
+        if found is None:
             break
-        i, s, nxt = found[pick]
-        cur = result_of(nxt)
+        i, s, cur = found
         moves.append(Move(side, i, s))
         k = len(moves)
         if k > cleared and not within_step_bound(ctx, bounded, k):

@@ -1,6 +1,7 @@
 """Reduction questions the tests ask of the package and the package does
 not ask itself: the paper's atomic, all and tame reducer listings, the
-exact tower step bound, a zigzag of maximal steps between two reducts,
+exact tower step bound, a strategy run over `_moves` one level at a
+time, a zigzag of maximal steps between two reducts,
 the composed moves of a trace, the cross-confluence of one pair, the
 unique-fraction probe, the witness roots of a right reduct graph read
 off its edges, and the mirror image of a multifraction.  Each is built
@@ -13,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 
 from multired.harness import Verdict, has_central_cross
-from multired.monoid import CapExceeded, Element, MonoidContext, MultiredError, Side
+from multired.monoid import CapExceeded, Element, MonoidContext, MultiredError, Side, result_of
 from multired.multifraction import Multifraction, format_multifraction
 from multired import reduction as red
 from multired.reduction import Move, ReductionTrace
@@ -70,6 +71,30 @@ def step_bound(ctx: MonoidContext, a: Multifraction) -> int:
     soon as the depth exceeds 3 (the package compares counts with
     `red.within_step_bound`)."""
     return tower(ctx.basic_bound_C(), [e.length for e in a.entries])
+
+
+def moves_run(ctx: MonoidContext, a: Multifraction, side: Side, strategy: str) -> ReductionTrace:
+    """The strategy run of `red.reduce_left` (LEFT) or `red.reduce_right`
+    (RIGHT) over `_moves`, the reference for their step loop: each step
+    asks `_moves` for one level at a time in the strategy's level order
+    and takes the first attempt of the first level that has one, or the
+    last for antilex; an overflowed attempt raises.  It takes no step
+    bound."""
+    step = -1 if strategy.startswith("high") else 1
+    order = [(i,) for i in red._levels(a, side)[::step]]
+    pick = -1 if strategy.endswith("antilex") else 0
+    moves: list[Move] = []
+    cur = a
+    while True:
+        for level in order:
+            found = red._moves(ctx, cur, side, level)
+            if found:
+                break
+        else:
+            return ReductionTrace(a, tuple(moves), cur)
+        i, s, nxt = found[pick]
+        cur = result_of(nxt)
+        moves.append(Move(side, i, s))
 
 
 def composed_moves(ctx: MonoidContext, trace: ReductionTrace) -> tuple[Move, ...]:

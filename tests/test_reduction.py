@@ -32,6 +32,7 @@ from reduct_oracles import (
     connect_by_maximal_zigzag,
     maximal_moves,
     mirror,
+    moves_run,
     step_bound,
     tame_reducers,
 )
@@ -412,7 +413,7 @@ def test_step_guard_raises_at_the_first_step_past_the_bound(att, monkeypatch, si
     reduce_fn = red.reduce_left if side == "left" else red.reduce_right
     assert len(reduce_fn(att, a).moves) > 5
     seen, searched = [], set()
-    moves = red._moves
+    first_move = red._first_move
 
     def five(ctx, b, k):
         seen.append(k)
@@ -420,11 +421,11 @@ def test_step_guard_raises_at_the_first_step_past_the_bound(att, monkeypatch, si
 
     def counted(ctx, b, *args):
         searched.add(b)
-        return moves(ctx, b, *args)
+        return first_move(ctx, b, *args)
 
     monkeypatch.setattr(red, "_tower", lambda *args: 0)
     monkeypatch.setattr(red, "within_step_bound", five)
-    monkeypatch.setattr(red, "_moves", counted)
+    monkeypatch.setattr(red, "_first_move", counted)
     with pytest.raises(red.InternalInvariantError, match="tower step bound"):
         reduce_fn(att, a)
     assert len(searched) == 6 and seen == [1, 2, 3, 4, 5, 6]
@@ -929,18 +930,18 @@ def test_runs_match_reference_run(monkeypatch, name, reversing_cap):
     # node, under every strategy, on both sides and both first signs.  The
     # run under test and the reference run in contexts of their own; at
     # default caps a run over probe_moves, in a third, agrees too.  The
-    # nodes a run passes through are the ones it asks `_moves` about
+    # nodes a run passes through are the ones it asks `_first_move` about
     caps = Caps() if reversing_cap is None else Caps(reversing_cap=reversing_cap)
     fast, ref, probe = (MonoidContext(preset(name), caps) for _ in range(3))
     inputs = MonoidContext(preset(name))
-    moves, passed = red._moves, []
+    first_move, passed = red._first_move, []
 
-    def recorded(ctx, b, side, levels):
+    def recorded(ctx, b, *args):
         if ctx is fast and passed[-1] != b:
             passed.append(b)
-        return moves(ctx, b, side, levels)
+        return first_move(ctx, b, *args)
 
-    monkeypatch.setattr(red, "_moves", recorded)
+    monkeypatch.setattr(red, "_first_move", recorded)
     steps = overflowed = 0
     for depth in range(3, 7):
         for seed in range(3):
@@ -965,6 +966,133 @@ def test_runs_match_reference_run(monkeypatch, name, reversing_cap):
         assert steps > 0 and overflowed == 0
     else:
         assert overflowed > 0
+
+
+def run_outcome(run, *args):
+    """A run's moves and end, or the class and message of the overflow it
+    raised."""
+    try:
+        tr = run(*args)
+    except CapExceeded as e:
+        return type(e), str(e)
+    return tr.moves, tr.end
+
+
+def push_key(a, side, i, s):
+    """The arguments of the `lcm_attach` call of a's push R(i,s) (LEFT) or
+    R~(i,s) (RIGHT), or None for a truncated rule."""
+    level, _, dst = red._frame(side, i)
+    if not 0 < dst <= a.depth:
+        return None
+    return s, a.entry(i), a.entry(dst), red.due_side(a, level).other
+
+
+def overflow_lcm_attach(mp, key, error):
+    """Make `lcm_attach` raise error when called with key's arguments."""
+    lcm_attach = MonoidContext.lcm_attach
+
+    def overflowing(self, *args):
+        if args == key:
+            raise error
+        return lcm_attach(self, *args)
+
+    mp.setattr(MonoidContext, "lcm_attach", overflowing)
+
+
+def overflow_row(mp, entry, due, t, error):
+    """Put error at atom t of the `atom_quotients` row of entry on due."""
+    atom_quotients = MonoidContext.atom_quotients
+
+    def overflowing(self, a, side):
+        row = atom_quotients(self, a, side)
+        return row[:t] + (error,) + row[t + 1 :] if (a, side) == (entry, due) else row
+
+    mp.setattr(MonoidContext, "atom_quotients", overflowing)
+
+
+def both_runs(fast, ref, a, side, strategy):
+    """The outcome of a's run in fast, checked to be that of `moves_run`,
+    the run over `_moves` asked one level at a time, in ref."""
+    reduce_fn = red.reduce_left if side is Side.LEFT else red.reduce_right
+    got = run_outcome(reduce_fn, fast, a, strategy)
+    assert got == run_outcome(moves_run, ref, a, side, strategy), (fmt(fast, a), side, strategy)
+    return got
+
+
+@pytest.mark.parametrize("reversing_cap", [None, 1, 2, 3])
+@pytest.mark.parametrize("name", GOLDEN_PRESETS)
+def test_step_loop_matches_moves_run(name, reversing_cap):
+    # a run's step loop makes the moves and reaches the end of `moves_run`,
+    # or raises its overflow (class and message), under every strategy, on
+    # both sides and first signs, at depths 0-8, each run in a context of
+    # its own.  Under caps 1-3 most presets overflow every attempt
+    caps = Caps() if reversing_cap is None else Caps(reversing_cap=reversing_cap)
+    fast, ref = MonoidContext(preset(name), caps), MonoidContext(preset(name), caps)
+    steps = overflowed = 0
+    for a in sample_inputs(MonoidContext(preset(name)), depths=range(9)):
+        for side in Side:
+            for strategy in red.STRATEGIES:
+                got = both_runs(fast, ref, a, side, strategy)
+                if isinstance(got[0], type):
+                    overflowed += 1
+                else:
+                    steps += len(got[0])
+    if reversing_cap is None:
+        assert steps > 0 and overflowed == 0
+    else:
+        assert overflowed > 0
+
+
+@pytest.mark.parametrize("name", GOLDEN_PRESETS)
+def test_step_loop_raises_only_the_attempt_it_takes(monkeypatch, name):
+    # an overflow injected into a run that moves, as in
+    # test_step_loop_matches_moves_run: at an lcm of a's `_moves` stream
+    # after the attempt the run takes, whose arguments no move of the run
+    # has, the run is as without it; at the row of the entry the first
+    # move divides, or at that move's lcm, the run raises that overflow
+    fast, ref = MonoidContext(preset(name)), MonoidContext(preset(name))
+    row_error = BasicsCapExceeded("basic-element closure exceeds basics_cap=0")
+    lcm_error = ReversingCapExceeded("reversing exceeded 0 cell fills")
+    untaken = taken = 0
+    for a in sample_inputs(MonoidContext(preset(name)), depths=range(9)):
+        for side in Side:
+            for strategy in red.STRATEGIES:
+                moves, end = both_runs(fast, ref, a, side, strategy)
+                if not moves:
+                    continue
+                nodes = [a]
+                for m in moves:
+                    nodes.append(red.apply_move(fast, nodes[-1], m))
+                keys = {push_key(b, side, m.level, m.x) for b, m in zip(nodes, moves)}
+                later = [
+                    (i, s, key)
+                    for i, s, b in list(strategy_moves(ref, a, side, strategy))[1:]
+                    if isinstance(b, Multifraction)
+                    and (key := push_key(a, side, i, s)) is not None
+                    and key not in keys
+                ]
+                if later:
+                    i, s, key = later[0]
+                    with monkeypatch.context() as mp:
+                        overflow_lcm_attach(mp, key, lcm_error)
+                        stream = with_messages(strategy_moves(ref, a, side, strategy))
+                        assert (i, s, str(lcm_error)) in stream
+                        assert both_runs(fast, ref, a, side, strategy) == (moves, end)
+                    untaken += 1
+                first = moves[0]
+                level, src, dst = red._frame(side, first.level)
+                entry = a.entry(src if 0 < dst <= a.depth else level)
+                t = fast.atoms().index(first.x)
+                key = push_key(a, side, first.level, first.x)
+                with monkeypatch.context() as mp:
+                    overflow_row(mp, entry, red.due_side(a, level), t, row_error)
+                    assert both_runs(fast, ref, a, side, strategy) == (BasicsCapExceeded, str(row_error))
+                if key is not None:
+                    with monkeypatch.context() as mp:
+                        overflow_lcm_attach(mp, key, lcm_error)
+                        assert both_runs(fast, ref, a, side, strategy) == (ReversingCapExceeded, str(lcm_error))
+                    taken += 1
+    assert untaken > 0 and taken > 0
 
 
 def probe_graph(ctx, a, side):
