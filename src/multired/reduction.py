@@ -61,42 +61,40 @@ entries, with the parent's checked sign (`Multifraction.with_entries`).
 
 How the atomic moves of a node are found: an atomic move R(i,s) applies
 only when the atom s divides entry i+1 on the due side and has a common
-multiple with entry i (mirrored for R~), so `_moves` runs one loop over
-the levels (`_push`, framed by `_frames`): it reads each level's
-`MonoidContext.atom_quotients` row of the entry divided once (both
-entries' for a truncated division rule), takes each atom in it through
-one `MonoidContext.lcm_attach` call, its lcm and deposit, and returns
-one flat list of the attempts that applied or overflowed.
+multiple with entry i (mirrored for R~), so one move core, `_push`,
+runs one loop over a table of levels (`_frames`) and an atom order: it
+reads each level's `MonoidContext.atom_quotients` row of the entry
+divided once (both entries' for a truncated division rule), takes each
+atom in it through one `MonoidContext.lcm_attach` call, its lcm and
+deposit, and lists the attempts that applied or overflowed.
 `reduct_graph`, `right_roots`, `reaches` and the `left_closures` walk
-ask it once per node for every level of their side (`_levels`; the last
-two through `_left_reducts`), and hash each new reduct once.  An
-attempt that overflows a cap is a value in that list, its CapExceeded
-at its atom's place: `reduct_graph` records it as an inconclusive edge,
-`right_roots` and `reaches` count it as undecided and `left_closures`
-counts it against its node.  A strategy run (`_reduce`) wants one
-attempt per step, so it has a step loop of its own: it reads its
-strategy and its frames once, into a level order and an atom order, and
-each step makes one `_first_move` call, which reads rows and pushes in
-that order up to the first attempt that applies or overflows, and
-raises an overflow at once.  Its move is the first attempt of `_moves`
-asked one level at a time in level order, or the last of that level for
-antilex; the tests keep that run over `_moves` as the reference.
+ask it through `_moves` once per node for every level of their side
+(`_levels`; the last two through `_left_reducts`), and hash each new
+reduct once.  An attempt that overflows a cap is a value in that list,
+its CapExceeded at its atom's place: `reduct_graph` records it as an
+inconclusive edge, `right_roots` and `reaches` count it as undecided
+and `left_closures` counts it against its node.  A strategy run
+(`_reduce`) reads its strategy and its frames once, into a level order
+and an atom order, and each step asks the core to stop at the first
+attempt that applies or overflows, and raises an overflow.  Its move is
+the first attempt of `_moves` asked one level at a time in level order,
+or the last of that level for antilex; the tests keep that run over
+`_moves` as the reference.
 
 The single-move API: a Move's kind is its Side.  `_apply` holds the
 geometry of one move on either side: the level range check, the level
 map `_frame` (shared with `_frames`, `is_division` and
-`ReductGraph.to_dot`), the truncated rule and the push, `_push` run for
+`ReductGraph.to_dot`), the truncated rule and the push, the core run for
 x alone.  It tests x with `MonoidContext.divides` instead of reading a
 level's atoms off one row, so it is an oracle for how `_moves` reads a
 row, not for the push (the tests check that against `lcm` and `attach`)
 nor for the arithmetic.  `apply_left` and `apply_right` are one call
 into it each, `apply_move` dispatches on the kind, `apply_division` is
 D(i,x), and `is_division` tells whether an applied move was a division.
-Tests inject overflows by wrapping the module attributes `_moves` (every
-attempt of the walks, which ask it for all their levels at once),
-`_first_move` (every step of a strategy run) and `apply_left` (single
-left moves, as `red_tame` and `apply_move` make them), looked up by
-name at call time.
+Tests inject overflows by wrapping the module attributes `_push` (every
+attempt of the walks, which reach it through `_moves`, and of the
+strategy runs) and `apply_left` (single left moves, as `red_tame` and
+`apply_move` make them), looked up by name at call time.
 """
 
 from __future__ import annotations
@@ -183,11 +181,14 @@ def _frames(left: bool, positive: bool, levels) -> tuple:
 
 
 def _push(
-    ctx: MonoidContext, a: Multifraction, side: Side, levels, x: Element | None = None
+    ctx: MonoidContext, a: Multifraction, side: Side, frames, order, x: Element | None = None, first=False
 ) -> list:
-    """The move core of `_moves` and `_apply`: the attempts at the levels
-    of a, as `_moves` lists them, of every atom s, or of x alone when
-    given (`_apply` gives x only at a level with a deposit entry).
+    """The move core of walks, runs and single moves: the attempts of a
+    that applied or overflowed, as a list of (level, atom, outcome), at
+    the levels of `frames` (a `_frames` table) in its order, each level's
+    atoms in `order`, a sequence of atom indices; of x alone when given
+    (`order` is then (0,), and `_apply` gives x only at a level with a
+    deposit entry).  With `first` it returns at the first such attempt.
 
     A level reads the `atom_quotients` row of the entry divided once (x's
     quotient is `divides`', which raises an overflow; a trivial entry
@@ -201,19 +202,22 @@ def _push(
     when memoised and the deposit's length is checked, so nothing is
     multiplied back.  The truncated rules, D(1,s) at left level 1 and
     D(depth-1,s) at right level depth, read the rows of both entries they
-    divide, the upper one only once an atom divides the lower."""
+    divide, the upper one only once an atom divides the lower, so a call
+    with `first` reads no row and takes no lcm past the attempt it
+    returns."""
     entries = a.entries
     n = len(entries)
     atoms = ctx.atoms() if x is None else (x,)
     quotients = ctx.atom_quotients
     left = side is LEFT
     moves: list = []
-    for i, level, src, dst, due, other in _frames(left, a.first_sign > 0, levels):
+    for i, level, src, dst, due, other in frames:
         if 0 <= dst < n:
             if not entries[src].word:
                 continue  # no atom divides 1
             row = quotients(entries[src], due) if x is None else (ctx.divides(x, entries[src], due),)
-            for t, q in enumerate(row):
+            for t in order:
+                q = row[t]
                 if q is None:
                     continue
                 s = atoms[t]
@@ -221,19 +225,23 @@ def _push(
                     try:
                         r = ctx.lcm_attach(s, entries[i - 1], entries[dst], other)
                     except CapExceeded as exc:
-                        moves.append((i, s, exc))
-                        continue
-                    if r is None:
-                        continue
-                    comp, deposit = r
-                    three = (deposit, comp, q) if left else (q, comp, deposit)
-                    q = a.with_entries(entries[: i - 2] + three + entries[i + 1 :])
-                moves.append((i, s, q))  # the reduct, or the row's overflow
+                        q = exc
+                    else:
+                        if r is None:
+                            continue
+                        comp, deposit = r
+                        three = (deposit, comp, q) if left else (q, comp, deposit)
+                        q = a.with_entries(entries[: i - 2] + three + entries[i + 1 :])
+                moves.append((i, s, q))  # the reduct, or the row's or the lcm's overflow
+                if first:
+                    return moves
             continue
         if not entries[level - 1].word:
             continue
+        row = quotients(entries[level - 1], due)
         upper = None  # read only once an atom divides the lower entry
-        for t, q in enumerate(quotients(entries[level - 1], due)):
+        for t in order:
+            q = row[t]
             if q is None:
                 continue
             if isinstance(q, Element):
@@ -243,12 +251,12 @@ def _push(
                 if qj is None:
                     continue
                 if isinstance(qj, Element):
-                    b = a.with_entries(entries[: level - 1] + (q, qj) + entries[level + 1 :])
+                    q = a.with_entries(entries[: level - 1] + (q, qj) + entries[level + 1 :])
                 else:
-                    b = qj  # the upper row's overflow
-            else:
-                b = q  # the lower row's overflow
-            moves.append((i, atoms[t], b))
+                    q = qj  # the upper row's overflow
+            moves.append((i, atoms[t], q))  # the reduct, or a row's overflow
+            if first:
+                return moves
     return moves
 
 
@@ -257,7 +265,8 @@ def _apply(ctx: MonoidContext, a: Multifraction, side: Side, i: int, x: Element)
     does not apply.  Left levels run 1..depth-1 and right levels 1..depth;
     x != 1.  Right level 1 never applies (there is no entry 0 to extract
     from); the truncated rules at left level 1 and right level depth are
-    D(1,x) and D(depth-1,x).  Cap overflow from the underlying lcm
+    D(1,x) and D(depth-1,x).  Any other move is the core `_push` asked
+    for x alone at level i.  Cap overflow from the underlying lcm
     propagates (the move's applicability is then unknown)."""
     n = len(a.entries)
     top = n - 1 if side is LEFT else n
@@ -270,7 +279,7 @@ def _apply(ctx: MonoidContext, a: Multifraction, side: Side, i: int, x: Element)
         return None
     if not 0 < dst <= n:
         return apply_division(ctx, a, level, x)
-    moves = _push(ctx, a, side, (i,), x)
+    moves = _push(ctx, a, side, _frames(side is LEFT, a.first_sign > 0, (i,)), (0,), x)
     return result_of(moves[0][2]) if moves else None
 
 
@@ -501,64 +510,9 @@ def _moves(ctx: MonoidContext, a: Multifraction, side: Side, levels) -> list:
     of (level, atom, outcome): the reduct, or the CapExceeded of an
     attempt that overflowed a cap.  Levels come in the order given, and
     atoms in atom order within a level.  An atom that does not divide,
-    or whose lcm does not exist, gives no entry (`_push`).  Every
-    attempt of the walks passes through this module-global name; a
-    strategy run makes its own through `_first_move`."""
-    return _push(ctx, a, side, levels)
-
-
-def _first_move(ctx: MonoidContext, a: Multifraction, side: Side, frames, order):
-    """The first atomic move of a that a strategy run takes, as (level,
-    atom, reduct), or None when a has none: the first attempt of `_moves`
-    over the levels of `frames` (a `_frames` table, in the strategy's
-    level order) with each level's atoms in `order`, a range of atom
-    indices.  It reads rows and pushes as `_push` does, up to that
-    attempt and no further: the upper row of a truncated rule only once
-    an atom divides the lower entry, and no lcm of a later atom.  That
-    attempt's overflow, a row's or `lcm_attach`'s, is raised."""
-    entries = a.entries
-    n = len(entries)
-    atoms = ctx.atoms()
-    quotients = ctx.atom_quotients
-    left = side is LEFT
-    for i, level, src, dst, due, other in frames:
-        if 0 <= dst < n:
-            if not entries[src].word:
-                continue  # no atom divides 1
-            row = quotients(entries[src], due)
-            for t in order:
-                q = row[t]
-                if q is None:
-                    continue
-                if not isinstance(q, Element):
-                    raise q  # the row's overflow
-                s = atoms[t]
-                r = ctx.lcm_attach(s, entries[i - 1], entries[dst], other)
-                if r is None:
-                    continue
-                comp, deposit = r
-                three = (deposit, comp, q) if left else (q, comp, deposit)
-                return i, s, a.with_entries(entries[: i - 2] + three + entries[i + 1 :])
-            continue
-        if not entries[level - 1].word:
-            continue
-        row = quotients(entries[level - 1], due)
-        upper = None  # read only once an atom divides the lower entry
-        for t in order:
-            q = row[t]
-            if q is None:
-                continue
-            if not isinstance(q, Element):
-                raise q
-            if upper is None:
-                upper = quotients(entries[level], due)
-            qj = upper[t]
-            if qj is None:
-                continue
-            if not isinstance(qj, Element):
-                raise qj
-            return i, atoms[t], a.with_entries(entries[: level - 1] + (q, qj) + entries[level + 1 :])
-    return None
+    or whose lcm does not exist, gives no entry.  The walks' name for the
+    core `_push` over every atom, which it calls by module-global name."""
+    return _push(ctx, a, side, _frames(side is LEFT, a.first_sign > 0, levels), range(len(ctx.atoms())))
 
 
 def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> ReductionTrace:
@@ -568,12 +522,12 @@ def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> 
     high to low for `high_*`) and the atom order within a level, forward
     for `*_lex` and reversed for `*_antilex`.  So are the run's frames
     (`_frames`): a move keeps the depth and the first sign.  Each step
-    makes one call to `_first_move`, which stops at the first attempt in
-    that order that applies or overflows: the first attempt of `_moves`
-    asked one level at a time in level order, or the last of a level for
-    antilex.  An overflowed attempt raises.  `_first_move` is looked up
-    by module-global name at call time, so a wrapper installed on the
-    module attribute (the tests inject overflows so) sees every step.
+    asks the core `_push` to stop at the first attempt in that order that
+    applies or overflows: the first attempt of `_moves` asked one level
+    at a time in level order, or the last of a level for antilex.  An
+    overflowed attempt raises.  The core is looked up by module-global
+    name at call time, so a wrapper installed on the module attribute
+    (the tests inject overflows so) sees every step.
 
     A step count past the tower bound is an InternalInvariantError.  The
     tower is monotone in C, and C >= 2 as soon as there is an atom (an
@@ -596,10 +550,11 @@ def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> 
     moves: list[Move] = []
     cur = a
     while True:
-        found = _first_move(ctx, cur, side, frames, order)
-        if found is None:
+        found = _push(ctx, cur, side, frames, order, first=True)
+        if not found:
             break
-        i, s, cur = found
+        i, s, b = found[0]
+        cur = result_of(b)
         moves.append(Move(side, i, s))
         k = len(moves)
         if k > cleared and not within_step_bound(ctx, bounded, k):

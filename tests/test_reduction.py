@@ -413,19 +413,19 @@ def test_step_guard_raises_at_the_first_step_past_the_bound(att, monkeypatch, si
     reduce_fn = red.reduce_left if side == "left" else red.reduce_right
     assert len(reduce_fn(att, a).moves) > 5
     seen, searched = [], set()
-    first_move = red._first_move
+    push = red._push
 
     def five(ctx, b, k):
         seen.append(k)
         return k <= 5
 
-    def counted(ctx, b, *args):
+    def counted(ctx, b, *args, **kwargs):
         searched.add(b)
-        return first_move(ctx, b, *args)
+        return push(ctx, b, *args, **kwargs)
 
     monkeypatch.setattr(red, "_tower", lambda *args: 0)
     monkeypatch.setattr(red, "within_step_bound", five)
-    monkeypatch.setattr(red, "_first_move", counted)
+    monkeypatch.setattr(red, "_push", counted)
     with pytest.raises(red.InternalInvariantError, match="tower step bound"):
         reduce_fn(att, a)
     assert len(searched) == 6 and seen == [1, 2, 3, 4, 5, 6]
@@ -930,18 +930,18 @@ def test_runs_match_reference_run(monkeypatch, name, reversing_cap):
     # node, under every strategy, on both sides and both first signs.  The
     # run under test and the reference run in contexts of their own; at
     # default caps a run over probe_moves, in a third, agrees too.  The
-    # nodes a run passes through are the ones it asks `_first_move` about
+    # nodes a run passes through are the ones it asks `_push` about
     caps = Caps() if reversing_cap is None else Caps(reversing_cap=reversing_cap)
     fast, ref, probe = (MonoidContext(preset(name), caps) for _ in range(3))
     inputs = MonoidContext(preset(name))
-    first_move, passed = red._first_move, []
+    push, passed = red._push, []
 
-    def recorded(ctx, b, *args):
+    def recorded(ctx, b, *args, **kwargs):
         if ctx is fast and passed[-1] != b:
             passed.append(b)
-        return first_move(ctx, b, *args)
+        return push(ctx, b, *args, **kwargs)
 
-    monkeypatch.setattr(red, "_first_move", recorded)
+    monkeypatch.setattr(red, "_push", recorded)
     steps = overflowed = 0
     for depth in range(3, 7):
         for seed in range(3):
