@@ -20,7 +20,9 @@ checked on first use, and a failure raises LatticeViolation.  A side
 whose atom table equals the other side's checked table, as in every
 Artin-Tits monoid, runs no check and shares that side's reversing store;
 its basic table is then read off the other side's, word by word reversed
-(`basic_table`).
+(`basic_table`).  A table built directly reverses each pair of basic
+elements row by row: the row of one letter against the rest of a word is
+itself a cell of the store, so pairs that share a prefix share its rows.
 
 An atom s left-divides w exactly when reversing s against w leaves s
 nothing to add; what is left of w is the quotient.  That reversing row
@@ -67,10 +69,12 @@ a raised CapExceeded (unknown), which callers report as inconclusive,
 never as a no.
 
 reversing_cap bounds only the grid of a reversal that a query asks for,
-an lcm's or the cube check's, cell by cell whether the store holds a cell
-or not.  A peel row and a nested reversal of a cell the store lacks are
-not charged; basics_cap guards the nested reversals, whose words are
-basic elements.  So canonical forms, quotient rows, `divides`, `gcd` and
+an lcm's, the cube check's or a basic-table pair's, cell by cell whether
+the store holds a cell or not; a pair whose grid fits the cap cannot
+overflow it and is reversed by rows (`basic_table`).  A peel row, a
+pair's row and a nested reversal of a cell the store lacks are not
+charged; basics_cap guards the nested reversals, whose words are basic
+elements.  So canonical forms, quotient rows, `divides`, `gcd` and
 `divisors` overflow only where a side's reversing table cannot be built,
 or at that guard.  A memo hit skips only work that charges no
 reversing_cap, and an overflow is never memoised: whether a query
@@ -411,8 +415,8 @@ class MonoidContext:
     def _cell(self, store, x: Word, t: Word, stack: set) -> Reversal:
         """A grid cell the store lacks, (x past t, t past x) for two
         non-empty words x != t, reversed letter by letter and stored.  The
-        callers (`_right_reverse`, `_peel`) read trivial cells and stored
-        ones themselves.
+        callers (`_right_reverse`, `_peel`, the rows of `basic_table`) read
+        trivial cells and stored ones themselves.
 
         A missing pair of atoms is one no relation covers: it has no
         common multiple.  Every sub-lcm of an existing lcm exists and spans
@@ -864,7 +868,22 @@ class MonoidContext:
     def basic_table(self, side: Side) -> BasicTable:
         """The basic elements (the closure of the atoms under complements)
         and the complements of every pair of them.  A worklist: each new
-        basic is reversed once against itself and every earlier one.
+        basic u is reversed once against itself and every earlier one v.
+
+        A pair is reversed one row per letter of u, and a row is a cell:
+        the row of u's next letter x against the current top word t (v past
+        the letters of u used so far) is the cell (x, t), read off the
+        side's store, or reversed by `_cell` under its basics_cap guard and
+        stored there for the next pair.  The words of a cell are basic
+        elements, so the rows are the store's ordinary cells, and pairs
+        whose words start with the same letters read the rows of that
+        prefix off the store: the closure costs about one store read per
+        letter, not one cell per place of the len(u)*len(v) grid.  A grid
+        of at most reversing_cap cells cannot overflow it; a pair whose
+        grid could, len(u)*len(v) > reversing_cap, is reversed as a query
+        is, cell by cell (`_reverse`).  Every overflow, class and message,
+        is then the one that reversing every pair by its grid raises, and
+        a test holds the build to that one at tight caps.
 
         When both sides share one reversing store, as in every Artin-Tits
         monoid (`_store`), reversing a word is an anti-automorphism: a
@@ -879,7 +898,7 @@ class MonoidContext:
         got = self._tables.get(side)
         if got is not None:
             return got
-        self._store(side)  # a bad atom table is refused before anything else
+        store = self._store(side)  # a bad atom table is refused before anything else
         other = self._tables.get(side.other)
         if (
             other is not None
@@ -888,17 +907,38 @@ class MonoidContext:
             and max(other.C - 1, len(other.basics)) <= self.caps.basics_cap
         ):
             return self._tables.setdefault(side, self._mirror_table(other))
+        canon = self._canon
+        flip = slice(None, None, -1 if side is LEFT else 1)  # LEFT reverses mirror images
+        cap = self.caps.reversing_cap
         basics = [IDENTITY, *self.atoms()]
         known = set(basics)
         complement: dict[tuple[Element, Element], Element] = {}
         no_multiple: set[tuple[Element, Element]] = set()
         for k, u in enumerate(basics):  # grows while it is walked
+            a = u.word[flip]
             for v in basics[: k + 1]:
-                r = self._reverse(u.word, v.word, side)
+                if len(a) * len(v.word) > cap:
+                    r = self._reverse(u.word, v.word, side)
+                else:  # one row, one cell of the store, per letter of a
+                    ends, t = "", v.word[flip]
+                    for x in a:
+                        r = store.get((x, t), _MISSING)
+                        if r is _MISSING:
+                            if not t or x == t:  # trivial: x passes, or both are used up
+                                r = ("" if t else x, "")
+                            else:
+                                r = self._cell(store, x, t, set())
+                        if r is None:
+                            break
+                        e, t = r
+                        ends += e
+                    else:
+                        r = ends[flip], t[flip]
                 if r is None:
                     no_multiple.update(((u, v), (v, u)))
                     continue
-                cu, cv = self.canonical(r[0]), self.canonical(r[1])
+                cu = canon.get(r[0]) or self.canonical(r[0])
+                cv = canon.get(r[1]) or self.canonical(r[1])
                 complement[(u, v)], complement[(v, u)] = cu, cv
                 for c in (cu, cv):
                     if c not in known:

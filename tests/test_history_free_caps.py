@@ -1,12 +1,13 @@
 """Whether a query overflows reversing_cap is a function of the query and
 the caps, not of what its context computed before.
 
-reversing_cap bounds the grid of a reversal that a query asks for, an lcm's
-or the cube check's, cell by cell whether the reversing store holds a cell
-or not.  Memoised answers and stored cells only skip work that charges no
-cap, so a context warmed by other queries and a fresh one give each query
-the same outcome: its value, or its overflow's class and message.  The
-fresh context per query, or per trial, is the oracle.
+reversing_cap bounds the grid of a reversal that a query asks for, an lcm's,
+the cube check's or a basic-table pair's, cell by cell whether the
+reversing store holds a cell or not.  Memoised answers and stored cells
+only skip work that charges no cap, so a context warmed by other queries
+and a fresh one give each query the same outcome: its value, or its
+overflow's class and message.  The fresh context per query, or per
+trial, is the oracle.
 
 A nested reversal, of a cell the store lacks, reverses two basic elements
 and charges no reversing_cap; basics_cap is its guard, which a basics_cap
@@ -52,6 +53,17 @@ def _outcome(query, ctx):
         return _plain(query(ctx))
     except CapExceeded as e:
         return type(e), str(e)
+
+
+def _with_tables(pres, caps):
+    """A context under `caps` that built both sides' basic tables first,
+    at default caps: a basics_cap below the basic count refuses the
+    closure itself."""
+    ctx = MonoidContext(pres)
+    ctx.basic_table(Side.RIGHT)
+    ctx.basic_table(Side.LEFT)
+    ctx.caps = caps
+    return ctx
 
 
 def _untimed(record):
@@ -153,16 +165,21 @@ def test_basics_cap_at_the_longest_basic_sees_no_history(preset_name):
     # least word that a fresh one peels.  At C-1 no query or trial meets it:
     # a warmed context answers as a fresh one and as default caps, and one
     # context carried through a campaign gives each trial's fresh record.
-    # At C-2 some query meets it, on every preset with a nested reversal
+    # A context that built both basic tables first, whose rows left
+    # (letter, basic word) cells in its store, answers as a fresh one too,
+    # under C-1 and under default caps.  At C-2 some query meets the
+    # guard, on every preset with a nested reversal
     pres = preset(preset_name)
     longest = MonoidContext(pres).basic_table(Side.RIGHT).C - 1
     caps = Caps(basics_cap=longest)
     warmed, default = MonoidContext(pres, caps), MonoidContext(pres)
+    built = [_with_tables(pres, caps), _with_tables(pres, Caps())]
     below = MonoidContext(pres, Caps(basics_cap=longest - 1))
     guarded = 0
     for query in _queries(preset_name, QUERIES):
         got = _outcome(query, warmed)
         assert got == _outcome(query, MonoidContext(pres, caps)) == _outcome(query, default)
+        assert [_outcome(query, ctx) for ctx in built] == [got, got]
         low = _outcome(query, below)
         guarded += type(low) is tuple and low[0] is BasicsCapExceeded
     assert (guarded == 0) == (preset_name == "free(2)")

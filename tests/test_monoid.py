@@ -7,10 +7,12 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import basic_oracle
 import quotient_oracle
 from class_oracle import divides_scan, word_class
 from multired.harness import derive_seed, gen_element
 from multired.monoid import (
+    BasicsCapExceeded,
     CapExceeded,
     Caps,
     Element,
@@ -1014,9 +1016,9 @@ def test_right_reverse_matches_cell_by_cell_oracle(preset_name, caps):
             assert new_store == old_store, (side, a, b)
 
 
-def _table_outcome(ctx, side):
+def _table_outcome(ctx, side, build=MonoidContext.basic_table):
     def run():
-        t = ctx.basic_table(side)
+        t = build(ctx, side)
         return t.side, t.basics, t.complement, t.no_multiple, t.C
 
     return _outcome(run)
@@ -1068,3 +1070,64 @@ def test_mirrored_table_matches_direct_build(pres, first, monkeypatch):
             other.C - 1, len(other.basics)
         ) <= caps.basics_cap
         assert mirrored == ([first] if shared and fits else []), caps
+
+
+def _tight_caps(pres):
+    """Caps about each bound of the build: the defaults; reversing_cap
+    0-39 with basics_cap C-2, C-1, the basic count less 1, the count or
+    the default; and basics_cap 0-25 with reversing_cap (C-1)**2 - 1,
+    (C-1)**2 or the default.  Pair grids overflow, and nested cells or the
+    closure meet their guard, each alone or with the other."""
+    t = MonoidContext(pres).basic_table(Side.RIGHT)
+    longest, count = t.C - 1, len(t.basics)
+    basics_caps = {longest - 1, longest, count - 1, count, Caps.basics_cap}
+    reversing_caps = {longest**2 - 1, longest**2, Caps.reversing_cap}
+    return sorted(
+        {
+            Caps(),
+            *(Caps(reversing_cap=r, basics_cap=b) for r in range(40) for b in basics_caps),
+            *(Caps(reversing_cap=r, basics_cap=b) for r in reversing_caps for b in range(26)),
+        },
+        key=repr,
+    )
+
+
+@pytest.mark.parametrize("preset_name", [
+    "A2tilde", "A3tilde", "C2tilde", "K(4,3)", "braid(3)", "braid(4)", "braid(5)", "free(2)",
+    "free(3)", "I2(5)", "I2(7)",
+])
+def test_basic_table_matches_grid_oracle(preset_name):
+    # a table whose pairs are reversed row by row, each row one cell of
+    # the reversing store, is the table the per-pair grid reversal builds
+    # (tests/basic_oracle.py), or the same overflow, class and message: on
+    # both sides, in both build orders, at every tight cap.  Every preset
+    # meets all three outcomes
+    pres = preset(preset_name)
+    seen = set()
+    for caps in _tight_caps(pres):
+        for first in Side:
+            new, old = MonoidContext(pres, caps), MonoidContext(pres, caps)
+            for side in (first, first.other):
+                got = _table_outcome(new, side)
+                assert got == _table_outcome(old, side, basic_oracle.basic_table), (caps, side)
+                seen.add(got[0] if isinstance(got[0], type) else "table")
+    assert seen == {"table", ReversingCapExceeded, BasicsCapExceeded}
+
+
+@pytest.mark.parametrize("preset_name", EVERY_PRESET)
+def test_basic_table_reverses_no_grid_within_caps(preset_name, monkeypatch):
+    # at default caps every pair fits reversing_cap, so no pair of either
+    # table is a grid reversal: each row is read off the store or filled
+    # once into it, and the second side is read off the first
+    grids = []
+    reverse = MonoidContext._reverse
+
+    def spy(self, a, b, side):
+        grids.append((a, b, side))
+        return reverse(self, a, b, side)
+
+    monkeypatch.setattr(MonoidContext, "_reverse", spy)
+    ctx = MonoidContext(preset(preset_name))
+    ctx.basic_table(Side.RIGHT)
+    ctx.basic_table(Side.LEFT)
+    assert grids == []
