@@ -154,6 +154,8 @@ def validate_certificate(ctx: MonoidContext, a: Multifraction, cert: UnitalCerti
 
 
 def gen_element(ctx: MonoidContext, length: int, seed: int) -> Element:
+    if not length:
+        return IDENTITY  # no letter to draw, so no generator to seed
     rng = random.Random(seed)
     word = "".join(chr(rng.randrange(ctx.pres.n_atoms)) for _ in range(length))
     e = ctx.canonical(word)

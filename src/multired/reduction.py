@@ -66,34 +66,37 @@ runs one loop over a table of levels (`_frames`) and an atom order: it
 reads each level's `MonoidContext.atom_quotients` row of the entry
 divided once (both entries' for a truncated division rule), takes each
 atom in it through one `MonoidContext.lcm_attach` call, its lcm and
-deposit, and lists the attempts that applied or overflowed.
-`reduct_graph`, `right_roots`, `reaches` and the `left_closures` walk
-ask it through `_moves` once per node for every level of their side
-(`_levels`; the last two through `_left_reducts`), and hash each new
-reduct once.  An attempt that overflows a cap is a value in that list,
-its CapExceeded at its atom's place: `reduct_graph` records it as an
-inconclusive edge, `right_roots` and `reaches` count it as undecided
-and `left_closures` counts it against its node.  A strategy run
-(`_reduce`) reads its strategy and its frames once, into a level order
-and an atom order, and each step asks the core to stop at the first
-attempt that applies or overflows, and raises an overflow.  Its move is
-the first attempt of `_moves` asked one level at a time in level order,
-or the last of that level for antilex; the tests keep that run over
-`_moves` as the reference.
+deposit, and lists the attempts that applied or overflowed.  A move
+keeps the depth and the first sign, so the frames of a node serve all
+its reducts.  `reduct_graph`, `right_roots`, `reaches` and
+`left_closures` (its walk and its redundancy search) build them once per
+walk, or once per root a walk starts from, with every atom in atom order
+(`_walk`, over every level of their side, `_levels`), then ask the core
+once per node they expand (the last two through `_left_reducts`), and
+hash each new reduct once.  An attempt that overflows a cap is a value
+in that list, its CapExceeded at its atom's place: `reduct_graph`
+records it as an inconclusive edge, `right_roots` and `reaches` count
+it as undecided and `left_closures` counts it against its node.  A
+strategy run (`_reduce`) reads its strategy and its frames once, into a
+level order and an atom order, and each step asks the core to stop at
+the first attempt that applies or overflows, and raises an overflow.
+Its move is the first attempt of the core asked over every atom one
+level at a time in level order, or the last of that level for antilex;
+the tests keep that run as the reference.
 
 The single-move API: a Move's kind is its Side.  `_apply` holds the
 geometry of one move on either side: the level range check, the level
 map `_frame` (shared with `_frames`, `is_division` and
 `ReductGraph.to_dot`), the truncated rule and the push, the core run for
 x alone.  It tests x with `MonoidContext.divides` instead of reading a
-level's atoms off one row, so it is an oracle for how `_moves` reads a
+level's atoms off one row, so it is an oracle for how the core reads a
 row, not for the push (the tests check that against `lcm` and `attach`)
 nor for the arithmetic.  `apply_left` and `apply_right` are one call
 into it each, `apply_move` dispatches on the kind, `apply_division` is
 D(i,x), and `is_division` tells whether an applied move was a division.
 Tests inject overflows by wrapping the module attributes `_push` (every
-attempt of the walks, which reach it through `_moves`, and of the
-strategy runs) and `apply_left` (single left moves, as `red_tame` and
+attempt of the walks and of the strategy runs, which call it by that
+name) and `apply_left` (single left moves, as `red_tame` and
 `apply_move` make them), looked up by name at call time.
 """
 
@@ -504,15 +507,12 @@ def _levels(a: Multifraction, side: Side) -> range:
     return range(1, a.depth) if side is LEFT else range(2, a.depth + 1)
 
 
-def _moves(ctx: MonoidContext, a: Multifraction, side: Side, levels) -> list:
-    """The atomic moves R(i,s) (LEFT) or R~(i,s) (RIGHT) of a at the given
-    levels, a range or a tuple, that applied or overflowed, as one list
-    of (level, atom, outcome): the reduct, or the CapExceeded of an
-    attempt that overflowed a cap.  Levels come in the order given, and
-    atoms in atom order within a level.  An atom that does not divide,
-    or whose lcm does not exist, gives no entry.  The walks' name for the
-    core `_push` over every atom, which it calls by module-global name."""
-    return _push(ctx, a, side, _frames(side is LEFT, a.first_sign > 0, levels), range(len(ctx.atoms())))
+def _walk(ctx: MonoidContext, a: Multifraction, side: Side) -> tuple:
+    """The frames of every level of a's side (`_frames` over `_levels`),
+    and every atom in atom order: what a walk from a passes to `_push` for
+    each node it expands.  A move keeps the depth and the first sign, so
+    one table serves every reduct of a."""
+    return _frames(side is LEFT, a.first_sign > 0, _levels(a, side)), range(len(ctx.atoms()))
 
 
 def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> ReductionTrace:
@@ -523,10 +523,10 @@ def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> 
     for `*_lex` and reversed for `*_antilex`.  So are the run's frames
     (`_frames`): a move keeps the depth and the first sign.  Each step
     asks the core `_push` to stop at the first attempt in that order that
-    applies or overflows: the first attempt of `_moves` asked one level
-    at a time in level order, or the last of a level for antilex.  An
-    overflowed attempt raises.  The core is looked up by module-global
-    name at call time, so a wrapper installed on the module attribute
+    applies or overflows: the first attempt of the core over every atom
+    asked one level at a time in level order, or the last of a level for
+    antilex.  An overflowed attempt raises.  The core is looked up by
+    module-global name at call time, so a wrapper installed on the module attribute
     (the tests inject overflows so) sees every step.
 
     A step count past the tower bound is an InternalInvariantError.  The
@@ -645,19 +645,21 @@ def reduct_graph(ctx: MonoidContext, a: Multifraction, side: Side = LEFT) -> Red
     breadth-first search from a.
 
     Every reduction decomposes into atomic steps at the same level, so the
-    atomic closure reaches every reduct.  Applicability failures from cap
-    overflow are recorded as inconclusive edges rather than guessed at.
-    The left closures of many roots at once come from `left_closures`,
-    and which targets some roots reach from `reaches`.
+    atomic closure reaches every reduct.  The walk takes a's frames once
+    (`_walk`) and asks the core `_push` for every move of each node it
+    dequeues.  Applicability failures from cap overflow are recorded as
+    inconclusive edges rather than guessed at.  The left closures of many
+    roots at once come from `left_closures`, and which targets some roots
+    reach from `reaches`.
     """
     cap = ctx.caps.graph_node_cap
     g = ReductGraph(root=a, side=side)
     nodes, index, edges = g.nodes, g.index, g.edges
     nodes.append(a)
     index[a] = 0
-    levels = _levels(a, side)
+    frames, order = _walk(ctx, a, side)
     for src, cur in enumerate(nodes):  # the node list is the queue
-        for i, s, b in _moves(ctx, cur, side, levels):
+        for i, s, b in _push(ctx, cur, side, frames, order):
             if isinstance(b, CapExceeded):
                 g.inconclusive.append((src, i, s, str(b)))
                 continue
@@ -683,20 +685,20 @@ def right_roots(ctx: MonoidContext, a: Multifraction):
     closures; divisions shorten entries, so every chain of them ends at a
     root kept.  a is kept for its own closure.  undecided counts the move
     attempts that overflowed a cap, the graph's inconclusive edges.
-    Like `reduct_graph`, it asks `_moves` once per node for every right
-    level.  Raises GraphNodeCapExceeded where `reduct_graph` does, with
-    its message."""
+    Like `reduct_graph`, it takes a's frames once and asks `_push` once
+    per node for every right level.  Raises GraphNodeCapExceeded where
+    `reduct_graph` does, with its message."""
     cap = ctx.caps.graph_node_cap
     nodes = [a]
     index = {a: 0}
     roots = []
     undecided = 0
-    levels = _levels(a, RIGHT)
+    frames, order = _walk(ctx, a, RIGHT)
     n = a.depth
     for cur in nodes:  # the node list is the queue
         entries = cur.entries
         divided = False
-        for i, _, b in _moves(ctx, cur, RIGHT, levels):
+        for i, _, b in _push(ctx, cur, RIGHT, frames, order):
             if isinstance(b, CapExceeded):
                 undecided += 1
                 continue
@@ -772,13 +774,14 @@ def _bit_indices(bits: int) -> list[int]:
     return [k for k, c in enumerate(reversed(bin(bits)[2:])) if c == "1"]
 
 
-def _left_reducts(ctx: MonoidContext, node: Multifraction, levels) -> tuple[list[Multifraction], int]:
-    """The reducts of node by one atomic left move, in `_moves` order, and
-    the number of its move attempts that overflowed a cap; levels is
-    `_levels(node, LEFT)`, taken once per root."""
+def _left_reducts(ctx: MonoidContext, node: Multifraction, walk) -> tuple[list[Multifraction], int]:
+    """The reducts of node by one atomic left move, in `_push` order, and
+    the number of its move attempts that overflowed a cap; walk is the
+    `_walk` of a root that node reduces from, taken once per root."""
+    frames, order = walk
     reducts = []
     overflowed = 0
-    for _, _, b in _moves(ctx, node, LEFT, levels):
+    for _, _, b in _push(ctx, node, LEFT, frames, order):
         if isinstance(b, CapExceeded):
             overflowed += 1
         else:
@@ -803,11 +806,13 @@ def reaches(ctx: MonoidContext, roots, targets) -> Reach:
     Left reduct graphs are acyclic, so one iterative post-order walk gives
     every node its value, the bits of the targets it reduces to: its own
     bit, OR the values of its reducts by one atomic move, taken in
-    `_moves` order.  Each node found has its moves listed once, and its
-    overflowed attempts counted; once its value holds every target, no
-    more of its reducts are entered.  A node reached again keeps its
-    value, also from another root.  So the search keeps one int per node,
-    where `left_closures` keeps a bitset over all nodes.
+    `_push` order.  Each root not yet found takes its frames once
+    (`_walk`); each node found has its moves listed once, by the core over
+    its root's frames, and its overflowed attempts counted; once its
+    value holds every target, no more of its reducts are entered.  A node
+    reached again keeps its value, also from another root.  So the search
+    keeps one int per node, where `left_closures` keeps a bitset over all
+    nodes.
 
     A root's miss is exact when undecided is 0: a node whose value lacks
     a target entered all its reducts, and so did every node it reduces to.
@@ -822,20 +827,22 @@ def reaches(ctx: MonoidContext, roots, targets) -> Reach:
     value: dict[Multifraction, int] = {}  # -1 while the node is on the stack
     found = undecided = 0
 
-    def frame(node, levels):
+    def frame(node, walk):
         # [node, reducts, next reduct, value so far]
         nonlocal found, undecided
         if found and found >= cap:  # the first node fits any cap, as in reduct_graph
             raise GraphNodeCapExceeded(f"reduct graph exceeded {cap} nodes")
         found += 1
-        reducts, overflowed = _left_reducts(ctx, node, levels)
+        reducts, overflowed = _left_reducts(ctx, node, walk)
         undecided += overflowed
         value[node] = -1
         return [node, reducts, 0, bit.get(node, 0)]
 
     for root in roots:
-        levels = _levels(root, LEFT)
-        stack = [] if root in value else [frame(root, levels)]
+        if root in value:
+            continue
+        walk = _walk(ctx, root, LEFT)
+        stack = [frame(root, walk)]
         while stack:
             top = stack[-1]
             node, reducts, pos, v = top
@@ -844,7 +851,7 @@ def reaches(ctx: MonoidContext, roots, targets) -> Reach:
                 b = reducts[pos]
                 w = value.get(b)
                 if w is None:
-                    stack.append(frame(b, levels))
+                    stack.append(frame(b, walk))
                 elif w < 0:
                     raise InternalInvariantError("left reduct graph has a cycle")
                 else:
@@ -864,8 +871,10 @@ def left_closures(ctx: MonoidContext, roots, targets=()) -> LeftClosures:
     the closure of a node is the node plus the closures of its reducts by
     one atomic move.  One iterative post-order walk from each root not yet
     reached computes them bottom-up; nodes reached by an earlier walk are
-    not walked again.  A move attempt that overflows a cap makes the
-    closures holding its node incomplete, as in `reduct_graph`.
+    not walked again.  Such a root takes its frames once (`_walk`), and
+    its search and its walk ask the core `_push` over them once per node.
+    A move attempt that overflows a cap makes the closures holding its
+    node incomplete, as in `reduct_graph`.
 
     With `targets`, a container of nodes holding the roots, each root
     after the first that no walk has reached is first searched
@@ -891,20 +900,20 @@ def left_closures(ctx: MonoidContext, roots, targets=()) -> LeftClosures:
     expanded: dict[Multifraction, tuple[list[Multifraction], int]] = {}  # searched, not walked
     walked_targets = 0
 
-    def frame(node, levels):
+    def frame(node, walk):
         # [node, reducts, next reduct, closure so far, overflowed attempts]
-        reducts, overflowed = expanded.pop(node, None) or _left_reducts(ctx, node, levels)
+        reducts, overflowed = expanded.pop(node, None) or _left_reducts(ctx, node, walk)
         index[node] = -1  # on the stack until its walk finishes
         return [node, reducts, 0, 0, overflowed]
 
-    def redundant(root, levels) -> bool:
+    def redundant(root, walk) -> bool:
         # whether the closure of root holds another target
         seen = {root: 0}
         order = [root]  # the search's queue and its nodes so far
         for node in order:
             got = expanded.get(node)
             if got is None:
-                got = expanded[node] = _left_reducts(ctx, node, levels)
+                got = expanded[node] = _left_reducts(ctx, node, walk)
             for b in got[0]:
                 m = len(seen)
                 if seen.setdefault(b, m) != m:  # one hash of b, new or not
@@ -925,12 +934,12 @@ def left_closures(ctx: MonoidContext, roots, targets=()) -> LeftClosures:
         if root in index:
             out.walked.append(root)
             continue
-        levels = _levels(root, LEFT)
-        if targets and out.walked and redundant(root, levels):
+        walk = _walk(ctx, root, LEFT)
+        if targets and out.walked and redundant(root, walk):
             continue
         out.walked.append(root)
         found = 1
-        stack = [frame(root, levels)]
+        stack = [frame(root, walk)]
         while stack:
             top = stack[-1]
             node, reducts, pos = top[0], top[1], top[2]
@@ -942,7 +951,7 @@ def left_closures(ctx: MonoidContext, roots, targets=()) -> LeftClosures:
                     if found >= cap:
                         raise GraphNodeCapExceeded(f"reduct graph exceeded {cap} nodes")
                     found += 1
-                    stack.append(frame(b, levels))
+                    stack.append(frame(b, walk))
                 elif k < 0:
                     raise InternalInvariantError("left reduct graph has a cycle")
                 else:

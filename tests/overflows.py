@@ -3,8 +3,8 @@ verdicts degrade when a move's applicability is unknown.
 
 A left move is tried in two places, each looked up by module-global
 name: every attempt of the atoms of some levels goes through the move
-core `reduction._push`, which the walks reach through `_moves` and a
-strategy run calls once per step, stopping at its first attempt that
+core `reduction._push`, which a walk calls once per node it expands and
+a strategy run once per step, stopping at its first attempt that
 applies or overflows; and a single move is applied by
 `reduction.apply_left` (`red_tame` applies its reducers so), which
 calls the core for its x alone.  `overflow_left_moves` wraps the core
@@ -18,8 +18,9 @@ where the core gave no entry, before it asks `when`; the list then
 carries the overflow at that atom's place, as it does a real one.  A
 call that stops at the first attempt stops at the first rebuilt attempt
 that applies or overflows, so the run raises that overflow as it raises
-a real one; apply_left raises it too.  `_moves` calls the core by name,
-so a test that wraps `_moves` as well still sees each overflow once.
+a real one; apply_left raises it too.  A test that wraps `_push` again
+after this wrapper, to count the nodes a walk expands, sees one call per
+node, each with the overflows in its list.
 """
 
 from multired import reduction as red

@@ -1,12 +1,12 @@
 """Reduction questions the tests ask of the package and the package does
 not ask itself: the paper's atomic, all and tame reducer listings, the
-exact tower step bound, a strategy run over `_moves` one level at a
-time, a zigzag of maximal steps between two reducts,
-the composed moves of a trace, the cross-confluence of one pair, the
-unique-fraction probe, the witness roots of a right reduct graph read
-off its edges, and the mirror image of a multifraction.  Each is built
-on the package's moves, graphs and closures, as the tests that use it
-are.
+exact tower step bound, the atomic moves of some levels (`atomic_moves`)
+and a strategy run over them one level at a time, a zigzag of maximal
+steps between two reducts, the composed moves of a trace, the
+cross-confluence of one pair, the unique-fraction probe, the witness
+roots of a right reduct graph read off its edges, and the mirror image
+of a multifraction.  Each is built on the package's moves, graphs and
+closures, as the tests that use it are.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from multired.reduction import Move, ReductionTrace
 
 def atomic_reducers(ctx: MonoidContext, a: Multifraction, i: int) -> tuple[Element, ...]:
     """The atoms s for which a . R(i,s) is defined, in atom order, each
-    tried by `apply_left`: independent of the move enumeration `_moves`.
+    tried by `apply_left`: independent of the move enumeration of `_push`.
     An overflowed attempt raises."""
     return tuple(s for s in ctx.atoms() if red.apply_left(ctx, a, i, s) is not None)
 
@@ -73,13 +73,26 @@ def step_bound(ctx: MonoidContext, a: Multifraction) -> int:
     return tower(ctx.basic_bound_C(), [e.length for e in a.entries])
 
 
+def atomic_moves(ctx: MonoidContext, a: Multifraction, side: Side, levels) -> list:
+    """The atomic moves R(i,s) (LEFT) or R~(i,s) (RIGHT) of a at the given
+    levels, a range or a tuple, that applied or overflowed, as one list
+    of (level, atom, outcome): the reduct, or the CapExceeded of an
+    attempt that overflowed a cap.  Levels come in the order given, and
+    atoms in atom order within a level.  An atom that does not divide,
+    or whose lcm does not exist, gives no entry.  The core `red._push`
+    over every atom, with a `red._frames` table built for this call, as
+    a walk builds one per walk."""
+    frames = red._frames(side is Side.LEFT, a.first_sign > 0, levels)
+    return red._push(ctx, a, side, frames, range(len(ctx.atoms())))
+
+
 def moves_run(ctx: MonoidContext, a: Multifraction, side: Side, strategy: str) -> ReductionTrace:
     """The strategy run of `red.reduce_left` (LEFT) or `red.reduce_right`
-    (RIGHT) over `_moves`, the reference for their step loop: each step
-    asks `_moves` for one level at a time in the strategy's level order
-    and takes the first attempt of the first level that has one, or the
-    last for antilex; an overflowed attempt raises.  It takes no step
-    bound."""
+    (RIGHT) over `atomic_moves`, the reference for their step loop: each
+    step asks `atomic_moves` for one level at a time in the strategy's
+    level order and takes the first attempt of the first level that has
+    one, or the last for antilex; an overflowed attempt raises.  It takes
+    no step bound."""
     step = -1 if strategy.startswith("high") else 1
     order = [(i,) for i in red._levels(a, side)[::step]]
     pick = -1 if strategy.endswith("antilex") else 0
@@ -87,7 +100,7 @@ def moves_run(ctx: MonoidContext, a: Multifraction, side: Side, strategy: str) -
     cur = a
     while True:
         for level in order:
-            found = red._moves(ctx, cur, side, level)
+            found = atomic_moves(ctx, cur, side, level)
             if found:
                 break
         else:

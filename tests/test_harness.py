@@ -266,13 +266,13 @@ def test_cunif_search_matches_all_closures(name, overflow):
                 if overflow != "plain":
                     overflow_left_moves(mp, overflowing)
                 v = H.test_conjecture_C_uniform(ctx, a)
-                moves = red._moves  # with the overflows, if any
+                push = red._push  # with the overflows, if any
 
-                def counted(c, node, side, levels):
+                def counted(c, node, *args, **kwargs):
                     expanded.append(node)
-                    return moves(c, node, side, levels)
+                    return push(c, node, *args, **kwargs)
 
-                mp.setattr(red, "_moves", counted)
+                mp.setattr(red, "_push", counted)
                 lc = red.left_closures(ctx, roots, rg.index)
             # each node's moves are found once, by the search or the walk
             assert len(expanded) == len(set(expanded)) and set(lc.nodes) <= set(expanded)
@@ -1225,18 +1225,19 @@ def test_depth4_graph_past_its_cap_keeps_the_report():
 
 def _overflow_right_moves(monkeypatch, when):
     """Overflow the right move attempts of a whose outcome b is a reduct,
-    when when(a, i, x, b) holds."""
-    moves = red._moves
+    when when(a, i, x, b) holds, in the lists of the move core `_push`,
+    which the walks call by that name."""
+    push = red._push
 
-    def overflowing(ctx, a, side, levels):
+    def overflowing(ctx, a, side, *args, **kwargs):
         return [
             (i, s, ReversingCapExceeded("reversing exceeded 0 cell fills"))
             if side is Side.RIGHT and isinstance(b, Multifraction) and when(a, i, s, b)
             else (i, s, b)
-            for i, s, b in moves(ctx, a, side, levels)
+            for i, s, b in push(ctx, a, side, *args, **kwargs)
         ]
 
-    monkeypatch.setattr(red, "_moves", overflowing)
+    monkeypatch.setattr(red, "_push", overflowing)
 
 
 def test_cunif_incomplete_right_graph_inconclusive(att, monkeypatch):

@@ -23,6 +23,7 @@ from multired import harness as H
 from multired import reduction as red
 from multired.monoid import BasicsCapExceeded, CapExceeded, Caps, MonoidContext, Side
 from multired.presentation import preset
+from reduct_oracles import atomic_moves
 from test_campaign_golden import PRESETS as GOLDEN_PRESETS
 
 # (preset, reversing_cap): caps at which many queries overflow, so that a
@@ -101,7 +102,7 @@ def _queries(preset_name, count):
             out.append(lambda c, w=w: c.canonical(w))
         else:
             m = H.gen_multifraction(probe, rng.randint(2, 5), 5, rng.randrange(10**9))
-            out.append(lambda c, m=m, side=side: red._moves(c, m, side, red._levels(m, side)))
+            out.append(lambda c, m=m, side=side: atomic_moves(c, m, side, red._levels(m, side)))
     return out
 
 

@@ -27,6 +27,7 @@ from multired.harness import gen_multifraction
 from overflows import overflow_left_moves
 from reduct_oracles import (
     all_reducers,
+    atomic_moves,
     atomic_reducers,
     composed_moves,
     connect_by_maximal_zigzag,
@@ -688,7 +689,7 @@ def probe_moves(ctx, a, side, strategy):
 
 def strategy_moves(ctx, a, side, strategy):
     """The atomic move attempts of one side that applied or overflowed, in
-    strategy order, as (level, atom, reduct or CapExceeded): `_moves`
+    strategy order, as (level, atom, reduct or CapExceeded): `atomic_moves`
     asked one level at a time, low to high or high to low, each level's
     list reversed for antilex.  A strategy run takes the first attempt of
     this stream at each step."""
@@ -696,7 +697,7 @@ def strategy_moves(ctx, a, side, strategy):
     if strategy.startswith("high"):
         levels = levels[::-1]
     for i in levels:
-        moves = red._moves(ctx, a, side, (i,))
+        moves = atomic_moves(ctx, a, side, (i,))
         yield from reversed(moves) if strategy.endswith("antilex") else moves
 
 
@@ -758,7 +759,7 @@ def sample_inputs(ctx, depths=range(3, 9), seeds=range(3)):
 @pytest.mark.parametrize("reversing_cap", [None, 1, 2, 3])
 @pytest.mark.parametrize("name", GOLDEN_PRESETS)
 def test_atomic_moves_match_probe_oracle(name, reversing_cap):
-    # the strategy-order stream of `_moves` asked one level at a time is the
+    # the strategy-order stream of `atomic_moves` asked one level at a time is the
     # one that probing every (level, atom) pair finds: the same moves and
     # the same overflows, each at the same place among the moves, under
     # every strategy.  The two run in contexts of their own, so that
@@ -788,7 +789,7 @@ def test_atomic_moves_match_probe_oracle(name, reversing_cap):
 @pytest.mark.parametrize("reversing_cap", [None, 1, 2, 3])
 @pytest.mark.parametrize("name", GOLDEN_PRESETS)
 def test_moves_match_probe_oracle(name, reversing_cap):
-    # _moves over every level of a side, low to high and high to low, is
+    # atomic_moves over every level of a side, low to high and high to low, is
     # the low_lex and the high_lex stream that probing every (level, atom)
     # pair finds, each overflow at its place, on both first signs.  As in
     # test_atomic_moves_match_probe_oracle, the two run in contexts of
@@ -804,7 +805,7 @@ def test_moves_match_probe_oracle(name, reversing_cap):
         for side in Side:
             levels = range(1, a.depth + (side is Side.RIGHT))
             for order, strategy in ((levels, "low_lex"), (levels[::-1], "high_lex")):
-                moves = red._moves(fast, a, side, order)
+                moves = atomic_moves(fast, a, side, order)
                 want = enumerate_moves(probe_moves, probe, a, side, strategy)
                 assert with_messages(moves) == want, (fmt(inputs, a), side, strategy)
                 for i, s, b in moves:
@@ -824,7 +825,7 @@ def deposits(ctx, a, side):
     deposit word): the word whose canonical form is the deposit, the
     deposit entry with the complement of entry i attached."""
     out = []
-    for i, s, b in red._moves(ctx, a, side, red._levels(a, side)):
+    for i, s, b in atomic_moves(ctx, a, side, red._levels(a, side)):
         level, _, dst = red._frame(side, i)
         if 0 < dst <= a.depth:
             other = red.due_side(a, level).other
@@ -838,7 +839,7 @@ def deposits(ctx, a, side):
 def test_memo_hit_deposit_keeps_length_check(name, side):
     # a deposit read off the canonical memo is checked as a product is:
     # a word of the wrong length planted there for one deposit makes
-    # _moves raise, as multiply raises on the same memo
+    # atomic_moves raise, as multiply raises on the same memo
     ctx = MonoidContext(preset(name))
     for a in sample_inputs(ctx, depths=(5,)):
         pushes = [p for p in deposits(ctx, a, side) if p[2]]
@@ -847,7 +848,7 @@ def test_memo_hit_deposit_keeps_length_check(name, side):
     i, _, word = pushes[0]
     ctx._canon[word] = Element(word + word[-1])
     with pytest.raises(InternalInvariantError, match="length must be additive"):
-        red._moves(ctx, a, side, (i,))
+        atomic_moves(ctx, a, side, (i,))
     with pytest.raises(InternalInvariantError, match="length must be additive"):
         ctx.multiply(Element(word[:1]), Element(word[1:]))
 
@@ -889,7 +890,7 @@ def test_overflow_on_a_memo_miss_lands_at_its_atom(monkeypatch, name, side, fact
         if missing:
             break
     levels = red._levels(a, side)
-    want = red._moves(inputs, a, side, levels)
+    want = atomic_moves(inputs, a, side, levels)
     if fact == "deposit":
         error, method = BasicsCapExceeded("basic-element closure exceeds basics_cap=0"), "attach"
     else:
@@ -901,7 +902,7 @@ def test_overflow_on_a_memo_miss_lands_at_its_atom(monkeypatch, name, side, fact
         raise error
 
     monkeypatch.setattr(MonoidContext, method, overflowing)
-    got = red._moves(ctx, a, side, levels)
+    got = atomic_moves(ctx, a, side, levels)
     if fact == "deposit":
         assert len(calls) == len(missing)
         assert [(i, s) for i, s, _ in got] == [(i, s) for i, s, _ in want]
@@ -1012,7 +1013,7 @@ def overflow_row(mp, entry, due, t, error):
 
 def both_runs(fast, ref, a, side, strategy):
     """The outcome of a's run in fast, checked to be that of `moves_run`,
-    the run over `_moves` asked one level at a time, in ref."""
+    the run over `atomic_moves` asked one level at a time, in ref."""
     reduce_fn = red.reduce_left if side is Side.LEFT else red.reduce_right
     got = run_outcome(reduce_fn, fast, a, strategy)
     assert got == run_outcome(moves_run, ref, a, side, strategy), (fmt(fast, a), side, strategy)
@@ -1046,7 +1047,7 @@ def test_step_loop_matches_moves_run(name, reversing_cap):
 @pytest.mark.parametrize("name", GOLDEN_PRESETS)
 def test_step_loop_raises_only_the_attempt_it_takes(monkeypatch, name):
     # an overflow injected into a run that moves, as in
-    # test_step_loop_matches_moves_run: at an lcm of a's `_moves` stream
+    # test_step_loop_matches_moves_run: at an lcm of a's `atomic_moves` stream
     # after the attempt the run takes, whose arguments no move of the run
     # has, the run is as without it; at the row of the entry the first
     # move divides, or at that move's lcm, the run raises that overflow
@@ -1339,9 +1340,47 @@ def test_reaches_node_cap(att):
 
 def test_reaches_refuses_a_cycle(att, monkeypatch):
     a = mf(att, "ac/ca/ba")
-    monkeypatch.setattr(red, "_moves", lambda ctx, b, side, levels: [(1, ctx.atoms()[0], a)])
+    monkeypatch.setattr(red, "_push", lambda ctx, *args, **kwargs: [(1, ctx.atoms()[0], a)])
     with pytest.raises(red.InternalInvariantError, match="cycle"):
         red.reaches(att, [a], [unit(3)])
+
+
+def test_walks_build_their_frames_once_per_root(att, monkeypatch):
+    # each walk builds its `_frames` table once, or once per root it walks
+    # from, and passes it to `_push` for every node it expands: a move
+    # keeps the depth and the first sign, so the table serves every node
+    frames, push = red._frames, red._push
+    built, expanded = [], []
+
+    def counted_frames(*args):
+        built.append(args)
+        return frames(*args)
+
+    def counted_push(ctx, b, *args, **kwargs):
+        expanded.append(b)
+        return push(ctx, b, *args, **kwargs)
+
+    monkeypatch.setattr(red, "_frames", counted_frames)
+    monkeypatch.setattr(red, "_push", counted_push)
+
+    def walked(walk, *args):
+        built.clear()
+        expanded.clear()
+        out = walk(att, *args)
+        return out, len(built), len(set(expanded))
+
+    a = mf(att, "ac/ca/ba/ab/cb/bc")
+    for side in Side:
+        g, calls, nodes = walked(red.reduct_graph, a, side)
+        assert calls == 1 and nodes == len(g.nodes) > 1
+    (index, roots, _), calls, nodes = walked(red.right_roots, a)
+    assert calls == 1 and nodes == len(index) > 1
+    lc, calls, nodes = walked(red.left_closures, roots, index)
+    assert 1 <= calls <= len(roots) < nodes and len(lc.walked) > 1
+    # two roots of different depths, neither a reduct of the other
+    two = [mf(att, "ac/ca/ba"), mf(att, "ab/ba/ca/bcbc")]
+    reach, calls, nodes = walked(red.reaches, two, [unit(3), unit(4)])
+    assert calls == 2 and nodes == reach.nodes > 2
 
 
 def test_maximal_granularity_misses_reducts(att):
