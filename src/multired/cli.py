@@ -13,10 +13,11 @@ output is deterministic for a fixed argv and seed; reports are JSON with
 environment variable overrides caps, e.g.
 MULTIRED_CAPS="reversing_cap=20000,graph_node_cap=100000".  `irr` and
 `graph` print what they found of an incomplete reduct graph and exit 2.
-A usage error names the offending argument on stderr.  A query is read
-by a parser of its subcommand's options alone; the parser of every
-subcommand reads the rest: top-level help, an unknown command, and
-arguments the subcommand does not take.
+A usage error names the offending argument on stderr.  A plain command
+line, each argument a subcommand's option spelled in full, its value or a
+positional, is read off a table of each subcommand's options; argparse's
+parser of every subcommand reads the rest: help, an abbreviated option,
+--opt=value, and every line it refuses.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import dataclasses
 import json
 import os
 import sys
+from typing import NamedTuple
 
 from .monoid import CapExceeded, Caps, MonoidContext, MultiredError, Side
 from .multifraction import SignedWord, format_multifraction, parse_multifraction
@@ -131,112 +133,142 @@ def _emit(args, payload: dict, text_lines=None):
         _write(text_lines if text_lines is not None else [json.dumps(payload, sort_keys=True)])
 
 
-def _add_context(p):
-    """The options every subcommand that builds a context reads."""
-    p.add_argument("--preset", default="A2tilde")
-    p.add_argument("--presentation-file")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+class _Option(NamedTuple):
+    """An option: its flag, the kind of its value (str or int; bool for a
+    flag that stores True), its default and the values it may take."""
+
+    flag: str
+    kind: type = str
+    default: object = None
+    choices: tuple | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
 
-def _preset_options(p):
-    p.add_argument("action", choices=("list", "show"))
-    p.add_argument("name", nargs="?")
-    p.add_argument("--preset", default="A2tilde")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+class _Positional(NamedTuple):
+    name: str
+    choices: tuple | None = None
+    optional: bool = False
 
 
-def _multifraction_options(p):
-    p.add_argument("multifraction")
-    _add_context(p)
+_FORMAT = _Option("--format", default="text", choices=("text", "json"))
+# the options every subcommand that builds a context reads
+_CONTEXT = (_Option("--preset", default="A2tilde"), _Option("--presentation-file"), _FORMAT)
+_MULTIFRACTION = (_Positional("multifraction"),)
+_STRATEGY = (_Option("--strategy", default="low_lex", choices=red.STRATEGIES), *_CONTEXT)
 
 
-def _reduce_options(p):
-    p.add_argument("multifraction")
-    p.add_argument("--strategy", choices=red.STRATEGIES, default="low_lex")
-    _add_context(p)
+def _side(default):
+    return _Option("--side", default=default, choices=("left", "right"))
 
 
-def _graph_options(p):
-    p.add_argument("multifraction")
-    p.add_argument("--side", choices=("left", "right"), default="left")
-    p.add_argument("--dot", action="store_true")
-    _add_context(p)
-
-
-def _wordproblem_options(p):
-    p.add_argument("word")
-    _add_context(p)
-
-
-def _conjecture_options(p):
-    p.add_argument("which", choices=harness.CONJECTURES)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--length", type=int, default=20)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--log")
-    p.add_argument("--dump-dir", default="counterexamples")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
-    _add_context(p)
-
-
-def _basics_options(p):
-    p.add_argument("--side", choices=("left", "right"), default="right")
-    _add_context(p)
-
-
-def _threeore_options(p):
-    p.add_argument("--maxlen", type=int, default=1)
-    p.add_argument("--side", choices=("left", "right"), default="right")
-    _add_context(p)
-
-
-def _cycleprobe_options(p):
-    p.add_argument("--iterations", type=int, default=3)
-    _add_context(p)
-
-
-# subcommand -> (help, function adding its options), in the order help lists them
+# subcommand -> (help, positionals, options), in the order help lists them
 SUBCOMMANDS = {
-    "preset": ("list or show presets", _preset_options),
-    "reduce": ("exhaust atomic left reductions", _reduce_options),
-    "rreduce": ("exhaust atomic right reductions", _reduce_options),
-    "derdiv": ("maximal divisions, top level down", _multifraction_options),
-    "redtame": ("greatest tame reductions along the universal sequence", _multifraction_options),
-    "irr": ("irreducible left reducts", _multifraction_options),
-    "graph": ("atomic reduct graph", _graph_options),
-    "wordproblem": ("decide whether a signed word is the group unit", _wordproblem_options),
-    "conjecture": ("seeded conjecture campaign", _conjecture_options),
-    "vankampen": ("universal-shape diagram for a unital multifraction", _multifraction_options),
-    "basics": ("basic elements and complement table size", _basics_options),
-    "threeore": ("bounded scan for 3-Ore violations", _threeore_options),
-    "cycleprobe": ("replay the alternating non-terminating cycle", _cycleprobe_options),
+    "preset": ("list or show presets",
+               (_Positional("action", ("list", "show")), _Positional("name", optional=True)),
+               (_Option("--preset", default="A2tilde"), _FORMAT)),
+    "reduce": ("exhaust atomic left reductions", _MULTIFRACTION, _STRATEGY),
+    "rreduce": ("exhaust atomic right reductions", _MULTIFRACTION, _STRATEGY),
+    "derdiv": ("maximal divisions, top level down", _MULTIFRACTION, _CONTEXT),
+    "redtame": ("greatest tame reductions along the universal sequence", _MULTIFRACTION,
+                _CONTEXT),
+    "irr": ("irreducible left reducts", _MULTIFRACTION, _CONTEXT),
+    "graph": ("atomic reduct graph", _MULTIFRACTION,
+              (_side("left"), _Option("--dot", bool, False), *_CONTEXT)),
+    "wordproblem": ("decide whether a signed word is the group unit", (_Positional("word"),),
+                    _CONTEXT),
+    "conjecture": ("seeded conjecture campaign", (_Positional("which", harness.CONJECTURES),),
+                   (_Option("--depth", int, 4), _Option("--length", int, 20),
+                    _Option("--trials", int, 100), _Option("--log"),
+                    _Option("--dump-dir", default="counterexamples"), _Option("--seed", int, 0),
+                    _Option("--jobs", int, 1), *_CONTEXT)),
+    "vankampen": ("universal-shape diagram for a unital multifraction", _MULTIFRACTION,
+                  _CONTEXT),
+    "basics": ("basic elements and complement table size", (), (_side("right"), *_CONTEXT)),
+    "threeore": ("bounded scan for 3-Ore violations", (),
+                 (_Option("--maxlen", int, 1), _side("right"), *_CONTEXT)),
+    "cycleprobe": ("replay the alternating non-terminating cycle", (),
+                   (_Option("--iterations", int, 3), *_CONTEXT)),
 }
 
 
 def build_parser() -> _Parser:
-    """The parser of every subcommand."""
+    """The parser of every subcommand, its arguments read off SUBCOMMANDS."""
     parser = _Parser(prog="multired", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, add_options) in SUBCOMMANDS.items():
-        add_options(sub.add_parser(name, help=help_))
+    for name, (help_, positionals, options) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for pos in positionals:
+            p.add_argument(pos.name, nargs="?" if pos.optional else None, choices=pos.choices)
+        for opt in options:
+            if opt.kind is bool:
+                p.add_argument(opt.flag, action="store_true")
+            else:
+                p.add_argument(opt.flag, type=None if opt.kind is str else opt.kind,
+                               default=opt.default, choices=opt.choices)
     return parser
 
 
+def _read_plain(argv):
+    """The namespace `build_parser().parse_args(argv)` gives for a plain
+    line, else None.  A line is plain when it names a subcommand and each
+    later argument is one of its flags, spelled in full, that flag's value,
+    or a positional.  A value does not start with "-", is one of its
+    choices, and an int option's value is read by int(), as argparse reads
+    it; the positionals stand together, as many as the subcommand takes."""
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    _, positionals, options = SUBCOMMANDS[argv[0]]
+    flags = {opt.flag: opt for opt in options}
+    values = dict.fromkeys(pos.name for pos in positionals)
+    values.update((opt.dest, opt.default) for opt in options)
+    at = []  # where the positionals stand in argv
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if not token.startswith("-"):
+            at.append(i - 1)
+            continue
+        opt = flags.get(token)
+        if opt is None:
+            return None
+        if opt.kind is bool:
+            values[opt.dest] = True
+            continue
+        if i == len(argv):
+            return None
+        value = argv[i]
+        i += 1
+        if value.startswith("-") or opt.choices is not None and value not in opt.choices:
+            return None
+        if opt.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        values[opt.dest] = value
+    if at and at[-1] - at[0] != len(at) - 1:
+        return None
+    if not sum(not pos.optional for pos in positionals) <= len(at) <= len(positionals):
+        return None
+    for pos, j in zip(positionals, at):
+        if pos.choices is not None and argv[j] not in pos.choices:
+            return None
+        values[pos.name] = argv[j]
+    return argparse.Namespace(command=argv[0], **values)
+
+
 def parse_args(argv):
-    """The namespace `build_parser().parse_args(argv)` gives, read by a
-    parser of the named subcommand's options alone when argv starts with
-    one.  That parser is the subparser to which the full one hands the
-    rest of argv, so its help and its usage errors read alike.  Arguments
-    it leaves unread are refused by the full parser, which names them."""
-    if argv and argv[0] in SUBCOMMANDS:
-        parser = _Parser(prog=f"multired {argv[0]}")
-        SUBCOMMANDS[argv[0]][1](parser)
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return build_parser().parse_args(argv)
+    """The namespace `build_parser().parse_args(argv)` gives.  A plain line
+    (see `_read_plain`) is read off SUBCOMMANDS alone; any other line, such
+    as help, an abbreviated option, --opt=value, "--", a value starting with
+    "-", a bad choice or a missing or extra positional, is read by the
+    parser of every subcommand, whose help and usage errors it prints."""
+    args = _read_plain(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def _graph_verdict(g: red.ReductGraph) -> int:

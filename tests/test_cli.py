@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -378,7 +379,15 @@ def _parser_corpus():
               ["reduce", "--bogus", "x", "a/b"], ["reduce", "--bogus=x", "a/b"],
               ["reduce", "--strategy", "low_lex", "--strategy", "high_lex", "a/b"],
               ["reduce", "--strategy", "nope", "-h"], ["reduce", "--bogus", "-h", "a/b"],
-              ["reduce", "--he"], ["reduce", "--pre", "braid3", "a/b"], ["reduce", "a/b", "extra"]]
+              ["reduce", "--he"], ["reduce", "--pre", "braid3", "a/b"], ["reduce", "a/b", "extra"],
+              # lines that look plain but that argparse reads its own way: the
+              # optional name is taken, empty, before the option, so the last
+              # argument is left over; a negative value; "-" and "" as
+              # positionals; a repeated option, whose last value holds
+              ["preset", "show", "--format", "json", "A2tilde"],
+              ["conjecture", "A", "--trials", "1", "--seed", "-1"],
+              ["reduce", "-"], ["wordproblem", ""],
+              ["graph", "--side", "right", "--side", "left", "a/b"]]
     for name in cli.SUBCOMMANDS:
         positionals = _POSITIONALS.get(name, ["a/b"])
         corpus += [[name, "-h"], [name, "--bogus", *positionals]]
@@ -388,9 +397,9 @@ def _parser_corpus():
 
 
 def test_per_command_parser_matches_full(capsys, monkeypatch):
-    # dispatch reads a query with its subcommand's parser alone: output,
-    # usage errors and exit codes are those of a parse by the parser of
-    # every subcommand
+    # dispatch reads a plain line off the option table: output, usage
+    # errors and exit codes are those of a parse by the parser of every
+    # subcommand
     def outputs():
         seen = []
         for argv in _parser_corpus():
@@ -511,24 +520,121 @@ def test_refused_campaign_leaves_log(capsys, tmp_path):
     assert not missing.exists()
 
 
-def test_readme_examples_parse():
+def _readme_argvs():
     # every `multired ...` line in the README's code blocks, less its
     # comment and output redirection
-    lines, in_block = [], False
+    argvs, in_block = [], False
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
         for line in fh:
             if line.startswith("```"):
                 in_block = not in_block
             elif in_block and line.startswith("multired "):
-                lines.append(line)
-    assert len(lines) >= 15
+                argv = shlex.split(line, comments=True)[1:]
+                argvs.append(argv[:argv.index(">")] if ">" in argv else argv)
+    return argvs
+
+
+def test_readme_examples_parse():
+    argvs = _readme_argvs()
+    assert len(argvs) >= 15
     parser = build_parser()
-    for line in lines:
-        argv = shlex.split(line, comments=True)[1:]
-        if ">" in argv:
-            argv = argv[:argv.index(">")]
-        # the per-command parser dispatch builds reads each line alike
+    for argv in argvs:
+        # dispatch reads each line as the parser of every subcommand does
         assert cli.parse_args(argv) == parser.parse_args(argv)
+
+
+# the benchmark's one-shot queries
+_CLI_COLD = [
+    ["reduce", "--preset", "A2tilde", "ac/ca/ba/ab/cb/bc"],
+    ["irr", "--preset", "A2tilde", "1/c/aba"],
+    ["derdiv", "--preset", "A2tilde", "ab/aba/aca"],
+    ["redtame", "--preset", "A2tilde", "ac/aca/aba"],
+    ["wordproblem", "--preset", "braid3", "a B"],
+    ["vankampen", "--preset", "A2tilde", "--format", "json", "ab/ba/ca/ac/bc/cb"],
+    ["wordproblem", "--preset", "braid(4)", "aba BAB"],
+    ["basics", "--preset", "I2(5)"],
+]
+
+
+def test_plain_lines_build_no_parser(monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__",
+                        lambda self, *a, **kw: built.append(kw["prog"]) or init(self, *a, **kw))
+    for argv in _CLI_COLD + _readme_argvs():
+        cli.parse_args(argv)
+    assert built == []
+    # help, an abbreviation, --opt=value and a negative value are read by
+    # the parser of every subcommand, built once
+    for argv in (["-h"], ["reduce", "--strat", "high_lex", "a/b"],
+                 ["reduce", "--strategy=high_lex", "a/b"],
+                 ["conjecture", "A", "--trials", "1", "--seed", "-1"]):
+        built.clear()
+        try:
+            cli.parse_args(argv)
+        except SystemExit as e:  # help was printed
+            assert argv == ["-h"] and e.code == 0
+        assert built.count("multired") == 1, argv
+        assert len(built) == 1 + len(cli.SUBCOMMANDS)
+
+
+def _random_argv(rng):
+    """A command line drawn from the subcommands' own options and values,
+    plus arguments that argparse reads in its own way."""
+    odd = ["-h", "--help", "--", "-", "", "-1", "+3", " 7", "1_0", "nope", "x y", "--bogus"]
+    name = rng.choice([*cli.SUBCOMMANDS] * 8 + ["bogus", "red", "-h", ""])
+    if name not in cli.SUBCOMMANDS:
+        return [name] + rng.sample(odd, rng.randrange(3))
+    _, positionals, options = cli.SUBCOMMANDS[name]
+    words = ["a/b", "1/c/aba", "A2tilde", "a B", "list", "show", "A", "Cunif"]
+    for pos in positionals:
+        words += pos.choices or ()
+    argv = [name]
+    for _ in range(rng.randrange(7)):
+        kind = rng.random()
+        if kind < 0.45 and options:
+            opt = rng.choice(options)
+            flag = opt.flag
+            values = [*(opt.choices or ()), "0", "3", "12", "A2tilde", "json"]
+            value = rng.choice(values) if rng.random() < 0.8 else rng.choice(odd)
+            roll = rng.random()
+            if roll < 0.08:
+                argv.append(flag[:rng.randrange(3, len(flag))])  # an abbreviation
+            elif roll < 0.14:
+                argv.append(f"{flag}={value}")
+                continue
+            elif roll < 0.2:  # another option, which this subcommand may not take
+                argv.append(rng.choice(["--seed", "--strategy", "--side", "--dot", "--depth"]))
+            else:
+                argv.append(flag)
+            # a tenth of the time a store-true flag gets a value, and an
+            # option that takes one goes without
+            if (opt.kind is bool) == (rng.random() < 0.1):
+                argv.append(value)
+        elif kind < 0.85:
+            argv.append(rng.choice(words))
+        else:
+            argv.append(rng.choice(odd))
+    return argv
+
+
+def test_plain_reader_matches_argparse():
+    # whenever the table reads a line, argparse reads it alike, and accepts it
+    rng = random.Random(1)
+    parser = build_parser()
+    read = 0
+    for _ in range(4000):
+        argv = _random_argv(rng)
+        args = cli._read_plain(argv)
+        if args is None:
+            continue
+        read += 1
+        try:
+            full = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv!r}, which the table reads")
+        assert args == full, argv
+    assert read > 400
 
 
 @pytest.mark.parametrize("argv, expected", [
