@@ -47,6 +47,17 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
+# the top-level help, for users; the module docstring is for readers of the
+# code
+_DESCRIPTION = (
+    "Multifraction reduction in homogeneous gcd-monoids: reduce "
+    "multifractions, list their reducts, decide the word problem and run "
+    "seeded conjecture campaigns.  Exit codes: 0 success, 1 counterexample "
+    "found, 2 inconclusive, 3 usage or input error.  The MULTIRED_CAPS "
+    "environment variable overrides caps, e.g. "
+    'MULTIRED_CAPS="reversing_cap=20000,graph_node_cap=100000".'
+)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -196,7 +207,7 @@ SUBCOMMANDS = {
 
 def build_parser() -> _Parser:
     """The parser of every subcommand, its arguments read off SUBCOMMANDS."""
-    parser = _Parser(prog="multired", description=__doc__)
+    parser = _Parser(prog="multired", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_, positionals, options) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_)

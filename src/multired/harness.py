@@ -159,7 +159,7 @@ def gen_element(ctx: MonoidContext, length: int, seed: int) -> Element:
     rng = random.Random(seed)
     word = "".join(chr(rng.randrange(ctx.pres.n_atoms)) for _ in range(length))
     e = ctx.canonical(word)
-    if e.length != length:
+    if len(e) != length:
         raise InternalInvariantError(
             f"a word of length {length} has the canonical form {ctx.word_str(e)}"
         )
@@ -482,7 +482,7 @@ def three_ore_scan(ctx: MonoidContext, max_len: int, side: Side = RIGHT) -> dict
         except CapExceeded as e:
             return e
 
-    elements = [e for e in ctx.elements_up_to(max_len) if not e.is_identity]
+    elements = ctx.elements_up_to(max_len)[1:]  # all but 1, the first
     violations = []
     inconclusive = []
     for x, y, z in itertools.combinations(elements, 3):

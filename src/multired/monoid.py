@@ -52,14 +52,17 @@ too (`fc`), with no table of Coxeter graphs.
 
 A word is a str whose k-th character has the code point of its k-th
 atom's index (`Word`), so a presentation has at most sys.maxunicode + 1
-atoms (`presentation.validate`).  A str caches its hash and concatenates,
-slices and compares in C: every memo keyed by words (the canonical memo,
-the quotient tables, the lcm and divisor memos) hashes a word once, and a
+atoms (`presentation.validate`).  An element is its least word, that str
+itself (`Element`), so the identity is "" and the only falsy element.  A
+str caches its hash and concatenates, slices and compares in C: the
+memos (the canonical memo, the quotient tables, the lcm, divisor and
+multiples memos) are keyed by elements, and reducts and graph nodes hold
+them, so each element is hashed once however many keys hold it, and a
 product is one concatenation.  Code-point order is index order, so a
-word's (length, word) order is that of its index sequence.  A str's hash
-is salted per process: the hashes of Element and Multifraction, and the
-iteration order of a set or dict of them, differ from one process to the
-next, and no output rests on them.
+word's (length, word) order (`sort_key`) is that of its index sequence.
+A str's hash is salted per process: the hashes of an element and of a
+Multifraction, and the iteration order of a set or dict of them, differ
+from one process to the next, and no output rests on them.
 
 A cap overflow is a CapExceeded and nothing else: raised by the
 computation that overflows, or held as a value where outcomes are kept
@@ -113,7 +116,6 @@ import itertools
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 from .presentation import Presentation, format_word, not_a_word, parse_word, validate
 
@@ -171,29 +173,16 @@ class Side(Enum):
 LEFT, RIGHT = Side.LEFT, Side.RIGHT
 
 
-class Element(NamedTuple):
-    """A monoid element, by its least word.  A tuple type so that it hashes
-    and compares in C, as every memo, graph and closure key does; the
-    tuple is for hashing and equality only, and no code treats an element
-    as a sequence.  Its hash is hash((word,)), which a str word makes
-    differ from one process to the next, and so does the iteration order
-    of a set or dict of elements; no output rests on it."""
-
-    word: Word
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.word
-
-    def sort_key(self) -> tuple[int, Word]:
-        return (len(self.word), self.word)
+# an element is its least word (atom order = index order), the word that
+# `canonical` returns; a word that is not least is not an element, and no
+# type tells the two apart
+Element = str
+IDENTITY = ""
 
 
-IDENTITY = Element("")
+def sort_key(x: Element) -> tuple[int, Word]:
+    """The (length, word) order of elements."""
+    return (len(x), x)
 
 
 @dataclass(frozen=True)
@@ -214,7 +203,7 @@ class BasicTable:
 
     @property
     def C(self) -> int:
-        return 1 + max(b.length for b in self.basics)
+        return 1 + max(map(len, self.basics))
 
 
 def result_of(outcome):
@@ -231,20 +220,20 @@ class MonoidContext:
     def __init__(self, pres: Presentation, caps: Caps | None = None):
         self.pres = validate(pres)
         self.caps = caps or Caps()
-        self._atoms = tuple(Element(chr(i)) for i in range(pres.n_atoms))
-        self._canon: dict[Word, Element] = {"": IDENTITY}
+        self._atoms = tuple(chr(i) for i in range(pres.n_atoms))
+        self._canon: dict[Word, Element] = {IDENTITY: IDENTITY}
         # the per-side memos below that a hot path reads are indexed by
         # `side is LEFT`, not keyed by the Side, whose hash runs in Python.
-        # The atom-quotient tables, one dict per side keyed by the word:
+        # The atom-quotient tables, one dict per side keyed by the element:
         # every level of every enumerated node looks one up
-        self._quotients: tuple[dict[Word, tuple[Element | None, ...]], ...] = ({}, {})
-        self._lcm: dict[tuple[Word, Word, bool], tuple[Element, Element, Element] | None] = {}
-        self._divisors: dict[tuple[Word, bool], tuple[Element, ...]] = {}
+        self._quotients: tuple[dict[Element, tuple[Element | None, ...]], ...] = ({}, {})
+        self._lcm: dict[tuple[Element, Element, bool], tuple[Element, Element, Element] | None] = {}
+        self._divisors: dict[tuple[Element, bool], tuple[Element, ...]] = {}
         self._tables: dict[Side, BasicTable] = {}
         # per side, the reversing table: (x, t) -> (x past t, t past x) | None;
         # one dict for both sides when their atom tables are equal
         self._stores: list[dict[tuple[Word, Word], Reversal] | None] = [None, None]
-        self._multiples: dict[tuple[Word, Side], list[set[Element]]] = {}
+        self._multiples: dict[tuple[Element, Side], list[set[Element]]] = {}
 
     # ------------------------------------------------------------------
     # the reversing core
@@ -515,10 +504,8 @@ class MonoidContext:
             rest = q
         elem = memo[rest]
         for w, s in reversed(peeled):
-            least = chr(s) + elem.word
-            elem = memo.get(least)
-            if elem is None:
-                elem = memo[least] = Element(least)
+            least = chr(s) + elem
+            elem = memo.setdefault(least, least)
             memo[w] = elem
         return elem
 
@@ -526,12 +513,11 @@ class MonoidContext:
         return self.canonical(parse_word(self.pres, text))
 
     def word_str(self, x: Element) -> str:
-        return format_word(self.pres, x.word)
+        return format_word(self.pres, x)
 
     def multiply(self, x: Element, y: Element) -> Element:
-        xw, yw = x.word, y.word
-        z = self.canonical(xw + yw)
-        if len(z.word) != len(xw) + len(yw):
+        z = self.canonical(x + y)
+        if len(z) != len(x) + len(y):
             raise InternalInvariantError(
                 f"{self.word_str(x)} times {self.word_str(y)} is "
                 f"{self.word_str(z)}: length must be additive"
@@ -556,10 +542,9 @@ class MonoidContext:
         """Quotient q with x*q = a (LEFT) or q*x = a (RIGHT), else None: x's
         letters divided off a one at a time (first to last on the LEFT, last
         to first on the RIGHT), each read off an `atom_quotients` table."""
-        xw = x.word
-        if len(xw) > len(a.word):
+        if len(x) > len(a):
             return None
-        for s in map(ord, xw if side is LEFT else reversed(xw)):
+        for s in map(ord, x if side is LEFT else reversed(x)):
             a = result_of(self.atom_quotients(a, side)[s])
             if a is None:
                 return None
@@ -569,11 +554,11 @@ class MonoidContext:
         """For each atom s, in atom order, the q with attach(q, s, side) ==
         a, or None when s does not side-divide a.
 
-        a's word is its least word, which settles part of the row.  Its
-        first letter (LEFT) or last letter (RIGHT) divides it, and the
-        quotient is the rest of the word: a suffix or prefix of a least
-        word is least (a smaller word for it would make a's word smaller),
-        so it is interned as it is, as `divisors` interns its words.  On
+        a is a least word, which settles part of the row.  Its first
+        letter (LEFT) or last letter (RIGHT) divides it, and the quotient
+        is the rest of the word: a suffix or prefix of a least word is
+        least (a smaller word for it would make a smaller), so it is
+        interned as it is, as `divisors` interns its words.  On
         the LEFT no atom below the first letter divides a, or a would have
         a least word starting with it.  Each other atom is divided off by
         one reversing row (`_peel`) over the other side's store, on the
@@ -589,32 +574,29 @@ class MonoidContext:
         turn, and is not memoised.  Every other row is memoised, and a
         nested reversal past basics_cap raises out of the row (`_cell`)."""
         left = side is LEFT
-        word = a.word
         tables = self._quotients[left]
-        got = tables.get(word)
+        got = tables.get(a)
         if got is not None:
             return got
         n = self.pres.n_atoms
-        if not word:  # no atom divides 1, and no reversing table is built
-            return tables.setdefault(word, (None,) * n)
+        if not a:  # no atom divides 1, and no reversing table is built
+            return tables.setdefault(a, (None,) * n)
         try:  # building a reversing table on first use may overflow
             store = self._store(side.other)
             self._store(RIGHT)
         except CapExceeded as e:
             return (e,) * n
-        w = word if left else word[::-1]
+        w = a if left else a[::-1]
         first = ord(w[0])
         memo = self._canon
         out = [None] * n
         for s in range(first if left else 0, n):
             atom = self._atoms[s]
             if s == first:
-                least = word[1:] if left else word[:-1]
-                q = memo.get(least)
-                if q is None:
-                    q = memo[least] = Element(least)
+                least = a[1:] if left else a[:-1]
+                q = memo.setdefault(least, least)
             else:
-                q = self._peel(store, atom.word, w)
+                q = self._peel(store, atom, w)
                 if q is None:
                     continue
                 q = self.canonical(q if left else q[::-1])
@@ -624,7 +606,7 @@ class MonoidContext:
                     f"on the {side.value} is not {self.word_str(a)}"
                 )
             out[s] = q
-        return tables.setdefault(word, tuple(out))
+        return tables.setdefault(a, tuple(out))
 
     def divisors(self, a: Element, side: Side) -> tuple[Element, ...]:
         """All side-divisors of a, canonical, ordered by (length, word).
@@ -634,8 +616,7 @@ class MonoidContext:
         each level maps its cofactors to the least words of their
         divisors.  An atom that side-divides r, with quotient q, makes the
         word w of d one letter longer, w + t on the LEFT and t + w on the
-        RIGHT for the atom's letter t, a word of the divisor whose cofactor
-        is q.
+        RIGHT for the atom t, a word of the divisor whose cofactor is q.
 
         Of the candidates for one q the least is that divisor's canonical
         word.  The monoid is homogeneous, so all words of an element have
@@ -650,7 +631,7 @@ class MonoidContext:
         quotient table holding an overflow raises it at that atom's turn.
         """
         left = side is LEFT
-        key = (a.word, left)
+        key = (a, left)
         got = self._divisors.get(key)
         if got is not None:
             return got
@@ -665,16 +646,12 @@ class MonoidContext:
                         continue
                     if isinstance(q, CapExceeded):
                         raise q
-                    t = atom.word
-                    cand = w + t if left else t + w
+                    cand = w + atom if left else atom + w
                     least = nxt.get(q)
                     if least is None or cand < least:
                         nxt[q] = cand
             for w in sorted(nxt.values()):
-                d = memo.get(w)
-                if d is None:
-                    d = memo[w] = Element(w)
-                found.append(d)
+                found.append(memo.setdefault(w, w))
             level = nxt
         out = tuple(found)
         self._divisors[key] = out
@@ -721,7 +698,7 @@ class MonoidContext:
         Levels are memoized and extended on demand.  `elements_up_to` (the
         3-Ore scan) and `lcm_oracle` read the levels, and the benchmark's
         span tracer wraps this method by name."""
-        levels = self._multiples.setdefault((a.word, side), [{a}])
+        levels = self._multiples.setdefault((a, side), [{a}])
         while len(levels) <= extra:
             nxt: set[Element] = set()
             for m in levels[-1]:
@@ -744,16 +721,16 @@ class MonoidContext:
         the benchmark's span tracer (`perfbench/tracing.py`) wraps it by
         name and refuses a name that is missing.
         """
-        if a.length < b.length:
+        if len(a) < len(b):
             r = self.lcm_oracle(b, a, side, slack)
             if r is None:
                 return None
             return (r[0], r[2], r[1])
         div_side = side.other
-        for level in self.multiples(a, b.length + slack, side):
+        for level in self.multiples(a, len(b) + slack, side):
             hits = sorted(
                 (m for m in level if self.divides(b, m, div_side) is not None),
-                key=Element.sort_key,
+                key=sort_key,
             )
             if hits:
                 if len(hits) > 1:
@@ -784,11 +761,11 @@ class MonoidContext:
         checked once, when the lcm is memoised: the two products must be
         one element, else InternalInvariantError.
         """
-        key = (a.word, b.word, side is LEFT)
+        key = (a, b, side is LEFT)
         got = self._lcm.get(key, _MISSING)
         if got is not _MISSING:
             return got
-        r = self._reverse(a.word, b.word, side)
+        r = self._reverse(a, b, side)
         result = None
         if r is not None:
             compA, compB = self.canonical(r[0]), self.canonical(r[1])
@@ -811,15 +788,15 @@ class MonoidContext:
         call.  A hit reads the memos; a miss, or a product whose length is
         not additive, goes through `lcm` or `attach`."""
         left = side is LEFT
-        got = self._lcm.get((x.word, e.word, left), _MISSING)
+        got = self._lcm.get((x, e, left), _MISSING)
         if got is _MISSING:
             got = self.lcm(x, e, side)
         if got is None:
             return None
         _, xp, comp = got
-        word = xp.word + d.word if left else d.word + xp.word
+        word = xp + d if left else d + xp
         z = self._canon.get(word)
-        if z is None or len(z.word) != len(word):  # attach raises on the latter
+        if z is None or len(z) != len(word):  # attach raises on the latter
             return comp, self.attach(d, xp, side)
         return comp, z
 
@@ -915,12 +892,12 @@ class MonoidContext:
         complement: dict[tuple[Element, Element], Element] = {}
         no_multiple: set[tuple[Element, Element]] = set()
         for k, u in enumerate(basics):  # grows while it is walked
-            a = u.word[flip]
+            a = u[flip]
             for v in basics[: k + 1]:
-                if len(a) * len(v.word) > cap:
-                    r = self._reverse(u.word, v.word, side)
+                if len(a) * len(v) > cap:
+                    r = self._reverse(u, v, side)
                 else:  # one row, one cell of the store, per letter of a
-                    ends, t = "", v.word[flip]
+                    ends, t = "", v[flip]
                     for x in a:
                         r = store.get((x, t), _MISSING)
                         if r is _MISSING:
@@ -948,7 +925,7 @@ class MonoidContext:
                     raise self._basics_exceeded()
         table = BasicTable(
             side=side,
-            basics=tuple(sorted(basics, key=Element.sort_key)),
+            basics=tuple(sorted(basics, key=sort_key)),
             complement=complement,
             no_multiple=frozenset(no_multiple),
         )
@@ -957,12 +934,12 @@ class MonoidContext:
 
     def _mirror_table(self, table: BasicTable) -> BasicTable:
         """`table` read on the other side, each element x as
-        canonical(x.word reversed); complements are basic elements, so one
+        canonical(x reversed); complements are basic elements, so one
         map over the basics serves every pair and value."""
-        m = {x: self.canonical(x.word[::-1]) for x in table.basics}
+        m = {x: self.canonical(x[::-1]) for x in table.basics}
         return BasicTable(
             side=table.side.other,
-            basics=tuple(sorted(m.values(), key=Element.sort_key)),
+            basics=tuple(sorted(m.values(), key=sort_key)),
             complement={(m[u], m[v]): m[c] for (u, v), c in table.complement.items()},
             no_multiple=frozenset((m[u], m[v]) for u, v in table.no_multiple),
         )
@@ -980,7 +957,7 @@ class MonoidContext:
         """All elements of length <= max_length, ordered by (length, word):
         the right multiples of 1 up to that length."""
         levels = self.multiples(IDENTITY, max_length, RIGHT)
-        return sorted(set().union(*levels), key=Element.sort_key)
+        return sorted(set().union(*levels), key=sort_key)
 
     def basic_bound_C(self) -> int:
         """1 + max length over basic elements (either side)."""

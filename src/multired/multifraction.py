@@ -12,14 +12,14 @@ to them.
 
 A Multifraction is the tuple (first_sign, entries), so that it hashes and
 compares in C: it is the key of every reduct graph and closure index.  Its
-hash is hash((first_sign, entries)).  An entry's hash is that of its word,
-a str, salted per process, so the hash and the iteration order of a set or
-dict of multifractions differ from one process to the next; no output
-rests on them.  The tuple is there for hashing and equality only: no code
-treats a multifraction as a sequence (its depth is `depth`, its entries
-`entries`).  The constructor refuses a first sign other than +1 or -1
-with a ValueError, also under `python -O`; `with_entries` takes the sign
-of a multifraction already built.
+hash is hash((first_sign, entries)).  An entry is an element, its least
+word, a str whose hash is salted per process, so the hash and the
+iteration order of a set or dict of multifractions differ from one
+process to the next; no output rests on them.  The tuple is there for
+hashing and equality only: no code treats a multifraction as a sequence
+(its depth is `depth`, its entries `entries`).  The constructor refuses
+a first sign other than +1 or -1 with a ValueError, also under `python
+-O`; `with_entries` takes the sign of a multifraction already built.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class Multifraction(_Fields):
 
     @property
     def is_trivial(self) -> bool:
-        return bool(self.entries) and all(e.is_identity for e in self.entries)
+        return bool(self.entries) and not any(self.entries)
 
     def sign(self, i: int) -> int:
         """Sign of index i (1-based)."""
@@ -76,11 +76,11 @@ class Multifraction(_Fields):
         return self.entries[i - 1]
 
     def total_length(self) -> int:
-        return sum(e.length for e in self.entries)
+        return sum(map(len, self.entries))
 
     def weight(self) -> int:
         """Signed length sum; a nonzero weight certifies non-unitality."""
-        return sum(self.sign(i) * e.length for i, e in enumerate(self.entries, 1))
+        return sum(self.sign(i) * len(e) for i, e in enumerate(self.entries, 1))
 
     def with_entries(self, entries: tuple[Element, ...]) -> "Multifraction":
         """A multifraction with this one's first sign and the given entries,
@@ -141,7 +141,7 @@ def from_signed_word(ctx: MonoidContext, w: SignedWord) -> Multifraction:
 def format_multifraction(ctx: MonoidContext, a: Multifraction) -> str:
     if a.is_empty:
         return ""
-    body = "/".join(format_word(ctx.pres, e.word) for e in a.entries)
+    body = "/".join(format_word(ctx.pres, e) for e in a.entries)
     return ("/" + body) if a.first_sign < 0 else body
 
 

@@ -128,7 +128,8 @@ class Move(NamedTuple):
     R~(level,x) when it is RIGHT.  A tuple type, so that it hashes and
     compares in C; no code treats a move as a sequence.  Its hash,
     hash((kind, level, x)), varies from process to process (a Side hashes
-    by its name string), so no output may depend on it."""
+    by its name string, and x, an element, is a str), so no output may
+    depend on it."""
 
     kind: Side
     level: int
@@ -216,7 +217,7 @@ def _push(
     moves: list = []
     for i, level, src, dst, due, other in frames:
         if 0 <= dst < n:
-            if not entries[src].word:
+            if not entries[src]:
                 continue  # no atom divides 1
             row = quotients(entries[src], due) if x is None else (ctx.divides(x, entries[src], due),)
             for t in order:
@@ -239,7 +240,7 @@ def _push(
                 if first:
                     return moves
             continue
-        if not entries[level - 1].word:
+        if not entries[level - 1]:
             continue
         row = quotients(entries[level - 1], due)
         upper = None  # read only once an atom divides the lower entry
@@ -275,7 +276,7 @@ def _apply(ctx: MonoidContext, a: Multifraction, side: Side, i: int, x: Element)
     top = n - 1 if side is LEFT else n
     if not 1 <= i <= top:
         raise ValueError(f"{side.value} reduction level {i} outside 1..{top}")
-    if not x.word:
+    if not x:
         raise ValueError("reducer must be nontrivial")
     level, _, dst = _frame(side, i)
     if level == 0:
@@ -301,7 +302,7 @@ def apply_division(ctx: MonoidContext, a: Multifraction, i: int, x: Element) -> 
     n = len(a.entries)
     if not 1 <= i < n:
         raise ValueError(f"division level {i} outside 1..{n - 1}")
-    if not x.word:
+    if not x:
         raise ValueError("divisor must be nontrivial")
     side = due_side(a, i)
     entries = a.entries
@@ -367,12 +368,12 @@ def reducers(ctx: MonoidContext, a: Multifraction, i: int) -> tuple[Element, ...
     lcm_side = side.other
     if i == 1:
         g = ctx.gcd(a.entry(1), a.entry(2), side)
-        all_red = [d for d in ctx.divisors(g, side) if not d.is_identity]
+        all_red = ctx.divisors(g, side)[1:]  # the first divisor is 1
     else:
         all_red = [
             d
             for d in ctx.divisors(a.entry(i + 1), side)
-            if not d.is_identity and ctx.lcm(d, a.entry(i), lcm_side) is not None
+            if d and ctx.lcm(d, a.entry(i), lcm_side) is not None
         ]
     return tuple(
         x
@@ -407,7 +408,7 @@ def greatest_tame_reducer(ctx: MonoidContext, a: Multifraction, i: int) -> Eleme
     if i == 1:
         return ctx.gcd(entries[0], entries[1], side)
     top = entries[i]
-    if top.is_identity:
+    if not top:
         return IDENTITY
     if ctx.lcm(top, entries[i - 1], side.other) is not None:
         return top
@@ -419,7 +420,7 @@ def greatest_tame_reducer(ctx: MonoidContext, a: Multifraction, i: int) -> Eleme
         for y in maximal[1:]:
             g = ctx.gcd(g, y, side)
     adj = ctx.gcd(a.entry(i), a.entry(i + 1), side)
-    if not adj.is_identity and ctx.divides(adj, g, side) is None:
+    if adj and ctx.divides(adj, g, side) is None:
         raise InternalInvariantError(
             "greatest tame reducer is no multiple of the adjacent gcd"
         )
@@ -430,7 +431,7 @@ def div_max(ctx: MonoidContext, a: Multifraction, i: int) -> Multifraction:
     """Division by the due-side gcd of entries i, i+1 (identity action when
     the gcd is trivial)."""
     g = ctx.gcd(a.entry(i), a.entry(i + 1), due_side(a, i))
-    if g.is_identity:
+    if not g:
         return a
     b = apply_division(ctx, a, i, g)
     if b is None:
@@ -474,7 +475,7 @@ def red_tame(
         g = greatest_tame_reducer(ctx, b, i)
         if collect is not None:
             collect.append(Move(LEFT, i, g))
-        if g.is_identity:
+        if not g:
             continue
         nxt = apply_left(ctx, b, i, g)
         if nxt is None:
@@ -546,7 +547,7 @@ def _reduce(ctx: MonoidContext, a: Multifraction, strategy: str, side: Side) -> 
     # a right reduction sequence from a is a left reduction sequence of the
     # same length from inverse(a), so both sides share the tower bound
     bounded = a if side is LEFT else inverse(a)
-    cleared = _tower(2 if ctx.atoms() else 1, [e.length for e in bounded.entries], sys.maxsize)
+    cleared = _tower(2 if ctx.atoms() else 1, list(map(len, bounded.entries)), sys.maxsize)
     moves: list[Move] = []
     cur = a
     while True:
@@ -578,9 +579,8 @@ def reduce_right(ctx: MonoidContext, a: Multifraction, strategy: str = "low_lex"
 
 def is_prime(ctx: MonoidContext, a: Multifraction) -> bool:
     """Trivial due-side gcds between all adjacent entries."""
-    return all(
-        ctx.gcd(a.entry(i), a.entry(i + 1), due_side(a, i)).is_identity
-        for i in range(1, a.depth)
+    return not any(
+        ctx.gcd(a.entry(i), a.entry(i + 1), due_side(a, i)) for i in range(1, a.depth)
     )
 
 
@@ -1002,4 +1002,4 @@ def within_step_bound(ctx: MonoidContext, a: Multifraction, k: int) -> bool:
     It builds the basic tables for C; `_reduce` asks it only for a step
     count past the bound at C = 2, which needs none.
     """
-    return k <= _tower(ctx.basic_bound_C(), [e.length for e in a.entries], k + 1)
+    return k <= _tower(ctx.basic_bound_C(), list(map(len, a.entries)), k + 1)

@@ -108,7 +108,7 @@ class _Builder:
 
 def _complement(ctx: MonoidContext, c: Multifraction, i: int, x: Element) -> Element:
     """The remainder x' deposited at entry i-1 by the step R(i,x) on c."""
-    if x.is_identity or i == 1:
+    if not x or i == 1:
         return IDENTITY
     side = due_side(c, i).other
     r = ctx.lcm(x, c.entry(i), side)
@@ -121,7 +121,7 @@ def _complement(ctx: MonoidContext, c: Multifraction, i: int, x: Element) -> Ele
 
 
 def _apply(ctx, c, i, x):
-    if x.is_identity:
+    if not x:
         return c
     b = apply_left(ctx, c, i, x)
     if b is None:
@@ -221,7 +221,7 @@ def _annulus(builder, ctx, c, segment, outer_names, outer_ids, ring):
         inter[i] = _apply(ctx, inter[i - 1], i, xs[i])
     comp = {i: _complement(ctx, inter[i - 1], i, xs[i]) for i in range(1, m)}
     end = inter[m - 1]
-    if not (end.entry(m - 1).is_identity and end.entry(m).is_identity):
+    if end.entry(m - 1) or end.entry(m):
         raise VanKampenFailure("sweep does not trivialize the top entries")
     d = Multifraction(c.first_sign, end.entries[: m - 2])
     inner_names = [outer_names[0]] + [

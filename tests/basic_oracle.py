@@ -9,7 +9,7 @@ the first one's where the package reads it so (`_mirror_table`), and the
 table is kept on the context, as the package keeps it.
 """
 
-from multired.monoid import IDENTITY, BasicTable, Element
+from multired.monoid import IDENTITY, BasicTable, sort_key
 
 
 def basic_table(ctx, side):
@@ -31,7 +31,7 @@ def basic_table(ctx, side):
     no_multiple = set()
     for k, u in enumerate(basics):
         for v in basics[: k + 1]:
-            r = ctx._reverse(u.word, v.word, side)
+            r = ctx._reverse(u, v, side)
             if r is None:
                 no_multiple.update(((u, v), (v, u)))
                 continue
@@ -45,7 +45,7 @@ def basic_table(ctx, side):
                 raise ctx._basics_exceeded()
     table = BasicTable(
         side=side,
-        basics=tuple(sorted(basics, key=Element.sort_key)),
+        basics=tuple(sorted(basics, key=sort_key)),
         complement=complement,
         no_multiple=frozenset(no_multiple),
     )

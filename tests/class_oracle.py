@@ -31,10 +31,10 @@ def word_class(pres, word: str) -> frozenset[str]:
 def divides_scan(ctx, x, a, side):
     """Quotient q with x*q = a (LEFT) or q*x = a (RIGHT), else None, by a
     prefix (suffix) scan of every word of a's class."""
-    if x.length > a.length:
+    if len(x) > len(a):
         return None
-    k = x.length
-    for w in word_class(ctx.pres, a.word):
+    k = len(x)
+    for w in word_class(ctx.pres, a):
         if side is Side.LEFT:
             head, tail = w[:k], w[k:]
         else:

@@ -103,9 +103,9 @@ def atom_quotients(ctx, a, side):
     """For each atom s, the q with attach(q, s, side) == a, None, or the
     CapExceeded its division or check raised; nothing is memoised."""
     left = side is Side.LEFT
-    if not a.word:
+    if not a:
         return (None,) * ctx.pres.n_atoms
-    w = a.word if left else a.word[::-1]
+    w = a if left else a[::-1]
     out = []
     for s, atom in enumerate(ctx.atoms()):
         try:

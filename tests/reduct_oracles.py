@@ -36,7 +36,7 @@ def all_reducers(ctx: MonoidContext, a: Multifraction, i: int) -> tuple[Element,
     return tuple(
         d
         for d in ctx.divisors(a.entry(i + 1), side)
-        if not d.is_identity and red.apply_left(ctx, a, i, d) is not None
+        if d and red.apply_left(ctx, a, i, d) is not None
     )
 
 
@@ -70,7 +70,7 @@ def step_bound(ctx: MonoidContext, a: Multifraction) -> int:
     is one more than the maximal basic length.  Astronomically large as
     soon as the depth exceeds 3 (the package compares counts with
     `red.within_step_bound`)."""
-    return tower(ctx.basic_bound_C(), [e.length for e in a.entries])
+    return tower(ctx.basic_bound_C(), [len(e) for e in a.entries])
 
 
 def atomic_moves(ctx: MonoidContext, a: Multifraction, side: Side, levels) -> list:
@@ -223,7 +223,7 @@ def mirror(ctx: MonoidContext, a: Multifraction) -> Multifraction:
     preset's relations read the same reversed, so word reversal is an
     anti-automorphism of its monoid, and the left moves of a are the
     right moves of mirror(a)."""
-    entries = tuple(ctx.canonical(e.word[::-1]) for e in reversed(a.entries))
+    entries = tuple(ctx.canonical(e[::-1]) for e in reversed(a.entries))
     return Multifraction(a.sign(a.depth), entries)
 
 
@@ -256,6 +256,6 @@ def unique_fraction_probe(
         "factorization_holds": True,
         "reduced_pair_equal": None,
     }
-    if gab.is_identity and gcd_.is_identity:
+    if not gab and not gcd_:
         report["reduced_pair_equal"] = a == c and b == d
     return report

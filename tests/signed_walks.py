@@ -96,7 +96,7 @@ def applicable_steps(ctx: MonoidContext, w: SignedWord) -> list[Step]:
             kind, first, second = TransformKind.RIGHT_REVERSE, _positive, _inverse_word
         else:
             kind, first, second = TransformKind.LEFT_REVERSE, _inverse_word, _positive
-        steps.append(Step(kind, pos, 2, first(t_past_s.word) + second(s_past_t.word)))
+        steps.append(Step(kind, pos, 2, first(t_past_s) + second(s_past_t)))
     return steps
 
 
@@ -128,9 +128,9 @@ def to_signed_word(a: Multifraction) -> SignedWord:
     for i, e in enumerate(a.entries, 1):
         s = a.sign(i)
         if s > 0:
-            out.extend((ord(atom), 1) for atom in e.word)
+            out.extend((ord(atom), 1) for atom in e)
         else:
-            out.extend((ord(atom), -1) for atom in reversed(e.word))
+            out.extend((ord(atom), -1) for atom in reversed(e))
     return tuple(out)
 
 
@@ -138,7 +138,7 @@ def trim_trailing_units(a: Multifraction) -> Multifraction:
     """a without its trailing trivial entries; right reduction is
     sensitive to them, so nothing trims them unasked."""
     entries = list(a.entries)
-    while entries and entries[-1].is_identity:
+    while entries and not entries[-1]:
         entries.pop()
     if not entries:
         return EMPTY

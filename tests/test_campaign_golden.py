@@ -100,10 +100,11 @@ def test_campaign_depth6(name):
 
 @pytest.mark.parametrize("hash_seed", ["1", "2"])
 def test_digests_do_not_depend_on_the_hash_seed(hash_seed):
-    # a word is a str, whose hash is salted per process, and a Move hashes
-    # its Side by name: the hashes of Element, Multifraction and Move, and
-    # the order of every set of them, change with the hash seed.  A report
-    # does not: one digest of each kind, recomputed in a process of its own
+    # an element is its word, a str, whose hash is salted per process, and
+    # a Move hashes its Side by name: the hashes of elements, Multifraction
+    # and Move, and the order of every set of them, change with the hash
+    # seed.  A report does not: one digest of each kind, recomputed in a
+    # process of its own
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(tests), "src")
     code = (

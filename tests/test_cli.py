@@ -362,6 +362,26 @@ def test_usage_error_names_argument(capsys, argv, message):
     assert err.splitlines()[-1].startswith(message)
 
 
+def test_top_level_help_is_for_users(capsys):
+    # help says what the tool does, its exit codes and MULTIRED_CAPS; the
+    # module's notes for readers of the code (how a line is read, which
+    # options belong where) stay out of it
+    def flat(text):
+        return " ".join(text.split())
+
+    notes = [flat(n) for n in cli.__doc__.split(".  ") if flat(n) not in flat(cli._DESCRIPTION)]
+    assert len(notes) > 5
+    for flag in ("-h", "--help"):
+        assert main([flag]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("usage: multired")
+        text = flat(out)
+        assert "Exit codes: 0 success, 1 counterexample found, 2 inconclusive, 3 usage" in text
+        assert "MULTIRED_CAPS=" in text
+        assert not [n for n in notes if n in text]
+        assert "argparse" not in text and "front end" not in text
+
+
 # the positionals each subcommand needs; the others take a multifraction
 _POSITIONALS = {"preset": ["list"], "wordproblem": ["a B"], "conjecture": ["A"],
                 "basics": [], "threeore": [], "cycleprobe": []}

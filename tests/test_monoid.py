@@ -24,8 +24,12 @@ from multired.monoid import (
     ReversingCapExceeded,
     Side,
     result_of,
+    sort_key,
 )
+from multired import reduction as red
+from multired.multifraction import Multifraction
 from multired.presentation import format_word, parse_presentation, parse_word, preset
+from reduct_oracles import atomic_moves
 from test_campaign_golden import PRESETS as GOLDEN_PRESETS
 from test_history_free_caps import _plain
 from words import index_words, word
@@ -54,7 +58,7 @@ def test_canonical_matches_tuple_closure(preset_name, data):
     ctx = MonoidContext(pres)  # fresh, so that nothing is memoised
     cls = word_class(pres, word)
     x = ctx.canonical(word)
-    assert x == Element(min(cls))
+    assert x == min(cls)
     assert all(ctx.canonical(w) == x for w in cls)
 
 
@@ -72,7 +76,7 @@ def test_canonical_refuses_a_tuple_word(att):
 
 def test_atom_limit():
     ctx = MonoidContext(preset("free(257)"))
-    assert ctx.canonical(word(256, 3, 0)).word == word(256, 3, 0)
+    assert ctx.canonical(word(256, 3, 0)) == word(256, 3, 0)
 
 
 def test_words_order_as_their_index_tuples():
@@ -86,9 +90,9 @@ def test_words_order_as_their_index_tuples():
         for n in (2, 3, 256, 257, 300)
         for _ in range(100)
     ]
-    by_word = sorted((Element(word(*t)) for t in tuples), key=Element.sort_key)
+    by_word = sorted((word(*t) for t in tuples), key=sort_key)
     by_tuple = sorted(tuples, key=lambda t: (len(t), t))
-    assert [e.word for e in by_word] == [word(*t) for t in by_tuple]
+    assert by_word == [word(*t) for t in by_tuple]
     for t, u in zip(tuples, reversed(tuples)):
         assert (word(*t) < word(*u)) == (t < u)
     # each word spells and parses back over atoms named s0.s1 ...
@@ -104,9 +108,9 @@ def test_braid5_delta_squared():
     ctx = MonoidContext(preset("braid(5)"))
     delta = word(0, 1, 0, 2, 1, 0, 3, 2, 1, 0)
     dd = ctx.canonical(delta + delta)
-    assert dd.length == 20
+    assert len(dd) == 20
     for s in ctx.atoms():
-        assert ctx.canonical(dd.word + s.word) == ctx.canonical(s.word + dd.word)
+        assert ctx.canonical(dd + s) == ctx.canonical(s + dd)
 
 
 @settings(max_examples=60, deadline=None)
@@ -114,7 +118,7 @@ def test_braid5_delta_squared():
 def test_length_additive(u, v):
     ctx = _att()
     x, y = ctx.canonical(u), ctx.canonical(v)
-    assert ctx.multiply(x, y).length == x.length + y.length
+    assert len(ctx.multiply(x, y)) == len(x) + len(y)
 
 
 _ATT = None
@@ -158,14 +162,14 @@ def test_divisors_match_class_prefixes(preset_name):
     ctx, probe = MonoidContext(pres), MonoidContext(pres)
     rng = random.Random(zlib.crc32(preset_name.encode()))
     for a in _random_elements(probe, rng, 30, max_len=7):
-        words = word_class(pres, a.word)
+        words = word_class(pres, a)
         for side in Side:
             parts = {
                 w[:k] if side is Side.LEFT else w[len(w) - k:]
                 for w in words
                 for k in range(len(w) + 1)
             }
-            expected = sorted({probe.canonical(p) for p in parts}, key=Element.sort_key)
+            expected = sorted({probe.canonical(p) for p in parts}, key=sort_key)
             assert ctx.divisors(a, side) == tuple(expected)
 
 
@@ -184,7 +188,7 @@ def _divisors_dfs(ctx, a, side):
             if e not in found:
                 found.add(e)
                 todo.append((e, q))
-    return tuple(sorted(found, key=Element.sort_key))
+    return tuple(sorted(found, key=sort_key))
 
 
 def _capped_outcome(search, pres, cap, a, side):
@@ -207,7 +211,7 @@ def test_divisors_overflow_as_the_dfs(preset_name, cap):
         for side in Side:
             new = _capped_outcome(MonoidContext.divisors, pres, cap, a, side)
             assert new == _capped_outcome(_divisors_dfs, pres, cap, a, side)
-            if not a.is_identity:
+            if a:
                 assert new == (ReversingCapExceeded, f"reversing exceeded {cap} cell fills")
 
 
@@ -223,7 +227,7 @@ def test_divisors_under_a_cap_are_exact_or_inconclusive(preset_name, cap, max_le
     probe = MonoidContext(pres)
     rng = random.Random(zlib.crc32(preset_name.encode()))
     elements = _random_elements(probe, rng, 20, max_len=max_len)
-    assert any(a.length > cap for a in elements)
+    assert any(len(a) > cap for a in elements)
     for a in elements:
         for side in Side:
             exact = _divisors_dfs(probe, a, side)
@@ -287,7 +291,7 @@ def test_atom_quotients_keep_overflows_unmemoised(att):
     with pytest.raises(ReversingCapExceeded, match=message):
         tight.divides(att.element("b"), a, Side.LEFT)
     assert tight.atom_quotients(a, Side.LEFT) is not row
-    assert a.word not in tight._quotients[True]  # the LEFT tables
+    assert a not in tight._quotients[True]  # the LEFT tables
 
 
 @pytest.mark.parametrize("side", list(Side))
@@ -296,8 +300,8 @@ def test_atom_quotients_check_each_quotient(monkeypatch, side):
     # is built, by a raise that python -O keeps.  The row of b is peeled on
     # both sides of aba = bab: b is neither its first nor its last letter
     ctx = MonoidContext(preset("A2tilde"))
-    a, b = ctx.element("aba"), ctx.element("b").word
-    w = a.word if side is Side.LEFT else a.word[::-1]  # the word peeled
+    a, b = ctx.element("aba"), ctx.element("b")
+    w = a if side is Side.LEFT else a[::-1]  # the word peeled
     peel = ctx._peel
 
     def wrong_for_b(store, s, word):
@@ -335,7 +339,7 @@ def test_atom_quotients_match_every_atom_peeled(preset_name):
     pres = preset(preset_name)
     seed = zlib.crc32(preset_name.encode())
     elements = _seeded_elements(MonoidContext(pres), seed, 10, max_len=24)
-    assert any(a.length > 16 for a in elements)
+    assert any(len(a) > 16 for a in elements)
     kinds = set()
     for cap in (None, 1, 2, 3, 16):
         caps = Caps() if cap is None else Caps(reversing_cap=cap)
@@ -345,7 +349,7 @@ def test_atom_quotients_match_every_atom_peeled(preset_name):
             for side in Side:
                 got = _plain(ctx.atom_quotients(a, side))
                 assert got == _plain(quotient_oracle.atom_quotients(ctx, a, side))
-                if cube is None or a.is_identity:
+                if cube is None or not a:
                     assert not any(isinstance(q, CapExceeded) for q in ctx.atom_quotients(a, side))
                     kinds.add("equal" if cap is None else "equal under a cap")
                 else:
@@ -360,24 +364,39 @@ def test_atom_quotients_match_every_atom_peeled(preset_name):
 def test_created_elements_hold_least_words(preset_name):
     # atom_quotients rules out the atoms below a's first letter and interns
     # the rest of a's word as least: both rest on every element holding
-    # the least word of its class.  Every element that canonical, divisors
-    # and atom_quotients create goes into the canonical memo, and each
-    # memo entry is the least word of its key's class (class closure as
-    # the oracle)
+    # the least word of its class.  Every element that canonical,
+    # multiply, divides, gcd, lcm, divisors and atom_quotients create, and
+    # every entry of a reduct the move core builds, is a plain str that
+    # goes into the canonical memo, and each memo entry is the least word
+    # of its key's class (class closure as the oracle, up to the 7 letters
+    # of the longest seeded element: a longer class is slow to close)
     pres = preset(preset_name)
     ctx = MonoidContext(pres)
     memo = ctx._canon
     seed = zlib.crc32(preset_name.encode())
-    created = []
-    for a in _seeded_elements(ctx, seed, 12, max_len=7):
-        created.append(a)
+    elements = _seeded_elements(ctx, seed, 12, max_len=7)
+    created = list(elements)
+    for a in elements:
         for side in Side:
             created.extend(ctx.divisors(a, side))
             created.extend(q for q in ctx.atom_quotients(a, side) if q is not None)
-    assert all(memo[e.word] is e for e in created)
+    for a, b in itertools.combinations(elements[:12], 2):
+        created.append(ctx.multiply(a, b))
+        for side in Side:
+            created.extend(x for x in (ctx.divides(b, a, side), ctx.gcd(a, b, side)) if x is not None)
+            created.extend(ctx.lcm(a, b, side) or ())
+    for k in range(0, len(elements) - 3, 4):
+        a = Multifraction(1, tuple(elements[k : k + 4]))
+        for side in Side:
+            for _, _, b in atomic_moves(ctx, a, side, red._levels(a, side)):
+                created.extend(b.entries)
+    assert len(created) > 200
+    assert all(type(e) is str and memo[e] is e for e in created)
     for w, e in memo.items():
-        cls = word_class(pres, w)
-        assert e.word in cls and e.word == min(cls), format_word(pres, w)
+        assert type(e) is str
+        if len(w) <= 7:
+            cls = word_class(pres, w)
+            assert e in cls and e == min(cls), format_word(pres, w)
 
 
 @pytest.mark.parametrize("preset_name", GOLDEN_PRESETS)
@@ -389,7 +408,7 @@ def test_mirror_images_swap_the_sides(preset_name):
     ctx = MonoidContext(preset(preset_name))
 
     def mirror(e):
-        return e if not isinstance(e, Element) else ctx.canonical(e.word[::-1])
+        return e if not isinstance(e, Element) else ctx.canonical(e[::-1])
 
     seed = zlib.crc32(preset_name.encode())
     elements = _seeded_elements(ctx, seed, 10, max_len=8)
@@ -406,7 +425,7 @@ def test_mirror_images_swap_the_sides(preset_name):
             g = ctx.gcd(a, b, side)
             assert mirror(g) == ctx.gcd(mirror(a), mirror(b), side.other)
             found.add("no lcm" if m is None else "lcm")
-            found.add("gcd 1" if g.is_identity else "gcd")
+            found.add("gcd" if g else "gcd 1")
     assert {"lcm", "gcd", "gcd 1"} <= found
 
 
@@ -458,7 +477,7 @@ def test_lcm_checks_its_complements(monkeypatch, side):
     monkeypatch.setattr(ctx, "_reverse", swapped)
     with pytest.raises(InternalInvariantError, match=f"reversing on the {side.value}"):
         ctx.lcm(a, b, side)
-    assert (a.word, b.word, side is Side.LEFT) not in ctx._lcm
+    assert (a, b, side is Side.LEFT) not in ctx._lcm
 
 
 def test_canonical_and_lcm_memo_sizes_count_hits():
@@ -484,7 +503,7 @@ def test_canonical_and_lcm_memo_sizes_count_hits():
         assert len(ctx._lcm) == before + 1 and len(ctx._canon) == canon
     # flat: a word keys the canonical memo, (word, word, LEFT?) the lcm memo
     assert all(type(w) is str for w in ctx._canon)
-    assert (a.word, b.word, True) in ctx._lcm and (a.word, b.word, False) in ctx._lcm
+    assert (a, b, True) in ctx._lcm and (a, b, False) in ctx._lcm
 
 
 def test_gcd_examples(att):
@@ -717,7 +736,7 @@ def test_grid_vs_oracle_small(att):
     C = att.basic_bound_C()
     for a in els:
         for b in els:
-            slack = max(2, (C - 2) * min(a.length, b.length))
+            slack = max(2, (C - 2) * min(len(a), len(b)))
             grid = att.lcm(a, b, Side.RIGHT)
             oracle = att.lcm_oracle(a, b, Side.RIGHT, slack=slack)
             assert (grid is None) == (oracle is None), (att.word_str(a), att.word_str(b))
@@ -739,9 +758,9 @@ def test_grid_vs_oracle_left_side(att):
 def test_elements_up_to(att, braid3):
     els = att.elements_up_to(2)
     assert len(els) == 1 + 3 + 9
-    assert els == sorted(els, key=lambda e: e.sort_key())
+    assert els == sorted(els, key=sort_key)
     b = braid3.elements_up_to(3)
-    assert len({e.length for e in b}) == 4
+    assert len({len(e) for e in b}) == 4
 
 
 def elements_up_to_loop(ctx, max_length):
@@ -753,12 +772,12 @@ def elements_up_to_loop(ctx, max_length):
         nxt = []
         for x in level:
             for i in range(ctx.pres.n_atoms):
-                y = ctx.canonical(x.word + word(i))
+                y = ctx.canonical(x + word(i))
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
         level = nxt
-    return sorted(seen, key=Element.sort_key)
+    return sorted(seen, key=sort_key)
 
 
 @pytest.mark.parametrize("preset_name", EVERY_PRESET)
@@ -776,7 +795,7 @@ def test_grid_vs_oracle_second_preset(k43):
     for a in els:
         for b in els:
             grid = k43.lcm(a, b, Side.RIGHT)
-            oracle = k43.lcm_oracle(a, b, Side.RIGHT, slack=max(2, min(a.length, b.length)))
+            oracle = k43.lcm_oracle(a, b, Side.RIGHT, slack=max(2, min(len(a), len(b))))
             assert (grid is None) == (oracle is None), (k43.word_str(a), k43.word_str(b))
             if grid is not None:
                 assert grid == oracle
@@ -978,7 +997,7 @@ def test_completed_presentation_table():
         assert [ctx.word_str(b) for b in t.basics] == ["1", "a", "b", "c"]
         assert not t.no_multiple and len(t.complement) == 16
         got = {ctx.word_str(u) + ctx.word_str(v): ctx.word_str(w)
-               for (u, v), w in t.complement.items() if u.length == v.length == 1 and u != v}
+               for (u, v), w in t.complement.items() if len(u) == len(v) == 1 and u != v}
         assert got == pairs
 
 

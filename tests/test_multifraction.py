@@ -123,7 +123,7 @@ def test_to_from_signed_word(a):
         return
     # trivial entries past the first collapse sign runs, the one ambiguity
     # of the word encoding; everywhere else the round trip is structural
-    if any(e.is_identity for e in a.entries[1:]):
+    if not all(a.entries[1:]):
         return
     assert from_signed_word(k, to_signed_word(a)) == a
 

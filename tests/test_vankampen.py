@@ -19,7 +19,7 @@ from multired.vankampen import (
 def test_trivial_depth4(att):
     d = van_kampen(att, unit(4))
     assert len(d.vertices) == 5 and len(d.triangles) == 4
-    assert all(e.label.is_identity for e in d.edges.values())
+    assert not any(e.label for e in d.edges.values())
 
 
 def test_depth6_shape(att):
