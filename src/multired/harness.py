@@ -11,7 +11,7 @@ for Conjecture A, the word problem and the depth-4 check, after one
 strategy run that ends elsewhere or overflows a cap, and the
 four-strategy probe asks it which strategy left ends each strategy
 right end reaches.  `LeftClosures.common` gives the common left reducts
-of some roots and whether that set is exact, for the Cunif tester, which
+of the walked roots and whether that set is exact, for the Cunif tester, which
 confirms only over a complete right walk (`right_roots`, which keeps no
 edges), and walks left closures from a and from no other right reduct
 whose closure holds another right reduct, as such a closure changes no
@@ -307,34 +307,33 @@ def test_conjecture_C_uniform(ctx: MonoidContext, a: Multifraction) -> Verdict:
     (the tame reduct and the latest common ancestor of the irreducible
     left reducts) are evaluated alongside the witness set.
 
-    One breadth-first right walk that keeps no edges (`right_roots`)
-    gives the right reducts and the roots of the left walk: a and every
-    right reduct with no division move out (a division is a left move
-    too).  The left closures are walked from those roots in one walk of
-    their shared left graph (`left_closures`), as bitsets, with the right
-    reducts as targets: a root after a whose closure holds another right
-    reduct is left out, found by a breadth-first search, and the cap
-    fires on the right walk and on the left walks and searches alone.
-    The witnesses are the common reducts of the roots walked
-    (`LeftClosures.common`), exact when those closures are complete; the
-    irreducible left reducts of a are the sinks in a's closure, and a
-    latest common ancestor is a member of a's closure whose closure
-    holds them all and no other such member.  Walked closures that hold
-    an overflowed move attempt make the witnesses a lower bound, and the
-    evidence counts those attempts, each once (`LeftClosures.common`,
-    "incomplete_closure_edges"); with no witness the trial is then
-    inconclusive.  An incomplete right walk leaves the trial
-    inconclusive with its count of undecided moves
+    One breadth-first right walk that keeps no edges (`right_roots`) gives
+    the right reducts and the roots of the left walk: a and every right
+    reduct with no division move out (a division is a left move too).  The
+    left closures are walked from those roots in one walk of their shared
+    left graph (`left_closures`), with the right reducts as targets: a root
+    after a whose closure holds another right reduct is left out, found by a
+    breadth-first search, and the cap fires on the right walk and on the
+    left walks and searches alone.  The witnesses are the common reducts of
+    the roots walked (`LeftClosures.common`), exact when those closures are
+    complete; the irreducible left reducts of a, the first root walked, are
+    the sinks in its closure, and a latest common ancestor is a member of
+    a's closure whose closure holds them all and none of whose reducts'
+    closures does.  Walked closures that hold an overflowed move attempt
+    make the witnesses a lower bound, and the evidence counts those
+    attempts, each once (`LeftClosures.common`, "incomplete_closure_edges");
+    with no witness the trial is then inconclusive.  An incomplete right
+    walk leaves the trial inconclusive with its count of undecided moves
     ("incomplete_right_edges")."""
     try:
         reducts, roots, undecided_right = red.right_roots(ctx, a)
         lc = red.left_closures(ctx, roots, reducts)
     except CapExceeded as e:
         return Verdict("inconclusive", {"reason": str(e)})
-    witness_bits, undecided_left = lc.common(lc.walked)
-    witnesses = set(lc.members(witness_bits))
-    irr = lc.closure_of(a) & lc.sinks
-    lca = lc.latest_common_ancestors(a, irr) if irr else []
+    common, undecided_left = lc.common()
+    witnesses = set(common)
+    irr = lc.irreducible()  # a is the first root walked
+    lca = lc.latest_common_ancestors(irr) if irr else []
     try:
         tame = red_tame(ctx, a)
     except CapExceeded:  # the witnesses still decide

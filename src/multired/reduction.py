@@ -33,12 +33,12 @@ moves this module provides:
     holds them all;
   * left reduct closures of many roots at once (`left_closures`), for
     the Cunif tester alone: one post-order walk of the roots' shared
-    graph gives every node its closure as an int bitset, the union of
-    its reducts' closures; the common reducts of some roots
-    (`LeftClosures.common`) are then an intersection of bitsets instead
-    of one graph search per root.  Given target nodes, a root whose
-    closure holds another target, found by a breadth-first search, is
-    left out of the walk: its closure changes no intersection.
+    graph keeps each node's reducts, and one pass down gives every node
+    an int over the walked roots whose closures hold it; the common
+    reducts of those roots (`LeftClosures.common`) are the nodes with
+    every bit, in memory linear in the walk.  Given target nodes, a root
+    whose closure holds another target, found by a breadth-first search,
+    is left out of the walk: its closure changes no intersection.
 
 Sign conventions: `due_side`, defined in `multifraction` and imported
 here, is the one map from a level's sign to a Side; `product` merges its
@@ -339,7 +339,7 @@ def replay(ctx: MonoidContext, a: Multifraction, moves) -> Multifraction:
     for m in moves:
         nxt = apply_move(ctx, cur, m)
         if nxt is None:
-            raise MultiredError(f"move {m} not applicable during replay")
+            raise MultiredError(f"move {m.label(ctx)} not applicable during replay")
         cur = nxt
     return cur
 
@@ -717,61 +717,57 @@ def right_roots(ctx: MonoidContext, a: Multifraction):
 
 @dataclass
 class LeftClosures:
-    """Left reduct closures as int bitsets: bit k stands for nodes[k].
+    """Left reduct closures indexed by root: bit j stands for walked[j].
 
-    closure[k] holds k and every node k left-reduces to; overflows[k]
-    counts the move attempts of node k itself that overflowed a cap, and
-    `overflowed` holds the nodes with any, so a closure `bits` is complete
-    when `bits & overflowed` is 0 (`common` counts them); `sinks` holds
-    the nodes with no move and no overflow of their own.  Nodes are
-    numbered in the order their walks finish, so closure[k] holds no bit
-    above k.  `walked` holds the roots whose closures were computed, in
-    root order: every root but those a redundancy search left out (see
-    `left_closures`).
+    `walked` holds, in root order, every root but those a redundancy
+    search left out (see `left_closures`).  Nodes are numbered in the
+    order their walks finish, so each index in reducts[k], the nodes k
+    reduces to by one atomic move, is below k; overflows[k] counts the
+    move attempts of node k itself that overflowed a cap.  reach[k] holds
+    the bit of every walked root whose closure holds node k, and every
+    node has one.
     """
 
     nodes: list[Multifraction] = field(default_factory=list)
     index: dict[Multifraction, int] = field(default_factory=dict)
-    closure: list[int] = field(default_factory=list)
+    reducts: list[list[int]] = field(default_factory=list)
     overflows: list[int] = field(default_factory=list)
-    overflowed: int = 0
-    sinks: int = 0
     walked: list[Multifraction] = field(default_factory=list)
+    reach: list[int] = field(default_factory=list)
 
-    def members(self, bits: int) -> list[Multifraction]:
-        """The nodes of a bitset, in bit order."""
-        return [self.nodes[k] for k in _bit_indices(bits)]
+    def common(self) -> tuple[list[Multifraction], int]:
+        """The common left reducts of the walked roots, the nodes with
+        every root bit, and the undecided moves of their closures, the
+        overflowed attempts of all nodes; the list is exact when it is 0."""
+        full = (1 << len(self.walked)) - 1
+        return [n for n, v in zip(self.nodes, self.reach) if v == full], sum(self.overflows)
 
-    def closure_of(self, root: Multifraction) -> int:
-        """The closure of a root."""
-        return self.closure[self.index[root]]
+    def irreducible(self, root: int = 0) -> list[int]:
+        """The irreducible left reducts of walked[root]: the nodes with its
+        bit, no reduct and no overflowed move attempt."""
+        return [
+            k
+            for k, v in enumerate(self.reach)
+            if v >> root & 1 and not self.reducts[k] and not self.overflows[k]
+        ]
 
-    def common(self, roots) -> tuple[int, int]:
-        """The common left reducts of one or more roots, as the AND of
-        their closures, and the undecided moves of those closures: the
-        overflowed move attempts of the nodes in the union of the
-        closures, each counted once.  The set is exact when that count is
-        0.  For one root the count is the number of inconclusive edges of
-        its `reduct_graph`."""
-        bits, union = -1, 0
-        for root in roots:
-            closure = self.closure_of(root)
-            bits &= closure
-            union |= closure
-        return bits, sum(self.overflows[k] for k in _bit_indices(union & self.overflowed))
-
-    def latest_common_ancestors(self, root: Multifraction, targets: int) -> list[Multifraction]:
-        """The members of root's closure whose closure holds every target,
-        less those whose closure holds another such member."""
-        closure = self.closure
-        members = _bit_indices(self.closure_of(root))
-        found = [k for k in members if closure[k] & targets == targets]
-        found_bits = sum(1 << k for k in found)
-        return [self.nodes[k] for k in found if closure[k] & found_bits == 1 << k]
-
-
-def _bit_indices(bits: int) -> list[int]:
-    return [k for k, c in enumerate(reversed(bin(bits)[2:])) if c == "1"]
+    def latest_common_ancestors(self, targets, root: int = 0) -> list[Multifraction]:
+        """The nodes of walked[root]'s closure whose closure holds every
+        target node and none of whose reducts' closures does, by one
+        bottom-up pass giving each node an int over the targets."""
+        below = [0] * len(self.nodes)
+        for j, t in enumerate(targets):
+            below[t] = 1 << j
+        for k, kids in enumerate(self.reducts):
+            for c in kids:
+                below[k] |= below[c]
+        full = (1 << len(targets)) - 1
+        holds = [v == full for v in below]
+        return [
+            self.nodes[k]
+            for k, kids in enumerate(self.reducts)
+            if holds[k] and self.reach[k] >> root & 1 and not any(map(holds.__getitem__, kids))
+        ]
 
 
 def _left_reducts(ctx: MonoidContext, node: Multifraction, walk) -> tuple[list[Multifraction], int]:
@@ -811,8 +807,8 @@ def reaches(ctx: MonoidContext, roots, targets) -> Reach:
     its root's frames, and its overflowed attempts counted; once its
     value holds every target, no more of its reducts are entered.  A node
     reached again keeps its value, also from another root.  So the search
-    keeps one int per node, where `left_closures` keeps a bitset over all
-    nodes.
+    keeps one int per node over the targets, where `left_closures` keeps
+    one over the walked roots.
 
     A root's miss is exact when undecided is 0: a node whose value lacks
     a target entered all its reducts, and so did every node it reduces to.
@@ -867,44 +863,44 @@ def reaches(ctx: MonoidContext, roots, targets) -> Reach:
 def left_closures(ctx: MonoidContext, roots, targets=()) -> LeftClosures:
     """The left reduct closures of the roots, each node expanded once.
 
-    Left reduction is noetherian, so left reduct graphs are acyclic and
-    the closure of a node is the node plus the closures of its reducts by
-    one atomic move.  One iterative post-order walk from each root not yet
-    reached computes them bottom-up; nodes reached by an earlier walk are
+    Left reduction is noetherian, so left reduct graphs are acyclic.  One
+    iterative post-order walk from each root not yet reached numbers the
+    nodes and keeps their reducts; nodes reached by an earlier walk are
     not walked again.  Such a root takes its frames once (`_walk`), and
     its search and its walk ask the core `_push` over them once per node.
     A move attempt that overflows a cap makes the closures holding its
-    node incomplete, as in `reduct_graph`.
+    node incomplete, as in `reduct_graph`.  Then one pass from the top
+    index down ORs each node's root bits into its reducts.
 
     With `targets`, a container of nodes holding the roots, each root
     after the first that no walk has reached is first searched
     breadth-first over its left moves.  It is left out of `walked` at the
     first node found that is another target, or an already walked node
-    whose closure holds a walked target: its closure then strictly holds
-    that target's.  So when the closure of every target holds a root,
-    the closures of the walked roots have the intersection of those of
-    all targets.  The search does not enter walked nodes, and a root it
+    whose closure holds a target: its closure then strictly holds that
+    target's.  So when the closure of every target holds a root, the
+    closures of the walked roots have the intersection of those of all
+    targets.  The search does not enter walked nodes, and a root it
     clears is walked over the moves the search found, so each node's
     moves are enumerated once.  The search is breadth-first because it
     stops at the nearest target, where a depth-first one would follow a
     deep path first.
 
     Raises GraphNodeCapExceeded, with `reduct_graph`'s message, as soon
-    as one walk or search finds more than graph_node_cap nodes or a
-    closure holds more: without targets, exactly when a fresh
-    reduct_graph of some root would raise.
+    as one walk or search finds more than graph_node_cap nodes, and after
+    the walks when a closure holds more: without targets, exactly when a
+    fresh reduct_graph of some root would raise.
     """
     cap = ctx.caps.graph_node_cap
     out = LeftClosures()
-    nodes, index, closure, overflows = out.nodes, out.index, out.closure, out.overflows
+    nodes, index, reducts, overflows = out.nodes, out.index, out.reducts, out.overflows
     expanded: dict[Multifraction, tuple[list[Multifraction], int]] = {}  # searched, not walked
-    walked_targets = 0
+    held: list[bool] = []  # whether a node's closure holds a target
 
     def frame(node, walk):
-        # [node, reducts, next reduct, closure so far, overflowed attempts]
-        reducts, overflowed = expanded.pop(node, None) or _left_reducts(ctx, node, walk)
+        # [node, reducts, next reduct, reduct indices, overflows, holds a target]
+        got, overflowed = expanded.pop(node, None) or _left_reducts(ctx, node, walk)
         index[node] = -1  # on the stack until its walk finishes
-        return [node, reducts, 0, 0, overflowed]
+        return [node, got, 0, [], overflowed, node in targets]
 
     def redundant(root, walk) -> bool:
         # whether the closure of root holds another target
@@ -920,7 +916,7 @@ def left_closures(ctx: MonoidContext, roots, targets=()) -> LeftClosures:
                     continue
                 k = index.get(b)
                 if k is not None:
-                    if closure[k] & walked_targets:
+                    if held[k]:
                         return True
                 elif b in targets:
                     return True
@@ -942,10 +938,10 @@ def left_closures(ctx: MonoidContext, roots, targets=()) -> LeftClosures:
         stack = [frame(root, walk)]
         while stack:
             top = stack[-1]
-            node, reducts, pos = top[0], top[1], top[2]
-            if pos < len(reducts):
+            node, kids, pos = top[0], top[1], top[2]
+            if pos < len(kids):
                 top[2] = pos + 1
-                b = reducts[pos]
+                b = kids[pos]
                 k = index.get(b)
                 if k is None:
                     if found >= cap:
@@ -955,25 +951,32 @@ def left_closures(ctx: MonoidContext, roots, targets=()) -> LeftClosures:
                 elif k < 0:
                     raise InternalInvariantError("left reduct graph has a cycle")
                 else:
-                    top[3] |= closure[k]
+                    top[3].append(k)
+                    if held[k]:
+                        top[5] = True
                 continue
             stack.pop()
             k = len(nodes)
-            bits = top[3] | 1 << k
-            if reducts and bits.bit_count() > cap:
-                raise GraphNodeCapExceeded(f"reduct graph exceeded {cap} nodes")
             nodes.append(node)
             index[node] = k
-            closure.append(bits)
+            reducts.append(top[3])
             overflows.append(top[4])
-            if top[4]:
-                out.overflowed |= 1 << k
-            elif not reducts:
-                out.sinks |= 1 << k
-            if node in targets:
-                walked_targets |= 1 << k
+            held.append(top[5])
             if stack:
-                stack[-1][3] |= bits
+                stack[-1][3].append(k)
+                if top[5]:
+                    stack[-1][5] = True
+    reach = out.reach = [0] * len(nodes)
+    for j, root in enumerate(out.walked):
+        reach[index[root]] |= 1 << j
+    for kids, v in zip(reversed(reducts), reversed(reach)):  # v is final: all above it ORed in
+        for c in kids:
+            reach[c] |= v
+    most = max(cap, 1)  # a closure of one node fits any cap, as in reduct_graph
+    if len(nodes) > most and any(
+        sum(v >> j & 1 for v in reach) > most for j in range(len(out.walked))
+    ):
+        raise GraphNodeCapExceeded(f"reduct graph exceeded {cap} nodes")
     return out
 
 

@@ -4,17 +4,28 @@ exact tower step bound, the atomic moves of some levels (`atomic_moves`)
 and a strategy run over them one level at a time, a zigzag of maximal
 steps between two reducts, the composed moves of a trace, the
 cross-confluence of one pair, the unique-fraction probe, the witness
-roots of a right reduct graph read off its edges, and the mirror image
-of a multifraction.  Each is built on the package's moves, graphs and
-closures, as the tests that use it are.
+roots of a right reduct graph read off its edges, the left closures as
+bitsets over all nodes (`bitset_closures`, the walk `red.left_closures`
+replaced, kept as its oracle) and the members of one walked root's
+closure, and the mirror image of a multifraction.  Each is built on the
+package's moves, graphs and closures, as the tests that use it are.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, field
 
 from multired.harness import Verdict, has_central_cross
-from multired.monoid import CapExceeded, Element, MonoidContext, MultiredError, Side, result_of
+from multired.monoid import (
+    CapExceeded,
+    Element,
+    GraphNodeCapExceeded,
+    MonoidContext,
+    MultiredError,
+    Side,
+    result_of,
+)
 from multired.multifraction import Multifraction, format_multifraction
 from multired import reduction as red
 from multired.reduction import Move, ReductionTrace
@@ -198,8 +209,7 @@ def cross_confluence_pair(
         lc = red.left_closures(ctx, (b, c))
     except CapExceeded as e:
         return Verdict("inconclusive", {"reason": str(e)})
-    bits, undecided = lc.common((b, c))
-    common = lc.members(bits)
+    common, undecided = lc.common()  # b and c are both walked
     if common:
         witness = min(common, key=lambda m: (m.total_length(), format_multifraction(ctx, m)))
         return Verdict(
@@ -212,9 +222,167 @@ def cross_confluence_pair(
     if not undecided:
         return Verdict(
             "counterexample",
-            {"b_nodes": lc.closure_of(b).bit_count(), "c_nodes": lc.closure_of(c).bit_count()},
+            {"b_nodes": len(closure_members(lc, 0)), "c_nodes": len(closure_members(lc, 1))},
         )
     return Verdict("inconclusive", {})
+
+
+@dataclass
+class BitsetClosures:
+    """Left reduct closures as int bitsets over all nodes: bit k stands for
+    nodes[k].  The oracle of `red.LeftClosures`, which keeps one int over
+    the walked roots per node instead.
+
+    closure[k] holds k and every node k left-reduces to; overflows[k]
+    counts the move attempts of node k itself that overflowed a cap, and
+    `overflowed` holds the nodes with any, so a closure `bits` is complete
+    when `bits & overflowed` is 0 (`common` counts them); `sinks` holds
+    the nodes with no move and no overflow of their own.  Nodes are
+    numbered in the order their walks finish, so closure[k] holds no bit
+    above k.  `walked` holds the roots whose closures were computed, in
+    root order: every root but those a redundancy search left out (see
+    `bitset_closures`).
+    """
+
+    nodes: list[Multifraction] = field(default_factory=list)
+    index: dict[Multifraction, int] = field(default_factory=dict)
+    closure: list[int] = field(default_factory=list)
+    overflows: list[int] = field(default_factory=list)
+    overflowed: int = 0
+    sinks: int = 0
+    walked: list[Multifraction] = field(default_factory=list)
+
+    def members(self, bits: int) -> list[Multifraction]:
+        """The nodes of a bitset, in bit order."""
+        return [self.nodes[k] for k in bit_indices(bits)]
+
+    def closure_of(self, root: Multifraction) -> int:
+        """The closure of a root."""
+        return self.closure[self.index[root]]
+
+    def common(self, roots) -> tuple[int, int]:
+        """The common left reducts of one or more roots, as the AND of
+        their closures, and the undecided moves of those closures: the
+        overflowed move attempts of the nodes in the union of the
+        closures, each counted once.  The set is exact when that count is
+        0."""
+        bits, union = -1, 0
+        for root in roots:
+            closure = self.closure_of(root)
+            bits &= closure
+            union |= closure
+        return bits, sum(self.overflows[k] for k in bit_indices(union & self.overflowed))
+
+    def latest_common_ancestors(self, root: Multifraction, targets: int) -> list[Multifraction]:
+        """The members of root's closure whose closure holds every target,
+        less those whose closure holds another such member."""
+        closure = self.closure
+        members = bit_indices(self.closure_of(root))
+        found = [k for k in members if closure[k] & targets == targets]
+        found_bits = sum(1 << k for k in found)
+        return [self.nodes[k] for k in found if closure[k] & found_bits == 1 << k]
+
+
+def bit_indices(bits: int) -> list[int]:
+    return [k for k, c in enumerate(reversed(bin(bits)[2:])) if c == "1"]
+
+
+def bitset_closures(ctx: MonoidContext, roots, targets=()) -> BitsetClosures:
+    """The left reduct closures of the roots as bitsets, by the walk of
+    `red.left_closures` (its numbering, its redundancy search with
+    `targets`, its moves through `red._left_reducts` over each root's
+    `red._walk`), with every node's closure the union of its reducts'
+    closures, taken as each node's walk finishes.  Raises
+    GraphNodeCapExceeded, with `reduct_graph`'s message, as soon as one
+    walk or search finds more than graph_node_cap nodes or a closure of a
+    node with a reduct holds more."""
+    cap = ctx.caps.graph_node_cap
+    out = BitsetClosures()
+    nodes, index, closure, overflows = out.nodes, out.index, out.closure, out.overflows
+    expanded: dict[Multifraction, tuple[list[Multifraction], int]] = {}  # searched, not walked
+    walked_targets = 0
+
+    def frame(node, walk):
+        # [node, reducts, next reduct, closure so far, overflowed attempts]
+        reducts, overflowed = expanded.pop(node, None) or red._left_reducts(ctx, node, walk)
+        index[node] = -1  # on the stack until its walk finishes
+        return [node, reducts, 0, 0, overflowed]
+
+    def redundant(root, walk) -> bool:
+        # whether the closure of root holds another target
+        seen = {root: 0}
+        order = [root]  # the search's queue and its nodes so far
+        for node in order:
+            got = expanded.get(node)
+            if got is None:
+                got = expanded[node] = red._left_reducts(ctx, node, walk)
+            for b in got[0]:
+                m = len(seen)
+                if seen.setdefault(b, m) != m:
+                    continue
+                k = index.get(b)
+                if k is not None:
+                    if closure[k] & walked_targets:
+                        return True
+                elif b in targets:
+                    return True
+                else:
+                    if len(order) >= cap:
+                        raise GraphNodeCapExceeded(f"reduct graph exceeded {cap} nodes")
+                    order.append(b)
+        return False
+
+    for root in roots:
+        if root in index:
+            out.walked.append(root)
+            continue
+        walk = red._walk(ctx, root, Side.LEFT)
+        if targets and out.walked and redundant(root, walk):
+            continue
+        out.walked.append(root)
+        found = 1
+        stack = [frame(root, walk)]
+        while stack:
+            top = stack[-1]
+            node, reducts, pos = top[0], top[1], top[2]
+            if pos < len(reducts):
+                top[2] = pos + 1
+                b = reducts[pos]
+                k = index.get(b)
+                if k is None:
+                    if found >= cap:
+                        raise GraphNodeCapExceeded(f"reduct graph exceeded {cap} nodes")
+                    found += 1
+                    stack.append(frame(b, walk))
+                elif k < 0:
+                    raise red.InternalInvariantError("left reduct graph has a cycle")
+                else:
+                    top[3] |= closure[k]
+                continue
+            stack.pop()
+            k = len(nodes)
+            bits = top[3] | 1 << k
+            if reducts and bits.bit_count() > cap:
+                raise GraphNodeCapExceeded(f"reduct graph exceeded {cap} nodes")
+            nodes.append(node)
+            index[node] = k
+            closure.append(bits)
+            overflows.append(top[4])
+            if top[4]:
+                out.overflowed |= 1 << k
+            elif not reducts:
+                out.sinks |= 1 << k
+            if node in targets:
+                walked_targets |= 1 << k
+            if stack:
+                stack[-1][3] |= bits
+    return out
+
+
+def closure_members(lc: red.LeftClosures, root: int = 0) -> list[Multifraction]:
+    """The nodes of walked[root]'s closure, read off the root bits of
+    `red.left_closures`' result."""
+    return [n for n, v in zip(lc.nodes, lc.reach) if v >> root & 1]
 
 
 def mirror(ctx: MonoidContext, a: Multifraction) -> Multifraction:

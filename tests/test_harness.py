@@ -28,7 +28,12 @@ from multired.presentation import format_presentation, parse_presentation, prese
 from multired import harness as H
 from multired import reduction as red
 from overflows import overflow_left_moves
-from reduct_oracles import cross_confluence_pair, unique_fraction_probe, witness_roots
+from reduct_oracles import (
+    closure_members,
+    cross_confluence_pair,
+    unique_fraction_probe,
+    witness_roots,
+)
 from signed_walks import gen_unital_brownian, replay_walk
 from test_campaign_golden import PRESETS as GOLDEN_PRESETS
 from test_reduction import DIVISION_PRESETS, seeded_graphs
@@ -197,23 +202,24 @@ def test_cunif_witness_roots_match_all_roots(name, overflow):
         roots = witness_roots(rg)
         assert roots[0] == rg.root and set(roots) <= set(rg.nodes)
         truth = red.left_closures(ctx, rg.nodes)
-        true_witnesses = set(truth.members(truth.common(rg.nodes)[0]))
+        assert truth.walked == rg.nodes
+        true_witnesses = set(truth.common()[0])
         with pytest.MonkeyPatch.context() as mp:
             if overflow != "plain":
                 overflow_left_moves(mp, overflowing)
             oracle = red.left_closures(ctx, rg.nodes)
-            bits, undecided = oracle.common(rg.nodes)
+            oracle_witnesses, undecided = oracle.common()
             complete = not undecided
             walked = red.left_closures(ctx, roots, rg.index)
-            walked_bits, walked_undecided = walked.common(walked.walked)
+            walked_witnesses, walked_undecided = walked.common()
             walked_complete = not walked_undecided
             v = H.test_conjecture_C_uniform(ctx, rg.root)
-        witnesses = set(walked.members(walked_bits))
+        witnesses = set(walked_witnesses)
         assert v.evidence["witnesses"] == sorted(fmt(ctx, w) for w in witnesses)
         assert v.evidence.get("incomplete_closure_edges", 0) == walked_undecided
         assert witnesses <= true_witnesses
         if overflow == "plain":
-            assert witnesses == set(oracle.members(bits))
+            assert witnesses == set(oracle_witnesses)
             assert walked_complete == complete
         assert walked_complete or not complete
         if walked_complete:
@@ -257,9 +263,10 @@ def test_cunif_search_matches_all_closures(name, overflow):
                 truth = red.left_closures(ctx, rg.nodes)
             except GraphNodeCapExceeded:
                 continue
-            true_bits, true_undecided = truth.common(rg.nodes)
+            assert truth.walked == rg.nodes and rg.nodes[0] == a  # bit 0 is a
+            true_common, true_undecided = truth.common()
             assert not true_undecided
-            true_witnesses = set(truth.members(true_bits))
+            true_witnesses = set(true_common)
             roots = witness_roots(rg)
             expanded = []
             with pytest.MonkeyPatch.context() as mp:
@@ -278,15 +285,15 @@ def test_cunif_search_matches_all_closures(name, overflow):
             assert len(expanded) == len(set(expanded)) and set(lc.nodes) <= set(expanded)
             assert lc.walked[0] == a and set(lc.walked) <= set(roots)
             # a root walked from, after a, holds no other right reduct
-            reached = 0
-            for r in lc.walked:
-                bits = lc.closure_of(r)
-                others = [n for n in lc.members(bits) if n != r and n in rg.index]
-                assert r == a or reached >> lc.index[r] & 1 or not others
-                reached |= bits
-            bits, undecided = lc.common(lc.walked)
+            reached = set()
+            for j, r in enumerate(lc.walked):
+                members = closure_members(lc, j)
+                others = [n for n in members if n != r and n in rg.index]
+                assert r == a or r in reached or not others
+                reached.update(members)
+            common, undecided = lc.common()
             complete = not undecided
-            witnesses = set(lc.members(bits))
+            witnesses = set(common)
             assert v.evidence["witnesses"] == sorted(fmt(ctx, w) for w in witnesses)
             assert v.evidence.get("incomplete_closure_edges", 0) == undecided
             assert witnesses <= true_witnesses
@@ -296,11 +303,10 @@ def test_cunif_search_matches_all_closures(name, overflow):
                 assert complete
             if overflow == "plain":
                 assert complete and v.status == "confirmed"
-                irr = lc.closure_of(a) & lc.sinks
-                true_irr = truth.closure_of(a) & truth.sinks
-                assert set(lc.members(irr)) == set(truth.members(true_irr))
-                assert set(lc.latest_common_ancestors(a, irr)) == set(
-                    truth.latest_common_ancestors(a, true_irr)
+                irr, true_irr = lc.irreducible(), truth.irreducible()
+                assert {lc.nodes[k] for k in irr} == {truth.nodes[k] for k in true_irr}
+                assert set(lc.latest_common_ancestors(irr)) == set(
+                    truth.latest_common_ancestors(true_irr)
                 )
             for r in set(roots) - set(lc.walked):
                 fresh = red.reduct_graph(ctx, r, Side.LEFT)

@@ -28,6 +28,8 @@ from reduct_oracles import (
     all_reducers,
     atomic_moves,
     atomic_reducers,
+    bitset_closures,
+    closure_members,
     composed_moves,
     connect_by_maximal_zigzag,
     maximal_moves,
@@ -343,11 +345,11 @@ def test_division_edges_nest_left_closures(name):
     divisions = 0
     for rg in seeded_graphs(ctx, Side.RIGHT):
         lc = red.left_closures(ctx, rg.nodes)
+        assert lc.walked == rg.nodes  # the closure of nodes[k] is bit k's
         for src, move, dst in rg.edges:
-            r, reduct = rg.nodes[src], rg.nodes[dst]
-            if red.is_division(move, r, reduct):
-                inner, outer = lc.closure_of(reduct), lc.closure_of(r)
-                assert inner & ~outer == 0 and inner != outer
+            if red.is_division(move, rg.nodes[src], rg.nodes[dst]):
+                inner, outer = set(closure_members(lc, dst)), set(closure_members(lc, src))
+                assert inner < outer
                 divisions += 1
     assert divisions
 
@@ -569,6 +571,14 @@ def test_trace_composed_moves(att):
     assert red.replay(att, b6, composed) == tr.end
     assert len(composed) <= len(tr.moves)
 
+
+
+def test_replay_names_a_move_that_does_not_apply(att):
+    # the message names the move as the output does, by its label
+    move = red.Move(Side.LEFT, 1, att.element("c"))
+    with pytest.raises(red.MultiredError) as raised:
+        red.replay(att, mf(att, "a/b"), [move])
+    assert str(raised.value) == "move R(1,c) not applicable during replay"
 
 def test_division_reducts_reach_derdiv(att):
     # the maximal-division composite is a common reduct of every
@@ -1195,29 +1205,32 @@ def test_left_closures_match_fresh_graphs(monkeypatch, name, overflow):
         a = gen_multifraction(ctx, 4, 3, seed)
         roots = red.reduct_graph(ctx, a, Side.RIGHT).nodes
         lc = red.left_closures(ctx, roots)
-        walked = 0  # the closures of the roots before this one
+        assert lc.walked == roots
+        assert all(0 < v < 1 << len(roots) for v in lc.reach)
+        walked = set()  # the closures of the roots before this one
         graphs = []
-        for root in roots:
+        for j, root in enumerate(roots):
             fresh = red.reduct_graph(ctx, root, Side.LEFT)
             graphs.append(fresh)
-            bits = lc.closure_of(root)
-            assert set(lc.members(bits)) == set(fresh.nodes)
-            assert (not bits & lc.overflowed) == fresh.complete
-            assert lc.common((root,))[1] == len(fresh.inconclusive)
-            irr = bits & lc.sinks
-            assert set(lc.members(irr)) == set(fresh.sinks())
+            members = {lc.index[n] for n in closure_members(lc, j)}
+            overflowed = {k for k in members if lc.overflows[k]}
+            assert {lc.nodes[k] for k in members} == set(fresh.nodes)
+            assert (not overflowed) == fresh.complete
+            assert sum(lc.overflows[k] for k in overflowed) == len(fresh.inconclusive)
+            irr = lc.irreducible(j)
+            assert {lc.nodes[k] for k in irr} == set(fresh.sinks())
             if irr:
                 expected = latest_common_ancestors_oracle(fresh, fresh.sinks())
-                assert set(lc.latest_common_ancestors(root, irr)) == set(expected)
+                assert set(lc.latest_common_ancestors(irr, j)) == set(expected)
             incomplete += not fresh.complete
             inherited += not fresh.complete and all(src for src, *_ in fresh.inconclusive)
-            shared += bool(bits & walked & lc.overflowed)
-            walked |= bits
+            shared += bool(overflowed & walked)
+            walked |= members
         # the common reducts are those of every fresh graph, and their
         # undecided moves the inconclusive edges of the fresh graphs, each
         # (node, level, atom) counted once however many graphs hold it
-        bits, undecided = lc.common(roots)
-        assert set(lc.members(bits)) == set.intersection(*(set(g.nodes) for g in graphs))
+        common, undecided = lc.common()
+        assert set(common) == set.intersection(*(set(g.nodes) for g in graphs))
         assert undecided == len(
             {(g.nodes[src], i, x) for g in graphs for src, i, x, _ in g.inconclusive}
         )
@@ -1230,27 +1243,101 @@ def test_left_closures_match_fresh_graphs(monkeypatch, name, overflow):
 
 def test_left_closures_node_cap(att):
     # the closures raise, with the same message, exactly when a fresh
-    # left reduct graph of some root raises
+    # left reduct graph of some root raises, and so does the bitset walk
     raised = []
     for cap in (0, 1, 2, 3, 5, 8, 13, 21, 40):
         ctx = MonoidContext(preset("A2tilde"), Caps(graph_node_cap=cap))
         for seed in range(6):
             a = gen_multifraction(att, 4, 3, seed)
             roots = red.reduct_graph(att, a, Side.RIGHT).nodes
-            fresh = closures = None
+            fresh = None
             for root in roots:
                 try:
                     red.reduct_graph(ctx, root, Side.LEFT)
                 except GraphNodeCapExceeded as e:
                     fresh = str(e)
                     break
-            try:
-                red.left_closures(ctx, roots)
-            except GraphNodeCapExceeded as e:
-                closures = str(e)
-            assert closures == fresh, (cap, seed)
+            for walk in (red.left_closures, bitset_closures):
+                closures = None
+                try:
+                    walk(ctx, roots)
+                except GraphNodeCapExceeded as e:
+                    closures = str(e)
+                assert closures == fresh, (cap, seed, walk)
             raised.append(fresh is not None)
     assert any(raised) and not all(raised)
+    # an irreducible root's closure is one node, which fits any cap, as
+    # its reduct graph does
+    ctx = MonoidContext(preset("A2tilde"), Caps(graph_node_cap=0))
+    sink = mf(att, "a/b")
+    assert red.reduct_graph(ctx, sink, Side.LEFT).nodes == [sink]
+    for walk in (red.left_closures, bitset_closures):
+        assert walk(ctx, [sink, sink]).nodes == [sink]
+
+
+
+# seeded right walks whose roots' left closures mostly fit the largest
+# cap; the smaller caps make some walks, searches or closures overflow
+BITSET_CAPS = (2000, 60, 20, 5)
+BITSET_SHAPES = ((4, 4), (6, 2))  # depth, longest entry
+
+
+@pytest.mark.parametrize("overflow", ["plain", "every", "applied"])
+@pytest.mark.parametrize("name", GOLDEN_PRESETS)
+def test_left_closures_match_bitset_oracle(monkeypatch, name, overflow):
+    # the closures indexed by root against the bitset walk they replace,
+    # from the roots of seeded right walks, without targets and with the
+    # right reducts as targets, under the overflows of
+    # test_left_closures_match_fresh_graphs: both raise the same message
+    # on the same inputs, and otherwise walk the same roots, number the
+    # same nodes and give each walked root the same closure, the same
+    # witnesses and undecided count, the same irreducible left reducts of
+    # the first root and the same latest common ancestors of them.  Each
+    # node's int over the walked roots is below 1 << len(walked)
+    ctx = MonoidContext(preset(name))
+    x = ctx.atoms()[min(2, ctx.pres.n_atoms - 1)]
+    if overflow != "plain":
+
+        def overflowing(a, i, y, b):
+            return i == 2 and (overflow == "every" or y == x and b is not None)
+
+        overflow_left_moves(monkeypatch, overflowing)
+    capped = [MonoidContext(preset(name), Caps(graph_node_cap=cap)) for cap in BITSET_CAPS]
+    raised = compared = left_out = undecided = 0
+    for depth, length in BITSET_SHAPES:
+        for seed in range(4):
+            a = gen_multifraction(ctx, depth, length, seed)
+            index, roots, _ = red.right_roots(ctx, a)
+            for small in capped:
+                for targets in ((), index):
+                    try:
+                        oc = bitset_closures(small, roots, targets)
+                    except GraphNodeCapExceeded as e:
+                        with pytest.raises(GraphNodeCapExceeded) as got:
+                            red.left_closures(small, roots, targets)
+                        assert str(got.value) == str(e)
+                        raised += 1
+                        continue
+                    lc = red.left_closures(small, roots, targets)
+                    assert lc.walked == oc.walked and lc.nodes == oc.nodes
+                    assert all(v < 1 << len(lc.walked) for v in lc.reach)
+                    for j, root in enumerate(lc.walked):
+                        assert closure_members(lc, j) == oc.members(oc.closure_of(root))
+                    common, count = lc.common()
+                    bits, oc_count = oc.common(oc.walked)
+                    assert (common, count) == (oc.members(bits), oc_count)
+                    irr = lc.irreducible()
+                    oc_irr = oc.closure_of(roots[0]) & oc.sinks
+                    assert [lc.nodes[k] for k in irr] == oc.members(oc_irr)
+                    if irr:
+                        assert lc.latest_common_ancestors(irr) == oc.latest_common_ancestors(
+                            roots[0], oc_irr
+                        )
+                    compared += 1
+                    left_out += len(roots) - len(lc.walked)
+                    undecided += count > 0
+    assert raised and compared and left_out
+    assert (undecided > 0) == (overflow != "plain")
 
 
 REACH_CAP = 2000
@@ -1286,7 +1373,8 @@ def test_reaches_matches_left_closures(name, overflow):
                 except GraphNodeCapExceeded:
                     continue
                 rng = random.Random(seed)
-                near = lc.members(lc.closure_of(roots[seed % len(roots)]))
+                assert lc.walked == roots
+                near = closure_members(lc, seed % len(roots))
                 targets = rng.sample(near, min(3, len(near)))
                 extra = rng.choice(lc.nodes)
                 if seed % 2 and extra not in targets:
@@ -1294,9 +1382,9 @@ def test_reaches_matches_left_closures(name, overflow):
                 full = (1 << len(targets)) - 1
                 reach = red.reaches(ctx, roots, targets)
                 assert len(reach.hits) == len(roots)
-                for root, got in zip(roots, reach.hits):
-                    bits = lc.closure_of(root)
-                    assert got == sum(1 << k for k, t in enumerate(targets) if bits >> lc.index[t] & 1)
+                for j, (root, got) in enumerate(zip(roots, reach.hits)):
+                    held = [lc.reach[lc.index[t]] >> j & 1 for t in targets]
+                    assert got == sum(1 << k for k, h in enumerate(held) if h)
                     one = red.reaches(ctx, [root], targets)
                     graph = red.reduct_graph(ctx, root, Side.LEFT)
                     assert one.hits == [got]
