@@ -411,8 +411,8 @@ def dispatch(argv) -> int:
                 "count": len(names),
                 "C": table.C,
                 "basics": names,
-                "complement_pairs": len(table.complement),
-                "no_multiple_pairs": len(table.no_multiple),
+                "complement_pairs": len(names) ** 2 - table.no_multiple,
+                "no_multiple_pairs": table.no_multiple,
             },
             names,
         )

@@ -19,7 +19,7 @@ presentations is the cube condition on atom triples; a side's table is
 checked on first use, and a failure raises LatticeViolation.  A side
 whose atom table equals the other side's checked table, as in every
 Artin-Tits monoid, runs no check and shares that side's reversing store;
-its basic table is then read off the other side's, word by word reversed
+its basic elements are then the mirror images of the other side's
 (`basic_table`).  A table built directly reverses each pair of basic
 elements row by row: the row of one letter against the rest of a word is
 itself a cell of the store, so pairs that share a prefix share its rows.
@@ -196,10 +196,10 @@ class Caps:
 class BasicTable:
     side: Side
     basics: tuple[Element, ...]
-    # complement[(u, v)] = the residue of u past v:
-    #   RIGHT: u \/ v = v * comp(u,v)      LEFT: u \/~ v = comp(u,v) * v
-    complement: dict[tuple[Element, Element], Element]
-    no_multiple: frozenset[tuple[Element, Element]]
+    # the number of ordered pairs (u, v) of basics with no common multiple
+    # on this side; every other pair has an lcm, and its complements
+    # (`MonoidContext.lcm`) are basics
+    no_multiple: int
 
     @property
     def C(self) -> int:
@@ -844,8 +844,10 @@ class MonoidContext:
 
     def basic_table(self, side: Side) -> BasicTable:
         """The basic elements (the closure of the atoms under complements)
-        and the complements of every pair of them.  A worklist: each new
-        basic u is reversed once against itself and every earlier one v.
+        and the number of ordered pairs of them with no common multiple.
+        A worklist: each new basic u is reversed once against itself and
+        every earlier one v, and the complements of the pair, made
+        canonical, join the basics; they are not kept.
 
         A pair is reversed one row per letter of u, and a row is a cell:
         the row of u's next letter x against the current top word t (v past
@@ -866,12 +868,12 @@ class MonoidContext:
         monoid (`_store`), reversing a word is an anti-automorphism: a
         LEFT reversal is a RIGHT one of the reversed words, over the same
         store.  So a side's table is the mirror image of the other side's,
-        once that one is built: each basic, pair and complement read as
-        canonical(its word reversed).  The mirror is taken only where the
-        direct build cannot overflow at these caps, which then builds that
-        same table: no pair grid, of at most (C-1)**2 cells, passes
-        reversing_cap, and neither a nested cell's word, a basic element,
-        nor the closure, as large as the other side's, passes basics_cap."""
+        once that one is built (`_mirror_table`).  The mirror is taken
+        only where the direct build cannot overflow at these caps, which
+        then builds that same table: no pair grid, of at most (C-1)**2
+        cells, passes reversing_cap, and neither a nested cell's word, a
+        basic element, nor the closure, as large as the other side's,
+        passes basics_cap."""
         got = self._tables.get(side)
         if got is not None:
             return got
@@ -889,8 +891,7 @@ class MonoidContext:
         cap = self.caps.reversing_cap
         basics = [IDENTITY, *self.atoms()]
         known = set(basics)
-        complement: dict[tuple[Element, Element], Element] = {}
-        no_multiple: set[tuple[Element, Element]] = set()
+        no_multiple = 0
         for k, u in enumerate(basics):  # grows while it is walked
             a = u[flip]
             for v in basics[: k + 1]:
@@ -911,13 +912,11 @@ class MonoidContext:
                         ends += e
                     else:
                         r = ends[flip], t[flip]
-                if r is None:
-                    no_multiple.update(((u, v), (v, u)))
+                if r is None:  # (u, v) and (v, u): u != v, as u is a multiple of u
+                    no_multiple += 2
                     continue
-                cu = canon.get(r[0]) or self.canonical(r[0])
-                cv = canon.get(r[1]) or self.canonical(r[1])
-                complement[(u, v)], complement[(v, u)] = cu, cv
-                for c in (cu, cv):
+                for w in r:
+                    c = canon.get(w) or self.canonical(w)
                     if c not in known:
                         known.add(c)
                         basics.append(c)
@@ -926,22 +925,19 @@ class MonoidContext:
         table = BasicTable(
             side=side,
             basics=tuple(sorted(basics, key=sort_key)),
-            complement=complement,
-            no_multiple=frozenset(no_multiple),
+            no_multiple=no_multiple,
         )
         self._tables[side] = table
         return table
 
     def _mirror_table(self, table: BasicTable) -> BasicTable:
-        """`table` read on the other side, each element x as
-        canonical(x reversed); complements are basic elements, so one
-        map over the basics serves every pair and value."""
-        m = {x: self.canonical(x[::-1]) for x in table.basics}
+        """`table` read on the other side: each basic x as canonical(x
+        reversed), and the same count of pairs with no common multiple,
+        since reversal maps the pair (u, v) to a pair of mirror images."""
         return BasicTable(
             side=table.side.other,
-            basics=tuple(sorted(m.values(), key=sort_key)),
-            complement={(m[u], m[v]): m[c] for (u, v), c in table.complement.items()},
-            no_multiple=frozenset((m[u], m[v]) for u, v in table.no_multiple),
+            basics=tuple(sorted((self.canonical(x[::-1]) for x in table.basics), key=sort_key)),
+            no_multiple=table.no_multiple,
         )
 
     def _basics_exceeded(self) -> BasicsCapExceeded:

@@ -742,17 +742,17 @@ class LeftClosures:
         full = (1 << len(self.walked)) - 1
         return [n for n, v in zip(self.nodes, self.reach) if v == full], sum(self.overflows)
 
-    def irreducible(self, root: int = 0) -> list[int]:
-        """The irreducible left reducts of walked[root]: the nodes with its
+    def irreducible(self) -> list[int]:
+        """The irreducible left reducts of walked[0]: the nodes with its
         bit, no reduct and no overflowed move attempt."""
         return [
             k
             for k, v in enumerate(self.reach)
-            if v >> root & 1 and not self.reducts[k] and not self.overflows[k]
+            if v & 1 and not self.reducts[k] and not self.overflows[k]
         ]
 
-    def latest_common_ancestors(self, targets, root: int = 0) -> list[Multifraction]:
-        """The nodes of walked[root]'s closure whose closure holds every
+    def latest_common_ancestors(self, targets) -> list[Multifraction]:
+        """The nodes of walked[0]'s closure whose closure holds every
         target node and none of whose reducts' closures does, by one
         bottom-up pass giving each node an int over the targets."""
         below = [0] * len(self.nodes)
@@ -766,7 +766,7 @@ class LeftClosures:
         return [
             self.nodes[k]
             for k, kids in enumerate(self.reducts)
-            if holds[k] and self.reach[k] >> root & 1 and not any(map(holds.__getitem__, kids))
+            if holds[k] and self.reach[k] & 1 and not any(map(holds.__getitem__, kids))
         ]
 
 

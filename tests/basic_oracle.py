@@ -2,11 +2,14 @@
 reference its row-by-row build is held to.
 
 `basic_table` runs the same worklist as the package: each new basic is
-reversed once against itself and every earlier one.  Each pair is a
-query's reversal (`MonoidContext._reverse`), its whole grid counted
-against reversing_cap, cell by cell.  The second side's table is read off
-the first one's where the package reads it so (`_mirror_table`), and the
-table is kept on the context, as the package keeps it.
+reversed once against itself and every earlier one, the canonical forms
+of the pair's complements join the basics, and a pair with no common
+multiple is counted twice, as (u, v) and (v, u).  Each pair is a query's
+reversal (`MonoidContext._reverse`), its whole grid counted against
+reversing_cap, cell by cell.  The second side's table is the mirror
+image of the first one's where the package reads it so
+(`_mirror_table`), and the table is kept on the context, as the package
+keeps it.
 """
 
 from multired.monoid import IDENTITY, BasicTable, sort_key
@@ -27,17 +30,14 @@ def basic_table(ctx, side):
         return ctx._tables.setdefault(side, ctx._mirror_table(other))
     basics = [IDENTITY, *ctx.atoms()]
     known = set(basics)
-    complement = {}
-    no_multiple = set()
+    no_multiple = 0
     for k, u in enumerate(basics):
         for v in basics[: k + 1]:
             r = ctx._reverse(u, v, side)
             if r is None:
-                no_multiple.update(((u, v), (v, u)))
+                no_multiple += 2
                 continue
-            cu, cv = ctx.canonical(r[0]), ctx.canonical(r[1])
-            complement[(u, v)], complement[(v, u)] = cu, cv
-            for c in (cu, cv):
+            for c in (ctx.canonical(r[0]), ctx.canonical(r[1])):
                 if c not in known:
                     known.add(c)
                     basics.append(c)
@@ -46,8 +46,7 @@ def basic_table(ctx, side):
     table = BasicTable(
         side=side,
         basics=tuple(sorted(basics, key=sort_key)),
-        complement=complement,
-        no_multiple=frozenset(no_multiple),
+        no_multiple=no_multiple,
     )
     ctx._tables[side] = table
     return table

@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 import threading
+import tracemalloc
 import zlib
 
 import pytest
@@ -543,22 +544,63 @@ def test_basic_tables(att, k43, free2, braid3):
     tl = att.basic_table(Side.LEFT)
     assert {att.word_str(b) for b in tl.basics} == expected
     assert len(k43.basic_table(Side.RIGHT).basics) == 17
+    # in a free monoid only a pair of equal words or with 1 has an lcm
     f = free2.basic_table(Side.RIGHT)
-    assert len(f.basics) == 3
-    assert all(
-        (u == v or IDENTITY in (u, v))
-        for (u, v) in f.complement
-    )
+    assert len(f.basics) == 3 and f.no_multiple == 2
+    for u in f.basics:
+        for v in f.basics:
+            has = free2.lcm(u, v, Side.RIGHT) is not None
+            assert has == (u == v or IDENTITY in (u, v))
     b = braid3.basic_table(Side.RIGHT)
     assert {braid3.word_str(x) for x in b.basics} == {"1", "a", "b", "ab", "ba"}
     assert b.C == 3
 
 
-def test_closure_of_complements(att):
-    t = att.basic_table(Side.RIGHT)
-    basics = set(t.basics)
-    for (u, v), w in t.complement.items():
-        assert w in basics
+# the census presentation whose Cunif counterexample ROADMAP.md records:
+# its two sides' atom tables differ, so neither side's table is a mirror
+CENSUS = parse_presentation(
+    "atoms: a b c\nrel: aaa = bac\nrel: abb = cbc\nrel: bcb = cca\n", name="census"
+)
+
+
+def test_closure_of_complements():
+    # the table is the closure of the atoms under complements: each lcm
+    # of two basic elements, read off `lcm`, whose equation is checked,
+    # has basic complements, and the ordered pairs with no common
+    # multiple are as many as the table counts.  The other side is built
+    # first, so that the table is a mirror where both sides share a store
+    for pres in [*(preset(name) for name in [*EVERY_PRESET, "braid(3)", "K(5,3)", "I2(7)"]), CENSUS]:
+        for side in Side:
+            ctx = MonoidContext(pres)
+            ctx.basic_table(side.other)
+            t = ctx.basic_table(side)
+            basics = set(t.basics)
+            none = 0
+            for u in t.basics:
+                for v in t.basics:
+                    r = ctx.lcm(u, v, side)
+                    if r is None:
+                        none += 1
+                    else:
+                        assert {r[1], r[2]} <= basics, (pres.name, side, u, v)
+            assert none == t.no_multiple, (pres.name, side)
+            assert (ctx._stores[0] is ctx._stores[1]) == (pres is not CENSUS)
+
+
+def test_basic_table_allocates_no_pair_map():
+    # a table keeps its basics and one count, not the complements of every
+    # pair: a braid(5) right table, 119 basics and 14,161 pairs, peaks at
+    # about 200 KB of traced allocations, where a map of the pairs'
+    # complements and a set of the pairs without one peaked at 1.7 MB
+    ctx = MonoidContext(preset("braid(5)"))
+    ctx.check_atom_tables()
+    tracemalloc.start()
+    try:
+        ctx.basic_table(Side.RIGHT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 600_000
 
 
 def _random_elements(ctx, rng, count, max_len=4):
@@ -816,28 +858,35 @@ def test_lcm_oracle_checks_its_complements(monkeypatch, side):
 
 
 def test_complement_unit_rows(att):
-    t = att.basic_table(Side.RIGHT)
-    for u in t.basics:
-        assert t.complement[(u, u)] == IDENTITY
-        assert t.complement[(IDENTITY, u)] == IDENTITY
-        assert t.complement[(u, IDENTITY)] == u
+    for side in Side:
+        for u in att.basic_table(side).basics:
+            assert att.lcm(u, u, side)[1:] == (IDENTITY, IDENTITY)
+            assert att.lcm(IDENTITY, u, side)[1] == IDENTITY
+            assert att.lcm(u, IDENTITY, side)[1] == u
 
 
 @pytest.mark.parametrize("side", list(Side))
-@pytest.mark.parametrize("preset_name", ["A2tilde", "braid(3)", "braid(4)", "I2(5)", "free(2)"])
-def test_atom_complements_match_oracle(preset_name, side):
-    ctx = MonoidContext(preset(preset_name))
-    t = ctx.basic_table(side)
+@pytest.mark.parametrize(
+    "pres",
+    [*(preset(name) for name in ["A2tilde", "braid(3)", "braid(4)", "I2(5)", "free(2)"]), CENSUS],
+    ids=lambda pres: pres.name,
+)
+def test_atom_complements_match_oracle(pres, side):
+    # the lcm of two atoms, or its absence, is the brute-force search's,
+    # and its complements are basic
+    ctx = MonoidContext(pres)
+    basics = set(ctx.basic_table(side).basics)
     slack = 2 * (1 + max((len(l) for l, _ in ctx.pres.relations), default=1))
     for u in ctx.atoms():
         for v in ctx.atoms():
             if u == v:
                 continue
             r = ctx.lcm_oracle(u, v, side, slack=slack)
+            got = ctx.lcm(u, v, side)
             if r is None:
-                assert (u, v) in t.no_multiple and (u, v) not in t.complement
+                assert got is None, (u, v)
             else:
-                assert t.complement[(u, v)] == r[1]
+                assert got[1] == r[1] and got[1] in basics, (u, v)
 
 
 @pytest.mark.parametrize("text, side, message", [
@@ -995,9 +1044,10 @@ def test_completed_presentation_table():
     for side, pairs in expected.items():
         t = ctx.basic_table(side)
         assert [ctx.word_str(b) for b in t.basics] == ["1", "a", "b", "c"]
-        assert not t.no_multiple and len(t.complement) == 16
-        got = {ctx.word_str(u) + ctx.word_str(v): ctx.word_str(w)
-               for (u, v), w in t.complement.items() if len(u) == len(v) == 1 and u != v}
+        assert t.no_multiple == 0
+        assert all(ctx.lcm(u, v, side) for u in t.basics for v in t.basics)
+        got = {ctx.word_str(u) + ctx.word_str(v): ctx.word_str(ctx.lcm(u, v, side)[1])
+               for u in ctx.atoms() for v in ctx.atoms() if u != v}
         assert got == pairs
 
 
@@ -1038,7 +1088,7 @@ def test_right_reverse_matches_cell_by_cell_oracle(preset_name, caps):
 def _table_outcome(ctx, side, build=MonoidContext.basic_table):
     def run():
         t = build(ctx, side)
-        return t.side, t.basics, t.complement, t.no_multiple, t.C
+        return t.side, t.basics, t.no_multiple, t.C
 
     return _outcome(run)
 

@@ -1217,11 +1217,21 @@ def test_left_closures_match_fresh_graphs(monkeypatch, name, overflow):
             assert {lc.nodes[k] for k in members} == set(fresh.nodes)
             assert (not overflowed) == fresh.complete
             assert sum(lc.overflows[k] for k in overflowed) == len(fresh.inconclusive)
-            irr = lc.irreducible(j)
+            # the sinks of this closure, and the latest common ancestors of
+            # them, which `LeftClosures` gives for walked[0]: read off this
+            # walk for root 0 and off a one-root walk for every root
+            irr = [k for k in sorted(members) if not lc.reducts[k] and not lc.overflows[k]]
             assert {lc.nodes[k] for k in irr} == set(fresh.sinks())
+            one = red.left_closures(ctx, [root])
+            one_irr = one.irreducible()
+            assert {one.nodes[k] for k in one_irr} == set(fresh.sinks())
+            if j == 0:
+                assert lc.irreducible() == irr
             if irr:
-                expected = latest_common_ancestors_oracle(fresh, fresh.sinks())
-                assert set(lc.latest_common_ancestors(irr, j)) == set(expected)
+                expected = set(latest_common_ancestors_oracle(fresh, fresh.sinks()))
+                assert set(one.latest_common_ancestors(one_irr)) == expected
+                if j == 0:
+                    assert set(lc.latest_common_ancestors(irr)) == expected
             incomplete += not fresh.complete
             inherited += not fresh.complete and all(src for src, *_ in fresh.inconclusive)
             shared += bool(overflowed & walked)
