@@ -608,13 +608,13 @@ class CampaignReport:
     config: CampaignConfig
     counts: dict
     trace_lengths: dict
-    millis: float
     records: list[dict]
     counterexample: dict | None = None
 
     def to_json(self, include_timing: bool = True) -> dict:
-        """Timings are only reproducible run to run when excluded; the CLI
-        prints the timing-free form and keeps timings in the trial log."""
+        """Timings, each record's millis, are only reproducible run to run
+        when excluded; the CLI prints the timing-free form and keeps
+        timings in the trial log."""
         out = {
             "config": asdict(self.config),
             "counts": self.counts,
@@ -622,9 +622,7 @@ class CampaignReport:
             "counterexample": self.counterexample,
             "records": self.records,
         }
-        if include_timing:
-            out["millis"] = self.millis
-        else:
+        if not include_timing:
             out["records"] = [
                 {k: v for k, v in rec.items() if k != "millis"} for rec in self.records
             ]
@@ -757,7 +755,6 @@ def run_campaign(
             f"the campaign names preset {config.preset!r}, but the context "
             f"holds {ctx.pres.name!r}"
         )
-    start = time.perf_counter()
     records: list[dict] = []
     counterexample = None
     pool = None
@@ -798,7 +795,6 @@ def run_campaign(
         config=config,
         counts=counts,
         trace_lengths=trace_lengths,
-        millis=(time.perf_counter() - start) * 1000.0,
         records=records,
         counterexample=counterexample,
     )

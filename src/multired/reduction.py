@@ -64,9 +64,11 @@ only when the atom s divides entry i+1 on the due side and has a common
 multiple with entry i (mirrored for R~), so one move core, `_push`,
 runs one loop over a table of levels (`_frames`) and an atom order: it
 reads each level's `MonoidContext.atom_quotients` row of the entry
-divided once (both entries' for a truncated division rule), takes each
-atom in it through one `MonoidContext.lcm_attach` call, its lcm and
-deposit, and lists the attempts that applied or overflowed.  A move
+divided once, takes each atom in it through one
+`MonoidContext.lcm_attach` call, its lcm and deposit, and lists the
+attempts that applied or overflowed.  A truncated division rule runs
+the same loop: its row is the lower entry's, and where a push takes its
+lcm it reads the atom's place in the upper entry's row.  A move
 keeps the depth and the first sign, so the frames of a node serve all
 its reducts.  `reduct_graph`, `right_roots`, `reaches` and
 `left_closures` (its walk and its redundancy search) build them once per
@@ -171,7 +173,9 @@ def _frame(side: Side, i: int) -> tuple[int, int, int]:
 def _frames(left: bool, positive: bool, levels) -> tuple:
     """(i, level, src, dst, due, other) for each level of a side, given
     whether the first sign is positive: `_frame` with src and dst 0-based,
-    the level's `due_side` and the other side; none for right level 1."""
+    the level's `due_side` and the other side; none for right level 1.
+    The src of a truncated rule is the lower of the two entries it
+    divides, entry level: entry 1 for D(1,x), as for D(depth-1,x)."""
     side = LEFT if left else RIGHT
     signed = unit(1 if positive else -1)  # due_side reads the first sign
     out = []
@@ -180,7 +184,7 @@ def _frames(left: bool, positive: bool, levels) -> tuple:
         if level == 0:  # no entry 0 to extract from
             continue
         due = due_side(signed, level)
-        out.append((i, level, src - 1, dst - 1, due, due.other))
+        out.append((i, level, level - 1 if dst == 0 else src - 1, dst - 1, due, due.other))
     return tuple(out)
 
 
@@ -194,21 +198,23 @@ def _push(
     (`order` is then (0,), and `_apply` gives x only at a level with a
     deposit entry).  With `first` it returns at the first such attempt.
 
-    A level reads the `atom_quotients` row of the entry divided once (x's
+    A level reads the `atom_quotients` row of its src entry once (x's
     quotient is `divides`', which raises an overflow; a trivial entry
-    has none).  For each s in it, one `MonoidContext.lcm_attach` call
-    gives the complement comp of s in its lcm with entry i on the side
-    opposite the due side, and the deposit, the deposit entry with the
-    complement xp of entry i attached there; a cap overflow there is the
-    attempt's outcome.  Left reduction pushes from i+1 to i-1, right
-    reduction from i-1 to i+1, and the reduct is one slice of a's entries
-    with the three it changes.  The quotients and the lcm were checked
-    when memoised and the deposit's length is checked, so nothing is
-    multiplied back.  The truncated rules, D(1,s) at left level 1 and
-    D(depth-1,s) at right level depth, read the rows of both entries they
-    divide, the upper one only once an atom divides the lower, so a call
-    with `first` reads no row and takes no lcm past the attempt it
-    returns."""
+    has none) and tries each atom s in it that divides that entry.  At a
+    push, one `MonoidContext.lcm_attach` call gives the complement comp
+    of s in its lcm with entry i on the side opposite the due side, and
+    the deposit, the deposit entry with the complement xp of entry i
+    attached there.  Left reduction pushes from i+1 to i-1, right
+    reduction from i-1 to i+1, and the reduct is one slice of a's
+    entries with the three it changes.  At a truncated rule, D(1,s) at
+    left level 1 or D(depth-1,s) at right level depth, src is the lower
+    of the two entries divided, and the row of the upper one, read once
+    an atom divides the lower, stands where a push takes its lcm: the
+    reduct is the slice with both quotients.  A cap overflow in a row or
+    in the lcm is the attempt's outcome.  The quotients and the lcm were
+    checked when memoised and the deposit's length is checked, so
+    nothing is multiplied back; a call with `first` reads no row and
+    takes no lcm past the attempt it returns."""
     entries = a.entries
     n = len(entries)
     atoms = ctx.atoms() if x is None else (x,)
@@ -216,16 +222,18 @@ def _push(
     left = side is LEFT
     moves: list = []
     for i, level, src, dst, due, other in frames:
-        if 0 <= dst < n:
-            if not entries[src]:
-                continue  # no atom divides 1
-            row = quotients(entries[src], due) if x is None else (ctx.divides(x, entries[src], due),)
-            for t in order:
-                q = row[t]
-                if q is None:
-                    continue
-                s = atoms[t]
-                if isinstance(q, Element):
+        if not entries[src]:
+            continue  # no atom divides 1
+        row = quotients(entries[src], due) if x is None else (ctx.divides(x, entries[src], due),)
+        push = 0 <= dst < n
+        upper = None  # a truncated rule's upper row, read once an atom divides src
+        for t in order:
+            q = row[t]
+            if q is None:
+                continue
+            s = atoms[t]
+            if isinstance(q, Element):
+                if push:
                     try:
                         r = ctx.lcm_attach(s, entries[i - 1], entries[dst], other)
                     except CapExceeded as exc:
@@ -236,29 +244,17 @@ def _push(
                         comp, deposit = r
                         three = (deposit, comp, q) if left else (q, comp, deposit)
                         q = a.with_entries(entries[: i - 2] + three + entries[i + 1 :])
-                moves.append((i, s, q))  # the reduct, or the row's or the lcm's overflow
-                if first:
-                    return moves
-            continue
-        if not entries[level - 1]:
-            continue
-        row = quotients(entries[level - 1], due)
-        upper = None  # read only once an atom divides the lower entry
-        for t in order:
-            q = row[t]
-            if q is None:
-                continue
-            if isinstance(q, Element):
-                if upper is None:
-                    upper = quotients(entries[level], due)
-                qj = upper[t]
-                if qj is None:
-                    continue
-                if isinstance(qj, Element):
-                    q = a.with_entries(entries[: level - 1] + (q, qj) + entries[level + 1 :])
                 else:
-                    q = qj  # the upper row's overflow
-            moves.append((i, atoms[t], q))  # the reduct, or a row's overflow
+                    if upper is None:
+                        upper = quotients(entries[src + 1], due)
+                    qj = upper[t]
+                    if qj is None:
+                        continue
+                    if isinstance(qj, Element):
+                        q = a.with_entries(entries[:src] + (q, qj) + entries[src + 2 :])
+                    else:
+                        q = qj  # the upper row's overflow
+            moves.append((i, s, q))  # the reduct, or a row's or the lcm's overflow
             if first:
                 return moves
     return moves

@@ -49,6 +49,11 @@ class VanKampenDiagram:
     triangles: list[tuple[str, str, str]]
     boundary: list[str]  # edge ids for entries 1..n
 
+    def edge(self, src: str, dst: str, label: Element) -> str:
+        eid = f"e{len(self.edges)}"
+        self.edges[eid] = VKEdge(src, dst, label)
+        return eid
+
     def to_json(self, ctx: MonoidContext) -> dict:
         return {
             "depth": self.depth,
@@ -86,26 +91,6 @@ def validate_diagram(ctx: MonoidContext, diagram: VanKampenDiagram, a: Multifrac
         raise VanKampenFailure("boundary does not close at the base vertex")
 
 
-class _Builder:
-    def __init__(self):
-        self.vertices: list[str] = []
-        self.edges: dict[str, VKEdge] = {}
-        self.triangles: list[tuple[str, str, str]] = []
-
-    def vertex(self, name: str) -> str:
-        """Add a vertex; every name the diagram builds is new."""
-        self.vertices.append(name)
-        return name
-
-    def edge(self, src: str, dst: str, label: Element) -> str:
-        eid = f"e{len(self.edges)}"
-        self.edges[eid] = VKEdge(src, dst, label)
-        return eid
-
-    def triangle(self, e1: str, e2: str, e3: str):
-        self.triangles.append((e1, e2, e3))
-
-
 def _complement(ctx: MonoidContext, c: Multifraction, i: int, x: Element) -> Element:
     """The remainder x' deposited at entry i-1 by the step R(i,x) on c."""
     if not x or i == 1:
@@ -131,14 +116,14 @@ def _apply(ctx, c, i, x):
     return b
 
 
-def _ring_edges(builder, names, mf):
+def _ring_edges(diagram, names, mf):
     """Boundary edges of the outer ring."""
     ids = []
     for i in range(1, mf.depth + 1):
         u, v = names[i - 1], names[i % mf.depth]
         if mf.sign(i) < 0:
             u, v = v, u
-        ids.append(builder.edge(u, v, mf.entry(i)))
+        ids.append(diagram.edge(u, v, mf.entry(i)))
     return ids
 
 
@@ -164,19 +149,19 @@ def van_kampen(ctx: MonoidContext, a: Multifraction) -> VanKampenDiagram:
             "no universal-sequence trace to the trivial multifraction "
             f"(tame reduct: {format_multifraction(ctx, end)})"
         )
-    builder = _Builder()
-    base = builder.vertex("*")
+    # every vertex name the diagram builds is new
+    outer_names = ["*"] + [f"r0v{j}" for j in range(1, n)]
+    diagram = VanKampenDiagram(n, "*", list(outer_names), {}, [], [])
     cur = a
     ring = 0
-    outer_names = [base] + [builder.vertex(f"r0v{j}") for j in range(1, n)]
-    outer_ids = _ring_edges(builder, outer_names, cur)
-    boundary = list(outer_ids)
+    outer_ids = _ring_edges(diagram, outer_names, cur)
+    diagram.boundary += outer_ids
     m = n
     while m > 4:
         segment = moves[: m - 1]
         moves = moves[m - 1 :]
         cur, outer_names, outer_ids = _annulus(
-            builder, ctx, cur, segment, outer_names, outer_ids, ring
+            diagram, ctx, cur, segment, outer_names, outer_ids, ring
         )
         ring += 1
         m -= 2
@@ -185,29 +170,22 @@ def van_kampen(ctx: MonoidContext, a: Multifraction) -> VanKampenDiagram:
     if rays is None:
         raise VanKampenFailure("depth-4 core admits no central cross")
     x1, x2, x3, x4 = rays
-    hub = builder.vertex(f"r{ring}hub")
+    hub = f"r{ring}hub"
+    diagram.vertices.append(hub)
     w0, w1, w2, w3 = outer_names
-    e_x1 = builder.edge(w0, hub, x1)
-    e_x2 = builder.edge(hub, w1, x2)
-    e_x3 = builder.edge(w2, hub, x3)
-    e_x4 = builder.edge(hub, w3, x4)
-    builder.triangle(e_x1, e_x2, outer_ids[0])
-    builder.triangle(e_x3, e_x2, outer_ids[1])
-    builder.triangle(e_x3, e_x4, outer_ids[2])
-    builder.triangle(e_x1, e_x4, outer_ids[3])
-    diagram = VanKampenDiagram(
-        depth=n,
-        base=base,
-        vertices=builder.vertices,
-        edges=builder.edges,
-        triangles=builder.triangles,
-        boundary=boundary,
-    )
+    e_x1 = diagram.edge(w0, hub, x1)
+    e_x2 = diagram.edge(hub, w1, x2)
+    e_x3 = diagram.edge(w2, hub, x3)
+    e_x4 = diagram.edge(hub, w3, x4)
+    diagram.triangles.append((e_x1, e_x2, outer_ids[0]))
+    diagram.triangles.append((e_x3, e_x2, outer_ids[1]))
+    diagram.triangles.append((e_x3, e_x4, outer_ids[2]))
+    diagram.triangles.append((e_x1, e_x4, outer_ids[3]))
     validate_diagram(ctx, diagram, a)
     return diagram
 
 
-def _annulus(builder, ctx, c, segment, outer_names, outer_ids, ring):
+def _annulus(diagram, ctx, c, segment, outer_names, outer_ids, ring):
     """One sweep at levels 1..m-1: m-2 cells between the ring labeled by c
     and the ring labeled by the (depth m-2) result."""
     m = c.depth
@@ -224,28 +202,27 @@ def _annulus(builder, ctx, c, segment, outer_names, outer_ids, ring):
     if end.entry(m - 1) or end.entry(m):
         raise VanKampenFailure("sweep does not trivialize the top entries")
     d = Multifraction(c.first_sign, end.entries[: m - 2])
-    inner_names = [outer_names[0]] + [
-        builder.vertex(f"r{ring + 1}v{j}") for j in range(1, m - 2)
-    ]
+    inner_names = [outer_names[0]] + [f"r{ring + 1}v{j}" for j in range(1, m - 2)]
     # the cells set every inner edge: 0, 1..m-4 and m-3
     inner_ids: list[str | None] = [None] * (m - 2)
     U = outer_names + [outer_names[0]]
     W = inner_names + [inner_names[0]]
-    centers = [builder.vertex(f"r{ring}x{k}") for k in range(1, m - 1)]
+    centers = [f"r{ring}x{k}" for k in range(1, m - 1)]
+    diagram.vertices += inner_names[1:] + centers
 
     # cell 1: couples the steps at levels 1 and 2
     X1 = centers[0]
-    e_c11 = builder.edge(U[0], X1, inter[1].entry(1))
-    e_x1 = builder.edge(X1, U[1], xs[1])
-    e_c12 = builder.edge(U[2], X1, inter[1].entry(2))
-    e_cmp2 = builder.edge(X1, W[1], comp[2])
-    shared = builder.edge(U[2], W[1], ctx.multiply(inter[1].entry(2), comp[2]))
-    e_d1 = builder.edge(W[0], W[1], d.entry(1))
+    e_c11 = diagram.edge(U[0], X1, inter[1].entry(1))
+    e_x1 = diagram.edge(X1, U[1], xs[1])
+    e_c12 = diagram.edge(U[2], X1, inter[1].entry(2))
+    e_cmp2 = diagram.edge(X1, W[1], comp[2])
+    shared = diagram.edge(U[2], W[1], ctx.multiply(inter[1].entry(2), comp[2]))
+    e_d1 = diagram.edge(W[0], W[1], d.entry(1))
     inner_ids[0] = e_d1
-    builder.triangle(e_c11, e_x1, outer_ids[0])
-    builder.triangle(e_c12, e_x1, outer_ids[1])
-    builder.triangle(e_c12, e_cmp2, shared)
-    builder.triangle(e_c11, e_cmp2, e_d1)
+    diagram.triangles.append((e_c11, e_x1, outer_ids[0]))
+    diagram.triangles.append((e_c12, e_x1, outer_ids[1]))
+    diagram.triangles.append((e_c12, e_cmp2, shared))
+    diagram.triangles.append((e_c11, e_cmp2, e_d1))
 
     # middle cells: cell k couples the steps at levels k and k+1.  They are
     # drawn for a negative level k (due side LEFT); at a positive one every
@@ -255,7 +232,7 @@ def _annulus(builder, ctx, c, segment, outer_names, outer_ids, ring):
         side = due_side(c, k)
         flip = side is RIGHT
         e_xk, e_ck1, e_ckk, e_cmp, new_shared, e_dk = (
-            builder.edge(v, u, label) if flip else builder.edge(u, v, label)
+            diagram.edge(v, u, label) if flip else diagram.edge(u, v, label)
             for u, v, label in (
                 (U[k], Xk, xs[k]),
                 (Xk, U[k + 1], inter[k].entry(k + 1)),
@@ -271,22 +248,22 @@ def _annulus(builder, ctx, c, segment, outer_names, outer_ids, ring):
             (e_cmp, e_ckk, e_dk),
             (e_cmp, e_ck1, new_shared),
         ):
-            builder.triangle(*((e2, e1) if flip else (e1, e2)), e3)
+            diagram.triangles.append((e2, e1, e3) if flip else (e1, e2, e3))
         inner_ids[k - 1] = e_dk
         shared = new_shared
 
     # final cell: couples the steps at levels m-2 and m-1 and closes the ring
     Xf = centers[m - 3]
     k = m - 2  # even: level m-2 is negative
-    e_xf = builder.edge(U[k], Xf, xs[k])
-    e_cf1 = builder.edge(Xf, U[k + 1], inter[k].entry(k + 1))
-    e_cfk = builder.edge(Xf, W[k - 1], inter[k].entry(k))
-    e_cmp = builder.edge(U[0], Xf, comp[m - 1])
-    e_dlast = builder.edge(W[0], W[k - 1], d.entry(m - 2))
+    e_xf = diagram.edge(U[k], Xf, xs[k])
+    e_cf1 = diagram.edge(Xf, U[k + 1], inter[k].entry(k + 1))
+    e_cfk = diagram.edge(Xf, W[k - 1], inter[k].entry(k))
+    e_cmp = diagram.edge(U[0], Xf, comp[m - 1])
+    e_dlast = diagram.edge(W[0], W[k - 1], d.entry(m - 2))
     inner_ids[m - 3] = e_dlast
-    builder.triangle(e_xf, e_cf1, outer_ids[m - 2])
-    builder.triangle(e_xf, e_cfk, shared)
-    builder.triangle(e_cmp, e_cf1, outer_ids[m - 1])
-    builder.triangle(e_cmp, e_cfk, e_dlast)
+    diagram.triangles.append((e_xf, e_cf1, outer_ids[m - 2]))
+    diagram.triangles.append((e_xf, e_cfk, shared))
+    diagram.triangles.append((e_cmp, e_cf1, outer_ids[m - 1]))
+    diagram.triangles.append((e_cmp, e_cfk, e_dlast))
 
     return d, inner_names, inner_ids

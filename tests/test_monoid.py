@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import basic_oracle
 import quotient_oracle
+from census import CENSUS
 from class_oracle import divides_scan, word_class
 from multired.harness import derive_seed, gen_element
 from multired.monoid import (
@@ -556,11 +557,6 @@ def test_basic_tables(att, k43, free2, braid3):
     assert b.C == 3
 
 
-# the census presentation whose Cunif counterexample ROADMAP.md records:
-# its two sides' atom tables differ, so neither side's table is a mirror
-CENSUS = parse_presentation(
-    "atoms: a b c\nrel: aaa = bac\nrel: abb = cbc\nrel: bcb = cca\n", name="census"
-)
 
 
 def test_closure_of_complements():

@@ -23,6 +23,7 @@ from multired.multifraction import (
 from multired.presentation import preset
 from multired import reduction as red
 from multired.harness import gen_multifraction
+from census import presentation
 from overflows import overflow_left_moves
 from reduct_oracles import (
     all_reducers,
@@ -766,7 +767,7 @@ def sample_inputs(ctx, depths=range(3, 9), seeds=range(3)):
 
 
 @pytest.mark.parametrize("reversing_cap", [None, 1, 2, 3])
-@pytest.mark.parametrize("name", GOLDEN_PRESETS)
+@pytest.mark.parametrize("name", [*GOLDEN_PRESETS, "census"])
 def test_atomic_moves_match_probe_oracle(name, reversing_cap):
     # the strategy-order stream of `atomic_moves` asked one level at a time is the
     # one that probing every (level, atom) pair finds: the same moves and
@@ -777,8 +778,8 @@ def test_atomic_moves_match_probe_oracle(name, reversing_cap):
     # overflows; A2tilde, C2tilde, K(4,3), free(2) and I2(5) also apply
     # moves under some of those caps
     caps = Caps() if reversing_cap is None else Caps(reversing_cap=reversing_cap)
-    fast, probe = MonoidContext(preset(name), caps), MonoidContext(preset(name), caps)
-    inputs = MonoidContext(preset(name))  # random words canonical under any cap
+    fast, probe = MonoidContext(presentation(name), caps), MonoidContext(presentation(name), caps)
+    inputs = MonoidContext(presentation(name))  # random words canonical under any cap
     applied = overflowed = 0
     for a in sample_inputs(inputs):
         for side in Side:
@@ -796,7 +797,7 @@ def test_atomic_moves_match_probe_oracle(name, reversing_cap):
 
 
 @pytest.mark.parametrize("reversing_cap", [None, 1, 2, 3])
-@pytest.mark.parametrize("name", GOLDEN_PRESETS)
+@pytest.mark.parametrize("name", [*GOLDEN_PRESETS, "census"])
 def test_moves_match_probe_oracle(name, reversing_cap):
     # atomic_moves over every level of a side, low to high and high to low, is
     # the low_lex and the high_lex stream that probing every (level, atom)
@@ -807,8 +808,8 @@ def test_moves_match_probe_oracle(name, reversing_cap):
     # checked against the move's equations, by lcm and attach themselves.
     # Right level 1, which never applies, is asked too and gives nothing
     caps = Caps() if reversing_cap is None else Caps(reversing_cap=reversing_cap)
-    fast, probe = MonoidContext(preset(name), caps), MonoidContext(preset(name), caps)
-    inputs = MonoidContext(preset(name))
+    fast, probe = MonoidContext(presentation(name), caps), MonoidContext(presentation(name), caps)
+    inputs = MonoidContext(presentation(name))
     applied = overflowed = 0
     for a in sample_inputs(inputs):
         for side in Side:
@@ -1123,7 +1124,7 @@ def probe_graph(ctx, a, side):
 
 
 @pytest.mark.parametrize("reversing_cap", [None, 1, 3])
-@pytest.mark.parametrize("name", GOLDEN_PRESETS)
+@pytest.mark.parametrize("name", [*GOLDEN_PRESETS, "census"])
 def test_reduct_graph_matches_probe_bfs(name, reversing_cap):
     # reduct_graph is the breadth-first search over the moves that probing
     # finds: the same nodes in the same order, the same edges and the same
@@ -1135,8 +1136,8 @@ def test_reduct_graph_matches_probe_bfs(name, reversing_cap):
     caps = Caps(graph_node_cap=5000)
     if reversing_cap is not None:
         caps = Caps(reversing_cap=reversing_cap, graph_node_cap=5000)
-    fast, probe = MonoidContext(preset(name), caps), MonoidContext(preset(name), caps)
-    inputs = MonoidContext(preset(name))
+    fast, probe = MonoidContext(presentation(name), caps), MonoidContext(presentation(name), caps)
+    inputs = MonoidContext(presentation(name))
     edges = inconclusive = 0
     for depth in range(3, 6):
         for seed in range(2):
