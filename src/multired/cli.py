@@ -40,7 +40,7 @@ from .presentation import (
 )
 from . import reduction as red
 from . import harness
-from .vankampen import VanKampenFailure, van_kampen
+from .vankampen import van_kampen
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -378,7 +378,7 @@ def dispatch(argv) -> int:
             payload = summary
         _emit(args, payload, [json.dumps(summary, sort_keys=True)])
         if report.counterexample is not None:
-            paths = harness.dump_counterexample(ctx, report.counterexample, args.dump_dir)
+            paths = harness.dump_counterexample(ctx, summary["counterexample"], args.dump_dir)
             print(f"counterexample dumped: {paths}", file=sys.stderr)
             return EXIT_COUNTEREXAMPLE
         if report.counts.get("inconclusive"):
@@ -439,7 +439,7 @@ def main(argv=None) -> int:
     except CapExceeded as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (MultiredError, PresentationError, VanKampenFailure, OSError) as e:
+    except (MultiredError, PresentationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

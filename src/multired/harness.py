@@ -801,9 +801,11 @@ def run_campaign(
 
 
 def dump_counterexample(ctx: MonoidContext, record: dict, directory: str) -> list[str]:
-    """Write the replayable record (JSON) of a counterexample, then its
-    input's left reduct graph (DOT) when the graph fits within its caps;
-    a graph that overflows is left out, with the reason on stderr."""
+    """Write the replayable record (JSON) of a counterexample as given,
+    then its input's left reduct graph (DOT) when the graph fits within
+    its caps; a graph that overflows is left out, with the reason on
+    stderr.  The CLI gives the timing-free record it prints, so the dump
+    of a seeded campaign is the same run to run."""
     os.makedirs(directory, exist_ok=True)
     stem = os.path.join(directory, f"counterexample_{record['trial']}")
     with open(stem + ".json", "w") as fh:

@@ -42,8 +42,9 @@ move enumeration of `reduction` reads a level's atomic moves off it,
 atom present in both tables again and again, and `divisors` searches over
 its entries.  lcms are reversals, each checked once when it is memoised.
 These checks raise InternalInvariantError, also under `python -O`; the
-moves of `reduction` rest on them and multiply nothing back; a move gets
-its lcm and deposit product in one call (`lcm_attach`).  `lcm_oracle`
+moves of `reduction` rest on them and multiply nothing back; the one
+product a move forms, its deposit, is an `attach`, which reads the
+canonical memo first and keeps the length check on a hit.  `lcm_oracle`
 is a brute-force search kept for the tests to cross-check `lcm` against;
 nothing in the package calls it.  The breadth-first search it rests on,
 `multiples`, also lists the elements up to a length (`elements_up_to`).
@@ -526,8 +527,14 @@ class MonoidContext:
 
     def attach(self, y: Element, x: Element, side: Side) -> Element:
         """y with x attached on the given side: y*x for RIGHT, x*y for LEFT.
-        The one place that orders a product by its side."""
-        return self.multiply(y, x) if side is RIGHT else self.multiply(x, y)
+        The one place that orders a product by its side.  A hit reads the
+        canonical memo; a miss, or a length that is not additive, goes
+        through `multiply`, which makes the word canonical or raises."""
+        u, v = (y, x) if side is RIGHT else (x, y)
+        z = self._canon.get(u + v)
+        if z is None or len(z) != len(u) + len(v):  # multiply raises on the latter
+            return self.multiply(u, v)
+        return z
 
     def product(self, items) -> Element:
         out = IDENTITY
@@ -779,26 +786,6 @@ class MonoidContext:
             result = (m, compA, compB)
         self._lcm[key] = result
         return result
-
-    def lcm_attach(
-        self, x: Element, e: Element, d: Element, side: Side
-    ) -> tuple[Element, Element] | None:
-        """(comp, d with xp attached on `side`) for the lcm (m, xp, comp) of
-        x and e on `side`, or None when there is none: a move's push in one
-        call.  A hit reads the memos; a miss, or a product whose length is
-        not additive, goes through `lcm` or `attach`."""
-        left = side is LEFT
-        got = self._lcm.get((x, e, left), _MISSING)
-        if got is _MISSING:
-            got = self.lcm(x, e, side)
-        if got is None:
-            return None
-        _, xp, comp = got
-        word = xp + d if left else d + xp
-        z = self._canon.get(word)
-        if z is None or len(z) != len(word):  # attach raises on the latter
-            return comp, self.attach(d, xp, side)
-        return comp, z
 
     @functools.cached_property
     def fc(self) -> bool | None:

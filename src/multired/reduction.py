@@ -64,11 +64,11 @@ only when the atom s divides entry i+1 on the due side and has a common
 multiple with entry i (mirrored for R~), so one move core, `_push`,
 runs one loop over a table of levels (`_frames`) and an atom order: it
 reads each level's `MonoidContext.atom_quotients` row of the entry
-divided once, takes each atom in it through one
-`MonoidContext.lcm_attach` call, its lcm and deposit, and lists the
-attempts that applied or overflowed.  A truncated division rule runs
-the same loop: its row is the lower entry's, and where a push takes its
-lcm it reads the atom's place in the upper entry's row.  A move
+divided once, takes each atom in it through its lcm (`MonoidContext.lcm`)
+and its deposit (`MonoidContext.attach`), and lists the attempts that
+applied or overflowed.  A truncated division rule runs the same loop:
+its row is the lower entry's, and where a push takes its lcm it reads
+the atom's place in the upper entry's row.  A move
 keeps the depth and the first sign, so the frames of a node serve all
 its reducts.  `reduct_graph`, `right_roots`, `reaches` and
 `left_closures` (its walk and its redundancy search) build them once per
@@ -171,7 +171,7 @@ def _frame(side: Side, i: int) -> tuple[int, int, int]:
 
 @functools.lru_cache(maxsize=1024)  # a few keys per depth met
 def _frames(left: bool, positive: bool, levels) -> tuple:
-    """(i, level, src, dst, due, other) for each level of a side, given
+    """(i, src, dst, due, other) for each level of a side, given
     whether the first sign is positive: `_frame` with src and dst 0-based,
     the level's `due_side` and the other side; none for right level 1.
     The src of a truncated rule is the lower of the two entries it
@@ -184,7 +184,7 @@ def _frames(left: bool, positive: bool, levels) -> tuple:
         if level == 0:  # no entry 0 to extract from
             continue
         due = due_side(signed, level)
-        out.append((i, level, level - 1 if dst == 0 else src - 1, dst - 1, due, due.other))
+        out.append((i, level - 1 if dst == 0 else src - 1, dst - 1, due, due.other))
     return tuple(out)
 
 
@@ -201,19 +201,19 @@ def _push(
     A level reads the `atom_quotients` row of its src entry once (x's
     quotient is `divides`', which raises an overflow; a trivial entry
     has none) and tries each atom s in it that divides that entry.  At a
-    push, one `MonoidContext.lcm_attach` call gives the complement comp
-    of s in its lcm with entry i on the side opposite the due side, and
-    the deposit, the deposit entry with the complement xp of entry i
+    push, `MonoidContext.lcm` gives the complements of s and of entry i
+    in their lcm on the side opposite the due side, comp and xp, and
+    `MonoidContext.attach` the deposit, the deposit entry with xp
     attached there.  Left reduction pushes from i+1 to i-1, right
     reduction from i-1 to i+1, and the reduct is one slice of a's
     entries with the three it changes.  At a truncated rule, D(1,s) at
     left level 1 or D(depth-1,s) at right level depth, src is the lower
     of the two entries divided, and the row of the upper one, read once
     an atom divides the lower, stands where a push takes its lcm: the
-    reduct is the slice with both quotients.  A cap overflow in a row or
-    in the lcm is the attempt's outcome.  The quotients and the lcm were
-    checked when memoised and the deposit's length is checked, so
-    nothing is multiplied back; a call with `first` reads no row and
+    reduct is the slice with both quotients.  A cap overflow in a row, the
+    lcm or the deposit is the attempt's outcome.  The quotients and the
+    lcm were checked when memoised and the deposit's length is checked,
+    so nothing is multiplied back; a call with `first` reads no row and
     takes no lcm past the attempt it returns."""
     entries = a.entries
     n = len(entries)
@@ -221,7 +221,7 @@ def _push(
     quotients = ctx.atom_quotients
     left = side is LEFT
     moves: list = []
-    for i, level, src, dst, due, other in frames:
+    for i, src, dst, due, other in frames:
         if not entries[src]:
             continue  # no atom divides 1
         row = quotients(entries[src], due) if x is None else (ctx.divides(x, entries[src], due),)
@@ -235,13 +235,14 @@ def _push(
             if isinstance(q, Element):
                 if push:
                     try:
-                        r = ctx.lcm_attach(s, entries[i - 1], entries[dst], other)
+                        r = ctx.lcm(s, entries[i - 1], other)
+                        if r is None:
+                            continue
+                        _, xp, comp = r
+                        deposit = ctx.attach(entries[dst], xp, other)
                     except CapExceeded as exc:
                         q = exc
                     else:
-                        if r is None:
-                            continue
-                        comp, deposit = r
                         three = (deposit, comp, q) if left else (q, comp, deposit)
                         q = a.with_entries(entries[: i - 2] + three + entries[i + 1 :])
                 else:

@@ -215,7 +215,7 @@ def test_wordproblem_multiletter_atoms(capsys, tmp_path):
 
 def test_campaign_counterexample_dumped(capsys, monkeypatch, tmp_path):
     # a counterexample halts the campaign at its trial, is dumped as a DOT
-    # graph and a JSON record, and exits 1
+    # graph and a JSON record, the one printed, with no timing, and exits 1
     calls = []
 
     def tester(ctx, a, cert):
@@ -235,6 +235,7 @@ def test_campaign_counterexample_dumped(capsys, monkeypatch, tmp_path):
     assert (dump / "counterexample_1.dot").read_text().startswith("digraph")
     record = json.loads((dump / "counterexample_1.json").read_text())
     assert record["verdict"] == "counterexample" and record["input"] == payload["counterexample"]["input"]
+    assert record == payload["counterexample"]  # the printed, timing-free record
     assert err.startswith("counterexample dumped: ")
     # a reduct graph past its cap leaves the record, not the verdict, and
     # says why the DOT graph is missing

@@ -27,6 +27,7 @@ from multired.multifraction import (
 from multired.presentation import format_presentation, parse_presentation, preset
 from multired import harness as H
 from multired import reduction as red
+from census import CENSUS
 from overflows import overflow_left_moves
 from reduct_oracles import (
     closure_members,
@@ -1295,6 +1296,48 @@ def test_cunif_counts_incomplete_closure_edges():
     assert small.records[16]["verdict"] == "confirmed" and 16 not in counted
     full = H.run_campaign(MonoidContext(preset("A2tilde")), config)
     assert not any("incomplete_closure_edges" in rec["evidence"] for rec in full.records)
+
+
+def test_census_counterexample_pinned():
+    # the census presentation, a gcd-monoid that is not Artin-Tits, fails
+    # Cunif and four-strategy C on a/bab/ab/cc at default caps: its right
+    # reducts form one chain, the first left-reduces only to one sink, the
+    # last only to another, and the three between them to both, each left
+    # closure read off its own reduct graph
+    ctx = MonoidContext(CENSUS)
+    a = mf(ctx, "a/bab/ab/cc")
+    sink_a, sink_b = "acb/abaaca/cb/c", "a/ccb/ab/ba"
+    cunif = H.test_conjecture_C_uniform(ctx, a)
+    assert (cunif.status, cunif.evidence) == ("counterexample", {
+        "right_reducts": 5,
+        "witnesses": [],
+        "red_tame": sink_a,
+        "red_tame_is_witness": False,
+        "latest_common_ancestors": [sink_a],
+        "lca_is_witness": False,
+    })
+    probe = H.four_strategy_C_probe(ctx, a)
+    assert probe.status == "counterexample"
+    assert probe.evidence["rights"] == ["1/cc/bbc/bab"] * 4
+    assert probe.evidence["lefts"] == [sink_a] * 4
+    index, roots, undecided = red.right_roots(ctx, a)
+    assert len(index) == 5 and undecided == 0
+    assert [fmt(ctx, r) for r in roots] == ["a/bab/ab/cc", "a/b/ca/babb", "1/cc/bbc/bab"]
+    rg = red.reduct_graph(ctx, a, Side.RIGHT)
+    assert rg.complete and [(s, d) for s, _, d in rg.edges] == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert re.findall(r'-> n\d+ \[label="([^"]*)"', rg.to_dot(ctx)) == ["R̃(3,b)", "D(2,a)", "R̃(2,a)", "D(3,b)"]
+    closures = []
+    for b in rg.nodes:
+        g = red.reduct_graph(ctx, b, Side.LEFT)
+        assert g.complete
+        closures.append((len(g.nodes), sorted(fmt(ctx, c) for c in g.sinks())))
+    assert closures == [
+        (3, [sink_a]),
+        (18, [sink_b, sink_a]),
+        (13, [sink_b, sink_a]),
+        (18, [sink_b, sink_a]),
+        (5, [sink_b]),
+    ]
 
 
 @pytest.mark.parametrize("kind", ["A", "B"])

@@ -891,7 +891,8 @@ def test_overflow_on_a_memo_miss_lands_at_its_atom(monkeypatch, name, side, fact
     # attempts are as without it.  The rows, and for a deposit the lcms
     # too, are memoised first, so that the overflowing computation is
     # the only miss left: every lcm (a ReversingCapExceeded), or every
-    # deposit that the canonical memo lacks (a BasicsCapExceeded)
+    # deposit that the canonical memo lacks (a BasicsCapExceeded), which
+    # `attach` hands to `multiply`
     inputs = MonoidContext(preset(name))
     for a in sample_inputs(inputs, depths=(5, 6, 7, 8)):
         ctx = warmed(name, a, side, lcms=fact == "deposit")
@@ -902,7 +903,7 @@ def test_overflow_on_a_memo_miss_lands_at_its_atom(monkeypatch, name, side, fact
     levels = red._levels(a, side)
     want = atomic_moves(inputs, a, side, levels)
     if fact == "deposit":
-        error, method = BasicsCapExceeded("basic-element closure exceeds basics_cap=0"), "attach"
+        error, method = BasicsCapExceeded("basic-element closure exceeds basics_cap=0"), "multiply"
     else:
         error, method = ReversingCapExceeded("reversing exceeded 0 cell fills"), "lcm"
     calls = []
@@ -990,24 +991,24 @@ def run_outcome(run, *args):
 
 
 def push_key(a, side, i, s):
-    """The arguments of the `lcm_attach` call of a's push R(i,s) (LEFT) or
+    """The arguments of the `lcm` call of a's push R(i,s) (LEFT) or
     R~(i,s) (RIGHT), or None for a truncated rule."""
     level, _, dst = red._frame(side, i)
     if not 0 < dst <= a.depth:
         return None
-    return s, a.entry(i), a.entry(dst), red.due_side(a, level).other
+    return s, a.entry(i), red.due_side(a, level).other
 
 
-def overflow_lcm_attach(mp, key, error):
-    """Make `lcm_attach` raise error when called with key's arguments."""
-    lcm_attach = MonoidContext.lcm_attach
+def overflow_lcm(mp, key, error):
+    """Make `lcm` raise error when called with key's arguments."""
+    lcm = MonoidContext.lcm
 
     def overflowing(self, *args):
         if args == key:
             raise error
-        return lcm_attach(self, *args)
+        return lcm(self, *args)
 
-    mp.setattr(MonoidContext, "lcm_attach", overflowing)
+    mp.setattr(MonoidContext, "lcm", overflowing)
 
 
 def overflow_row(mp, entry, due, t, error):
@@ -1085,7 +1086,7 @@ def test_step_loop_raises_only_the_attempt_it_takes(monkeypatch, name):
                 if later:
                     i, s, key = later[0]
                     with monkeypatch.context() as mp:
-                        overflow_lcm_attach(mp, key, lcm_error)
+                        overflow_lcm(mp, key, lcm_error)
                         stream = with_messages(strategy_moves(ref, a, side, strategy))
                         assert (i, s, str(lcm_error)) in stream
                         assert both_runs(fast, ref, a, side, strategy) == (moves, end)
@@ -1100,7 +1101,7 @@ def test_step_loop_raises_only_the_attempt_it_takes(monkeypatch, name):
                     assert both_runs(fast, ref, a, side, strategy) == (BasicsCapExceeded, str(row_error))
                 if key is not None:
                     with monkeypatch.context() as mp:
-                        overflow_lcm_attach(mp, key, lcm_error)
+                        overflow_lcm(mp, key, lcm_error)
                         assert both_runs(fast, ref, a, side, strategy) == (ReversingCapExceeded, str(lcm_error))
                     taken += 1
     assert untaken > 0 and taken > 0

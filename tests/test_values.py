@@ -124,10 +124,13 @@ def test_identity_through_every_entry_point():
         assert spell(ctx.lcm(one, ab, side)) == ("ab", "1", "ab")
         assert spell(ctx.lcm(ab, one, side)) == ("ab", "ab", "1")
         assert spell(ctx.lcm(one, one, side)) == ("1", "1", "1")
-        assert spell(ctx.lcm_attach(one, ab, c, side)) == ("ab", "c")
-        assert spell(ctx.lcm_attach(ab, one, c, side)) == ("1", "abc" if side is Side.LEFT else "cab")
-        assert spell(ctx.lcm_attach(a, ab, one, side)) == pushed
-        assert spell(ctx.lcm_attach(one, one, one, side)) == ("1", "1")
+        # a push of x past e deposits in d: (complement, deposit)
+        for x, e, d, want in ((one, ab, c, ("ab", "c")),
+                              (ab, one, c, ("1", "abc" if side is Side.LEFT else "cab")),
+                              (a, ab, one, pushed),
+                              (one, one, one, ("1", "1"))):
+            _, xp, comp = ctx.lcm(x, e, side)
+            assert spell((comp, ctx.attach(d, xp, side))) == want
         assert spell(ctx.divisors(one, side)) == ("1",)
         assert spell(ctx.divisors(ab, side)) == divisors
         assert spell(ctx.atom_quotients(one, side)) == (None, None, None)
