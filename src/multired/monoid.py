@@ -43,10 +43,10 @@ atom present in both tables again and again, and `divisors` searches over
 its entries.  lcms are reversals, each checked once when it is memoised.
 These checks raise InternalInvariantError, also under `python -O`; the
 moves of `reduction` rest on them and multiply nothing back; the one
-product a move forms, its deposit, is an `attach`, which reads the
-canonical memo first and keeps the length check on a hit.  `lcm_oracle`
-is a brute-force search kept for the tests to cross-check `lcm` against;
-nothing in the package calls it.  The breadth-first search it rests on,
+product a move forms, its deposit, is an `attach`, whose length is
+checked like every product's.  `lcm_oracle` is a brute-force search
+kept for the tests to cross-check `lcm` against; nothing in the package
+calls it.  The breadth-first search it rests on,
 `multiples`, also lists the elements up to a length (`elements_up_to`).
 Whether an Artin-Tits presentation is of type FC is decided by reversing
 too (`fc`), with no table of Coxeter graphs.
@@ -527,14 +527,8 @@ class MonoidContext:
 
     def attach(self, y: Element, x: Element, side: Side) -> Element:
         """y with x attached on the given side: y*x for RIGHT, x*y for LEFT.
-        The one place that orders a product by its side.  A hit reads the
-        canonical memo; a miss, or a length that is not additive, goes
-        through `multiply`, which makes the word canonical or raises."""
-        u, v = (y, x) if side is RIGHT else (x, y)
-        z = self._canon.get(u + v)
-        if z is None or len(z) != len(u) + len(v):  # multiply raises on the latter
-            return self.multiply(u, v)
-        return z
+        The one place that orders a product by its side."""
+        return self.multiply(y, x) if side is RIGHT else self.multiply(x, y)
 
     def product(self, items) -> Element:
         out = IDENTITY

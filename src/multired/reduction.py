@@ -255,7 +255,7 @@ def _push(
                         q = a.with_entries(entries[:src] + (q, qj) + entries[src + 2 :])
                     else:
                         q = qj  # the upper row's overflow
-            moves.append((i, s, q))  # the reduct, or a row's or the lcm's overflow
+            moves.append((i, s, q))  # the reduct, or a row's, the lcm's or the deposit's overflow
             if first:
                 return moves
     return moves
